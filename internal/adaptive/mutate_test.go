@@ -102,6 +102,74 @@ func TestSessionCheckpointWithMutations(t *testing.T) {
 	}
 }
 
+// TestSessionCheckpointLongDeltaLog: a campaign that takes a burst of 1%
+// churn deltas between two rounds checkpoints a delta log long enough
+// that ResumeSession's replay outgrows the arenas its first delta
+// compacted into — the chained deltas after it append more in-adjacency
+// entries than the M spare slots those arenas hold — so the replay both
+// appends in place and compacts again. The restored campaign must still
+// finish seed-identically to the uninterrupted one.
+func TestSessionCheckpointLongDeltaLog(t *testing.T) {
+	inst := nethept005Instance(t, "")
+	tc := sessionCase{"addatp-seq", AlgoADDATP, RunOptions{Sampling: SamplingOptions{Policy: PolicySequential, Workers: 2}}}
+	const burst = 40
+	run := func(checkpoint bool) (res *RunResult, appended int64) {
+		root := rng.New(11)
+		world := root.Split()
+		algoRNG := root.Split()
+		env := NewEnvironment(cascade.Sample(inst.G, inst.Model, world))
+		sess, err := NewSession(inst, tc.algo, tc.opts, algoRNG)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 1; ; round++ {
+			u, stop, err := sess.NextSeed()
+			if err != nil {
+				t.Fatalf("NextSeed round %d: %v", round, err)
+			}
+			if stop {
+				if round <= 2 {
+					t.Fatalf("campaign stopped after %d rounds; the burst must land mid-campaign", round-1)
+				}
+				break
+			}
+			if err := sess.Observe(env.Observe(u)); err != nil {
+				t.Fatalf("Observe round %d: %v", round, err)
+			}
+			if round != 1 {
+				continue
+			}
+			for i := 0; i < burst; i++ {
+				ins, dels := gen.ChurnDeltas(sess.Instance().G, 0.01, rng.New(uint64(1000+i)))
+				dres, err := sess.Mutate(ins, dels)
+				if err != nil {
+					t.Fatalf("Mutate %d: %v", i, err)
+				}
+				if i == 0 {
+					continue
+				}
+				// An in-place delta appends every touched node's new in-run.
+				for _, v := range dres.Touched {
+					appended += int64(sess.Instance().G.InDegree(v))
+				}
+			}
+			if checkpoint {
+				sess = roundTrip(t, inst, sess, ResumeOptions{})
+			}
+			rz := cascade.Sample(sess.Instance().G, inst.Model, rng.New(2003))
+			env = NewEnvironmentAt(rz, sess.CloneResidual(), sess.Spread())
+		}
+		return sess.Result(), appended
+	}
+	ref, appended := run(false)
+	if appended <= inst.G.M() {
+		t.Fatalf("the burst appends %d in-adjacency entries, within the %d spare slots: replay would never compact again",
+			appended, inst.G.M())
+	}
+	got, _ := run(true)
+	compareRuns(t, "long-delta-log", got, ref)
+}
+
 // TestSessionMutateExactOracle covers the exact-enumeration ADG oracle
 // across deltas on the worked example: the oracle is rebuilt on each
 // mutated graph (edge-count-conserving churn keeps it within the

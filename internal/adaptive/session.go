@@ -275,10 +275,7 @@ func (s *Session) Mutate(inserts, deletes []graph.Edge) (*graph.DeltaResult, err
 		return nil, err
 	}
 	newInst := &Instance{G: newG, Model: s.inst.Model, Targets: s.inst.Targets, Costs: s.inst.Costs}
-	res := graph.NewResidual(newG)
-	if err := res.RestoreAlive(s.res.AliveList(), s.res.Version()); err != nil {
-		return nil, err
-	}
+	res := s.res.CloneOnto(newG)
 	if err := s.step.mutate(newInst, dres.Touched); err != nil {
 		return nil, err
 	}

@@ -11,7 +11,10 @@ import (
 // against each other on nethept-s at full scale with a 1% edge churn:
 // graph.ApplyDelta patches the CSR and compressed in-probability tables
 // per touched node, while the rebuild path reconstructs the whole graph
-// from the edited edge list. The delta path is the reason temporal
+// from the edited edge list. BenchmarkApplyDelta applies the same delta
+// to one base graph, so every iteration compacts into fresh arenas;
+// BenchmarkApplyDeltaChain chains deltas the way a live campaign does, so
+// most of them append in place. The delta path is the reason temporal
 // sweeps and the mutate endpoint are cheap; run with
 //
 //	go test -bench 'Delta' -run xxx ./internal/gen/
@@ -72,6 +75,45 @@ func BenchmarkRebuildAfterDelta(b *testing.B) {
 		}
 		if got := nb.Build(); got.M() != g.M() {
 			b.Fatalf("rebuilt m=%d, want %d", got.M(), g.M())
+		}
+	}
+}
+
+// BenchmarkApplyDeltaChain applies chained 0.1% churn deltas to
+// epinions-s at half scale (66k nodes, 858k arcs): each delta is drawn on
+// and applied to the previous one's output, as Session.Mutate does during
+// a churning campaign. The deltas are drawn up front, outside the timer,
+// and the chain restarts from the base graph every len(deltas) steps, so
+// the timed mix matches a campaign: one compacting first delta, then
+// in-place appends with an occasional compaction.
+func BenchmarkApplyDeltaChain(b *testing.B) {
+	ds, err := Lookup("epinions-s")
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := Generate(ds.Config(0.5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	type delta struct{ inserts, deletes []graph.Edge }
+	deltas := make([]delta, 16)
+	g := base
+	for i := range deltas {
+		ins, dels := ChurnDeltas(g, 0.001, rng.New(uint64(i)+1))
+		deltas[i] = delta{ins, dels}
+		if g, _, err = g.ApplyDelta(ins, dels); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(deltas)
+		if k == 0 {
+			g = base
+		}
+		if g, _, err = g.ApplyDelta(deltas[k].inserts, deltas[k].deletes); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -43,6 +44,10 @@ func (b *Builder) AddEdge(u, v NodeID, p float64) error {
 	// comparison and would otherwise poison the samplers.
 	if !(p > 0 && p <= 1) {
 		return fmt.Errorf("graph: edge (%d,%d) probability %v outside (0,1]", u, v, p)
+	}
+	// Adjacency runs are addressed by int32 arena offsets.
+	if len(b.edges) >= math.MaxInt32 {
+		return fmt.Errorf("graph: more than %d edges", math.MaxInt32)
 	}
 	b.edges = append(b.edges, Edge{From: u, To: v, P: p})
 	return nil
@@ -152,6 +157,8 @@ func (b *Builder) degreeOrdering() (ren, inv []NodeID) {
 }
 
 // Build produces the immutable CSR graph. The builder remains usable.
+// Its arenas are exactly sized, with the runs laid out back to back in
+// node order.
 func (b *Builder) Build() *Graph {
 	n := b.n
 	m := int64(len(b.edges))
@@ -159,19 +166,18 @@ func (b *Builder) Build() *Graph {
 		n:        n,
 		m:        m,
 		directed: b.directed,
-		outIdx:   make([]int64, n+1),
+		outRun:   make([]span, n),
 		outAdj:   make([]NodeID, m),
 		outP:     make([]float64, m),
-		inIdx:    make([]int64, n+1),
+		inMeta:   make([]InMeta, n),
 		inAdj:    make([]NodeID, m),
-		inP:      make([]float64, m),
 	}
 	if b.degreeOrder && n > 0 {
 		g.ren, g.inv = b.degreeOrdering()
 	}
 
-	// Counting sort into CSR for both directions; deterministic layout:
-	// nodes keyed by internal ID, neighbors within a run by ORIGINAL ID —
+	// Sort into CSR for both directions; deterministic layout: nodes
+	// keyed by internal ID, neighbors within a run by ORIGINAL ID —
 	// (source, target) for out, (target, source) for in — so a
 	// position-indexed pick lands on the same original neighbor under
 	// either numbering.
@@ -189,18 +195,15 @@ func (b *Builder) Build() *Graph {
 		}
 		return g.ordOf(sorted[i].To) < g.ordOf(sorted[j].To)
 	})
-	for _, e := range sorted {
-		g.outIdx[e.From+1]++
+	for i, e := range sorted {
+		g.outAdj[i] = e.To
+		g.outP[i] = e.P
+		g.outRun[e.From].deg++
 	}
-	for i := int32(0); i < n; i++ {
-		g.outIdx[i+1] += g.outIdx[i]
-	}
-	cursor := make([]int64, n)
-	for _, e := range sorted {
-		pos := g.outIdx[e.From] + cursor[e.From]
-		g.outAdj[pos] = e.To
-		g.outP[pos] = e.P
-		cursor[e.From]++
+	start := int32(0)
+	for u := range g.outRun {
+		g.outRun[u].start = start
+		start += g.outRun[u].deg
 	}
 
 	sort.Slice(sorted, func(i, j int) bool {
@@ -209,101 +212,101 @@ func (b *Builder) Build() *Graph {
 		}
 		return g.ordOf(sorted[i].From) < g.ordOf(sorted[j].From)
 	})
-	for _, e := range sorted {
-		g.inIdx[e.To+1]++
+	inP := make([]float64, m)
+	for i, e := range sorted {
+		g.inAdj[i] = e.From
+		inP[i] = e.P
+		g.inMeta[e.To].Deg++
 	}
-	for i := int32(0); i < n; i++ {
-		g.inIdx[i+1] += g.inIdx[i]
+	start = 0
+	for v := range g.inMeta {
+		g.inMeta[v].Start = start
+		start += g.inMeta[v].Deg
+		g.maxInDeg = max(g.maxInDeg, g.inMeta[v].Deg)
 	}
-	for i := range cursor {
-		cursor[i] = 0
-	}
-	for _, e := range sorted {
-		pos := g.inIdx[e.To] + cursor[e.To]
-		g.inAdj[pos] = e.From
-		g.inP[pos] = e.P
-		cursor[e.To]++
-	}
-	for v := int32(0); v < n; v++ {
-		if d := int32(g.inIdx[v+1] - g.inIdx[v]); d > g.maxInDeg {
-			g.maxInDeg = d
-		}
-	}
-	g.compressInProbs()
+	g.compressInProbs(inP)
 	return g
 }
 
-// compressInProbs switches the in-probability storage from per-edge to
-// per-node when every node's in-edges share one probability — always the
+// compressInProbs settles the in-probability storage of a graph whose
+// in-runs are laid out, given the per-edge probabilities parallel to
+// inAdj. When every node's in-edges share one probability — always the
 // case for ApplyWeightedCascade (p = 1/indeg(v)) and
-// ApplyUniformProbability. The per-edge array is dropped (8 bytes per edge
-// -> 8 bytes per node; ~550 MB on livejournal-s's 69M edges) and
+// ApplyUniformProbability — the per-edge array is dropped (8 bytes per
+// edge -> 8 bytes per node; ~550 MB on livejournal-s's 69M edges) and
 // success-count sampling tables are precomputed so RR-set samplers can
 // draw a node's successful in-edge count in O(1) instead of one coin per
 // edge. Mixed-probability graphs (trivalency) keep per-edge storage.
-func (g *Graph) compressInProbs() {
+func (g *Graph) compressInProbs(inP []float64) {
+	g.mixedIn = 0
 	for v := int32(0); v < g.n; v++ {
-		lo, hi := g.inIdx[v], g.inIdx[v+1]
-		for i := lo + 1; i < hi; i++ {
-			if g.inP[i] != g.inP[lo] {
-				return // mixed probabilities: keep the per-edge fallback
-			}
+		lo, hi := g.inRange(v)
+		if !sharedProb(inP[lo:hi]) {
+			g.mixedIn++
 		}
 	}
+	if g.mixedIn > 0 {
+		g.inP = inP // mixed probabilities: keep the per-edge fallback
+		return
+	}
+	g.uniformIn = true
 	g.inProb = make([]float64, g.n)
 	g.inTabOff = make([]int32, g.n)
-	type tabKey struct {
-		deg int64
-		p   float64
-	}
-	cache := make(map[tabKey]int32)
+	g.tabIndex = make(map[tabKey]int32)
 	for v := int32(0); v < g.n; v++ {
-		lo, hi := g.inIdx[v], g.inIdx[v+1]
 		g.inTabOff[v] = -1
-		if hi == lo {
-			continue
+		if lo, hi := g.inRange(v); hi > lo {
+			g.inProb[v] = inP[lo]
+			g.inTabOff[v] = g.tableFor(v)
 		}
-		p := g.inP[lo]
-		g.inProb[v] = p
-		if p >= 1 {
-			continue // samplers special-case certain edges; no table needed
-		}
-		key := tabKey{deg: hi - lo, p: p}
-		if off, ok := cache[key]; ok {
-			g.inTabOff[v] = off
-			continue
-		}
-		off := int32(-1)
-		if thr := binomialThresholds(int(hi-lo), p); thr != nil {
-			off = int32(len(g.inTabThr))
-			g.inTabThr = append(g.inTabThr, thr...)
-		}
-		cache[key] = off
-		g.inTabOff[v] = off
+		g.setThresholds(v)
 	}
-	g.inP = nil
-	g.uniformIn = true
-	if g.m <= math.MaxInt32 {
-		g.inMeta = make([]InMeta, g.n)
-		for v := int32(0); v < g.n; v++ {
-			m := InMeta{
-				Start: int32(g.inIdx[v]),
-				Deg:   int32(g.inIdx[v+1] - g.inIdx[v]),
-			}
-			switch off := g.inTabOff[v]; {
-			case off >= 0:
-				// Tables are padded to >= 5 entries, so entry 1 always exists.
-				m.Thr0, m.Thr1 = g.inTabThr[off], g.inTabThr[off+1]
-			case m.Deg == 0:
-				// Every clamped draw ends the visit.
-				m.Thr0, m.Thr1 = ^uint32(0), ^uint32(0)
-			default:
-				// Certain edges / no table: every draw reads as "two or
-				// more" and takes the dedicated expansion.
-				m.Thr0, m.Thr1 = 0, 0
-			}
-			g.inMeta[v] = m
-		}
+	g.inTabThr = slices.Clip(g.inTabThr)
+}
+
+// tableFor returns the offset of the success-count table for node v's
+// in-degree and shared probability (-1: none), building and indexing it
+// on first use. The caller owns g.tabIndex and the table arena's tail.
+func (g *Graph) tableFor(v NodeID) int32 {
+	p := g.inProb[v]
+	if p >= 1 {
+		return -1 // samplers special-case certain edges; no table needed
+	}
+	k := tabKey{deg: g.inMeta[v].Deg, p: p}
+	if off, ok := g.tabIndex[k]; ok {
+		return off
+	}
+	return g.addTable(k)
+}
+
+// addTable builds the table for a pair not yet in g.tabIndex, appends it
+// to the table arena and indexes it. Pairs whose table would exceed
+// maxCountTable index as -1.
+func (g *Graph) addTable(k tabKey) int32 {
+	off := int32(-1)
+	if thr := binomialThresholds(int(k.deg), k.p); thr != nil {
+		off = int32(len(g.inTabThr))
+		g.inTabThr = append(g.inTabThr, thr...)
+	}
+	g.tabIndex[k] = off
+	return off
+}
+
+// setThresholds caches the first two entries of node v's success-count
+// table in its metadata, or the no-table conventions documented at InMeta.
+func (g *Graph) setThresholds(v NodeID) {
+	m := &g.inMeta[v]
+	switch off := g.inTabOff[v]; {
+	case off >= 0:
+		// Tables are padded to >= 5 entries, so entry 1 always exists.
+		m.Thr0, m.Thr1 = g.inTabThr[off], g.inTabThr[off+1]
+	case m.Deg == 0:
+		// Every clamped draw ends the visit.
+		m.Thr0, m.Thr1 = ^uint32(0), ^uint32(0)
+	default:
+		// Certain edges / no table: every draw reads as "two or more" and
+		// takes the dedicated expansion.
+		m.Thr0, m.Thr1 = 0, 0
 	}
 }
 

@@ -2,8 +2,11 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // DeltaResult summarizes one applied edge delta.
@@ -19,16 +22,45 @@ type DeltaResult struct {
 	Deleted  int
 }
 
+// lineage is the arena state shared by a chain of graphs derived from one
+// another in place. tip holds the linGen of the one graph that may append
+// to the shared arenas: the last graph derived in place.
+type lineage struct {
+	tip atomic.Uint64
+}
+
 // ApplyDelta derives a new immutable Graph from g with the given directed
-// edges inserted and deleted, without rebuilding from scratch: untouched
-// CSR runs are block-copied, only the runs of endpoint nodes are merged,
-// and the compressed in-probability tables are patched per touched node
-// (new (degree, probability) tables are appended to a copy of the table
-// arena; tables no node references anymore are kept as garbage, bounded by
-// the number of distinct pairs ever seen). The result is structurally
-// identical — per node — to Builder.Build on the edited edge list, so
-// same-seed RR draws on the delta graph and on a full rebuild are
-// bit-identical. g itself is never modified.
+// edges inserted and deleted, without rebuilding from scratch. Nodes the
+// delta does not touch keep their adjacency runs where they are; each
+// touched node gets a freshly merged run, appended past the end of the
+// arenas g shares with its lineage, and only the per-node arrays are
+// copied and patched at the touched nodes. The compressed in-probability
+// tables are patched per touched node too: a new (degree, probability)
+// pair appends its table to the lineage's table arena and clones the
+// pair index, and tables no node references anymore are kept as garbage,
+// bounded by the number of distinct pairs ever seen.
+//
+// Appending in place needs the lineage-tip claim: after validating the
+// delta, ApplyDelta atomically moves the claim from g to the new graph,
+// and appends in place only if that succeeds and the arenas have room.
+// When g is not the tip — a sibling derived from a shared base, as the
+// first delta of every campaign and of every checkpoint replay is;
+// Builder output has no lineage at all — or the in-probability storage
+// changes mode, it
+// compacts the live runs into new arenas with doubled capacity, which
+// start a new lineage. With the claim held, a direction whose arena is
+// full, or would pass twice the live edge count, is compacted alone, and
+// the new graph stays the tip. Writes only ever land past the visible
+// length of every older graph, so g and all its ancestors stay unchanged
+// and safe for concurrent readers, including concurrent ApplyDelta calls
+// on the same g. A delta costs O(N + Δ·deg) plus the amortized
+// compactions, and no arena holds more than twice its live entries.
+//
+// The result is structurally identical — per node — to Builder.Build on
+// the edited edge list: the same runs in the same order, the same
+// probabilities, tables and sampler metadata (Deg, Thr0, Thr1), though
+// the runs sit at other arena positions. Same-seed RR draws on the delta
+// graph and on a full rebuild are therefore bit-identical.
 //
 // Inserts are validated like Builder.AddEdge (endpoints in range, no
 // self-loops, probability in (0,1]; the negated comparison also rejects
@@ -62,6 +94,10 @@ func (g *Graph) ApplyDelta(inserts, deletes []Edge) (*Graph, *DeltaResult, error
 			return nil, nil, fmt.Errorf("graph: delete (%d,%d) out of range [0,%d)", e.From, e.To, g.n)
 		}
 	}
+	newM := g.m + int64(len(inserts)) - int64(len(deletes))
+	if newM > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("graph: delta grows the graph past %d edges", math.MaxInt32)
+	}
 	// Deltas arrive in ORIGINAL node IDs; fold any degree-ordered
 	// renumbering in up front (after the range checks above, which are
 	// permutation-invariant) so the merge logic below works purely on
@@ -70,221 +106,458 @@ func (g *Graph) ApplyDelta(inserts, deletes []Edge) (*Graph, *DeltaResult, error
 		inserts = remapEdges(inserts, g.ren)
 		deletes = remapEdges(deletes, g.ren)
 	}
-	type pair struct{ u, v NodeID }
-	delCnt := make(map[pair]int, len(deletes))
-	for _, e := range deletes {
-		delCnt[pair{e.From, e.To}]++
+	out := g.groupEdits(inserts, deletes, false)
+	if err := g.checkDeletes(&out); err != nil {
+		return nil, nil, err
 	}
-	// Every delete must consume a distinct existing edge. Out-adjacency is
-	// sorted by original target, so the multiplicity check binary-searches
-	// in that order.
-	for k, cnt := range delCnt {
-		adj, _ := g.OutNeighbors(k.u)
-		ov := g.ordOf(k.v)
-		lo := sort.Search(len(adj), func(i int) bool { return g.ordOf(adj[i]) >= ov })
-		hi := lo
-		for hi < len(adj) && adj[hi] == k.v {
-			hi++
-		}
-		if hi-lo < cnt {
-			return nil, nil, fmt.Errorf("graph: delete (%d,%d) ×%d exceeds %d existing edge(s)",
-				g.ordOf(k.u), ov, cnt, hi-lo)
-		}
-	}
+	in := g.groupEdits(inserts, deletes, true)
 
-	insOut := make(map[NodeID][]Edge)
-	insIn := make(map[NodeID][]Edge)
-	for _, e := range inserts {
-		insOut[e.From] = append(insOut[e.From], e)
-		insIn[e.To] = append(insIn[e.To], e)
-	}
-	for _, list := range insOut {
-		sort.Slice(list, func(i, j int) bool { return g.ordOf(list[i].To) < g.ordOf(list[j].To) })
-	}
-	for _, list := range insIn {
-		sort.Slice(list, func(i, j int) bool { return g.ordOf(list[i].From) < g.ordOf(list[j].From) })
-	}
-	delOut := make(map[NodeID]int)
-	delIn := make(map[NodeID]int)
-	for k, c := range delCnt {
-		delOut[k.u] += c
-		delIn[k.v] += c
-	}
-	touchedOut := touchedNodes(insOut, delOut)
-	touchedIn := touchedNodes(insIn, delIn)
-
-	newM := g.m + int64(len(inserts)) - int64(len(deletes))
-
-	// New CSR offsets: the shift over untouched spans is piecewise constant,
-	// one prefix pass per direction.
-	newOutIdx := shiftedIndex(g.outIdx, g.n, touchedOut, func(v NodeID) int64 {
-		return int64(len(insOut[v])) - int64(delOut[v])
-	})
-	newInIdx := shiftedIndex(g.inIdx, g.n, touchedIn, func(v NodeID) int64 {
-		return int64(len(insIn[v])) - int64(delIn[v])
-	})
-	if newOutIdx[g.n] != newM || newInIdx[g.n] != newM {
-		panic("graph: delta degree accounting out of balance")
-	}
-
-	// Out-adjacency: block-copy untouched spans, merge touched runs.
-	newOutAdj := make([]NodeID, newM)
-	newOutP := make([]float64, newM)
-	{
-		dc := make(map[pair]int, len(delCnt))
-		for k, c := range delCnt {
-			dc[k] = c
+	// Settle the in-probability storage: the new graph is uniform exactly
+	// when no node's in-edges mix probabilities, which only the touched
+	// nodes can have changed.
+	probs := make([]float64, len(in.nodes))
+	mixed := g.mixedIn
+	for i := range in.nodes {
+		p, shared, wasShared := g.inRunProb(&in, i)
+		probs[i] = p
+		if !shared {
+			mixed++
 		}
-		prev := NodeID(0)
-		for _, u := range touchedOut {
-			lo, hi := g.outIdx[prev], g.outIdx[u]
-			copy(newOutAdj[newOutIdx[prev]:], g.outAdj[lo:hi])
-			copy(newOutP[newOutIdx[prev]:], g.outP[lo:hi])
-			base := g.outAdj[g.outIdx[u]:g.outIdx[u+1]]
-			basep := g.outP[g.outIdx[u]:g.outIdx[u+1]]
-			ins := insOut[u]
-			w := newOutIdx[u]
-			i, j := 0, 0
-			for i < len(base) || j < len(ins) {
-				if i < len(base) {
-					if c := dc[pair{u, base[i]}]; c > 0 {
-						dc[pair{u, base[i]}] = c - 1
-						i++
-						continue
-					}
-				}
-				if j >= len(ins) || (i < len(base) && g.ordOf(base[i]) <= g.ordOf(ins[j].To)) {
-					newOutAdj[w] = base[i]
-					newOutP[w] = basep[i]
-					i++
-				} else {
-					newOutAdj[w] = ins[j].To
-					newOutP[w] = ins[j].P
-					j++
-				}
-				w++
-			}
-			prev = u + 1
-		}
-		copy(newOutAdj[newOutIdx[prev]:], g.outAdj[g.outIdx[prev]:g.m])
-		copy(newOutP[newOutIdx[prev]:], g.outP[g.outIdx[prev]:g.m])
-	}
-
-	// Decide the in-probability path before filling in-adjacency: the fast
-	// path patches the compressed per-node storage; if any touched node ends
-	// up with mixed in-probabilities, or the base graph already stores
-	// per-edge probabilities, per-edge arrays are materialized and
-	// compression re-attempted exactly as Build would.
-	fast := g.uniformIn
-	var touchedProb map[NodeID]float64
-	if fast {
-		touchedProb = make(map[NodeID]float64, len(touchedIn))
-		for _, v := range touchedIn {
-			surv := g.inIdx[v+1] - g.inIdx[v] - int64(delIn[v])
-			var p float64
-			has := false
-			if surv > 0 {
-				p = g.inProb[v]
-				has = true
-			}
-			for _, e := range insIn[v] {
-				if !has {
-					p, has = e.P, true
-				} else if e.P != p {
-					fast = false
-				}
-			}
-			touchedProb[v] = p // zero when the node's new in-degree is 0
+		if !wasShared {
+			mixed--
 		}
 	}
-
-	// In-adjacency: same block-copy + merge, with per-edge probabilities
-	// materialized only on the slow path.
-	newInAdj := make([]NodeID, newM)
-	var newInP []float64
-	if !fast {
-		newInP = make([]float64, newM)
-	}
-	{
-		dc := make(map[pair]int, len(delCnt))
-		for k, c := range delCnt {
-			dc[k] = c
-		}
-		prev := NodeID(0)
-		for _, v := range touchedIn {
-			g.copyInSpan(newInAdj, newInP, newInIdx, prev, v)
-			base := g.inAdj[g.inIdx[v]:g.inIdx[v+1]]
-			var basep []float64
-			if !g.uniformIn {
-				basep = g.inP[g.inIdx[v]:g.inIdx[v+1]]
-			}
-			ins := insIn[v]
-			w := newInIdx[v]
-			i, j := 0, 0
-			for i < len(base) || j < len(ins) {
-				if i < len(base) {
-					if c := dc[pair{base[i], v}]; c > 0 {
-						dc[pair{base[i], v}] = c - 1
-						i++
-						continue
-					}
-				}
-				if j >= len(ins) || (i < len(base) && g.ordOf(base[i]) <= g.ordOf(ins[j].From)) {
-					newInAdj[w] = base[i]
-					if newInP != nil {
-						if basep != nil {
-							newInP[w] = basep[i]
-						} else {
-							newInP[w] = g.inProb[v]
-						}
-					}
-					i++
-				} else {
-					newInAdj[w] = ins[j].From
-					if newInP != nil {
-						newInP[w] = ins[j].P
-					}
-					j++
-				}
-				w++
-			}
-			prev = v + 1
-		}
-		g.copyInSpan(newInAdj, newInP, newInIdx, prev, g.n)
-	}
+	uniform := mixed == 0
 
 	ng := &Graph{
 		n: g.n, m: newM, directed: g.directed, epoch: g.epoch + 1,
-		outIdx: newOutIdx, outAdj: newOutAdj, outP: newOutP,
-		inIdx: newInIdx, inAdj: newInAdj,
-		ren: g.ren, inv: g.inv,
+		ren: g.ren, inv: g.inv, uniformIn: uniform, mixedIn: mixed,
 	}
-	for v := int32(0); v < ng.n; v++ {
-		if d := int32(ng.inIdx[v+1] - ng.inIdx[v]); d > ng.maxInDeg {
-			ng.maxInDeg = d
+	// Claim the lineage tip, then place each direction's runs: appended in
+	// place when the claim holds and the arenas have room, else compacted
+	// into fresh arenas with doubled capacity. The claim is not even tried
+	// across a storage-mode change, which rewrites the in-side anyway. The
+	// two directions share no state, so the out-runs are placed on a
+	// second goroutine.
+	claimed := g.lin != nil && uniform == g.uniformIn && g.lin.tip.CompareAndSwap(g.linGen, g.linGen+1)
+	if claimed {
+		ng.lin, ng.linGen = g.lin, g.linGen+1
+	} else {
+		ng.lin = &lineage{}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ng.placeOut(g, &out, claimed)
+	}()
+	ng.placeIn(g, &in, probs, claimed)
+	wg.Wait()
+	return ng, &DeltaResult{Touched: in.nodes, Inserted: len(inserts), Deleted: len(deletes)}, nil
+}
+
+// placeOut lays out ng's out-runs: in place past g's arenas when claimed
+// and they have room, else compacted into fresh ones.
+func (ng *Graph) placeOut(g *Graph, out *runEdits, claimed bool) {
+	ng.outRun = slices.Clone(g.outRun)
+	set := func(v NodeID, start, deg int32) { ng.outRun[v] = span{start, deg} }
+	if n := len(g.outAdj) + out.newLen(g.outRange); claimed && n <= cap(g.outAdj) && n <= cap(g.outP) && n <= int(2*ng.m) {
+		ng.outAdj, ng.outP = g.relayout(out, g.outSource(), false, g.outAdj, g.outP, true, set)
+		return
+	}
+	c := int(min(2*ng.m, math.MaxInt32))
+	ng.outAdj, ng.outP = g.relayout(out, g.outSource(), true, make([]NodeID, 0, c), make([]float64, 0, c), true, set)
+}
+
+// placeIn lays out ng's in-runs like placeOut, then settles the
+// in-probability storage and the cached largest in-degree. probs holds
+// each edited node's post-delta shared probability.
+func (ng *Graph) placeIn(g *Graph, in *runEdits, probs []float64, claimed bool) {
+	ng.inMeta = slices.Clone(g.inMeta)
+	set := func(v NodeID, start, deg int32) { ng.inMeta[v].Start, ng.inMeta[v].Deg = start, deg }
+	// Per-edge in-probabilities are written whenever either side of the
+	// delta stores them.
+	withP := !ng.uniformIn || !g.uniformIn
+	var ps []float64
+	if n := len(g.inAdj) + in.newLen(g.inRange); claimed && n <= cap(g.inAdj) && (ng.uniformIn || n <= cap(g.inP)) && n <= int(2*ng.m) {
+		ng.inAdj, ps = g.relayout(in, g.inSource(), false, g.inAdj, g.inP, withP, set)
+	} else {
+		c := int(min(2*ng.m, math.MaxInt32))
+		if withP {
+			ps = make([]float64, 0, c)
+		}
+		ng.inAdj, ps = g.relayout(in, g.inSource(), true, make([]NodeID, 0, c), ps, withP, set)
+	}
+	switch {
+	case ng.uniformIn && g.uniformIn:
+		ng.patchTables(g, in, probs, claimed)
+	case ng.uniformIn: // the delta restored uniformity: compress as Build would
+		ng.compressInProbs(ps)
+	default:
+		ng.inP = ps
+		if g.uniformIn { // demoted: per-edge metadata carries no thresholds
+			for v := range ng.inMeta {
+				ng.inMeta[v].Thr0, ng.inMeta[v].Thr1 = 0, 0
+			}
 		}
 	}
-	if fast {
-		ng.patchCompressed(g, touchedIn, touchedProb)
-	} else {
-		ng.inP = newInP
-		ng.compressInProbs()
+
+	// The largest in-degree changes only at edited nodes; a full rescan is
+	// needed only when the old maximum may have shrunk away.
+	ng.maxInDeg = g.maxInDeg
+	shrunk := false
+	for _, v := range in.nodes {
+		d := ng.inMeta[v].Deg
+		ng.maxInDeg = max(ng.maxInDeg, d)
+		shrunk = shrunk || (g.inMeta[v].Deg == g.maxInDeg && d < g.maxInDeg)
+	}
+	if shrunk && ng.maxInDeg == g.maxInDeg {
+		ng.maxInDeg = 0
+		for _, m := range ng.inMeta {
+			ng.maxInDeg = max(ng.maxInDeg, m.Deg)
+		}
+	}
+}
+
+// runEdits groups one direction's edits by the node whose run they change
+// (the source for out-runs, the target for in-runs). Within a node the
+// neighbors are sorted by original ID, the order of the runs themselves.
+type runEdits struct {
+	nodes  []NodeID  // sorted distinct nodes whose run changes
+	delOff []int32   // nodes[i]'s deleted neighbors are del[delOff[i]:delOff[i+1]]
+	insOff []int32   // nodes[i]'s inserted neighbors are ins[insOff[i]:insOff[i+1]]
+	del    []NodeID  // deleted neighbors
+	ins    []NodeID  // inserted neighbors
+	insP   []float64 // probabilities of the inserted edges, parallel to ins
+}
+
+// groupEdits sorts the delta into runEdits for the out-runs, or for the
+// in-runs when in is set.
+func (g *Graph) groupEdits(inserts, deletes []Edge, in bool) runEdits {
+	// One sort key per edit: the run's node in the high word, the
+	// neighbor's original ID in the low word.
+	key := func(e Edge) uint64 {
+		node, nbr := e.From, e.To
+		if in {
+			node, nbr = nbr, node
+		}
+		return uint64(node)<<32 | uint64(g.ordOf(nbr))
+	}
+	del := make([]uint64, len(deletes))
+	for i, e := range deletes {
+		del[i] = key(e)
+	}
+	slices.Sort(del)
+	ins := make([]uint64, len(inserts))
+	for i, e := range inserts {
+		ins[i] = key(e)
+	}
+	slices.Sort(ins)
+	// Each insert's probability goes to the next free slot of its key's
+	// run of equal keys, so inserts of the same pair keep their input
+	// order: a stable sort of the inserts for the price of sorting keys.
+	insP := make([]float64, len(inserts))
+	used := make([]int32, len(inserts))
+	for _, e := range inserts {
+		j, _ := slices.BinarySearch(ins, key(e))
+		insP[j+int(used[j])] = e.P
+		used[j]++
 	}
 
-	res := &DeltaResult{Inserted: len(inserts), Deleted: len(deletes)}
-	seen := make(map[NodeID]struct{}, len(inserts)+len(deletes))
-	for _, e := range inserts {
-		seen[e.To] = struct{}{}
+	// The neighbor in a key's low word is an original ID.
+	nbrOf := func(k uint64) NodeID {
+		if g.ren == nil {
+			return NodeID(uint32(k))
+		}
+		return g.ren[uint32(k)]
 	}
-	for _, e := range deletes {
-		seen[e.To] = struct{}{}
+	e := runEdits{
+		nodes:  make([]NodeID, 0, len(ins)+len(del)),
+		delOff: []int32{0}, insOff: []int32{0},
+		del: make([]NodeID, 0, len(del)), ins: make([]NodeID, 0, len(ins)), insP: insP,
 	}
-	res.Touched = make([]NodeID, 0, len(seen))
-	for v := range seen {
-		res.Touched = append(res.Touched, v)
+	i, j := 0, 0
+	for i < len(ins) || j < len(del) {
+		var v NodeID
+		switch {
+		case j == len(del):
+			v = NodeID(ins[i] >> 32)
+		case i == len(ins):
+			v = NodeID(del[j] >> 32)
+		default:
+			v = NodeID(min(ins[i], del[j]) >> 32)
+		}
+		for ; j < len(del) && NodeID(del[j]>>32) == v; j++ {
+			e.del = append(e.del, nbrOf(del[j]))
+		}
+		for ; i < len(ins) && NodeID(ins[i]>>32) == v; i++ {
+			e.ins = append(e.ins, nbrOf(ins[i]))
+		}
+		e.nodes = append(e.nodes, v)
+		e.delOff = append(e.delOff, int32(len(e.del)))
+		e.insOff = append(e.insOff, int32(len(e.ins)))
 	}
-	sort.Slice(res.Touched, func(i, j int) bool { return res.Touched[i] < res.Touched[j] })
-	return ng, res, nil
+	return e
+}
+
+// newLen returns the total length of the edited nodes' post-delta runs.
+func (e *runEdits) newLen(runOf func(NodeID) (lo, hi int32)) int {
+	n := len(e.ins) - len(e.del)
+	for _, v := range e.nodes {
+		lo, hi := runOf(v)
+		n += int(hi - lo)
+	}
+	return n
+}
+
+// checkDeletes verifies, on the out-run edits, that every delete consumes
+// a distinct existing edge. Out-adjacency is sorted by original target,
+// so the multiplicity check binary-searches in that order.
+func (g *Graph) checkDeletes(e *runEdits) error {
+	for i, u := range e.nodes {
+		dels := e.del[e.delOff[i]:e.delOff[i+1]]
+		adj, _ := g.OutNeighbors(u)
+		for k := 0; k < len(dels); {
+			v, c := dels[k], 1
+			for k+c < len(dels) && dels[k+c] == v {
+				c++
+			}
+			lo := g.searchRun(adj, 0, g.ordOf(v))
+			hi := lo
+			for hi < len(adj) && adj[hi] == v {
+				hi++
+			}
+			if hi-lo < c {
+				return fmt.Errorf("graph: delete (%d,%d) ×%d exceeds %d existing edge(s)",
+					g.ordOf(u), g.ordOf(v), c, hi-lo)
+			}
+			k += c
+		}
+	}
+	return nil
+}
+
+// searchRun returns the first index at or after lo in run (sorted by
+// original ID) whose original ID is at least o.
+func (g *Graph) searchRun(run []NodeID, lo int, o NodeID) int {
+	hi := len(run)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g.ordOf(run[mid]) < o {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// inRunProb reports the probability the in-edges of in-edit i share after
+// the delta (0 when none survive; meaningless unless shared), and whether
+// its in-edges shared one probability before and after the delta.
+func (g *Graph) inRunProb(e *runEdits, i int) (p float64, shared, wasShared bool) {
+	v := e.nodes[i]
+	del := e.del[e.delOff[i]:e.delOff[i+1]]
+	has := false
+	shared, wasShared = true, true
+	if g.uniformIn {
+		if int(g.inMeta[v].Deg) > len(del) {
+			p, has = g.inProb[v], true
+		}
+	} else {
+		srcs, ps := g.InNeighbors(v)
+		wasShared = sharedProb(ps)
+		d := 0
+		for k, u := range srcs {
+			if d < len(del) && u == del[d] {
+				d++
+				continue
+			}
+			if !has {
+				p, has = ps[k], true
+			} else if ps[k] != p {
+				shared = false
+			}
+		}
+	}
+	for _, q := range e.insP[e.insOff[i]:e.insOff[i+1]] {
+		if !has {
+			p, has = q, true
+		} else if q != p {
+			shared = false
+		}
+	}
+	return p, shared, wasShared
+}
+
+// runSource is one direction of a graph as relayout reads its runs.
+type runSource struct {
+	runOf func(NodeID) (lo, hi int32)
+	adj   []NodeID
+	p     []float64 // per-edge probabilities parallel to adj, or nil
+	nodeP []float64 // per-node probabilities when p is nil, or nil
+}
+
+func (g *Graph) outSource() runSource { return runSource{g.outRange, g.outAdj, g.outP, nil} }
+func (g *Graph) inSource() runSource  { return runSource{g.inRange, g.inAdj, g.inP, g.inProb} }
+
+// relayout appends one direction's post-delta runs to adj (and their
+// probabilities to ps when withP) and records each placed run through
+// setRun. With all set it places every node's run in node order — the
+// compaction into fresh arenas; otherwise only the edited nodes' runs,
+// past the end of the lineage arenas.
+func (g *Graph) relayout(e *runEdits, src runSource, all bool, adj []NodeID, ps []float64, withP bool,
+	setRun func(v NodeID, start, deg int32)) ([]NodeID, []float64) {
+	place := func(v NodeID, i int) {
+		lo, hi := src.runOf(v)
+		run := src.adj[lo:hi]
+		var runP []float64
+		var p float64
+		if src.p != nil {
+			runP = src.p[lo:hi]
+		} else if src.nodeP != nil {
+			p = src.nodeP[v]
+		}
+		start := int32(len(adj))
+		if i < 0 {
+			adj = append(adj, run...)
+			if withP {
+				ps = appendProbs(ps, runP, p, len(run))
+			}
+		} else {
+			adj, ps = g.mergeRun(adj, ps, withP, run, runP, p, e.del[e.delOff[i]:e.delOff[i+1]],
+				e.ins[e.insOff[i]:e.insOff[i+1]], e.insP[e.insOff[i]:e.insOff[i+1]])
+		}
+		setRun(v, start, int32(len(adj))-start)
+	}
+	if !all {
+		for i, v := range e.nodes {
+			place(v, i)
+		}
+		return adj, ps
+	}
+	// Untouched runs lying back to back in the source move as one block,
+	// unless their probabilities must be materialized per node.
+	batch := !withP || src.p != nil
+	blo, bhi := int32(0), int32(0)
+	flush := func() {
+		adj = append(adj, src.adj[blo:bhi]...)
+		if withP {
+			ps = append(ps, src.p[blo:bhi]...)
+		}
+		blo = bhi
+	}
+	i := 0
+	for v := NodeID(0); v < g.n; v++ {
+		switch lo, hi := src.runOf(v); {
+		case i < len(e.nodes) && e.nodes[i] == v:
+			flush()
+			place(v, i)
+			i++
+		case !batch:
+			place(v, -1)
+		case lo == hi:
+			setRun(v, int32(len(adj))+bhi-blo, 0)
+		default:
+			if lo != bhi {
+				flush()
+				blo, bhi = lo, lo
+			}
+			setRun(v, int32(len(adj))+lo-blo, hi-lo)
+			bhi = hi
+		}
+	}
+	flush()
+	return adj, ps
+}
+
+// appendProbs appends a run's n probabilities: runP when per-edge, else n
+// copies of the shared p.
+func appendProbs(ps, runP []float64, p float64, n int) []float64 {
+	if runP != nil {
+		return append(ps, runP...)
+	}
+	k := len(ps)
+	ps = slices.Grow(ps, n)[:k+n]
+	for i := k; i < len(ps); i++ {
+		ps[i] = p
+	}
+	return ps
+}
+
+// mergeRun appends one node's post-delta run: the base run minus one
+// occurrence per deleted neighbor, plus the inserted ones, in original
+// neighbor order with base entries ahead of equal inserts. base, del and
+// ins are all sorted by original ID and every delete is known to match,
+// so each edit binary-searches its position past the previous one and the
+// base entries between edits move as one block. A delete removes the
+// first matching base entry. Probabilities come from baseP, or the shared
+// p when baseP is nil.
+func (g *Graph) mergeRun(adj []NodeID, ps []float64, withP bool, base []NodeID, baseP []float64, p float64,
+	del, ins []NodeID, insP []float64) ([]NodeID, []float64) {
+	i := 0 // base entries before i are placed or deleted
+	emit := func(k int) {
+		adj = append(adj, base[i:k]...)
+		if withP {
+			var runP []float64
+			if baseP != nil {
+				runP = baseP[i:k]
+			}
+			ps = appendProbs(ps, runP, p, k-i)
+		}
+		i = k
+	}
+	d, j := 0, 0
+	for d < len(del) || j < len(ins) {
+		if d < len(del) && (j == len(ins) || g.ordOf(del[d]) <= g.ordOf(ins[j])) {
+			emit(g.searchRun(base, i, g.ordOf(del[d])))
+			i++ // base[i] is the deleted edge
+			d++
+			continue
+		}
+		emit(g.searchRun(base, i, g.ordOf(ins[j])+1))
+		adj = append(adj, ins[j])
+		if withP {
+			ps = append(ps, insP[j])
+		}
+		j++
+	}
+	emit(len(base))
+	return adj, ps
+}
+
+// patchTables carries g's compressed in-probability storage over to ng,
+// whose in-runs are laid out, recomputing only the edited nodes: their
+// per-node probability, table offset (reusing the table of any pair seen
+// before along the lineage) and cached thresholds. Appending a new table
+// writes past g's table arena, which only the lineage tip may do; a
+// compacted ng starts a new lineage and must copy on its first append.
+func (ng *Graph) patchTables(g *Graph, e *runEdits, probs []float64, claimed bool) {
+	ng.inProb = slices.Clone(g.inProb)
+	ng.inTabOff = slices.Clone(g.inTabOff)
+	ng.inTabThr = g.inTabThr
+	if !claimed {
+		ng.inTabThr = slices.Clip(ng.inTabThr)
+	}
+	ng.tabIndex = g.tabIndex
+	cloned := false
+	for i, v := range e.nodes {
+		ng.inProb[v] = probs[i]
+		ng.inTabOff[v] = -1
+		if d := ng.inMeta[v].Deg; d > 0 && probs[i] < 1 {
+			k := tabKey{d, probs[i]}
+			off, seen := ng.tabIndex[k]
+			if !seen {
+				if !cloned {
+					ng.tabIndex = maps.Clone(ng.tabIndex)
+					cloned = true
+				}
+				off = ng.addTable(k)
+			}
+			ng.inTabOff[v] = off
+		}
+		ng.setThresholds(v)
+	}
 }
 
 // remapEdges maps edge endpoints through a node permutation.
@@ -294,132 +567,4 @@ func remapEdges(edges []Edge, ren []NodeID) []Edge {
 		out[i] = Edge{From: ren[e.From], To: ren[e.To], P: e.P}
 	}
 	return out
-}
-
-// touchedNodes returns the sorted union of the two maps' keys.
-func touchedNodes(ins map[NodeID][]Edge, del map[NodeID]int) []NodeID {
-	seen := make(map[NodeID]struct{}, len(ins)+len(del))
-	for v := range ins {
-		seen[v] = struct{}{}
-	}
-	for v := range del {
-		seen[v] = struct{}{}
-	}
-	out := make([]NodeID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// shiftedIndex builds the post-delta CSR index from the base one: offsets
-// shift by the accumulated degree delta of the touched nodes before them.
-func shiftedIndex(base []int64, n int32, touched []NodeID, delta func(NodeID) int64) []int64 {
-	idx := make([]int64, n+1)
-	shift := int64(0)
-	ti := 0
-	for v := int32(0); v <= n; v++ {
-		idx[v] = base[v] + shift
-		if ti < len(touched) && v == touched[ti] {
-			shift += delta(touched[ti])
-			ti++
-		}
-	}
-	return idx
-}
-
-// copyInSpan block-copies the unchanged in-adjacency runs of nodes
-// [from, to) into the new arrays, materializing per-edge probabilities
-// from the compressed per-node storage when the slow path needs them.
-func (g *Graph) copyInSpan(adj []NodeID, ps []float64, newIdx []int64, from, to NodeID) {
-	lo, hi := g.inIdx[from], g.inIdx[to]
-	copy(adj[newIdx[from]:], g.inAdj[lo:hi])
-	if ps == nil {
-		return
-	}
-	if !g.uniformIn {
-		copy(ps[newIdx[from]:], g.inP[lo:hi])
-		return
-	}
-	for v := from; v < to; v++ {
-		run := ps[newIdx[v]:newIdx[v+1]]
-		p := g.inProb[v]
-		for i := range run {
-			run[i] = p
-		}
-	}
-}
-
-// patchCompressed carries the base graph's compressed in-probability
-// storage over to ng, recomputing only the touched nodes: their per-node
-// probability, their success-count table offset (reusing any base or
-// freshly appended table with the same (degree, probability) key), and the
-// packed sampler metadata — which is rebuilt wholesale because every
-// adjacency start after the first touched node shifts.
-func (ng *Graph) patchCompressed(g *Graph, touched []NodeID, touchedProb map[NodeID]float64) {
-	ng.inProb = make([]float64, ng.n)
-	copy(ng.inProb, g.inProb)
-	ng.inTabOff = make([]int32, ng.n)
-	copy(ng.inTabOff, g.inTabOff)
-	ng.inTabThr = make([]uint32, len(g.inTabThr))
-	copy(ng.inTabThr, g.inTabThr)
-	ng.uniformIn = true
-
-	type tabKey struct {
-		deg int64
-		p   float64
-	}
-	cache := make(map[tabKey]int32)
-	for v := int32(0); v < g.n; v++ {
-		if off := g.inTabOff[v]; off >= 0 {
-			k := tabKey{g.inIdx[v+1] - g.inIdx[v], g.inProb[v]}
-			if _, ok := cache[k]; !ok {
-				cache[k] = off
-			}
-		}
-	}
-	for _, v := range touched {
-		d := ng.inIdx[v+1] - ng.inIdx[v]
-		ng.inTabOff[v] = -1
-		if d == 0 {
-			ng.inProb[v] = 0
-			continue
-		}
-		p := touchedProb[v]
-		ng.inProb[v] = p
-		if p >= 1 {
-			continue // samplers special-case certain edges; no table needed
-		}
-		k := tabKey{d, p}
-		if off, ok := cache[k]; ok {
-			ng.inTabOff[v] = off
-			continue
-		}
-		off := int32(-1)
-		if thr := binomialThresholds(int(d), p); thr != nil {
-			off = int32(len(ng.inTabThr))
-			ng.inTabThr = append(ng.inTabThr, thr...)
-		}
-		cache[k] = off
-		ng.inTabOff[v] = off
-	}
-	if ng.m <= math.MaxInt32 {
-		ng.inMeta = make([]InMeta, ng.n)
-		for v := int32(0); v < ng.n; v++ {
-			m := InMeta{
-				Start: int32(ng.inIdx[v]),
-				Deg:   int32(ng.inIdx[v+1] - ng.inIdx[v]),
-			}
-			switch off := ng.inTabOff[v]; {
-			case off >= 0:
-				m.Thr0, m.Thr1 = ng.inTabThr[off], ng.inTabThr[off+1]
-			case m.Deg == 0:
-				m.Thr0, m.Thr1 = ^uint32(0), ^uint32(0)
-			default:
-				m.Thr0, m.Thr1 = 0, 0
-			}
-			ng.inMeta[v] = m
-		}
-	}
 }

@@ -9,9 +9,12 @@ import (
 
 // assertGraphsEquivalent checks that got (an ApplyDelta product) is
 // structurally identical, per node, to want (a Builder.Build from-scratch
-// rebuild on the edited edge list). Table arena layouts may differ between
-// the two paths — tables are compared per node by content, and InMeta by
-// the fields samplers actually read.
+// rebuild on the edited edge list) — ApplyDelta's documented contract.
+// Arena layouts may differ between the two paths: adjacency runs sit at
+// other arena positions and table arenas hold other layouts, so each
+// node's runs, probabilities and table are compared by content, and its
+// InMeta by the fields samplers read besides the arena position (Deg,
+// Thr0, Thr1).
 func assertGraphsEquivalent(t *testing.T, got, want *Graph) {
 	t.Helper()
 	if err := got.Validate(); err != nil {
@@ -24,33 +27,37 @@ func assertGraphsEquivalent(t *testing.T, got, want *Graph) {
 		t.Fatalf("shape mismatch: got n=%d m=%d dir=%v, want n=%d m=%d dir=%v",
 			got.N(), got.M(), got.Directed(), want.N(), want.M(), want.Directed())
 	}
-	for v := NodeID(0); v < got.n; v++ {
-		if got.outIdx[v] != want.outIdx[v] || got.inIdx[v] != want.inIdx[v] {
-			t.Fatalf("node %d: CSR offsets diverge (out %d vs %d, in %d vs %d)",
-				v, got.outIdx[v], want.outIdx[v], got.inIdx[v], want.inIdx[v])
-		}
-	}
-	for i := range got.outAdj {
-		if got.outAdj[i] != want.outAdj[i] || got.outP[i] != want.outP[i] {
-			t.Fatalf("out edge %d: (%d, %v) vs (%d, %v)",
-				i, got.outAdj[i], got.outP[i], want.outAdj[i], want.outP[i])
-		}
-	}
-	for i := range got.inAdj {
-		if got.inAdj[i] != want.inAdj[i] {
-			t.Fatalf("in edge %d: source %d vs %d", i, got.inAdj[i], want.inAdj[i])
-		}
-	}
 	if got.InUniform() != want.InUniform() {
 		t.Fatalf("storage mode diverges: delta uniform=%v, rebuild uniform=%v",
 			got.InUniform(), want.InUniform())
 	}
-	if !got.InUniform() {
-		for i := range got.inP {
-			if got.inP[i] != want.inP[i] {
-				t.Fatalf("in edge %d: probability %v vs %v", i, got.inP[i], want.inP[i])
+	if got.MaxInDegree() != want.MaxInDegree() {
+		t.Fatalf("max in-degree %d vs %d", got.MaxInDegree(), want.MaxInDegree())
+	}
+	sameRun := func(dir string, v NodeID, ga, wa []NodeID, gp, wp []float64) {
+		t.Helper()
+		if len(ga) != len(wa) {
+			t.Fatalf("node %d: %s-degree %d vs %d", v, dir, len(ga), len(wa))
+		}
+		for i := range ga {
+			if ga[i] != wa[i] || gp[i] != wp[i] {
+				t.Fatalf("node %d: %s edge %d: (%d, %v) vs (%d, %v)", v, dir, i, ga[i], gp[i], wa[i], wp[i])
 			}
 		}
+	}
+	for v := NodeID(0); v < got.n; v++ {
+		ga, gp := got.OutNeighbors(v)
+		wa, wp := want.OutNeighbors(v)
+		sameRun("out", v, ga, wa, gp, wp)
+		ga, gp = got.InNeighbors(v)
+		wa, wp = want.InNeighbors(v)
+		sameRun("in", v, ga, wa, gp, wp)
+		gm, wm := got.inMeta[v], want.inMeta[v]
+		if gm.Deg != wm.Deg || gm.Thr0 != wm.Thr0 || gm.Thr1 != wm.Thr1 {
+			t.Fatalf("node %d: InMeta %+v vs %+v", v, gm, wm)
+		}
+	}
+	if !got.InUniform() {
 		return
 	}
 	for v := NodeID(0); v < got.n; v++ {
@@ -65,17 +72,6 @@ func assertGraphsEquivalent(t *testing.T, got, want *Graph) {
 			if gt[k] != wt[k] {
 				t.Fatalf("node %d: table entry %d: %08x vs %08x", v, k, gt[k], wt[k])
 			}
-		}
-	}
-	gm, _, _, goff := got.InSamplerTables()
-	wm, _, _, woff := want.InSamplerTables()
-	if (gm == nil) != (wm == nil) {
-		t.Fatalf("inMeta presence diverges: %v vs %v", gm != nil, wm != nil)
-	}
-	for v := range gm {
-		g, w := gm[v], wm[v]
-		if g != w || (goff[v] >= 0) != (woff[v] >= 0) {
-			t.Fatalf("node %d: InMeta %+v (off %d) vs %+v (off %d)", v, g, goff[v], w, woff[v])
 		}
 	}
 }

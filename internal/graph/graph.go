@@ -8,6 +8,24 @@
 // probability p(e) in (0, 1], matching the Independent Cascade model of
 // Kempe et al. that the paper builds on.
 //
+// Each node locates its adjacency run in a direction by a (start, degree)
+// pair into that direction's arena, not by contiguous offsets. Builder.Build
+// lays the runs out back to back in node order, exactly sized. ApplyDelta
+// keeps every untouched node's runs where they are and appends fresh runs
+// for the touched nodes only, past the end of arenas shared along the
+// graph's lineage (the chain of graphs derived from one another by
+// ApplyDelta). Only the lineage tip — the last graph derived in place —
+// may append, and it does so only past the visible length of every older
+// graph, so no graph ever observes a write: graphs stay immutable and
+// safe for concurrent readers. A delta on anything but the tip (a sibling
+// derived from a shared base, such as every campaign's first delta) or
+// one that changes the in-probability storage compacts the live runs into
+// new arenas with doubled capacity, starting a new lineage; on the tip, a
+// direction whose arena would fill up or grow past twice its live entries
+// is compacted alone. A delta therefore costs O(N + Δ·deg) rather than
+// O(M), amortized, and an arena never holds more than twice its live
+// entries.
+//
 // In-probability storage is dual. Build detects when every node's
 // in-edges share one probability — always true for the paper's
 // weighted-cascade weighting p(u,v) = 1/indeg(v) and for uniform edge
@@ -35,14 +53,15 @@
 // break argmax ties via Graph.Before (original-ID order), so same-seed
 // runs are bit-identical between numberings.
 //
-// Mutation happens only through Builder; once built, a Graph is safe for
-// concurrent readers. Residual graphs (the paper's G_i) are lightweight
-// views provided by the Residual type, which maintains its alive-node
-// list incrementally for O(1) uniform root sampling.
+// Graphs are created only by Builder and ApplyDelta; once created, a
+// Graph is safe for concurrent readers. Residual graphs (the paper's G_i)
+// are lightweight views provided by the Residual type, which maintains
+// its alive-node list incrementally for O(1) uniform root sampling.
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -61,39 +80,41 @@ type Graph struct {
 	n int32
 	m int64
 
-	// Out-adjacency: edges leaving node u occupy
-	// outAdj[outIdx[u]:outIdx[u+1]], probabilities in outP at the same
-	// positions.
-	outIdx []int64
+	// Out-adjacency: the edges leaving node u occupy
+	// outAdj[outRun[u].start:][:outRun[u].deg], probabilities in outP at
+	// the same positions. The arenas may hold runs no node references
+	// (see the package doc).
+	outRun []span
 	outAdj []NodeID
 	outP   []float64
 
-	// In-adjacency: edges entering node v occupy
-	// inAdj[inIdx[v]:inIdx[v+1]] (the sources). Probability storage is
+	// In-adjacency: the sources of the edges entering node v occupy
+	// inAdj[inMeta[v].Start:][:inMeta[v].Deg]. Probability storage is
 	// dual: when every node's in-edges share one probability (always true
 	// for weighted-cascade and ApplyUniformProbability weightings) the
 	// per-edge inP is dropped and a single per-node inProb is kept instead
 	// — 8 bytes per node instead of 8 bytes per edge, which is what lets
 	// livejournal-scale in-adjacency fit in memory. Mixed-probability
-	// graphs (trivalency) keep the per-edge inP fallback.
-	inIdx     []int64
+	// graphs (trivalency) keep the per-edge inP fallback, parallel to
+	// inAdj; mixedIn counts their nodes whose in-edges do not share one
+	// probability (0 exactly when uniformIn), so ApplyDelta can tell in
+	// O(Δ) when a delta restores uniformity.
+	inMeta    []InMeta
 	inAdj     []NodeID
 	inP       []float64 // per-edge; nil when uniformIn
 	inProb    []float64 // per-node shared probability; nil unless uniformIn
 	uniformIn bool
+	mixedIn   int32
 
 	// Success-count sampling tables for uniform in-probability nodes:
 	// inTabThr[inTabOff[v]:] is a truncated cumulative Binomial(indeg(v),
 	// inProb[v]) threshold table (see InCountThresholds). Nodes with the
-	// same (degree, probability) pair share one table.
+	// same (degree, probability) pair share one table; tabIndex maps each
+	// pair seen so far to its table's offset (-1: the pair has none). It
+	// is shared along a lineage and cloned only when a new pair appears.
 	inTabOff []int32
 	inTabThr []uint32
-
-	// inMeta packs the per-node fast-path metadata (adjacency start,
-	// degree, table offset) into one cache line's worth of struct, so an
-	// RR sampler visit costs one random load instead of three. Built only
-	// when the edge count fits the int32 start offsets.
-	inMeta []InMeta
+	tabIndex map[tabKey]int32
 
 	directed bool
 
@@ -121,6 +142,24 @@ type Graph struct {
 	// registry, RR-set collections) key on it to avoid mixing artifacts
 	// across divergent topologies.
 	epoch int64
+
+	// lin is the arena lineage the graph belongs to and linGen its
+	// position in it: the graph may append to the shared arenas only
+	// while lin's tip claim reads linGen (see ApplyDelta). nil for
+	// Builder.Build output, whose arenas are exactly sized.
+	lin    *lineage
+	linGen uint64
+}
+
+// span locates one node's out-adjacency run: outAdj[start:start+deg].
+type span struct {
+	start, deg int32
+}
+
+// tabKey identifies a success-count table: Binomial(deg, p).
+type tabKey struct {
+	deg int32
+	p   float64
 }
 
 // InMeta is the packed per-node reverse-sampling metadata: node v's
@@ -161,14 +200,10 @@ func (g *Graph) Epoch() int64 { return g.epoch }
 func (g *Graph) Directed() bool { return g.directed }
 
 // OutDegree returns the number of edges leaving u.
-func (g *Graph) OutDegree(u NodeID) int {
-	return int(g.outIdx[u+1] - g.outIdx[u])
-}
+func (g *Graph) OutDegree(u NodeID) int { return int(g.outRun[u].deg) }
 
 // InDegree returns the number of edges entering v.
-func (g *Graph) InDegree(v NodeID) int {
-	return int(g.inIdx[v+1] - g.inIdx[v])
-}
+func (g *Graph) InDegree(v NodeID) int { return int(g.inMeta[v].Deg) }
 
 // MaxInDegree returns the largest in-degree of any node, cached at build
 // time.
@@ -226,12 +261,23 @@ func (g *Graph) ordOf(v NodeID) NodeID {
 	return g.inv[v]
 }
 
+// outRange and inRange return the arena bounds of a node's runs.
+func (g *Graph) outRange(u NodeID) (lo, hi int32) {
+	r := g.outRun[u]
+	return r.start, r.start + r.deg
+}
+
+func (g *Graph) inRange(v NodeID) (lo, hi int32) {
+	m := g.inMeta[v]
+	return m.Start, m.Start + m.Deg
+}
+
 // OutNeighbors returns the targets of edges leaving u and their
 // probabilities. The returned slices alias internal storage and must not
 // be modified.
 func (g *Graph) OutNeighbors(u NodeID) ([]NodeID, []float64) {
-	lo, hi := g.outIdx[u], g.outIdx[u+1]
-	return g.outAdj[lo:hi], g.outP[lo:hi]
+	lo, hi := g.outRange(u)
+	return g.outAdj[lo:hi:hi], g.outP[lo:hi:hi]
 }
 
 // InNeighbors returns the sources of edges entering v and their
@@ -240,16 +286,16 @@ func (g *Graph) OutNeighbors(u NodeID) ([]NodeID, []float64) {
 // the probability slice is materialized on every call, so hot paths must
 // go through InNeighborsUniform instead.
 func (g *Graph) InNeighbors(v NodeID) ([]NodeID, []float64) {
-	lo, hi := g.inIdx[v], g.inIdx[v+1]
+	lo, hi := g.inRange(v)
 	if !g.uniformIn {
-		return g.inAdj[lo:hi], g.inP[lo:hi]
+		return g.inAdj[lo:hi:hi], g.inP[lo:hi:hi]
 	}
 	ps := make([]float64, hi-lo)
 	p := g.inProb[v]
 	for i := range ps {
 		ps[i] = p
 	}
-	return g.inAdj[lo:hi], ps
+	return g.inAdj[lo:hi:hi], ps
 }
 
 // InUniform reports whether the graph stores one shared in-probability per
@@ -266,8 +312,8 @@ func (g *Graph) InNeighborsUniform(v NodeID) ([]NodeID, float64, bool) {
 	if !g.uniformIn {
 		return nil, 0, false
 	}
-	lo, hi := g.inIdx[v], g.inIdx[v+1]
-	return g.inAdj[lo:hi], g.inProb[v], true
+	lo, hi := g.inRange(v)
+	return g.inAdj[lo:hi:hi], g.inProb[v], true
 }
 
 // InCountThresholds returns the success-count sampling table of node v, or
@@ -296,10 +342,18 @@ func (g *Graph) InCountThresholds(v NodeID) []uint32 {
 // (negative for nodes without a table — the cold complement to the
 // Thr0/Thr1 cache in InMeta, consulted only when a visit draws two or
 // more successes). meta is nil when the graph stores per-edge
-// in-probabilities or is too large for int32 adjacency offsets; callers
-// must then use the accessor-based API. All four slices are read-only
-// views of internal storage.
+// in-probabilities; callers must then use the accessor-based API. All
+// four slices are read-only views of internal storage.
+//
+// On graphs derived by ApplyDelta the runs in the adjacency arena are not
+// in node order, and the arena can hold runs no node references anymore
+// (every entry is still a valid node ID, so a speculative read of any
+// arena position is safe). Reach a node's sources only through its
+// metadata's Start and Deg.
 func (g *Graph) InSamplerTables() (meta []InMeta, arena []NodeID, thr []uint32, tabOff []int32) {
+	if !g.uniformIn {
+		return nil, g.inAdj, nil, nil
+	}
 	return g.inMeta, g.inAdj, g.inTabThr, g.inTabOff
 }
 
@@ -334,49 +388,54 @@ func (g *Graph) EdgeProbability(u, v NodeID) (float64, bool) {
 }
 
 // Validate performs internal consistency checks and returns a descriptive
-// error on the first violation. It is O(N + M) and intended for tests and
-// for use after deserialization.
+// error on the first violation. It is O(N log N + M) and intended for
+// tests and for use after deserialization.
 func (g *Graph) Validate() error {
-	if int64(len(g.outAdj)) != g.m || int64(len(g.inAdj)) != g.m {
-		return fmt.Errorf("graph: adjacency length mismatch: out=%d in=%d m=%d",
-			len(g.outAdj), len(g.inAdj), g.m)
+	if len(g.outRun) != int(g.n) || len(g.inMeta) != int(g.n) {
+		return fmt.Errorf("graph: run index length mismatch for n=%d", g.n)
 	}
-	if len(g.outIdx) != int(g.n)+1 || len(g.inIdx) != int(g.n)+1 {
-		return fmt.Errorf("graph: index length mismatch for n=%d", g.n)
+	if len(g.outP) != len(g.outAdj) {
+		return fmt.Errorf("graph: out arena lengths differ: adj=%d p=%d", len(g.outAdj), len(g.outP))
 	}
-	if g.outIdx[g.n] != g.m || g.inIdx[g.n] != g.m {
-		return fmt.Errorf("graph: index does not cover all edges")
+	if !g.uniformIn && len(g.inP) != len(g.inAdj) {
+		return fmt.Errorf("graph: in arena lengths differ: adj=%d p=%d", len(g.inAdj), len(g.inP))
 	}
-	var outCount, inCount int64
-	for u := int32(0); u < g.n; u++ {
-		if g.outIdx[u] > g.outIdx[u+1] || g.inIdx[u] > g.inIdx[u+1] {
-			return fmt.Errorf("graph: non-monotone CSR index at node %d", u)
+	// Every run must lie inside its arena, runs must not overlap, and the
+	// degrees must sum to M in both directions.
+	if err := checkRuns("out", g.n, g.m, len(g.outAdj), g.outRange); err != nil {
+		return err
+	}
+	if err := checkRuns("in", g.n, g.m, len(g.inAdj), g.inRange); err != nil {
+		return err
+	}
+	maxIn := int32(0)
+	for v := int32(0); v < g.n; v++ {
+		maxIn = max(maxIn, g.inMeta[v].Deg)
+		adj, ps := g.OutNeighbors(v)
+		for i, u := range adj {
+			if u < 0 || u >= g.n {
+				return fmt.Errorf("graph: out edge %d of node %d targets invalid node %d", i, v, u)
+			}
+			if p := ps[i]; !(p > 0 && p <= 1) { // negated form also catches NaN
+				return fmt.Errorf("graph: out edge (%d,%d) has probability %v outside (0,1]", v, u, p)
+			}
 		}
-		outCount += g.outIdx[u+1] - g.outIdx[u]
-		inCount += g.inIdx[u+1] - g.inIdx[u]
-	}
-	if outCount != g.m || inCount != g.m {
-		return fmt.Errorf("graph: degree sums out=%d in=%d, want %d", outCount, inCount, g.m)
-	}
-	for i, v := range g.outAdj {
-		if v < 0 || v >= g.n {
-			return fmt.Errorf("graph: out edge %d targets invalid node %d", i, v)
-		}
-		if p := g.outP[i]; !(p > 0 && p <= 1) { // negated form also catches NaN
-			return fmt.Errorf("graph: out edge %d has probability %v outside (0,1]", i, p)
+		lo, hi := g.inRange(v)
+		for i, u := range g.inAdj[lo:hi] {
+			if u < 0 || u >= g.n {
+				return fmt.Errorf("graph: in edge %d of node %d comes from invalid node %d", i, v, u)
+			}
 		}
 	}
-	for i, u := range g.inAdj {
-		if u < 0 || u >= g.n {
-			return fmt.Errorf("graph: in edge %d comes from invalid node %d", i, u)
-		}
+	if maxIn != g.maxInDeg {
+		return fmt.Errorf("graph: cached max in-degree %d, want %d", g.maxInDeg, maxIn)
 	}
 	if g.uniformIn {
-		if g.inP != nil {
-			return fmt.Errorf("graph: uniform in-probability storage retains per-edge inP")
+		if g.inP != nil || g.mixedIn != 0 {
+			return fmt.Errorf("graph: uniform in-probability storage retains per-edge state")
 		}
-		if len(g.inProb) != int(g.n) {
-			return fmt.Errorf("graph: inProb length %d, want %d", len(g.inProb), g.n)
+		if len(g.inProb) != int(g.n) || len(g.inTabOff) != int(g.n) {
+			return fmt.Errorf("graph: inProb/inTabOff length %d/%d, want %d", len(g.inProb), len(g.inTabOff), g.n)
 		}
 		for v := int32(0); v < g.n; v++ {
 			if g.InDegree(v) == 0 {
@@ -387,10 +446,20 @@ func (g *Graph) Validate() error {
 			}
 		}
 	} else {
-		for i, p := range g.inP {
-			if !(p > 0 && p <= 1) {
-				return fmt.Errorf("graph: in edge %d has probability %v outside (0,1]", i, p)
+		mixed := int32(0)
+		for v := int32(0); v < g.n; v++ {
+			_, ps := g.InNeighbors(v)
+			for i, p := range ps {
+				if !(p > 0 && p <= 1) {
+					return fmt.Errorf("graph: in edge %d of node %d has probability %v outside (0,1]", i, v, p)
+				}
 			}
+			if !sharedProb(ps) {
+				mixed++
+			}
+		}
+		if mixed != g.mixedIn || mixed == 0 {
+			return fmt.Errorf("graph: per-edge storage with %d mixed nodes, recorded %d", mixed, g.mixedIn)
 		}
 	}
 	// The renumbering tables, when present, must be mutually inverse
@@ -413,13 +482,14 @@ func (g *Graph) Validate() error {
 	// layouts, and the renumbering invariance of position-indexed neighbor
 	// picks all rely on it.
 	for u := int32(0); u < g.n; u++ {
-		adj := g.outAdj[g.outIdx[u]:g.outIdx[u+1]]
+		adj, _ := g.OutNeighbors(u)
 		for i := 1; i < len(adj); i++ {
 			if g.ordOf(adj[i-1]) > g.ordOf(adj[i]) {
 				return fmt.Errorf("graph: out-adjacency of node %d not sorted at %d", u, i)
 			}
 		}
-		srcs := g.inAdj[g.inIdx[u]:g.inIdx[u+1]]
+		lo, hi := g.inRange(u)
+		srcs := g.inAdj[lo:hi]
 		for i := 1; i < len(srcs); i++ {
 			if g.ordOf(srcs[i-1]) > g.ordOf(srcs[i]) {
 				return fmt.Errorf("graph: in-adjacency of node %d not sorted at %d", u, i)
@@ -427,10 +497,23 @@ func (g *Graph) Validate() error {
 		}
 	}
 	// Success-count tables, when present, must be nondecreasing threshold
-	// runs terminated by the sentinel.
+	// runs terminated by the sentinel, and each node's metadata must cache
+	// its table's first two entries (or the no-table conventions).
 	if g.inTabOff != nil {
 		for v := int32(0); v < g.n; v++ {
 			tab := g.InCountThresholds(v)
+			m := g.inMeta[v]
+			want0, want1 := uint32(0), uint32(0)
+			switch {
+			case tab != nil:
+				want0, want1 = tab[0], tab[1]
+			case m.Deg == 0:
+				want0, want1 = ^uint32(0), ^uint32(0)
+			}
+			if m.Thr0 != want0 || m.Thr1 != want1 {
+				return fmt.Errorf("graph: node %d metadata thresholds %08x/%08x, want %08x/%08x",
+					v, m.Thr0, m.Thr1, want0, want1)
+			}
 			if tab == nil {
 				continue
 			}
@@ -459,7 +542,7 @@ func (g *Graph) Validate() error {
 	// sum/subtract residual, which is order-dependent in floating point
 	// and false-alarms on parallel edges ((a+b)−a−b ≠ 0).
 	type key struct{ u, v NodeID }
-	fwd := make(map[key][]float64, min64(g.m, 1<<20))
+	fwd := make(map[key][]float64, min(g.m, 1<<20))
 	if g.m <= 1<<20 { // full check only on graphs where the map is affordable
 		for u := int32(0); u < g.n; u++ {
 			adj, ps := g.OutNeighbors(u)
@@ -495,9 +578,40 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// checkRuns verifies one direction's run index: every run lies inside the
+// arena, no two non-empty runs overlap, and the degrees sum to m.
+func checkRuns(dir string, n int32, m int64, arenaLen int, runOf func(NodeID) (lo, hi int32)) error {
+	var sum int64
+	live := make([][2]int32, 0, n)
+	for v := int32(0); v < n; v++ {
+		lo, hi := runOf(v)
+		if lo < 0 || hi < lo || int(hi) > arenaLen {
+			return fmt.Errorf("graph: %s run [%d,%d) of node %d outside its arena of %d", dir, lo, hi, v, arenaLen)
+		}
+		sum += int64(hi - lo)
+		if hi > lo {
+			live = append(live, [2]int32{lo, hi})
+		}
 	}
-	return b
+	if sum != m {
+		return fmt.Errorf("graph: %s degree sum %d, want %d", dir, sum, m)
+	}
+	slices.SortFunc(live, func(a, b [2]int32) int { return int(a[0]) - int(b[0]) })
+	for i := 1; i < len(live); i++ {
+		if live[i][0] < live[i-1][1] {
+			return fmt.Errorf("graph: %s runs [%d,%d) and [%d,%d) overlap",
+				dir, live[i-1][0], live[i-1][1], live[i][0], live[i][1])
+		}
+	}
+	return nil
+}
+
+// sharedProb reports whether every probability in ps is the same.
+func sharedProb(ps []float64) bool {
+	for _, p := range ps {
+		if p != ps[0] {
+			return false
+		}
+	}
+	return true
 }

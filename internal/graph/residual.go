@@ -129,10 +129,19 @@ func (r *Residual) M() int64 {
 // Clone returns an independent copy of the view over the same Graph,
 // including the alive-list order, so sampling after a clone matches
 // sampling after the original's history.
-func (r *Residual) Clone() *Residual {
+func (r *Residual) Clone() *Residual { return r.CloneOnto(r.g) }
+
+// CloneOnto is Clone re-homed onto h, a graph over the same node set —
+// typically an ApplyDelta descendant of r's graph: the copy keeps r's
+// alive list, its order and the version counter. It panics if h's node
+// count differs from r's graph's.
+func (r *Residual) CloneOnto(h *Graph) *Residual {
+	if h.N() != r.g.N() {
+		panic(fmt.Sprintf("graph: residual of a %d-node graph cloned onto a %d-node graph", r.g.N(), h.N()))
+	}
 	cp := &Residual{
-		g:         r.g,
-		aliveList: make([]NodeID, len(r.aliveList), r.g.N()),
+		g:         h,
+		aliveList: make([]NodeID, len(r.aliveList), h.N()),
 		pos:       make([]int32, len(r.pos)),
 		version:   r.version,
 	}
