@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"repro/internal/cascade"
 	"repro/internal/graph"
@@ -16,15 +17,14 @@ import (
 // Checkpoint format: a versioned little-endian binary blob holding
 // everything a mid-campaign Session needs to resume bit-identically in
 // another process — committed seeds and spread, the pending proposal, the
-// algorithm RNG's raw state, the residual's alive list in swap-remove
-// order (the order feeds uniform root sampling, so it must survive
-// verbatim), and the per-algorithm stepper state (RR collection snapshots
-// plus accounting).
+// algorithm RNG's raw state, the residual's removal log, and the
+// per-algorithm stepper state (RR collection snapshots plus accounting).
 //
 // Deliberately absent, because each is a pure function of what is stored:
 // coverage counts and the CSR inverted index (rebuilt from the restored
 // sets), sampler pools (stateless between batches — workers reseed from
-// the session RNG every batch), and wall-clock telemetry (SamplingNS
+// the session RNG every batch), the residual's O(N) alive list (replayed
+// from the removal log, see below), and wall-clock telemetry (SamplingNS
 // restarts at zero; every other RunResult field of a resumed campaign
 // matches the uninterrupted run exactly).
 //
@@ -34,16 +34,41 @@ import (
 // fingerprint (graph shape, model, targets, costs) guards against
 // restoring onto the wrong instance. Unknown versions and torn payloads
 // fail loudly.
-// Version 2 added the topology-delta log: the fingerprint field names the
-// *base* instance (the one the session was created on) and the log of
-// Mutate calls rides in the blob, so ResumeSession reconstructs the
-// current graph by replaying the deltas through graph.ApplyDelta — the
-// replayed graph is per-node structurally identical to the original
-// mutated one, so sampling stays bit-identical. Version 1 blobs (no log)
-// are rejected; no committed artifacts exist in that format.
+//
+// Layout of version 3, in order (u64 counts precede every list; nodes
+// and int32s are 4 bytes each, edges 16: from u32, to u32, p f64):
+//
+//	magic u64, version u32, base fingerprint u64
+//	delta log: count u64, then per delta: inserts []edge, deletes []edge
+//	algo string, sampling options, ADG/NSG theta
+//	done, havePending bool, pending u32, spread, seeds []node
+//	RNG present bool [, state u64, inc u64]
+//	residual version i64, removals []node (oldest first)
+//	stepper tag u8, stepper payload (RR collections: arena []node,
+//	offsets []int32, roots []node, version i64, requested)
+//
+// The fingerprint names the *base* instance (the one the session was
+// created on); ResumeSession reconstructs the current graph by replaying
+// the delta log through graph.ApplyDelta — the replayed graph is per-node
+// structurally identical to the original mutated one, so sampling stays
+// bit-identical. The session keeps the log in this encoding as Mutate
+// appends to it, so a checkpoint copies it in one piece.
+//
+// The residual is stored as its removal log (graph.Residual.Removed,
+// oldest first): replaying it through Remove on a fresh residual of the
+// same node set rebuilds the alive list in the exact order that feeds
+// uniform root sampling. Session residuals are never Reset, so the
+// version counter equals the log length; it is kept as a cross-check.
+// A blob is therefore O(seeds + activations + deltas + RR sets), not
+// O(N). Checkpoint sizes the blob with a counting pass over the same
+// encoder and writes it into one exactly sized buffer.
+//
+// Version 3 replaced version 2's alive list with the removal log;
+// version 1 had no delta log. Older versions are rejected: no committed
+// artifacts exist in those formats.
 const (
 	ckptMagic   = uint64(0x4154505345535331) // "ATPSESS1"
-	ckptVersion = uint32(2)
+	ckptVersion = uint32(3)
 )
 
 // Stepper payload tags (one per algorithm family).
@@ -86,13 +111,40 @@ func instFingerprint(inst *Instance) uint64 {
 // Little-endian writer/reader with a sticky error (reader side) so the
 // codec reads as straight-line field lists.
 
+// ckptWriter runs in two modes over the same encoder: with a nil buf it
+// only counts bytes (the sizing pass); with buf allocated at the counted
+// size it writes them. Lists are written with bulk PutUint32 loops into
+// a reserved span, never element-wise appends.
 type ckptWriter struct {
 	buf []byte
+	n   int // bytes counted or written so far
 }
 
-func (w *ckptWriter) u8(v uint8) { w.buf = append(w.buf, v) }
+// reserve claims the next k bytes: nil while sizing, the span to fill
+// while writing.
+func (w *ckptWriter) reserve(k int) []byte {
+	off := w.n
+	w.n += k
+	if w.buf == nil {
+		return nil
+	}
+	return w.buf[off:w.n]
+}
+
+func (w *ckptWriter) u8(v uint8) {
+	if b := w.reserve(1); b != nil {
+		b[0] = v
+	}
+}
+func (w *ckptWriter) u32(v uint32) {
+	if b := w.reserve(4); b != nil {
+		binary.LittleEndian.PutUint32(b, v)
+	}
+}
 func (w *ckptWriter) u64(v uint64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+	if b := w.reserve(8); b != nil {
+		binary.LittleEndian.PutUint64(b, v)
+	}
 }
 func (w *ckptWriter) i64(v int64)   { w.u64(uint64(v)) }
 func (w *ckptWriter) i(v int)       { w.u64(uint64(int64(v))) }
@@ -104,21 +156,62 @@ func (w *ckptWriter) boolean(v bool) {
 		w.u8(0)
 	}
 }
+func (w *ckptWriter) raw(p []byte) {
+	if b := w.reserve(len(p)); b != nil {
+		copy(b, p)
+	}
+}
 func (w *ckptWriter) str(s string) {
 	w.u64(uint64(len(s)))
-	w.buf = append(w.buf, s...)
+	if b := w.reserve(len(s)); b != nil {
+		copy(b, s)
+	}
 }
 func (w *ckptWriter) nodes(ns []graph.NodeID) {
 	w.u64(uint64(len(ns)))
-	for _, u := range ns {
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(u))
+	if b := w.reserve(4 * len(ns)); b != nil {
+		for i, u := range ns {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(u))
+		}
 	}
 }
 func (w *ckptWriter) i32s(vs []int32) {
 	w.u64(uint64(len(vs)))
-	for _, v := range vs {
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(v))
+	if b := w.reserve(4 * len(vs)); b != nil {
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+		}
 	}
+}
+
+// removals writes a residual's removal log oldest first; Removed lists it
+// most recent first.
+func (w *ckptWriter) removals(res *graph.Residual) {
+	log := res.Removed()
+	w.u64(uint64(len(log)))
+	if b := w.reserve(4 * len(log)); b != nil {
+		last := len(log) - 1
+		for i, u := range log {
+			binary.LittleEndian.PutUint32(b[4*(last-i):], uint32(u))
+		}
+	}
+}
+
+// appendDelta appends one topology delta to an encoded delta log, in the
+// checkpoint's byte layout (inserts then deletes, each a counted edge
+// list). Session.Mutate calls it once per delta, so checkpoints copy the
+// log instead of re-encoding it.
+func appendDelta(log []byte, inserts, deletes []graph.Edge) []byte {
+	log = slices.Grow(log, 16+16*(len(inserts)+len(deletes)))
+	for _, es := range [2][]graph.Edge{inserts, deletes} {
+		log = binary.LittleEndian.AppendUint64(log, uint64(len(es)))
+		for _, e := range es {
+			log = binary.LittleEndian.AppendUint32(log, uint32(e.From))
+			log = binary.LittleEndian.AppendUint32(log, uint32(e.To))
+			log = binary.LittleEndian.AppendUint64(log, math.Float64bits(e.P))
+		}
+	}
+	return log
 }
 
 type ckptReader struct {
@@ -196,13 +289,17 @@ func (r *ckptReader) length() int {
 	return int(n)
 }
 
+// words returns the raw bytes of a counted list of 4-byte words.
+func (r *ckptReader) words() []byte {
+	return r.take(4 * r.length())
+}
+
 func (r *ckptReader) nodes() []graph.NodeID {
-	n := r.length()
-	b := r.take(4 * n)
+	b := r.words()
 	if b == nil {
 		return nil
 	}
-	out := make([]graph.NodeID, n)
+	out := make([]graph.NodeID, len(b)/4)
 	for i := range out {
 		out[i] = graph.NodeID(binary.LittleEndian.Uint32(b[4*i:]))
 	}
@@ -210,25 +307,15 @@ func (r *ckptReader) nodes() []graph.NodeID {
 }
 
 func (r *ckptReader) i32s() []int32 {
-	n := r.length()
-	b := r.take(4 * n)
+	b := r.words()
 	if b == nil {
 		return nil
 	}
-	out := make([]int32, n)
+	out := make([]int32, len(b)/4)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
-}
-
-func (w *ckptWriter) edges(es []graph.Edge) {
-	w.u64(uint64(len(es)))
-	for _, e := range es {
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(e.From))
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(e.To))
-		w.f64(e.P)
-	}
 }
 
 func (r *ckptReader) edges() []graph.Edge {
@@ -244,26 +331,6 @@ func (r *ckptReader) edges() []graph.Edge {
 			To:   graph.NodeID(binary.LittleEndian.Uint32(b[16*i+4:])),
 			P:    math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:])),
 		}
-	}
-	return out
-}
-
-func (w *ckptWriter) deltaLog(deltas []sessionDelta) {
-	w.u64(uint64(len(deltas)))
-	for _, d := range deltas {
-		w.edges(d.inserts)
-		w.edges(d.deletes)
-	}
-}
-
-func (r *ckptReader) deltaLog() []sessionDelta {
-	n := r.length()
-	if r.err != nil {
-		return nil
-	}
-	out := make([]sessionDelta, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, sessionDelta{inserts: r.edges(), deletes: r.edges()})
 	}
 	return out
 }
@@ -317,18 +384,34 @@ func (r *ckptReader) batcher() ris.BatcherState {
 // Checkpoint serializes the session between API calls (never during one —
 // sessions are quiescent between calls by construction). A voided session
 // (Err != nil) cannot be checkpointed: its in-flight batch state is
-// undefined.
+// undefined. The blob is one allocation of exactly its final size.
 func (s *Session) Checkpoint() ([]byte, error) {
 	if s.err != nil {
 		return nil, fmt.Errorf("adaptive: checkpoint of a voided session: %w", s.err)
 	}
-	w := &ckptWriter{buf: make([]byte, 0, 1024)}
+	var w ckptWriter
+	if err := s.encode(&w); err != nil {
+		return nil, err
+	}
+	w.buf, w.n = make([]byte, w.n), 0
+	if err := s.encode(&w); err != nil {
+		return nil, err
+	}
+	if w.n != len(w.buf) {
+		panic(fmt.Sprintf("adaptive: checkpoint wrote %d bytes, sized %d", w.n, len(w.buf)))
+	}
+	return w.buf, nil
+}
+
+// encode runs the checkpoint encoder once over w (sizing or writing).
+func (s *Session) encode(w *ckptWriter) error {
 	w.u64(ckptMagic)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, ckptVersion)
+	w.u32(ckptVersion)
 	// The fingerprint names the base instance; the delta log carries the
 	// session to its current topology on resume.
 	w.u64(s.baseFP)
-	w.deltaLog(s.deltas)
+	w.u64(uint64(s.nDeltas))
+	w.raw(s.deltaLog)
 	w.str(s.algo)
 
 	// Options (authoritative on resume; see package comment above).
@@ -346,7 +429,7 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	// Campaign progress.
 	w.boolean(s.done)
 	w.boolean(s.havePending)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(s.pending))
+	w.u32(uint32(s.pending))
 	w.i(s.spread)
 	w.nodes(s.seeds)
 
@@ -359,9 +442,9 @@ func (s *Session) Checkpoint() ([]byte, error) {
 		w.u64(inc)
 	}
 
-	// Residual view: the alive list in swap-remove order plus version.
+	// Residual view: its version and removal log (see the format comment).
 	w.i64(s.res.Version())
-	w.nodes(s.res.AliveList())
+	w.removals(s.res)
 
 	// Stepper payload.
 	switch st := s.step.(type) {
@@ -392,7 +475,7 @@ func (s *Session) Checkpoint() ([]byte, error) {
 			w.u8(ckptOracleExact)
 		case *oracle.RIS:
 			if err := orc.Err(); err != nil {
-				return nil, fmt.Errorf("adaptive: checkpoint of a voided RIS oracle: %w", err)
+				return fmt.Errorf("adaptive: checkpoint of a voided RIS oracle: %w", err)
 			}
 			w.u8(ckptOracleRIS)
 			ost := orc.State()
@@ -405,7 +488,7 @@ func (s *Session) Checkpoint() ([]byte, error) {
 			w.i(ost.CachedAlive)
 			w.batcher(ost.Batcher)
 		default:
-			return nil, fmt.Errorf("adaptive: checkpoint: oracle %T is not serializable", st.orc)
+			return fmt.Errorf("adaptive: checkpoint: oracle %T is not serializable", st.orc)
 		}
 	case *nsgStepper:
 		w.u8(ckptStepNSG)
@@ -419,9 +502,9 @@ func (s *Session) Checkpoint() ([]byte, error) {
 		w.u8(ckptStepAllTargets)
 		w.i(st.idx)
 	default:
-		return nil, fmt.Errorf("adaptive: checkpoint: unknown stepper %T", s.step)
+		return fmt.Errorf("adaptive: checkpoint: unknown stepper %T", s.step)
 	}
-	return w.buf, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -461,21 +544,27 @@ func ResumeSession(inst *Instance, data []byte, ropts ResumeOptions) (*Session, 
 	if r.err == nil && baseFP != instFingerprint(inst) {
 		return nil, fmt.Errorf("adaptive: checkpoint: instance fingerprint mismatch (checkpoint %#x, instance %#x) — wrong dataset, model, scale, or cost setting", baseFP, instFingerprint(inst))
 	}
-	deltas := r.deltaLog()
-	if r.err != nil {
-		return nil, r.err
-	}
 	// Replay the mutation log onto the base instance: the replayed graph is
 	// per-node structurally identical to the one the checkpointed session
 	// held, so the restored RR state and RNG stream line up exactly.
+	nDeltas := r.length()
+	logStart := r.off
 	base := inst
-	for i, d := range deltas {
-		ng, _, err := inst.G.ApplyDelta(d.inserts, d.deletes)
+	for i := 0; i < nDeltas; i++ {
+		inserts, deletes := r.edges(), r.edges()
+		if r.err != nil {
+			break
+		}
+		ng, _, err := inst.G.ApplyDelta(inserts, deletes)
 		if err != nil {
-			return nil, fmt.Errorf("adaptive: checkpoint: replaying topology delta %d/%d: %w", i+1, len(deltas), err)
+			return nil, fmt.Errorf("adaptive: checkpoint: replaying topology delta %d/%d: %w", i+1, nDeltas, err)
 		}
 		inst = &Instance{G: ng, Model: base.Model, Targets: base.Targets, Costs: base.Costs}
 	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	deltaLog := r.buf[logStart:r.off]
 	algo := r.str()
 
 	var opts RunOptions
@@ -509,7 +598,7 @@ func ResumeSession(inst *Instance, data []byte, ropts ResumeOptions) (*Session, 
 	}
 
 	resVersion := r.i64()
-	alive := r.nodes()
+	removals := r.words()
 
 	stepTag := r.u8()
 	if r.err != nil {
@@ -637,9 +726,21 @@ func ResumeSession(inst *Instance, data []byte, ropts ResumeOptions) (*Session, 
 	}
 	s := newShell(inst, algo, opts, algoRNG, step)
 	s.baseFP = baseFP // newShell fingerprinted the replayed instance
-	s.deltas = deltas
-	if err := s.res.RestoreAlive(alive, resVersion); err != nil {
-		return nil, err
+	// The session owns its log; copying the blob's section verbatim keeps
+	// the caller free to reuse data.
+	s.deltaLog, s.nDeltas = slices.Clone(deltaLog), nDeltas
+	n := graph.NodeID(inst.G.N())
+	for i := 0; i < len(removals); i += 4 {
+		u := graph.NodeID(binary.LittleEndian.Uint32(removals[i:]))
+		if u < 0 || u >= n {
+			return nil, fmt.Errorf("adaptive: checkpoint: removed node %d outside [0,%d)", u, n)
+		}
+		if !s.res.Remove(u) {
+			return nil, fmt.Errorf("adaptive: checkpoint: removal log repeats node %d", u)
+		}
+	}
+	if v := s.res.Version(); v != resVersion {
+		return nil, fmt.Errorf("adaptive: checkpoint: residual version %d, removal log holds %d", resVersion, v)
 	}
 	s.seeds = append(s.seeds[:0], seeds...)
 	s.spread = spread

@@ -43,15 +43,26 @@ func FuzzResumeSession(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// A checkpoint after a topology delta, so the delta-log and
+	// removal-log sections both hold entries to corrupt.
+	if _, err := sess.Mutate([]graph.Edge{{From: 0, To: 6, P: 0.5}}, []graph.Edge{{From: 0, To: 1}}); err != nil {
+		f.Fatal(err)
+	}
+	mutated, err := sess.Checkpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
 
-	f.Add(blob)
-	f.Add(blob[:len(blob)/2])
 	f.Add([]byte{})
 	f.Add([]byte("not a checkpoint"))
-	for i := 0; i < len(blob); i += 31 { // seed a few single-byte flips
-		mut := append([]byte(nil), blob...)
-		mut[i] ^= 0xA5
-		f.Add(mut)
+	for _, b := range [][]byte{blob, mutated} {
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+		for i := 0; i < len(b); i += 31 { // seed a few single-byte flips
+			mut := append([]byte(nil), b...)
+			mut[i] ^= 0xA5
+			f.Add(mut)
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

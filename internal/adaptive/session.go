@@ -63,21 +63,17 @@ type Session struct {
 	step      stepper
 
 	// baseFP fingerprints the instance the session was *created* on;
-	// deltas is the log of topology mutations applied since (in order).
+	// deltaLog holds the nDeltas topology mutations applied since, in
+	// order and already in the checkpoint encoding (appendDelta).
 	// Checkpoints carry both, so a resume needs only the base instance:
 	// the current graph is reproduced by replaying the log through
 	// graph.ApplyDelta, which is structurally identical to the original
 	// mutated graph per node and therefore samples bit-identically.
-	baseFP uint64
-	deltas []sessionDelta
+	baseFP   uint64
+	deltaLog []byte
+	nDeltas  int
 
 	alive []graph.NodeID // aliveTargets scratch
-}
-
-// sessionDelta is one committed topology mutation, kept for checkpoint
-// replay.
-type sessionDelta struct {
-	inserts, deletes []graph.Edge
 }
 
 // stepper is one algorithm's per-round decision procedure. next computes
@@ -247,12 +243,12 @@ func (s *Session) Observe(activated []graph.NodeID) error {
 
 // Mutate applies a topology delta to the live campaign between rounds:
 // the graph gains inserts and loses deletes (graph.ApplyDelta), the
-// residual view is re-homed onto the new graph with its alive-list order
-// — and therefore every subsequent uniform root draw — preserved, and the
-// stepper invalidates exactly the cached RR sets that touch a changed
-// edge's target, keeping the rest. The delta is appended to the session's
-// replay log, so checkpoints taken after a mutation restore onto the base
-// instance and replay to the current graph.
+// residual view is re-homed in place onto the new graph with its
+// alive-list order — and therefore every subsequent uniform root draw —
+// preserved, and the stepper invalidates exactly the cached RR sets that
+// touch a changed edge's target, keeping the rest. The delta is appended
+// to the session's replay log, so checkpoints taken after a mutation
+// restore onto the base instance and replay to the current graph.
 //
 // Only quiescent sessions mutate: a pending seed must be Observed first
 // (the proposal was computed on the old topology), and finished or voided
@@ -275,16 +271,13 @@ func (s *Session) Mutate(inserts, deletes []graph.Edge) (*graph.DeltaResult, err
 		return nil, err
 	}
 	newInst := &Instance{G: newG, Model: s.inst.Model, Targets: s.inst.Targets, Costs: s.inst.Costs}
-	res := s.res.CloneOnto(newG)
 	if err := s.step.mutate(newInst, dres.Touched); err != nil {
 		return nil, err
 	}
 	s.inst = newInst
-	s.res = res
-	s.deltas = append(s.deltas, sessionDelta{
-		inserts: append([]graph.Edge(nil), inserts...),
-		deletes: append([]graph.Edge(nil), deletes...),
-	})
+	s.res.SetGraph(newG)
+	s.deltaLog = appendDelta(s.deltaLog, inserts, deletes)
+	s.nDeltas++
 	return dres, nil
 }
 
@@ -329,7 +322,7 @@ func (s *Session) Instance() *Instance { return s.inst }
 
 // Mutations returns the number of topology deltas applied so far (the
 // current graph's epoch relative to the base instance).
-func (s *Session) Mutations() int { return len(s.deltas) }
+func (s *Session) Mutations() int { return s.nDeltas }
 
 // Seeds returns a copy of the seeds committed so far, in seeding order.
 func (s *Session) Seeds() []graph.NodeID {

@@ -53,6 +53,9 @@ func roundTrip(t *testing.T, inst *Instance, s *Session, ropts ResumeOptions) *S
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
+	if len(blob) != cap(blob) {
+		t.Fatalf("checkpoint len %d, cap %d: not sized exactly", len(blob), cap(blob))
+	}
 	restored, err := ResumeSession(inst, blob, ropts)
 	if err != nil {
 		t.Fatalf("resume: %v", err)

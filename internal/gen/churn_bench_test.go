@@ -3,6 +3,9 @@ package gen
 import (
 	"testing"
 
+	"repro/internal/adaptive"
+	"repro/internal/cascade"
+	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -116,4 +119,69 @@ func BenchmarkApplyDeltaChain(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSessionCheckpoint times adaptive.Session.Checkpoint on the
+// state a churning campaign checkpoints: epinions-s at half scale (66k
+// nodes), LT, ADDATP with two workers, 30 observed rounds with a 0.1%
+// churn delta every second round (each followed by a world resampled on
+// the new graph), so the blob carries a 15-delta log, the removal log and
+// a warm RR collection. The campaign is driven once, outside the timer;
+// blob_KB is the checkpoint's size, and B/op and allocs/op should read
+// one blob-sized allocation.
+func BenchmarkSessionCheckpoint(b *testing.B) {
+	ds, err := Lookup("epinions-s")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := Generate(ds.Config(0.5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst, _, err := adaptive.Prepare(g, cascade.LT, adaptive.Setup{K: 50, CostSetting: cost.Uniform, Seed: 1, Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	root := rng.New(3)
+	world := root.Split()
+	sess, err := adaptive.NewSession(inst, adaptive.AlgoADDATP, adaptive.RunOptions{
+		Sampling: adaptive.SamplingOptions{Workers: 2},
+	}, root.Split())
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := adaptive.NewEnvironment(cascade.Sample(inst.G, inst.Model, world))
+	for round := 1; round <= 30; round++ {
+		u, stop, err := sess.NextSeed()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stop {
+			b.Fatalf("campaign stopped after %d rounds", round-1)
+		}
+		if err := sess.Observe(env.Observe(u)); err != nil {
+			b.Fatal(err)
+		}
+		if round%2 != 0 {
+			continue
+		}
+		ins, dels := ChurnDeltas(sess.Instance().G, 0.001, rng.New(uint64(round)))
+		if _, err := sess.Mutate(ins, dels); err != nil {
+			b.Fatal(err)
+		}
+		rz := cascade.Sample(sess.Instance().G, inst.Model, rng.New(uint64(1000+round)))
+		env = adaptive.NewEnvironmentAt(rz, sess.CloneResidual(), sess.Spread())
+	}
+	blob, err := sess.Checkpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if blob, err = sess.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(blob))/1024, "blob_KB")
 }

@@ -102,3 +102,71 @@ func TestAliveListRandomizedAgainstMask(t *testing.T) {
 		}
 	}
 }
+
+// TestResidualRemovalLog: the removal log (Removed, most recent first)
+// replayed oldest first through Remove on a NewResidual of the same graph
+// reproduces the view exactly — alive-list order, membership, and the
+// version counter relative to the last Reset — across random removals
+// with clones and resets in between, on identity- and degree-numbered
+// graphs. Checkpoints store the log instead of the alive list on the
+// strength of this.
+func TestResidualRemovalLog(t *testing.T) {
+	const n = 60
+	edges := randomEdges(n, 300, 4)
+	for _, degreeOrder := range []bool{false, true} {
+		g := buildOrdered(t, n, edges, degreeOrder)
+		rr := rng.New(21)
+		r := NewResidual(g)
+		var sinceReset int64 // version at the last Reset
+		check := func(step int) {
+			t.Helper()
+			log := r.Removed()
+			if len(log)+r.N() != n {
+				t.Fatalf("degreeOrder=%v step %d: log %d + alive %d != %d nodes", degreeOrder, step, len(log), r.N(), n)
+			}
+			rep := NewResidual(g)
+			for i := len(log) - 1; i >= 0; i-- {
+				if !rep.Remove(log[i]) {
+					t.Fatalf("degreeOrder=%v step %d: log repeats node %d", degreeOrder, step, log[i])
+				}
+			}
+			if got, want := rep.Version(), r.Version()-sinceReset; got != want {
+				t.Fatalf("degreeOrder=%v step %d: replayed version %d, want %d", degreeOrder, step, got, want)
+			}
+			got, want := rep.AliveList(), r.AliveList()
+			if len(got) != len(want) {
+				t.Fatalf("degreeOrder=%v step %d: replay has %d alive, want %d", degreeOrder, step, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("degreeOrder=%v step %d: replayed AliveList[%d] = %d, want %d", degreeOrder, step, i, got[i], want[i])
+				}
+			}
+			for u := NodeID(0); u < n; u++ {
+				if rep.Alive(u) != r.Alive(u) {
+					t.Fatalf("degreeOrder=%v step %d: Alive(%d) replayed %v, want %v", degreeOrder, step, u, rep.Alive(u), r.Alive(u))
+				}
+			}
+		}
+		for step := 0; step < 400; step++ {
+			switch k := rr.Intn(40); {
+			case k == 0:
+				r.Reset()
+				sinceReset = r.Version()
+			case k < 4:
+				// A clone carries the log: continuing on it must be
+				// indistinguishable from continuing on the original.
+				cp := r.Clone()
+				r.Remove(NodeID(rr.Intn(n)))
+				cp.Remove(NodeID(rr.Intn(n)))
+				r = cp
+			default:
+				r.Remove(NodeID(rr.Intn(n)))
+			}
+			check(step)
+		}
+		if r.N() == n || r.N() == 0 {
+			t.Fatalf("degreeOrder=%v: degenerate walk ended with %d of %d alive", degreeOrder, r.N(), n)
+		}
+	}
+}

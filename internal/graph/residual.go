@@ -1,35 +1,47 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Residual is a view of a Graph with a subset of nodes removed — the
 // paper's residual graph G_i obtained by deleting every node activated by
 // earlier seeds. It is a mask over the immutable CSR arrays: removal is
 // O(1), membership checks are O(1), and no adjacency is copied.
 //
-// The alive-node list is maintained incrementally (swap-remove on Remove,
-// rebuilt only on Reset), so uniform root sampling reads it in O(1) via
-// AliveList instead of rebuilding an O(N) slice per residual version.
+// One array holds every node: order[:alive] is the alive list, kept
+// incrementally (swap-remove on Remove, rebuilt only on Reset) so uniform
+// root sampling reads it in O(1) via AliveList instead of rebuilding an
+// O(N) slice per residual version; order[alive:] is the removal log,
+// most recent removal first. Remove swaps the removed node into the slot
+// the shrinking alive list vacates, so the log costs no extra memory and
+// no allocation. The alive-list order is a deterministic function of the
+// removals, so replaying the log (Removed, oldest first) through Remove
+// on a NewResidual of the same graph reproduces the view exactly, order
+// included — the checkpoint codec stores the log, not the O(N) alive
+// list. Reset starts a new log.
 //
 // A Residual is not safe for concurrent mutation; concurrent readers are
 // fine between mutations. Clone produces an independent view sharing the
 // underlying Graph.
 type Residual struct {
 	g *Graph
-	// aliveList holds the alive node IDs in an order determined by the
-	// removal history (swap-remove); pos[u] is u's index in aliveList, or
-	// -1 when u has been removed.
-	aliveList []NodeID
-	pos       []int32
-	version   int64 // bumped on every mutation; lets caches detect staleness
+	// order[:alive] holds the alive node IDs, order[alive:] the removed
+	// ones (most recent first); pos[u] is u's index in order while u is
+	// alive, or -1 once it has been removed.
+	order   []NodeID
+	alive   int
+	pos     []int32
+	version int64 // bumped on every mutation; lets caches detect staleness
 }
 
 // NewResidual returns a residual view of g with all nodes alive.
 func NewResidual(g *Graph) *Residual {
 	r := &Residual{
-		g:         g,
-		aliveList: make([]NodeID, g.N()),
-		pos:       make([]int32, g.N()),
+		g:     g,
+		order: make([]NodeID, g.N()),
+		pos:   make([]int32, g.N()),
 	}
 	r.fillAlive()
 	return r
@@ -42,10 +54,10 @@ func NewResidual(g *Graph) *Residual {
 // node under either numbering — the root-sampling half of the
 // renumbering invariance contract.
 func (r *Residual) fillAlive() {
-	r.aliveList = r.aliveList[:r.g.N()]
-	for u := range r.aliveList {
+	r.alive = len(r.order)
+	for u := range r.order {
 		v := r.g.InternalID(NodeID(u))
-		r.aliveList[u] = v
+		r.order[u] = v
 		r.pos[v] = int32(u)
 	}
 }
@@ -53,8 +65,19 @@ func (r *Residual) fillAlive() {
 // Graph returns the underlying immutable graph.
 func (r *Residual) Graph() *Graph { return r.g }
 
+// SetGraph re-homes the view onto h, a graph over the same node set —
+// typically an ApplyDelta descendant of the current graph — keeping the
+// alive list, its order, the removal log and the version counter. It
+// panics if h's node count differs.
+func (r *Residual) SetGraph(h *Graph) {
+	if h.N() != r.g.N() {
+		panic(fmt.Sprintf("graph: residual of a %d-node graph re-homed onto a %d-node graph", r.g.N(), h.N()))
+	}
+	r.g = h
+}
+
 // N returns the number of alive nodes (the paper's n_i).
-func (r *Residual) N() int { return len(r.aliveList) }
+func (r *Residual) N() int { return r.alive }
 
 // FullN returns the node count of the underlying graph.
 func (r *Residual) FullN() int { return r.g.N() }
@@ -65,19 +88,20 @@ func (r *Residual) Version() int64 { return r.version }
 // Alive reports whether node u is still present.
 func (r *Residual) Alive(u NodeID) bool { return r.pos[u] >= 0 }
 
-// Remove deletes node u from the view in O(1) (swap-remove on the alive
-// list). Removing an already-removed node is a no-op. Returns true if the
+// Remove deletes node u from the view in O(1): the last alive node moves
+// into u's slot and u takes the vacated one, at the head of the removal
+// log. Removing an already-removed node is a no-op. Returns true if the
 // node was alive.
 func (r *Residual) Remove(u NodeID) bool {
 	i := r.pos[u]
 	if i < 0 {
 		return false
 	}
-	last := len(r.aliveList) - 1
-	moved := r.aliveList[last]
-	r.aliveList[i] = moved
+	r.alive--
+	moved := r.order[r.alive]
+	r.order[i] = moved
 	r.pos[moved] = i
-	r.aliveList = r.aliveList[:last]
+	r.order[r.alive] = u
 	r.pos[u] = -1
 	r.version++
 	return true
@@ -94,12 +118,20 @@ func (r *Residual) RemoveAll(us []NodeID) {
 // aliases internal storage, must not be modified, and is only valid until
 // the next mutation; its order is a deterministic function of the removal
 // history (not sorted). Samplers draw uniform roots from it directly.
-func (r *Residual) AliveList() []NodeID { return r.aliveList }
+func (r *Residual) AliveList() []NodeID { return r.order[:r.alive:r.alive] }
+
+// Removed returns the removal log since construction or the last Reset,
+// most recent removal first, without allocating. Like AliveList it
+// aliases internal storage, must not be modified, and is only valid until
+// the next mutation. Removing its nodes in reverse order from a
+// NewResidual of the same graph reproduces this view's alive list, order
+// included.
+func (r *Residual) Removed() []NodeID { return r.order[r.alive:] }
 
 // AliveNodes returns a copy of the alive node IDs in increasing order.
 // Allocates; hot paths should use AliveList.
 func (r *Residual) AliveNodes() []NodeID {
-	out := make([]NodeID, 0, len(r.aliveList))
+	out := make([]NodeID, 0, r.alive)
 	for u := 0; u < len(r.pos); u++ {
 		if r.pos[u] >= 0 {
 			out = append(out, NodeID(u))
@@ -127,60 +159,20 @@ func (r *Residual) M() int64 {
 }
 
 // Clone returns an independent copy of the view over the same Graph,
-// including the alive-list order, so sampling after a clone matches
-// sampling after the original's history.
-func (r *Residual) Clone() *Residual { return r.CloneOnto(r.g) }
-
-// CloneOnto is Clone re-homed onto h, a graph over the same node set —
-// typically an ApplyDelta descendant of r's graph: the copy keeps r's
-// alive list, its order and the version counter. It panics if h's node
-// count differs from r's graph's.
-func (r *Residual) CloneOnto(h *Graph) *Residual {
-	if h.N() != r.g.N() {
-		panic(fmt.Sprintf("graph: residual of a %d-node graph cloned onto a %d-node graph", r.g.N(), h.N()))
+// including the alive-list order and the removal log, so sampling after a
+// clone matches sampling after the original's history.
+func (r *Residual) Clone() *Residual {
+	return &Residual{
+		g:       r.g,
+		order:   slices.Clone(r.order),
+		alive:   r.alive,
+		pos:     slices.Clone(r.pos),
+		version: r.version,
 	}
-	cp := &Residual{
-		g:         h,
-		aliveList: make([]NodeID, len(r.aliveList), h.N()),
-		pos:       make([]int32, len(r.pos)),
-		version:   r.version,
-	}
-	copy(cp.aliveList, r.aliveList)
-	copy(cp.pos, r.pos)
-	return cp
-}
-
-// RestoreAlive rewrites the view to exactly the given alive list — in the
-// given order — and version counter, discarding the current state. It is
-// the checkpoint-restore counterpart of AliveList: the list order is a
-// deterministic function of the removal history and feeds uniform root
-// sampling, so restoring it verbatim makes post-restore sampling
-// bit-identical to the uninterrupted run. The input slice is copied.
-func (r *Residual) RestoreAlive(alive []NodeID, version int64) error {
-	n := NodeID(r.g.N())
-	if len(alive) > int(n) {
-		return fmt.Errorf("graph: restore with %d alive nodes on a %d-node graph", len(alive), n)
-	}
-	for i := range r.pos {
-		r.pos[i] = -1
-	}
-	r.aliveList = r.aliveList[:0]
-	for i, u := range alive {
-		if u < 0 || u >= n {
-			return fmt.Errorf("graph: restore alive node %d outside [0,%d)", u, n)
-		}
-		if r.pos[u] >= 0 {
-			return fmt.Errorf("graph: restore alive list repeats node %d", u)
-		}
-		r.pos[u] = int32(i)
-		r.aliveList = append(r.aliveList, u)
-	}
-	r.version = version
-	return nil
 }
 
 // Reset restores all nodes to alive (and the alive list to increasing
-// order).
+// order), starting a new removal log.
 func (r *Residual) Reset() {
 	r.fillAlive()
 	r.version++
@@ -191,15 +183,15 @@ func (r *Residual) Reset() {
 // new->old ID mappings. Used by tests and by the exact oracle, where
 // enumeration cost depends on the materialized size.
 func (r *Residual) Materialize() (*Graph, map[NodeID]NodeID, []NodeID) {
-	oldToNew := make(map[NodeID]NodeID, len(r.aliveList))
-	newToOld := make([]NodeID, 0, len(r.aliveList))
+	oldToNew := make(map[NodeID]NodeID, r.alive)
+	newToOld := make([]NodeID, 0, r.alive)
 	for u := int32(0); u < int32(r.g.N()); u++ {
 		if r.pos[u] >= 0 {
 			oldToNew[u] = NodeID(len(newToOld))
 			newToOld = append(newToOld, u)
 		}
 	}
-	b := NewBuilder(len(r.aliveList), r.g.Directed())
+	b := NewBuilder(r.alive, r.g.Directed())
 	for _, oldU := range newToOld {
 		adj, ps := r.g.OutNeighbors(oldU)
 		for i, oldV := range adj {

@@ -313,7 +313,9 @@ type RISState struct {
 }
 
 // State captures the oracle's snapshot for checkpointing. Only quiescent
-// oracles (no query in flight) may be captured.
+// oracles (no query in flight) may be captured; the batcher part aliases
+// the live RR collection (see ris.Collection.State) and is only valid
+// until the oracle's next query or invalidation.
 func (o *RIS) State() RISState {
 	st := RISState{
 		Theta:         o.theta,

@@ -20,13 +20,15 @@ type CollectionState struct {
 	Requested int
 }
 
-// State captures the collection's snapshot. The returned slices are copies;
-// mutating the collection afterwards does not disturb them.
+// State captures the collection's snapshot without copying: like
+// graph.Residual.AliveList, the returned slices alias the collection, must
+// not be modified, and are only valid until the collection next changes.
+// Encoders serialize them straight away.
 func (c *Collection) State() CollectionState {
 	return CollectionState{
-		Arena:     append([]graph.NodeID(nil), c.arena...),
-		Offsets:   append([]int32(nil), c.offsets...),
-		Roots:     append([]graph.NodeID(nil), c.roots...),
+		Arena:     c.arena,
+		Offsets:   c.offsets,
+		Roots:     c.roots,
 		Version:   c.version,
 		Requested: c.requested,
 	}
@@ -93,9 +95,10 @@ type BatcherState struct {
 	Batches   int
 }
 
-// State captures the batcher's snapshot. SamplingNS is deliberately not
-// captured: it is wall-clock telemetry, meaningless across process
-// boundaries.
+// State captures the batcher's snapshot; the collection part aliases the
+// live collection exactly as Collection.State does. SamplingNS is
+// deliberately not captured: it is wall-clock telemetry, meaningless
+// across process boundaries.
 func (b *Batcher) State() BatcherState {
 	st := BatcherState{
 		Drawn:     b.drawn,
