@@ -32,8 +32,9 @@ import (
 //
 // Output is a BENCH_serve_*.json document (`"kind": "serve-loadbench"`)
 // that `repro report` renders as a "Serving throughput" section.
-// Like rrbench numbers, these are machine-dependent: committed fixtures
-// capture the trajectory of the serving hot path, not portable truth.
+// Like every wall-clock throughput, these numbers are machine-dependent:
+// committed fixtures capture the trajectory of the serving hot path, not
+// portable truth.
 
 // serveBenchKind tags the loadbench JSON document so `repro report` can
 // tell it apart from plain bench documents.

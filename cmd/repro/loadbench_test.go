@@ -114,12 +114,12 @@ func TestCmdLoadBenchSmoke(t *testing.T) {
 	}
 
 	// The document must route to the serve path and render its section.
-	b, rr, sv, err := readBench(out)
+	b, sv, err := readBench(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b != nil || rr != nil || sv == nil {
-		t.Fatalf("serve document misrouted: bench=%v rr=%v serve=%v", b, rr, sv)
+	if b != nil || sv == nil {
+		t.Fatalf("serve document misrouted: bench=%v serve=%v", b, sv)
 	}
 	mdPath := filepath.Join(dir, "E.md")
 	if err := cmdReport([]string{"--out", mdPath, out}); err != nil {

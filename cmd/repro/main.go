@@ -8,7 +8,6 @@
 //	repro gen    --dataset nethept-s [--scale 0.1] [--out g.txt]
 //	repro run    --algo addatp --dataset nethept-s --model ic --cost degree-proportional
 //	repro bench  [--datasets nethept-s] [--algos all] [--costs all] [--out BENCH_results.json]
-//	repro rrbench [--dataset nethept-s] [--batch 20000] [--rounds 9] [--out BENCH_rr_throughput.json]
 //	repro sweep  [--datasets all] [--models all] [--churns none,1@2] [--journal SWEEP_x.jsonl] [--resume] [--parallel 4]
 //	repro serve  [--addr 127.0.0.1:8077] [--checkpoint-dir ckpts] [--max-instances 8] [--debug-addr 127.0.0.1:8078]
 //	repro loadbench [--clients 4] [--duration 5s] [--out BENCH_serve_nethept-s.json]
@@ -38,8 +37,6 @@ func main() {
 		err = cmdRun(os.Args[2:])
 	case "bench":
 		err = cmdBench(os.Args[2:])
-	case "rrbench":
-		err = cmdRRBench(os.Args[2:])
 	case "sweep":
 		err = cmdSweep(os.Args[2:])
 	case "serve":
@@ -68,7 +65,6 @@ subcommands:
   gen     materialize a Table II stand-in dataset (stats to stdout, graph to --out)
   run     execute one algorithm on one dataset/model/cost configuration
   bench   run a single-model grid of algorithms x datasets x costs into a BENCH_*.json
-  rrbench measure raw RR-set throughput (per-draw vs batched, interleaved A/B) into BENCH_rr_throughput.json
   sweep   run a resumable datasets x models x costs x algorithms x churns grid with a JSONL journal
   serve   run the campaign daemon: step-wise adaptive sessions over HTTP with checkpoint/restore
   loadbench drive an in-process campaign server with closed-loop clients into BENCH_serve_*.json
@@ -80,7 +76,7 @@ run 'repro <subcommand> -h' for flags.
 
 // wallMS renders a wall-clock duration as fractional milliseconds with
 // microsecond resolution. Durations.Milliseconds() truncates, so every
-// sub-millisecond run — a tiny-fixture gen, a fast rrbench round —
+// sub-millisecond run — a tiny-fixture gen, a fast loadbench step —
 // reported wall_ms: 0 as if it had been free; any positive duration now
 // reports at least 0.001.
 func wallMS(d time.Duration) float64 {

@@ -45,23 +45,19 @@ func cmdReport(args []string) error {
 	}
 	sort.Strings(inputs)
 	var benches []*benchOutput
-	var rrDocs []*rrBenchOutput
 	var serveDocs []*serveBenchOutput
 	for _, path := range inputs {
-		b, rr, sv, err := readBench(path)
+		b, sv, err := readBench(path)
 		if err != nil {
 			return err
 		}
-		switch {
-		case rr != nil:
-			rrDocs = append(rrDocs, rr)
-		case sv != nil:
+		if sv != nil {
 			serveDocs = append(serveDocs, sv)
-		default:
+		} else {
 			benches = append(benches, b)
 		}
 	}
-	md := renderReport(benches, rrDocs, serveDocs, inputs)
+	md := renderReport(benches, serveDocs, inputs)
 	if err := os.WriteFile(*out, []byte(md), 0o644); err != nil {
 		return err
 	}
@@ -71,39 +67,34 @@ func cmdReport(args []string) error {
 
 // readBench loads one input as a benchOutput, converting sweep journals
 // (detected by a leading spec record, regardless of extension) on the
-// fly. rrbench throughput documents — detected by their variants array —
-// and loadbench serving documents — detected by their kind tag, checked
-// first since their other fields overlap benchOutput's — are returned
-// separately; each renders as its own section.
-func readBench(path string) (*benchOutput, *rrBenchOutput, *serveBenchOutput, error) {
+// fly. Loadbench serving documents — detected by their kind tag, since
+// their other fields overlap benchOutput's — are returned separately;
+// each renders as its own section.
+func readBench(path string) (*benchOutput, *serveBenchOutput, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if isJournal(data) {
 		records, err := sweep.ParseJournal(data)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("report: %s: %w", path, err)
+			return nil, nil, fmt.Errorf("report: %s: %w", path, err)
 		}
 		b, err := journalToBench(records)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("report: %s: %w", path, err)
+			return nil, nil, fmt.Errorf("report: %s: %w", path, err)
 		}
-		return b, nil, nil, nil
+		return b, nil, nil
 	}
 	var sv serveBenchOutput
 	if err := json.Unmarshal(data, &sv); err == nil && sv.Kind == serveBenchKind {
-		return nil, nil, &sv, nil
-	}
-	var rr rrBenchOutput
-	if err := json.Unmarshal(data, &rr); err == nil && len(rr.Variants) > 0 {
-		return nil, &rr, nil, nil
+		return nil, &sv, nil
 	}
 	var b benchOutput
 	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, nil, nil, fmt.Errorf("report: %s: %w", path, err)
+		return nil, nil, fmt.Errorf("report: %s: %w", path, err)
 	}
-	return &b, nil, nil, nil
+	return &b, nil, nil
 }
 
 // isJournal reports whether the file's first line is a sweep spec record.
@@ -347,7 +338,7 @@ func mergeSections(benches []*benchOutput) []*reportSection {
 }
 
 // renderReport builds the full EXPERIMENTS.md document.
-func renderReport(benches []*benchOutput, rrDocs []*rrBenchOutput, serveDocs []*serveBenchOutput, inputs []string) string {
+func renderReport(benches []*benchOutput, serveDocs []*serveBenchOutput, inputs []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# EXPERIMENTS\n\n")
 	fmt.Fprintf(&b, "Generated by `repro report` from: %s. Do not edit by hand —\n", strings.Join(inputs, ", "))
@@ -410,16 +401,15 @@ func renderReport(benches []*benchOutput, rrDocs []*rrBenchOutput, serveDocs []*
 		}
 	}
 	renderSamplerComparison(&b, benches)
-	renderRRThroughput(&b, rrDocs)
 	renderServeThroughput(&b, serveDocs)
 	return b.String()
 }
 
 // renderServeThroughput emits one section per loadbench document: the
 // closed-loop serving rate and the step-request latency distribution of
-// the in-process campaign server (`repro loadbench`). Machine-dependent,
-// like the RR throughput numbers; committed fixtures track the serving
-// hot path's trajectory, not portable truth.
+// the in-process campaign server (`repro loadbench`). Machine-dependent:
+// committed fixtures track the serving hot path's trajectory, not
+// portable truth.
 func renderServeThroughput(b *strings.Builder, docs []*serveBenchOutput) {
 	for _, doc := range docs {
 		fmt.Fprintf(b, "\n## Serving throughput: %s/%s/%s scale=%g\n\n", doc.Dataset, doc.Model, doc.Cost, doc.Scale)
@@ -433,38 +423,6 @@ func renderServeThroughput(b *strings.Builder, docs []*serveBenchOutput) {
 		fmt.Fprintf(b, "| %s | %d | %d | %.1fs | %d | %.1f | %.0f | %.3fms | %.3fms | %.3fms |\n",
 			doc.Algo, doc.K, doc.Clients, doc.WallMS/1000, doc.Campaigns,
 			doc.CampaignsPerSec, doc.StepsPerSec, doc.StepP50MS, doc.StepP95MS, doc.StepP99MS)
-	}
-}
-
-// renderRRThroughput emits one section per rrbench document: the raw
-// RR-generation throughput of the kernel × layout matrix, measured by
-// the interleaved A/B protocol (`repro rrbench`), with the counter-based
-// per-set shape statistics alongside. These are the only committed
-// throughput numbers produced by interleaved same-process rounds;
-// cross-process runs on a shared machine drift too much to compare.
-func renderRRThroughput(b *strings.Builder, docs []*rrBenchOutput) {
-	for _, doc := range docs {
-		fmt.Fprintf(b, "\n## RR throughput: %s scale=%g seed=%d\n\n", doc.Dataset, doc.Scale, doc.Seed)
-		fmt.Fprintf(b, "Raw RR-set generation rate per sampler kernel and node numbering\n")
-		fmt.Fprintf(b, "(`repro rrbench`, batch=%d, median of %d interleaved rounds, %d worker(s)).\n",
-			doc.Batch, doc.Rounds, doc.Workers)
-		fmt.Fprintf(b, "Visits/touches are exact sampler counters; B/touch is the traffic model\n")
-		fmt.Fprintf(b, "(4·touches + 17·visits)/touches, not a hardware measurement.\n\n")
-		fmt.Fprintf(b, "| variant | kernel | numbering | median rr/s | visits/set | touches/set | B/touch | max depth |\n")
-		fmt.Fprintf(b, "|---|---|---|---|---|---|---|---|\n")
-		for _, v := range doc.Variants {
-			kernel, numbering := "per-draw", "identity"
-			if v.Batched {
-				kernel = "frontier-batched"
-			}
-			if v.DegreeOrder {
-				numbering = "degree-ordered"
-			}
-			fmt.Fprintf(b, "| %s | %s | %s | %.0f | %.2f | %.2f | %.1f | %d |\n",
-				v.Name, kernel, numbering, v.MedianRRPerSec,
-				v.VisitsPerSet, v.TouchesPerSet, v.BytesPerEdgeTouch, v.MaxDepth)
-		}
-		fmt.Fprintf(b, "\nBatched vs per-draw: **%.2f×**.\n", doc.SpeedupVsA)
 	}
 }
 

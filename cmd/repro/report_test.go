@@ -28,7 +28,7 @@ func sampleBench() *benchOutput {
 }
 
 func TestRenderReportTables(t *testing.T) {
-	md := renderReport([]*benchOutput{sampleBench()}, nil, nil, []string{"BENCH_x.json"})
+	md := renderReport([]*benchOutput{sampleBench()}, nil, []string{"BENCH_x.json"})
 	for _, want := range []string{
 		"# EXPERIMENTS",
 		"## models=IC scale=0.05 seed=1",
@@ -63,49 +63,20 @@ func TestRenderReportTables(t *testing.T) {
 }
 
 // TestRenderReportTrafficAndThroughput covers the counter-gated traffic
-// table and the rrbench throughput section: an rrbench document must be
-// detected by readBench and rendered with its kernel × numbering matrix,
-// and rows carrying visit/touch counters unlock the traffic-model table.
+// table: rows carrying visit/touch counters unlock the traffic-model
+// table.
 func TestRenderReportTrafficAndThroughput(t *testing.T) {
 	bench := sampleBench()
 	bench.Rows[0].RRVisits = 1000
 	bench.Rows[0].RREdgeTouches = 4000 // (4·4000 + 17·1000)/4000 = 8.2
-	rr := &rrBenchOutput{
-		Dataset: "nethept-s", Scale: 1, Seed: 2, Batch: 20000, Rounds: 9, Workers: 1,
-		Variants: []rrVariantResult{
-			{rrVariant: rrVariant{Name: "per-draw"}, MedianRRPerSec: 5e6,
-				VisitsPerSet: 5, TouchesPerSet: 5, BytesPerEdgeTouch: 21, MaxDepth: 0},
-			{rrVariant: rrVariant{Name: "batched", Batched: true, DegreeOrder: true},
-				MedianRRPerSec: 5.5e6, VisitsPerSet: 5, TouchesPerSet: 7.8,
-				BytesPerEdgeTouch: 14.9, MaxDepth: 38},
-		},
-		SpeedupVsA: 1.1,
-	}
-	md := renderReport([]*benchOutput{bench}, []*rrBenchOutput{rr}, nil, []string{"BENCH_x.json", "BENCH_rr.json"})
+	md := renderReport([]*benchOutput{bench}, nil, []string{"BENCH_x.json"})
 	for _, want := range []string{
 		"### RR traffic model",
 		"| nethept-s | 8.2 B/touch | — |",
-		"## RR throughput: nethept-s scale=1 seed=2",
-		"| per-draw | per-draw | identity | 5000000 | 5.00 | 5.00 | 21.0 | 0 |",
-		"| batched | frontier-batched | degree-ordered | 5500000 | 5.00 | 7.80 | 14.9 | 38 |",
-		"Batched vs per-draw: **1.10×**.",
 	} {
 		if !strings.Contains(md, want) {
 			t.Fatalf("report missing %q:\n%s", want, md)
 		}
-	}
-
-	// readBench must route an rrbench JSON document to the rr path.
-	path := filepath.Join(t.TempDir(), "BENCH_rr_throughput.json")
-	if err := writeRRBenchJSON(path, rr); err != nil {
-		t.Fatal(err)
-	}
-	b, gotRR, _, err := readBench(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b != nil || gotRR == nil || len(gotRR.Variants) != 2 {
-		t.Fatalf("rrbench document misrouted: bench=%v rr=%+v", b, gotRR)
 	}
 }
 
@@ -177,7 +148,7 @@ func seqFixedBenches() []*benchOutput {
 }
 
 func TestRenderSamplerComparison(t *testing.T) {
-	md := renderReport(seqFixedBenches(), nil, nil, []string{"BENCH_f.json", "BENCH_s.json"})
+	md := renderReport(seqFixedBenches(), nil, []string{"BENCH_f.json", "BENCH_s.json"})
 	for _, want := range []string{
 		"## models=IC scale=0.1 seed=1 sampler=fixed",
 		"## models=IC scale=0.1 seed=1 sampler=seq",
@@ -191,7 +162,7 @@ func TestRenderSamplerComparison(t *testing.T) {
 		}
 	}
 	// A lone sampler (no counterpart) must not emit the comparison section.
-	md = renderReport(seqFixedBenches()[:1], nil, nil, []string{"BENCH_f.json"})
+	md = renderReport(seqFixedBenches()[:1], nil, []string{"BENCH_f.json"})
 	if strings.Contains(md, "## Sequential vs fixed sampling") {
 		t.Fatal("comparison section rendered without both samplers")
 	}
@@ -199,21 +170,21 @@ func TestRenderSamplerComparison(t *testing.T) {
 	// marked as not directly comparable.
 	div := seqFixedBenches()
 	div[1].Rows[0].Budget = 999
-	md = renderReport(div, nil, nil, []string{"BENCH_f.json", "BENCH_s.json"})
+	md = renderReport(div, nil, []string{"BENCH_f.json", "BENCH_s.json"})
 	if !strings.Contains(md, "· addatp † |") {
 		t.Fatalf("diverging-instance pair not marked:\n%s", md)
 	}
 	// Rows differing in k or reps must not pair up at all.
 	kdiff := seqFixedBenches()
 	kdiff[1].Rows[0].K = 25
-	md = renderReport(kdiff, nil, nil, []string{"BENCH_f.json", "BENCH_s.json"})
+	md = renderReport(kdiff, nil, []string{"BENCH_f.json", "BENCH_s.json"})
 	if strings.Contains(md, "## Sequential vs fixed sampling") {
 		t.Fatal("rows with different k paired as an A/B")
 	}
 	// Pre-telemetry rows (no attempts recorded) degrade to fallbacks-only.
 	old := sampleBench()
 	old.Rows[0].Fallbacks = 7
-	md = renderReport([]*benchOutput{old}, nil, nil, []string{"BENCH_old.json"})
+	md = renderReport([]*benchOutput{old}, nil, []string{"BENCH_old.json"})
 	if !strings.Contains(md, "| nethept-s | 7 fallbacks | — |") {
 		t.Fatalf("pre-telemetry fallback cell missing:\n%s", md)
 	}

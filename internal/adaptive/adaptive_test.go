@@ -269,3 +269,44 @@ func TestInstanceValidate(t *testing.T) {
 		t.Fatal("empty target set accepted")
 	}
 }
+
+// TestTiesBreakTowardSmallerID pins the argmax tie-break of every
+// selection loop. Targets 1 and 3 reach each other and every other node
+// with certainty, so every RR set holds both and every spread estimate —
+// exact, sampled or one-shot — ties them exactly; with equal costs their
+// profits tie too. Listed larger-ID first, each policy must still seed
+// node 1, which activates the whole graph and ends the campaign.
+func TestTiesBreakTowardSmallerID(t *testing.T) {
+	g := graph.MustFromEdges(4, true, []graph.Edge{
+		{From: 1, To: 0, P: 1}, {From: 1, To: 2, P: 1}, {From: 1, To: 3, P: 1},
+		{From: 3, To: 0, P: 1}, {From: 3, To: 1, P: 1}, {From: 3, To: 2, P: 1},
+	})
+	targets := []graph.NodeID{3, 1}
+	costs, err := cost.Assign(g, targets, 2, cost.Uniform, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := &Instance{G: g, Model: cascade.IC, Targets: targets, Costs: costs}
+	sampling := SamplingOptions{Zeta: 0.05, Eps: 0.2, Delta: 0.1, Workers: 1}
+	for _, tc := range []struct {
+		name, algo, policy string
+	}{
+		{"adg-exact", AlgoADG, ""},
+		{"addatp-seq", AlgoADDATP, PolicySequential},
+		{"addatp-fixed", AlgoADDATP, PolicyFixed},
+		{"nsg", AlgoNSG, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := RunOptions{Sampling: sampling}
+			opts.Sampling.Policy = tc.policy
+			env := NewEnvironment(cascade.FromLiveEdges(g, g.Edges()))
+			run, err := Run(inst, env, tc.algo, opts, rng.New(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(run.Seeds) != 1 || run.Seeds[0] != 1 {
+				t.Fatalf("seeded %v, want [1]", run.Seeds)
+			}
+		})
+	}
+}

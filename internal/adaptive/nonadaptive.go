@@ -48,7 +48,7 @@ func NonadaptiveGreedySelect(inst *Instance, theta int, r *rng.RNG, workers int)
 		bestProfit := 0.0
 		for i, u := range remaining {
 			p := float64(marks.Marginal(u))*perCov - inst.Costs.Cost(u)
-			if p > bestProfit || (p == bestProfit && best >= 0 && inst.G.Before(u, remaining[best])) {
+			if p > bestProfit || (p == bestProfit && best >= 0 && u < remaining[best]) {
 				best, bestProfit = i, p
 			}
 		}

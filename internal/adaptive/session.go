@@ -446,11 +446,12 @@ func (st *seqStepper) next(s *Session) (graph.NodeID, bool, error) {
 		// The effective sample size is the full collection, which can
 		// exceed this look's target when a round starts from a larger
 		// filtered carry-over. Within-round growth keeps the certificates
-		// exact (same residual, independent samples); sets kept across
-		// rounds additionally carry Filter's root-mix tilt, so cross-round
-		// certificates are exact per root but approximate in the root
-		// marginal — NoReuse restores the paper's from-scratch sampling
-		// when that matters.
+		// exact (same residual, independent samples). Sets kept across
+		// rounds are biased (see ris.Collection.Filter): each is an old-
+		// residual RR set conditioned on avoiding the removed nodes, and
+		// their roots over-represent those whose sets survive, so
+		// cross-round certificates are approximate — NoReuse restores the
+		// paper's from-scratch sampling when that matters.
 		best := graph.NodeID(-1)
 		bestProfit, bestLower := 0.0, 0.0
 		maxUpper, maxWidth := 0.0, 0.0
@@ -459,7 +460,7 @@ func (st *seqStepper) next(s *Session) (graph.NodeID, bool, error) {
 			w := bounds.AnytimeWidth(n, frac, deltaK)
 			cost := s.inst.Costs.Cost(u)
 			profit := clampSpread(frac*float64(nAlive), nAlive) - cost
-			if best < 0 || profit > bestProfit || (profit == bestProfit && s.inst.G.Before(u, best)) {
+			if best < 0 || profit > bestProfit || (profit == bestProfit && u < best) {
 				best, bestProfit = u, profit
 				bestLower = clampSpread((frac-w)*float64(nAlive), nAlive) - cost
 			}
@@ -617,11 +618,12 @@ func (st *fixedStepper) next(s *Session) (graph.NodeID, bool, error) {
 		// The effective sample size is col.Len(), which can exceed this
 		// attempt's θ when a new round starts from a larger filtered
 		// collection. For within-round growth the certificates hold
-		// verbatim (same residual, independent samples, θ' ≥ θ); sets
-		// kept across rounds additionally carry Filter's root-mix tilt,
-		// so cross-round certificates are exact per root but approximate
-		// in the root marginal — NoReuse restores the paper's
-		// from-scratch sampling when that matters.
+		// verbatim (same residual, independent samples, θ' ≥ θ). Sets
+		// kept across rounds are biased (see ris.Collection.Filter): each
+		// is an old-residual RR set conditioned on avoiding the removed
+		// nodes, and their roots over-represent those whose sets survive,
+		// so cross-round certificates are approximate — NoReuse restores
+		// the paper's from-scratch sampling when that matters.
 		best := graph.NodeID(-1)
 		bestProfit, bestFrac := 0.0, 0.0
 		maxUpper := 0.0
@@ -629,7 +631,7 @@ func (st *fixedStepper) next(s *Session) (graph.NodeID, bool, error) {
 			frac := float64(st.col.CountContaining(u)) / float64(st.col.Len())
 			est := clampSpread(frac*float64(nAlive), nAlive)
 			profit := est - s.inst.Costs.Cost(u)
-			if best < 0 || profit > bestProfit || (profit == bestProfit && s.inst.G.Before(u, best)) {
+			if best < 0 || profit > bestProfit || (profit == bestProfit && u < best) {
 				best, bestProfit, bestFrac = u, profit, frac
 			}
 			if up := st.reg.upper(frac, nAlive, zeta) - s.inst.Costs.Cost(u); up > maxUpper {
@@ -760,7 +762,7 @@ func (st *adgStepper) next(s *Session) (graph.NodeID, bool, error) {
 			spread = st.orc.ExpectedSpread(res, st.query)
 		}
 		p := spread - s.inst.Costs.Cost(u)
-		if p > bestProfit || (p == bestProfit && best >= 0 && s.inst.G.Before(u, best)) {
+		if p > bestProfit || (p == bestProfit && best >= 0 && u < best) {
 			best, bestProfit = u, p
 		}
 	}

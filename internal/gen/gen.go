@@ -32,13 +32,6 @@ type Config struct {
 
 	// SmallWorld specific: rewiring probability. 0 means default 0.1.
 	Rewire float64
-
-	// DegreeOrder enables the builder's degree-ordered node renumbering
-	// (graph.Builder.SetDegreeOrder): hub nodes are packed at low internal
-	// IDs for cache locality while every user-visible NodeID stays in the
-	// generator's original space. Same Seed with and without this flag
-	// yields the same logical graph.
-	DegreeOrder bool
 }
 
 // Model enumerates the available generators.
@@ -102,7 +95,6 @@ func Generate(cfg Config) (*graph.Graph, error) {
 	}
 	b.Dedup()
 	b.ApplyWeightedCascade()
-	b.SetDegreeOrder(cfg.DegreeOrder)
 	return b.Build(), nil
 }
 

@@ -107,66 +107,80 @@ func TestAliveListRandomizedAgainstMask(t *testing.T) {
 // replayed oldest first through Remove on a NewResidual of the same graph
 // reproduces the view exactly — alive-list order, membership, and the
 // version counter relative to the last Reset — across random removals
-// with clones and resets in between, on identity- and degree-numbered
-// graphs. Checkpoints store the log instead of the alive list on the
-// strength of this.
+// with clones and resets in between. Checkpoints store the log instead
+// of the alive list on the strength of this.
 func TestResidualRemovalLog(t *testing.T) {
 	const n = 60
-	edges := randomEdges(n, 300, 4)
-	for _, degreeOrder := range []bool{false, true} {
-		g := buildOrdered(t, n, edges, degreeOrder)
-		rr := rng.New(21)
-		r := NewResidual(g)
-		var sinceReset int64 // version at the last Reset
-		check := func(step int) {
-			t.Helper()
-			log := r.Removed()
-			if len(log)+r.N() != n {
-				t.Fatalf("degreeOrder=%v step %d: log %d + alive %d != %d nodes", degreeOrder, step, len(log), r.N(), n)
-			}
-			rep := NewResidual(g)
-			for i := len(log) - 1; i >= 0; i-- {
-				if !rep.Remove(log[i]) {
-					t.Fatalf("degreeOrder=%v step %d: log repeats node %d", degreeOrder, step, log[i])
-				}
-			}
-			if got, want := rep.Version(), r.Version()-sinceReset; got != want {
-				t.Fatalf("degreeOrder=%v step %d: replayed version %d, want %d", degreeOrder, step, got, want)
-			}
-			got, want := rep.AliveList(), r.AliveList()
-			if len(got) != len(want) {
-				t.Fatalf("degreeOrder=%v step %d: replay has %d alive, want %d", degreeOrder, step, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("degreeOrder=%v step %d: replayed AliveList[%d] = %d, want %d", degreeOrder, step, i, got[i], want[i])
-				}
-			}
-			for u := NodeID(0); u < n; u++ {
-				if rep.Alive(u) != r.Alive(u) {
-					t.Fatalf("degreeOrder=%v step %d: Alive(%d) replayed %v, want %v", degreeOrder, step, u, rep.Alive(u), r.Alive(u))
-				}
+	g := MustFromEdges(n, true, randomEdges(n, 300, 4))
+	rr := rng.New(21)
+	r := NewResidual(g)
+	var sinceReset int64 // version at the last Reset
+	check := func(step int) {
+		t.Helper()
+		log := r.Removed()
+		if len(log)+r.N() != n {
+			t.Fatalf("step %d: log %d + alive %d != %d nodes", step, len(log), r.N(), n)
+		}
+		rep := NewResidual(g)
+		for i := len(log) - 1; i >= 0; i-- {
+			if !rep.Remove(log[i]) {
+				t.Fatalf("step %d: log repeats node %d", step, log[i])
 			}
 		}
-		for step := 0; step < 400; step++ {
-			switch k := rr.Intn(40); {
-			case k == 0:
-				r.Reset()
-				sinceReset = r.Version()
-			case k < 4:
-				// A clone carries the log: continuing on it must be
-				// indistinguishable from continuing on the original.
-				cp := r.Clone()
-				r.Remove(NodeID(rr.Intn(n)))
-				cp.Remove(NodeID(rr.Intn(n)))
-				r = cp
-			default:
-				r.Remove(NodeID(rr.Intn(n)))
-			}
-			check(step)
+		if got, want := rep.Version(), r.Version()-sinceReset; got != want {
+			t.Fatalf("step %d: replayed version %d, want %d", step, got, want)
 		}
-		if r.N() == n || r.N() == 0 {
-			t.Fatalf("degreeOrder=%v: degenerate walk ended with %d of %d alive", degreeOrder, r.N(), n)
+		got, want := rep.AliveList(), r.AliveList()
+		if len(got) != len(want) {
+			t.Fatalf("step %d: replay has %d alive, want %d", step, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: replayed AliveList[%d] = %d, want %d", step, i, got[i], want[i])
+			}
+		}
+		for u := NodeID(0); u < n; u++ {
+			if rep.Alive(u) != r.Alive(u) {
+				t.Fatalf("step %d: Alive(%d) replayed %v, want %v", step, u, rep.Alive(u), r.Alive(u))
+			}
 		}
 	}
+	for step := 0; step < 400; step++ {
+		switch k := rr.Intn(40); {
+		case k == 0:
+			r.Reset()
+			sinceReset = r.Version()
+		case k < 4:
+			// A clone carries the log: continuing on it must be
+			// indistinguishable from continuing on the original.
+			cp := r.Clone()
+			r.Remove(NodeID(rr.Intn(n)))
+			cp.Remove(NodeID(rr.Intn(n)))
+			r = cp
+		default:
+			r.Remove(NodeID(rr.Intn(n)))
+		}
+		check(step)
+	}
+	if r.N() == n || r.N() == 0 {
+		t.Fatalf("degenerate walk ended with %d of %d alive", r.N(), n)
+	}
+}
+
+// randomEdges draws a reproducible multigraph-free edge list on n nodes.
+func randomEdges(n, m int, seed uint64) []Edge {
+	r := rng.New(seed)
+	seen := make(map[[2]NodeID]bool, m)
+	edges := make([]Edge, 0, m)
+	for len(edges) < m {
+		u := NodeID(r.Intn(n))
+		v := NodeID(r.Intn(n))
+		if u == v || seen[[2]NodeID{u, v}] {
+			continue
+		}
+		seen[[2]NodeID{u, v}] = true
+		p := 0.05 + 0.9*r.Float64()
+		edges = append(edges, Edge{From: u, To: v, P: p})
+	}
+	return edges
 }

@@ -13,10 +13,9 @@ import (
 // edges, and supports the paper's standard weighted-cascade (WC) weighting
 // p(u,v) = 1/indeg(v) applied after all edges are known.
 type Builder struct {
-	n           int32
-	directed    bool
-	degreeOrder bool
-	edges       []Edge
+	n        int32
+	directed bool
+	edges    []Edge
 }
 
 // NewBuilder creates a builder for a graph with n nodes. directed records
@@ -119,43 +118,6 @@ func (b *Builder) ApplyTrivalency(pick func(i int) int) {
 	}
 }
 
-// SetDegreeOrder opts Build into hubs-first node renumbering: internal
-// node IDs are assigned by descending total degree (original ID breaks
-// ties), so the metadata, adjacency and visited-mark lines of the nodes
-// RR sampling touches most often pack into the smallest — hottest —
-// cache footprint. The permutation is stored on the Graph and inverted
-// at the I/O and reporting boundary (Edges, graphio, OriginalID), so all
-// user-visible node IDs, seed sets and golden fixtures are unchanged;
-// adjacency runs stay sorted by original neighbor ID, making same-seed
-// sampling runs bit-identical to the identity numbering (see
-// TestDegreeOrderRoundTrip in the adaptive package).
-func (b *Builder) SetDegreeOrder(on bool) { b.degreeOrder = on }
-
-// degreeOrdering computes the hubs-first permutation over the current
-// edge list: ren maps original->internal, inv internal->original.
-func (b *Builder) degreeOrdering() (ren, inv []NodeID) {
-	deg := make([]int64, b.n)
-	for _, e := range b.edges {
-		deg[e.From]++
-		deg[e.To]++
-	}
-	inv = make([]NodeID, b.n)
-	for i := range inv {
-		inv[i] = NodeID(i)
-	}
-	sort.Slice(inv, func(i, j int) bool {
-		if deg[inv[i]] != deg[inv[j]] {
-			return deg[inv[i]] > deg[inv[j]]
-		}
-		return inv[i] < inv[j]
-	})
-	ren = make([]NodeID, b.n)
-	for internal, orig := range inv {
-		ren[orig] = NodeID(internal)
-	}
-	return ren, inv
-}
-
 // Build produces the immutable CSR graph. The builder remains usable.
 // Its arenas are exactly sized, with the runs laid out back to back in
 // node order.
@@ -172,28 +134,16 @@ func (b *Builder) Build() *Graph {
 		inMeta:   make([]InMeta, n),
 		inAdj:    make([]NodeID, m),
 	}
-	if b.degreeOrder && n > 0 {
-		g.ren, g.inv = b.degreeOrdering()
-	}
 
-	// Sort into CSR for both directions; deterministic layout: nodes
-	// keyed by internal ID, neighbors within a run by ORIGINAL ID —
-	// (source, target) for out, (target, source) for in — so a
-	// position-indexed pick lands on the same original neighbor under
-	// either numbering.
+	// Sort into CSR for both directions; deterministic layout: (source,
+	// target) for out, (target, source) for in.
 	sorted := make([]Edge, m)
 	copy(sorted, b.edges)
-	if g.ren != nil {
-		for i := range sorted {
-			sorted[i].From = g.ren[sorted[i].From]
-			sorted[i].To = g.ren[sorted[i].To]
-		}
-	}
 	sort.Slice(sorted, func(i, j int) bool {
 		if sorted[i].From != sorted[j].From {
 			return sorted[i].From < sorted[j].From
 		}
-		return g.ordOf(sorted[i].To) < g.ordOf(sorted[j].To)
+		return sorted[i].To < sorted[j].To
 	})
 	for i, e := range sorted {
 		g.outAdj[i] = e.To
@@ -210,7 +160,7 @@ func (b *Builder) Build() *Graph {
 		if sorted[i].To != sorted[j].To {
 			return sorted[i].To < sorted[j].To
 		}
-		return g.ordOf(sorted[i].From) < g.ordOf(sorted[j].From)
+		return sorted[i].From < sorted[j].From
 	})
 	inP := make([]float64, m)
 	for i, e := range sorted {

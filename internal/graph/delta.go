@@ -98,14 +98,6 @@ func (g *Graph) ApplyDelta(inserts, deletes []Edge) (*Graph, *DeltaResult, error
 	if newM > math.MaxInt32 {
 		return nil, nil, fmt.Errorf("graph: delta grows the graph past %d edges", math.MaxInt32)
 	}
-	// Deltas arrive in ORIGINAL node IDs; fold any degree-ordered
-	// renumbering in up front (after the range checks above, which are
-	// permutation-invariant) so the merge logic below works purely on
-	// internal CSR runs. The result graph carries the same permutation.
-	if g.ren != nil {
-		inserts = remapEdges(inserts, g.ren)
-		deletes = remapEdges(deletes, g.ren)
-	}
 	out := g.groupEdits(inserts, deletes, false)
 	if err := g.checkDeletes(&out); err != nil {
 		return nil, nil, err
@@ -131,7 +123,7 @@ func (g *Graph) ApplyDelta(inserts, deletes []Edge) (*Graph, *DeltaResult, error
 
 	ng := &Graph{
 		n: g.n, m: newM, directed: g.directed, epoch: g.epoch + 1,
-		ren: g.ren, inv: g.inv, uniformIn: uniform, mixedIn: mixed,
+		uniformIn: uniform, mixedIn: mixed,
 	}
 	// Claim the lineage tip, then place each direction's runs: appended in
 	// place when the claim holds and the arenas have room, else compacted
@@ -221,7 +213,7 @@ func (ng *Graph) placeIn(g *Graph, in *runEdits, probs []float64, claimed bool) 
 
 // runEdits groups one direction's edits by the node whose run they change
 // (the source for out-runs, the target for in-runs). Within a node the
-// neighbors are sorted by original ID, the order of the runs themselves.
+// neighbors are sorted by ID, the order of the runs themselves.
 type runEdits struct {
 	nodes  []NodeID  // sorted distinct nodes whose run changes
 	delOff []int32   // nodes[i]'s deleted neighbors are del[delOff[i]:delOff[i+1]]
@@ -235,13 +227,13 @@ type runEdits struct {
 // in-runs when in is set.
 func (g *Graph) groupEdits(inserts, deletes []Edge, in bool) runEdits {
 	// One sort key per edit: the run's node in the high word, the
-	// neighbor's original ID in the low word.
+	// neighbor in the low word.
 	key := func(e Edge) uint64 {
 		node, nbr := e.From, e.To
 		if in {
 			node, nbr = nbr, node
 		}
-		return uint64(node)<<32 | uint64(g.ordOf(nbr))
+		return uint64(node)<<32 | uint64(nbr)
 	}
 	del := make([]uint64, len(deletes))
 	for i, e := range deletes {
@@ -264,13 +256,6 @@ func (g *Graph) groupEdits(inserts, deletes []Edge, in bool) runEdits {
 		used[j]++
 	}
 
-	// The neighbor in a key's low word is an original ID.
-	nbrOf := func(k uint64) NodeID {
-		if g.ren == nil {
-			return NodeID(uint32(k))
-		}
-		return g.ren[uint32(k)]
-	}
 	e := runEdits{
 		nodes:  make([]NodeID, 0, len(ins)+len(del)),
 		delOff: []int32{0}, insOff: []int32{0},
@@ -288,10 +273,10 @@ func (g *Graph) groupEdits(inserts, deletes []Edge, in bool) runEdits {
 			v = NodeID(min(ins[i], del[j]) >> 32)
 		}
 		for ; j < len(del) && NodeID(del[j]>>32) == v; j++ {
-			e.del = append(e.del, nbrOf(del[j]))
+			e.del = append(e.del, NodeID(uint32(del[j])))
 		}
 		for ; i < len(ins) && NodeID(ins[i]>>32) == v; i++ {
-			e.ins = append(e.ins, nbrOf(ins[i]))
+			e.ins = append(e.ins, NodeID(uint32(ins[i])))
 		}
 		e.nodes = append(e.nodes, v)
 		e.delOff = append(e.delOff, int32(len(e.del)))
@@ -311,8 +296,8 @@ func (e *runEdits) newLen(runOf func(NodeID) (lo, hi int32)) int {
 }
 
 // checkDeletes verifies, on the out-run edits, that every delete consumes
-// a distinct existing edge. Out-adjacency is sorted by original target,
-// so the multiplicity check binary-searches in that order.
+// a distinct existing edge. Out-adjacency is sorted by target, so the
+// multiplicity check binary-searches.
 func (g *Graph) checkDeletes(e *runEdits) error {
 	for i, u := range e.nodes {
 		dels := e.del[e.delOff[i]:e.delOff[i+1]]
@@ -322,14 +307,14 @@ func (g *Graph) checkDeletes(e *runEdits) error {
 			for k+c < len(dels) && dels[k+c] == v {
 				c++
 			}
-			lo := g.searchRun(adj, 0, g.ordOf(v))
+			lo := searchRun(adj, 0, v)
 			hi := lo
 			for hi < len(adj) && adj[hi] == v {
 				hi++
 			}
 			if hi-lo < c {
 				return fmt.Errorf("graph: delete (%d,%d) ×%d exceeds %d existing edge(s)",
-					g.ordOf(u), g.ordOf(v), c, hi-lo)
+					u, v, c, hi-lo)
 			}
 			k += c
 		}
@@ -337,19 +322,11 @@ func (g *Graph) checkDeletes(e *runEdits) error {
 	return nil
 }
 
-// searchRun returns the first index at or after lo in run (sorted by
-// original ID) whose original ID is at least o.
-func (g *Graph) searchRun(run []NodeID, lo int, o NodeID) int {
-	hi := len(run)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if g.ordOf(run[mid]) < o {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+// searchRun returns the first index at or after lo in the sorted run
+// whose ID is at least v.
+func searchRun(run []NodeID, lo int, v NodeID) int {
+	i, _ := slices.BinarySearch(run[lo:], v)
+	return lo + i
 }
 
 // inRunProb reports the probability the in-edges of in-edit i share after
@@ -425,7 +402,7 @@ func (g *Graph) relayout(e *runEdits, src runSource, all bool, adj []NodeID, ps 
 				ps = appendProbs(ps, runP, p, len(run))
 			}
 		} else {
-			adj, ps = g.mergeRun(adj, ps, withP, run, runP, p, e.del[e.delOff[i]:e.delOff[i+1]],
+			adj, ps = mergeRun(adj, ps, withP, run, runP, p, e.del[e.delOff[i]:e.delOff[i+1]],
 				e.ins[e.insOff[i]:e.insOff[i+1]], e.insP[e.insOff[i]:e.insOff[i+1]])
 		}
 		setRun(v, start, int32(len(adj))-start)
@@ -486,14 +463,14 @@ func appendProbs(ps, runP []float64, p float64, n int) []float64 {
 }
 
 // mergeRun appends one node's post-delta run: the base run minus one
-// occurrence per deleted neighbor, plus the inserted ones, in original
-// neighbor order with base entries ahead of equal inserts. base, del and
-// ins are all sorted by original ID and every delete is known to match,
+// occurrence per deleted neighbor, plus the inserted ones, in neighbor
+// order with base entries ahead of equal inserts. base, del and ins are
+// all sorted by ID and every delete is known to match,
 // so each edit binary-searches its position past the previous one and the
 // base entries between edits move as one block. A delete removes the
 // first matching base entry. Probabilities come from baseP, or the shared
 // p when baseP is nil.
-func (g *Graph) mergeRun(adj []NodeID, ps []float64, withP bool, base []NodeID, baseP []float64, p float64,
+func mergeRun(adj []NodeID, ps []float64, withP bool, base []NodeID, baseP []float64, p float64,
 	del, ins []NodeID, insP []float64) ([]NodeID, []float64) {
 	i := 0 // base entries before i are placed or deleted
 	emit := func(k int) {
@@ -509,13 +486,13 @@ func (g *Graph) mergeRun(adj []NodeID, ps []float64, withP bool, base []NodeID, 
 	}
 	d, j := 0, 0
 	for d < len(del) || j < len(ins) {
-		if d < len(del) && (j == len(ins) || g.ordOf(del[d]) <= g.ordOf(ins[j])) {
-			emit(g.searchRun(base, i, g.ordOf(del[d])))
+		if d < len(del) && (j == len(ins) || del[d] <= ins[j]) {
+			emit(searchRun(base, i, del[d]))
 			i++ // base[i] is the deleted edge
 			d++
 			continue
 		}
-		emit(g.searchRun(base, i, g.ordOf(ins[j])+1))
+		emit(searchRun(base, i, ins[j]+1))
 		adj = append(adj, ins[j])
 		if withP {
 			ps = append(ps, insP[j])
@@ -558,13 +535,4 @@ func (ng *Graph) patchTables(g *Graph, e *runEdits, probs []float64, claimed boo
 		}
 		ng.setThresholds(v)
 	}
-}
-
-// remapEdges maps edge endpoints through a node permutation.
-func remapEdges(edges []Edge, ren []NodeID) []Edge {
-	out := make([]Edge, len(edges))
-	for i, e := range edges {
-		out[i] = Edge{From: ren[e.From], To: ren[e.To], P: e.P}
-	}
-	return out
 }

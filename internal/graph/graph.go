@@ -37,21 +37,10 @@
 // a node's successful in-edge count in O(1). Mixed-probability graphs
 // (trivalency) keep the per-edge fallback and the accessor-based API.
 //
-// Node numbering is likewise dual. Builder.SetDegreeOrder opts a build
-// into an internal degree-ordered renumbering: hubs (high total degree)
-// receive the smallest internal IDs, packing the nodes RR expansion
-// revisits most into a dense prefix of the metadata and visited-mask
-// arrays. The permutation is invisible outside the package's internal
-// arrays — OriginalID/InternalID convert at the boundaries, Edges and
-// EdgeProbability speak original IDs, graphio round-trips are
-// byte-identical, and ApplyDelta composes original-space deltas through
-// the base graph's permutation (it deliberately does not re-derive the
-// ordering from post-delta degrees, so sampler scratch and caches stay
-// aligned). The invariance contract is stronger than "same
-// distribution": adjacency runs stay sorted by original neighbor ID,
-// Residual fills its alive list in original-ID order, and algorithms
-// break argmax ties via Graph.Before (original-ID order), so same-seed
-// runs are bit-identical between numberings.
+// Nodes keep the IDs 0..N-1 given to the Builder. Adjacency runs are
+// sorted by neighbor ID, Residual fills its alive list in node-ID order,
+// and every deterministic argmax in the repository breaks ties toward the
+// smaller node ID.
 //
 // Graphs are created only by Builder and ApplyDelta; once created, a
 // Graph is safe for concurrent readers. Residual graphs (the paper's G_i)
@@ -62,7 +51,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // NodeID identifies a node. Nodes are dense integers in [0, N).
@@ -117,19 +105,6 @@ type Graph struct {
 	tabIndex map[tabKey]int32
 
 	directed bool
-
-	// Degree-ordered renumbering (Builder.SetDegreeOrder): ren maps an
-	// original (user-visible) node ID to its internal slot, inv is the
-	// inverse. Both nil on identity-numbered graphs, which keeps every
-	// accessor below a branch-plus-no-op. Internally the CSR, the
-	// compressed tables and all sampling run on internal IDs; original
-	// IDs exist only at the I/O and reporting boundary (Edges, graphio,
-	// OriginalID). Adjacency runs stay sorted by ORIGINAL neighbor ID, so
-	// a position-indexed neighbor pick resolves to the same original node
-	// with or without renumbering — what makes same-seed runs on both
-	// numberings bit-identical, not merely distributionally equal.
-	ren []NodeID
-	inv []NodeID
 
 	// maxInDeg caches the largest in-degree, set at Build/ApplyDelta time,
 	// so samplers can pre-size position scratch at bind time in O(1)
@@ -208,58 +183,6 @@ func (g *Graph) InDegree(v NodeID) int { return int(g.inMeta[v].Deg) }
 // MaxInDegree returns the largest in-degree of any node, cached at build
 // time.
 func (g *Graph) MaxInDegree() int { return int(g.maxInDeg) }
-
-// Renumbered reports whether the graph carries a degree-ordered node
-// permutation (Builder.SetDegreeOrder). When false, internal and original
-// IDs coincide.
-func (g *Graph) Renumbered() bool { return g.ren != nil }
-
-// OriginalID maps an internal node ID back to the user-visible ID it was
-// built from. Identity on graphs without renumbering. Every node ID that
-// leaves the core — seed sets, session output, serialized edges — must
-// pass through here.
-func (g *Graph) OriginalID(v NodeID) NodeID {
-	if g.inv == nil {
-		return v
-	}
-	return g.inv[v]
-}
-
-// InternalID maps a user-visible node ID to its internal slot. Identity
-// on graphs without renumbering. Inputs that arrive in original space —
-// edge deltas, externally chosen targets — pass through here before
-// touching the CSR.
-func (g *Graph) InternalID(v NodeID) NodeID {
-	if g.ren == nil {
-		return v
-	}
-	return g.ren[v]
-}
-
-// Before reports whether internal node a precedes internal node b in
-// original-ID order — the tie-break order every deterministic argmax in
-// the repository uses, so that selections on a renumbered graph resolve
-// ties to the same original node as on the identity numbering.
-func (g *Graph) Before(a, b NodeID) bool {
-	if g.inv == nil {
-		return a < b
-	}
-	return g.inv[a] < g.inv[b]
-}
-
-// OriginalIDs returns the internal->original ID table, or nil when the
-// graph is identity-numbered. Rank sources for selection tie-breaks
-// (ris.GreedyMaxCoverage) take this slice directly so their hot loops
-// skip the per-call branch of OriginalID.
-func (g *Graph) OriginalIDs() []NodeID { return g.inv }
-
-// ordOf is OriginalID for in-package comparators.
-func (g *Graph) ordOf(v NodeID) NodeID {
-	if g.inv == nil {
-		return v
-	}
-	return g.inv[v]
-}
 
 // outRange and inRange return the arena bounds of a node's runs.
 func (g *Graph) outRange(u NodeID) (lo, hi int32) {
@@ -358,30 +281,27 @@ func (g *Graph) InSamplerTables() (meta []InMeta, arena []NodeID, thr []uint32, 
 }
 
 // Edges returns a copy of all directed edges in deterministic
-// (source-major) order, in ORIGINAL node IDs — this is the I/O boundary
-// where any internal renumbering is inverted, so serialized edge lists
-// and golden fixtures are independent of the in-memory layout. Intended
-// for tests, serialization and small graphs; it allocates O(M).
+// (source-major) order. Intended for tests, serialization and small
+// graphs; it allocates O(M).
 func (g *Graph) Edges() []Edge {
 	edges := make([]Edge, 0, g.m)
-	for ou := int32(0); ou < g.n; ou++ {
-		adj, ps := g.OutNeighbors(g.InternalID(ou))
+	for u := int32(0); u < g.n; u++ {
+		adj, ps := g.OutNeighbors(u)
 		for i, v := range adj {
-			edges = append(edges, Edge{From: ou, To: g.ordOf(v), P: ps[i]})
+			edges = append(edges, Edge{From: u, To: v, P: ps[i]})
 		}
 	}
 	return edges
 }
 
 // EdgeProbability returns the probability of edge (u, v) and whether the
-// edge exists. u and v are ORIGINAL node IDs (the space Edges returns).
-// Out-adjacency runs are sorted by original target at build time, so the
-// lookup binary-searches in O(log outdeg) instead of scanning. If parallel
-// edges exist, the first (lowest-index) one is returned.
+// edge exists. Out-adjacency runs are sorted by target at build time, so
+// the lookup binary-searches in O(log outdeg) instead of scanning. If
+// parallel edges exist, the first (lowest-index) one is returned.
 func (g *Graph) EdgeProbability(u, v NodeID) (float64, bool) {
-	adj, ps := g.OutNeighbors(g.InternalID(u))
-	i := sort.Search(len(adj), func(i int) bool { return g.ordOf(adj[i]) >= v })
-	if i < len(adj) && g.ordOf(adj[i]) == v {
+	adj, ps := g.OutNeighbors(u)
+	i, found := slices.BinarySearch(adj, v)
+	if found {
 		return ps[i], true
 	}
 	return 0, false
@@ -462,36 +382,20 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: per-edge storage with %d mixed nodes, recorded %d", mixed, g.mixedIn)
 		}
 	}
-	// The renumbering tables, when present, must be mutually inverse
-	// permutations.
-	if (g.ren == nil) != (g.inv == nil) {
-		return fmt.Errorf("graph: renumbering tables half-present")
-	}
-	if g.ren != nil {
-		if len(g.ren) != int(g.n) || len(g.inv) != int(g.n) {
-			return fmt.Errorf("graph: renumbering table length %d/%d, want %d", len(g.ren), len(g.inv), g.n)
-		}
-		for o, v := range g.ren {
-			if v < 0 || v >= g.n || g.inv[v] != NodeID(o) {
-				return fmt.Errorf("graph: renumbering tables not inverse at original %d", o)
-			}
-		}
-	}
-	// CSR adjacency must be sorted by ORIGINAL neighbor ID (out by target,
-	// in by source): the binary-searched EdgeProbability, deterministic
-	// layouts, and the renumbering invariance of position-indexed neighbor
-	// picks all rely on it.
+	// CSR adjacency must be sorted by neighbor ID (out by target, in by
+	// source): the binary-searched EdgeProbability and deterministic
+	// layouts rely on it.
 	for u := int32(0); u < g.n; u++ {
 		adj, _ := g.OutNeighbors(u)
 		for i := 1; i < len(adj); i++ {
-			if g.ordOf(adj[i-1]) > g.ordOf(adj[i]) {
+			if adj[i-1] > adj[i] {
 				return fmt.Errorf("graph: out-adjacency of node %d not sorted at %d", u, i)
 			}
 		}
 		lo, hi := g.inRange(u)
 		srcs := g.inAdj[lo:hi]
 		for i := 1; i < len(srcs); i++ {
-			if g.ordOf(srcs[i-1]) > g.ordOf(srcs[i]) {
+			if srcs[i-1] > srcs[i] {
 				return fmt.Errorf("graph: in-adjacency of node %d not sorted at %d", u, i)
 			}
 		}

@@ -47,18 +47,13 @@ func NewResidual(g *Graph) *Residual {
 	return r
 }
 
-// fillAlive resets the alive bookkeeping to "all nodes alive, increasing
-// ORIGINAL-ID order". On identity-numbered graphs that is 0..n-1; on a
-// degree-renumbered graph slot i holds the internal ID of original node
-// i, so uniform root draws (alive[Intn(n)]) land on the same original
-// node under either numbering — the root-sampling half of the
-// renumbering invariance contract.
+// fillAlive resets the alive bookkeeping to "all nodes alive, in
+// node-ID order 0..n-1".
 func (r *Residual) fillAlive() {
 	r.alive = len(r.order)
 	for u := range r.order {
-		v := r.g.InternalID(NodeID(u))
-		r.order[u] = v
-		r.pos[v] = int32(u)
+		r.order[u] = NodeID(u)
+		r.pos[u] = int32(u)
 	}
 }
 

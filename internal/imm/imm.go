@@ -107,7 +107,6 @@ func Select(g *graph.Graph, k int, opts Options) (*Result, error) {
 			return nil, err
 		}
 		collection := b.Collection()
-		collection.SetTieOrder(g.OriginalIDs())
 		all := allNodes(n)
 		seeds, cum := collection.GreedyMaxCoverageWorkers(all, k, opts.Workers)
 		if len(seeds) == 0 {
@@ -139,7 +138,6 @@ func Select(g *graph.Graph, k int, opts Options) (*Result, error) {
 		return nil, err
 	}
 	collection := b.Collection()
-	collection.SetTieOrder(g.OriginalIDs())
 	seeds, cum := collection.GreedyMaxCoverageWorkers(allNodes(n), k, opts.Workers)
 	spread := 0.0
 	if len(cum) > 0 {

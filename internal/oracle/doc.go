@@ -17,7 +17,7 @@
 //     SetReuse it validity-filters the cached collection on residual
 //     changes (ris.Collection.Filter) and regenerates only the shortfall,
 //     the same cross-round reuse the sampling algorithms apply; see
-//     SetReuse for the root-mix caveat that keeps it opt-in.
+//     SetReuse for the bias of kept sets that keeps it opt-in.
 //
 // All oracles answer on residual views so ADG can query E[I_{G_i}(·)]
 // round by round.

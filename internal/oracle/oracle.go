@@ -168,14 +168,6 @@ func (o *RIS) ExpectedSpread(res *graph.Residual, seeds []graph.NodeID) float64 
 // SingleSpreads is worker-count-independent.
 func (o *RIS) SetWorkers(n int) { o.workers = n }
 
-// SetBatched opts the oracle's refresh draws into the frontier-batched
-// sampler kernel (ris.SamplerPool.SetBatched). The kernel consumes
-// randomness in a different order, so individual sets change, but the
-// RR-set distribution is identical — estimates move only within
-// sampling noise. Graphs without compressed sampler tables fall back to
-// the per-draw loop transparently.
-func (o *RIS) SetBatched(on bool) { o.b.SetBatched(on) }
-
 // SingleSpreads estimates E[I_{G_i}({u})] for every u in nodes, writing
 // the estimates into out (which must have len(nodes)). It is equivalent
 // to calling ExpectedSpread on each singleton — identical floats — but a
@@ -229,14 +221,16 @@ func (o *RIS) SingleSpreads(res *graph.Residual, nodes []graph.NodeID, out []flo
 // Refresh keeps the cached sets still valid under the new residual
 // (ris.Collection.Filter) and draws only the shortfall.
 //
-// Off by default because filtering tilts the pool's root mix: each kept
-// set is, conditioned on its root, exactly an RR set of the new residual,
-// but roots whose sets tend to survive are over-represented versus the
-// uniform root draw the estimator assumes. The tilt is proportional to
-// how much of the pool the deletion invalidated — negligible for the
-// small per-round deletions of adaptive seeding, extreme on adversarial
-// graphs (deleting a chain's middle node leaves only single-node sets).
-// Callers accepting that trade (ADG on large graphs) opt in explicitly.
+// Off by default because the kept sets are biased (see
+// ris.Collection.Filter): each is an RR set of the old residual
+// conditioned on avoiding the removed nodes, which under-represents sets
+// holding nodes with in-edges from removed nodes, and roots whose sets
+// tend to survive are over-represented versus the uniform root draw the
+// estimator assumes. The bias grows with how much of the pool the
+// deletion invalidated — small for the few deletions of one adaptive
+// round, extreme on adversarial graphs (deleting a chain's middle node
+// leaves only single-node sets). Callers accepting that trade (ADG on
+// large graphs) opt in explicitly.
 func (o *RIS) SetReuse(on bool) {
 	o.reuse = on
 	o.b.SetReuse(on)

@@ -12,23 +12,20 @@ import (
 // benchGraph materializes the nethept-s stand-in at paper scale with the
 // weighted-cascade weighting — the workload the paper's experiments (and
 // the README performance table) are measured on.
-func benchGraph(b *testing.B, degreeOrder bool) *graph.Graph {
-	return datasetGraph(b, "nethept-s", degreeOrder)
+func benchGraph(b *testing.B) *graph.Graph {
+	return datasetGraph(b, "nethept-s")
 }
 
 // datasetGraph materializes any Table II stand-in at paper scale. The
-// larger stand-ins (dblp-s) spill the CPU caches, which is where the
-// frontier-batched kernel and the hub-first layout are designed to win;
-// nethept-s fits in L2 and measures the small-graph regime.
-func datasetGraph(b *testing.B, name string, degreeOrder bool) *graph.Graph {
+// larger stand-ins (dblp-s) spill the CPU caches; nethept-s fits in L2
+// and measures the small-graph regime.
+func datasetGraph(b *testing.B, name string) *graph.Graph {
 	b.Helper()
 	spec, err := gen.Lookup(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := spec.Config(1)
-	cfg.DegreeOrder = degreeOrder
-	g, err := gen.Generate(cfg)
+	g, err := gen.Generate(spec.Config(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,7 +35,7 @@ func datasetGraph(b *testing.B, name string, degreeOrder bool) *graph.Graph {
 // benchmarkDraw measures single-threaded RR-set draws; the reported
 // rr/s metric is sets per second.
 func benchmarkDraw(b *testing.B, model cascade.Model) {
-	g := benchGraph(b, false)
+	g := benchGraph(b)
 	res := graph.NewResidual(g)
 	s := NewSampler(res, model, rng.New(1))
 	var nodes int64
@@ -61,21 +58,13 @@ func BenchmarkDrawLT(b *testing.B) { benchmarkDraw(b, cascade.LT) }
 // batch of RR sets into a collection with GOMAXPROCS workers, the
 // configuration every algorithm in the repo uses. The pre-PR baseline for
 // this workload (a fresh sampler and collection per attempt, per-edge
-// coins) is recorded in the README performance table. batched selects
-// the frontier-batched expansion path, degreeOrder the hub-first node
-// renumbering — together they form the bulk configuration of the A/B
-// comparison; the same logical graph is sampled either way.
-func benchmarkAppendParallel(b *testing.B, batched, degreeOrder bool) {
-	benchmarkAppendParallelOn(b, "nethept-s", batched, degreeOrder)
-}
-
-func benchmarkAppendParallelOn(b *testing.B, dataset string, batched, degreeOrder bool) {
+// coins) is recorded in the README performance table.
+func benchmarkAppendParallel(b *testing.B, dataset string) {
 	const batch = 20000
-	g := datasetGraph(b, dataset, degreeOrder)
+	g := datasetGraph(b, dataset)
 	res := graph.NewResidual(g)
 	parent := rng.New(2)
 	pool := NewSamplerPool(cascade.IC)
-	pool.SetBatched(batched)
 	c := NewCollection(res.FullN())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -89,22 +78,8 @@ func benchmarkAppendParallelOn(b *testing.B, dataset string, batched, degreeOrde
 	b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "rr/s")
 }
 
-func BenchmarkAppendParallel(b *testing.B)        { benchmarkAppendParallel(b, false, false) }
-func BenchmarkAppendParallelBatched(b *testing.B) { benchmarkAppendParallel(b, true, true) }
+func BenchmarkAppendParallel(b *testing.B) { benchmarkAppendParallel(b, "nethept-s") }
 
-// BenchmarkAppendParallelBatchedIdentity isolates the kernel change from
-// the layout change: batched expansion on the identity numbering.
-func BenchmarkAppendParallelBatchedIdentity(b *testing.B) { benchmarkAppendParallel(b, true, false) }
-
-// BenchmarkAppendParallelOrdered isolates the layout change: the per-draw
-// kernel on the degree-renumbered graph.
-func BenchmarkAppendParallelOrdered(b *testing.B) { benchmarkAppendParallel(b, false, true) }
-
-// The dblp-s pair measures the cache-spilling regime (655K nodes, ~27MB of
-// CSR+meta): per-draw baseline vs the full bulk configuration.
-func BenchmarkAppendParallelDBLP(b *testing.B) {
-	benchmarkAppendParallelOn(b, "dblp-s", false, false)
-}
-func BenchmarkAppendParallelDBLPBatched(b *testing.B) {
-	benchmarkAppendParallelOn(b, "dblp-s", true, true)
-}
+// BenchmarkAppendParallelDBLP measures the cache-spilling regime (655K
+// nodes, ~27MB of CSR+meta).
+func BenchmarkAppendParallelDBLP(b *testing.B) { benchmarkAppendParallel(b, "dblp-s") }

@@ -58,12 +58,6 @@ type Collection struct {
 
 	scratch *Marks // lazily created buffer backing Cov
 
-	// tieOrder, when non-nil, maps internal node IDs to the rank used for
-	// greedy tie-breaking (smaller rank wins). Degree-renumbered graphs set
-	// it to their original-ID permutation so selection ties resolve the
-	// same way under either numbering; nil means rank == node ID.
-	tieOrder []graph.NodeID
-
 	// coverage is the attached incremental containment tracker, if any;
 	// Filter compacts it in lockstep and Reset zeroes it (see tracker.go).
 	coverage *Coverage
@@ -270,15 +264,20 @@ func (c *Collection) CountContaining(u graph.NodeID) int {
 
 // Filter compacts the collection in place to the RR sets that are still
 // valid on res: exactly those whose nodes (root included) are all alive.
-// Conditioned on its root, a surviving set is distributed exactly as an
-// RR set of the current residual (the failed coins into deleted nodes are
-// the only outcomes excluded), so adaptive rounds may keep these sets and
-// only top up the shortfall (ADDATP/HATP round loop, oracle.RIS.Refresh
-// with SetReuse). The caveat is the root mix: roots whose sets tend to
+// Adaptive rounds keep these sets and only top up the shortfall
+// (ADDATP/HATP round loop, oracle.RIS.Refresh with SetReuse), but the
+// survivors are not distributed as RR sets of the current residual, even
+// conditioned on their root. A survivor is a set of the residual it was
+// drawn on, conditioned on avoiding every node removed since; a fresh
+// draw on the current residual never examines edges out of removed
+// nodes. Under IC the survivor law is the fresh law reweighted by the
+// probability that no edge from a removed node into the set fired, so
+// sets holding nodes with in-edges from removed nodes are
+// under-represented: with edges 1→0 and 2→1 at p = 0.5 and node 2
+// removed, P[set = {0,1} | root 0] is 1/3 among survivors and 1/2 fresh
+// (TestFilterTiltsSurvivorLaw). On top of that, roots whose sets tend to
 // survive are over-represented versus a uniform draw from the new alive
-// set, a tilt proportional to the fraction of the pool invalidated —
-// negligible for the small per-round deletions near the adaptive stopping
-// frontier, where reuse saves the most.
+// set. Both deviations grow with the fraction of the pool invalidated.
 //
 // Filter is keyed on res.Version(): if the residual has not changed since
 // the sets were drawn (or last filtered), it returns immediately. It
@@ -339,13 +338,17 @@ func (c *Collection) Filter(res *graph.Residual) int {
 // InvalidateTouching compacts the collection in place to the RR sets that
 // contain none of the touched nodes — the generalized invalidation
 // contract for topology deltas. Reverse sampling examines edge (u,v) only
-// when it visits v, so an RR set avoiding every delta target endpoint
-// (graph.DeltaResult.Touched) is distributed on the new topology exactly
-// as it was drawn on the old one and stays valid; sets containing a
+// when it visits v, so a set avoiding every delta target endpoint
+// (graph.DeltaResult.Touched) read no changed edge. Conditioned on its
+// root, a survivor is therefore a new-topology RR set conditioned on
+// avoiding the touched nodes — not an unconditioned one. Sets containing a
 // touched node are dropped and the shortfall is topped up through the
-// usual Batcher.GrowTo. The root-mix caveat of Filter applies here too,
-// proportional to the dropped fraction — small for the sparse-churn
-// deltas this is built for.
+// usual Batcher.GrowTo with unconditioned draws, so the pool
+// under-represents sets through touched nodes: if a fraction q of the
+// pool is dropped and a fresh draw meets a touched node with probability
+// q', the pool ends with a share q·q' of such sets instead of q'. The
+// root mix tilts as under Filter. Both deviations scale with the dropped
+// fraction.
 //
 // Unlike Filter, the collection's residual version is left alone: the
 // survivors remain valid for the current residual, so a later Sync/Filter

@@ -113,17 +113,15 @@ func EstimateSpread(cov, theta, nAlive int) float64 {
 }
 
 // celfEntry is a lazily evaluated candidate: gain is its marginal coverage
-// as of selection round `round`; rank is the tie-break key (the node's
-// original ID on renumbered graphs, the node ID itself otherwise).
+// as of selection round `round`.
 type celfEntry struct {
 	node  graph.NodeID
-	rank  graph.NodeID
 	gain  int
 	round int
 }
 
-// celfHeap is a max-heap on (gain, then smaller rank) so selection is
-// deterministic under ties and invariant to node renumbering.
+// celfHeap is a max-heap on (gain, then smaller node ID) so selection is
+// deterministic under ties.
 type celfHeap []celfEntry
 
 func (h celfHeap) Len() int { return len(h) }
@@ -131,25 +129,11 @@ func (h celfHeap) Less(i, j int) bool {
 	if h[i].gain != h[j].gain {
 		return h[i].gain > h[j].gain
 	}
-	return h[i].rank < h[j].rank
+	return h[i].node < h[j].node
 }
 func (h celfHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *celfHeap) Push(x any)   { *h = append(*h, x.(celfEntry)) }
 func (h *celfHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-// SetTieOrder installs a rank permutation for greedy tie-breaking: ties in
-// marginal coverage resolve toward the node with the smaller ord[u]. Pass a
-// graph's OriginalIDs() so selection on a degree-renumbered graph breaks
-// ties identically to the identity numbering; nil restores node-ID order.
-func (c *Collection) SetTieOrder(ord []graph.NodeID) { c.tieOrder = ord }
-
-// rankOf returns u's tie-break rank under the installed order.
-func (c *Collection) rankOf(u graph.NodeID) graph.NodeID {
-	if c.tieOrder != nil {
-		return c.tieOrder[u]
-	}
-	return u
-}
 
 // GreedyMaxCoverage selects up to k nodes from candidates maximizing
 // coverage, the standard RIS selection step (used by IMM and the
@@ -166,7 +150,7 @@ func (c *Collection) GreedyMaxCoverage(candidates []graph.NodeID, k int) ([]grap
 	m := c.NewMarks()
 	h := make(celfHeap, 0, len(candidates))
 	for _, u := range candidates {
-		h = append(h, celfEntry{node: u, rank: c.rankOf(u), gain: c.CountContaining(u), round: 0})
+		h = append(h, celfEntry{node: u, gain: c.CountContaining(u), round: 0})
 	}
 	heap.Init(&h)
 	var chosen []graph.NodeID

@@ -33,28 +33,16 @@
 //     draws a whole attempt with zero allocations (asserted by
 //     TestAppendParallelWarmNoAllocs). The adaptive session steppers,
 //     oracle.RIS and imm.Select each own one.
-//   - Frontier-batched kernel (batch.go): SetBatched switches bulk draws
-//     to a kernel expanding 8 lanes (concurrent RR draws) through
-//     structure-of-arrays worklists with a one-byte-per-node lane
-//     bitmask, issuing software prefetch hints (internal/cpu) for the
-//     metadata, adjacency-arena and visited-mask lines of upcoming pops
-//     on graphs too large for L2. The win is memory-level parallelism —
-//     eight independent miss chains where a single BFS is a serial
-//     pointer chase. Randomness is consumed in a different order than
-//     the per-draw loop, so individual sets differ; distributional
-//     equivalence is pinned by the chi-square + exact-oracle suite
-//     (TestBatchedMatchesPerDrawChiSquare, oracle's
-//     TestRISBatchedMatchesExact), and the pool's Visits/EdgeTouches
-//     counters price the kernels' memory traffic for the benchmark
-//     tables (repro rrbench).
 //   - Collection (collection.go): CSR/arena storage — one flat node arena
 //     plus per-set offsets, and a lazily built CSR inverted index — so a
 //     collection is ~4 contiguous allocations regardless of θ. Reset
 //     empties it in place keeping capacity (the pool's warm path);
 //     Collection.Filter compacts in place to the sets still valid on a
 //     mutated residual, enabling cross-round reuse: a set drawn on G_i
-//     that avoids every node deleted since remains a correctly
-//     distributed RR sample of G_j (j > i).
+//     that avoids every node deleted since is kept for G_j (j > i). Kept
+//     sets are biased — each is a G_i set conditioned on avoiding the
+//     deleted nodes, not a G_j set (TestFilterTiltsSurvivorLaw) — see
+//     Filter for the size of the deviation.
 //   - Coverage queries (coverage.go, select.go): CovR(S), incremental
 //     marginals via Marks, and heap-based CELF greedy max-coverage — the
 //     selection step of IMM (§VI-A) and the nonadaptive greedy baseline.

@@ -129,134 +129,6 @@ func TestFastLTMatchesReferenceChiSquare(t *testing.T) {
 	}
 }
 
-// poolHistograms draws theta RR sets through a single-worker SamplerPool
-// — per-draw or frontier-batched — and bins them like sampleHistograms.
-// Membership is counted in original-ID space so histograms from a
-// degree-renumbered build compare directly against identity ones.
-func poolHistograms(t *testing.T, g *graph.Graph, batched bool, seed uint64, theta, maxSize int) ([]float64, []float64) {
-	t.Helper()
-	res := graph.NewResidual(g)
-	pool := NewSamplerPool(cascade.IC)
-	pool.SetBatched(batched)
-	c := NewCollection(res.FullN())
-	pool.AppendParallel(c, res, rng.New(seed), theta, 1)
-	if err := pool.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != theta {
-		t.Fatalf("short generation: %d of %d sets", c.Len(), theta)
-	}
-	sizes := make([]float64, maxSize+1)
-	members := make([]float64, g.N())
-	for i := 0; i < c.Len(); i++ {
-		nodes := c.SetNodes(i)
-		sz := len(nodes)
-		if sz > maxSize {
-			sz = maxSize
-		}
-		sizes[sz]++
-		for _, u := range nodes {
-			members[g.OriginalID(u)]++
-		}
-	}
-	return sizes, members
-}
-
-// compareHistograms applies the suite's two acceptance checks — size
-// distribution chi-square below the p=0.001 critical value and per-node
-// membership marginals within 5-sigma binomial tolerance.
-func compareHistograms(t *testing.T, aSizes, bSizes, aMem, bMem []float64, theta int) {
-	t.Helper()
-	stat, df := chiSquareTwoSample(aSizes, bSizes, 10)
-	if stat > 46 {
-		t.Fatalf("size-distribution chi-square %.1f (df=%d): %v vs %v",
-			stat, df, aSizes, bSizes)
-	}
-	for u := range aMem {
-		pa := aMem[u] / float64(theta)
-		pb := bMem[u] / float64(theta)
-		p := (pa + pb) / 2
-		tol := 5 * math.Sqrt(2*p*(1-p)/float64(theta))
-		if math.Abs(pa-pb) > tol+1e-9 {
-			t.Fatalf("node %d membership %v vs %v, tol %v", u, pa, pb, tol)
-		}
-	}
-}
-
-// TestBatchedMatchesPerDrawChiSquare: the frontier-batched kernel
-// consumes randomness in a different order than the per-draw loop, so
-// the sets differ draw by draw — but the RR-set size distribution and
-// per-node membership marginals must agree. This is the batched half of
-// the PR 3 distributional-equivalence suite.
-func TestBatchedMatchesPerDrawChiSquare(t *testing.T) {
-	g := wcTestGraph(t)
-	const theta = 120000
-	perSizes, perMem := poolHistograms(t, g, false, 505, theta, 20)
-	batSizes, batMem := poolHistograms(t, g, true, 606, theta, 20)
-	compareHistograms(t, perSizes, batSizes, perMem, batMem, theta)
-}
-
-// TestBatchedRenumberedMatchesPerDrawChiSquare runs the benchmark
-// configuration — batched kernel on the degree-renumbered build —
-// against the per-draw identity baseline. Membership marginals are
-// compared in original-ID space, exercising both halves of the
-// renumbering contract (root sampling and expansion) distributionally.
-func TestBatchedRenumberedMatchesPerDrawChiSquare(t *testing.T) {
-	g := wcTestGraph(t)
-	ren, err := gen.Generate(gen.Config{Model: gen.PrefAttach, N: 300, AvgDeg: 5, Directed: true, Seed: 33, DegreeOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ren.Renumbered() {
-		t.Fatal("degree-ordered build did not renumber")
-	}
-	const theta = 120000
-	perSizes, perMem := poolHistograms(t, g, false, 707, theta, 20)
-	batSizes, batMem := poolHistograms(t, ren, true, 808, theta, 20)
-	compareHistograms(t, perSizes, batSizes, perMem, batMem, theta)
-}
-
-// TestBatchedPrefetchVariantIdentical: the split expansion pass used
-// above the prefetch node-count threshold stages gather indices through
-// the candidate buffer, while the small-graph variant gathers inline.
-// Both must draw byte-identical sets from the same parent stream — the
-// split only reorders memory operations, never randomness.
-func TestBatchedPrefetchVariantIdentical(t *testing.T) {
-	g := wcTestGraph(t)
-	draw := func() *Collection {
-		res := graph.NewResidual(g)
-		pool := NewSamplerPool(cascade.IC)
-		pool.SetBatched(true)
-		c := NewCollection(res.FullN())
-		pool.AppendParallel(c, res, rng.New(909), 5000, 1)
-		if err := pool.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	a := draw()
-	defer func(old int) { batchPrefetchMinNodes = old }(batchPrefetchMinNodes)
-	batchPrefetchMinNodes = 1 // force the prefetch variant on 300 nodes
-	b := draw()
-	if a.Len() != b.Len() {
-		t.Fatalf("set counts differ: %d vs %d", a.Len(), b.Len())
-	}
-	for i := 0; i < a.Len(); i++ {
-		if a.Root(i) != b.Root(i) {
-			t.Fatalf("set %d: root %d vs %d", i, a.Root(i), b.Root(i))
-		}
-		na, nb := a.SetNodes(i), b.SetNodes(i)
-		if len(na) != len(nb) {
-			t.Fatalf("set %d: sizes %d vs %d", i, len(na), len(nb))
-		}
-		for j := range na {
-			if na[j] != nb[j] {
-				t.Fatalf("set %d node %d: %d vs %d", i, j, na[j], nb[j])
-			}
-		}
-	}
-}
-
 // TestTrivalencyFallbackIdentical: on a mixed in-probability graph the
 // sampler must take the per-edge path, byte-identical to the reference
 // sampler — the fallback is not merely equivalent but the same code.
@@ -352,25 +224,20 @@ func TestPoolConcurrentWorkersSafe(t *testing.T) {
 // TestAppendParallelWarmNoAllocs asserts the pool's steady state: after a
 // warm-up attempt, regenerating the same batch through the pool performs
 // zero allocations — no fresh samplers, visited arrays, RNG streams, or
-// arena growth per attempt. The batched kernel must meet the same
-// budget: its worklists, spill records, candidate buffers and lane-mask
-// array are sized on the warm-up pass and only reused afterwards.
+// arena growth per attempt.
 func TestAppendParallelWarmNoAllocs(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		g := wcTestGraph(t)
-		res := graph.NewResidual(g)
-		pool := NewSamplerPool(cascade.IC)
-		pool.SetBatched(batched)
-		parent := rng.New(5)
-		c := NewCollection(res.FullN())
-		pool.AppendParallel(c, res, parent, 2000, 1) // warm-up attempt
-		avg := testing.AllocsPerRun(20, func() {
-			parent.Reseed(5) // identical draws each attempt
-			c.Reset()
-			pool.AppendParallel(c, res, parent, 2000, 1)
-		})
-		if avg != 0 {
-			t.Fatalf("warm AppendParallel (batched=%v) allocates %.1f per attempt, want 0", batched, avg)
-		}
+	g := wcTestGraph(t)
+	res := graph.NewResidual(g)
+	pool := NewSamplerPool(cascade.IC)
+	parent := rng.New(5)
+	c := NewCollection(res.FullN())
+	pool.AppendParallel(c, res, parent, 2000, 1) // warm-up attempt
+	avg := testing.AllocsPerRun(20, func() {
+		parent.Reseed(5) // identical draws each attempt
+		c.Reset()
+		pool.AppendParallel(c, res, parent, 2000, 1)
+	})
+	if avg != 0 {
+		t.Fatalf("warm AppendParallel allocates %.1f per attempt, want 0", avg)
 	}
 }

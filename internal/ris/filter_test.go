@@ -190,3 +190,46 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestFilterTiltsSurvivorLaw pins the known deviation of cross-round
+// reuse: a set that survives Filter is an RR set of the old residual
+// conditioned on avoiding the removed nodes, which is not the law of a
+// fresh RR set of the current residual. On edges 1→0 and 2→1 (p = 0.5)
+// with node 2 removed, the root-0 sets {0}, {0,1}, {0,1,2} of the full
+// graph have probabilities 1/2, 1/4, 1/4; Filter drops the last, so
+// P[set = {0,1} | root 0] is 1/3 among survivors, against 1/2 for fresh
+// draws on the residual, where the edge from node 2 is never examined.
+// Making reuse exact (or deleting it) flips the first assertion.
+func TestFilterTiltsSurvivorLaw(t *testing.T) {
+	g := graph.MustFromEdges(3, true, []graph.Edge{{From: 1, To: 0, P: 0.5}, {From: 2, To: 1, P: 0.5}})
+	const theta = 300000
+	// pairGivenRoot0 returns the fraction of root-0 sets in c equal to {0,1}.
+	pairGivenRoot0 := func(c *Collection) float64 {
+		roots, pairs := 0, 0
+		for i := 0; i < c.Len(); i++ {
+			if c.Root(i) != 0 {
+				continue
+			}
+			roots++
+			if nodes := c.SetNodes(i); len(nodes) == 2 && nodes[0]+nodes[1] == 1 {
+				pairs++
+			}
+		}
+		if roots == 0 {
+			t.Fatal("no root-0 sets")
+		}
+		return float64(pairs) / float64(roots)
+	}
+
+	res := graph.NewResidual(g)
+	kept := NewSampler(res, cascade.IC, rng.New(61)).Generate(theta)
+	res.Remove(2)
+	kept.Filter(res)
+	if got := pairGivenRoot0(kept); got < 1.0/3-0.02 || got > 1.0/3+0.02 {
+		t.Fatalf("after Filter P[{0,1} | root 0] = %.3f, want 1/3 ± 0.02", got)
+	}
+	fresh := NewSampler(res, cascade.IC, rng.New(62)).Generate(theta)
+	if got := pairGivenRoot0(fresh); got < 0.5-0.02 || got > 0.5+0.02 {
+		t.Fatalf("fresh P[{0,1} | root 0] = %.3f, want 1/2 ± 0.02", got)
+	}
+}

@@ -1,7 +1,6 @@
 package ris
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,10 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
-
-// errBatchAborted is the sentinel a batched worker's poll returns when
-// another worker already raised the stop flag; it never reaches Err.
-var errBatchAborted = errors.New("ris: batch aborted by another worker")
 
 // chunk is one worker's output: a local arena with per-set lengths,
 // spliced into the destination collection in worker order.
@@ -37,14 +32,6 @@ type SamplerPool struct {
 	chunks   []chunk
 	quota    []int
 
-	// batched selects frontier-batched expansion (batch.go) for bulk
-	// draws when the graph supports it — compressed IC in-sampler tables
-	// — falling back to the per-draw loop otherwise. Opt-in: bulk callers
-	// (benchmarks, repro rrbench, equivalence tests) enable it, while
-	// single-draw Session stepping and golden-pinned paths stay on the
-	// per-draw loop so bit-identical fixtures keep passing.
-	batched bool
-
 	// interrupt, when non-nil, is polled during generation (every
 	// interruptStride draws per worker); a non-nil return aborts the batch
 	// mid-draw-loop, leaving the destination collection untouched (multi-
@@ -66,16 +53,8 @@ const interruptStride = 64
 // the historical ones.
 func (p *SamplerPool) SetInterrupt(f func() error) { p.interrupt = f }
 
-// SetBatched opts future batches into frontier-batched expansion where
-// the graph supports it. The batched path draws from the same joint
-// distribution as the per-draw path — every per-node success count and
-// neighbor pick has the identical law — but through per-lane substreams
-// spent at a different cadence, so collections differ bit-for-bit while
-// matching distributionally.
-func (p *SamplerPool) SetBatched(on bool) { p.batched = on }
-
-// Visits returns the cumulative number of node visits (worklist pops =
-// nodes appended to RR sets) across all draws by this pool's workers.
+// Visits returns the cumulative number of node visits (nodes appended to
+// RR sets) across all draws by this pool's workers.
 // With EdgeTouches it prices sampling in memory traffic: a visit costs
 // one 16-byte metadata load plus bookkeeping, an edge touch one 4-byte
 // adjacency read.
@@ -88,11 +67,7 @@ func (p *SamplerPool) Visits() uint64 {
 }
 
 // EdgeTouches returns the cumulative number of in-adjacency entries read
-// across all draws by this pool's workers. The batched kernel issues one
-// speculative adjacency read per visit (its branchless fast path computes
-// the single-success expansion whether or not it commits), so its touch
-// counts sit slightly above the per-draw loop's for the same sets — the
-// counter prices actual traffic, not useful traffic.
+// across all draws by this pool's workers.
 func (p *SamplerPool) EdgeTouches() uint64 {
 	var v uint64
 	for _, s := range p.samplers {
@@ -101,21 +76,10 @@ func (p *SamplerPool) EdgeTouches() uint64 {
 	return v
 }
 
-// MaxDepth returns the deepest BFS level any batched draw reached.
-func (p *SamplerPool) MaxDepth() int {
-	d := 0
-	for _, s := range p.samplers {
-		if s.maxDepth > d {
-			d = s.maxDepth
-		}
-	}
-	return d
-}
-
 // ResetStats zeroes the cumulative visit/edge-touch counters.
 func (p *SamplerPool) ResetStats() {
 	for _, s := range p.samplers {
-		s.visits, s.edgeTouches, s.maxDepth = 0, 0, 0
+		s.visits, s.edgeTouches = 0, 0
 	}
 }
 
@@ -167,33 +131,10 @@ func (p *SamplerPool) AppendParallel(c *Collection, res *graph.Residual, parent 
 		workers = 1
 	}
 	p.grow(workers)
-	batched := p.batched && p.model == cascade.IC
-	if batched {
-		// The batched kernel is specialized to compressed IC tables; other
-		// graphs and models fall back to the per-draw loop. It also assumes
-		// a non-empty adjacency arena, which its speculative expansion
-		// indexes unconditionally.
-		meta, arena, _, _ := res.Graph().InSamplerTables()
-		batched = meta != nil && len(arena) > 0
-	}
 	if workers == 1 {
 		parent.SplitTo(p.streams[0])
 		s := p.samplers[0]
 		s.bind(res, p.streams[0])
-		if batched {
-			// Windows commit into the worker chunk and splice in one bulk
-			// append; the interrupt is polled between windows, leaving the
-			// collection short (completed windows only) on abort, like the
-			// chunked per-draw path below.
-			ck := &p.chunks[0]
-			ck.arena, ck.lens, ck.roots = ck.arena[:0], ck.lens[:0], ck.roots[:0]
-			_, err := s.appendBatched(ck, count, p.interrupt)
-			c.noteRequested(count)
-			c.noteVersion(res.Version())
-			c.appendBulk(ck.arena, ck.lens, ck.roots)
-			p.err = err
-			return
-		}
 		if p.interrupt == nil {
 			s.AppendTo(c, count)
 			return
@@ -242,11 +183,7 @@ func (p *SamplerPool) AppendParallel(c *Collection, res *graph.Residual, parent 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		// batched rides along as a parameter: capturing it in the closure
-		// would move it to the heap at declaration time, costing the
-		// single-worker fast path (which returns long before this loop) one
-		// allocation per call.
-		go func(w int, batched bool) {
+		go func(w int) {
 			defer wg.Done()
 			s := p.samplers[w]
 			s.bind(res, p.streams[w])
@@ -254,25 +191,6 @@ func (p *SamplerPool) AppendParallel(c *Collection, res *graph.Residual, parent 
 			ck.arena = ck.arena[:0]
 			ck.lens = ck.lens[:0]
 			ck.roots = ck.roots[:0]
-			if batched {
-				poll := p.interrupt
-				if poll != nil {
-					poll = func() error {
-						if stop.Load() {
-							return errBatchAborted
-						}
-						return p.interrupt()
-					}
-				}
-				if _, err := s.appendBatched(ck, p.quota[w], poll); err != nil {
-					// The first real error wins stopOnce before the stop flag
-					// rises, so a worker aborted by the flag (errBatchAborted)
-					// can never overwrite it.
-					stopOnce.Do(func() { stopErr = err })
-					stop.Store(true)
-				}
-				return
-			}
 			for i := 0; i < p.quota[w]; i++ {
 				if p.interrupt != nil {
 					if stop.Load() {
@@ -294,7 +212,7 @@ func (p *SamplerPool) AppendParallel(c *Collection, res *graph.Residual, parent 
 				ck.lens = append(ck.lens, int32(len(s.touched)))
 				ck.roots = append(ck.roots, root)
 			}
-		}(w, batched)
+		}(w)
 	}
 	wg.Wait()
 	if stop.Load() {

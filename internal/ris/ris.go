@@ -41,29 +41,12 @@ type Sampler struct {
 	// in-probability graphs; distributional-equivalence tests set it.
 	noFast bool
 
-	// Frontier-batched expansion state (batch.go): per-lane RNG
-	// substreams, the shared SoA worklist (node and draw-id lanes; BFS
-	// depth is the segment index, tracked as a scalar), the per-node
-	// lane-visited bitmask, and per-lane size scratch. Allocated on
-	// first batched draw and reused across windows and batches.
-	laneRNG  []rng.RNG
-	laneLen  []int32
-	laneOff  []int32
-	visitedW []uint8
-	wlNode   []graph.NodeID
-	wlLane   []uint8
-	spillH   []int32        // worklist indices of pops deferred to the spill pass
-	spillU   []uint32       // their already-drawn count words
-	candU    []graph.NodeID // speculative single-success candidates, dense per pop
-	candA    []uint8        // their accept flags (pre-dedup)
-
-	// Bandwidth accounting, cumulative across draws: visits counts
-	// worklist pops (= nodes added to RR sets), edgeTouches counts
-	// in-adjacency entries actually read. Together they price a draw in
-	// memory traffic (see SamplerPool.Visits / EdgeTouches).
+	// Bandwidth accounting, cumulative across draws: visits counts nodes
+	// added to RR sets, edgeTouches counts in-adjacency entries actually
+	// read. Together they price a draw in memory traffic (see
+	// SamplerPool.Visits / EdgeTouches).
 	visits      uint64
 	edgeTouches uint64
-	maxDepth    int
 }
 
 // NewSampler creates a sampler over res under the given model.
@@ -278,17 +261,16 @@ const maxRejectK = 8
 // independent per-edge coins exactly (exchangeability).
 func (s *Sampler) pushKofD(srcs []graph.NodeID, k int) {
 	var buf [maxRejectK]int32
-	for _, pos := range s.pickPositions(s.r, len(srcs), k, buf[:0]) {
+	for _, pos := range s.pickPositions(len(srcs), k, buf[:0]) {
 		s.pushNode(srcs[pos])
 	}
 }
 
-// pickPositions draws k distinct uniform positions in [0, d) from r,
-// appending to buf when it fits and spilling to the perm scratch
-// otherwise. The returned slice is valid until the next call. r is
-// explicit because batched expansion draws from per-lane substreams
-// rather than the sampler's bound stream.
-func (s *Sampler) pickPositions(r *rng.RNG, d, k int, buf []int32) []int32 {
+// pickPositions draws k distinct uniform positions in [0, d) from the
+// sampler's stream, appending to buf when it fits and spilling to the
+// perm scratch otherwise. The returned slice is valid until the next call.
+func (s *Sampler) pickPositions(d, k int, buf []int32) []int32 {
+	r := s.r
 	out := buf
 	if k > cap(out) || k >= d {
 		if cap(s.perm) < d {
@@ -516,7 +498,7 @@ func (s *Sampler) appendFastIC(c *Collection, count int, meta []graph.InMeta, in
 			}
 			srcs := inArena[mv.Start : mv.Start+mv.Deg]
 			s.edgeTouches += uint64(k)
-			for _, pos := range s.pickPositions(r, len(srcs), k, posBuf[:0]) {
+			for _, pos := range s.pickPositions(len(srcs), k, posBuf[:0]) {
 				u := srcs[pos]
 				if !visited[u] && (skipAlive || res.Alive(u)) {
 					visited[u] = true

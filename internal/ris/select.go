@@ -215,7 +215,7 @@ func (c *Collection) GreedyMaxCoverageWorkers(candidates []graph.NodeID, k, work
 	parallelFor(len(candidates), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			u := candidates[i]
-			h[i] = celfEntry{node: u, rank: c.rankOf(u), gain: int(c.invOff[u+1] - c.invOff[u])}
+			h[i] = celfEntry{node: u, gain: int(c.invOff[u+1] - c.invOff[u])}
 		}
 	})
 	heap.Init(&h)

@@ -109,7 +109,7 @@ func TestBuildIndexParallelMatchesSerial(t *testing.T) {
 // index. The acceptance target is workers8 ≥ 2× serial on 8+ hardware
 // threads; on fewer cores the two converge.
 func benchmarkGreedy(b *testing.B, workers int) {
-	g := benchGraph(b, false)
+	g := benchGraph(b)
 	res := graph.NewResidual(g)
 	c := GenerateParallel(res, cascade.IC, rng.New(3), 120_000, 0)
 	candidates := make([]graph.NodeID, g.N())

@@ -102,19 +102,14 @@ func NewBatcher(model cascade.Model) *Batcher {
 // batcher to a run under a different model.
 func (b *Batcher) Model() cascade.Model { return b.model }
 
-// SetReuse toggles cross-version reuse (see Collection.Filter for the
-// root-mix caveat of keeping filtered sets).
+// SetReuse toggles cross-version reuse (see Collection.Filter for how
+// kept sets deviate from fresh draws).
 func (b *Batcher) SetReuse(on bool) { b.reuse = on }
 
 // SetInterrupt installs a cancellation poll on the underlying sampler
 // pool: GrowTo batches abort mid-draw when it returns an error (see
 // SamplerPool.SetInterrupt). nil removes it.
 func (b *Batcher) SetInterrupt(f func() error) { b.pool.SetInterrupt(f) }
-
-// SetBatched opts the underlying pool into frontier-batched expansion
-// for bulk draws (see SamplerPool.SetBatched). Bit-identical goldens
-// require the default per-draw path.
-func (b *Batcher) SetBatched(on bool) { b.pool.SetBatched(on) }
 
 // Reset returns the batcher to its freshly constructed state while keeping
 // every warm buffer: the collection's arenas, the coverage tracker's count

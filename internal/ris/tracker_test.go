@@ -138,31 +138,27 @@ func TestBatcherAccountingAndReuse(t *testing.T) {
 // TestBatcherWarmLoopNoAllocs extends the PR 3 allocation budget to the
 // sequential controller's batch loop: once the batcher is warm (arena,
 // coverage counts, pool scratch all grown), a filter + top-up + coverage
-// round performs zero allocations. The frontier-batched kernel is held
-// to the same budget — its window scratch is grown once on warm-up.
+// round performs zero allocations.
 func TestBatcherWarmLoopNoAllocs(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		g := wcTestGraph(t)
-		b := NewBatcher(cascade.IC)
-		b.SetBatched(batched)
-		b.EnableCoverage()
-		parent := rng.New(47)
-		// Warm up: grow past the steady-state target once so the arena and
-		// index-free coverage storage reach capacity.
-		res := graph.NewResidual(g)
+	g := wcTestGraph(t)
+	b := NewBatcher(cascade.IC)
+	b.EnableCoverage()
+	parent := rng.New(47)
+	// Warm up: grow past the steady-state target once so the arena and
+	// index-free coverage storage reach capacity.
+	res := graph.NewResidual(g)
+	b.GrowTo(res, parent, 3000, 1)
+	next := graph.NodeID(1)
+	avg := testing.AllocsPerRun(20, func() {
+		res.Remove(next) // mutate so Sync actually filters
+		next++
+		b.Sync(res)
 		b.GrowTo(res, parent, 3000, 1)
-		next := graph.NodeID(1)
-		avg := testing.AllocsPerRun(20, func() {
-			res.Remove(next) // mutate so Sync actually filters
-			next++
-			b.Sync(res)
-			b.GrowTo(res, parent, 3000, 1)
-			for u := 0; u < 50; u++ {
-				_ = b.Count(graph.NodeID(u))
-			}
-		})
-		if avg != 0 {
-			t.Fatalf("warm batcher round (batched=%v) allocates %.1f per cycle, want 0", batched, avg)
+		for u := 0; u < 50; u++ {
+			_ = b.Count(graph.NodeID(u))
 		}
+	})
+	if avg != 0 {
+		t.Fatalf("warm batcher round allocates %.1f per cycle, want 0", avg)
 	}
 }

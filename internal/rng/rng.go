@@ -90,17 +90,6 @@ func (r *RNG) SplitTo(child *RNG) {
 	child.Reseed(a<<32 | b)
 }
 
-// SplitStreams reseeds every element of dst with an independent
-// substream of r, in slice order, exactly as len(dst) successive SplitTo
-// calls would. Batched samplers use it to hand each concurrent draw lane
-// its own stream: the draws become a deterministic function of (r's
-// state, lane index) no matter how the lanes interleave.
-func (r *RNG) SplitStreams(dst []RNG) {
-	for i := range dst {
-		r.SplitTo(&dst[i])
-	}
-}
-
 // Uint32 returns the next 32 uniformly distributed bits.
 func (r *RNG) Uint32() uint32 {
 	old := r.state
