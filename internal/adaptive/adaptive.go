@@ -68,8 +68,7 @@ func (e *Environment) Residual() *graph.Residual { return e.res }
 // (u included if alive), and removes it. Seeding a dead node activates
 // nothing.
 func (e *Environment) Observe(u graph.NodeID) []graph.NodeID {
-	a := cascade.Activated(e.rz, e.res, []graph.NodeID{u})
-	e.res.RemoveAll(a)
+	a := cascade.Activate(e.rz, e.res, []graph.NodeID{u})
 	e.activated += len(a)
 	return a
 }

@@ -49,9 +49,11 @@ type SamplingOptions struct {
 	// fixed policy, every refinement attempt regenerates its full θ), as
 	// the pre-reuse implementation did. Within-round reuse (θ growth on an
 	// unchanged residual) is exactly distribution-preserving; cross-round
-	// reuse keeps only sets avoiding every deleted node, which is per-root
-	// exact but slightly over-represents high-survival roots (see
-	// ris.Collection.Filter). NoReuse exists for A/B comparison and
+	// reuse keeps only sets avoiding every deleted node, which is not:
+	// even conditioned on its root, a survivor under-represents sets that
+	// edges from removed nodes could have reached, and roots whose sets
+	// tend to survive are over-represented (see ris.Collection.Filter and
+	// TestFilterTiltsSurvivorLaw). NoReuse exists for A/B comparison and
 	// debugging.
 	NoReuse bool
 }

@@ -2,6 +2,7 @@ package cascade
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -60,27 +61,24 @@ func TestSpreadFig1WorkedExample(t *testing.T) {
 func TestActivatedFig1(t *testing.T) {
 	rz := fig1Realization()
 	res := graph.NewResidual(rz.Graph())
-	a := Activated(rz, res, []graph.NodeID{1})
-	want := map[graph.NodeID]bool{1: true, 2: true, 3: true}
-	if len(a) != len(want) {
-		t.Fatalf("A(v2) = %v", a)
+	a := Activate(rz, res, []graph.NodeID{1})
+	if want := []graph.NodeID{1, 2, 3}; !slices.Equal(a, want) {
+		t.Fatalf("A(v2) = %v, want %v in BFS order", a, want)
 	}
-	for _, u := range a {
-		if !want[u] {
-			t.Fatalf("A(v2) contains unexpected node %d", u)
-		}
+	// Activate removed A(v2); observe the second seed on the residual G2.
+	if got := res.Removed(); !slices.Equal(got, []graph.NodeID{3, 2, 1}) {
+		t.Fatalf("removal log after A(v2) = %v, want most recent first [3 2 1]", got)
 	}
-	// Remove A(v2) and observe the second seed on the residual graph.
-	res.RemoveAll(a)
-	a2 := Activated(rz, res, []graph.NodeID{5})
-	want2 := map[graph.NodeID]bool{5: true, 4: true, 6: true}
-	if len(a2) != len(want2) {
-		t.Fatalf("A(v6) on G2 = %v", a2)
+	a2 := Activate(rz, res, []graph.NodeID{5})
+	if want := []graph.NodeID{5, 4, 6}; !slices.Equal(a2, want) {
+		t.Fatalf("A(v6) on G2 = %v, want %v", a2, want)
 	}
-	for _, u := range a2 {
-		if !want2[u] {
-			t.Fatalf("A(v6) contains unexpected node %d", u)
-		}
+	if res.N() != 1 || !res.Alive(0) {
+		t.Fatalf("after both observations alive = %v, want [0]", res.AliveNodes())
+	}
+	// Seeding an activated node activates nothing.
+	if a3 := Activate(rz, res, []graph.NodeID{1}); len(a3) != 0 {
+		t.Fatalf("A(v2) again = %v, want empty", a3)
 	}
 }
 
@@ -131,18 +129,9 @@ func TestSampleICDeterministic(t *testing.T) {
 	g := fig1Graph()
 	a := Sample(g, IC, rng.New(9))
 	b := Sample(g, IC, rng.New(9))
-	if a.LiveEdgeCount() != b.LiveEdgeCount() {
-		t.Fatal("same seed gave different realizations")
-	}
 	for u := graph.NodeID(0); u < 7; u++ {
-		la, lb := a.LiveOut(u), b.LiveOut(u)
-		if len(la) != len(lb) {
-			t.Fatal("same seed gave different live sets")
-		}
-		for i := range la {
-			if la[i] != lb[i] {
-				t.Fatal("same seed gave different live sets")
-			}
+		if la, lb := a.AppendLiveOut(nil, u), b.AppendLiveOut(nil, u); !slices.Equal(la, lb) {
+			t.Fatalf("same seed gave different live sets at %d: %v vs %v", u, la, lb)
 		}
 	}
 }
@@ -156,7 +145,7 @@ func TestSampleICEdgeFrequency(t *testing.T) {
 	for i := 0; i < reps; i++ {
 		rz := Sample(g, IC, r)
 		for u := graph.NodeID(0); u < 7; u++ {
-			for _, v := range rz.LiveOut(u) {
+			for _, v := range rz.AppendLiveOut(nil, u) {
 				liveCount[[2]graph.NodeID{u, v}]++
 			}
 		}
@@ -176,7 +165,7 @@ func TestSampleLTOneParentPerNode(t *testing.T) {
 		rz := Sample(g, LT, r)
 		inCount := make(map[graph.NodeID]int)
 		for u := graph.NodeID(0); u < 7; u++ {
-			for _, v := range rz.LiveOut(u) {
+			for _, v := range rz.AppendLiveOut(nil, u) {
 				inCount[v]++
 			}
 		}
@@ -201,8 +190,8 @@ func TestSampleLTParentFrequency(t *testing.T) {
 	from0, from1, none := 0, 0, 0
 	for i := 0; i < reps; i++ {
 		rz := Sample(g, LT, r)
-		l0 := len(rz.LiveOut(0))
-		l1 := len(rz.LiveOut(1))
+		l0 := len(rz.AppendLiveOut(nil, 0))
+		l1 := len(rz.AppendLiveOut(nil, 1))
 		switch {
 		case l0 == 1 && l1 == 0:
 			from0++

@@ -8,72 +8,60 @@ import (
 // Spread returns I_φ(S): the number of nodes reachable from S along live
 // edges of the realization. Seeds count themselves.
 func Spread(rz *Realization, seeds []graph.NodeID) int {
-	visited := make([]bool, rz.g.N())
-	return spreadInto(rz, seeds, nil, visited, nil)
+	return SpreadOn(rz, nil, seeds)
 }
 
 // SpreadOn returns the spread of seeds restricted to a residual view:
 // removed nodes neither activate nor relay influence. Seeds that are not
-// alive contribute nothing.
+// alive contribute nothing. A nil res is the full graph.
 func SpreadOn(rz *Realization, res *graph.Residual, seeds []graph.NodeID) int {
-	visited := make([]bool, rz.g.N())
-	return spreadInto(rz, seeds, res, visited, nil)
+	return len(run(rz, res, make([]bool, rz.g.N()), seeds))
 }
 
-// Activated returns A(S): the exact set of nodes activated by seeding S
-// under the realization, restricted to the residual view if res != nil.
-// The result includes the (alive) seeds themselves, in BFS order.
-func Activated(rz *Realization, res *graph.Residual, seeds []graph.NodeID) []graph.NodeID {
-	visited := make([]bool, rz.g.N())
-	out := make([]graph.NodeID, 0, 16)
-	spreadInto(rz, seeds, res, visited, &out)
-	return out
+// Activate returns A(S), the nodes activated by seeding S under the
+// realization on the residual view res, in BFS order with the alive seeds
+// first, and removes each from res as it activates. The residual doubles
+// as the visited set, so feedback allocates only the returned slice.
+func Activate(rz *Realization, res *graph.Residual, seeds []graph.NodeID) []graph.NodeID {
+	return run(rz, res, nil, seeds)
 }
 
-// spreadInto runs the BFS shared by Spread/SpreadOn/Activated. It returns
-// the number of activated nodes; when sink is non-nil the activated nodes
-// are appended to it.
-func spreadInto(rz *Realization, seeds []graph.NodeID, res *graph.Residual, visited []bool, sink *[]graph.NodeID) int {
-	queue := make([]graph.NodeID, 0, len(seeds))
-	count := 0
-	push := func(u graph.NodeID) {
-		if visited[u] {
-			return
+// run is the forward cascade behind Spread, SpreadOn and Activate. It
+// returns the activated nodes in BFS order. A node is open while it is
+// alive in res (always, for a nil res) and not yet activated; activating
+// it marks it in seen or, when seen is nil, removes it from res. The
+// queue holds the activated nodes followed by the live out-neighbors of
+// the node at head, which are filtered in place to the open ones.
+func run(rz *Realization, res *graph.Residual, seen []bool, seeds []graph.NodeID) []graph.NodeID {
+	q := append(make([]graph.NodeID, 0, 16), seeds...)
+	kept := 0
+	for head := 0; ; head++ {
+		for _, v := range q[kept:] {
+			if seen == nil {
+				if !res.Remove(v) {
+					continue
+				}
+			} else {
+				if seen[v] || res != nil && !res.Alive(v) {
+					continue
+				}
+				seen[v] = true
+			}
+			q[kept] = v
+			kept++
 		}
-		if res != nil && !res.Alive(u) {
-			return
+		q = q[:kept]
+		if head == len(q) {
+			return q
 		}
-		visited[u] = true
-		count++
-		queue = append(queue, u)
-		if sink != nil {
-			*sink = append(*sink, u)
-		}
+		q = rz.AppendLiveOut(q, q[head])
 	}
-	for _, s := range seeds {
-		push(s)
-	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range rz.LiveOut(u) {
-			push(v)
-		}
-	}
-	return count
 }
 
 // MonteCarloSpread estimates E[I(S)] on g by averaging Spread over reps
 // fresh realizations. Deterministic given r's state.
 func MonteCarloSpread(g *graph.Graph, model Model, seeds []graph.NodeID, reps int, r *rng.RNG) float64 {
-	if reps <= 0 {
-		panic("cascade: MonteCarloSpread needs reps > 0")
-	}
-	total := 0
-	for i := 0; i < reps; i++ {
-		rz := Sample(g, model, r)
-		total += Spread(rz, seeds)
-	}
-	return float64(total) / float64(reps)
+	return MonteCarloSpreadOn(graph.NewResidual(g), model, seeds, reps, r)
 }
 
 // MonteCarloSpreadOn estimates the expected spread of seeds on a residual

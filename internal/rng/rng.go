@@ -26,11 +26,23 @@ type RNG struct {
 
 const pcgMult = 6364136223846793005
 
+// Golden is SplitMix64's state increment (2^64 divided by the golden
+// ratio, made odd). Mix64(key + i*Golden) is output i of the SplitMix64
+// stream keyed by key.
+const Golden = 0x9e3779b97f4a7c15
+
 // splitmix64 advances a SplitMix64 state and returns the next output.
 // It is used only for seeding, never for user-visible randomness.
 func splitmix64(s *uint64) uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := *s
+	*s += Golden
+	return Mix64(*s)
+}
+
+// Mix64 is SplitMix64's output function: a bijective 64-bit finalizer
+// with full avalanche. Keyed realizations evaluate their coins as
+// Mix64(key + i*Golden), output i of a SplitMix64 stream, so any coin of
+// a world can be drawn on its own, in any order.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -201,7 +213,13 @@ func (r *RNG) Geometric(p float64) int {
 // probability p each" scan; forward realization sampling and reverse RR
 // sampling share it so the boundary semantics cannot diverge.
 func (r *RNG) PrefixPick(p float64, n int) int {
-	if idx := int(r.Float64() / p); idx < n {
+	return PrefixIndex(r.Float64(), p, n)
+}
+
+// PrefixIndex is PrefixPick on a given uniform x in [0, 1), for callers
+// that derive x from a hash instead of a stream.
+func PrefixIndex(x, p float64, n int) int {
+	if idx := int(x / p); idx < n {
 		return idx
 	}
 	return -1

@@ -72,16 +72,6 @@ const (
 	campaignFailed
 )
 
-// mutationWorldRNG derives the realization stream for the world sampled
-// after the n-th topology mutation. It is a pure function of (campaign
-// seed, n) — deliberately independent of the graph-dependent base world
-// stream — so a restore needs only the replayed graph and the mutation
-// count to rebuild the environment in lockstep, and the base campaign's
-// realization-0 seed parity with `repro run` is untouched.
-func mutationWorldRNG(seed uint64, n int) *rng.RNG {
-	return rng.New(seed ^ (0x9E3779B97F4A7C15 * uint64(n)))
-}
-
 // derivedPrepared clones a preparation around the session's post-delta
 // instance. ImmRes stays the base preparation's: target selection
 // happened on the base graph and is frozen for the campaign's lifetime.
@@ -165,15 +155,11 @@ func (r *Registry) openCampaign(inst *Instance, id string, key Key, algo string,
 	}
 	var env *adaptive.Environment
 	if simulate {
-		// A campaign restored mid-mutation lives on the replayed graph; its
-		// realization comes from the last mutation's world stream, exactly
-		// the one Mutate sampled before the checkpoint. The base world split
-		// above is consumed either way, preserving seed parity.
-		g, wr := prep.G, worldRNG
-		if n := sess.Mutations(); n > 0 {
-			g, wr = sess.Instance().G, mutationWorldRNG(seed, n)
-		}
-		rz := cascade.Sample(g, prep.Inst.Model, wr)
+		// The world is keyed by the base world stream, and a topology
+		// delta keeps the key (Mutate), so a campaign restored after
+		// mutations rebuilds its world on the replayed graph from the same
+		// stream.
+		rz := cascade.Sample(sess.Instance().G, prep.Inst.Model, worldRNG)
 		// The session's residual already reflects every observation made
 		// before the checkpoint, so the environment resumes in lockstep.
 		env = adaptive.NewEnvironmentAt(rz, sess.CloneResidual(), sess.Spread())
@@ -345,9 +331,11 @@ type MutateInfo struct {
 // churn delta replacing churnPct percent of the current edges
 // (gen.ChurnDeltas seeded with churnSeed, deterministic and replayable).
 // The session invalidates exactly the RR sets touching a changed edge
-// (adaptive.Session.Mutate), the simulated environment re-samples its
-// realization on the new graph, and the campaign re-homes onto a derived
-// registry instance keyed by the new topology epoch.
+// (adaptive.Session.Mutate), the simulated environment keeps its world —
+// the same key on the new graph, so only the coins of edges the delta
+// touched and the LT parents of nodes whose in-list it changed can
+// differ — and the campaign re-homes onto a derived registry instance
+// keyed by the new topology epoch.
 func (c *Campaign) Mutate(inserts, deletes []graph.Edge, churnPct float64, churnSeed uint64) (info *MutateInfo, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -369,7 +357,8 @@ func (c *Campaign) Mutate(inserts, deletes []graph.Edge, churnPct float64, churn
 	}
 	n := c.sess.Mutations()
 	if c.env != nil {
-		rz := cascade.Sample(c.sess.Instance().G, c.sess.Instance().Model, mutationWorldRNG(c.Seed, n))
+		// openCampaign's base world stream: the same key on the new graph.
+		rz := cascade.Sample(c.sess.Instance().G, c.sess.Instance().Model, rng.New(c.Seed).Split())
 		c.env = adaptive.NewEnvironmentAt(rz, c.sess.CloneResidual(), c.sess.Spread())
 	}
 	// Re-home onto the epoch-keyed derived instance; the old reference

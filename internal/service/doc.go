@@ -40,9 +40,10 @@
 // the binary adaptive.Session checkpoint — via temp file + atomic rename.
 // Restore reacquires the instance from the header, resumes the session
 // (bit-identical continuation; see adaptive.ResumeSession), and in
-// simulate mode rebuilds the environment in lockstep by re-sampling the
-// realization from the stored seed and cloning the session's restored
-// residual. Server.Drain checkpoints every open campaign before
-// shutdown, which is what makes `repro serve` kill/restart/resume
-// transparent to clients.
+// simulate mode rebuilds the environment in lockstep: the realization
+// is keyed by the stored seed's world stream, so it is rebuilt on the
+// session's (possibly delta-replayed) graph, next to a clone of the
+// session's restored residual. Server.Drain checkpoints every open
+// campaign before shutdown, which is what makes `repro serve`
+// kill/restart/resume transparent to clients.
 package service

@@ -13,8 +13,10 @@ import (
 // mutate the topology mid-campaign: every `every` observed rounds the
 // session applies a gen.ChurnDeltas edit (delete frac·M edges, insert as
 // many fresh ones), invalidates only the RR sets touching a changed
-// node, and continues on the new graph. The realized world is re-sampled
-// on the mutated graph with the residual view kept in lockstep, so the
+// node, and continues on the new graph. The realized world survives the
+// delta: it is rebuilt on the mutated graph from the realization's own
+// world stream, so its key is unchanged and only coins of edges the delta
+// touched differ, with the residual view kept in lockstep. The
 // environment never reports an edge the graph no longer has.
 //
 // Determinism: every RNG below is a pure function of (spec seed, rep,
@@ -24,12 +26,6 @@ import (
 // churnSeed derives the delta-generation stream for one (rep, round).
 func churnSeed(seed uint64, rep, round int) uint64 {
 	return seed ^ (0x9E3779B97F4A7C15 * (uint64(rep)*1_000_003 + uint64(round)))
-}
-
-// churnWorldSeed derives the post-delta world re-sampling stream; a
-// different mixing constant keeps it disjoint from churnSeed.
-func churnWorldSeed(seed uint64, rep, round int) uint64 {
-	return seed ^ (0xBF58476D1CE4E5B9 * (uint64(rep)*1_000_003 + uint64(round)))
 }
 
 // runChurn is the temporal-cell counterpart of adaptive.RunExperiment:
@@ -52,6 +48,7 @@ func runChurn(spec *Spec, p *Prepared, cell Cell, frac float64, every int, opts 
 		// algorithm, both split off the shared root.
 		worldRNG := root.Split()
 		algoRNG := root.Split()
+		world := *worldRNG // the stream a delta rebuilds the world from
 		env := adaptive.NewEnvironment(cascade.Sample(p.Inst.G, p.Inst.Model, worldRNG))
 		sess, err := adaptive.NewSession(p.Inst, cell.Algo, opts, algoRNG)
 		if err != nil {
@@ -81,7 +78,8 @@ func runChurn(spec *Spec, p *Prepared, cell Cell, frac float64, every int, opts 
 				return nil, 0, fmt.Errorf("realization %d round %d: mutate: %w", i, round, err)
 			}
 			mutations++
-			rz := cascade.Sample(sess.Instance().G, p.Inst.Model, rng.New(churnWorldSeed(seed, i, round)))
+			wr := world
+			rz := cascade.Sample(sess.Instance().G, p.Inst.Model, &wr)
 			env = adaptive.NewEnvironmentAt(rz, sess.CloneResidual(), sess.Spread())
 		}
 		rep.Add(sess.Result())
