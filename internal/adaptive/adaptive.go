@@ -127,13 +127,9 @@ type RunResult struct {
 	CertifiedEarly int `json:"certified_early"`
 }
 
-func (inst *Instance) finish(algo string, seeds []graph.NodeID, env *Environment) *RunResult {
-	return inst.finishResult(algo, seeds, env.Activated())
-}
-
 // finishResult builds the outcome skeleton from the committed seeds and
-// the realized spread — the environment-free form Session.Result uses
-// (a session tracks its own spread instead of holding the environment).
+// the realized spread (a session tracks its own spread instead of holding
+// the environment).
 func (inst *Instance) finishResult(algo string, seeds []graph.NodeID, spread int) *RunResult {
 	c := inst.Costs.Total(seeds)
 	return &RunResult{

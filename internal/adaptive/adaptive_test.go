@@ -85,7 +85,7 @@ func TestADGWorkedExample(t *testing.T) {
 		t.Fatalf("ADG seeded %v, want {v2, v6} = {1, 5}", adg.Seeds)
 	}
 
-	non, err := RunAllTargets(inst, NewEnvironment(fig1Realization(inst.G)))
+	non, err := Run(inst, NewEnvironment(fig1Realization(inst.G)), AlgoAllTargets, RunOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,8 @@ func TestSamplingPoliciesMatchExactOracle(t *testing.T) {
 // greedy keeps {v2, v6} and beats seeding all of T.
 func TestNonadaptiveGreedyWorkedExample(t *testing.T) {
 	inst := fig1Instance(t)
-	run, err := RunNonadaptiveGreedy(inst, NewEnvironment(fig1Realization(inst.G)), 40_000, rng.New(3), 1)
+	run, err := Run(inst, NewEnvironment(fig1Realization(inst.G)), AlgoNSG,
+		RunOptions{NSGTheta: 40_000, Sampling: SamplingOptions{Workers: 1}}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +236,12 @@ func TestEnvironmentObservation(t *testing.T) {
 // claim is pinned to PolicyFixed.
 func TestHATPCheaperThanADDATP(t *testing.T) {
 	inst := fig1Instance(t)
-	opts := SamplingOptions{Policy: PolicyFixed, Zeta: 0.02, Eps: 0.3, Delta: 0.1, Workers: 1}
-	add, err := RunADDATP(inst, NewEnvironment(fig1Realization(inst.G)), opts, rng.New(9))
+	opts := RunOptions{Sampling: SamplingOptions{Policy: PolicyFixed, Zeta: 0.02, Eps: 0.3, Delta: 0.1, Workers: 1}}
+	add, err := Run(inst, NewEnvironment(fig1Realization(inst.G)), AlgoADDATP, opts, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := RunHATP(inst, NewEnvironment(fig1Realization(inst.G)), opts, rng.New(9))
+	hyb, err := Run(inst, NewEnvironment(fig1Realization(inst.G)), AlgoHATP, opts, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package adaptive
 
-import (
-	"repro/internal/bounds"
-	"repro/internal/rng"
-)
+import "repro/internal/bounds"
 
 // additiveRegime is ADDATP's concentration regime: pure additive error ζ
 // on the coverage fraction, certified by the Hoeffding bound (Lemma 4),
@@ -22,12 +19,4 @@ func (additiveRegime) lower(frac float64, nAlive int, zeta float64) float64 {
 
 func (additiveRegime) upper(frac float64, nAlive int, zeta float64) float64 {
 	return clampSpread((frac+zeta)*float64(nAlive), nAlive)
-}
-
-// RunADDATP executes Algorithm 3: adaptive greedy where each round's
-// seeding/stopping decision is certified from RR samples within additive
-// error n_i·ζ (Hoeffding), seeding while the certified marginal profit is
-// positive and stopping as soon as every target's upper bound is ≤ 0.
-func RunADDATP(inst *Instance, env *Environment, opts SamplingOptions, r *rng.RNG) (*RunResult, error) {
-	return runSampling(inst, env, additiveRegime{}, opts, r)
 }

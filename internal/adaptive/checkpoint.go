@@ -35,7 +35,7 @@ import (
 // restoring onto the wrong instance. Unknown versions and torn payloads
 // fail loudly.
 //
-// Layout of version 3, in order (u64 counts precede every list; nodes
+// Layout of version 4, in order (u64 counts precede every list; nodes
 // and int32s are 4 bytes each, edges 16: from u32, to u32, p f64):
 //
 //	magic u64, version u32, base fingerprint u64
@@ -44,8 +44,10 @@ import (
 //	done, havePending bool, pending u32, spread, seeds []node
 //	RNG present bool [, state u64, inc u64]
 //	residual version i64, removals []node (oldest first)
-//	stepper tag u8, stepper payload (RR collections: arena []node,
-//	offsets []int32, roots []node, version i64, requested)
+//	stepper tag u8, stepper payload (sampling: fallbacks, attempts,
+//	certified-early, reused, then the batcher — collection present
+//	bool [, arena []node, offsets []int32, roots []node, version i64,
+//	requested], drawn, requested, reused, peak bytes i64, batches)
 //
 // The fingerprint names the *base* instance (the one the session was
 // created on); ResumeSession reconstructs the current graph by replaying
@@ -63,18 +65,18 @@ import (
 // O(N). Checkpoint sizes the blob with a counting pass over the same
 // encoder and writes it into one exactly sized buffer.
 //
-// Version 3 replaced version 2's alive list with the removal log;
-// version 1 had no delta log. Older versions are rejected: no committed
-// artifacts exist in those formats.
+// Version 4 merged version 3's separate sequential and fixed sampling
+// payloads into one; version 3 replaced version 2's alive list with the
+// removal log; version 1 had no delta log. Older versions are rejected:
+// no committed artifacts exist in those formats.
 const (
 	ckptMagic   = uint64(0x4154505345535331) // "ATPSESS1"
-	ckptVersion = uint32(3)
+	ckptVersion = uint32(4)
 )
 
 // Stepper payload tags (one per algorithm family).
 const (
-	ckptStepSeq = uint8(iota + 1)
-	ckptStepFixed
+	ckptStepSampling = uint8(iota + 1)
 	ckptStepADG
 	ckptStepNSG
 	ckptStepAllTargets
@@ -433,8 +435,8 @@ func (s *Session) encode(w *ckptWriter) error {
 	w.i(s.spread)
 	w.nodes(s.seeds)
 
-	// Algorithm RNG (absent for RNG-free steppers driven via RunADG /
-	// RunAllTargets shells).
+	// Algorithm RNG (absent for RNG-free sessions: RunADG shells and
+	// all-targets runs given a nil RNG).
 	w.boolean(s.r != nil)
 	if s.r != nil {
 		state, inc := s.r.State()
@@ -448,26 +450,13 @@ func (s *Session) encode(w *ckptWriter) error {
 
 	// Stepper payload.
 	switch st := s.step.(type) {
-	case *seqStepper:
-		w.u8(ckptStepSeq)
+	case *samplingStepper:
+		w.u8(ckptStepSampling)
 		w.i(st.fallbacks)
 		w.i(st.attempts)
 		w.i(st.certifiedEarly)
-		w.batcher(st.b.State())
-	case *fixedStepper:
-		w.u8(ckptStepFixed)
-		w.i(st.fallbacks)
-		w.i(st.attempts)
-		w.i(st.batches)
-		w.i(st.certifiedEarly)
-		w.i64(st.drawn)
-		w.i64(st.requested)
 		w.i64(st.reused)
-		w.i64(st.peakBytes)
-		w.boolean(st.col != nil)
-		if st.col != nil {
-			w.collection(st.col.State())
-		}
+		w.batcher(st.b.State())
 	case *adgStepper:
 		w.u8(ckptStepADG)
 		switch orc := st.orc.(type) {
@@ -513,8 +502,8 @@ func (s *Session) encode(w *ckptWriter) error {
 // ResumeOptions configures a session restore.
 type ResumeOptions struct {
 	// Batcher, when non-nil, donates warm storage to the restored session
-	// exactly as RunOptions.Batcher does for a fresh one (sequential
-	// sampling policy only; ignored otherwise).
+	// exactly as RunOptions.Batcher does for a fresh one (ADDATP and HATP
+	// under either sampling policy; ignored otherwise).
 	Batcher *ris.Batcher
 	// Interrupt is installed via Session.SetInterrupt after restore.
 	Interrupt func() error
@@ -609,43 +598,22 @@ func ResumeSession(inst *Instance, data []byte, ropts ResumeOptions) (*Session, 
 	// original made is already reflected in the serialized RNG state.
 	var step stepper
 	switch stepTag {
-	case ckptStepSeq:
+	case ckptStepSampling:
 		if algo != AlgoADDATP && algo != AlgoHATP {
-			return nil, fmt.Errorf("adaptive: checkpoint: sequential stepper under algorithm %q", algo)
+			return nil, fmt.Errorf("adaptive: checkpoint: sampling stepper under algorithm %q", algo)
 		}
-		fallbacks, attempts, certified := r.i(), r.i(), r.i()
+		fallbacks, attempts, certified, reused := r.i(), r.i(), r.i(), r.i64()
 		bst := r.batcher()
 		if r.err != nil {
 			return nil, r.err
 		}
-		st, err := newSeqStepper(inst, regimeFor(algo, opts.Sampling), opts.Sampling, ropts.Batcher)
+		st, err := newSamplingStepper(inst, algo, opts.Sampling, ropts.Batcher)
 		if err != nil {
 			return nil, err
 		}
-		st.fallbacks, st.attempts, st.certifiedEarly = fallbacks, attempts, certified
+		st.fallbacks, st.attempts, st.certifiedEarly, st.reused = fallbacks, attempts, certified, reused
 		if err := st.b.RestoreState(bst, inst.G.N()); err != nil {
 			return nil, err
-		}
-		step = st
-	case ckptStepFixed:
-		if algo != AlgoADDATP && algo != AlgoHATP {
-			return nil, fmt.Errorf("adaptive: checkpoint: fixed stepper under algorithm %q", algo)
-		}
-		st, err := newFixedStepper(inst, regimeFor(algo, opts.Sampling), opts.Sampling)
-		if err != nil {
-			return nil, err
-		}
-		st.fallbacks, st.attempts, st.batches, st.certifiedEarly = r.i(), r.i(), r.i(), r.i()
-		st.drawn, st.requested, st.reused, st.peakBytes = r.i64(), r.i64(), r.i64(), r.i64()
-		if r.boolean() {
-			cst := r.collection()
-			if r.err != nil {
-				return nil, r.err
-			}
-			st.col = ris.NewCollection(inst.G.N())
-			if err := st.col.RestoreState(cst); err != nil {
-				return nil, err
-			}
 		}
 		step = st
 	case ckptStepADG:
@@ -749,13 +717,4 @@ func ResumeSession(inst *Instance, data []byte, ropts ResumeOptions) (*Session, 
 		s.SetInterrupt(ropts.Interrupt)
 	}
 	return s, nil
-}
-
-// regimeFor maps a sampling algorithm name to its concentration regime
-// (the same dispatch NewSession performs).
-func regimeFor(algo string, opts SamplingOptions) regime {
-	if algo == AlgoHATP {
-		return hybridRegime{eps: opts.Eps}
-	}
-	return additiveRegime{}
 }

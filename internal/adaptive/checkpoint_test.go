@@ -28,8 +28,8 @@ func checkpointKinds(t *testing.T) []checkpointKind {
 		byName[tc.name] = tc
 	}
 	return []checkpointKind{
-		{byName["addatp-seq"], inst, "*adaptive.seqStepper"},
-		{byName["hatp-fixed"], inst, "*adaptive.fixedStepper"},
+		{byName["addatp-seq"], inst, "*adaptive.samplingStepper"},
+		{byName["hatp-fixed"], inst, "*adaptive.samplingStepper"},
 		{byName["adg"], inst, "*adaptive.adgStepper/*oracle.RIS"},
 		{sessionCase{"adg-exact", AlgoADG, RunOptions{}}, fig1Instance(t), "*adaptive.adgStepper/*oracle.Exact"},
 		{byName["nsg"], inst, "*adaptive.nsgStepper"},

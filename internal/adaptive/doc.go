@@ -20,43 +20,52 @@
 //     whose additive error ζ on the coverage fraction is controlled by
 //     the Hoeffding bound (bounds.HoeffdingTheta, Lemma 4); each round
 //     refines ζ ← ζ/2 until the seeding or stopping decision is
-//     certified (RunADDATP).
+//     certified (AlgoADDATP).
 //   - HATP (Algorithm 4): the hybrid relative+additive martingale bound
 //     (bounds.HybridTheta, Lemma 7) certifies the same decisions with a
 //     per-round sample size linear in 1/ζ instead of quadratic
-//     (RunHATP) — the paper's headline efficiency gain.
+//     (AlgoHATP) — the paper's headline efficiency gain.
 //
 // Every policy — adaptive and nonadaptive alike — runs as a Session
 // (session.go): NextSeed proposes the next target, Observe feeds back the
-// realized activations, and the batch Run entry points are a thin
-// NextSeed/Observe drive loop over a simulated Environment. The per-round
-// decision logic lives in per-policy steppers behind the Session shell,
-// and a session can be serialized at any round boundary (Checkpoint) and
-// rebuilt later (ResumeSession) to continue bit-identically — the
-// internal/service campaign registry and `repro serve` are built on
-// exactly this surface. The two sampling policies are a Policy switch
-// over steppers:
+// realized activations, and the batch entry points Run and RunADG are a
+// thin NextSeed/Observe drive loop over a simulated Environment. The
+// per-round decision logic lives in per-policy steppers behind the
+// Session shell, and a session can be serialized at any round boundary
+// (Checkpoint) and rebuilt later (ResumeSession) to continue
+// bit-identically — the internal/service campaign registry and `repro
+// serve` are built on exactly this surface.
 //
-//   - PolicySequential (default) is the sequential sampling controller
-//     (seqStepper): one RR collection grows in geometrically doubling
-//     batches through a ris.Batcher, and after every batch an
-//     anytime-valid confidence sequence (bounds.AnytimeWidth at the
-//     spent budget bounds.SpendGeometric) asks whether the seed/stop
-//     decision is already certified. The paper's Lemma 4 (Hoeffding) and
-//     Lemma 7 (hybrid martingale) bounds certify a decision only at
-//     their precomputed θ(ζ_i, δ_i); the anytime empirical-Bernstein
-//     bound generalizes them to every batch boundary simultaneously —
-//     and adapts to the coverage variance, which is what collapses
-//     ADDATP's θ ∝ 1/ζ² refinement cost (≈9× fewer RR draws on
-//     nethept-s at scale 0.1, see EXPERIMENTS.md). Undecidable rounds
-//     fall back to the point estimate once every target's width reaches
-//     ζ/2^MaxRefine — the precision of the fixed loop's final attempt —
-//     with θ(ζ_min, δ_round) as an absolute cap. The per-batch check
-//     reads the incremental ris.Coverage tracker, O(batch + alive
-//     targets) per look.
-//   - PolicyFixed (fixedStepper) replays the paper's attempt loop verbatim —
-//     draw to θ(ζ_i, δ_i), halve ζ, MaxRefine fallback — and is pinned
-//     bit-for-bit to the pre-controller implementation by
+// ADDATP and HATP share one stepper, samplingStepper (sampling.go), for
+// both sampling policies. It always draws through one ris.Batcher whose
+// incremental ris.Coverage tracker answers each look's per-target
+// containment counts in O(batch + alive targets), and it owns the whole
+// round: draw, score, then seed, stop or draw more. The Policy switch
+// sets only each look's sample size, its half-width, the interval
+// regime it certifies with, and how often the pool is re-synced with
+// the residual:
+//
+//   - PolicySequential (default) is the sequential sampling controller:
+//     the collection grows in geometrically doubling batches, and after
+//     every batch an anytime-valid confidence sequence
+//     (bounds.AnytimeWidth at the spent budget bounds.SpendGeometric)
+//     asks whether the seed/stop decision is already certified. The
+//     paper's Lemma 4 (Hoeffding) and Lemma 7 (hybrid martingale) bounds
+//     certify a decision only at their precomputed θ(ζ_i, δ_i); the
+//     anytime empirical-Bernstein bound generalizes them to every batch
+//     boundary simultaneously — and adapts to the coverage variance,
+//     which is what collapses ADDATP's θ ∝ 1/ζ² refinement cost (≈9×
+//     fewer RR draws on nethept-s at scale 0.1, see EXPERIMENTS.md).
+//     Under this policy both algorithms certify with the additive
+//     interval; HATP's hybrid regime only sets its θ cap. That choice is
+//     made at one site, newSamplingStepper's `cert` field. Undecidable
+//     rounds fall back to the point estimate once every target's width
+//     reaches ζ/2^MaxRefine — the precision of the fixed loop's final
+//     attempt — with θ(ζ_min, δ_round) as an absolute cap.
+//   - PolicyFixed replays the paper's attempt loop — draw to
+//     θ(ζ_i, δ_i), certify with the algorithm's own regime, halve ζ,
+//     MaxRefine fallback — and is pinned to the pre-controller
+//     implementation's decisions and draw counts by
 //     TestFixedPolicyMatchesPreRefactorGolden, so `--sampler fixed` is
 //     the paper-faithful baseline in every A/B.
 //

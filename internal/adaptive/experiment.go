@@ -38,8 +38,8 @@ type RunOptions struct {
 	// its budget by at most a stride of RR draws, not a realization.
 	Interrupt func() error
 	// Batcher, when non-nil, donates warm RR storage (collection arenas,
-	// coverage counts, sampler-pool scratch) to the run. Only the
-	// sequential sampling policy draws through a Batcher; other algorithms
+	// coverage counts, sampler-pool scratch) to the run. ADDATP and HATP
+	// draw through it under either sampling policy; other algorithms
 	// ignore it. It is Reset before use, so results are independent of
 	// what it previously held — the service instance registry uses this to
 	// run successive campaigns with zero steady-state allocation.
@@ -56,9 +56,7 @@ func (o *RunOptions) setDefaults() {
 }
 
 // Run executes one named algorithm on one realization environment: a
-// NewSession driven to completion. Outputs are bit-identical to the
-// pre-Session batch implementations (same RNG consumption order, same
-// per-round decisions).
+// NewSession driven to completion.
 func Run(inst *Instance, env *Environment, algo string, opts RunOptions, r *rng.RNG) (*RunResult, error) {
 	s, err := NewSession(inst, algo, opts, r)
 	if err != nil {

@@ -1,9 +1,6 @@
 package adaptive
 
-import (
-	"repro/internal/bounds"
-	"repro/internal/rng"
-)
+import "repro/internal/bounds"
 
 // hybridRegime is HATP's concentration regime: relative error ε plus
 // additive error ζ, certified by the martingale bounds of Lemma 7 with
@@ -27,12 +24,4 @@ func (h hybridRegime) lower(frac float64, nAlive int, zeta float64) float64 {
 
 func (h hybridRegime) upper(frac float64, nAlive int, zeta float64) float64 {
 	return clampSpread((frac+zeta)/(1-h.eps)*float64(nAlive), nAlive)
-}
-
-// RunHATP executes Algorithm 4: the same adaptive round structure as
-// ADDATP but with hybrid relative+additive error control, trading a
-// slightly looser interval for a per-round sample size linear in 1/ζ.
-func RunHATP(inst *Instance, env *Environment, opts SamplingOptions, r *rng.RNG) (*RunResult, error) {
-	opts.setDefaults()
-	return runSampling(inst, env, hybridRegime{eps: opts.Eps}, opts, r)
 }

@@ -83,7 +83,7 @@ func TestADGWorkedExampleLT(t *testing.T) {
 		t.Fatalf("LT ADG seeded %v, want {v2, v6} = {1, 5}", adg.Seeds)
 	}
 
-	non, err := RunAllTargets(inst, NewEnvironment(ltFig1Realization(inst.G)))
+	non, err := Run(inst, NewEnvironment(ltFig1Realization(inst.G)), AlgoAllTargets, RunOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

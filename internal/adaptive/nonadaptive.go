@@ -9,16 +9,6 @@ import (
 	"repro/internal/rng"
 )
 
-// RunAllTargets seeds the entire target set T upfront — the classic
-// nonadaptive target seeding the paper's worked example compares against
-// (profit 2.5 vs the adaptive 3 on Fig. 1's realization).
-func RunAllTargets(inst *Instance, env *Environment) (*RunResult, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	return newShell(inst, AlgoAllTargets, RunOptions{}, nil, &allTargetsStepper{}).Drive(env)
-}
-
 // NonadaptiveGreedySelect picks a subset S ⊆ T before any observation:
 // on one RR collection over the full graph it greedily adds the target
 // with the largest estimated marginal profit n·CovR(u|S)/θ − c(u),
@@ -60,14 +50,4 @@ func NonadaptiveGreedySelect(inst *Instance, theta int, r *rng.RNG, workers int)
 		remaining = append(remaining[:best], remaining[best+1:]...)
 	}
 	return chosen, col, samplingNS, nil
-}
-
-// RunNonadaptiveGreedy selects a seed set with NonadaptiveGreedySelect and
-// evaluates it on env's realization.
-func RunNonadaptiveGreedy(inst *Instance, env *Environment, theta int, r *rng.RNG, workers int) (*RunResult, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	step := &nsgStepper{theta: theta, workers: workers}
-	return newShell(inst, AlgoNSG, RunOptions{}, r, step).Drive(env)
 }

@@ -175,7 +175,8 @@ func TestSequentialDrawsFewerThanFixed(t *testing.T) {
 // fallback, and the sampler label round-trips.
 func TestSequentialTelemetryInvariants(t *testing.T) {
 	inst := fig1Instance(t)
-	run, err := RunADDATP(inst, NewEnvironment(fig1Realization(inst.G)), SamplingOptions{Workers: 1}, rng.New(7))
+	run, err := Run(inst, NewEnvironment(fig1Realization(inst.G)), AlgoADDATP,
+		RunOptions{Sampling: SamplingOptions{Workers: 1}}, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}

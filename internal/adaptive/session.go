@@ -2,39 +2,28 @@ package adaptive
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-	"time"
 
-	"repro/internal/bounds"
 	"repro/internal/cascade"
 	"repro/internal/graph"
 	"repro/internal/oracle"
-	"repro/internal/ris"
 	"repro/internal/rng"
 )
 
 // Session is one adaptive campaign as an explicit, resumable state
 // machine. The paper's algorithms are inherently interactive — propose a
-// seed, observe the realized cascade, recurse on the residual — but the
-// historical entry points ran that interaction inside opaque batch
-// closures (runSampling, RunADG), so a campaign could neither be driven
-// step-wise by an external feedback source nor survive its process.
+// seed, observe the realized cascade, recurse on the residual — and a
+// Session exposes exactly that interaction: NextSeed computes the
+// algorithm's next decision (drawing RR batches as needed) and returns
+// either the proposed seed or the stop signal; Observe feeds back the
+// realized activations, which the session removes from its own residual
+// view. The session owns every piece of per-campaign state — the
+// graph.Residual, the stepper's ris.Batcher or oracle, the RNG, round
+// counters — which is what makes Checkpoint/ResumeSession possible, and
+// lets a campaign be driven step-wise by an external feedback source.
 //
-// A Session inverts the control flow: NextSeed computes the algorithm's
-// next decision (drawing RR batches as needed) and returns either the
-// proposed seed or the stop signal; Observe feeds back the realized
-// activations, which the session removes from its own residual view. The
-// session owns every piece of per-campaign state the old closures kept on
-// their stacks — the graph.Residual, the ris.Batcher/Collection, the RNG,
-// round counters — which is what makes Checkpoint/ResumeSession possible.
-//
-// The batch entry points (Run, RunADDATP, …) are thin drive-to-completion
-// loops over a Session against an Environment; their outputs are
-// bit-identical to the pre-Session implementations because the per-round
-// operation and RNG-consumption order is unchanged — the round bodies
-// moved verbatim from runSequential/runFixed/RunADG into the steppers
-// below.
+// The batch entry points (Run, RunADG) are thin drive-to-completion loops
+// over a Session against an Environment.
 //
 // A Session is not safe for concurrent use; callers (the service layer)
 // serialize access per campaign.
@@ -110,10 +99,8 @@ func NewSession(inst *Instance, algo string, opts RunOptions, r *rng.RNG) (*Sess
 	switch algo {
 	case AlgoADG:
 		step = newADGStepper(newADGOracle(inst, opts, r))
-	case AlgoADDATP:
-		step, err = newSamplingStepper(inst, additiveRegime{}, opts.Sampling, opts.Batcher)
-	case AlgoHATP:
-		step, err = newSamplingStepper(inst, hybridRegime{eps: opts.Sampling.Eps}, opts.Sampling, opts.Batcher)
+	case AlgoADDATP, AlgoHATP:
+		step, err = newSamplingStepper(inst, algo, opts.Sampling, opts.Batcher)
 	case AlgoNSG:
 		step = &nsgStepper{theta: opts.NSGTheta, workers: opts.Sampling.Workers}
 	case AlgoAllTargets:
@@ -132,7 +119,7 @@ func NewSession(inst *Instance, algo string, opts RunOptions, r *rng.RNG) (*Sess
 }
 
 // newShell assembles a session around an already built stepper (shared by
-// NewSession, the batch wrappers, and the checkpoint-resume path).
+// NewSession, RunADG, and the checkpoint-resume path).
 func newShell(inst *Instance, algo string, opts RunOptions, r *rng.RNG, step stepper) *Session {
 	return &Session{
 		inst:   inst,
@@ -349,340 +336,7 @@ func (s *Session) SetInterrupt(f func() error) {
 }
 
 // ---------------------------------------------------------------------------
-// Sequential-policy stepper (the PolicySequential round body, moved
-// verbatim from the former runSequential loop).
-
-type seqStepper struct {
-	reg  regime
-	opts SamplingOptions
-	b    *ris.Batcher
-
-	deltaRound float64
-	zetaMin    float64
-	capTheta   int
-
-	fallbacks, attempts, certifiedEarly int
-}
-
-// newSamplingStepper builds the stepper for the configured sampling
-// policy. warm, when non-nil, donates its storage (collection arenas,
-// coverage counts, pool scratch) to the sequential controller; it is
-// Reset first, so campaign results are independent of what it previously
-// held. The fixed policy manages its collection directly and ignores it.
-func newSamplingStepper(inst *Instance, reg regime, opts SamplingOptions, warm *ris.Batcher) (stepper, error) {
-	switch opts.Policy {
-	case PolicySequential:
-		return newSeqStepper(inst, reg, opts, warm)
-	case PolicyFixed:
-		return newFixedStepper(inst, reg, opts)
-	default:
-		return nil, fmt.Errorf("adaptive: unknown sampling policy %q (have %v)", opts.Policy, SamplingPolicies)
-	}
-}
-
-func newSeqStepper(inst *Instance, reg regime, opts SamplingOptions, warm *ris.Batcher) (*seqStepper, error) {
-	// Union bound over rounds only: the run seeds at most |T| targets, and
-	// within a round the confidence sequence spends its δ_round across
-	// looks by itself.
-	deltaRound := opts.Delta / float64(len(inst.Targets))
-	zetaMin := opts.Zeta / math.Exp2(float64(opts.MaxRefine))
-	capTheta, err := reg.theta(zetaMin, deltaRound)
-	if err != nil {
-		return nil, fmt.Errorf("adaptive: %s: %w", reg.name(), err)
-	}
-	b := warm
-	if b != nil {
-		if b.Model() != inst.Model {
-			return nil, fmt.Errorf("adaptive: warm batcher draws under %v, instance needs %v", b.Model(), inst.Model)
-		}
-		b.Reset()
-	} else {
-		b = ris.NewBatcher(inst.Model)
-	}
-	b.SetReuse(!opts.NoReuse)
-	b.EnableCoverage()
-	return &seqStepper{
-		reg: reg, opts: opts, b: b,
-		deltaRound: deltaRound, zetaMin: zetaMin, capTheta: capTheta,
-	}, nil
-}
-
-func (st *seqStepper) setInterrupt(f func() error) { st.b.SetInterrupt(f) }
-
-func (st *seqStepper) mutate(_ *Instance, touched []graph.NodeID) error {
-	// Survivors are valid RR sets of the new graph at the unchanged
-	// residual version, so the next round's Sync keeps them and GrowTo
-	// draws only the shortfall.
-	st.b.Invalidate(touched)
-	return nil
-}
-
-func (st *seqStepper) next(s *Session) (graph.NodeID, bool, error) {
-	res := s.res
-	s.alive = s.inst.aliveTargets(res, s.alive)
-	if len(s.alive) == 0 {
-		return 0, true, nil
-	}
-	nAlive := res.N()
-	carried := st.b.Sync(res)
-	target := st.opts.InitialBatch
-	if carried > target {
-		target = carried
-	}
-	if target > st.capTheta {
-		target = st.capTheta
-	}
-	for k := 1; ; k++ {
-		n, err := st.b.GrowTo(res, s.r, target, st.opts.Workers)
-		if err != nil {
-			return 0, true, err
-		}
-		st.attempts++
-		if n == 0 {
-			return 0, true, nil
-		}
-		deltaK := bounds.SpendGeometric(st.deltaRound, k)
-		// Per-target marginal profit from the tracked containment counts.
-		// The effective sample size is the full collection, which can
-		// exceed this look's target when a round starts from a larger
-		// filtered carry-over. Within-round growth keeps the certificates
-		// exact (same residual, independent samples). Sets kept across
-		// rounds are biased (see ris.Collection.Filter): each is an old-
-		// residual RR set conditioned on avoiding the removed nodes, and
-		// their roots over-represent those whose sets survive, so
-		// cross-round certificates are approximate — NoReuse restores the
-		// paper's from-scratch sampling when that matters.
-		best := graph.NodeID(-1)
-		bestProfit, bestLower := 0.0, 0.0
-		maxUpper, maxWidth := 0.0, 0.0
-		for _, u := range s.alive {
-			frac := float64(st.b.Count(u)) / float64(n)
-			w := bounds.AnytimeWidth(n, frac, deltaK)
-			cost := s.inst.Costs.Cost(u)
-			profit := clampSpread(frac*float64(nAlive), nAlive) - cost
-			if best < 0 || profit > bestProfit || (profit == bestProfit && u < best) {
-				best, bestProfit = u, profit
-				bestLower = clampSpread((frac-w)*float64(nAlive), nAlive) - cost
-			}
-			if up := clampSpread((frac+w)*float64(nAlive), nAlive) - cost; up > maxUpper {
-				maxUpper = up
-			}
-			if w > maxWidth {
-				maxWidth = w
-			}
-		}
-		switch {
-		case bestLower > 0:
-			// Seeding certified.
-			if maxWidth > st.zetaMin && n < st.capTheta {
-				st.certifiedEarly++
-			}
-			return best, false, nil
-		case maxUpper <= 0:
-			// Stopping certified: no target can have positive profit.
-			if maxWidth > st.zetaMin && n < st.capTheta {
-				st.certifiedEarly++
-			}
-			return 0, true, nil
-		case maxWidth <= st.zetaMin || n >= st.capTheta:
-			// Precision frontier reached: every estimate is within the
-			// fixed loop's terminal ζ_min, so deciding on the point
-			// estimate is at least as sharp as the fixed fallback.
-			st.fallbacks++
-			if bestProfit > 0 {
-				return best, false, nil
-			}
-			return 0, true, nil
-		default:
-			target = 2 * n
-			if target > st.capTheta {
-				target = st.capTheta
-			}
-		}
-	}
-}
-
-func (st *seqStepper) finishInto(r *RunResult) {
-	r.RRDrawn = st.b.Drawn()
-	r.RRRequested = st.b.Requested()
-	r.RRReused = st.b.Reused()
-	r.RRPeakBytes = st.b.PeakBytes()
-	r.SamplingNS = st.b.SamplingNS()
-	r.RRVisits = st.b.Visits()
-	r.RREdgeTouches = st.b.EdgeTouches()
-	r.Fallbacks = st.fallbacks
-	r.Attempts = st.attempts
-	r.RRBatches = st.b.Batches()
-	r.CertifiedEarly = st.certifiedEarly
-	r.Sampler = PolicySequential
-}
-
-// ---------------------------------------------------------------------------
-// Fixed-policy stepper (the PolicyFixed attempt loop, moved verbatim from
-// the former runFixed; bit-identical RNG consumption and decisions).
-
-type fixedStepper struct {
-	reg  regime
-	opts SamplingOptions
-
-	deltaRound float64
-	col        *ris.Collection
-	// One persistent sampler pool serves every attempt of every round:
-	// per-worker scratch (visited marks, stacks, chunks) survives across
-	// the run instead of being reallocated per generation call.
-	pool *ris.SamplerPool
-
-	fallbacks, attempts, batches, certifiedEarly int
-	drawn, requested, reused, peakBytes          int64
-	samplingNS                                   int64
-}
-
-func newFixedStepper(inst *Instance, reg regime, opts SamplingOptions) (*fixedStepper, error) {
-	// Union bound: each round may resample up to MaxRefine+1 times and the
-	// run lasts at most |T| rounds.
-	deltaRound := opts.Delta / float64(len(inst.Targets)*(opts.MaxRefine+1))
-	return &fixedStepper{
-		reg: reg, opts: opts,
-		deltaRound: deltaRound,
-		pool:       ris.NewSamplerPool(inst.Model),
-	}, nil
-}
-
-func (st *fixedStepper) setInterrupt(f func() error) { st.pool.SetInterrupt(f) }
-
-func (st *fixedStepper) mutate(_ *Instance, touched []graph.NodeID) error {
-	// Under NoReuse the next attempt resets the collection anyway; with
-	// reuse, drop exactly the sets touching the delta and count the
-	// survivors as carried over, mirroring the filter/top-up accounting.
-	if !st.opts.NoReuse && st.col != nil {
-		st.reused += int64(st.col.InvalidateTouching(touched))
-	}
-	return nil
-}
-
-func (st *fixedStepper) next(s *Session) (graph.NodeID, bool, error) {
-	res := s.res
-	s.alive = s.inst.aliveTargets(res, s.alive)
-	if len(s.alive) == 0 {
-		return 0, true, nil
-	}
-	nAlive := res.N()
-	zeta := st.opts.Zeta
-	for attempt := 0; ; attempt++ {
-		theta, err := st.reg.theta(zeta, st.deltaRound)
-		if err != nil {
-			return 0, true, fmt.Errorf("adaptive: %s round %d: %w", st.reg.name(), len(s.seeds)+1, err)
-		}
-		st.attempts++
-		if st.opts.NoReuse || st.col == nil {
-			if st.col == nil {
-				st.col = ris.NewCollection(res.FullN())
-			} else {
-				st.col.Reset() // fresh θ, warm storage
-			}
-			start := time.Now()
-			st.pool.AppendParallel(st.col, res, s.r.Split(), theta, st.opts.Workers)
-			st.samplingNS += time.Since(start).Nanoseconds()
-			if err := st.pool.Err(); err != nil {
-				return 0, true, err
-			}
-			st.drawn += int64(st.col.Len())
-			st.requested += int64(st.col.Requested())
-			st.batches++
-		} else {
-			kept := st.col.Filter(res)
-			if kept > theta {
-				kept = theta // draws avoided vs a from-scratch attempt
-			}
-			st.reused += int64(kept)
-			if shortfall := theta - st.col.Len(); shortfall > 0 {
-				before := st.col.Len()
-				start := time.Now()
-				st.pool.AppendParallel(st.col, res, s.r.Split(), shortfall, st.opts.Workers)
-				st.samplingNS += time.Since(start).Nanoseconds()
-				if err := st.pool.Err(); err != nil {
-					return 0, true, err
-				}
-				st.drawn += int64(st.col.Len() - before)
-				st.requested += int64(shortfall)
-				st.batches++
-			}
-		}
-		if b := st.col.Bytes(); b > st.peakBytes {
-			st.peakBytes = b
-		}
-		if st.col.Len() == 0 {
-			return 0, true, nil
-		}
-		// Per-target marginal profit from single-node coverage counts.
-		// The effective sample size is col.Len(), which can exceed this
-		// attempt's θ when a new round starts from a larger filtered
-		// collection. For within-round growth the certificates hold
-		// verbatim (same residual, independent samples, θ' ≥ θ). Sets
-		// kept across rounds are biased (see ris.Collection.Filter): each
-		// is an old-residual RR set conditioned on avoiding the removed
-		// nodes, and their roots over-represent those whose sets survive,
-		// so cross-round certificates are approximate — NoReuse restores
-		// the paper's from-scratch sampling when that matters.
-		best := graph.NodeID(-1)
-		bestProfit, bestFrac := 0.0, 0.0
-		maxUpper := 0.0
-		for _, u := range s.alive {
-			frac := float64(st.col.CountContaining(u)) / float64(st.col.Len())
-			est := clampSpread(frac*float64(nAlive), nAlive)
-			profit := est - s.inst.Costs.Cost(u)
-			if best < 0 || profit > bestProfit || (profit == bestProfit && u < best) {
-				best, bestProfit, bestFrac = u, profit, frac
-			}
-			if up := st.reg.upper(frac, nAlive, zeta) - s.inst.Costs.Cost(u); up > maxUpper {
-				maxUpper = up
-			}
-		}
-		lowerBest := st.reg.lower(bestFrac, nAlive, zeta) - s.inst.Costs.Cost(best)
-		switch {
-		case lowerBest > 0:
-			// Seeding certified.
-			if attempt < st.opts.MaxRefine {
-				st.certifiedEarly++
-			}
-			return best, false, nil
-		case maxUpper <= 0:
-			// Stopping certified: no target can have positive profit.
-			if attempt < st.opts.MaxRefine {
-				st.certifiedEarly++
-			}
-			return 0, true, nil
-		case attempt >= st.opts.MaxRefine:
-			// Confidence budget exhausted; decide on the estimate.
-			st.fallbacks++
-			if bestProfit > 0 {
-				return best, false, nil
-			}
-			return 0, true, nil
-		default:
-			zeta /= 2
-		}
-	}
-}
-
-func (st *fixedStepper) finishInto(r *RunResult) {
-	r.RRDrawn = st.drawn
-	r.RRRequested = st.requested
-	r.RRReused = st.reused
-	r.RRPeakBytes = st.peakBytes
-	r.SamplingNS = st.samplingNS
-	r.RRVisits = int64(st.pool.Visits())
-	r.RREdgeTouches = int64(st.pool.EdgeTouches())
-	r.Fallbacks = st.fallbacks
-	r.Attempts = st.attempts
-	r.RRBatches = st.batches
-	r.CertifiedEarly = st.certifiedEarly
-	r.Sampler = PolicyFixed
-}
-
-// ---------------------------------------------------------------------------
-// ADG stepper (the oracle-greedy round body, moved verbatim from the
-// former RunADG loop).
+// ADG stepper: the oracle-greedy round body.
 
 // batchOracle is the concurrent-singleton-query fast path (oracle.RIS
 // with workers set); the floats are identical to per-node ExpectedSpread
@@ -865,23 +519,3 @@ func (st *allTargetsStepper) next(s *Session) (graph.NodeID, bool, error) {
 }
 
 func (st *allTargetsStepper) finishInto(*RunResult) {}
-
-// runSampling keeps the historical batch contract of Algorithms 3 and 4
-// (RunADDATP, RunHATP): validate, default, build the policy's stepper,
-// and drive the session against env. Each round estimates every alive
-// target's marginal spread as n_i·Cov(u)/θ from RR sets on the residual
-// graph, and then either seeds the best target (profit lower bound
-// positive), terminates (every upper bound ≤ 0), or draws more — falling
-// back to the point estimate at the policy's sampling frontier so a
-// marginal profit sitting exactly at 0 cannot loop forever.
-func runSampling(inst *Instance, env *Environment, reg regime, opts SamplingOptions, r *rng.RNG) (*RunResult, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	opts.setDefaults()
-	step, err := newSamplingStepper(inst, reg, opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	return newShell(inst, reg.name(), RunOptions{Sampling: opts}, r, step).Drive(env)
-}

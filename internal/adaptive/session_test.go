@@ -180,11 +180,21 @@ func TestSessionCheckpointExactOracle(t *testing.T) {
 
 // TestSessionResumeWithWarmBatcher: donating a dirty warm batcher to the
 // resume path must not change the run (the batcher is Reset before the
-// restored state lands in it).
+// restored state lands in it), under either sampling policy.
 func TestSessionResumeWithWarmBatcher(t *testing.T) {
 	inst := nethept005Instance(t, "")
-	tc := sessionCase{name: "addatp-seq", algo: AlgoADDATP,
-		opts: RunOptions{Sampling: SamplingOptions{Policy: PolicySequential, Workers: 2}}}
+	for _, tc := range []sessionCase{
+		{name: "addatp-seq", algo: AlgoADDATP,
+			opts: RunOptions{Sampling: SamplingOptions{Policy: PolicySequential, Workers: 2}}},
+		{name: "hatp-fixed", algo: AlgoHATP,
+			opts: RunOptions{Sampling: SamplingOptions{Policy: PolicyFixed, Workers: 2}}},
+	} {
+		resumeWithWarmBatcher(t, inst, tc)
+	}
+}
+
+func resumeWithWarmBatcher(t *testing.T, inst *Instance, tc sessionCase) {
+	t.Helper()
 	ref := batchReference(t, inst, tc, 11)
 
 	// Dirty the donated batcher with draws from an unrelated campaign.

@@ -122,8 +122,8 @@ func (o *MonteCarlo) ExpectedSpread(res *graph.Residual, seeds []graph.NodeID) f
 // cached collection is validity-filtered (ris.Collection.Filter) and only
 // the shortfall is regenerated, instead of discarding every set. The
 // draw/filter/top-up cycle and its accounting run through the shared
-// ris.Batcher — the same batch loop the adaptive sequential controller
-// and IMM's θ search use.
+// ris.Batcher — the same batch loop the adaptive sampling stepper and
+// IMM's θ search use.
 type RIS struct {
 	model cascade.Model
 	theta int

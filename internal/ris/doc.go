@@ -55,8 +55,8 @@
 //     and is compacted in lockstep by Collection.Filter, so a per-batch
 //     stopping-rule check costs O(batch + alive) instead of an inverted
 //     index rebuild. Batcher packages the draw/filter/top-up cycle —
-//     pool, collection, tracker, accounting — shared by the adaptive
-//     sequential controller, IMM's θ search, and oracle.RIS. Its warm
+//     pool, collection, tracker, accounting — shared by both adaptive
+//     sampling policies, IMM's θ search, and oracle.RIS. Its warm
 //     loop is allocation-free (TestBatcherWarmLoopNoAllocs).
 //   - AppendParallel / GenerateParallel (parallel.go): deterministic
 //     multi-worker generation that can top up an existing collection;

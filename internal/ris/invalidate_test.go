@@ -247,3 +247,34 @@ func TestPostDeltaTopUpChiSquareMatchesFresh(t *testing.T) {
 		t.Fatalf("chi-square %0.1f over %d nodes exceeds %0.1f: delta-graph top-up diverges from fresh sampling", stat, df, limit)
 	}
 }
+
+// TestBatcherInvalidateNoReuse: with reuse off, Invalidate counts nothing
+// as reused and leaves the pool alone — the next Sync regenerates from
+// scratch, so no delta survivor is ever reused. With reuse on, the
+// survivors are kept and counted.
+func TestBatcherInvalidateNoReuse(t *testing.T) {
+	g := fig1Graph()
+	res := graph.NewResidual(g)
+	touched := []graph.NodeID{2}
+	for _, reuse := range []bool{false, true} {
+		b := NewBatcher(cascade.IC)
+		b.SetReuse(reuse)
+		b.Sync(res)
+		if _, err := b.GrowTo(res, rng.New(5), 200, 1); err != nil {
+			t.Fatal(err)
+		}
+		kept := b.Invalidate(touched)
+		if !reuse {
+			if kept != 0 || b.Reused() != 0 || b.Len() != 200 {
+				t.Fatalf("reuse off: kept %d, reused %d, len %d; want 0, 0, 200", kept, b.Reused(), b.Len())
+			}
+			if b.Sync(res) != 0 || b.Len() != 0 || b.Reused() != 0 {
+				t.Fatalf("reuse off: Sync kept %d sets (reused %d)", b.Len(), b.Reused())
+			}
+			continue
+		}
+		if kept <= 0 || kept >= 200 || b.Reused() != int64(kept) || b.Len() != kept {
+			t.Fatalf("reuse on: kept %d of 200, reused %d, len %d", kept, b.Reused(), b.Len())
+		}
+	}
+}

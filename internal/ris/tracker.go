@@ -11,7 +11,7 @@ import (
 
 // Coverage maintains per-node single-node containment counts
 // (CountContaining for every node at once) incrementally as RR sets are
-// appended to a Collection. The sequential sampling controller checks its
+// appended to a Collection. The adaptive sampling stepper checks its
 // stopping rule after every batch; recomputing CountContaining through
 // the CSR inverted index would rebuild the index — an O(arena + n) pass —
 // per batch per look, while Coverage keeps the counts current in
@@ -69,9 +69,11 @@ func (cov *Coverage) reset() {
 // a persistent SamplerPool, one Collection reused across batches and
 // residual versions, an optional Coverage tracker, and the sampling
 // accounting (drawn / requested / reused / peak bytes / wall time /
-// batches) that runs report. The adaptive sequential controller, IMM's
-// θ search, and oracle.RIS.Refresh all draw through a Batcher instead of
-// hand-rolling the same loop.
+// batches) that runs report. The adaptive sampling stepper (both
+// policies), IMM's θ search, and oracle.RIS.Refresh all draw through a
+// Batcher instead of hand-rolling the same loop. Nonadaptive greedy's
+// one-shot selection (ris.GenerateParallel) is the only RR consumer
+// outside it.
 type Batcher struct {
 	model   cascade.Model
 	pool    *SamplerPool
@@ -167,10 +169,11 @@ func (b *Batcher) Sync(res *graph.Residual) int {
 // Invalidate drops the RR sets that contain any of the touched nodes of a
 // topology delta (Collection.InvalidateTouching) and counts the survivors
 // as reused draws, so post-delta accounting mirrors the filter/top-up
-// cycle. A no-op before the first Sync/GrowTo. Returns the surviving
-// count.
+// cycle. A no-op returning 0 before the first Sync/GrowTo and whenever
+// reuse is off: the next Sync discards every set anyway, so none of them
+// is reused. Returns the surviving count.
 func (b *Batcher) Invalidate(touched []graph.NodeID) int {
-	if b.col == nil {
+	if b.col == nil || !b.reuse {
 		return 0
 	}
 	kept := b.col.InvalidateTouching(touched)

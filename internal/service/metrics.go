@@ -31,7 +31,7 @@ import (
 //	repro_checkpoint_quarantines_total           corrupt checkpoints renamed aside
 //	repro_fault_injections_total{site}           injected faults that fired (REPRO_FAULTS)
 //	repro_rr_sets_drawn_total{instance}          RR sets generated, per instance key
-//	repro_rr_sets_reused_total{instance}         RR sets carried across graph versions
+//	repro_rr_sets_reused_total{instance}         RR sets kept by incremental sync
 //	repro_rr_visits_total{instance}              node visits during RR draws
 //	repro_rr_edge_touches_total{instance}        in-adjacency entries read during RR draws
 type Metrics struct {
@@ -115,7 +115,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	m.rrDrawn = reg.CounterVec("repro_rr_sets_drawn_total",
 		"RR sets generated by campaigns, per instance key.", "instance")
 	m.rrReused = reg.CounterVec("repro_rr_sets_reused_total",
-		"RR sets carried across graph versions by incremental sync, per instance key.", "instance")
+		"RR sets kept by incremental sync (per round; per attempt under the fixed policy), per instance key.", "instance")
 	m.rrVisits = reg.CounterVec("repro_rr_visits_total",
 		"Node visits during RR set draws, per instance key.", "instance")
 	m.rrTouches = reg.CounterVec("repro_rr_edge_touches_total",

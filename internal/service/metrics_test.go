@@ -305,3 +305,33 @@ func TestCampaignTrafficBridgeMatchesResult(t *testing.T) {
 		t.Error("visit/edge-touch bridge stayed zero across a full campaign")
 	}
 }
+
+// TestFixedPolicyCampaignTrafficBridge: a `--sampler fixed` campaign
+// draws through the instance's warm batcher too, so its draws, visits
+// and edge touches reach the bridged counters.
+func TestFixedPolicyCampaignTrafficBridge(t *testing.T) {
+	spec := testSpec()
+	spec.Sampler = adaptive.PolicyFixed
+	reg := NewRegistry(spec, 0)
+	m := NewMetrics(obs.NewRegistry())
+	reg.AttachMetrics(m)
+	t.Cleanup(func() { fault.SetObserver(nil) })
+
+	c, err := reg.StartCampaign("t", testKey(), adaptive.AlgoADDATP, 4242, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := driveCampaign(t, c)
+	c.Close()
+
+	if res.Sampler != adaptive.PolicyFixed || res.RRDrawn <= 0 {
+		t.Fatalf("campaign ran sampler %q with %d draws, want fixed with > 0", res.Sampler, res.RRDrawn)
+	}
+	instance := testKey().String()
+	if got := m.rrDrawn.With(instance).Value(); got != res.RRDrawn {
+		t.Errorf("bridged drawn = %d, result says %d", got, res.RRDrawn)
+	}
+	if m.rrVisits.With(instance).Value() <= 0 || m.rrTouches.With(instance).Value() <= 0 {
+		t.Error("visit/edge-touch bridge stayed zero across a fixed-policy campaign")
+	}
+}
