@@ -22,18 +22,19 @@ import (
 //
 // Deliberately absent, because each is a pure function of what is stored:
 // coverage counts and the CSR inverted index (rebuilt from the restored
-// sets), sampler pools (stateless between batches — workers reseed from
-// the session RNG every batch), the residual's O(N) alive list (replayed
+// sets), sampler pools (stateless between batches — every batch keys its
+// substreams off the session RNG), the residual's O(N) alive list (replayed
 // from the removal log, see below), and wall-clock telemetry (SamplingNS
 // restarts at zero; every other RunResult field of a resumed campaign
 // matches the uninterrupted run exactly).
 //
-// The sampling options ride in the blob and are authoritative on resume:
-// Workers shapes the draw→substream mapping, so silently resuming under a
-// different worker count would fork the RNG stream. An instance
-// fingerprint (graph shape, model, targets, costs) guards against
-// restoring onto the wrong instance. Unknown versions and torn payloads
-// fail loudly.
+// The sampling options ride in the blob and are authoritative on resume.
+// Workers among them is the campaign's configured parallelism, not a
+// determinism input: RR sets depend on the seed and the count only, so a
+// blob written on one core count resumes identically on another. An
+// instance fingerprint (graph shape, model, targets, costs) guards
+// against restoring onto the wrong instance. Unknown versions and torn
+// payloads fail loudly.
 //
 // Layout of version 4, in order (u64 counts precede every list; nodes
 // and int32s are 4 bytes each, edges 16: from u32, to u32, p f64):

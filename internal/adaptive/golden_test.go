@@ -68,34 +68,35 @@ func twoDeltaCampaign(t *testing.T, inst *Instance, algo string, opts RunOptions
 // both sampling algorithms on a 600-node generated instance with two
 // topology deltas per campaign: seeds, draw/request/reuse counts and the
 // stopping-rule telemetry. The values were recorded from the separate
-// sequential and fixed steppers before they merged into one; the only
-// cells re-pinned since are sequential NoReuse's reuse counts, which
-// counted delta survivors that the next round then discarded and now
-// read 0.
+// sequential and fixed steppers before they merged into one. Since then
+// sequential NoReuse's reuse counts were re-pinned to 0 (they counted
+// delta survivors that the next round then discarded), and every cell
+// was re-pinned when RR substreams became chunk-keyed; the values now
+// hold at any worker count.
 func TestPolicyReuseMutateGolden(t *testing.T) {
 	g, err := gen.Generate(gen.Config{Model: gen.PrefAttach, N: 600, AvgDeg: 5, Directed: true, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, _, err := Prepare(g, cascade.IC, Setup{K: 15, CostSetting: cost.DegreeProportional, LBTheta: 5000, Seed: 29, Workers: 2})
+	inst, _, err := Prepare(g, cascade.IC, Setup{K: 15, CostSetting: cost.DegreeProportional, LBTheta: 5000, Seed: 29})
 	if err != nil {
 		t.Fatal(err)
 	}
 	golden := map[string]goldenMutateCounters{
-		"addatp/seq/noreuse=false":   {[]graph.NodeID{592, 591, 565, 443, 597, 546}, 65762, 65762, 221857, 4, 13, 7, 3},
-		"addatp/seq/noreuse=true":    {[]graph.NodeID{592, 591, 565, 531, 546}, 282624, 282624, 0, 2, 30, 30, 2},
-		"addatp/fixed/noreuse=false": {[]graph.NodeID{592, 591, 565, 546, 443, 597}, 535859, 535859, 2671126, 4, 31, 11, 2},
-		"addatp/fixed/noreuse=true":  {[]graph.NodeID{592, 591, 565, 531, 546, 443}, 3123138, 3123138, 0, 4, 31, 31, 2},
-		"hatp/seq/noreuse=false":     {[]graph.NodeID{592, 591, 574, 565}, 9174, 9174, 25427, 4, 11, 7, 1},
-		"hatp/seq/noreuse=true":      {[]graph.NodeID{592, 591, 531, 565, 546, 523, 574, 430, 597}, 56503, 56503, 0, 9, 29, 29, 1},
-		"hatp/fixed/noreuse=false":   {[]graph.NodeID{592, 591, 595, 597, 546}, 10482, 10482, 69874, 4, 28, 10, 1},
-		"hatp/fixed/noreuse=true":    {[]graph.NodeID{592, 591, 546, 565, 597, 531, 443, 386}, 108869, 108869, 0, 6, 42, 42, 2},
+		"addatp/seq/noreuse=false":   {[]graph.NodeID{592, 591, 565}, 95764, 95764, 111066, 1, 10, 8, 2},
+		"addatp/seq/noreuse=true":    {[]graph.NodeID{592, 591, 565, 531, 546}, 272384, 272384, 0, 3, 28, 28, 2},
+		"addatp/fixed/noreuse=false": {[]graph.NodeID{592, 591, 565, 546, 443, 597}, 536425, 536425, 2670377, 5, 31, 11, 2},
+		"addatp/fixed/noreuse=true":  {[]graph.NodeID{592, 591, 565, 531}, 1936520, 1936520, 0, 2, 21, 21, 2},
+		"hatp/seq/noreuse=false":     {[]graph.NodeID{592, 591, 546, 565, 597}, 8720, 8720, 28142, 5, 12, 8, 1},
+		"hatp/seq/noreuse=true":      {[]graph.NodeID{592, 591, 565, 531, 546, 443, 523}, 42809, 42809, 0, 7, 22, 22, 1},
+		"hatp/fixed/noreuse=false":   {[]graph.NodeID{592, 591, 546, 565, 443}, 9339, 9339, 58621, 4, 26, 10, 2},
+		"hatp/fixed/noreuse=true":    {[]graph.NodeID{592, 591, 531, 565, 546, 597}, 87915, 87915, 0, 5, 33, 33, 1},
 	}
 	for _, algo := range []string{AlgoADDATP, AlgoHATP} {
 		for _, policy := range SamplingPolicies {
 			for _, noReuse := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s/noreuse=%v", algo, policy, noReuse)
-				opts := RunOptions{Sampling: SamplingOptions{Policy: policy, NoReuse: noReuse, Workers: 2}}
+				opts := RunOptions{Sampling: SamplingOptions{Policy: policy, NoReuse: noReuse}}
 				run := twoDeltaCampaign(t, inst, algo, opts, 41)
 				got := goldenMutateCounters{
 					seeds: run.Seeds, drawn: run.RRDrawn, requested: run.RRRequested, reused: run.RRReused,

@@ -23,7 +23,7 @@ func NonadaptiveGreedySelect(inst *Instance, theta int, r *rng.RNG, workers int)
 	}
 	res := graph.NewResidual(inst.G)
 	start := time.Now()
-	col := ris.GenerateParallel(res, inst.Model, r, theta, workers)
+	col := ris.NewSamplerPool(inst.Model).Generate(res, r, theta, workers)
 	samplingNS := time.Since(start).Nanoseconds()
 	if col.Len() == 0 {
 		return nil, col, samplingNS, nil

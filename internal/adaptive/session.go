@@ -2,7 +2,6 @@ package adaptive
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/cascade"
 	"repro/internal/graph"
@@ -148,12 +147,8 @@ func newADGOracle(inst *Instance, opts RunOptions, r *rng.RNG) oracle.Oracle {
 			return exact
 		}
 	}
-	w := opts.Sampling.Workers
-	if w <= 0 { // same convention as GenerateParallel
-		w = runtime.GOMAXPROCS(0)
-	}
 	ro := oracle.NewRIS(inst.Model, opts.ADGTheta, r.Split())
-	ro.SetWorkers(w)
+	ro.SetWorkers(opts.Sampling.Workers)
 	// Large-graph ADG keeps its RR pool across rounds, filtering out
 	// invalidated sets and topping up the shortfall, matching the sampling
 	// policies' reuse strategy.

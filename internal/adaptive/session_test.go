@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cascade"
@@ -161,6 +162,61 @@ func TestSessionCheckpointEveryRound(t *testing.T) {
 		ref := batchReference(t, inst, tc, 7)
 		got := steppedRun(t, inst, tc, 7, true)
 		compareRuns(t, tc.name+"/churn", got, ref)
+	}
+}
+
+// TestSessionCheckpointAcrossCoreCounts: with Workers = 0 (GOMAXPROCS), a
+// campaign that runs two rounds and checkpoints on a one-core host, then
+// resumes on a four-core one, finishes identical to an uninterrupted run
+// at the test's own GOMAXPROCS. The worker count is parallelism only, not
+// part of the determinism contract.
+func TestSessionCheckpointAcrossCoreCounts(t *testing.T) {
+	inst := nethept005Instance(t, "")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range sessionCases() {
+		tc.opts.Sampling.Workers = 0
+		ref := batchReference(t, inst, tc, 7)
+
+		runtime.GOMAXPROCS(1)
+		root := rng.New(7)
+		env := NewEnvironment(cascade.Sample(inst.G, inst.Model, root.Split()))
+		sess, err := NewSession(inst, tc.algo, tc.opts, root.Split())
+		if err != nil {
+			t.Fatalf("NewSession %s: %v", tc.name, err)
+		}
+		for round := 0; round < 2 && !sess.Done(); round++ {
+			u, stop, err := sess.NextSeed()
+			if err != nil {
+				t.Fatalf("NextSeed %s: %v", tc.name, err)
+			}
+			if !stop {
+				if err := sess.Observe(env.Observe(u)); err != nil {
+					t.Fatalf("Observe %s: %v", tc.name, err)
+				}
+			}
+		}
+		blob, err := sess.Checkpoint()
+		if err != nil {
+			t.Fatalf("checkpoint %s: %v", tc.name, err)
+		}
+
+		runtime.GOMAXPROCS(4)
+		if sess, err = ResumeSession(inst, blob, ResumeOptions{}); err != nil {
+			t.Fatalf("resume %s: %v", tc.name, err)
+		}
+		for {
+			u, stop, err := sess.NextSeed()
+			if err != nil {
+				t.Fatalf("NextSeed %s: %v", tc.name, err)
+			}
+			if stop {
+				break
+			}
+			if err := sess.Observe(env.Observe(u)); err != nil {
+				t.Fatalf("Observe %s: %v", tc.name, err)
+			}
+		}
+		compareRuns(t, tc.name+"/gomaxprocs 1->4", sess.Result(), ref)
 	}
 }
 

@@ -162,7 +162,7 @@ func SpreadLowerBound(g *graph.Graph, model cascade.Model, s []graph.NodeID, the
 		panic("imm: theta must be positive")
 	}
 	res := graph.NewResidual(g)
-	c := ris.GenerateParallel(res, model, rng.New(seed), theta, workers)
+	c := ris.NewSamplerPool(model).Generate(res, rng.New(seed), theta, workers)
 	if c.Len() == 0 {
 		return 0
 	}

@@ -45,7 +45,7 @@ func TestFastICMatchesExactOracle(t *testing.T) {
 	}
 	res := graph.NewResidual(g)
 	const theta = 300000
-	col := ris.GenerateParallel(res, cascade.IC, rng.New(17), theta, 1)
+	col := ris.NewSamplerPool(cascade.IC).Generate(res, rng.New(17), theta, 1)
 	for _, seed := range []graph.NodeID{0, 1, 4, 5} {
 		want := exact.ExpectedSpread(res, []graph.NodeID{seed})
 		got := ris.EstimateSpread(col.Cov([]graph.NodeID{seed}), col.Len(), g.N())
@@ -134,7 +134,7 @@ func TestFastLTMatchesExactEnumeration(t *testing.T) {
 	}
 	res := graph.NewResidual(g)
 	const theta = 400000
-	col := ris.GenerateParallel(res, cascade.LT, rng.New(19), theta, 1)
+	col := ris.NewSamplerPool(cascade.LT).Generate(res, rng.New(19), theta, 1)
 	for _, seed := range []graph.NodeID{0, 1, 3} {
 		want := exactLTSpread(g, []graph.NodeID{seed})
 		got := ris.EstimateSpread(col.Cov([]graph.NodeID{seed}), col.Len(), g.N())

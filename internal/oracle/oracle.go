@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -162,10 +163,11 @@ func (o *RIS) ExpectedSpread(res *graph.Residual, seeds []graph.NodeID) float64 
 	return ris.EstimateSpread(c.Cov(seeds), c.Len(), o.cachedAlive)
 }
 
-// SetWorkers enables parallel RR generation on future refreshes and
-// parallel batch queries (n > 1; 0 or 1 keeps the default sequential
-// sampler). Results stay deterministic for a fixed worker count, and
-// SingleSpreads is worker-count-independent.
+// SetWorkers sets the parallelism of future refreshes and batch queries;
+// n <= 0 (the default) means GOMAXPROCS. Answers do not depend on it: the
+// RR sets are a function of the oracle's stream alone (see
+// ris.SamplerPool.AppendParallel), and SingleSpreads gives identical
+// floats at any n.
 func (o *RIS) SetWorkers(n int) { o.workers = n }
 
 // SingleSpreads estimates E[I_{G_i}({u})] for every u in nodes, writing
@@ -190,6 +192,9 @@ func (o *RIS) SingleSpreads(res *graph.Residual, nodes []graph.NodeID, out []flo
 	c.BuildIndex(o.workers) // before the concurrent reads below
 	theta, alive := c.Len(), o.cachedAlive
 	workers := o.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > len(nodes) {
 		workers = len(nodes)
 	}
@@ -259,15 +264,8 @@ func (o *RIS) Refresh(res *graph.Residual) {
 	if o.cachedVersion == res.Version() && o.b.Collection() != nil {
 		return
 	}
-	// workers <= 0 stays sequential here (unlike GenerateParallel's
-	// GOMAXPROCS default) so an unconfigured oracle is deterministic
-	// across machines; SetWorkers opts in to parallel generation.
-	w := o.workers
-	if w < 1 {
-		w = 1
-	}
 	o.b.Sync(res) // filter (reuse) or reset (default)
-	if _, err := o.b.GrowTo(res, o.r, o.theta, w); err != nil {
+	if _, err := o.b.GrowTo(res, o.r, o.theta, o.workers); err != nil {
 		o.err = err
 		return
 	}
@@ -291,10 +289,9 @@ func (o *RIS) InvalidateTopology(touched []graph.NodeID) {
 
 // RISState is the serializable snapshot of a RIS oracle: its RNG stream,
 // version cache, and batcher (collection + accounting). Configuration
-// (theta, workers, reuse) is captured too so a restored oracle resamples
-// exactly as the original would — worker count shapes the draw→substream
-// mapping, so silently restoring under a different one would fork the
-// stream.
+// (theta, workers, reuse) is captured too so a restored oracle resumes
+// with the original's settings; the worker count is parallelism only and
+// does not shape the draws.
 type RISState struct {
 	RNGState      uint64
 	RNGInc        uint64

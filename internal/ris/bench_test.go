@@ -32,20 +32,25 @@ func datasetGraph(b *testing.B, name string) *graph.Graph {
 	return g
 }
 
-// benchmarkDraw measures single-threaded RR-set draws; the reported
-// rr/s metric is sets per second.
+// benchmarkDraw measures single-threaded RR-set draws through the bulk
+// kernel AppendTo runs (appendFastIC under IC), in batches of 4096 into a
+// warm collection; the reported rr/s metric is sets per second.
 func benchmarkDraw(b *testing.B, model cascade.Model) {
+	const batch = 4096
 	g := benchGraph(b)
 	res := graph.NewResidual(g)
 	s := NewSampler(res, model, rng.New(1))
+	c := NewCollection(res.FullN())
 	var nodes int64
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, ok := s.drawTouched()
-		if !ok {
+	for done := 0; done < b.N; done += batch {
+		c.Reset()
+		n := min(batch, b.N-done)
+		s.AppendTo(c, n)
+		if c.Len() != n {
 			b.Fatal("draw failed on a live graph")
 		}
-		nodes += int64(len(s.touched))
+		nodes += int64(len(c.arena))
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rr/s")
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/set")

@@ -91,19 +91,23 @@ func (c *Collection) AddSet(root graph.NodeID, nodes []graph.NodeID) {
 
 // growArena ensures the arena can hold need entries without reallocating,
 // clamping the capacity to maxArena. Bulk generators reserve a worst-case
-// RR set up front so they can build sets in the arena tail in place.
+// RR set (FullN entries) past every set's start, so they can build sets
+// in the arena tail in place. An empty arena starts at need; capacity then
+// doubles until it covers need, so after a batch it depends only on the
+// first and the largest need — not on how the batch was split across pool
+// workers (see appendBulk), which keeps Bytes worker-count independent.
 func (c *Collection) growArena(need int) {
 	if cap(c.arena) >= need || need > maxArena {
 		return
 	}
-	newCap := 2 * cap(c.arena)
-	if newCap < need {
+	newCap := cap(c.arena)
+	if newCap == 0 {
 		newCap = need
 	}
-	if newCap > maxArena {
-		newCap = maxArena
+	for newCap < need {
+		newCap *= 2
 	}
-	bigger := make([]graph.NodeID, len(c.arena), newCap)
+	bigger := make([]graph.NodeID, len(c.arena), min(newCap, maxArena))
 	copy(bigger, c.arena)
 	c.arena = bigger
 }
@@ -123,19 +127,24 @@ func (c *Collection) commitSet(root graph.NodeID, n int) {
 	c.invValid = false
 }
 
-// appendBulk splices a chunk of sets (a worker-local arena) onto c,
-// preserving set order. lens holds the per-set node counts.
-func (c *Collection) appendBulk(arena []graph.NodeID, lens []int32, roots []graph.NodeID) {
-	if len(c.arena)+len(arena) > maxArena {
+// appendBulk splices src's sets (a pool worker's output) onto c,
+// preserving set order. It grows c exactly as drawing those sets into c
+// directly would have: the arena to cover reserve entries past the last
+// set's start, offsets and roots one entry at a time.
+func (c *Collection) appendBulk(src *Collection, reserve int) {
+	if src.Len() == 0 {
+		return
+	}
+	if len(c.arena)+len(src.arena) > maxArena {
 		panic("ris: collection arena exceeds int32 offset range; shard the collection")
 	}
-	c.arena = append(c.arena, arena...)
-	base := c.offsets[len(c.offsets)-1]
-	for _, l := range lens {
-		base += l
-		c.offsets = append(c.offsets, base)
+	base := int32(len(c.arena))
+	c.growArena(int(base+src.offsets[src.Len()-1]) + reserve)
+	c.arena = append(c.arena, src.arena...)
+	for i, off := range src.offsets[1:] {
+		c.offsets = append(c.offsets, base+off)
+		c.roots = append(c.roots, src.roots[i])
 	}
-	c.roots = append(c.roots, roots...)
 	c.invValid = false
 }
 

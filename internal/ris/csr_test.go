@@ -75,17 +75,20 @@ func (l *legacyCollection) greedy(candidates []graph.NodeID, k int) ([]graph.Nod
 }
 
 // generateBoth draws the same θ RR sets (same seed, hence identical RNG
-// consumption) into both layouts.
+// consumption) into both layouts: the legacy side draws them one at a
+// time through the same bulk kernel and boxes each.
 func generateBoth(g *graph.Graph, theta int, seed uint64) (*Collection, *legacyCollection) {
 	csr := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(seed)).Generate(theta)
 	leg := newLegacy(g.N())
 	s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(seed))
+	one := NewCollection(g.N())
 	for i := 0; i < theta; i++ {
-		rr := s.Draw()
-		if rr == nil {
+		one.Reset()
+		s.AppendTo(one, 1)
+		if one.Len() == 0 {
 			break
 		}
-		leg.add(rr)
+		leg.add(&RRSet{Root: one.Root(0), Nodes: append([]graph.NodeID(nil), one.SetNodes(0)...)})
 	}
 	return csr, leg
 }

@@ -18,8 +18,9 @@
 //   - Sampler (ris.go): single-threaded RR-set generation on a residual
 //     view, with scratch reuse so a draw allocates only its arena append.
 //     On graphs with compressed in-probabilities (graph.InUniform — the
-//     weighted-cascade and uniform weightings) a node visit under IC runs
-//     in O(successes) RNG draws instead of O(in-degree): the successful
+//     weighted-cascade and uniform weightings) the bulk IC kernel
+//     (appendFastIC, the only IC fast path) visits a node in
+//     O(successes) RNG draws instead of O(in-degree): the successful
 //     in-edge count comes from one success-count table draw (or an
 //     rng.Geometric jump sequence for nodes without a table), and the
 //     success positions are placed uniformly — the same joint distribution
@@ -27,12 +28,18 @@
 //     quantization. LT picks its in-parent by inverting the prefix scan in
 //     O(1). Trivalency-style mixed graphs take the per-edge reference path
 //     unchanged.
-//   - SamplerPool (parallel.go): persistent per-worker samplers for bulk
-//     generation. Worker scratch, RNG stream objects and output chunks
+//   - SamplerPool (parallel.go): the one bulk draw path, for every worker
+//     count. A batch takes one key from its parent stream; chunk k is the
+//     64 consecutive sets drawn from the substream keyed by chunk k, and
+//     chunks land in index order, so the sets depend on (seed, count)
+//     only (TestAppendParallelWorkerCountIndependent). Each worker draws a
+//     contiguous run of chunks with the bulk kernel — worker 0 straight
+//     into the destination, the rest into pooled collections spliced in
+//     after it. Worker scratch, RNG stream objects and output collections
 //     survive across attempts, rounds, and algorithms, so a warm pool
 //     draws a whole attempt with zero allocations (asserted by
-//     TestAppendParallelWarmNoAllocs). The adaptive session steppers,
-//     oracle.RIS and imm.Select each own one.
+//     TestAppendParallelWarmNoAllocs at one and two workers). Every
+//     Batcher owns one; one-shot selections use Generate.
 //   - Collection (collection.go): CSR/arena storage — one flat node arena
 //     plus per-set offsets, and a lazily built CSR inverted index — so a
 //     collection is ~4 contiguous allocations regardless of θ. Reset
@@ -58,7 +65,4 @@
 //     pool, collection, tracker, accounting — shared by both adaptive
 //     sampling policies, IMM's θ search, and oracle.RIS. Its warm
 //     loop is allocation-free (TestBatcherWarmLoopNoAllocs).
-//   - AppendParallel / GenerateParallel (parallel.go): deterministic
-//     multi-worker generation that can top up an existing collection;
-//     thin wrappers over a throwaway SamplerPool.
 package ris

@@ -1,7 +1,10 @@
 package ris
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cascade"
@@ -25,26 +28,25 @@ func wcTestGraph(t testing.TB) *graph.Graph {
 	return g
 }
 
-// sampleHistograms draws theta RR sets and returns the set-size histogram
+// sampleHistograms draws theta RR sets through the bulk kernel AppendTo
+// runs (appendFastIC under IC on compressed graphs) — or, with ref, the
+// per-edge reference traversal — and returns the set-size histogram
 // (sizes above maxSize pooled into the last bin) plus per-node membership
 // counts.
 func sampleHistograms(g *graph.Graph, model cascade.Model, seed uint64, theta, maxSize int, ref bool) ([]float64, []float64) {
 	s := NewSampler(graph.NewResidual(g), model, rng.New(seed))
 	s.noFast = ref
+	c := NewCollection(g.N())
+	s.AppendTo(c, theta)
+	if c.Len() != theta {
+		panic("draw failed")
+	}
 	sizes := make([]float64, maxSize+1)
 	members := make([]float64, g.N())
 	for i := 0; i < theta; i++ {
-		root, ok := s.drawTouched()
-		if !ok {
-			panic("draw failed")
-		}
-		_ = root
-		sz := len(s.touched)
-		if sz > maxSize {
-			sz = maxSize
-		}
-		sizes[sz]++
-		for _, u := range s.touched {
+		set := c.SetNodes(i)
+		sizes[min(len(set), maxSize)]++
+		for _, u := range set {
 			members[u]++
 		}
 	}
@@ -77,10 +79,11 @@ func chiSquareTwoSample(a, b []float64, minCount float64) (float64, int) {
 	return stat, df
 }
 
-// TestFastICMatchesReferenceChiSquare: with a fixed seed, the table/jump
-// fast path and the per-edge reference path must produce the same RR-set
-// size distribution (two-sample chi-square) and the same per-node
-// membership marginals on a weighted-cascade graph.
+// TestFastICMatchesReferenceChiSquare: with a fixed seed, the production
+// IC kernel (appendFastIC: count tables, geometric jumps) and the per-edge
+// reference path must produce the same RR-set size distribution
+// (two-sample chi-square) and the same per-node membership marginals on a
+// weighted-cascade graph.
 func TestFastICMatchesReferenceChiSquare(t *testing.T) {
 	g := wcTestGraph(t)
 	const theta = 120000
@@ -164,8 +167,27 @@ func TestTrivalencyFallbackIdentical(t *testing.T) {
 	}
 }
 
-// TestPoolMatchesFreeFunctions: a persistent pool must generate exactly
-// the collections the free functions do, across residual versions.
+// sameSets fails unless a and b hold identical sets in identical order.
+func sameSets(t *testing.T, where string, a, b *Collection) {
+	t.Helper()
+	if a.Len() != b.Len() {
+		t.Fatalf("%s: %d vs %d sets", where, a.Len(), b.Len())
+	}
+	for i := 0; i < a.Len(); i++ {
+		na, nb := a.SetNodes(i), b.SetNodes(i)
+		if a.Root(i) != b.Root(i) || len(na) != len(nb) {
+			t.Fatalf("%s: set %d differs: root %d/%d, size %d/%d", where, i, a.Root(i), b.Root(i), len(na), len(nb))
+		}
+		for j := range na {
+			if na[j] != nb[j] {
+				t.Fatalf("%s: set %d node %d differs", where, i, j)
+			}
+		}
+	}
+}
+
+// TestPoolMatchesFreeFunctions: a pool kept warm across rounds of residual
+// removals draws exactly what a fresh pool draws from the same seed.
 func TestPoolMatchesFreeFunctions(t *testing.T) {
 	g := wcTestGraph(t)
 	pool := NewSamplerPool(cascade.IC)
@@ -173,27 +195,99 @@ func TestPoolMatchesFreeFunctions(t *testing.T) {
 		resA := graph.NewResidual(g)
 		resB := graph.NewResidual(g)
 		for round := 0; round < 3; round++ {
-			a := GenerateParallel(resA, cascade.IC, rng.New(uint64(round)+60), 700, workers)
+			a := NewSamplerPool(cascade.IC).Generate(resA, rng.New(uint64(round)+60), 700, workers)
 			b := pool.Generate(resB, rng.New(uint64(round)+60), 700, workers)
-			if a.Len() != b.Len() {
-				t.Fatalf("round %d workers %d: %d vs %d sets", round, workers, a.Len(), b.Len())
-			}
-			for i := 0; i < a.Len(); i++ {
-				if a.Root(i) != b.Root(i) {
-					t.Fatalf("round %d set %d: root %d vs %d", round, i, a.Root(i), b.Root(i))
-				}
-				na, nb := a.SetNodes(i), b.SetNodes(i)
-				if len(na) != len(nb) {
-					t.Fatalf("round %d set %d: sizes differ", round, i)
-				}
-				for j := range na {
-					if na[j] != nb[j] {
-						t.Fatalf("round %d set %d node %d differs", round, i, j)
-					}
-				}
-			}
+			sameSets(t, fmt.Sprintf("round %d workers %d", round, workers), a, b)
 			resA.Remove(graph.NodeID(round * 7))
 			resB.Remove(graph.NodeID(round * 7))
+		}
+	}
+}
+
+// TestAppendParallelWorkerCountIndependent: the sets a batch appends are a
+// function of (parent state, count) only. Every worker count yields the
+// same collection — and the same capacity-based Bytes — through a first
+// batch, a top-up after Filter and a top-up after InvalidateTouching, on
+// one warm pool; and chunk k of the first batch is exactly the
+// interruptStride sets a bare Sampler draws from Mix64(key + k·Golden).
+func TestAppendParallelWorkerCountIndependent(t *testing.T) {
+	g := wcTestGraph(t)
+	for _, model := range []cascade.Model{cascade.IC, cascade.LT} {
+		pool := NewSamplerPool(model)
+		for _, count := range []int{1, 63, 64, 65, 1000} {
+			var want []*Collection
+			var wantBytes int64
+			for _, workers := range []int{1, 2, 3, 4, 7} {
+				res := graph.NewResidual(g)
+				parent := rng.New(uint64(count) + 60)
+				c := NewCollection(res.FullN())
+				var got []*Collection
+				snap := func() {
+					cp := NewCollection(c.n)
+					cp.appendBulk(c, 0)
+					got = append(got, cp)
+				}
+				pool.AppendParallel(c, res, parent, count, workers)
+				snap()
+				res.Remove(graph.NodeID(count % 300))
+				c.Filter(res)
+				pool.AppendParallel(c, res, parent, count, workers)
+				snap()
+				c.InvalidateTouching([]graph.NodeID{3, 17, graph.NodeID(count % 251)})
+				pool.AppendParallel(c, res, parent, count, workers)
+				snap()
+				if want == nil {
+					want, wantBytes = got, c.Bytes()
+					continue
+				}
+				if c.Bytes() != wantBytes {
+					t.Fatalf("%v count %d workers %d: %d bytes, want %d", model, count, workers, c.Bytes(), wantBytes)
+				}
+				for i := range got {
+					sameSets(t, fmt.Sprintf("%v count %d workers %d batch %d", model, count, workers, i), want[i], got[i])
+				}
+			}
+
+			key := rng.New(uint64(count) + 60).Uint64()
+			ref := NewCollection(g.N())
+			s := NewSampler(graph.NewResidual(g), model, &rng.RNG{})
+			for k := 0; k*interruptStride < count; k++ {
+				s.r.Reseed(rng.Mix64(key + uint64(k)*rng.Golden))
+				s.AppendTo(ref, min(interruptStride, count-k*interruptStride))
+			}
+			sameSets(t, fmt.Sprintf("%v count %d chunk-keyed reference", model, count), ref, want[0])
+		}
+	}
+}
+
+// TestAppendParallelInterrupt: an interrupt that never fires leaves the
+// draws unchanged, and one that fires mid-batch voids the batch through
+// Err at every worker count.
+func TestAppendParallelInterrupt(t *testing.T) {
+	g := wcTestGraph(t)
+	res := graph.NewResidual(g)
+	want := NewSamplerPool(cascade.IC).Generate(res, rng.New(8), 1000, 1)
+	stop := errors.New("stop")
+	for _, workers := range []int{1, 3} {
+		pool := NewSamplerPool(cascade.IC)
+		pool.SetInterrupt(func() error { return nil })
+		sameSets(t, fmt.Sprintf("workers %d, idle interrupt", workers), want, pool.Generate(res, rng.New(8), 1000, workers))
+
+		var polls atomic.Int32
+		pool.SetInterrupt(func() error {
+			if polls.Add(1) > 4 {
+				return stop
+			}
+			return nil
+		})
+		pool.Generate(res, rng.New(8), 1000, workers)
+		if !errors.Is(pool.Err(), stop) {
+			t.Fatalf("workers %d: Err = %v after an interrupted batch", workers, pool.Err())
+		}
+		pool.SetInterrupt(nil)
+		sameSets(t, fmt.Sprintf("workers %d, after abort", workers), want, pool.Generate(res, rng.New(8), 1000, workers))
+		if pool.Err() != nil {
+			t.Fatalf("workers %d: Err = %v not reset", workers, pool.Err())
 		}
 	}
 }
@@ -223,21 +317,24 @@ func TestPoolConcurrentWorkersSafe(t *testing.T) {
 
 // TestAppendParallelWarmNoAllocs asserts the pool's steady state: after a
 // warm-up attempt, regenerating the same batch through the pool performs
-// zero allocations — no fresh samplers, visited arrays, RNG streams, or
-// arena growth per attempt.
+// zero allocations — no fresh samplers, visited arrays, RNG streams,
+// goroutine closures, or arena growth per attempt — at one worker and at
+// two (goroutines plus an in-order splice).
 func TestAppendParallelWarmNoAllocs(t *testing.T) {
 	g := wcTestGraph(t)
 	res := graph.NewResidual(g)
-	pool := NewSamplerPool(cascade.IC)
-	parent := rng.New(5)
-	c := NewCollection(res.FullN())
-	pool.AppendParallel(c, res, parent, 2000, 1) // warm-up attempt
-	avg := testing.AllocsPerRun(20, func() {
-		parent.Reseed(5) // identical draws each attempt
-		c.Reset()
-		pool.AppendParallel(c, res, parent, 2000, 1)
-	})
-	if avg != 0 {
-		t.Fatalf("warm AppendParallel allocates %.1f per attempt, want 0", avg)
+	for _, workers := range []int{1, 2} {
+		pool := NewSamplerPool(cascade.IC)
+		parent := rng.New(5)
+		c := NewCollection(res.FullN())
+		pool.AppendParallel(c, res, parent, 2000, workers) // warm-up attempt
+		avg := testing.AllocsPerRun(20, func() {
+			parent.Reseed(5) // identical draws each attempt
+			c.Reset()
+			pool.AppendParallel(c, res, parent, 2000, workers)
+		})
+		if avg != 0 {
+			t.Fatalf("warm AppendParallel (workers=%d) allocates %.1f per attempt, want 0", workers, avg)
+		}
 	}
 }

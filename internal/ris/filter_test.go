@@ -184,13 +184,6 @@ func TestFilterInvalidatesScratchMarks(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestFilterTiltsSurvivorLaw pins the known deviation of cross-round
 // reuse: a set that survives Filter is an RR set of the old residual
 // conditioned on avoiding the removed nodes, which is not the law of a

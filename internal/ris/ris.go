@@ -95,15 +95,11 @@ const jumpMaxP = 0.25
 //
 // Under IC, each in-edge (u,v) is traversed (reverse direction) with its
 // probability — equivalent to sampling a realization and collecting the
-// nodes that reach the root, but only exploring the reverse cone. On
-// graphs with compressed in-probabilities (graph.InUniform) the per-node
-// expansion runs in O(successes) RNG draws instead of O(in-degree): the
-// number of successful in-edges comes from one success-count table draw
-// (or a Geometric(p) jump sequence when the node has no table), and the
-// success positions are placed uniformly — the same joint distribution as
-// one independent coin per edge. Under LT, each visited node picks at most
-// one in-parent; the uniform fast path inverts the pick in O(1) instead of
-// a linear prefix scan.
+// nodes that reach the root, but only exploring the reverse cone. This is
+// the per-edge reference traversal; bulk IC generation on compressed
+// graphs runs appendFastIC instead (see appendSets). Under LT, each
+// visited node picks at most one in-parent; the uniform fast path inverts
+// the pick in O(1) instead of a linear prefix scan.
 func (s *Sampler) drawTouched() (root graph.NodeID, ok bool) {
 	alive := s.res.AliveList()
 	if len(alive) == 0 {
@@ -114,12 +110,9 @@ func (s *Sampler) drawTouched() (root graph.NodeID, ok bool) {
 	s.skipAlive = len(alive) == s.res.FullN()
 	s.pushNode(root)
 	g := s.res.Graph()
-	switch fast := !s.noFast && g.InUniform(); {
-	case fast && s.model == cascade.IC:
-		s.traverseFastIC(g)
-	case fast:
+	if s.model == cascade.LT && !s.noFast && g.InUniform() {
 		s.traverseFastLT(g)
-	default:
+	} else {
 		s.traverseRef(g)
 	}
 	s.visits += uint64(len(s.touched))
@@ -128,45 +121,6 @@ func (s *Sampler) drawTouched() (root graph.NodeID, ok bool) {
 		s.visited[u] = false
 	}
 	return root, true
-}
-
-// traverseFastIC runs the reverse BFS under IC on a graph with compressed
-// in-probabilities. The success count of a visit is drawn before the
-// adjacency is touched: a zero count (the most likely outcome under
-// weighted cascade) finishes the visit on the tables alone. The count word
-// is drawn on every visit — and discarded for table-less nodes — so this
-// path consumes the RNG stream exactly like the bulk appendFastIC loop.
-func (s *Sampler) traverseFastIC(g *graph.Graph) {
-	for head := 0; head < len(s.touched); head++ {
-		v := s.touched[head]
-		u32 := s.r.Uint32()
-		if u32 == countSentinel {
-			u32-- // keep the sentinel an unconditional terminator
-		}
-		if tab := g.InCountThresholds(v); tab != nil {
-			k := 0
-			for _, t := range tab { // terminates at the sentinel
-				if u32 < t {
-					break
-				}
-				k++
-			}
-			if k > 0 {
-				srcs, _, _ := g.InNeighborsUniform(v)
-				s.edgeTouches += uint64(k)
-				if k == 1 {
-					s.pushNode(srcs[s.r.Intn(len(srcs))])
-				} else {
-					s.pushKofD(srcs, k)
-				}
-			}
-			continue
-		}
-		srcs, p, _ := g.InNeighborsUniform(v)
-		if len(srcs) > 0 {
-			s.expandICUniform(srcs, p)
-		}
-	}
 }
 
 // traverseFastLT runs the reverse walk under LT on a graph with compressed
@@ -186,8 +140,9 @@ func (s *Sampler) traverseFastLT(g *graph.Graph) {
 	}
 }
 
-// traverseRef is the per-edge reference traversal used on mixed
-// in-probability graphs (and by equivalence tests on any graph).
+// traverseRef is the per-edge reference traversal: used on mixed
+// in-probability graphs, for single IC draws (Draw), and by equivalence
+// tests on any graph.
 func (s *Sampler) traverseRef(g *graph.Graph) {
 	for head := 0; head < len(s.touched); head++ {
 		v := s.touched[head]
@@ -215,56 +170,10 @@ func (s *Sampler) traverseRef(g *graph.Graph) {
 	}
 }
 
-// expandICUniform pushes the in-neighbors of v that survive an IC coin
-// flip when v has no success-count table (the table path lives inline in
-// drawTouched), exploiting that all of v's in-edges share probability p:
-//
-//   - p >= 1: every in-edge fires;
-//   - geometric jump (rng.Geometric): skip from one success to the next,
-//     O(successes) draws — used while p is small enough for jumps to pay;
-//   - per-edge coins: the reference path, best for large p.
-//
-// All strategies draw from the same per-edge Bernoulli product
-// distribution.
-func (s *Sampler) expandICUniform(srcs []graph.NodeID, p float64) {
-	d := len(srcs)
-	if p >= 1 {
-		s.edgeTouches += uint64(d)
-		for _, u := range srcs {
-			s.pushNode(u)
-		}
-		return
-	}
-	if p <= jumpMaxP {
-		inv := 1 / math.Log1p(-p)
-		for i := s.r.GeometricInv(inv, d); i < d; i += 1 + s.r.GeometricInv(inv, d) {
-			s.edgeTouches++
-			s.pushNode(srcs[i])
-		}
-		return
-	}
-	s.edgeTouches += uint64(d)
-	for _, u := range srcs {
-		if s.r.Coin(p) {
-			s.pushNode(u)
-		}
-	}
-}
-
 // maxRejectK bounds the success count up to which a uniform k-subset of
 // positions is drawn by rejection against a tiny fixed buffer; larger
 // counts switch to a partial Fisher-Yates over the perm scratch.
 const maxRejectK = 8
-
-// pushKofD pushes k (>= 2) sources chosen uniformly without replacement
-// from srcs — combined with the Binomial success count this reproduces
-// independent per-edge coins exactly (exchangeability).
-func (s *Sampler) pushKofD(srcs []graph.NodeID, k int) {
-	var buf [maxRejectK]int32
-	for _, pos := range s.pickPositions(len(srcs), k, buf[:0]) {
-		s.pushNode(srcs[pos])
-	}
-}
 
 // pickPositions draws k distinct uniform positions in [0, d) from the
 // sampler's stream, appending to buf when it fits and spilling to the
@@ -346,12 +255,18 @@ func (s *Sampler) Draw() *RRSet {
 
 // AppendTo draws up to count RR sets directly into c's arena, stopping
 // early if the residual empties. The requested count is recorded on c so
-// shortfalls stay observable. Bulk IC generation on compressed graphs
-// runs through a specialized loop that hoists the per-draw dispatch out of
-// the hot path.
+// shortfalls stay observable.
 func (s *Sampler) AppendTo(c *Collection, count int) {
 	c.noteRequested(count)
 	c.noteVersion(s.res.Version())
+	s.appendSets(c, count)
+}
+
+// appendSets is the bulk draw loop behind AppendTo and every SamplerPool
+// worker: IC on compressed graphs runs appendFastIC, which hoists the
+// per-draw dispatch out of the hot path; every other case draws through
+// drawTouched.
+func (s *Sampler) appendSets(c *Collection, count int) {
 	if meta, arena, thr, tabOff := s.res.Graph().InSamplerTables(); meta != nil && !s.noFast && s.model == cascade.IC {
 		s.appendFastIC(c, count, meta, arena, thr, tabOff)
 		return
@@ -361,16 +276,25 @@ func (s *Sampler) AppendTo(c *Collection, count int) {
 		if !ok {
 			return
 		}
+		c.growArena(len(c.arena) + s.res.FullN()) // as appendFastIC reserves
 		c.AddSet(root, s.touched)
 	}
 }
 
-// appendFastIC is AppendTo's bulk loop for IC on compressed graphs: the
-// same draw as traverseFastIC, with the per-draw prologue (alive list,
-// graph, mode dispatch) hoisted into locals across the whole batch and
-// per-visit state read through the packed InSamplerTables metadata — one
-// random load per visit instead of three. It draws from exactly the same
-// distribution as drawTouched.
+// appendFastIC is the IC kernel on graphs with compressed
+// in-probabilities (graph.InUniform), and the only one production runs
+// there. A visit runs in O(successes) RNG draws instead of O(in-degree):
+// the success count is drawn before the adjacency is touched — one
+// success-count table draw, so a zero count (the most likely outcome
+// under weighted cascade) finishes the visit on the metadata alone — and
+// the successes are placed uniformly, the same joint distribution as one
+// independent coin per edge up to the tables' 2^-32 quantization. Nodes
+// without a table take a geometric jump run or per-edge coins. The
+// per-draw prologue (alive list, graph, mode dispatch) is hoisted into
+// locals across the whole batch and per-visit state is read through the
+// packed InSamplerTables metadata — one random load per visit instead of
+// three. TestFastICMatchesReferenceChiSquare checks it against the
+// per-edge reference traversal.
 func (s *Sampler) appendFastIC(c *Collection, count int, meta []graph.InMeta, inArena []graph.NodeID, thr []uint32, tabOff []int32) {
 	res := s.res
 	alive := res.AliveList()
@@ -423,9 +347,10 @@ func (s *Sampler) appendFastIC(c *Collection, count int, meta []graph.InMeta, in
 			toff := tabOff[v]
 			if toff < 0 {
 				// Rare shapes without a table: certain edges, a geometric
-				// jump run, or per-edge coins — expandICUniform's strategy
-				// choice, inlined so the frontier stays a local. (The count
-				// draw above is discarded; these nodes set Thr0 = Thr1 = 0.)
+				// jump run while p is small enough for jumps to pay (one
+				// jump costs ~6 coin flips, see jumpMaxP), or per-edge
+				// coins. (The count draw above is discarded; these nodes
+				// set Thr0 = Thr1 = 0.)
 				srcs, p, _ := g.InNeighborsUniform(v)
 				d := len(srcs)
 				switch {

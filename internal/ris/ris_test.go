@@ -282,28 +282,15 @@ func TestGreedyDeterministicTieBreak(t *testing.T) {
 func TestGenerateParallelDeterministic(t *testing.T) {
 	g := fig1Graph()
 	res := graph.NewResidual(g)
-	a := GenerateParallel(res, cascade.IC, rng.New(90), 1000, 4)
-	b := GenerateParallel(res, cascade.IC, rng.New(90), 1000, 4)
-	if a.Len() != b.Len() {
-		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
-	}
-	for i := 0; i < a.Len(); i++ {
-		na, nb := a.SetNodes(i), b.SetNodes(i)
-		if a.Root(i) != b.Root(i) || len(na) != len(nb) {
-			t.Fatalf("set %d differs", i)
-		}
-		for j := range na {
-			if na[j] != nb[j] {
-				t.Fatalf("set %d node %d differs", i, j)
-			}
-		}
-	}
+	a := NewSamplerPool(cascade.IC).Generate(res, rng.New(90), 1000, 4)
+	b := NewSamplerPool(cascade.IC).Generate(res, rng.New(90), 1000, 4)
+	sameSets(t, "same seed, fresh pools", a, b)
 }
 
 func TestGenerateParallelCountAndEstimate(t *testing.T) {
 	g := fig1Graph()
 	res := graph.NewResidual(g)
-	c := GenerateParallel(res, cascade.IC, rng.New(91), 50000, 0)
+	c := NewSamplerPool(cascade.IC).Generate(res, rng.New(91), 50000, 0)
 	if c.Len() != 50000 {
 		t.Fatalf("generated %d sets, want 50000", c.Len())
 	}
@@ -337,7 +324,7 @@ func TestGenerateShortfallSurfaced(t *testing.T) {
 	if full.Shortfall() != 0 || full.Requested() != 100 {
 		t.Fatalf("live graph reported shortfall %d requested %d", full.Shortfall(), full.Requested())
 	}
-	par := GenerateParallel(res, cascade.IC, rng.New(2), 64, 4)
+	par := NewSamplerPool(cascade.IC).Generate(res, rng.New(2), 64, 4)
 	if par.Shortfall() != 64 {
 		t.Fatalf("parallel shortfall %d, want 64", par.Shortfall())
 	}

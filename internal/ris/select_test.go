@@ -111,7 +111,7 @@ func TestBuildIndexParallelMatchesSerial(t *testing.T) {
 func benchmarkGreedy(b *testing.B, workers int) {
 	g := benchGraph(b)
 	res := graph.NewResidual(g)
-	c := GenerateParallel(res, cascade.IC, rng.New(3), 120_000, 0)
+	c := NewSamplerPool(cascade.IC).Generate(res, rng.New(3), 120_000, 0)
 	candidates := make([]graph.NodeID, g.N())
 	for i := range candidates {
 		candidates[i] = graph.NodeID(i)

@@ -71,9 +71,9 @@ func (cov *Coverage) reset() {
 // accounting (drawn / requested / reused / peak bytes / wall time /
 // batches) that runs report. The adaptive sampling stepper (both
 // policies), IMM's θ search, and oracle.RIS.Refresh all draw through a
-// Batcher instead of hand-rolling the same loop. Nonadaptive greedy's
-// one-shot selection (ris.GenerateParallel) is the only RR consumer
-// outside it.
+// Batcher instead of hand-rolling the same loop. One-shot selections
+// (nonadaptive greedy, imm.SpreadLowerBound) draw through
+// SamplerPool.Generate instead.
 type Batcher struct {
 	model   cascade.Model
 	pool    *SamplerPool
@@ -84,12 +84,6 @@ type Batcher struct {
 
 	drawn, requested, reused, peakBytes, samplingNS int64
 	batches                                         int
-
-	// scratch is the reusable child stream GrowTo derives from its parent
-	// each batch (SplitTo instead of Split), so steady-state rounds on a
-	// warm batcher stay allocation-free. Never serialized: it is reseeded
-	// from the parent before every use.
-	scratch rng.RNG
 }
 
 // NewBatcher creates a batcher drawing under the given model. Cross-version
@@ -182,8 +176,8 @@ func (b *Batcher) Invalidate(touched []graph.NodeID) int {
 }
 
 // GrowTo tops the collection up to target RR sets on res, drawing only the
-// shortfall through the persistent pool (one batch; RNG substreams are
-// split off parent only when something is drawn). The coverage tracker, if
+// shortfall through the persistent pool (one batch; parent advances by one
+// key only when something is drawn). The coverage tracker, if
 // enabled, is brought current. It returns the collection size, which can
 // fall short of target only when the residual has no alive nodes — or when
 // the installed interrupt aborted the batch, in which case the error is
@@ -201,8 +195,7 @@ func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers i
 	if shortfall := target - c.Len(); shortfall > 0 {
 		before := c.Len()
 		start := time.Now()
-		parent.SplitTo(&b.scratch) // parent advances exactly as Split would
-		b.pool.AppendParallel(c, res, &b.scratch, shortfall, workers)
+		b.pool.AppendParallel(c, res, parent, shortfall, workers)
 		b.samplingNS += time.Since(start).Nanoseconds()
 		b.drawn += int64(c.Len() - before)
 		b.requested += int64(shortfall)

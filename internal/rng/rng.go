@@ -7,9 +7,11 @@
 //   - Determinism: every experiment takes an explicit seed and produces
 //     bit-identical output across runs, which the paper's methodology
 //     (20 fixed realizations per configuration) relies on.
-//   - Splittability: parallel RR-set workers each receive an independent
-//     substream derived from the parent seed, so results do not depend on
-//     goroutine scheduling.
+//   - Splittability: independent substreams derive from a parent without
+//     sharing state. RR-set batches key one substream per fixed-size chunk
+//     of sets (Reseed(Mix64(key + chunk·Golden))), so the sets depend on
+//     the seed and the count only — not on goroutine scheduling and not
+//     on how many workers draw them.
 package rng
 
 import (
@@ -56,8 +58,8 @@ func New(seed uint64) *RNG {
 }
 
 // Reseed reinitializes r in place exactly as New(seed) would, without
-// allocating. Persistent sampler pools use it to hand long-lived workers a
-// fresh deterministic substream on every batch.
+// allocating. Persistent sampler pools use it to give long-lived workers
+// each chunk's keyed substream.
 func (r *RNG) Reseed(seed uint64) {
 	s := seed
 	r.state = splitmix64(&s)
