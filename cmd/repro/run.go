@@ -20,7 +20,7 @@ type resultRow = sweep.Row
 func specFlags(fs *flag.FlagSet, s *sweep.Spec) {
 	fs.IntVar(&s.K, "k", 50, "target set size |T| picked by IMM")
 	fs.IntVar(&s.Reps, "reps", 3, "realizations to average over")
-	fs.IntVar(&s.ADGTheta, "adg-theta", 10_000, "RR sets per residual version for ADG's RIS oracle")
+	fs.IntVar(&s.ADGTheta, "adg-theta", 10_000, "RR sets per round for ADG on graphs too large for exact spreads")
 	fs.IntVar(&s.NSGTheta, "nsg-theta", 20_000, "RR sets for the nonadaptive greedy baseline")
 	fs.IntVar(&s.Workers, "workers", 0, "parallel RR/selection workers per cell (0 = GOMAXPROCS)")
 	fs.Uint64Var(&s.Seed, "seed", 1, "root seed (runs are deterministic given it)")

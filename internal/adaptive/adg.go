@@ -11,13 +11,13 @@ import (
 // the residual graph. It stops as soon as the best marginal profit is
 // ≤ 0 (the unconstrained objective makes further seeding a loss).
 //
-// With the exact oracle this is the paper's ADG; with oracle.RIS or
-// oracle.MonteCarlo it is the oracle-model policy the sampling algorithms
-// (ADDATP, HATP) approximate. Ties break on the smaller node ID so runs
-// are deterministic.
+// With the exact oracle this is the paper's ADG, the reference the
+// sampling algorithms (ADDATP, HATP) are tested against. NewSession runs
+// the same round body on RR-set estimates when the graph is too large to
+// enumerate. Ties break on the smaller node ID so runs are deterministic.
 func RunADG(inst *Instance, env *Environment, orc oracle.Oracle) (*RunResult, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	return newShell(inst, AlgoADG, RunOptions{}, nil, newADGStepper(orc)).Drive(env)
+	return newShell(inst, AlgoADG, RunOptions{}, nil, newOracleADG(orc)).Drive(env)
 }

@@ -7,9 +7,7 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/cascade"
 	"repro/internal/graph"
-	"repro/internal/oracle"
 	"repro/internal/ris"
 	"repro/internal/rng"
 )
@@ -36,7 +34,7 @@ import (
 // against restoring onto the wrong instance. Unknown versions and torn
 // payloads fail loudly.
 //
-// Layout of version 4, in order (u64 counts precede every list; nodes
+// Layout of version 5, in order (u64 counts precede every list; nodes
 // and int32s are 4 bytes each, edges 16: from u32, to u32, p f64):
 //
 //	magic u64, version u32, base fingerprint u64
@@ -48,7 +46,8 @@ import (
 //	stepper tag u8, stepper payload (sampling: fallbacks, attempts,
 //	certified-early, reused, then the batcher — collection present
 //	bool [, arena []node, offsets []int32, roots []node, version i64,
-//	requested], drawn, requested, reused, peak bytes i64, batches)
+//	requested], drawn, requested, reused, peak bytes i64, batches;
+//	ADG: sampled bool [, RR stream state u64, inc u64, batcher])
 //
 // The fingerprint names the *base* instance (the one the session was
 // created on); ResumeSession reconstructs the current graph by replaying
@@ -66,13 +65,16 @@ import (
 // O(N). Checkpoint sizes the blob with a counting pass over the same
 // encoder and writes it into one exactly sized buffer.
 //
-// Version 4 merged version 3's separate sequential and fixed sampling
-// payloads into one; version 3 replaced version 2's alive list with the
+// Version 5 replaced version 4's ADG oracle payload (kind, stream, θ,
+// workers, reuse, version cache, batcher) with the sampled flag, stream
+// and batcher: θ, workers and reuse come from the options above. Version
+// 4 merged version 3's separate sequential and fixed sampling payloads
+// into one; version 3 replaced version 2's alive list with the
 // removal log; version 1 had no delta log. Older versions are rejected:
 // no committed artifacts exist in those formats.
 const (
 	ckptMagic   = uint64(0x4154505345535331) // "ATPSESS1"
-	ckptVersion = uint32(4)
+	ckptVersion = uint32(5)
 )
 
 // Stepper payload tags (one per algorithm family).
@@ -81,12 +83,6 @@ const (
 	ckptStepADG
 	ckptStepNSG
 	ckptStepAllTargets
-)
-
-// ADG oracle kinds.
-const (
-	ckptOracleExact = uint8(0) // stateless; rebuilt from the instance
-	ckptOracleRIS   = uint8(1)
 )
 
 // instFingerprint hashes the parts of the instance a checkpoint depends
@@ -356,6 +352,30 @@ func (r *ckptReader) collection() ris.CollectionState {
 	}
 }
 
+// rng writes a generator's two state words.
+func (w *ckptWriter) rng(g *rng.RNG) {
+	state, inc := g.State()
+	w.u64(state)
+	w.u64(inc)
+}
+
+// rng reads a generator written by ckptWriter.rng. rng.SetState panics on
+// an even increment, which no genuine checkpoint holds, so it is refused
+// here.
+func (r *ckptReader) rng() *rng.RNG {
+	state, inc := r.u64(), r.u64()
+	if r.err != nil {
+		return nil
+	}
+	if inc&1 == 0 {
+		r.fail("even RNG increment at offset %d", r.off-8)
+		return nil
+	}
+	g := rng.New(0)
+	g.SetState(state, inc)
+	return g
+}
+
 func (w *ckptWriter) batcher(st ris.BatcherState) {
 	w.boolean(st.HasCol)
 	if st.HasCol {
@@ -440,9 +460,7 @@ func (s *Session) encode(w *ckptWriter) error {
 	// all-targets runs given a nil RNG).
 	w.boolean(s.r != nil)
 	if s.r != nil {
-		state, inc := s.r.State()
-		w.u64(state)
-		w.u64(inc)
+		w.rng(s.r)
 	}
 
 	// Residual view: its version and removal log (see the format comment).
@@ -460,25 +478,10 @@ func (s *Session) encode(w *ckptWriter) error {
 		w.batcher(st.b.State())
 	case *adgStepper:
 		w.u8(ckptStepADG)
-		switch orc := st.orc.(type) {
-		case *oracle.Exact, *oracle.ExactLT:
-			w.u8(ckptOracleExact)
-		case *oracle.RIS:
-			if err := orc.Err(); err != nil {
-				return fmt.Errorf("adaptive: checkpoint of a voided RIS oracle: %w", err)
-			}
-			w.u8(ckptOracleRIS)
-			ost := orc.State()
-			w.u64(ost.RNGState)
-			w.u64(ost.RNGInc)
-			w.i(ost.Theta)
-			w.i(ost.Workers)
-			w.boolean(ost.Reuse)
-			w.i64(ost.CachedVersion)
-			w.i(ost.CachedAlive)
-			w.batcher(ost.Batcher)
-		default:
-			return fmt.Errorf("adaptive: checkpoint: oracle %T is not serializable", st.orc)
+		w.boolean(st.b != nil)
+		if st.b != nil {
+			w.rng(st.r)
+			w.batcher(st.b.State())
 		}
 	case *nsgStepper:
 		w.u8(ckptStepNSG)
@@ -580,11 +583,9 @@ func ResumeSession(inst *Instance, data []byte, ropts ResumeOptions) (*Session, 
 	spread := r.i()
 	seeds := r.nodes()
 
-	hasRNG := r.boolean()
-	var rngState, rngInc uint64
-	if hasRNG {
-		rngState = r.u64()
-		rngInc = r.u64()
+	var algoRNG *rng.RNG
+	if r.boolean() {
+		algoRNG = r.rng()
 	}
 
 	resVersion := r.i64()
@@ -621,48 +622,30 @@ func ResumeSession(inst *Instance, data []byte, ropts ResumeOptions) (*Session, 
 		if algo != AlgoADG {
 			return nil, fmt.Errorf("adaptive: checkpoint: ADG stepper under algorithm %q", algo)
 		}
-		switch kind := r.u8(); kind {
-		case ckptOracleExact:
-			// Stateless: rebuild from the instance (must succeed — it did
-			// when the checkpoint was written, and the fingerprint matched).
-			var orc oracle.Oracle
-			var err error
-			switch inst.Model {
-			case cascade.IC:
-				orc, err = oracle.NewExact(inst.G)
-			case cascade.LT:
-				orc, err = oracle.NewExactLT(inst.G)
-			default:
-				err = fmt.Errorf("adaptive: checkpoint: exact oracle under model %v", inst.Model)
-			}
+		if !r.boolean() {
+			// Exact oracle: stateless, rebuilt from the instance (must
+			// succeed — it did when the checkpoint was written, and the
+			// fingerprint matched).
+			orc, err := exactOracle(inst)
 			if err != nil {
 				return nil, err
 			}
-			step = newADGStepper(orc)
-		case ckptOracleRIS:
-			var ost oracle.RISState
-			ost.RNGState = r.u64()
-			ost.RNGInc = r.u64()
-			ost.Theta = r.i()
-			ost.Workers = r.i()
-			ost.Reuse = r.boolean()
-			ost.CachedVersion = r.i64()
-			ost.CachedAlive = r.i()
-			ost.Batcher = r.batcher()
-			if r.err != nil {
-				return nil, r.err
-			}
-			if ost.Theta <= 0 {
-				return nil, fmt.Errorf("adaptive: checkpoint: RIS theta %d", ost.Theta)
-			}
-			ro := oracle.NewRIS(inst.Model, ost.Theta, rng.New(0))
-			if err := ro.RestoreState(ost, inst.G.N()); err != nil {
-				return nil, err
-			}
-			step = newADGStepper(ro)
-		default:
-			return nil, fmt.Errorf("adaptive: checkpoint: unknown oracle kind %d", kind)
+			step = newOracleADG(orc)
+			break
 		}
+		adgRNG := r.rng()
+		bst := r.batcher()
+		if r.err != nil {
+			return nil, r.err
+		}
+		if opts.ADGTheta <= 0 {
+			return nil, fmt.Errorf("adaptive: checkpoint: ADG theta %d", opts.ADGTheta)
+		}
+		st := newSampledADG(inst, opts, adgRNG)
+		if err := st.b.RestoreState(bst, inst.G.N()); err != nil {
+			return nil, err
+		}
+		step = st
 	case ckptStepNSG:
 		if algo != AlgoNSG {
 			return nil, fmt.Errorf("adaptive: checkpoint: NSG stepper under algorithm %q", algo)
@@ -688,11 +671,6 @@ func ResumeSession(inst *Instance, data []byte, ropts ResumeOptions) (*Session, 
 		return nil, fmt.Errorf("adaptive: checkpoint: %d trailing bytes", len(r.buf)-r.off)
 	}
 
-	var algoRNG *rng.RNG
-	if hasRNG {
-		algoRNG = rng.New(0)
-		algoRNG.SetState(rngState, rngInc)
-	}
 	s := newShell(inst, algo, opts, algoRNG, step)
 	s.baseFP = baseFP // newShell fingerprinted the replayed instance
 	// The session owns its log; copying the blob's section verbatim keeps

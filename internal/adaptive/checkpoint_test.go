@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cascade"
@@ -12,7 +13,7 @@ import (
 )
 
 // checkpointKind is one stepper payload the codec encodes, with the
-// stepper (and ADG oracle) type a session of that case must run.
+// stepper (and ADG estimator) type a session of that case must run.
 type checkpointKind struct {
 	tc       sessionCase
 	inst     *Instance
@@ -20,7 +21,7 @@ type checkpointKind struct {
 }
 
 // checkpointKinds covers every stepper payload: sequential and fixed
-// sampling, ADG over the RIS and the exact oracle, NSG and all-targets.
+// sampling, ADG over RR sets and the exact oracle, NSG and all-targets.
 func checkpointKinds(t *testing.T) []checkpointKind {
 	inst := nethept005Instance(t, "")
 	byName := map[string]sessionCase{}
@@ -30,7 +31,7 @@ func checkpointKinds(t *testing.T) []checkpointKind {
 	return []checkpointKind{
 		{byName["addatp-seq"], inst, "*adaptive.samplingStepper"},
 		{byName["hatp-fixed"], inst, "*adaptive.samplingStepper"},
-		{byName["adg"], inst, "*adaptive.adgStepper/*oracle.RIS"},
+		{byName["adg"], inst, "*adaptive.adgStepper/*ris.Batcher"},
 		{sessionCase{"adg-exact", AlgoADG, RunOptions{}}, fig1Instance(t), "*adaptive.adgStepper/*oracle.Exact"},
 		{byName["nsg"], inst, "*adaptive.nsgStepper"},
 		{byName["all-targets"], inst, "*adaptive.allTargetsStepper"},
@@ -39,6 +40,9 @@ func checkpointKinds(t *testing.T) []checkpointKind {
 
 func stepperType(s *Session) string {
 	if st, ok := s.step.(*adgStepper); ok {
+		if st.b != nil {
+			return fmt.Sprintf("%T/%T", st, st.b)
+		}
 		return fmt.Sprintf("%T/%T", st, st.orc)
 	}
 	return fmt.Sprintf("%T", s.step)
@@ -211,6 +215,35 @@ func TestResumeRejectsCorruptLogs(t *testing.T) {
 			t.Errorf("%s: resume succeeded", e.name)
 		} else {
 			t.Logf("%s: %v", e.name, err)
+		}
+	}
+}
+
+// TestResumeRejectsEvenRNGIncrement: rng.SetState panics on an even
+// increment, which no genuine checkpoint holds; a blob whose session or
+// ADG stream carries one must be refused with an error instead.
+func TestResumeRejectsEvenRNGIncrement(t *testing.T) {
+	var k checkpointKind
+	for _, k = range checkpointKinds(t) {
+		if k.tc.name == "adg" {
+			break
+		}
+	}
+	sess, _ := midCampaign(t, k.inst, k.tc, 7)
+	blob, err := sess.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*rng.RNG{"session": sess.r, "adg": sess.step.(*adgStepper).r} {
+		state, inc := g.State()
+		words := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, state), inc)
+		if bytes.Count(blob, words) != 1 {
+			t.Fatalf("%s stream not found exactly once in the blob", name)
+		}
+		bad := bytes.Clone(blob)
+		binary.LittleEndian.PutUint64(bad[bytes.Index(bad, words)+8:], inc^1)
+		if _, err := ResumeSession(k.inst, bad, ResumeOptions{}); err == nil || !strings.Contains(err.Error(), "even RNG increment") {
+			t.Errorf("%s stream with an even increment: %v", name, err)
 		}
 	}
 }

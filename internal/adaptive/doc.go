@@ -14,8 +14,9 @@
 // Three policies are provided:
 //
 //   - ADG (adaptive greedy, §V): queries a spread oracle for
-//     E[I_{G_i}({u})] exactly (or via a fixed estimator) and seeds the
-//     best target while its marginal profit is positive (RunADG).
+//     E[I_{G_i}({u})] exactly (or, on graphs too large to enumerate,
+//     estimates it from a fixed θ of RR sets) and seeds the best target
+//     while its marginal profit is positive (RunADG).
 //   - ADDATP (Algorithm 3): replaces the oracle with RR-set sampling
 //     whose additive error ζ on the coverage fraction is controlled by
 //     the Hoeffding bound (bounds.HoeffdingTheta, Lemma 4); each round

@@ -23,8 +23,8 @@ var Algorithms = []string{AlgoADG, AlgoADDATP, AlgoHATP, AlgoNSG, AlgoAllTargets
 // RunOptions bundles the per-algorithm knobs for Run.
 type RunOptions struct {
 	Sampling SamplingOptions
-	// ADGTheta is the RR sample size of ADG's RIS oracle (per residual
-	// version); default 10_000. On graphs small enough for the exact
+	// ADGTheta is the number of RR sets ADG's spread estimates rest on
+	// each round; default 10_000. On graphs small enough for the exact
 	// oracle (m ≤ oracle.MaxExactEdges) ADG uses exact spreads instead.
 	ADGTheta int
 	// NSGTheta is the nonadaptive greedy's one-shot sample size; default

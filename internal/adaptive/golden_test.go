@@ -116,3 +116,69 @@ func TestPolicyReuseMutateGolden(t *testing.T) {
 		}
 	}
 }
+
+// goldenADG is the pinned part of one large-graph ADG campaign.
+type goldenADG struct {
+	seeds                    []graph.NodeID
+	spread                   int
+	drawn, requested, reused int64
+	visits, touches, peak    int64
+}
+
+func (c goldenADG) String() string {
+	return fmt.Sprintf("seeds=%v spread=%d drawn=%d requested=%d reused=%d visits=%d touches=%d peak_bytes=%d",
+		c.seeds, c.spread, c.drawn, c.requested, c.reused, c.visits, c.touches, c.peak)
+}
+
+// TestADGGolden pins ADG on a graph too large for exact enumeration, so
+// it draws RR sets, in every model × reuse × topology cell at the
+// default worker count: seeds, realized spread, draw/request/reuse
+// counts, sampler work and the peak collection footprint.
+func TestADGGolden(t *testing.T) {
+	g, err := gen.Generate(gen.Config{Model: gen.PrefAttach, N: 600, AvgDeg: 5, Directed: true, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]goldenADG{
+		"IC/noreuse=false/mutated=false": {[]graph.NodeID{592, 591, 565, 546}, 64, 11843, 11843, 38157, 28992, 17251, 235520},
+		"IC/noreuse=false/mutated=true":  {[]graph.NodeID{592, 591, 546, 443, 565}, 70, 16750, 16750, 58067, 41605, 25356, 235520},
+		"IC/noreuse=true/mutated=false":  {[]graph.NodeID{592, 591, 565, 531}, 58, 50000, 50000, 0, 114391, 66669, 235520},
+		"IC/noreuse=true/mutated=true":   {[]graph.NodeID{592, 591, 565, 531}, 65, 50000, 50000, 0, 122165, 75751, 235520},
+		"LT/noreuse=false/mutated=false": {[]graph.NodeID{592, 591, 565, 531, 546, 523, 487, 515, 386}, 92, 12880, 12880, 87120, 31384, 18711, 235520},
+		"LT/noreuse=false/mutated=true":  {[]graph.NodeID{592, 591, 515, 597, 546}, 81, 17283, 17283, 57242, 42221, 25318, 235520},
+		"LT/noreuse=true/mutated=false":  {[]graph.NodeID{592, 591, 565, 531, 546, 386, 523}, 82, 80000, 80000, 0, 180068, 105437, 235520},
+		"LT/noreuse=true/mutated=true":   {[]graph.NodeID{592, 591, 597}, 64, 40000, 40000, 0, 94384, 56147, 235520},
+	}
+	for _, model := range []cascade.Model{cascade.IC, cascade.LT} {
+		inst, _, err := Prepare(g, model, Setup{K: 15, CostSetting: cost.DegreeProportional, LBTheta: 5000, Seed: 29})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, noReuse := range []bool{false, true} {
+			for _, mutated := range []bool{false, true} {
+				name := fmt.Sprintf("%v/noreuse=%v/mutated=%v", model, noReuse, mutated)
+				opts := RunOptions{Sampling: SamplingOptions{NoReuse: noReuse}}
+				var run *RunResult
+				if mutated {
+					run = twoDeltaCampaign(t, inst, AlgoADG, opts, 41)
+				} else {
+					root := rng.New(41)
+					env := NewEnvironment(cascade.Sample(inst.G, inst.Model, root.Split()))
+					if run, err = Run(inst, env, AlgoADG, opts, root.Split()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got := goldenADG{run.Seeds, run.Spread, run.RRDrawn, run.RRRequested, run.RRReused,
+					run.RRVisits, run.RREdgeTouches, run.RRPeakBytes}
+				want, ok := golden[name]
+				if !ok {
+					t.Errorf("%s: no golden; got %s", name, got)
+					continue
+				}
+				if got.String() != want.String() {
+					t.Errorf("%s:\n got %s\nwant %s", name, got, want)
+				}
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cascade"
 	"repro/internal/graph"
 	"repro/internal/oracle"
+	"repro/internal/ris"
 	"repro/internal/rng"
 )
 
@@ -85,8 +86,7 @@ type stepper interface {
 // NewSession validates the instance and builds a stepping campaign for
 // the named algorithm. r supplies every random draw the campaign makes;
 // for AlgoADG on graphs beyond the exact oracle's reach, construction
-// itself splits the RIS oracle's stream off r (matching the batch path's
-// consumption order).
+// itself splits the RR-sampling stream off r.
 func NewSession(inst *Instance, algo string, opts RunOptions, r *rng.RNG) (*Session, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -97,7 +97,7 @@ func NewSession(inst *Instance, algo string, opts RunOptions, r *rng.RNG) (*Sess
 	var err error
 	switch algo {
 	case AlgoADG:
-		step = newADGStepper(newADGOracle(inst, opts, r))
+		step = newADGStepper(inst, opts, r)
 	case AlgoADDATP, AlgoHATP:
 		step, err = newSamplingStepper(inst, algo, opts.Sampling, opts.Batcher)
 	case AlgoNSG:
@@ -132,28 +132,6 @@ func newShell(inst *Instance, algo string, opts RunOptions, r *rng.RNG, step ste
 		seeds: make([]graph.NodeID, 0, len(inst.Targets)),
 		step:  step,
 	}
-}
-
-// newADGOracle builds the oracle the batch ADG path has always used: the
-// per-model exact enumerator on graphs small enough, the RIS oracle
-// (stream split off r, reuse matching the sampling options) otherwise.
-func newADGOracle(inst *Instance, opts RunOptions, r *rng.RNG) oracle.Oracle {
-	if inst.Model == cascade.IC {
-		if exact, err := oracle.NewExact(inst.G); err == nil {
-			return exact
-		}
-	} else if inst.Model == cascade.LT {
-		if exact, err := oracle.NewExactLT(inst.G); err == nil {
-			return exact
-		}
-	}
-	ro := oracle.NewRIS(inst.Model, opts.ADGTheta, r.Split())
-	ro.SetWorkers(opts.Sampling.Workers)
-	// Large-graph ADG keeps its RR pool across rounds, filtering out
-	// invalidated sets and topping up the shortfall, matching the sampling
-	// policies' reuse strategy.
-	ro.SetReuse(!opts.Sampling.NoReuse)
-	return ro
 }
 
 // NextSeed advances the campaign to its next decision: (u, false, nil)
@@ -195,8 +173,10 @@ func (s *Session) NextSeed() (graph.NodeID, bool, error) {
 // activated is the set of nodes the seeding newly activated (the paper's
 // full-adoption feedback; Environment.Observe returns exactly this set).
 // The session removes them from its residual and counts them toward the
-// realized spread. Nodes already removed are ignored, so replaying an
-// observation is harmless.
+// realized spread. The seed itself always counts as activated: if the
+// list omits it while it is still alive, it is removed after the listed
+// nodes. Nodes already removed are ignored, so replaying an observation
+// is harmless.
 func (s *Session) Observe(activated []graph.NodeID) error {
 	if s.err != nil {
 		return s.err
@@ -219,6 +199,9 @@ func (s *Session) Observe(activated []graph.NodeID) error {
 		if s.res.Remove(u) {
 			s.spread++
 		}
+	}
+	if s.res.Remove(s.pending) {
+		s.spread++
 	}
 	return nil
 }
@@ -333,57 +316,84 @@ func (s *Session) SetInterrupt(f func() error) {
 // ---------------------------------------------------------------------------
 // ADG stepper: the oracle-greedy round body.
 
-// batchOracle is the concurrent-singleton-query fast path (oracle.RIS
-// with workers set); the floats are identical to per-node ExpectedSpread
-// calls, so the policy's picks don't depend on which path ran.
-type batchOracle interface {
-	SingleSpreads(res *graph.Residual, nodes []graph.NodeID, out []float64)
-}
-
+// adgStepper seeds the alive target with the largest estimated marginal
+// profit. The estimate comes from the exact oracle on graphs small enough
+// for enumeration (and from the caller's oracle under RunADG); otherwise
+// it is n_i·Cov(u)/θ over θ = ADGTheta RR sets of the residual, read from
+// a ris.Batcher's coverage counts exactly as the sampling stepper reads
+// its point estimate.
 type adgStepper struct {
-	orc     oracle.Oracle
-	bo      batchOracle
-	batched bool
-	spreads []float64
-	query   []graph.NodeID
+	orc   oracle.Oracle // nil when sampling
+	query []graph.NodeID
+
+	// Sampling path (b is nil under an oracle): θ and the worker count
+	// are the session's ADGTheta and Sampling.Workers.
+	b *ris.Batcher
+	r *rng.RNG
 }
 
-func newADGStepper(orc oracle.Oracle) *adgStepper {
-	st := &adgStepper{orc: orc, query: make([]graph.NodeID, 1)}
-	st.bo, st.batched = orc.(batchOracle)
-	return st
+// newADGStepper builds the ADG round body for a fresh session: the
+// per-model exact oracle when the graph fits, otherwise a batcher whose
+// stream is split off r here.
+func newADGStepper(inst *Instance, opts RunOptions, r *rng.RNG) *adgStepper {
+	if orc, err := exactOracle(inst); err == nil {
+		return newOracleADG(orc)
+	}
+	return newSampledADG(inst, opts, r.Split())
+}
+
+func newOracleADG(orc oracle.Oracle) *adgStepper {
+	return &adgStepper{orc: orc, query: make([]graph.NodeID, 1)}
+}
+
+// newSampledADG draws on r. Across rounds the batcher keeps the RR sets
+// still valid on the new residual and tops up the shortfall unless
+// NoReuse, matching the sampling policies' reuse strategy.
+func newSampledADG(inst *Instance, opts RunOptions, r *rng.RNG) *adgStepper {
+	b := ris.NewBatcher(inst.Model)
+	b.SetReuse(!opts.Sampling.NoReuse)
+	b.EnableCoverage()
+	return &adgStepper{b: b, r: r}
+}
+
+// exactOracle returns the per-model exact enumerator, or an error when
+// the graph is beyond its reach.
+func exactOracle(inst *Instance) (oracle.Oracle, error) {
+	var orc oracle.Oracle
+	var err error
+	switch inst.Model {
+	case cascade.IC:
+		orc, err = oracle.NewExact(inst.G)
+	case cascade.LT:
+		orc, err = oracle.NewExactLT(inst.G)
+	default:
+		err = fmt.Errorf("adaptive: no exact oracle under model %v", inst.Model)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return orc, nil
 }
 
 func (st *adgStepper) setInterrupt(f func() error) {
-	if ro, ok := st.orc.(*oracle.RIS); ok {
-		ro.SetInterrupt(f)
+	if st.b != nil {
+		st.b.SetInterrupt(f)
 	}
 }
 
 func (st *adgStepper) mutate(inst *Instance, touched []graph.NodeID) error {
-	switch orc := st.orc.(type) {
-	case *oracle.Exact:
-		// Exact enumeration is captured against one graph; rebuild on the
-		// new one (stateless, no randomness). A delta can push the edge
-		// count past the enumeration bound — surface that, don't seed on
-		// stale worlds.
-		nw, err := oracle.NewExact(inst.G)
-		if err != nil {
-			return err
-		}
-		st.orc = nw
-	case *oracle.ExactLT:
-		nw, err := oracle.NewExactLT(inst.G)
-		if err != nil {
-			return err
-		}
-		st.orc = nw
-	case *oracle.RIS:
-		orc.InvalidateTopology(touched)
-	default:
-		return fmt.Errorf("adaptive: mutate under oracle %T", st.orc)
+	if st.b != nil {
+		st.b.Invalidate(touched)
+		return nil
 	}
-	st.bo, st.batched = st.orc.(batchOracle)
+	// Exact enumeration is captured against one graph; rebuild on the new
+	// one (stateless, no randomness). A delta can push the graph past the
+	// enumeration bound — surface that, don't seed on stale worlds.
+	orc, err := exactOracle(inst)
+	if err != nil {
+		return err
+	}
+	st.orc = orc
 	return nil
 }
 
@@ -393,19 +403,20 @@ func (st *adgStepper) next(s *Session) (graph.NodeID, bool, error) {
 	if len(s.alive) == 0 {
 		return 0, true, nil
 	}
-	if st.batched {
-		if cap(st.spreads) < len(s.alive) {
-			st.spreads = make([]float64, len(s.alive))
+	n := 0 // RR sets the estimates rest on
+	if st.b != nil {
+		st.b.Sync(res)
+		var err error
+		if n, err = st.b.GrowTo(res, st.r, s.opts.ADGTheta, s.opts.Sampling.Workers); err != nil {
+			return 0, true, err
 		}
-		st.spreads = st.spreads[:len(s.alive)]
-		st.bo.SingleSpreads(res, s.alive, st.spreads)
 	}
 	best := graph.NodeID(-1)
 	bestProfit := 0.0
-	for i, u := range s.alive {
+	for _, u := range s.alive {
 		var spread float64
-		if st.batched {
-			spread = st.spreads[i]
+		if st.b != nil {
+			spread = ris.EstimateSpread(st.b.Count(u), n, res.N())
 		} else {
 			st.query[0] = u
 			spread = st.orc.ExpectedSpread(res, st.query)
@@ -415,13 +426,6 @@ func (st *adgStepper) next(s *Session) (graph.NodeID, bool, error) {
 			best, bestProfit = u, p
 		}
 	}
-	// An interrupted RIS refresh voids every answer above; surface it
-	// instead of seeding on garbage.
-	if ro, ok := st.orc.(*oracle.RIS); ok {
-		if err := ro.Err(); err != nil {
-			return 0, true, err
-		}
-	}
 	if best < 0 || bestProfit <= 0 {
 		return 0, true, nil
 	}
@@ -429,15 +433,16 @@ func (st *adgStepper) next(s *Session) (graph.NodeID, bool, error) {
 }
 
 func (st *adgStepper) finishInto(r *RunResult) {
-	if ro, ok := st.orc.(*oracle.RIS); ok {
-		r.RRDrawn = ro.TotalDrawn()
-		r.RRRequested = ro.TotalRequested()
-		r.RRReused = ro.TotalReused()
-		r.RRPeakBytes = ro.PeakRRBytes()
-		r.SamplingNS = ro.SamplingNS()
-		r.RRVisits = ro.TotalVisits()
-		r.RREdgeTouches = ro.TotalEdgeTouches()
+	if st.b == nil {
+		return
 	}
+	r.RRDrawn = st.b.Drawn()
+	r.RRRequested = st.b.Requested()
+	r.RRReused = st.b.Reused()
+	r.RRPeakBytes = st.b.PeakBytes()
+	r.SamplingNS = st.b.SamplingNS()
+	r.RRVisits = st.b.Visits()
+	r.RREdgeTouches = st.b.EdgeTouches()
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 package adaptive
 
 import (
+	"encoding/binary"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cascade"
@@ -306,11 +309,15 @@ func TestCheckpointRejectsWrongInstance(t *testing.T) {
 			t.Fatalf("resume of %d/%d-byte prefix succeeded", cut, len(blob))
 		}
 	}
-	// Unknown version must be refused.
-	bad := append([]byte(nil), blob...)
-	bad[8] = 0xFF
-	if _, err := ResumeSession(inst, bad, ResumeOptions{}); err == nil {
-		t.Fatal("resume of unknown checkpoint version succeeded")
+	// Unknown and superseded versions must be refused with the version
+	// error (version 4 laid ADG's payload out differently).
+	for _, v := range []uint32{4, 0xFF} {
+		bad := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint32(bad[8:], v)
+		_, err := ResumeSession(inst, bad, ResumeOptions{})
+		if want := fmt.Sprintf("version %d not supported", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("resume of a version-%d checkpoint: %v, want %q", v, err, want)
+		}
 	}
 }
 
@@ -362,5 +369,96 @@ func TestSessionObserveContract(t *testing.T) {
 	res := sess.Result()
 	if res.Rounds != len(inst.Targets) || res.Spread != env.Activated() {
 		t.Fatalf("result rounds=%d spread=%d, want %d/%d", res.Rounds, res.Spread, len(inst.Targets), env.Activated())
+	}
+}
+
+// TestSessionObserveCountsOmittedSeed: an observation that omits the
+// pending seed must count the seed as activated. Two sessions run in
+// lockstep on one world; each round the first is told the realized
+// activations with the seed listed last, the second the same list
+// without it. Removing a still-alive seed after the listed nodes gives
+// both the same residual, so every proposal and the final result must
+// agree, and no seed is proposed twice. NSG dispenses seeds chosen up
+// front, so the case also covers a seed that is already dead when
+// dispensed: it must add nothing to the spread.
+func TestSessionObserveCountsOmittedSeed(t *testing.T) {
+	inst := nethept005Instance(t, "")
+	byName := map[string]sessionCase{}
+	for _, tc := range sessionCases() {
+		byName[tc.name] = tc
+	}
+	for _, name := range []string{"addatp-seq", "adg", "nsg"} {
+		t.Run(name, func(t *testing.T) { observeOmittingSeed(t, inst, byName[name]) })
+	}
+}
+
+func observeOmittingSeed(t *testing.T, inst *Instance, tc sessionCase) {
+	name := tc.name
+	env := NewEnvironment(cascade.Sample(inst.G, inst.Model, rng.New(11).Split()))
+	algoRNG := func() *rng.RNG {
+		root := rng.New(11)
+		root.Split() // the world's stream
+		return root.Split()
+	}
+	listed, err := NewSession(inst, tc.algo, tc.opts, algoRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	omitted, err := NewSession(inst, tc.algo, tc.opts, algoRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name == "adg" && stepperType(omitted) != "*adaptive.adgStepper/*ris.Batcher" {
+		t.Fatalf("adg runs %s, want the RR-sampling path", stepperType(omitted))
+	}
+	deadDispensed := 0
+	for {
+		u, stop, err := listed.NextSeed()
+		u2, stop2, err2 := omitted.NextSeed()
+		if err != nil || err2 != nil {
+			t.Fatalf("%s: NextSeed: %v / %v", name, err, err2)
+		}
+		if u != u2 || stop != stop2 {
+			t.Fatalf("%s round %d: listed proposes (%d, stop=%v), omitted (%d, stop=%v)",
+				name, listed.Rounds()+1, u, stop, u2, stop2)
+		}
+		if stop {
+			break
+		}
+		if !listed.res.Alive(u) {
+			deadDispensed++
+		}
+		var rest []graph.NodeID
+		for _, v := range env.Observe(u) {
+			if v != u {
+				rest = append(rest, v)
+			}
+		}
+		if err := listed.Observe(append(rest, u)); err != nil {
+			t.Fatal(err)
+		}
+		if err := omitted.Observe(rest); err != nil {
+			t.Fatal(err)
+		}
+		if listed.Spread() != env.Activated() || omitted.Spread() != env.Activated() {
+			t.Fatalf("%s: spread listed=%d omitted=%d, environment %d",
+				name, listed.Spread(), omitted.Spread(), env.Activated())
+		}
+	}
+	if name == "nsg" && deadDispensed == 0 {
+		t.Fatal("nsg never dispensed an already-activated seed; the dead-seed case is untested")
+	}
+	got, want := omitted.Result(), listed.Result()
+	compareRuns(t, name, got, want)
+	if got.RRVisits != want.RRVisits || got.RREdgeTouches != want.RREdgeTouches {
+		t.Errorf("%s: sampler work (visits=%d touches=%d), want (%d, %d)",
+			name, got.RRVisits, got.RREdgeTouches, want.RRVisits, want.RREdgeTouches)
+	}
+	seen := map[graph.NodeID]bool{}
+	for _, u := range got.Seeds {
+		if seen[u] {
+			t.Fatalf("%s: seed %d proposed twice: %v", name, u, got.Seeds)
+		}
+		seen[u] = true
 	}
 }

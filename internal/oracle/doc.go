@@ -4,21 +4,14 @@
 // stated against such an oracle before Algorithms 3 and 4 replace it with
 // sampling.
 //
-// Three implementations:
+// Two implementations, both exact and exponential, for the tiny graphs in
+// tests and the worked examples — the ground truth everything else is
+// validated against:
 //
-//   - Exact: enumerates all 2^m realizations. Exponential; for the tiny
-//     graphs in tests and the Fig. 1 worked example (m ≤ ~20) it is the
-//     ground truth everything else is validated against.
-//   - MonteCarlo: averages forward simulations; an (ε,δ)-approximate
-//     stand-in for the oracle on larger graphs, with memoization keyed on
-//     the residual version and seed set.
-//   - RIS: estimates through an RR-set collection maintained per residual
-//     version; cheapest, used by ADG on graphs too large for Exact. With
-//     SetReuse it validity-filters the cached collection on residual
-//     changes (ris.Collection.Filter) and regenerates only the shortfall,
-//     the same cross-round reuse the sampling algorithms apply; see
-//     SetReuse for the bias of kept sets that keeps it opt-in.
+//   - Exact: enumerates all 2^m IC realizations (m ≤ MaxExactEdges).
+//   - ExactLT: enumerates the LT triggering model's in-parent picks.
 //
-// All oracles answer on residual views so ADG can query E[I_{G_i}(·)]
-// round by round.
+// Both answer on residual views so ADG can query E[I_{G_i}(·)] round by
+// round. On larger graphs ADG estimates spreads from RR sets instead
+// (ris.Batcher, see package adaptive).
 package oracle

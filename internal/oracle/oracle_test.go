@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cascade"
 	"repro/internal/graph"
+	"repro/internal/ris"
 	"repro/internal/rng"
 )
 
@@ -98,77 +99,63 @@ func TestExactPanicsOnForeignResidual(t *testing.T) {
 	o.ExpectedSpread(other, []graph.NodeID{0})
 }
 
-func TestMonteCarloMatchesExact(t *testing.T) {
-	g := fig1Graph()
-	exact, _ := NewExact(g)
-	mc := NewMonteCarlo(cascade.IC, 200000, 7)
-	res := graph.NewResidual(g)
-	for _, seeds := range [][]graph.NodeID{{0}, {1}, {5}, {0, 1, 5}} {
-		e := exact.ExpectedSpread(res, seeds)
-		m := mc.ExpectedSpread(res, seeds)
-		if math.Abs(e-m) > 0.05 {
-			t.Errorf("seeds %v: exact %.4f, MC %.4f", seeds, e, m)
-		}
-	}
+// risBatcher is an IC RR-set batcher with coverage counts, configured
+// as ADG's sampled rounds configure theirs.
+func risBatcher(reuse bool) *ris.Batcher {
+	b := ris.NewBatcher(cascade.IC)
+	b.SetReuse(reuse)
+	b.EnableCoverage()
+	return b
 }
 
-func TestMonteCarloCacheIsOrderInsensitive(t *testing.T) {
-	g := fig1Graph()
-	mc := NewMonteCarlo(cascade.IC, 100, 7)
-	res := graph.NewResidual(g)
-	a := mc.ExpectedSpread(res, []graph.NodeID{0, 5, 1})
-	b := mc.ExpectedSpread(res, []graph.NodeID{1, 0, 5})
-	if a != b {
-		t.Fatalf("permuted seed sets gave %v and %v", a, b)
+// risDraw brings b to theta RR sets of res (Sync, then GrowTo), as one
+// sampled ADG round does, and returns the collection size.
+func risDraw(t *testing.T, b *ris.Batcher, res *graph.Residual, r *rng.RNG, theta int) int {
+	t.Helper()
+	b.Sync(res)
+	n, err := b.GrowTo(res, r, theta, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(mc.cache) != 1 {
-		t.Fatalf("cache has %d entries, want 1", len(mc.cache))
-	}
+	return n
 }
 
-func TestMonteCarloCacheInvalidatedByResidualChange(t *testing.T) {
-	g := chainGraph(1, 1)
-	mc := NewMonteCarlo(cascade.IC, 500, 7)
-	res := graph.NewResidual(g)
-	before := mc.ExpectedSpread(res, []graph.NodeID{0})
-	res.Remove(1)
-	after := mc.ExpectedSpread(res, []graph.NodeID{0})
-	if before != 3 || after != 1 {
-		t.Fatalf("before=%v after=%v, want 3 and 1", before, after)
-	}
+// risSpread draws as risDraw and returns the estimate n_i·Count(u)/θ.
+func risSpread(t *testing.T, b *ris.Batcher, res *graph.Residual, r *rng.RNG, theta int, u graph.NodeID) float64 {
+	t.Helper()
+	theta = risDraw(t, b, res, r, theta)
+	return ris.EstimateSpread(b.Count(u), theta, res.N())
 }
 
-func TestMonteCarloDeterministic(t *testing.T) {
-	g := fig1Graph()
-	a := NewMonteCarlo(cascade.IC, 1000, 9)
-	b := NewMonteCarlo(cascade.IC, 1000, 9)
-	res := graph.NewResidual(g)
-	if a.ExpectedSpread(res, []graph.NodeID{1}) != b.ExpectedSpread(res, []graph.NodeID{1}) {
-		t.Fatal("same-seed MC oracles disagree")
-	}
-}
-
+// TestRISMatchesExact: the RR-set estimate of every single-node spread,
+// and of a seed set's through the collection, agrees with enumeration.
 func TestRISMatchesExact(t *testing.T) {
 	g := fig1Graph()
 	exact, _ := NewExact(g)
-	ro := NewRIS(cascade.IC, 200000, rng.New(13))
+	b := risBatcher(false)
 	res := graph.NewResidual(g)
-	for _, seeds := range [][]graph.NodeID{{0}, {1}, {0, 1, 5}} {
-		e := exact.ExpectedSpread(res, seeds)
-		r := ro.ExpectedSpread(res, seeds)
-		if math.Abs(e-r) > 0.06 {
-			t.Errorf("seeds %v: exact %.4f, RIS %.4f", seeds, e, r)
+	theta := risDraw(t, b, res, rng.New(13), 200000)
+	for u := graph.NodeID(0); u < graph.NodeID(g.N()); u++ {
+		e := exact.ExpectedSpread(res, []graph.NodeID{u})
+		if got := ris.EstimateSpread(b.Count(u), theta, res.N()); math.Abs(e-got) > 0.06 {
+			t.Errorf("node %d: exact %.4f, RIS %.4f", u, e, got)
 		}
+	}
+	seeds := []graph.NodeID{0, 1, 5}
+	e := exact.ExpectedSpread(res, seeds)
+	if got := ris.EstimateSpread(b.Collection().Cov(seeds), theta, res.N()); math.Abs(e-got) > 0.06 {
+		t.Errorf("seeds %v: exact %.4f, RIS %.4f", seeds, e, got)
 	}
 }
 
 func TestRISRefreshesOnResidualChange(t *testing.T) {
 	g := chainGraph(1, 1)
-	ro := NewRIS(cascade.IC, 5000, rng.New(17))
+	b := risBatcher(false)
+	r := rng.New(17)
 	res := graph.NewResidual(g)
-	before := ro.ExpectedSpread(res, []graph.NodeID{0})
+	before := risSpread(t, b, res, r, 5000, 0)
 	res.Remove(1)
-	after := ro.ExpectedSpread(res, []graph.NodeID{0})
+	after := risSpread(t, b, res, r, 5000, 0)
 	if math.Abs(before-3) > 0.05 || math.Abs(after-1) > 0.05 {
 		t.Fatalf("before=%v after=%v, want ~3 and ~1", before, after)
 	}
@@ -176,25 +163,11 @@ func TestRISRefreshesOnResidualChange(t *testing.T) {
 
 func TestRISEmptyResidual(t *testing.T) {
 	g := chainGraph(1, 1)
-	ro := NewRIS(cascade.IC, 100, rng.New(17))
 	res := graph.NewResidual(g)
 	for u := graph.NodeID(0); u < 3; u++ {
 		res.Remove(u)
 	}
-	if got := ro.ExpectedSpread(res, []graph.NodeID{0}); got != 0 {
+	if got := risSpread(t, risBatcher(false), res, rng.New(17), 100, 0); got != 0 {
 		t.Fatalf("empty residual spread = %v", got)
 	}
-}
-
-func TestConstructorsRejectNonPositiveParams(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("NewMonteCarlo", func() { NewMonteCarlo(cascade.IC, 0, 1) })
-	mustPanic("NewRIS", func() { NewRIS(cascade.IC, 0, rng.New(1)) })
 }

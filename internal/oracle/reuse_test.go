@@ -4,53 +4,51 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/cascade"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
-// TestRISReuseTopsUpShortfall: with SetReuse(true), a residual mutation
-// must keep the still-valid RR sets (nonzero TotalReused), draw only the
-// shortfall, and keep estimates close to a from-scratch oracle on a graph
-// where the deletion invalidates few sets. "Close" is z = 4 binomial
-// standard errors of the difference of the two estimates; θ is large
-// enough that this band is within 15% of the estimate, which the test
-// checks so that it cannot silently lose its power.
+// TestRISReuseTopsUpShortfall: with reuse on, a residual mutation must
+// keep the still-valid RR sets (nonzero Reused), draw only the shortfall,
+// and keep estimates close to a from-scratch batcher on a graph where
+// the deletion invalidates few sets. "Close" is z = 4 binomial standard
+// errors of the difference of the two estimates; θ is large enough that
+// this band is within 15% of the estimate, which the test checks so that
+// it cannot silently lose its power.
 func TestRISReuseTopsUpShortfall(t *testing.T) {
 	g, err := gen.Generate(gen.Config{Model: gen.PrefAttach, N: 300, AvgDeg: 5, Directed: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const theta = 500000
-	reusing := NewRIS(cascade.IC, theta, rng.New(17))
-	reusing.SetReuse(true)
-	fresh := NewRIS(cascade.IC, theta, rng.New(17))
+	reusing, fresh := risBatcher(true), risBatcher(false)
+	rReusing, rFresh := rng.New(17), rng.New(17)
 
 	res := graph.NewResidual(g)
-	seeds := []graph.NodeID{5}
-	_ = reusing.ExpectedSpread(res, seeds)
-	if reusing.TotalReused() != 0 {
-		t.Fatalf("reused %d sets before any mutation", reusing.TotalReused())
+	const seed = graph.NodeID(5)
+	_ = risSpread(t, reusing, res, rReusing, theta, seed)
+	if reusing.Reused() != 0 {
+		t.Fatalf("reused %d sets before any mutation", reusing.Reused())
 	}
 
 	// Delete a low-degree leaf-ish node: most RR sets stay valid.
 	victim := graph.NodeID(g.N() - 1)
 	res.Remove(victim)
-	a := reusing.ExpectedSpread(res, seeds)
+	a := risSpread(t, reusing, res, rReusing, theta, seed)
 	resFresh := graph.NewResidual(g)
 	resFresh.Remove(victim)
-	b := fresh.ExpectedSpread(resFresh, seeds)
+	b := risSpread(t, fresh, resFresh, rFresh, theta, seed)
 
-	if reusing.TotalReused() == 0 {
+	if reusing.Reused() == 0 {
 		t.Fatal("no RR sets reused across the residual change")
 	}
-	if reusing.TotalDrawn() >= fresh.TotalDrawn()+int64(theta) {
+	if reusing.Drawn() >= fresh.Drawn()+int64(theta) {
 		t.Fatalf("reuse drew %d, fresh %d per version; reuse saved nothing",
-			reusing.TotalDrawn(), fresh.TotalDrawn())
+			reusing.Drawn(), fresh.Drawn())
 	}
-	if reusing.PeakRRBytes() <= 0 {
-		t.Fatalf("peak RR bytes %d", reusing.PeakRRBytes())
+	if reusing.PeakBytes() <= 0 {
+		t.Fatalf("peak RR bytes %d", reusing.PeakBytes())
 	}
 	// Same spread up to sampling noise (both pools are size θ): an
 	// estimate x = n·p̂ has variance n²·p̂(1−p̂)/θ.
@@ -65,26 +63,28 @@ func TestRISReuseTopsUpShortfall(t *testing.T) {
 	}
 }
 
-// TestRISDefaultRegeneratesUnbiased: without SetReuse the oracle must
-// regenerate from scratch per version — the deterministic-chain case
-// where filtered reuse would tilt the root mix (only the {0} sets survive
-// deleting the middle node) and overestimate the spread.
+// TestRISDefaultRegeneratesUnbiased: with reuse off (SetReuse(false),
+// what ADG runs under NoReuse) the batcher must regenerate from scratch
+// per version — the deterministic-chain case where filtered reuse would
+// tilt the root mix (only the {0} sets survive deleting the middle node)
+// and overestimate the spread.
 func TestRISDefaultRegeneratesUnbiased(t *testing.T) {
 	g := graph.MustFromEdges(3, true, []graph.Edge{
 		{From: 0, To: 1, P: 1}, {From: 1, To: 2, P: 1},
 	})
-	ro := NewRIS(cascade.IC, 5000, rng.New(29))
+	b := risBatcher(false)
+	r := rng.New(29)
 	res := graph.NewResidual(g)
-	_ = ro.ExpectedSpread(res, []graph.NodeID{0})
+	_ = risSpread(t, b, res, r, 5000, 0)
 	res.Remove(1)
-	got := ro.ExpectedSpread(res, []graph.NodeID{0})
+	got := risSpread(t, b, res, r, 5000, 0)
 	if math.Abs(got-1) > 0.05 {
-		t.Fatalf("default oracle estimates %.3f after removal, want ~1", got)
+		t.Fatalf("non-reusing batcher estimates %.3f after removal, want ~1", got)
 	}
-	if ro.TotalReused() != 0 {
-		t.Fatalf("default oracle reused %d sets", ro.TotalReused())
+	if b.Reused() != 0 {
+		t.Fatalf("non-reusing batcher reused %d sets", b.Reused())
 	}
-	if ro.TotalDrawn() != 10000 {
-		t.Fatalf("default oracle drew %d, want 2×5000", ro.TotalDrawn())
+	if b.Drawn() != 10000 {
+		t.Fatalf("non-reusing batcher drew %d, want 2×5000", b.Drawn())
 	}
 }

@@ -274,7 +274,7 @@ func (c *Collection) CountContaining(u graph.NodeID) int {
 // Filter compacts the collection in place to the RR sets that are still
 // valid on res: exactly those whose nodes (root included) are all alive.
 // Adaptive rounds keep these sets and only top up the shortfall
-// (ADDATP/HATP round loop, oracle.RIS.Refresh with SetReuse), but the
+// (the ADG, ADDATP and HATP round loops unless NoReuse), but the
 // survivors are not distributed as RR sets of the current residual, even
 // conditioned on their root. A survivor is a set of the residual it was
 // drawn on, conditioned on avoiding every node removed since; a fresh

@@ -63,6 +63,6 @@
 //     stopping-rule check costs O(batch + alive) instead of an inverted
 //     index rebuild. Batcher packages the draw/filter/top-up cycle —
 //     pool, collection, tracker, accounting — shared by both adaptive
-//     sampling policies, IMM's θ search, and oracle.RIS. Its warm
+//     sampling policies, sampled ADG rounds and IMM's θ search. Its warm
 //     loop is allocation-free (TestBatcherWarmLoopNoAllocs).
 package ris

@@ -70,7 +70,7 @@ func (cov *Coverage) reset() {
 // residual versions, an optional Coverage tracker, and the sampling
 // accounting (drawn / requested / reused / peak bytes / wall time /
 // batches) that runs report. The adaptive sampling stepper (both
-// policies), IMM's θ search, and oracle.RIS.Refresh all draw through a
+// policies), ADG's sampled rounds and IMM's θ search all draw through a
 // Batcher instead of hand-rolling the same loop. One-shot selections
 // (nonadaptive greedy, imm.SpreadLowerBound) draw through
 // SamplerPool.Generate instead.

@@ -86,7 +86,7 @@ func TestCoverageFilterWithUncountedTail(t *testing.T) {
 }
 
 // TestBatcherAccountingAndReuse: the shared draw/filter/top-up cycle must
-// reproduce the accounting the adaptive loop and oracle.RIS used to keep
+// reproduce the accounting the adaptive loops used to keep
 // by hand: reused counts the survivors of Sync, drawn/requested the
 // top-ups, and reuse-off resets instead of filtering.
 func TestBatcherAccountingAndReuse(t *testing.T) {

@@ -199,6 +199,32 @@ func TestServerDrainCheckpointsOpenCampaigns(t *testing.T) {
 	sameOutcome(t, &got, want, "drain-restored vs uninterrupted")
 }
 
+// TestServerObserveOmittingSeed: an external-feedback client that
+// reports no activations still activated the seed it was told to seed,
+// so the campaign counts it and never proposes it again.
+func TestServerObserveOmittingSeed(t *testing.T) {
+	srv := NewServer(NewRegistry(testSpec(), 0), t.TempDir())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var st Status
+	call(t, ts, http.MethodPost, "/v1/campaigns", map[string]any{"simulate": false}, http.StatusCreated, &st)
+	var first, second nextResponse
+	call(t, ts, http.MethodPost, "/v1/campaigns/"+st.ID+"/next", nil, http.StatusOK, &first)
+	if first.Stop {
+		t.Fatal("campaign stopped before its first seed")
+	}
+	call(t, ts, http.MethodPost, "/v1/campaigns/"+st.ID+"/observe",
+		map[string]any{"activated": []int{}}, http.StatusOK, &st)
+	if st.Spread != 1 || st.Rounds != 1 {
+		t.Fatalf("after an empty observation: spread %d, rounds %d; want 1 and 1", st.Spread, st.Rounds)
+	}
+	call(t, ts, http.MethodPost, "/v1/campaigns/"+st.ID+"/next", nil, http.StatusOK, &second)
+	if !second.Stop && *second.Seed == *first.Seed {
+		t.Fatalf("seed %d proposed again after it was observed", *first.Seed)
+	}
+}
+
 func TestServerCreateValidation(t *testing.T) {
 	reg := NewRegistry(testSpec(), 0)
 	srv := NewServer(reg, "")
