@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/adaptive"
@@ -113,42 +112,22 @@ func cmdBench(args []string) error {
 	return nil
 }
 
-// writeBenchJSON writes the grid atomically: encode into a temp file in
-// the destination directory, fsync, then rename over the target. On any
+// writeBenchJSON writes the grid atomically (writeJSONAtomic: temp file
+// in the destination directory, fsync, rename over the target). On any
 // failure the rows are dumped to stdout before returning the error, so a
 // finished grid is never lost to an output problem — the historical
 // failure mode was an os.Create error at the very end discarding every
 // computed row.
 func writeBenchJSON(path string, grid *benchOutput) error {
-	err := func() error {
-		tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-		if err != nil {
-			return err
-		}
-		defer os.Remove(tmp.Name()) // no-op once the rename has happened
-		enc := json.NewEncoder(tmp)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(grid); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp.Name(), path)
-	}()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: writing %s failed (%v); dumping rows to stdout\n", path, err)
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if dumpErr := enc.Encode(grid); dumpErr != nil {
-			return fmt.Errorf("write %s: %v (stdout dump also failed: %v)", path, err, dumpErr)
-		}
-		return fmt.Errorf("write %s: %w (rows dumped to stdout)", path, err)
+	err := writeJSONAtomic(path, grid)
+	if err == nil {
+		return nil
 	}
-	return nil
+	fmt.Fprintf(os.Stderr, "bench: writing %s failed (%v); dumping rows to stdout\n", path, err)
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if dumpErr := enc.Encode(grid); dumpErr != nil {
+		return fmt.Errorf("write %s: %v (stdout dump also failed: %v)", path, err, dumpErr)
+	}
+	return fmt.Errorf("write %s: %w (rows dumped to stdout)", path, err)
 }

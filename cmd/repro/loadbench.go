@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -282,12 +283,13 @@ func doJSON(client *http.Client, method, url, body string, wantStatus int, out a
 }
 
 // percentile returns the nearest-rank percentile of an already-sorted
-// sample, in the sample's units.
+// sample, in the sample's units: the smallest value with at least a q
+// share of the sample at or below it, sorted[ceil(q·n)−1].
 func percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(float64(len(sorted))*q+0.5) - 1
+	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if rank < 0 {
 		rank = 0
 	}
@@ -297,7 +299,8 @@ func percentile(sorted []float64, q float64) float64 {
 	return sorted[rank]
 }
 
-// writeJSONAtomic writes doc as indented JSON via temp file + rename.
+// writeJSONAtomic writes doc as indented JSON atomically: temp file in the
+// destination directory, fsync, then rename over the target.
 func writeJSONAtomic(path string, doc any) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {

@@ -71,6 +71,12 @@ func TestPercentileNearestRank(t *testing.T) {
 			t.Errorf("percentile(%.2f) = %g, want %g", tc.q, got, tc.want)
 		}
 	}
+	// Rounding q·n = 11.4 to the nearest rank would give 11; nearest-rank
+	// takes ceil(q·n) = 12.
+	twelve := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	if got := percentile(twelve, 0.95); got != 12 {
+		t.Errorf("percentile(0.95) of 1..12 = %g, want 12", got)
+	}
 	if got := percentile(nil, 0.5); got != 0 {
 		t.Errorf("percentile(empty) = %g, want 0", got)
 	}

@@ -61,8 +61,13 @@
 //     interval; HATP's hybrid regime only sets its θ cap. That choice is
 //     made at one site, newSamplingStepper's `cert` field. Undecidable
 //     rounds fall back to the point estimate once every target's width
-//     reaches ζ/2^MaxRefine — the precision of the fixed loop's final
-//     attempt — with θ(ζ_min, δ_round) as an absolute cap.
+//     reaches ζ_min = ζ/2^MaxRefine or the sample reaches the θ cap
+//     θ(ζ_min, δ_round). For ADDATP the width test usually binds, at the
+//     precision of the fixed loop's final attempt. For HATP the hybrid
+//     cap binds first (≈6.9k sets at the defaults against ADDATP's
+//     ≈425k), so it decides on the point estimate at a wider additive
+//     width than the fixed loop certifies; certifying it with the hybrid
+//     bound is an open ROADMAP item.
 //   - PolicyFixed replays the paper's attempt loop — draw to
 //     θ(ζ_i, δ_i), certify with the algorithm's own regime, halve ζ,
 //     MaxRefine fallback — and is pinned to the pre-controller

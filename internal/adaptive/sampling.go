@@ -198,7 +198,6 @@ func newSamplingStepper(inst *Instance, algo string, opts SamplingOptions, warm 
 		st.b = ris.NewBatcher(inst.Model)
 	}
 	st.b.SetReuse(!opts.NoReuse)
-	st.b.EnableCoverage()
 	return st, nil
 }
 

@@ -352,7 +352,6 @@ func newOracleADG(orc oracle.Oracle) *adgStepper {
 func newSampledADG(inst *Instance, opts RunOptions, r *rng.RNG) *adgStepper {
 	b := ris.NewBatcher(inst.Model)
 	b.SetReuse(!opts.Sampling.NoReuse)
-	b.EnableCoverage()
 	return &adgStepper{b: b, r: r}
 }
 

@@ -258,7 +258,6 @@ func resumeWithWarmBatcher(t *testing.T, inst *Instance, tc sessionCase) {
 
 	// Dirty the donated batcher with draws from an unrelated campaign.
 	warm := ris.NewBatcher(inst.Model)
-	warm.EnableCoverage()
 	res := graph.NewResidual(inst.G)
 	if _, err := warm.GrowTo(res, rng.New(999), 500, 2); err != nil {
 		t.Fatal(err)

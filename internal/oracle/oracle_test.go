@@ -104,7 +104,6 @@ func TestExactPanicsOnForeignResidual(t *testing.T) {
 func risBatcher(reuse bool) *ris.Batcher {
 	b := ris.NewBatcher(cascade.IC)
 	b.SetReuse(reuse)
-	b.EnableCoverage()
 	return b
 }
 

@@ -8,8 +8,8 @@ import (
 // set live in one flat arena, with per-set offsets, so a collection is a
 // handful of contiguous allocations regardless of how many sets it holds.
 // The inverted index (node -> ids of the RR sets containing it) is itself
-// CSR — one flat id arena plus per-node offsets — built lazily in a single
-// counting pass the first time a coverage query needs it.
+// CSR — one flat id arena plus per-node offsets — built by BuildIndex, on
+// first use by a coverage query or up front by the greedy.
 //
 // Layout:
 //
@@ -26,8 +26,8 @@ import (
 // parallel.go can append a top-up into an existing collection instead of
 // rebuilding from scratch.
 //
-// A Collection is not safe for concurrent use: Cov routes through a
-// reusable internal mark buffer to stay allocation-free.
+// A Collection is not safe for concurrent use: queries build the inverted
+// index on first use.
 type Collection struct {
 	n int // node-ID space (full graph size; residuals keep original IDs)
 
@@ -37,10 +37,9 @@ type Collection struct {
 
 	invArena []int32
 	invOff   []int32
-	cursor   []int32 // scratch for ensureIndex's fill pass
-	// rangeCounts is BuildIndex's per-worker scratch (per-range per-node
-	// counts, converted to write bases in place); retained like cursor so
-	// steady-state parallel rebuilds allocate nothing.
+	// rangeCounts is BuildIndex's per-range scratch (per-range per-node
+	// counts, converted to write bases in place); retained like invOff so
+	// steady-state rebuilds allocate no O(n) storage.
 	rangeCounts [][]int32
 	invValid    bool
 
@@ -55,8 +54,6 @@ type Collection struct {
 	// the surviving count, so after a filter + top-up cycle it reflects
 	// the current contents again.
 	requested int
-
-	scratch *Marks // lazily created buffer backing Cov
 
 	// coverage is the attached incremental containment tracker, if any;
 	// Filter compacts it in lockstep and Reset zeroes it (see tracker.go).
@@ -161,7 +158,6 @@ func (c *Collection) Reset() {
 	c.invValid = false
 	c.version = -1
 	c.requested = 0
-	c.scratch = nil
 	if c.coverage != nil {
 		c.coverage.reset()
 	}
@@ -212,62 +208,16 @@ func (c *Collection) Bytes() int64 {
 	return b
 }
 
-// ensureIndex builds the CSR inverted index in one counting pass:
-// per-node occurrence counts, prefix sum, then a fill preserving
-// ascending set-id order per node.
-func (c *Collection) ensureIndex() {
-	if c.invValid {
-		return
-	}
-	if cap(c.invOff) < c.n+1 {
-		c.invOff = make([]int32, c.n+1)
-	} else {
-		c.invOff = c.invOff[:c.n+1]
-		for i := range c.invOff {
-			c.invOff[i] = 0
-		}
-	}
-	for _, u := range c.arena {
-		c.invOff[u+1]++
-	}
-	for u := 0; u < c.n; u++ {
-		c.invOff[u+1] += c.invOff[u]
-	}
-	if cap(c.invArena) < len(c.arena) {
-		c.invArena = make([]int32, len(c.arena))
-	} else {
-		c.invArena = c.invArena[:len(c.arena)]
-	}
-	// cursor[u] tracks the next free slot for node u during the fill; a
-	// persistent scratch (reused like invOff/invArena) keeps index
-	// rebuilds — one per Filter or top-up — allocation-free at steady
-	// state even on multi-million-node graphs.
-	if cap(c.cursor) < c.n {
-		c.cursor = make([]int32, c.n)
-	} else {
-		c.cursor = c.cursor[:c.n]
-	}
-	cursor := c.cursor
-	copy(cursor, c.invOff[:c.n])
-	for i := 0; i < c.Len(); i++ {
-		for _, u := range c.arena[c.offsets[i]:c.offsets[i+1]] {
-			c.invArena[cursor[u]] = int32(i)
-			cursor[u]++
-		}
-	}
-	c.invValid = true
-}
-
 // SetsContaining returns the ids of RR sets that contain u (ascending).
 func (c *Collection) SetsContaining(u graph.NodeID) []int32 {
-	c.ensureIndex()
+	c.BuildIndex(1)
 	return c.invArena[c.invOff[u]:c.invOff[u+1]]
 }
 
 // CountContaining returns |{i : u ∈ R_i}| — the single-node coverage
 // CovR({u}) — without materializing the slice.
 func (c *Collection) CountContaining(u graph.NodeID) int {
-	c.ensureIndex()
+	c.BuildIndex(1)
 	return int(c.invOff[u+1] - c.invOff[u])
 }
 
@@ -296,52 +246,71 @@ func (c *Collection) Filter(res *graph.Residual) int {
 	if c.version == res.Version() {
 		return c.Len()
 	}
-	cov := c.coverage
-	covSeen := 0
-	w := 0         // write cursor over sets
-	wa := int32(0) // write cursor over arena
+	z := c.startCompaction()
 	for i := 0; i < c.Len(); i++ {
-		lo, hi := c.offsets[i], c.offsets[i+1]
 		alive := true
-		for _, u := range c.arena[lo:hi] {
+		for _, u := range c.arena[c.offsets[i]:c.offsets[i+1]] {
 			if !res.Alive(u) {
 				alive = false
 				break
 			}
 		}
-		if !alive {
-			// Compact the attached coverage tracker in lockstep: a counted
-			// set that drops out must give its containment counts back.
-			if cov != nil && i < cov.seen {
-				for _, u := range c.arena[lo:hi] {
-					cov.counts[u]--
-				}
-			}
-			continue
-		}
-		if cov != nil && i < cov.seen {
-			covSeen++
-		}
-		copy(c.arena[wa:wa+(hi-lo)], c.arena[lo:hi])
-		c.roots[w] = c.roots[i]
-		w++
-		wa += hi - lo
-		c.offsets[w] = wa
-	}
-	c.roots = c.roots[:w]
-	c.offsets = c.offsets[:w+1]
-	c.arena = c.arena[:wa]
-	c.invValid = false
-	c.scratch = nil // set ids changed; stale marks must not survive
-	if cov != nil {
-		// Surviving counted sets form a prefix of the compacted order
-		// (Filter preserves order), so the tracker's counted prefix is
-		// exactly the kept sets it had already folded in.
-		cov.seen = covSeen
+		c.compactSet(&z, i, alive)
 	}
 	c.version = res.Version()
-	c.requested = w
-	return w
+	return c.endCompaction(z)
+}
+
+// compaction holds the cursors of an in-place compaction pass. Sets
+// [0, seen) are those the attached Coverage has counted; dropped counts
+// how many of them the pass gave back.
+type compaction struct {
+	w             int   // sets kept so far
+	wa            int32 // arena entries kept so far
+	seen, dropped int
+}
+
+// startCompaction begins the keep/drop pass Filter and InvalidateTouching
+// share: compactSet for every set in order, then endCompaction.
+func (c *Collection) startCompaction() compaction {
+	if c.coverage == nil {
+		return compaction{}
+	}
+	return compaction{seen: c.coverage.seen}
+}
+
+// compactSet moves kept set i down to the write cursors; a dropped set the
+// attached Coverage has counted gives its containment counts back. Small
+// enough to inline into the callers' per-set loops.
+func (c *Collection) compactSet(z *compaction, i int, keep bool) {
+	set := c.arena[c.offsets[i]:c.offsets[i+1]]
+	if !keep {
+		if i < z.seen {
+			c.coverage.uncount(set)
+			z.dropped++
+		}
+		return
+	}
+	z.wa += int32(copy(c.arena[z.wa:], set))
+	c.roots[z.w] = c.roots[i]
+	z.w++
+	c.offsets[z.w] = z.wa
+}
+
+// endCompaction truncates the collection to the kept sets, invalidates
+// the inverted index and returns the kept count. Kept sets preserve their
+// order, so the attached Coverage's counted prefix is exactly the kept
+// sets it had already folded in.
+func (c *Collection) endCompaction(z compaction) int {
+	c.roots = c.roots[:z.w]
+	c.offsets = c.offsets[:z.w+1]
+	c.arena = c.arena[:z.wa]
+	c.invValid = false
+	if c.coverage != nil {
+		c.coverage.seen = z.seen - z.dropped
+	}
+	c.requested = z.w
+	return z.w
 }
 
 // InvalidateTouching compacts the collection in place to the RR sets that
@@ -361,73 +330,28 @@ func (c *Collection) Filter(res *graph.Residual) int {
 //
 // Unlike Filter, the collection's residual version is left alone: the
 // survivors remain valid for the current residual, so a later Sync/Filter
-// at the same version is the expected no-op. When the inverted index is
-// current it is used to flag the dropped sets in O(hits); otherwise a
-// single mark-and-scan pass over the arena decides. Set ids change on
-// compaction, so any Marks over the collection must be discarded; an
-// attached Coverage is compacted in lockstep. Returns the number of
-// surviving sets.
+// at the same version is the expected no-op. One mark-and-scan pass over
+// the arena decides. Set ids change on compaction, so any Marks over the
+// collection must be discarded; an attached Coverage is compacted in
+// lockstep. Returns the number of surviving sets.
 func (c *Collection) InvalidateTouching(touched []graph.NodeID) int {
 	if len(touched) == 0 || c.Len() == 0 {
 		return c.Len()
 	}
-	var drop []bool
-	var marked []bool
-	if c.invValid {
-		drop = make([]bool, c.Len())
-		for _, u := range touched {
-			for _, id := range c.SetsContaining(u) {
-				drop[id] = true
-			}
-		}
-	} else {
-		marked = make([]bool, c.n)
-		for _, u := range touched {
-			marked[u] = true
-		}
+	marked := make([]bool, c.n)
+	for _, u := range touched {
+		marked[u] = true
 	}
-	cov := c.coverage
-	covSeen := 0
-	w := 0         // write cursor over sets
-	wa := int32(0) // write cursor over arena
+	z := c.startCompaction()
 	for i := 0; i < c.Len(); i++ {
-		lo, hi := c.offsets[i], c.offsets[i+1]
 		keep := true
-		if drop != nil {
-			keep = !drop[i]
-		} else {
-			for _, u := range c.arena[lo:hi] {
-				if marked[u] {
-					keep = false
-					break
-				}
+		for _, u := range c.arena[c.offsets[i]:c.offsets[i+1]] {
+			if marked[u] {
+				keep = false
+				break
 			}
 		}
-		if !keep {
-			if cov != nil && i < cov.seen {
-				for _, u := range c.arena[lo:hi] {
-					cov.counts[u]--
-				}
-			}
-			continue
-		}
-		if cov != nil && i < cov.seen {
-			covSeen++
-		}
-		copy(c.arena[wa:wa+(hi-lo)], c.arena[lo:hi])
-		c.roots[w] = c.roots[i]
-		w++
-		wa += hi - lo
-		c.offsets[w] = wa
+		c.compactSet(&z, i, keep)
 	}
-	c.roots = c.roots[:w]
-	c.offsets = c.offsets[:w+1]
-	c.arena = c.arena[:wa]
-	c.invValid = false
-	c.scratch = nil // set ids changed; stale marks must not survive
-	if cov != nil {
-		cov.seen = covSeen
-	}
-	c.requested = w
-	return w
+	return c.endCompaction(z)
 }

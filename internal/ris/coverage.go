@@ -1,25 +1,19 @@
 package ris
 
 import (
-	"container/heap"
-
 	"repro/internal/graph"
 )
 
 // This file implements the coverage queries of the paper over a
-// Collection: CovR(S), marginal coverage CovR(u|S), and greedy
-// max-coverage selection (heap-based CELF).
+// Collection: CovR(S) and marginal coverage CovR(u|S). Greedy
+// max-coverage selection (CELF) is in select.go.
 
-// Cov returns CovR(S): the number of RR sets intersecting S. It reuses an
-// internal mark buffer, so repeated queries allocate nothing after the
-// first.
+// Cov returns CovR(S): the number of RR sets intersecting S. It builds a
+// fresh mark state per call; loops over many sets should use Marks.
 func (c *Collection) Cov(s []graph.NodeID) int {
-	if c.scratch == nil {
-		c.scratch = c.NewMarks()
-	}
-	c.scratch.Reset()
-	c.scratch.CoverAll(s)
-	return c.scratch.Count()
+	m := c.NewMarks()
+	m.CoverAll(s)
+	return m.Count()
 }
 
 // Marks is a reusable coverage bitmap for incremental queries: mark the
@@ -94,15 +88,6 @@ func (m *Marks) Marginal(u graph.NodeID) int {
 	return gained
 }
 
-// MarginalCoverage returns CovR(u | S) = Cov(S ∪ {u}) − Cov(S) by building
-// a fresh mark state. Convenience for one-shot queries; loops should use
-// Marks directly.
-func (c *Collection) MarginalCoverage(u graph.NodeID, s []graph.NodeID) int {
-	m := c.NewMarks()
-	m.CoverAll(s)
-	return m.Marginal(u)
-}
-
 // EstimateSpread converts a coverage count into a spread estimate on a
 // graph (or residual) with nAlive nodes: nAlive * cov / θ.
 func EstimateSpread(cov, theta, nAlive int) float64 {
@@ -110,68 +95,4 @@ func EstimateSpread(cov, theta, nAlive int) float64 {
 		return 0
 	}
 	return float64(nAlive) * float64(cov) / float64(theta)
-}
-
-// celfEntry is a lazily evaluated candidate: gain is its marginal coverage
-// as of selection round `round`.
-type celfEntry struct {
-	node  graph.NodeID
-	gain  int
-	round int
-}
-
-// celfHeap is a max-heap on (gain, then smaller node ID) so selection is
-// deterministic under ties.
-type celfHeap []celfEntry
-
-func (h celfHeap) Len() int { return len(h) }
-func (h celfHeap) Less(i, j int) bool {
-	if h[i].gain != h[j].gain {
-		return h[i].gain > h[j].gain
-	}
-	return h[i].node < h[j].node
-}
-func (h celfHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *celfHeap) Push(x any)   { *h = append(*h, x.(celfEntry)) }
-func (h *celfHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-// GreedyMaxCoverage selects up to k nodes from candidates maximizing
-// coverage, the standard RIS selection step (used by IMM and the
-// nonadaptive baselines). It returns the chosen nodes in selection order
-// and their cumulative coverage after each pick.
-//
-// The implementation is heap-based CELF: marginal coverage only decreases
-// as nodes are selected, so each pop either carries a gain evaluated this
-// round (fresh — accept it) or a stale upper bound (re-evaluate and sift).
-// This replaces a full O(|C|) rescan per pick with O(log |C|) heap work
-// plus the few re-evaluations lazy greedy actually needs, which matters
-// when candidates are all n nodes (IMM's selection phase).
-func (c *Collection) GreedyMaxCoverage(candidates []graph.NodeID, k int) ([]graph.NodeID, []int) {
-	m := c.NewMarks()
-	h := make(celfHeap, 0, len(candidates))
-	for _, u := range candidates {
-		h = append(h, celfEntry{node: u, gain: c.CountContaining(u), round: 0})
-	}
-	heap.Init(&h)
-	var chosen []graph.NodeID
-	var cum []int
-	for len(chosen) < k && h.Len() > 0 {
-		top := h[0]
-		if top.round != len(chosen) {
-			// Stale bound: refresh in place and restore heap order.
-			h[0].gain = m.Marginal(top.node)
-			h[0].round = len(chosen)
-			heap.Fix(&h, 0)
-			continue
-		}
-		if top.gain == 0 {
-			// The best fresh marginal is zero; nothing can add coverage.
-			break
-		}
-		m.Cover(top.node)
-		chosen = append(chosen, top.node)
-		cum = append(cum, m.Count())
-		heap.Pop(&h)
-	}
-	return chosen, cum
 }

@@ -174,7 +174,7 @@ func TestCSREquivalentToLegacyLayout(t *testing.T) {
 			for u := 0; u < g.N(); u += 2 {
 				candidates = append(candidates, graph.NodeID(u))
 			}
-			gotSeeds, gotCum := csr.GreedyMaxCoverage(candidates, 8)
+			gotSeeds, gotCum := csr.GreedyMaxCoverage(candidates, 8, 1)
 			wantSeeds, wantCum := leg.greedy(candidates, 8)
 			if len(gotSeeds) != len(wantSeeds) {
 				t.Fatalf("greedy chose %v, legacy %v", gotSeeds, wantSeeds)
@@ -206,7 +206,7 @@ func TestCSRAllocationDrop(t *testing.T) {
 	csrAllocs := testing.AllocsPerRun(5, func() {
 		s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(7))
 		c := s.Generate(theta)
-		c.ensureIndex()
+		c.BuildIndex(1)
 	})
 	if csrAllocs*10 > legacyAllocs {
 		t.Fatalf("CSR build allocates %.0f, legacy %.0f; want ≥10× drop", csrAllocs, legacyAllocs)
@@ -225,7 +225,7 @@ func BenchmarkCollectionBuildCSR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(7))
 		c := s.Generate(2000)
-		c.ensureIndex()
+		c.BuildIndex(1)
 	}
 }
 

@@ -41,28 +41,30 @@
 //     TestAppendParallelWarmNoAllocs at one and two workers). Every
 //     Batcher owns one; one-shot selections use Generate.
 //   - Collection (collection.go): CSR/arena storage — one flat node arena
-//     plus per-set offsets, and a lazily built CSR inverted index — so a
-//     collection is ~4 contiguous allocations regardless of θ. Reset
+//     plus per-set offsets, and a CSR inverted index built on first use —
+//     so a collection is ~4 contiguous allocations regardless of θ. Reset
 //     empties it in place keeping capacity (the pool's warm path);
 //     Collection.Filter compacts in place to the sets still valid on a
 //     mutated residual, enabling cross-round reuse: a set drawn on G_i
 //     that avoids every node deleted since is kept for G_j (j > i). Kept
 //     sets are biased — each is a G_i set conditioned on avoiding the
 //     deleted nodes, not a G_j set (TestFilterTiltsSurvivorLaw) — see
-//     Filter for the size of the deviation.
+//     Filter for the size of the deviation. InvalidateTouching drops the
+//     sets a topology delta touched through the same compaction pass.
 //   - Coverage queries (coverage.go, select.go): CovR(S), incremental
 //     marginals via Marks, and heap-based CELF greedy max-coverage — the
-//     selection step of IMM (§VI-A) and the nonadaptive greedy baseline.
-//     GreedyMaxCoverageWorkers adds a parallel marginal-evaluation path
-//     (range-partitioned index build, concurrent initial gains, batched
-//     lazy re-evaluation) whose selections are identical to the serial
-//     CELF for every worker count.
+//     selection step of IMM (§VI-A). GreedyMaxCoverage and BuildIndex are
+//     one implementation each for every worker count: with workers > 1
+//     the index build is range-partitioned, initial gains are evaluated
+//     concurrently and stale entries are re-evaluated in batches; the
+//     selections and the index are identical for every worker count.
 //   - Coverage tracker and Batcher (tracker.go): Coverage maintains
 //     per-node containment counts incrementally as batches are appended
 //     and is compacted in lockstep by Collection.Filter, so a per-batch
 //     stopping-rule check costs O(batch + alive) instead of an inverted
 //     index rebuild. Batcher packages the draw/filter/top-up cycle —
 //     pool, collection, tracker, accounting — shared by both adaptive
-//     sampling policies, sampled ADG rounds and IMM's θ search. Its warm
-//     loop is allocation-free (TestBatcherWarmLoopNoAllocs).
+//     sampling policies, sampled ADG rounds and IMM's θ search; every
+//     Batcher keeps its tracker current. Its warm loop is allocation-free
+//     (TestBatcherWarmLoopNoAllocs).
 package ris

@@ -161,29 +161,6 @@ func TestFilterVersionTracking(t *testing.T) {
 	}
 }
 
-// TestFilterInvalidatesScratchMarks: Cov must answer correctly after a
-// Filter compacts set ids out from under the internal scratch buffer.
-func TestFilterInvalidatesScratchMarks(t *testing.T) {
-	g := fig1Graph()
-	res := graph.NewResidual(g)
-	c := NewSampler(res, cascade.IC, rng.New(11)).Generate(1000)
-	_ = c.Cov([]graph.NodeID{1}) // materialize scratch over 1000 sets
-	res.Remove(2)
-	c.Filter(res)
-	want := 0
-	for i := 0; i < c.Len(); i++ {
-		for _, v := range c.SetNodes(i) {
-			if v == 1 {
-				want++
-				break
-			}
-		}
-	}
-	if got := c.Cov([]graph.NodeID{1}); got != want {
-		t.Fatalf("Cov after filter %d, want %d", got, want)
-	}
-}
-
 // TestFilterTiltsSurvivorLaw pins the known deviation of cross-round
 // reuse: a set that survives Filter is an RR set of the old residual
 // conditioned on avoiding the removed nodes, which is not the law of a

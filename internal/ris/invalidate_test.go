@@ -51,8 +51,9 @@ func editEdges(base, inserts, deletes []graph.Edge) []graph.Edge {
 // TestInvalidateTouchingMatchesBruteForce: after a topology delta,
 // InvalidateTouching must keep exactly the RR sets avoiding every touched
 // node, in order, contents intact, coverage compacted in lockstep, and the
-// collection's residual version untouched — on both the marked-scan path
-// (stale index) and the inverted-index path, against a brute-force rescan.
+// collection's residual version untouched — against a brute-force rescan,
+// with the inverted index stale or built beforehand. A built index must
+// be cleared, since set ids change on compaction.
 func TestInvalidateTouchingMatchesBruteForce(t *testing.T) {
 	for _, warmIndex := range []bool{false, true} {
 		name := "scan"
@@ -76,6 +77,9 @@ func TestInvalidateTouchingMatchesBruteForce(t *testing.T) {
 			versionBefore := c.Version()
 			want := survivingTouched(before, dres.Touched)
 			kept := c.InvalidateTouching(dres.Touched)
+			if c.invValid {
+				t.Fatal("inverted index still marked valid after compaction")
+			}
 
 			if kept == len(before) {
 				t.Fatal("delta invalidated no sets; churn too weak to test anything")

@@ -218,24 +218,12 @@ func TestMarksIncrementalMatchesCov(t *testing.T) {
 	}
 }
 
-func TestMarginalCoverageOneShot(t *testing.T) {
-	g := fig1Graph()
-	s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(71))
-	c := s.Generate(1000)
-	base := []graph.NodeID{1}
-	got := c.MarginalCoverage(3, base)
-	want := c.Cov([]graph.NodeID{1, 3}) - c.Cov(base)
-	if got != want {
-		t.Fatalf("MarginalCoverage = %d, want %d", got, want)
-	}
-}
-
 func TestGreedyMaxCoverage(t *testing.T) {
 	g := fig1Graph()
 	s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(81))
 	c := s.Generate(5000)
 	all := []graph.NodeID{0, 1, 2, 3, 4, 5, 6}
-	chosen, cum := c.GreedyMaxCoverage(all, 3)
+	chosen, cum := c.GreedyMaxCoverage(all, 3, 1)
 	if len(chosen) == 0 || len(chosen) != len(cum) {
 		t.Fatalf("chose %v cum %v", chosen, cum)
 	}
@@ -262,7 +250,7 @@ func TestGreedyMaxCoverageStopsWhenSaturated(t *testing.T) {
 	// Single RR set; after one pick nothing can add coverage.
 	c := NewCollection(3)
 	c.Add(&RRSet{Root: 0, Nodes: []graph.NodeID{0, 1}})
-	chosen, _ := c.GreedyMaxCoverage([]graph.NodeID{0, 1, 2}, 3)
+	chosen, _ := c.GreedyMaxCoverage([]graph.NodeID{0, 1, 2}, 3, 1)
 	if len(chosen) != 1 {
 		t.Fatalf("chose %v, want exactly one node", chosen)
 	}
@@ -272,7 +260,7 @@ func TestGreedyDeterministicTieBreak(t *testing.T) {
 	c := NewCollection(3)
 	c.Add(&RRSet{Root: 0, Nodes: []graph.NodeID{0, 1, 2}})
 	for i := 0; i < 20; i++ {
-		chosen, _ := c.GreedyMaxCoverage([]graph.NodeID{2, 1, 0}, 1)
+		chosen, _ := c.GreedyMaxCoverage([]graph.NodeID{2, 1, 0}, 1, 1)
 		if len(chosen) != 1 || chosen[0] != 0 {
 			t.Fatalf("tie-break picked %v, want [0]", chosen)
 		}
@@ -349,17 +337,5 @@ func TestMarksResetReusable(t *testing.T) {
 	early.Reset()
 	if got := early.Cover(0); got != len(c.SetsContaining(0)) {
 		t.Fatalf("grown marks covered %d, want %d", got, len(c.SetsContaining(0)))
-	}
-}
-
-func TestCovAllocationFree(t *testing.T) {
-	g := fig1Graph()
-	s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(71))
-	c := s.Generate(50000)
-	seeds := []graph.NodeID{0, 1, 5}
-	c.Cov(seeds) // warm the scratch buffer
-	avg := testing.AllocsPerRun(50, func() { c.Cov(seeds) })
-	if avg != 0 {
-		t.Fatalf("Cov allocates %.1f per call after warmup, want 0", avg)
 	}
 }

@@ -9,43 +9,40 @@ import (
 	"repro/internal/graph"
 )
 
-// This file adds the parallel marginal-gain evaluation path of
-// GreedyMaxCoverage. The serial CELF in coverage.go pops one stale heap
-// entry at a time and re-evaluates it inline; on IMM's selection phase over
-// all n candidates of a multi-million-node graph that single core is the
-// last serial hot path of the pipeline. The parallel path keeps CELF's lazy
-// re-evaluation but shards the work that dominates it:
+// This file holds the CSR inverted-index build and greedy max-coverage
+// selection (heap-based CELF), one implementation each for every worker
+// count. With workers > 1 the work that dominates IMM's selection over all
+// n candidates of a large graph is sharded:
 //
-//   - the CSR inverted index is built with a range-partitioned counting
-//     sort (per-worker per-node counts combined into exact write bases, so
-//     the filled index is byte-identical to the serial build),
+//   - the inverted index is built with a range-partitioned counting sort
+//     (per-range per-node counts combined into exact write bases, so the
+//     filled index is the same for any number of ranges),
 //   - the initial per-candidate gains are evaluated concurrently (each is
 //     an O(1) index lookup once the index exists),
 //   - stale heap entries are popped in batches and their marginals
 //     recounted concurrently, then sifted back.
 //
-// Selections are identical to the serial path for any worker count: a node
-// is picked only when its freshly evaluated gain tops every other entry's
-// (stale ⇒ upper-bound) key, so the pick is the (gain, smaller-ID) argmax
-// of the true marginals regardless of how many entries a batch refreshed.
-// TestGreedyMaxCoverageParallelMatchesSerial enforces this.
+// Selections are identical for every worker count: a node is picked only
+// when its freshly evaluated gain tops every other entry's (stale ⇒
+// upper-bound) key, so the pick is the (gain, smaller-ID) argmax of the
+// true marginals regardless of how many entries a batch refreshed.
+// TestGreedyMaxCoverageMatchesPlainGreedy enforces this.
 
-// Refresh batches grow geometrically from initialRefreshBatch to
-// maxRefreshBatch while the heap top stays stale, and reset on every
-// pick. CELF's laziness is the whole point — after a pick most entries
-// are stale but only a few ever need re-evaluation — so a fixed large
-// batch would recount hundreds of marginals the serial path never
-// touches; doubling bounds the wasted refreshes at ~2× the needed ones
-// while still offering whole batches to the workers when a round really
-// does re-evaluate many candidates.
+// With workers > 1, refresh batches grow geometrically from
+// initialRefreshBatch to maxRefreshBatch while the heap top stays stale,
+// and reset on every pick. CELF's laziness is the whole point — after a
+// pick most entries are stale but only a few ever need re-evaluation — so
+// a fixed large batch would recount hundreds of marginals that
+// one-at-a-time refreshes never touch; doubling bounds the wasted
+// refreshes at ~2× the needed ones while still offering whole batches to
+// the workers when a round really does re-evaluate many candidates.
 const (
 	initialRefreshBatch = 8
 	maxRefreshBatch     = 1024
 )
 
-// minParallelIndexSets is the collection size below which the parallel
-// index build falls back to the serial one (fan-out costs more than the
-// counting passes save).
+// minParallelIndexSets is the collection size below which the index build
+// uses a single range (fan-out costs more than the counting passes save).
 const minParallelIndexSets = 4096
 
 // minParallelRefresh is the refresh-batch size below which re-evaluation
@@ -81,13 +78,13 @@ func parallelFor(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// BuildIndex materializes the CSR inverted index with up to workers
-// goroutines (0 = GOMAXPROCS), or returns immediately if it is already
-// valid. The result is identical to the lazily built serial index —
-// per-node set ids stay ascending — so queries cannot tell the difference.
-// Callers that will read the index concurrently (oracle batch queries,
-// the parallel CELF) build it here first; all index reads after that are
-// lock-free.
+// BuildIndex materializes the CSR inverted index as a counting sort over
+// up to workers contiguous ranges of sets (0 = GOMAXPROCS), or returns
+// immediately if it is already valid. Per-node set ids come out ascending
+// and the layout does not depend on the range count. Queries
+// (SetsContaining, CountContaining) build it with one range on first use;
+// callers that will read the index concurrently (the greedy's parallel
+// refreshes) build it first, after which all index reads are lock-free.
 func (c *Collection) BuildIndex(workers int) {
 	if c.invValid {
 		return
@@ -95,12 +92,8 @@ func (c *Collection) BuildIndex(workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > c.Len() {
-		workers = c.Len()
-	}
-	if workers <= 1 || c.Len() < minParallelIndexSets {
-		c.ensureIndex()
-		return
+	if c.Len() < minParallelIndexSets {
+		workers = 1
 	}
 
 	// Partition sets into contiguous ranges of roughly equal arena share
@@ -113,7 +106,8 @@ func (c *Collection) BuildIndex(workers int) {
 	bounds[workers] = c.Len()
 
 	// Per-range per-node counts; the arrays are retained on the collection
-	// so steady-state rebuilds (one per Filter or top-up) allocate nothing.
+	// so steady-state rebuilds (one per Filter or top-up) allocate no
+	// O(n) storage.
 	for len(c.rangeCounts) < workers {
 		c.rangeCounts = append(c.rangeCounts, nil)
 	}
@@ -123,15 +117,11 @@ func (c *Collection) BuildIndex(workers int) {
 				c.rangeCounts[w] = make([]int32, c.n)
 			} else {
 				c.rangeCounts[w] = c.rangeCounts[w][:c.n]
-				for i := range c.rangeCounts[w] {
-					c.rangeCounts[w][i] = 0
-				}
+				clear(c.rangeCounts[w])
 			}
 			counts := c.rangeCounts[w]
-			for i := bounds[w]; i < bounds[w+1]; i++ {
-				for _, u := range c.arena[c.offsets[i]:c.offsets[i+1]] {
-					counts[u]++
-				}
+			for _, u := range c.arena[c.offsets[bounds[w]]:c.offsets[bounds[w+1]]] {
+				counts[u]++
 			}
 		}
 	})
@@ -144,7 +134,7 @@ func (c *Collection) BuildIndex(workers int) {
 	// Combine: one node-major pass turns the per-range counts into exact
 	// per-range write bases and the prefix-summed invOff. Range w's slots
 	// for node u precede range w+1's, and each range fills its slots in set
-	// order, so per-node ids come out ascending — the serial layout.
+	// order, so per-node ids come out ascending.
 	off := int32(0)
 	for u := 0; u < c.n; u++ {
 		c.invOff[u] = off
@@ -176,6 +166,29 @@ func (c *Collection) BuildIndex(workers int) {
 	c.invValid = true
 }
 
+// celfEntry is a lazily evaluated candidate: gain is its marginal coverage
+// as of selection round `round`.
+type celfEntry struct {
+	node  graph.NodeID
+	gain  int
+	round int
+}
+
+// celfHeap is a max-heap on (gain, then smaller node ID) so selection is
+// deterministic under ties.
+type celfHeap []celfEntry
+
+func (h celfHeap) Len() int { return len(h) }
+func (h celfHeap) Less(i, j int) bool {
+	if h[i].gain != h[j].gain {
+		return h[i].gain > h[j].gain
+	}
+	return h[i].node < h[j].node
+}
+func (h celfHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *celfHeap) Push(x any)   { *h = append(*h, x.(celfEntry)) }
+func (h *celfHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
 // popTop removes and returns the heap's top entry (heap.Pop without the
 // interface boxing).
 func (h *celfHeap) popTop() celfEntry {
@@ -197,17 +210,22 @@ func (h *celfHeap) pushEntry(e celfEntry) {
 	heap.Fix(h, len(*h)-1)
 }
 
-// GreedyMaxCoverageWorkers is GreedyMaxCoverage with parallel marginal
-// evaluation: workers > 1 shards the index build, the initial gains, and
-// batched CELF re-evaluations across goroutines; workers <= 1 runs the
-// serial path, and 0 resolves to GOMAXPROCS. The selected nodes and
-// cumulative coverage curve are identical for every worker count.
-func (c *Collection) GreedyMaxCoverageWorkers(candidates []graph.NodeID, k, workers int) ([]graph.NodeID, []int) {
+// GreedyMaxCoverage selects up to k nodes from candidates maximizing
+// coverage, the standard RIS selection step of IMM. It returns the chosen
+// nodes in selection order and their cumulative coverage after each pick;
+// both are identical for every worker count (0 = GOMAXPROCS).
+//
+// The implementation is heap-based CELF: marginal coverage only decreases
+// as nodes are selected, so each pop either carries a gain evaluated this
+// round (fresh — accept it) or a stale upper bound (re-evaluate and sift).
+// This replaces a full O(|C|) rescan per pick with O(log |C|) heap work
+// plus the few re-evaluations lazy greedy actually needs, which matters
+// when candidates are all n nodes (IMM's selection phase). With one
+// worker each stale top is refreshed in place, one at a time; with more,
+// stale entries are refreshed in growing batches across the workers.
+func (c *Collection) GreedyMaxCoverage(candidates []graph.NodeID, k, workers int) ([]graph.NodeID, []int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 {
-		return c.GreedyMaxCoverage(candidates, k)
 	}
 	c.BuildIndex(workers)
 	m := c.NewMarks()
@@ -221,12 +239,13 @@ func (c *Collection) GreedyMaxCoverageWorkers(candidates []graph.NodeID, k, work
 	heap.Init(&h)
 	var chosen []graph.NodeID
 	var cum []int
-	batch := make([]celfEntry, 0, maxRefreshBatch)
+	var batch []celfEntry
 	batchSize := initialRefreshBatch
 	for len(chosen) < k && h.Len() > 0 {
 		round := len(chosen)
 		if top := h[0]; top.round == round {
 			if top.gain == 0 {
+				// The best fresh marginal is zero; nothing can add coverage.
 				break
 			}
 			m.Cover(top.node)
@@ -234,6 +253,13 @@ func (c *Collection) GreedyMaxCoverageWorkers(candidates []graph.NodeID, k, work
 			cum = append(cum, m.Count())
 			h.popTop()
 			batchSize = initialRefreshBatch
+			continue
+		}
+		if workers == 1 {
+			// Stale bound: refresh in place and restore heap order.
+			h[0].gain = m.Marginal(h[0].node)
+			h[0].round = round
+			heap.Fix(&h, 0)
 			continue
 		}
 		// Pop the stale prefix (up to batchSize entries), recount the

@@ -8,10 +8,10 @@ import (
 
 // CollectionState is the serializable snapshot of a Collection: the CSR
 // arena, per-set offsets, roots, the residual version the sets are valid
-// for, and the requested-draw counter. The lazily built inverted index,
-// the attached Coverage counts, and the Marks scratch are deliberately
-// absent — each is a pure function of the sets (or transient), so restore
-// rebuilds them instead of trusting 2× the bytes on disk.
+// for, and the requested-draw counter. The inverted index and the
+// attached Coverage counts are deliberately absent — each is a pure
+// function of the sets, so restore rebuilds them instead of trusting 2×
+// the bytes on disk.
 type CollectionState struct {
 	Arena     []graph.NodeID
 	Offsets   []int32
@@ -72,7 +72,6 @@ func (c *Collection) RestoreState(st CollectionState) error {
 	c.version = st.Version
 	c.requested = st.Requested
 	c.invValid = false
-	c.scratch = nil
 	if c.coverage != nil {
 		c.coverage.reset()
 		c.coverage.Update()
@@ -117,9 +116,9 @@ func (b *Batcher) State() BatcherState {
 // RestoreState overwrites the batcher with a captured snapshot. fullN is
 // the node count of the graph the collection indexes (graph.Residual's
 // FullN); it sizes the collection and coverage tracker when the batcher
-// has never drawn. Reuse/coverage configuration is not part of the state —
-// callers configure the batcher (SetReuse, EnableCoverage) before
-// restoring, exactly as they would before a fresh run.
+// has never drawn. The reuse setting is not part of the state — callers
+// call SetReuse before restoring, exactly as they would before a fresh
+// run.
 func (b *Batcher) RestoreState(st BatcherState, fullN int) error {
 	b.drawn = st.Drawn
 	b.requested = st.Requested
@@ -133,11 +132,5 @@ func (b *Batcher) RestoreState(st BatcherState, fullN int) error {
 		}
 		return nil
 	}
-	if b.col == nil {
-		b.col = NewCollection(fullN)
-		if b.wantCov {
-			b.cov = b.col.NewCoverage()
-		}
-	}
-	return b.col.RestoreState(st.Col)
+	return b.ensureCol(fullN).RestoreState(st.Col)
 }

@@ -57,6 +57,13 @@ func (cov *Coverage) Update() {
 // touching the inverted index.
 func (cov *Coverage) Count(u graph.NodeID) int { return int(cov.counts[u]) }
 
+// uncount gives a dropped set's containment counts back.
+func (cov *Coverage) uncount(nodes []graph.NodeID) {
+	for _, u := range nodes {
+		cov.counts[u]--
+	}
+}
+
 // reset zeroes the counts in place (storage is retained).
 func (cov *Coverage) reset() {
 	for i := range cov.counts {
@@ -67,7 +74,7 @@ func (cov *Coverage) reset() {
 
 // Batcher owns the draw/filter/top-up cycle every RR-consuming run shares:
 // a persistent SamplerPool, one Collection reused across batches and
-// residual versions, an optional Coverage tracker, and the sampling
+// residual versions with its Coverage tracker, and the sampling
 // accounting (drawn / requested / reused / peak bytes / wall time /
 // batches) that runs report. The adaptive sampling stepper (both
 // policies), ADG's sampled rounds and IMM's θ search all draw through a
@@ -75,12 +82,11 @@ func (cov *Coverage) reset() {
 // (nonadaptive greedy, imm.SpreadLowerBound) draw through
 // SamplerPool.Generate instead.
 type Batcher struct {
-	model   cascade.Model
-	pool    *SamplerPool
-	col     *Collection
-	cov     *Coverage
-	reuse   bool
-	wantCov bool
+	model cascade.Model
+	pool  *SamplerPool
+	col   *Collection
+	cov   *Coverage
+	reuse bool
 
 	drawn, requested, reused, peakBytes, samplingNS int64
 	batches                                         int
@@ -125,21 +131,12 @@ func (b *Batcher) Reset() {
 	b.batches = 0
 }
 
-// EnableCoverage attaches an incremental Coverage tracker to the batcher's
-// collection; GrowTo keeps it current after every batch.
-func (b *Batcher) EnableCoverage() {
-	b.wantCov = true
-	if b.col != nil && b.cov == nil {
-		b.cov = b.col.NewCoverage()
-	}
-}
-
-func (b *Batcher) ensureCol(res *graph.Residual) *Collection {
+// ensureCol creates the collection and its coverage tracker on first use;
+// n is the node count of the full graph.
+func (b *Batcher) ensureCol(n int) *Collection {
 	if b.col == nil {
-		b.col = NewCollection(res.FullN())
-		if b.wantCov {
-			b.cov = b.col.NewCoverage()
-		}
+		b.col = NewCollection(n)
+		b.cov = b.col.NewCoverage()
 	}
 	return b.col
 }
@@ -150,7 +147,7 @@ func (b *Batcher) ensureCol(res *graph.Residual) *Collection {
 // off it resets the collection (warm storage, fresh sets). It returns the
 // number of sets carried over.
 func (b *Batcher) Sync(res *graph.Residual) int {
-	c := b.ensureCol(res)
+	c := b.ensureCol(res.FullN())
 	if !b.reuse {
 		c.Reset()
 		return 0
@@ -177,11 +174,11 @@ func (b *Batcher) Invalidate(touched []graph.NodeID) int {
 
 // GrowTo tops the collection up to target RR sets on res, drawing only the
 // shortfall through the persistent pool (one batch; parent advances by one
-// key only when something is drawn). The coverage tracker, if
-// enabled, is brought current. It returns the collection size, which can
-// fall short of target only when the residual has no alive nodes — or when
-// the installed interrupt aborted the batch, in which case the error is
-// non-nil and the collection contents must be treated as void.
+// key only when something is drawn). The coverage tracker is brought
+// current. It returns the collection size, which can fall short of target
+// only when the residual has no alive nodes — or when the installed
+// interrupt aborted the batch, in which case the error is non-nil and the
+// collection contents must be treated as void.
 func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers int) (int, error) {
 	// Fault-plane hook (no-op unless an injector is active): a batch
 	// top-up is the failure-prone operation inside every campaign step,
@@ -191,7 +188,7 @@ func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers i
 	if err := fault.Check(fault.SiteBatcherGrow); err != nil {
 		return b.Len(), err
 	}
-	c := b.ensureCol(res)
+	c := b.ensureCol(res.FullN())
 	if shortfall := target - c.Len(); shortfall > 0 {
 		before := c.Len()
 		start := time.Now()
@@ -204,16 +201,14 @@ func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers i
 			return c.Len(), err
 		}
 	}
-	if b.cov != nil {
-		b.cov.Update()
-	}
+	b.cov.Update()
 	if bytes := c.Bytes(); bytes > b.peakBytes {
 		b.peakBytes = bytes
 	}
 	return c.Len(), nil
 }
 
-// Count returns the tracked containment count of u (EnableCoverage first).
+// Count returns the tracked containment count of u.
 func (b *Batcher) Count(u graph.NodeID) int { return b.cov.Count(u) }
 
 // Collection returns the batcher's collection (nil before the first Sync

@@ -93,7 +93,6 @@ func TestBatcherAccountingAndReuse(t *testing.T) {
 	g := wcTestGraph(t)
 	res := graph.NewResidual(g)
 	b := NewBatcher(cascade.IC)
-	b.EnableCoverage()
 	parent := rng.New(43)
 	if n, err := b.GrowTo(res, parent, 500, 2); n != 500 || err != nil {
 		t.Fatalf("GrowTo returned %d, %v, want 500, nil", n, err)
@@ -142,7 +141,6 @@ func TestBatcherAccountingAndReuse(t *testing.T) {
 func TestBatcherWarmLoopNoAllocs(t *testing.T) {
 	g := wcTestGraph(t)
 	b := NewBatcher(cascade.IC)
-	b.EnableCoverage()
 	parent := rng.New(47)
 	// Warm up: grow past the steady-state target once so the arena and
 	// index-free coverage storage reach capacity.
