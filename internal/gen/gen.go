@@ -13,6 +13,7 @@ package gen
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -109,6 +110,11 @@ func erdosRenyi(cfg Config, r *rng.RNG) (*graph.Builder, error) {
 	if cfg.Directed && target > maxEdges {
 		return nil, fmt.Errorf("gen: %d edges exceed capacity %d", target, maxEdges)
 	}
+	if cfg.Directed {
+		b.Grow(int(target))
+	} else {
+		b.Grow(2 * int(target))
+	}
 	seen := make(map[[2]int32]struct{}, target)
 	for int64(len(seen)) < target {
 		u := int32(r.Intn(cfg.N))
@@ -152,6 +158,11 @@ func prefAttach(cfg Config, r *rng.RNG) (*graph.Builder, error) {
 		return nil, fmt.Errorf("gen: pref-attach needs N > k, got N=%d k=%d", cfg.N, k)
 	}
 	b := graph.NewBuilder(cfg.N, cfg.Directed)
+	arcs := (k+1)*k + (cfg.N-k-1)*k // seed clique + k attachments per later node
+	if !cfg.Directed {
+		arcs += (cfg.N - k - 1) * k // each attachment's reverse arc
+	}
+	b.Grow(arcs)
 	// targets holds one entry per degree unit; sampling an index gives
 	// degree-proportional attachment.
 	targets := make([]int32, 0, 2*cfg.N*k)
@@ -169,11 +180,11 @@ func prefAttach(cfg Config, r *rng.RNG) (*graph.Builder, error) {
 			targets = append(targets, int32(u))
 		}
 	}
+	// chosen is an insertion-ordered distinct set of at most k entries, so
+	// a linear scan rejects repeats faster than hashing would.
+	chosen := make([]int32, 0, k)
 	for u := k + 1; u < cfg.N; u++ {
-		// chosen is an insertion-ordered distinct set; map iteration order
-		// must not leak into the edge stream or determinism breaks.
-		chosen := make([]int32, 0, k)
-		seen := make(map[int32]struct{}, k)
+		chosen = chosen[:0]
 		for len(chosen) < k {
 			var v int32
 			// Mix degree-proportional and uniform attachment so low-degree
@@ -183,13 +194,9 @@ func prefAttach(cfg Config, r *rng.RNG) (*graph.Builder, error) {
 			} else {
 				v = int32(r.Intn(u))
 			}
-			if v == int32(u) {
+			if v == int32(u) || slices.Contains(chosen, v) {
 				continue
 			}
-			if _, dup := seen[v]; dup {
-				continue
-			}
-			seen[v] = struct{}{}
 			chosen = append(chosen, v)
 		}
 		for _, v := range chosen {
@@ -224,6 +231,11 @@ func smallWorld(cfg Config, r *rng.RNG) (*graph.Builder, error) {
 		beta = 0.1
 	}
 	b := graph.NewBuilder(cfg.N, cfg.Directed)
+	if cfg.Directed {
+		b.Grow(cfg.N * k)
+	} else {
+		b.Grow(2 * cfg.N * k)
+	}
 	for u := 0; u < cfg.N; u++ {
 		for j := 1; j <= k; j++ {
 			v := (u + j) % cfg.N
@@ -303,18 +315,20 @@ func powerLawConfig(cfg Config, r *rng.RNG) (*graph.Builder, error) {
 	}
 	scale := float64(want) / float64(sum)
 	b := graph.NewBuilder(cfg.N, cfg.Directed)
+	// picked[u] == v marks u as already wired into v.
+	picked := make([]int32, cfg.N)
+	for i := range picked {
+		picked[i] = -1
+	}
 	for v := 0; v < cfg.N; v++ {
 		d := int64(float64(degs[v])*scale + r.Float64()) // stochastic rounding
-		seen := make(map[int32]struct{}, d)
-		for int64(len(seen)) < d && int64(len(seen)) < int64(cfg.N-1) {
+		for wired := int64(0); wired < d && wired < int64(cfg.N-1); {
 			u := int32(r.Intn(cfg.N))
-			if int(u) == v {
+			if int(u) == v || picked[u] == int32(v) {
 				continue
 			}
-			if _, dup := seen[u]; dup {
-				continue
-			}
-			seen[u] = struct{}{}
+			picked[u] = int32(v)
+			wired++
 			if err := b.AddArc(u, int32(v)); err != nil {
 				return nil, err
 			}

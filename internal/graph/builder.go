@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Builder accumulates edges and produces an immutable Graph.
@@ -65,22 +64,52 @@ func (b *Builder) AddUndirected(u, v NodeID, p float64) error {
 // ApplyWeightedCascade when probabilities are derived from degrees.
 func (b *Builder) AddArc(u, v NodeID) error { return b.AddEdge(u, v, 1) }
 
+// Grow reserves capacity for extra more edges, like slices.Grow.
+// Generators that know their edge count up front call it once, so AddEdge
+// never reallocates.
+func (b *Builder) Grow(extra int) { b.edges = slices.Grow(b.edges, extra) }
+
 // Dedup removes parallel edges, keeping the first occurrence of each
-// (from, to) pair. Returns the number of edges removed.
+// (from, to) pair; the kept edges stay in their input order, so the edge
+// indices ApplyTrivalency's pick sees are those of the first occurrences.
+// Returns the number of edges removed. It runs in O(n+m): edge indices are
+// grouped by source with a stable counting sort, and a per-target stamp
+// of the last source seen flags the repeats.
 func (b *Builder) Dedup() int {
-	seen := make(map[[2]NodeID]struct{}, len(b.edges))
-	kept := b.edges[:0]
-	removed := 0
+	// Stable counting sort of the edge indices by source.
+	next := make([]int32, b.n)
 	for _, e := range b.edges {
-		k := [2]NodeID{e.From, e.To}
-		if _, dup := seen[k]; dup {
+		next[e.From]++
+	}
+	sum := int32(0)
+	for u, c := range next {
+		next[u] = sum
+		sum += c
+	}
+	bySrc := make([]int32, len(b.edges))
+	for i, e := range b.edges {
+		bySrc[next[e.From]] = int32(i)
+		next[e.From]++
+	}
+	// Within a source's group, an edge repeats a pair exactly when an
+	// earlier edge of the group stamped its target.
+	last := next // reused: last[v] is the source whose group last reached v
+	for i := range last {
+		last[i] = -1
+	}
+	removed := 0
+	for _, i := range bySrc {
+		e := &b.edges[i]
+		if last[e.To] == e.From {
+			e.From = -1 // marks the repeat for the compaction below
 			removed++
 			continue
 		}
-		seen[k] = struct{}{}
-		kept = append(kept, e)
+		last[e.To] = e.From
 	}
-	b.edges = kept
+	if removed > 0 {
+		b.edges = slices.DeleteFunc(b.edges, func(e Edge) bool { return e.From < 0 })
+	}
 	return removed
 }
 
@@ -120,7 +149,15 @@ func (b *Builder) ApplyTrivalency(pick func(i int) int) {
 
 // Build produces the immutable CSR graph. The builder remains usable.
 // Its arenas are exactly sized, with the runs laid out back to back in
-// node order.
+// node order: out-runs sorted by target, in-runs by source, and parallel
+// edges of one (from, to) pair in their input order in both directions.
+//
+// Construction is O(n+m), three stable counting-sort passes with no
+// comparison sort: the edges are scattered by target into the in-arena,
+// the in-runs are scanned in node order and scattered by source into the
+// out-arena, whose runs therefore come out sorted by target, and the
+// out-runs are scanned in node order and scattered by target back into
+// the in-arena, whose runs then come out sorted by source.
 func (b *Builder) Build() *Graph {
 	n := b.n
 	m := int64(len(b.edges))
@@ -134,45 +171,60 @@ func (b *Builder) Build() *Graph {
 		inMeta:   make([]InMeta, n),
 		inAdj:    make([]NodeID, m),
 	}
-
-	// Sort into CSR for both directions; deterministic layout: (source,
-	// target) for out, (target, source) for in.
-	sorted := make([]Edge, m)
-	copy(sorted, b.edges)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].From != sorted[j].From {
-			return sorted[i].From < sorted[j].From
-		}
-		return sorted[i].To < sorted[j].To
-	})
-	for i, e := range sorted {
-		g.outAdj[i] = e.To
-		g.outP[i] = e.P
+	inP := make([]float64, m)
+	for _, e := range b.edges {
 		g.outRun[e.From].deg++
+		g.inMeta[e.To].Deg++
 	}
 	start := int32(0)
 	for u := range g.outRun {
 		g.outRun[u].start = start
 		start += g.outRun[u].deg
 	}
-
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].To != sorted[j].To {
-			return sorted[i].To < sorted[j].To
-		}
-		return sorted[i].From < sorted[j].From
-	})
-	inP := make([]float64, m)
-	for i, e := range sorted {
-		g.inAdj[i] = e.From
-		inP[i] = e.P
-		g.inMeta[e.To].Deg++
-	}
 	start = 0
 	for v := range g.inMeta {
 		g.inMeta[v].Start = start
 		start += g.inMeta[v].Deg
 		g.maxInDeg = max(g.maxInDeg, g.inMeta[v].Deg)
+	}
+
+	next := make([]int32, n) // per-node write cursor of the pass at hand
+	inCursors := func() {
+		for v := range next {
+			next[v] = g.inMeta[v].Start
+		}
+	}
+	// Pass 1: by target, in input order.
+	inCursors()
+	for _, e := range b.edges {
+		k := next[e.To]
+		g.inAdj[k], inP[k] = e.From, e.P
+		next[e.To]++
+	}
+	// Pass 2: by source; visiting targets in node order sorts each out-run.
+	for u := range next {
+		next[u] = g.outRun[u].start
+	}
+	for v := int32(0); v < n; v++ {
+		lo, hi := g.inRange(v)
+		for k := lo; k < hi; k++ {
+			u := g.inAdj[k]
+			j := next[u]
+			g.outAdj[j], g.outP[j] = v, inP[k]
+			next[u]++
+		}
+	}
+	// Pass 3: by target again; visiting sources in node order sorts each
+	// in-run.
+	inCursors()
+	for u := int32(0); u < n; u++ {
+		lo, hi := g.outRange(u)
+		for j := lo; j < hi; j++ {
+			v := g.outAdj[j]
+			k := next[v]
+			g.inAdj[k], inP[k] = u, g.outP[j]
+			next[v]++
+		}
 	}
 	g.compressInProbs(inP)
 	return g

@@ -57,10 +57,13 @@ type lineage struct {
 // compactions, and no arena holds more than twice its live entries.
 //
 // The result is structurally identical — per node — to Builder.Build on
-// the edited edge list: the same runs in the same order, the same
-// probabilities, tables and sampler metadata (Deg, Thr0, Thr1), though
-// the runs sit at other arena positions. Same-seed RR draws on the delta
-// graph and on a full rebuild are therefore bit-identical.
+// the edited edge list (g.Edges() minus the first matching occurrence of
+// each delete, then the inserts): the same runs in the same order, the
+// same probabilities, tables and sampler metadata (Deg, Thr0, Thr1),
+// though the runs sit at other arena positions. Parallel edges agree too,
+// since Build keeps equal (From, To) pairs in input order and a merged
+// run puts base entries ahead of equal inserts. Same-seed RR draws on the
+// delta graph and on a full rebuild are therefore bit-identical.
 //
 // Inserts are validated like Builder.AddEdge (endpoints in range, no
 // self-loops, probability in (0,1]; the negated comparison also rejects

@@ -98,9 +98,9 @@ const (
 )
 
 // randomDeltaEdges draws a simple (parallel-free) directed edge set and
-// weights it. Parallel edges with distinct probabilities are avoided
-// throughout the property tests: Builder.Build sorts with sort.Slice, whose
-// order among equal (From,To) keys is unspecified.
+// weights it. The property tests stay parallel-free because randomDelta
+// deletes a specific edge of the list, while a delete in ApplyDelta
+// removes the first matching (From, To) entry.
 func randomDeltaEdges(r *rng.RNG, n, m, weighting int) []Edge {
 	seen := make(map[[2]NodeID]bool, m)
 	edges := make([]Edge, 0, m)

@@ -38,9 +38,11 @@
 // (trivalency) keep the per-edge fallback and the accessor-based API.
 //
 // Nodes keep the IDs 0..N-1 given to the Builder. Adjacency runs are
-// sorted by neighbor ID, Residual fills its alive list in node-ID order,
-// and every deterministic argmax in the repository breaks ties toward the
-// smaller node ID.
+// sorted by neighbor ID, parallel edges of one (from, to) pair keep the
+// order the Builder received them in, Residual fills its alive list in
+// node-ID order, and every deterministic argmax in the repository breaks
+// ties toward the smaller node ID. Builder.Build and Builder.Dedup run in
+// O(N+M), with counting sorts and no comparison sort.
 //
 // Graphs are created only by Builder and ApplyDelta; once created, a
 // Graph is safe for concurrent readers. Residual graphs (the paper's G_i)
@@ -297,7 +299,8 @@ func (g *Graph) Edges() []Edge {
 // EdgeProbability returns the probability of edge (u, v) and whether the
 // edge exists. Out-adjacency runs are sorted by target at build time, so
 // the lookup binary-searches in O(log outdeg) instead of scanning. If
-// parallel edges exist, the first (lowest-index) one is returned.
+// parallel edges exist, the first one in the run is returned: for Build
+// output, the one added first.
 func (g *Graph) EdgeProbability(u, v NodeID) (float64, bool) {
 	adj, ps := g.OutNeighbors(u)
 	i, found := slices.BinarySearch(adj, v)

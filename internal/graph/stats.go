@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Stats summarizes a graph in the shape of the paper's Table II (dataset
@@ -71,7 +71,7 @@ func ComputeStats(g *Graph) Stats {
 		s.MinEdgeP = minP
 		s.MaxEdgeP = maxP
 	}
-	sort.Ints(outDegs)
+	slices.Sort(outDegs)
 	s.OutDegP50 = percentile(outDegs, 0.50)
 	s.OutDegP90 = percentile(outDegs, 0.90)
 	s.OutDegP99 = percentile(outDegs, 0.99)

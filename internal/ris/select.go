@@ -107,19 +107,26 @@ func (c *Collection) BuildIndex(workers int) {
 
 	// Per-range per-node counts; the arrays are retained on the collection
 	// so steady-state rebuilds (one per Filter or top-up) allocate no
-	// O(n) storage.
+	// O(n) storage. When the attached Coverage has counted every set, its
+	// totals minus the other ranges' counts give the last range's counts,
+	// so that range skips its counting pass: one range counts nothing.
+	counted := workers
+	if cov := c.coverage; cov != nil && cov.seen == c.Len() {
+		counted--
+	}
 	for len(c.rangeCounts) < workers {
 		c.rangeCounts = append(c.rangeCounts, nil)
 	}
-	parallelFor(workers, workers, func(lo, hi int) {
+	for w := range workers {
+		if cap(c.rangeCounts[w]) < c.n {
+			c.rangeCounts[w] = make([]int32, c.n)
+		}
+		c.rangeCounts[w] = c.rangeCounts[w][:c.n]
+	}
+	parallelFor(counted, counted, func(lo, hi int) {
 		for w := lo; w < hi; w++ {
-			if cap(c.rangeCounts[w]) < c.n {
-				c.rangeCounts[w] = make([]int32, c.n)
-			} else {
-				c.rangeCounts[w] = c.rangeCounts[w][:c.n]
-				clear(c.rangeCounts[w])
-			}
 			counts := c.rangeCounts[w]
+			clear(counts)
 			for _, u := range c.arena[c.offsets[bounds[w]]:c.offsets[bounds[w+1]]] {
 				counts[u]++
 			}
@@ -138,10 +145,14 @@ func (c *Collection) BuildIndex(workers int) {
 	off := int32(0)
 	for u := 0; u < c.n; u++ {
 		c.invOff[u] = off
-		for w := 0; w < workers; w++ {
+		for w := 0; w < counted; w++ {
 			cnt := c.rangeCounts[w][u]
 			c.rangeCounts[w][u] = off
 			off += cnt
+		}
+		if counted < workers {
+			c.rangeCounts[counted][u] = off
+			off = c.invOff[u] + c.coverage.counts[u]
 		}
 	}
 	c.invOff[c.n] = off

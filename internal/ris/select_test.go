@@ -87,27 +87,39 @@ func TestBuildIndexMatchesBruteForce(t *testing.T) {
 	r := rng.New(7)
 	const n = 150
 	c := randomCollection(r, n, 2*minParallelIndexSets, 7)
-	want := make([][]int32, n)
-	for i := 0; i < c.Len(); i++ {
-		for _, u := range c.SetNodes(i) {
-			want[u] = append(want[u], int32(i))
+	// Three coverage states: none (every range counts), current (the last
+	// range's counts derive from the Coverage totals) and stale (sets
+	// appended past the Coverage, so every range counts again).
+	for _, cov := range []string{"none", "current", "stale"} {
+		switch cov {
+		case "current":
+			c.NewCoverage()
+		case "stale":
+			c.AddSet(3, []graph.NodeID{3, 5, 8})
 		}
-	}
-	for _, workers := range []int{0, 1, 2, 3, 8} {
-		c.invValid = false
-		c.BuildIndex(workers)
-		if len(c.invOff) != n+1 || len(c.invArena) != len(c.arena) || c.invOff[0] != 0 {
-			t.Fatalf("workers=%d: index shape (%d offsets, %d ids, first %d), want (%d, %d, 0)",
-				workers, len(c.invOff), len(c.invArena), c.invOff[0], n+1, len(c.arena))
-		}
-		for u := range want {
-			got := c.invArena[c.invOff[u]:c.invOff[u+1]]
-			if len(got) != len(want[u]) {
-				t.Fatalf("workers=%d node %d: %d sets, brute force %d", workers, u, len(got), len(want[u]))
+		want := make([][]int32, n)
+		for i := 0; i < c.Len(); i++ {
+			for _, u := range c.SetNodes(i) {
+				want[u] = append(want[u], int32(i))
 			}
-			for j := range got {
-				if got[j] != want[u][j] {
-					t.Fatalf("workers=%d node %d entry %d: set %d, brute force %d", workers, u, j, got[j], want[u][j])
+		}
+		for _, workers := range []int{0, 1, 2, 3, 8} {
+			c.invValid = false
+			c.BuildIndex(workers)
+			if len(c.invOff) != n+1 || len(c.invArena) != len(c.arena) || c.invOff[0] != 0 {
+				t.Fatalf("coverage=%s workers=%d: index shape (%d offsets, %d ids, first %d), want (%d, %d, 0)",
+					cov, workers, len(c.invOff), len(c.invArena), c.invOff[0], n+1, len(c.arena))
+			}
+			for u := range want {
+				got := c.invArena[c.invOff[u]:c.invOff[u+1]]
+				if len(got) != len(want[u]) {
+					t.Fatalf("coverage=%s workers=%d node %d: %d sets, brute force %d", cov, workers, u, len(got), len(want[u]))
+				}
+				for j := range got {
+					if got[j] != want[u][j] {
+						t.Fatalf("coverage=%s workers=%d node %d entry %d: set %d, brute force %d",
+							cov, workers, u, j, got[j], want[u][j])
+					}
 				}
 			}
 		}

@@ -195,7 +195,7 @@ func (r *RNG) Exp() float64 {
 // same-probability Bernoulli trials in one draw instead of flipping one
 // coin per trial (the SUBSIM-style skip). Hot loops that jump repeatedly
 // at one p use GeometricInv with the denominator hoisted; Geometric is
-// the general single-shot form, clamped to MaxInt64 so a pathologically
+// the general single-shot form, clamped to MaxInt so a pathologically
 // small p cannot overflow the float-to-int conversion. Geometric panics
 // for p <= 0; p >= 1 returns 0.
 func (r *RNG) Geometric(p float64) int {
@@ -205,7 +205,7 @@ func (r *RNG) Geometric(p float64) int {
 	if p <= 0 {
 		panic("rng: Geometric needs p > 0")
 	}
-	return r.GeometricInv(1/math.Log1p(-p), math.MaxInt64)
+	return r.GeometricInv(1/math.Log1p(-p), math.MaxInt)
 }
 
 // PrefixPick inverts a uniform prefix scan: with n intervals of width p
