@@ -349,7 +349,7 @@ func renderReport(benches []*benchOutput, serveDocs []*serveBenchOutput, inputs 
 	fmt.Fprintf(&b, "sampler) are merged into one section.\n")
 
 	for _, sec := range mergeSections(benches) {
-		models := orderedModels(sec.models)
+		models := rankOrder(sec.models, []string{"IC", "LT"})
 		fmt.Fprintf(&b, "\n## models=%s scale=%g seed=%d", strings.Join(models, "+"), sec.scale, sec.seed)
 		if sec.sampler != "" {
 			fmt.Fprintf(&b, " sampler=%s", sec.sampler)
@@ -363,8 +363,9 @@ func renderReport(benches []*benchOutput, serveDocs []*serveBenchOutput, inputs 
 		// merged (last-wins) view.
 		fmt.Fprintf(&b, "%d row(s), %d realization(s) per cell, wall %dms.\n", len(sec.rows), sec.reps, sec.wallMS)
 
-		datasets := orderedDatasets(sec.datasets)
-		algos := orderedAlgos(sec.algos)
+		// Datasets in Table II registry order, algorithms in CLI order.
+		datasets := rankOrder(sec.datasets, datasetNames())
+		algos := rankOrder(sec.algos, adaptive.Algorithms)
 		for _, m := range reportMetrics {
 			if m.applies != nil && !m.applies(sec) {
 				continue
@@ -424,27 +425,6 @@ func renderServeThroughput(b *strings.Builder, docs []*serveBenchOutput) {
 			doc.Algo, doc.K, doc.Clients, doc.WallMS/1000, doc.Campaigns,
 			doc.CampaignsPerSec, doc.StepsPerSec, doc.StepP50MS, doc.StepP95MS, doc.StepP99MS)
 	}
-}
-
-// orderedModels returns model names IC-first, unknown names last.
-func orderedModels(names []string) []string {
-	rank := map[string]int{"IC": 0, "LT": 1}
-	out := append([]string(nil), names...)
-	sort.SliceStable(out, func(i, j int) bool {
-		ri, iok := rank[out[i]]
-		rj, jok := rank[out[j]]
-		switch {
-		case iok && jok:
-			return ri < rj
-		case iok:
-			return true
-		case jok:
-			return false
-		default:
-			return out[i] < out[j]
-		}
-	})
-	return out
 }
 
 // rowSampler normalizes a row's sampler label: rows written before the
@@ -523,36 +503,21 @@ func renderSamplerComparison(b *strings.Builder, benches []*benchOutput) {
 	}
 }
 
-// orderedDatasets returns names in Table II registry order, unknown names
-// last alphabetically, so tables are stable across bench invocations.
-func orderedDatasets(names []string) []string {
-	rank := make(map[string]int, len(gen.Datasets))
+// datasetNames lists the registered stand-ins in Table II order.
+func datasetNames() []string {
+	names := make([]string, len(gen.Datasets))
 	for i, d := range gen.Datasets {
-		rank[d.Name] = i
+		names[i] = d.Name
 	}
-	out := append([]string(nil), names...)
-	sort.SliceStable(out, func(i, j int) bool {
-		ri, iok := rank[out[i]]
-		rj, jok := rank[out[j]]
-		switch {
-		case iok && jok:
-			return ri < rj
-		case iok:
-			return true
-		case jok:
-			return false
-		default:
-			return out[i] < out[j]
-		}
-	})
-	return out
+	return names
 }
 
-// orderedAlgos returns algorithm names in CLI order, unknown names last.
-func orderedAlgos(names []string) []string {
-	rank := make(map[string]int, len(adaptive.Algorithms))
-	for i, a := range adaptive.Algorithms {
-		rank[a] = i
+// rankOrder returns names in the order they appear in known, names not in
+// known last alphabetically, so tables are stable across bench invocations.
+func rankOrder(names, known []string) []string {
+	rank := make(map[string]int, len(known))
+	for i, k := range known {
+		rank[k] = i
 	}
 	out := append([]string(nil), names...)
 	sort.SliceStable(out, func(i, j int) bool {

@@ -22,7 +22,7 @@ func specFlags(fs *flag.FlagSet, s *sweep.Spec) {
 	fs.IntVar(&s.Reps, "reps", 3, "realizations to average over")
 	fs.IntVar(&s.ADGTheta, "adg-theta", 10_000, "RR sets per round for ADG on graphs too large for exact spreads")
 	fs.IntVar(&s.NSGTheta, "nsg-theta", 20_000, "RR sets for the nonadaptive greedy baseline")
-	fs.IntVar(&s.Workers, "workers", 0, "parallel RR/selection workers per cell (0 = GOMAXPROCS)")
+	fs.IntVar(&s.Workers, "workers", 0, "parallel RR-generation workers per cell (0 = GOMAXPROCS)")
 	fs.Uint64Var(&s.Seed, "seed", 1, "root seed (runs are deterministic given it)")
 	fs.Float64Var(&s.Scale, "scale", 0.1, "dataset scale factor (1 = paper size)")
 	fs.Float64Var(&s.Zeta, "zeta", 0.05, "additive error ζ for ADDATP/HATP")

@@ -34,7 +34,7 @@ import (
 // against restoring onto the wrong instance. Unknown versions and torn
 // payloads fail loudly.
 //
-// Layout of version 5, in order (u64 counts precede every list; nodes
+// Layout of version 6, in order (u64 counts precede every list; nodes
 // and int32s are 4 bytes each, edges 16: from u32, to u32, p f64):
 //
 //	magic u64, version u32, base fingerprint u64
@@ -46,7 +46,8 @@ import (
 //	stepper tag u8, stepper payload (sampling: fallbacks, attempts,
 //	certified-early, reused, then the batcher — collection present
 //	bool [, arena []node, offsets []int32, roots []node, version i64,
-//	requested], drawn, requested, reused, peak bytes i64, batches;
+//	requested], drawn, requested, reused, peak bytes i64, batches,
+//	visits i64, edge touches i64;
 //	ADG: sampled bool [, RR stream state u64, inc u64, batcher])
 //
 // The fingerprint names the *base* instance (the one the session was
@@ -65,7 +66,9 @@ import (
 // O(N). Checkpoint sizes the blob with a counting pass over the same
 // encoder and writes it into one exactly sized buffer.
 //
-// Version 5 replaced version 4's ADG oracle payload (kind, stream, θ,
+// Version 6 added the batcher's visit and edge-touch counters, which
+// version 5 left out, so a resumed run restarted them at zero. Version 5
+// replaced version 4's ADG oracle payload (kind, stream, θ,
 // workers, reuse, version cache, batcher) with the sampled flag, stream
 // and batcher: θ, workers and reuse come from the options above. Version
 // 4 merged version 3's separate sequential and fixed sampling payloads
@@ -74,7 +77,7 @@ import (
 // no committed artifacts exist in those formats.
 const (
 	ckptMagic   = uint64(0x4154505345535331) // "ATPSESS1"
-	ckptVersion = uint32(5)
+	ckptVersion = uint32(6)
 )
 
 // Stepper payload tags (one per algorithm family).
@@ -386,6 +389,8 @@ func (w *ckptWriter) batcher(st ris.BatcherState) {
 	w.i64(st.Reused)
 	w.i64(st.PeakBytes)
 	w.i(st.Batches)
+	w.i64(st.Visits)
+	w.i64(st.EdgeTouches)
 }
 
 func (r *ckptReader) batcher() ris.BatcherState {
@@ -398,6 +403,8 @@ func (r *ckptReader) batcher() ris.BatcherState {
 	st.Reused = r.i64()
 	st.PeakBytes = r.i64()
 	st.Batches = r.i()
+	st.Visits = r.i64()
+	st.EdgeTouches = r.i64()
 	return st
 }
 

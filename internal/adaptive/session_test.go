@@ -135,6 +135,10 @@ func compareRuns(t *testing.T, name string, got, want *RunResult) {
 		t.Errorf("%s: sampling (drawn=%d requested=%d reused=%d), want (drawn=%d requested=%d reused=%d)",
 			name, got.RRDrawn, got.RRRequested, got.RRReused, want.RRDrawn, want.RRRequested, want.RRReused)
 	}
+	if got.RRVisits != want.RRVisits || got.RREdgeTouches != want.RREdgeTouches {
+		t.Errorf("%s: sampler work (visits=%d edge touches=%d), want (visits=%d edge touches=%d)",
+			name, got.RRVisits, got.RREdgeTouches, want.RRVisits, want.RREdgeTouches)
+	}
 	if got.Fallbacks != want.Fallbacks || got.Attempts != want.Attempts || got.RRBatches != want.RRBatches ||
 		got.CertifiedEarly != want.CertifiedEarly || got.Sampler != want.Sampler {
 		t.Errorf("%s: telemetry (fb=%d att=%d batches=%d early=%d sampler=%q), want (fb=%d att=%d batches=%d early=%d sampler=%q)",

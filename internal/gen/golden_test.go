@@ -41,13 +41,8 @@ func graphDigest(g *graph.Graph) string {
 			put(uint64(uint32(u)))
 			put(math.Float64bits(ps[i]))
 		}
-		// The table runs to its sentinel; InCountThresholds returns the
-		// rest of the shared arena past it.
 		for _, t := range g.InCountThresholds(v) {
 			put(uint64(t))
-			if t == ^uint32(0) {
-				break
-			}
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

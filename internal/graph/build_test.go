@@ -75,9 +75,12 @@ func assertMatchesSortReference(t *testing.T, g *Graph, n int, directed bool, ed
 		}
 		var want []uint32
 		if uniform && len(inRuns[v]) > 0 && inRuns[v][0].P < 1 {
-			want = canonTable(binomialThresholds(len(inRuns[v]), inRuns[v][0].P))
+			// The builder pads tables past the sentinel; the accessor
+			// returns them up to it.
+			want = binomialThresholds(len(inRuns[v]), inRuns[v][0].P)
+			want = want[:slices.Index(want, ^uint32(0))+1]
 		}
-		if got := canonTable(g.InCountThresholds(v)); !slices.Equal(got, want) {
+		if got := g.InCountThresholds(v); !slices.Equal(got, want) {
 			t.Fatalf("node %d: count table %v, want %v", v, got, want)
 		}
 	}

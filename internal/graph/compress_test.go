@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -148,6 +149,46 @@ func TestCountThresholdsMatchBinomial(t *testing.T) {
 		}
 	}
 	t.Fatal("table lacks a sentinel within d+1 entries")
+}
+
+// TestInCountThresholdsEndAtSentinel: every table InCountThresholds
+// returns ends at its one sentinel and has no capacity past it — for a
+// table in the middle of the arena, for one that is the sentinel alone
+// (a probability below the 2^-32 quantization), and for one ApplyDelta
+// appended to an arena its parent still shares.
+func TestInCountThresholdsEndAtSentinel(t *testing.T) {
+	tiny := NewBuilder(4, true)
+	for u := NodeID(0); u < 3; u++ {
+		_ = tiny.AddArc(u, 3)
+	}
+	_ = tiny.AddArc(3, 0)
+	if err := tiny.ApplyUniformProbability(1e-12); err != nil {
+		t.Fatal(err)
+	}
+	wc := wcGraph()
+	// Dropping one of node 1's three in-edges leaves two at p = 1/3, a
+	// (degree, probability) pair with no table yet, so the child appends one.
+	child, _, err := wc.ApplyDelta(nil, []Edge{{From: 3, To: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := 0
+	for name, g := range map[string]*Graph{"wc": wc, "tiny-p": tiny.Build(), "delta child": child} {
+		for v := NodeID(0); v < NodeID(g.N()); v++ {
+			tab := g.InCountThresholds(v)
+			if tab == nil {
+				continue
+			}
+			tables++
+			if i := slices.Index(tab, ^uint32(0)); i != len(tab)-1 || cap(tab) != len(tab) {
+				t.Fatalf("%s node %d: table %x (cap %d), want exactly one sentinel, last",
+					name, v, tab, cap(tab))
+			}
+		}
+	}
+	if tables < 5 {
+		t.Fatalf("checked %d tables, want at least 5", tables)
+	}
 }
 
 func TestEdgeProbabilityBinarySearch(t *testing.T) {

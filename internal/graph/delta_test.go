@@ -64,7 +64,7 @@ func assertGraphsEquivalent(t *testing.T, got, want *Graph) {
 		if got.inProb[v] != want.inProb[v] {
 			t.Fatalf("node %d: inProb %v vs %v", v, got.inProb[v], want.inProb[v])
 		}
-		gt, wt := canonTable(got.InCountThresholds(v)), canonTable(want.InCountThresholds(v))
+		gt, wt := got.InCountThresholds(v), want.InCountThresholds(v)
 		if len(gt) != len(wt) {
 			t.Fatalf("node %d: table length %d vs %d", v, len(gt), len(wt))
 		}
@@ -74,21 +74,6 @@ func assertGraphsEquivalent(t *testing.T, got, want *Graph) {
 			}
 		}
 	}
-}
-
-// canonTable cuts a threshold table view at its first sentinel (inclusive):
-// the entries a sampler can ever read. Padding beyond it is deterministic
-// (sentinels up to length 5) in both build paths.
-func canonTable(tab []uint32) []uint32 {
-	if tab == nil {
-		return nil
-	}
-	for i, v := range tab {
-		if v == ^uint32(0) {
-			return tab[:i+1]
-		}
-	}
-	return tab
 }
 
 const (

@@ -245,11 +245,13 @@ func (g *Graph) InNeighborsUniform(v NodeID) ([]NodeID, float64, bool) {
 // nil when the graph stores per-edge probabilities or no table was built
 // for v's (degree, probability) pair. The table encodes the cumulative
 // Binomial(indeg(v), inProb(v)) distribution as uint32 thresholds scaled
-// by 2^32 and terminated by a ^uint32(0) sentinel: drawing one Uint32 u
+// by 2^32 and ends at its one ^uint32(0) sentinel: drawing one Uint32 u
 // and scanning for the first non-sentinel entry > u yields the number of
 // successful in-edges in one RNG draw (RR-set samplers then place that
 // many successes uniformly, which is distributionally equivalent to one
 // independent coin per edge up to the 2^-32 quantization of the table).
+// The result is a read-only view; the padding past the sentinel that bulk
+// samplers read through InSamplerTables is not part of it.
 func (g *Graph) InCountThresholds(v NodeID) []uint32 {
 	if g.inTabOff == nil {
 		return nil
@@ -258,7 +260,9 @@ func (g *Graph) InCountThresholds(v NodeID) []uint32 {
 	if off < 0 {
 		return nil
 	}
-	return g.inTabThr[off:]
+	tab := g.inTabThr[off:]
+	end := slices.Index(tab, ^uint32(0)) + 1
+	return tab[:end:end]
 }
 
 // InSamplerTables exposes the packed fast-path arrays for bulk RR
@@ -405,10 +409,14 @@ func (g *Graph) Validate() error {
 	}
 	// Success-count tables, when present, must be nondecreasing threshold
 	// runs terminated by the sentinel, and each node's metadata must cache
-	// its table's first two entries (or the no-table conventions).
+	// its table's first two entries (or the no-table conventions). The
+	// raw arena is read here: a table without a sentinel runs on into it.
 	if g.inTabOff != nil {
 		for v := int32(0); v < g.n; v++ {
-			tab := g.InCountThresholds(v)
+			var tab []uint32
+			if off := g.inTabOff[v]; off >= 0 {
+				tab = g.inTabThr[off:]
+			}
 			m := g.inMeta[v]
 			want0, want1 := uint32(0), uint32(0)
 			switch {

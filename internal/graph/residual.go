@@ -172,29 +172,3 @@ func (r *Residual) Reset() {
 	r.fillAlive()
 	r.version++
 }
-
-// Materialize builds a standalone Graph containing only alive nodes, with
-// nodes renumbered densely. It returns the new graph plus old->new and
-// new->old ID mappings. Used by tests and by the exact oracle, where
-// enumeration cost depends on the materialized size.
-func (r *Residual) Materialize() (*Graph, map[NodeID]NodeID, []NodeID) {
-	oldToNew := make(map[NodeID]NodeID, r.alive)
-	newToOld := make([]NodeID, 0, r.alive)
-	for u := int32(0); u < int32(r.g.N()); u++ {
-		if r.pos[u] >= 0 {
-			oldToNew[u] = NodeID(len(newToOld))
-			newToOld = append(newToOld, u)
-		}
-	}
-	b := NewBuilder(r.alive, r.g.Directed())
-	for _, oldU := range newToOld {
-		adj, ps := r.g.OutNeighbors(oldU)
-		for i, oldV := range adj {
-			if newV, ok := oldToNew[oldV]; ok {
-				// Endpoints alive by construction; errors impossible here.
-				_ = b.AddEdge(oldToNew[oldU], newV, ps[i])
-			}
-		}
-	}
-	return b.Build(), oldToNew, newToOld
-}

@@ -110,33 +110,6 @@ func TestResidualReset(t *testing.T) {
 	}
 }
 
-func TestMaterialize(t *testing.T) {
-	g := MustFromEdges(7, true, fig1Edges())
-	r := NewResidual(g)
-	r.RemoveAll([]NodeID{1, 2, 3}) // Fig. 1(c) residual G2
-	sub, oldToNew, newToOld := r.Materialize()
-	if sub.N() != 4 {
-		t.Fatalf("materialized N = %d, want 4", sub.N())
-	}
-	if sub.M() != 5 {
-		t.Fatalf("materialized M = %d, want 5", sub.M())
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatalf("materialized graph invalid: %v", err)
-	}
-	// v6 -> v7 edge must survive with p = 0.6.
-	nu, nv := oldToNew[5], oldToNew[6]
-	if p, ok := sub.EdgeProbability(nu, nv); !ok || p != 0.6 {
-		t.Fatalf("edge v6->v7 lost: p=%v ok=%v", p, ok)
-	}
-	// Mapping round-trips.
-	for old, nw := range oldToNew {
-		if newToOld[nw] != old {
-			t.Fatalf("mapping mismatch: old %d -> new %d -> old %d", old, nw, newToOld[nw])
-		}
-	}
-}
-
 // Property: for any removal sequence, alive count equals N minus distinct
 // removed nodes, and AliveNodes agrees with Alive.
 func TestResidualCountProperty(t *testing.T) {

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // Stats summarizes a graph in the shape of the paper's Table II (dataset
 // details: n, m, type, average degree), extended with the degree
@@ -125,33 +122,4 @@ func weakComponents(g *Graph) int {
 		roots[find(u)] = struct{}{}
 	}
 	return len(roots)
-}
-
-// TableRow renders the Stats in the layout of the paper's Table II:
-// dataset, n, m, type, average degree.
-func (s Stats) TableRow(name string) string {
-	return fmt.Sprintf("%-14s %10s %12s %-11s %8.2f",
-		name, humanCount(int64(s.N)), humanCount(s.M), s.Type, s.AvgDegree)
-}
-
-// humanCount formats counts the way Table II does (15.2K, 1.99M, ...).
-func humanCount(v int64) string {
-	switch {
-	case v >= 1_000_000:
-		return trimZero(fmt.Sprintf("%.2f", float64(v)/1e6)) + "M"
-	case v >= 1_000:
-		return trimZero(fmt.Sprintf("%.1f", float64(v)/1e3)) + "K"
-	default:
-		return fmt.Sprintf("%d", v)
-	}
-}
-
-func trimZero(s string) string {
-	for len(s) > 0 && s[len(s)-1] == '0' {
-		s = s[:len(s)-1]
-	}
-	if len(s) > 0 && s[len(s)-1] == '.' {
-		s = s[:len(s)-1]
-	}
-	return s
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestComputeStatsFig1(t *testing.T) {
 	g := MustFromEdges(7, true, fig1Edges())
@@ -40,36 +37,6 @@ func TestComputeStatsDisconnected(t *testing.T) {
 	}
 	if s.Isolated != 1 {
 		t.Fatalf("Isolated = %d, want 1", s.Isolated)
-	}
-}
-
-func TestHumanCount(t *testing.T) {
-	cases := []struct {
-		in   int64
-		want string
-	}{
-		{999, "999"},
-		{1000, "1K"},
-		{15200, "15.2K"},
-		{132000, "132K"},
-		{1990000, "1.99M"},
-		{4850000, "4.85M"},
-		{69000000, "69M"},
-	}
-	for _, c := range cases {
-		if got := humanCount(c.in); got != c.want {
-			t.Errorf("humanCount(%d) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestTableRowShape(t *testing.T) {
-	g := MustFromEdges(7, true, fig1Edges())
-	row := ComputeStats(g).TableRow("fig1")
-	for _, field := range []string{"fig1", "7", "10", "directed"} {
-		if !strings.Contains(row, field) {
-			t.Fatalf("row %q missing %q", row, field)
-		}
 	}
 }
 

@@ -9,9 +9,9 @@
 // RR sets that a greedy max-coverage solution exceeding the threshold
 // certifies a lower bound LB on OPT_k with high probability. The node
 // selection phase then draws θ(LB) RR sets and greedily picks k nodes
-// (heap-based CELF over the CSR collection, ris.GreedyMaxCoverage with
-// Options.Workers goroutines — the selection is the same for every
-// worker count), giving a (1 − 1/e − ε)-approximation with probability
+// (serial heap-based CELF over the CSR collection,
+// ris.GreedyMaxCoverage; Options.Workers parallelizes RR generation
+// only), giving a (1 − 1/e − ε)-approximation with probability
 // 1 − 1/n^ℓ.
 //
 // The θ search runs through the shared ris.Batcher batch loop: the

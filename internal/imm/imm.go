@@ -16,9 +16,9 @@ type Options struct {
 	Ell   float64 // failure exponent ℓ (success prob 1 − 1/n^ℓ); default 1
 	Model cascade.Model
 	Seed  uint64
-	// Workers for parallel RR generation and greedy selection
-	// (ris.GreedyMaxCoverage); 0 means GOMAXPROCS. Selection output is
-	// identical for every worker count.
+	// Workers for parallel RR generation; 0 means GOMAXPROCS. Greedy
+	// selection (ris.GreedyMaxCoverage) is serial. Output is identical
+	// for every worker count.
 	Workers int
 	// NoReuse draws a fresh RR collection for every lower-bound guess,
 	// exactly as the pre-batcher implementation did (paper-faithful; what
@@ -108,7 +108,7 @@ func Select(g *graph.Graph, k int, opts Options) (*Result, error) {
 		}
 		collection := b.Collection()
 		all := allNodes(n)
-		seeds, cum := collection.GreedyMaxCoverage(all, k, opts.Workers)
+		seeds, cum := collection.GreedyMaxCoverage(all, k)
 		if len(seeds) == 0 {
 			break
 		}
@@ -138,7 +138,7 @@ func Select(g *graph.Graph, k int, opts Options) (*Result, error) {
 		return nil, err
 	}
 	collection := b.Collection()
-	seeds, cum := collection.GreedyMaxCoverage(allNodes(n), k, opts.Workers)
+	seeds, cum := collection.GreedyMaxCoverage(allNodes(n), k)
 	spread := 0.0
 	if len(cum) > 0 {
 		spread = nf * float64(cum[len(cum)-1]) / float64(collection.Len())

@@ -37,11 +37,7 @@ type Collection struct {
 
 	invArena []int32
 	invOff   []int32
-	// rangeCounts is BuildIndex's per-range scratch (per-range per-node
-	// counts, converted to write bases in place); retained like invOff so
-	// steady-state rebuilds allocate no O(n) storage.
-	rangeCounts [][]int32
-	invValid    bool
+	invValid bool
 
 	// version is the graph.Residual.Version the held sets were drawn on
 	// (or last filtered against); -1 when unknown. Filter uses it to skip
@@ -210,14 +206,14 @@ func (c *Collection) Bytes() int64 {
 
 // SetsContaining returns the ids of RR sets that contain u (ascending).
 func (c *Collection) SetsContaining(u graph.NodeID) []int32 {
-	c.BuildIndex(1)
+	c.BuildIndex()
 	return c.invArena[c.invOff[u]:c.invOff[u+1]]
 }
 
 // CountContaining returns |{i : u ∈ R_i}| — the single-node coverage
 // CovR({u}) — without materializing the slice.
 func (c *Collection) CountContaining(u graph.NodeID) int {
-	c.BuildIndex(1)
+	c.BuildIndex()
 	return int(c.invOff[u+1] - c.invOff[u])
 }
 

@@ -53,11 +53,9 @@
 //     sets a topology delta touched through the same compaction pass.
 //   - Coverage queries (coverage.go, select.go): CovR(S), incremental
 //     marginals via Marks, and heap-based CELF greedy max-coverage — the
-//     selection step of IMM (§VI-A). GreedyMaxCoverage and BuildIndex are
-//     one implementation each for every worker count: with workers > 1
-//     the index build is range-partitioned, initial gains are evaluated
-//     concurrently and stale entries are re-evaluated in batches; the
-//     selections and the index are identical for every worker count.
+//     selection step of IMM (§VI-A). Both are serial: BuildIndex is one
+//     counting sort over the arena, and the greedy refreshes each stale
+//     heap top in place. Workers parallelize RR generation only.
 //   - Coverage tracker and Batcher (tracker.go): Coverage maintains
 //     per-node containment counts incrementally as batches are appended
 //     and is compacted in lockstep by Collection.Filter, so a per-batch

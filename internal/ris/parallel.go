@@ -85,13 +85,6 @@ func (p *SamplerPool) EdgeTouches() uint64 {
 	return v
 }
 
-// ResetStats zeroes the cumulative visit/edge-touch counters.
-func (p *SamplerPool) ResetStats() {
-	for _, wk := range p.workers {
-		wk.s.visits, wk.s.edgeTouches = 0, 0
-	}
-}
-
 // Err reports whether the most recent AppendParallel batch was aborted by
 // the interrupt, and with what error. It is reset at the start of every
 // batch.

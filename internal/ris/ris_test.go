@@ -223,7 +223,7 @@ func TestGreedyMaxCoverage(t *testing.T) {
 	s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(81))
 	c := s.Generate(5000)
 	all := []graph.NodeID{0, 1, 2, 3, 4, 5, 6}
-	chosen, cum := c.GreedyMaxCoverage(all, 3, 1)
+	chosen, cum := c.GreedyMaxCoverage(all, 3)
 	if len(chosen) == 0 || len(chosen) != len(cum) {
 		t.Fatalf("chose %v cum %v", chosen, cum)
 	}
@@ -250,7 +250,7 @@ func TestGreedyMaxCoverageStopsWhenSaturated(t *testing.T) {
 	// Single RR set; after one pick nothing can add coverage.
 	c := NewCollection(3)
 	c.Add(&RRSet{Root: 0, Nodes: []graph.NodeID{0, 1}})
-	chosen, _ := c.GreedyMaxCoverage([]graph.NodeID{0, 1, 2}, 3, 1)
+	chosen, _ := c.GreedyMaxCoverage([]graph.NodeID{0, 1, 2}, 3)
 	if len(chosen) != 1 {
 		t.Fatalf("chose %v, want exactly one node", chosen)
 	}
@@ -260,7 +260,7 @@ func TestGreedyDeterministicTieBreak(t *testing.T) {
 	c := NewCollection(3)
 	c.Add(&RRSet{Root: 0, Nodes: []graph.NodeID{0, 1, 2}})
 	for i := 0; i < 20; i++ {
-		chosen, _ := c.GreedyMaxCoverage([]graph.NodeID{2, 1, 0}, 1, 1)
+		chosen, _ := c.GreedyMaxCoverage([]graph.NodeID{2, 1, 0}, 1)
 		if len(chosen) != 1 || chosen[0] != 0 {
 			t.Fatalf("tie-break picked %v, want [0]", chosen)
 		}

@@ -9,8 +9,7 @@ import (
 )
 
 // randomCollection builds a collection of random sets directly (not via a
-// sampler) so tests control the size distribution and can cross the
-// multi-range index threshold cheaply.
+// sampler) so tests control the size distribution cheaply.
 func randomCollection(r *rng.RNG, n, sets, maxLen int) *Collection {
 	c := NewCollection(n)
 	var buf []graph.NodeID
@@ -37,18 +36,15 @@ func randomCollection(r *rng.RNG, n, sets, maxLen int) *Collection {
 }
 
 // TestGreedyMaxCoverageMatchesPlainGreedy is the equivalence property
-// behind threading Workers through imm.Select: for randomized collections
-// and every worker count (0 = GOMAXPROCS, so `go test -cpu` varies it
-// too), CELF must return exactly the seed sequence and cumulative
-// coverage curve of plain greedy (a full marginal rescan per pick over
-// the legacy layout). The largest case crosses minParallelIndexSets so
-// the range-partitioned index build is exercised too.
+// behind CELF's laziness: for randomized collections it must return
+// exactly the seed sequence and cumulative coverage curve of plain greedy
+// (a full marginal rescan per pick over the legacy layout).
 func TestGreedyMaxCoverageMatchesPlainGreedy(t *testing.T) {
 	r := rng.New(42)
 	cases := []struct{ n, sets, maxLen, k int }{
 		{n: 30, sets: 120, maxLen: 5, k: 8},
 		{n: 200, sets: 2000, maxLen: 10, k: 25},
-		{n: 300, sets: 3 * minParallelIndexSets, maxLen: 6, k: 40},
+		{n: 300, sets: 12288, maxLen: 6, k: 40},
 	}
 	for _, tc := range cases {
 		c := randomCollection(r, tc.n, tc.sets, tc.maxLen)
@@ -61,40 +57,31 @@ func TestGreedyMaxCoverageMatchesPlainGreedy(t *testing.T) {
 			candidates[i] = graph.NodeID(i)
 		}
 		wantSeeds, wantCum := leg.greedy(candidates, tc.k)
-		for _, workers := range []int{0, 1, 2, 8} {
-			c.invValid = false // force an index rebuild at this worker count
-			gotSeeds, gotCum := c.GreedyMaxCoverage(candidates, tc.k, workers)
-			if len(gotSeeds) != len(wantSeeds) {
-				t.Fatalf("n=%d sets=%d workers=%d: chose %d seeds, plain greedy %d",
-					tc.n, tc.sets, workers, len(gotSeeds), len(wantSeeds))
-			}
-			for i := range gotSeeds {
-				if gotSeeds[i] != wantSeeds[i] || gotCum[i] != wantCum[i] {
-					t.Fatalf("n=%d sets=%d workers=%d pick %d: got (%d, cov %d), plain greedy (%d, cov %d)",
-						tc.n, tc.sets, workers, i, gotSeeds[i], gotCum[i], wantSeeds[i], wantCum[i])
-				}
+		gotSeeds, gotCum := c.GreedyMaxCoverage(candidates, tc.k)
+		if len(gotSeeds) != len(wantSeeds) {
+			t.Fatalf("n=%d sets=%d: chose %d seeds, plain greedy %d",
+				tc.n, tc.sets, len(gotSeeds), len(wantSeeds))
+		}
+		for i := range gotSeeds {
+			if gotSeeds[i] != wantSeeds[i] || gotCum[i] != wantCum[i] {
+				t.Fatalf("n=%d sets=%d pick %d: got (%d, cov %d), plain greedy (%d, cov %d)",
+					tc.n, tc.sets, i, gotSeeds[i], gotCum[i], wantSeeds[i], wantCum[i])
 			}
 		}
 	}
 }
 
 // TestBuildIndexMatchesBruteForce pins the stronger invariant the
-// equivalence above relies on: for every range count (0 = GOMAXPROCS)
-// the counting sort produces exactly the per-node index a brute-force
-// scan builds (set ids ascending per node, offsets prefix-summed over the
-// node space).
+// equivalence above relies on: the counting sort produces exactly the
+// per-node index a brute-force scan builds (set ids ascending per node,
+// offsets prefix-summed over the node space), including on a rebuild
+// into the retained arrays after more sets were appended.
 func TestBuildIndexMatchesBruteForce(t *testing.T) {
 	r := rng.New(7)
 	const n = 150
-	c := randomCollection(r, n, 2*minParallelIndexSets, 7)
-	// Three coverage states: none (every range counts), current (the last
-	// range's counts derive from the Coverage totals) and stale (sets
-	// appended past the Coverage, so every range counts again).
-	for _, cov := range []string{"none", "current", "stale"} {
-		switch cov {
-		case "current":
-			c.NewCoverage()
-		case "stale":
+	c := randomCollection(r, n, 8192, 7)
+	for _, step := range []string{"first build", "rebuild after append"} {
+		if step == "rebuild after append" {
 			c.AddSet(3, []graph.NodeID{3, 5, 8})
 		}
 		want := make([][]int32, n)
@@ -103,35 +90,30 @@ func TestBuildIndexMatchesBruteForce(t *testing.T) {
 				want[u] = append(want[u], int32(i))
 			}
 		}
-		for _, workers := range []int{0, 1, 2, 3, 8} {
-			c.invValid = false
-			c.BuildIndex(workers)
-			if len(c.invOff) != n+1 || len(c.invArena) != len(c.arena) || c.invOff[0] != 0 {
-				t.Fatalf("coverage=%s workers=%d: index shape (%d offsets, %d ids, first %d), want (%d, %d, 0)",
-					cov, workers, len(c.invOff), len(c.invArena), c.invOff[0], n+1, len(c.arena))
+		c.BuildIndex()
+		if len(c.invOff) != n+1 || len(c.invArena) != len(c.arena) || c.invOff[0] != 0 {
+			t.Fatalf("%s: index shape (%d offsets, %d ids, first %d), want (%d, %d, 0)",
+				step, len(c.invOff), len(c.invArena), c.invOff[0], n+1, len(c.arena))
+		}
+		for u := range want {
+			got := c.invArena[c.invOff[u]:c.invOff[u+1]]
+			if len(got) != len(want[u]) {
+				t.Fatalf("%s node %d: %d sets, brute force %d", step, u, len(got), len(want[u]))
 			}
-			for u := range want {
-				got := c.invArena[c.invOff[u]:c.invOff[u+1]]
-				if len(got) != len(want[u]) {
-					t.Fatalf("coverage=%s workers=%d node %d: %d sets, brute force %d", cov, workers, u, len(got), len(want[u]))
-				}
-				for j := range got {
-					if got[j] != want[u][j] {
-						t.Fatalf("coverage=%s workers=%d node %d entry %d: set %d, brute force %d",
-							cov, workers, u, j, got[j], want[u][j])
-					}
+			for j := range got {
+				if got[j] != want[u][j] {
+					t.Fatalf("%s node %d entry %d: set %d, brute force %d", step, u, j, got[j], want[u][j])
 				}
 			}
 		}
 	}
 }
 
-// benchmarkGreedy measures one IMM-style selection (all nodes as
-// candidates, k=50) on a θ=120k collection, index rebuild included — in
-// real runs selection always follows a top-up, which invalidates the
-// index. The acceptance target is workers8 ≥ 2× workers1 on 8+ hardware
-// threads; on fewer cores the two converge.
-func benchmarkGreedy(b *testing.B, workers int) {
+// BenchmarkGreedyMaxCoverage measures one IMM-style selection (all nodes
+// as candidates, k=50) on a θ=120k collection, index rebuild included —
+// in real runs selection always follows a top-up, which invalidates the
+// index.
+func BenchmarkGreedyMaxCoverage(b *testing.B) {
 	g := benchGraph(b)
 	res := graph.NewResidual(g)
 	c := NewSamplerPool(cascade.IC).Generate(res, rng.New(3), 120_000, 0)
@@ -142,14 +124,9 @@ func benchmarkGreedy(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.invValid = false
-		seeds, _ := c.GreedyMaxCoverage(candidates, 50, workers)
+		seeds, _ := c.GreedyMaxCoverage(candidates, 50)
 		if len(seeds) == 0 {
 			b.Fatal("no seeds selected")
 		}
 	}
-}
-
-func BenchmarkGreedyMaxCoverage(b *testing.B) {
-	b.Run("workers1", func(b *testing.B) { benchmarkGreedy(b, 1) })
-	b.Run("workers8", func(b *testing.B) { benchmarkGreedy(b, 8) })
 }

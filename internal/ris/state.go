@@ -85,13 +85,15 @@ func (c *Collection) RestoreState(st CollectionState) error {
 // is stateless between batches (worker streams are reseeded from the
 // caller's RNG on every call), so it needs no snapshot.
 type BatcherState struct {
-	Col       CollectionState
-	HasCol    bool
-	Drawn     int64
-	Requested int64
-	Reused    int64
-	PeakBytes int64
-	Batches   int
+	Col         CollectionState
+	HasCol      bool
+	Drawn       int64
+	Requested   int64
+	Reused      int64
+	PeakBytes   int64
+	Batches     int
+	Visits      int64
+	EdgeTouches int64
 }
 
 // State captures the batcher's snapshot; the collection part aliases the
@@ -100,11 +102,13 @@ type BatcherState struct {
 // across process boundaries.
 func (b *Batcher) State() BatcherState {
 	st := BatcherState{
-		Drawn:     b.drawn,
-		Requested: b.requested,
-		Reused:    b.reused,
-		PeakBytes: b.peakBytes,
-		Batches:   b.batches,
+		Drawn:       b.drawn,
+		Requested:   b.requested,
+		Reused:      b.reused,
+		PeakBytes:   b.peakBytes,
+		Batches:     b.batches,
+		Visits:      b.visits,
+		EdgeTouches: b.edgeTouches,
 	}
 	if b.col != nil {
 		st.HasCol = true
@@ -126,6 +130,8 @@ func (b *Batcher) RestoreState(st BatcherState, fullN int) error {
 	b.peakBytes = st.PeakBytes
 	b.samplingNS = 0
 	b.batches = st.Batches
+	b.visits = st.Visits
+	b.edgeTouches = st.EdgeTouches
 	if !st.HasCol {
 		if b.col != nil {
 			b.col.Reset()

@@ -76,11 +76,11 @@ func (cov *Coverage) reset() {
 // a persistent SamplerPool, one Collection reused across batches and
 // residual versions with its Coverage tracker, and the sampling
 // accounting (drawn / requested / reused / peak bytes / wall time /
-// batches) that runs report. The adaptive sampling stepper (both
-// policies), ADG's sampled rounds and IMM's θ search all draw through a
-// Batcher instead of hand-rolling the same loop. One-shot selections
-// (nonadaptive greedy, imm.SpreadLowerBound) draw through
-// SamplerPool.Generate instead.
+// batches / visits / edge touches) that runs report. The adaptive
+// sampling stepper (both policies), ADG's sampled rounds and IMM's θ
+// search all draw through a Batcher instead of hand-rolling the same
+// loop. One-shot selections (nonadaptive greedy, imm.SpreadLowerBound)
+// draw through SamplerPool.Generate instead.
 type Batcher struct {
 	model cascade.Model
 	pool  *SamplerPool
@@ -89,6 +89,7 @@ type Batcher struct {
 	reuse bool
 
 	drawn, requested, reused, peakBytes, samplingNS int64
+	visits, edgeTouches                             int64
 	batches                                         int
 }
 
@@ -126,8 +127,8 @@ func (b *Batcher) Reset() {
 		b.col.Reset()
 	}
 	b.pool.SetInterrupt(nil)
-	b.pool.ResetStats()
 	b.drawn, b.requested, b.reused, b.peakBytes, b.samplingNS = 0, 0, 0, 0, 0
+	b.visits, b.edgeTouches = 0, 0
 	b.batches = 0
 }
 
@@ -191,9 +192,12 @@ func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers i
 	c := b.ensureCol(res.FullN())
 	if shortfall := target - c.Len(); shortfall > 0 {
 		before := c.Len()
+		visits, touches := b.pool.Visits(), b.pool.EdgeTouches()
 		start := time.Now()
 		b.pool.AppendParallel(c, res, parent, shortfall, workers)
 		b.samplingNS += time.Since(start).Nanoseconds()
+		b.visits += int64(b.pool.Visits() - visits)
+		b.edgeTouches += int64(b.pool.EdgeTouches() - touches)
 		b.drawn += int64(c.Len() - before)
 		b.requested += int64(shortfall)
 		b.batches++
@@ -231,10 +235,10 @@ func (b *Batcher) PeakBytes() int64  { return b.peakBytes } // max Collection.By
 func (b *Batcher) SamplingNS() int64 { return b.samplingNS }
 func (b *Batcher) Batches() int      { return b.batches } // generator invocations
 
-// Bandwidth accounting, forwarded from the pool: node visits and
-// in-adjacency entries read across every draw since the last Reset.
-// Together with SamplingNS they yield the bytes/edge-touch measurement
-// in the benchmark tables (each visit loads one 16-byte metadata entry,
-// each edge touch one 4-byte adjacency word).
-func (b *Batcher) Visits() int64      { return int64(b.pool.Visits()) }
-func (b *Batcher) EdgeTouches() int64 { return int64(b.pool.EdgeTouches()) }
+// Bandwidth accounting: node visits and in-adjacency entries the pool
+// read across every GrowTo since the batcher was created or Reset (and
+// carried over by RestoreState). Together with SamplingNS they yield the
+// bytes/edge-touch measurement in the benchmark tables (each visit loads
+// one 16-byte metadata entry, each edge touch one 4-byte adjacency word).
+func (b *Batcher) Visits() int64      { return b.visits }
+func (b *Batcher) EdgeTouches() int64 { return b.edgeTouches }

@@ -46,8 +46,8 @@ type Spec struct {
 	ImmEps   float64 `json:"imm_eps"`
 	Sampler  string  `json:"sampler"`
 
-	// Workers is the per-cell parallelism (RR generation and greedy
-	// selection); 0 means GOMAXPROCS. Parallel is the number of cells run
+	// Workers is the per-cell RR-generation parallelism; 0 means
+	// GOMAXPROCS. Parallel is the number of cells run
 	// concurrently (worker-pool width); 0 or 1 runs cells one at a time.
 	// Cell results are seed-deterministic either way — scheduling affects
 	// only journal record order, which Canonical normalizes away.
