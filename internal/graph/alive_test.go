@@ -52,18 +52,6 @@ func TestAliveListTracksRemovals(t *testing.T) {
 			}
 		}
 	}
-	r.Reset()
-	check()
-	if r.N() != g.N() {
-		t.Fatalf("after Reset N() = %d, want %d", r.N(), g.N())
-	}
-	// Reset restores increasing order, so post-Reset sampling is
-	// independent of the pre-Reset removal history.
-	for i, u := range r.AliveList() {
-		if u != NodeID(i) {
-			t.Fatalf("after Reset AliveList[%d] = %d", i, u)
-		}
-	}
 }
 
 // TestAliveListRandomizedAgainstMask cross-checks the swap-remove list
@@ -94,8 +82,8 @@ func TestAliveListRandomizedAgainstMask(t *testing.T) {
 				t.Fatalf("Alive(%d) = %v, mask %v", v, r.Alive(NodeID(v)), !mask[v])
 			}
 		}
-		if i%37 == 0 {
-			r.Reset()
+		if i%37 == 0 { // start over on a fresh view
+			r = NewResidual(g)
 			for v := range mask {
 				mask[v] = false
 			}
@@ -106,15 +94,14 @@ func TestAliveListRandomizedAgainstMask(t *testing.T) {
 // TestResidualRemovalLog: the removal log (Removed, most recent first)
 // replayed oldest first through Remove on a NewResidual of the same graph
 // reproduces the view exactly — alive-list order, membership, and the
-// version counter relative to the last Reset — across random removals
-// with clones and resets in between. Checkpoints store the log instead
+// version counter — across random removals with clones and fresh views in
+// between. Checkpoints store the log instead
 // of the alive list on the strength of this.
 func TestResidualRemovalLog(t *testing.T) {
 	const n = 60
 	g := MustFromEdges(n, true, randomEdges(n, 300, 4))
 	rr := rng.New(21)
 	r := NewResidual(g)
-	var sinceReset int64 // version at the last Reset
 	check := func(step int) {
 		t.Helper()
 		log := r.Removed()
@@ -127,7 +114,7 @@ func TestResidualRemovalLog(t *testing.T) {
 				t.Fatalf("step %d: log repeats node %d", step, log[i])
 			}
 		}
-		if got, want := rep.Version(), r.Version()-sinceReset; got != want {
+		if got, want := rep.Version(), r.Version(); got != want {
 			t.Fatalf("step %d: replayed version %d, want %d", step, got, want)
 		}
 		got, want := rep.AliveList(), r.AliveList()
@@ -148,8 +135,7 @@ func TestResidualRemovalLog(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		switch k := rr.Intn(40); {
 		case k == 0:
-			r.Reset()
-			sinceReset = r.Version()
+			r = NewResidual(g)
 		case k < 4:
 			// A clone carries the log: continuing on it must be
 			// indistinguishable from continuing on the original.

@@ -11,16 +11,17 @@ import (
 // O(1), membership checks are O(1), and no adjacency is copied.
 //
 // One array holds every node: order[:alive] is the alive list, kept
-// incrementally (swap-remove on Remove, rebuilt only on Reset) so uniform
-// root sampling reads it in O(1) via AliveList instead of rebuilding an
-// O(N) slice per residual version; order[alive:] is the removal log,
-// most recent removal first. Remove swaps the removed node into the slot
-// the shrinking alive list vacates, so the log costs no extra memory and
-// no allocation. The alive-list order is a deterministic function of the
-// removals, so replaying the log (Removed, oldest first) through Remove
-// on a NewResidual of the same graph reproduces the view exactly, order
-// included — the checkpoint codec stores the log, not the O(N) alive
-// list. Reset starts a new log.
+// incrementally (swap-remove on Remove) so uniform root sampling reads it
+// in O(1) via AliveList instead of rebuilding an O(N) slice per residual
+// version; order[alive:] is the removal log, most recent removal first.
+// Remove swaps the removed node into the slot the shrinking alive list
+// vacates, so the log costs no extra memory and no allocation. The log
+// only grows: its length is the version, and RemovedSince(v) its head.
+// The alive-list order is a deterministic function of the removals, so
+// replaying the log (Removed, oldest first) through Remove on a
+// NewResidual of the same graph reproduces the view exactly, order and
+// version included — the checkpoint codec stores the log, not the O(N)
+// alive list.
 //
 // A Residual is not safe for concurrent mutation; concurrent readers are
 // fine between mutations. Clone produces an independent view sharing the
@@ -30,10 +31,9 @@ type Residual struct {
 	// order[:alive] holds the alive node IDs, order[alive:] the removed
 	// ones (most recent first); pos[u] is u's index in order while u is
 	// alive, or -1 once it has been removed.
-	order   []NodeID
-	alive   int
-	pos     []int32
-	version int64 // bumped on every mutation; lets caches detect staleness
+	order []NodeID
+	alive int
+	pos   []int32
 }
 
 // NewResidual returns a residual view of g with all nodes alive.
@@ -43,18 +43,12 @@ func NewResidual(g *Graph) *Residual {
 		order: make([]NodeID, g.N()),
 		pos:   make([]int32, g.N()),
 	}
-	r.fillAlive()
-	return r
-}
-
-// fillAlive resets the alive bookkeeping to "all nodes alive, in
-// node-ID order 0..n-1".
-func (r *Residual) fillAlive() {
 	r.alive = len(r.order)
 	for u := range r.order {
 		r.order[u] = NodeID(u)
 		r.pos[u] = int32(u)
 	}
+	return r
 }
 
 // Graph returns the underlying immutable graph.
@@ -77,8 +71,9 @@ func (r *Residual) N() int { return r.alive }
 // FullN returns the node count of the underlying graph.
 func (r *Residual) FullN() int { return r.g.N() }
 
-// Version returns a counter that changes whenever the alive set changes.
-func (r *Residual) Version() int64 { return r.version }
+// Version returns the number of nodes removed so far, the length of the
+// removal log; caches keyed on it detect staleness.
+func (r *Residual) Version() int64 { return int64(len(r.order) - r.alive) }
 
 // Alive reports whether node u is still present.
 func (r *Residual) Alive(u NodeID) bool { return r.pos[u] >= 0 }
@@ -98,15 +93,7 @@ func (r *Residual) Remove(u NodeID) bool {
 	r.pos[moved] = i
 	r.order[r.alive] = u
 	r.pos[u] = -1
-	r.version++
 	return true
-}
-
-// RemoveAll deletes every node in us.
-func (r *Residual) RemoveAll(us []NodeID) {
-	for _, u := range us {
-		r.Remove(u)
-	}
 }
 
 // AliveList returns the alive node IDs without allocating. The slice
@@ -115,13 +102,24 @@ func (r *Residual) RemoveAll(us []NodeID) {
 // history (not sorted). Samplers draw uniform roots from it directly.
 func (r *Residual) AliveList() []NodeID { return r.order[:r.alive:r.alive] }
 
-// Removed returns the removal log since construction or the last Reset,
-// most recent removal first, without allocating. Like AliveList it
-// aliases internal storage, must not be modified, and is only valid until
-// the next mutation. Removing its nodes in reverse order from a
-// NewResidual of the same graph reproduces this view's alive list, order
-// included.
+// Removed returns the removal log, most recent removal first, without
+// allocating. Like AliveList it aliases internal storage, must not be
+// modified, and is only valid until the next mutation. Removing its nodes
+// in reverse order from a NewResidual of the same graph reproduces this
+// view's alive list, order included.
 func (r *Residual) Removed() []NodeID { return r.order[r.alive:] }
+
+// RemovedSince returns the nodes removed after the view was at version v,
+// most recent first: the head of the removal log, Removed()[:Version()-v].
+// v = -1 stands for an unknown version and returns the whole log, which
+// is exactly the set of dead nodes; a v above Version panics. The slice
+// aliases internal storage like Removed.
+func (r *Residual) RemovedSince(v int64) []NodeID {
+	if v < 0 {
+		return r.Removed()
+	}
+	return r.Removed()[:r.Version()-v]
+}
 
 // AliveNodes returns a copy of the alive node IDs in increasing order.
 // Allocates; hot paths should use AliveList.
@@ -158,17 +156,9 @@ func (r *Residual) M() int64 {
 // clone matches sampling after the original's history.
 func (r *Residual) Clone() *Residual {
 	return &Residual{
-		g:       r.g,
-		order:   slices.Clone(r.order),
-		alive:   r.alive,
-		pos:     slices.Clone(r.pos),
-		version: r.version,
+		g:     r.g,
+		order: slices.Clone(r.order),
+		alive: r.alive,
+		pos:   slices.Clone(r.pos),
 	}
-}
-
-// Reset restores all nodes to alive (and the alive list to increasing
-// order), starting a new removal log.
-func (r *Residual) Reset() {
-	r.fillAlive()
-	r.version++
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -38,10 +39,47 @@ func TestResidualVersionBumps(t *testing.T) {
 	if r.Version() != v1 {
 		t.Fatal("version changed on no-op Remove")
 	}
-	r.Reset()
-	if r.Version() == v1 {
-		t.Fatal("version did not change after Reset")
+}
+
+// TestResidualRemovedSince: RemovedSince(v) is the head of the removal
+// log holding the nodes removed after version v, most recent first; -1
+// and 0 both name the whole log, the current version names nothing, and
+// a version the residual never reached panics.
+func TestResidualRemovedSince(t *testing.T) {
+	g := MustFromEdges(7, true, fig1Edges())
+	r := NewResidual(g)
+	if got := r.RemovedSince(-1); len(got) != 0 {
+		t.Fatalf("fresh residual RemovedSince(-1) = %v, want empty", got)
 	}
+	for _, u := range []NodeID{4, 1, 4, 6} { // includes a no-op repeat
+		r.Remove(u)
+	}
+	v := r.Version()
+	r.Remove(2)
+	r.Remove(0)
+	for _, tc := range []struct {
+		since int64
+		want  []NodeID
+	}{
+		{-1, []NodeID{0, 2, 6, 1, 4}},
+		{0, []NodeID{0, 2, 6, 1, 4}},
+		{v, []NodeID{0, 2}},
+		{r.Version(), nil},
+	} {
+		got := r.RemovedSince(tc.since)
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("RemovedSince(%d) = %v, want %v", tc.since, got, tc.want)
+		}
+	}
+	if int(r.Version()) != len(r.Removed()) {
+		t.Fatalf("version %d, removal log holds %d", r.Version(), len(r.Removed()))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RemovedSince past the current version did not panic")
+		}
+	}()
+	r.RemovedSince(r.Version() + 1)
 }
 
 func TestResidualMCountsAliveEdges(t *testing.T) {
@@ -50,7 +88,9 @@ func TestResidualMCountsAliveEdges(t *testing.T) {
 	// v6->v7(0.6), v7->v1(0.2), v5->v1(0.7) = 5 edges.
 	g := MustFromEdges(7, true, fig1Edges())
 	r := NewResidual(g)
-	r.RemoveAll([]NodeID{1, 2, 3})
+	for _, u := range []NodeID{1, 2, 3} {
+		r.Remove(u)
+	}
 	if r.N() != 4 {
 		t.Fatalf("G2 has %d nodes, want 4", r.N())
 	}
@@ -62,7 +102,9 @@ func TestResidualMCountsAliveEdges(t *testing.T) {
 func TestResidualAliveNodes(t *testing.T) {
 	g := MustFromEdges(7, true, fig1Edges())
 	r := NewResidual(g)
-	r.RemoveAll([]NodeID{1, 2, 3})
+	for _, u := range []NodeID{1, 2, 3} {
+		r.Remove(u)
+	}
 	got := r.AliveNodes()
 	want := []NodeID{0, 4, 5, 6}
 	if len(got) != len(want) {
@@ -89,24 +131,6 @@ func TestResidualCloneIsIndependent(t *testing.T) {
 	}
 	if c.N() != 5 || r.N() != 6 {
 		t.Fatalf("counts: clone=%d orig=%d", c.N(), r.N())
-	}
-}
-
-func TestResidualReset(t *testing.T) {
-	g := MustFromEdges(7, true, fig1Edges())
-	r := NewResidual(g)
-	r.RemoveAll([]NodeID{0, 1, 2, 3, 4, 5, 6})
-	if r.N() != 0 {
-		t.Fatalf("N = %d after removing all", r.N())
-	}
-	r.Reset()
-	if r.N() != 7 {
-		t.Fatalf("N = %d after Reset, want 7", r.N())
-	}
-	for u := NodeID(0); u < 7; u++ {
-		if !r.Alive(u) {
-			t.Fatalf("node %d dead after Reset", u)
-		}
 	}
 }
 

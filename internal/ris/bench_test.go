@@ -88,3 +88,57 @@ func BenchmarkAppendParallel(b *testing.B) { benchmarkAppendParallel(b, "nethept
 // BenchmarkAppendParallelDBLP measures the cache-spilling regime (655K
 // nodes, ~27MB of CSR+meta).
 func BenchmarkAppendParallelDBLP(b *testing.B) { benchmarkAppendParallel(b, "dblp-s") }
+
+// benchmarkDrop times one drop pass over a nethept-s-sized pool: 25k RR
+// sets drawn on g (the paper-scale nethept-s graph), every set folded
+// into an attached Coverage as the adaptive stepper's looks leave it.
+// drop runs the pass under test on a fresh copy of the pool; the copy is
+// made off the clock.
+func benchmarkDrop(b *testing.B, g *graph.Graph, drop func(c *Collection)) {
+	const sets = 25000
+	res := graph.NewResidual(g)
+	pool := NewSamplerPool(cascade.IC)
+	base := NewCollection(res.FullN())
+	pool.AppendParallel(base, res, rng.New(3), sets, 1)
+	st := base.State()
+	c := NewCollection(res.FullN())
+	cov := newCoverage(c)
+	kept := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := c.RestoreState(st); err != nil {
+			b.Fatal(err)
+		}
+		cov.Update()
+		b.StartTimer()
+		drop(c)
+		kept += c.Len()
+	}
+	b.ReportMetric(float64(len(st.Arena)), "entries")
+	b.ReportMetric(float64(sets)-float64(kept)/float64(b.N), "dropped/op")
+}
+
+// BenchmarkFilter: Filter after 100 nodes were removed since the pool was
+// drawn — the per-round Sync of the adaptive loop, where an observed
+// cascade kills a handful of nodes and a few percent of the pool.
+func BenchmarkFilter(b *testing.B) {
+	g := benchGraph(b)
+	res := graph.NewResidual(g)
+	r := rng.New(4)
+	for res.Version() < 100 {
+		res.Remove(graph.NodeID(r.Intn(res.FullN())))
+	}
+	benchmarkDrop(b, g, func(c *Collection) { c.Filter(res) })
+}
+
+// BenchmarkInvalidateTouching: the drop pass after a 0.1% edge churn, the
+// rate of the churn benchmark workload.
+func BenchmarkInvalidateTouching(b *testing.B) {
+	g := benchGraph(b)
+	_, dres, err := g.ApplyDelta(gen.ChurnDeltas(g, 0.001, rng.New(5)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchmarkDrop(b, g, func(c *Collection) { c.InvalidateTouching(dres.Touched) })
+}

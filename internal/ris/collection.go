@@ -21,10 +21,13 @@ import (
 // cache-contiguous, which is what lets livejournal-scale θ fit in memory.
 //
 // A Collection additionally supports cross-round reuse: Filter compacts
-// the arena in place to the RR sets still valid on a mutated residual
-// (tracked via graph.Residual.Version), and the generators in ris.go /
-// parallel.go can append a top-up into an existing collection instead of
-// rebuilding from scratch.
+// the arena in place to the RR sets still valid on a mutated residual,
+// and the generators in ris.go / parallel.go can append a top-up into an
+// existing collection instead of rebuilding from scratch. Filter reads
+// the nodes removed since the collection's version off the residual's
+// removal log, so that version must come from the history of the
+// residual filtered against: the same view, a Clone of it, or its replay
+// from a checkpoint's removal log.
 //
 // A Collection is not safe for concurrent use: queries build the inverted
 // index on first use.
@@ -40,8 +43,7 @@ type Collection struct {
 	invValid bool
 
 	// version is the graph.Residual.Version the held sets were drawn on
-	// (or last filtered against); -1 when unknown. Filter uses it to skip
-	// rescans when the residual has not changed.
+	// (or last filtered against); -1 when unknown.
 	version int64
 
 	// requested accumulates the θ values asked of the generators, so a
@@ -54,6 +56,9 @@ type Collection struct {
 	// coverage is the attached incremental containment tracker, if any;
 	// Filter compacts it in lockstep and Reset zeroes it (see tracker.go).
 	coverage *Coverage
+
+	// dropBits is dropContaining's n-bit node set, all zero between passes.
+	dropBits []uint64
 }
 
 // NewCollection creates an empty collection over a graph with n nodes
@@ -176,14 +181,6 @@ func (c *Collection) SetNodes(i int) []graph.NodeID {
 // for. Requested > Len means some draws hit an empty residual.
 func (c *Collection) Requested() int { return c.requested }
 
-// Shortfall returns how many requested RR sets were never generated.
-func (c *Collection) Shortfall() int {
-	if d := c.requested - c.Len(); d > 0 {
-		return d
-	}
-	return 0
-}
-
 // noteRequested records that theta RR sets were requested from a generator.
 func (c *Collection) noteRequested(theta int) { c.requested += theta }
 
@@ -235,78 +232,20 @@ func (c *Collection) CountContaining(u graph.NodeID) int {
 // set. Both deviations grow with the fraction of the pool invalidated.
 //
 // Filter is keyed on res.Version(): if the residual has not changed since
-// the sets were drawn (or last filtered), it returns immediately. It
-// returns the number of surviving sets. Set ids change on compaction, so
-// any Marks over the collection must be discarded.
+// the sets were drawn (or last filtered), it returns immediately.
+// Otherwise it drops the sets holding a node of res.RemovedSince(Version()),
+// usually a handful of nodes, and never reads the alive mask: a set drawn
+// at version v holds only nodes alive at v, so it is valid iff it avoids
+// every node removed after v (at version -1, the whole log: every dead
+// node). It returns the number of surviving sets. Set ids change on
+// compaction, so any Marks over the collection must be discarded.
 func (c *Collection) Filter(res *graph.Residual) int {
 	if c.version == res.Version() {
 		return c.Len()
 	}
-	z := c.startCompaction()
-	for i := 0; i < c.Len(); i++ {
-		alive := true
-		for _, u := range c.arena[c.offsets[i]:c.offsets[i+1]] {
-			if !res.Alive(u) {
-				alive = false
-				break
-			}
-		}
-		c.compactSet(&z, i, alive)
-	}
+	kept := c.dropContaining(res.RemovedSince(c.version))
 	c.version = res.Version()
-	return c.endCompaction(z)
-}
-
-// compaction holds the cursors of an in-place compaction pass. Sets
-// [0, seen) are those the attached Coverage has counted; dropped counts
-// how many of them the pass gave back.
-type compaction struct {
-	w             int   // sets kept so far
-	wa            int32 // arena entries kept so far
-	seen, dropped int
-}
-
-// startCompaction begins the keep/drop pass Filter and InvalidateTouching
-// share: compactSet for every set in order, then endCompaction.
-func (c *Collection) startCompaction() compaction {
-	if c.coverage == nil {
-		return compaction{}
-	}
-	return compaction{seen: c.coverage.seen}
-}
-
-// compactSet moves kept set i down to the write cursors; a dropped set the
-// attached Coverage has counted gives its containment counts back. Small
-// enough to inline into the callers' per-set loops.
-func (c *Collection) compactSet(z *compaction, i int, keep bool) {
-	set := c.arena[c.offsets[i]:c.offsets[i+1]]
-	if !keep {
-		if i < z.seen {
-			c.coverage.uncount(set)
-			z.dropped++
-		}
-		return
-	}
-	z.wa += int32(copy(c.arena[z.wa:], set))
-	c.roots[z.w] = c.roots[i]
-	z.w++
-	c.offsets[z.w] = z.wa
-}
-
-// endCompaction truncates the collection to the kept sets, invalidates
-// the inverted index and returns the kept count. Kept sets preserve their
-// order, so the attached Coverage's counted prefix is exactly the kept
-// sets it had already folded in.
-func (c *Collection) endCompaction(z compaction) int {
-	c.roots = c.roots[:z.w]
-	c.offsets = c.offsets[:z.w+1]
-	c.arena = c.arena[:z.wa]
-	c.invValid = false
-	if c.coverage != nil {
-		c.coverage.seen = z.seen - z.dropped
-	}
-	c.requested = z.w
-	return z.w
+	return kept
 }
 
 // InvalidateTouching compacts the collection in place to the RR sets that
@@ -326,28 +265,97 @@ func (c *Collection) endCompaction(z compaction) int {
 //
 // Unlike Filter, the collection's residual version is left alone: the
 // survivors remain valid for the current residual, so a later Sync/Filter
-// at the same version is the expected no-op. One mark-and-scan pass over
-// the arena decides. Set ids change on compaction, so any Marks over the
-// collection must be discarded; an attached Coverage is compacted in
+// at the same version is the expected no-op. It runs Filter's drop pass
+// over the touched nodes and allocates nothing once the collection has
+// dropped sets before. Set ids change on compaction, so any Marks over
+// the collection must be discarded; an attached Coverage is compacted in
 // lockstep. Returns the number of surviving sets.
 func (c *Collection) InvalidateTouching(touched []graph.NodeID) int {
 	if len(touched) == 0 || c.Len() == 0 {
 		return c.Len()
 	}
-	marked := make([]bool, c.n)
-	for _, u := range touched {
-		marked[u] = true
+	return c.dropContaining(touched)
+}
+
+// dropContaining is the drop pass behind Filter and InvalidateTouching:
+// it compacts the collection in place, in order, to the sets holding none
+// of nodes and returns the kept count, which also becomes Requested. The
+// nodes are set in dropBits (and cleared after), the arena is scanned
+// flat against them, a hit's set is found by binary search over offsets,
+// and each run of kept sets between two dropped ones moves down in one
+// block. A dropped set the attached Coverage has counted gives its counts
+// back; kept sets keep their order, so the counted prefix stays a prefix.
+func (c *Collection) dropContaining(nodes []graph.NodeID) int {
+	if len(nodes) == 0 || c.Len() == 0 {
+		c.requested = c.Len()
+		return c.Len()
 	}
-	z := c.startCompaction()
-	for i := 0; i < c.Len(); i++ {
-		keep := true
-		for _, u := range c.arena[c.offsets[i]:c.offsets[i+1]] {
-			if marked[u] {
-				keep = false
-				break
+	if c.dropBits == nil {
+		c.dropBits = make([]uint64, (c.n+63)/64)
+	}
+	bits, arena, offsets := c.dropBits, c.arena, c.offsets
+	for _, u := range nodes {
+		bits[uint32(u)>>6] |= 1 << (uint32(u) & 63)
+	}
+	counted, uncounted := 0, 0
+	if c.coverage != nil {
+		counted = c.coverage.seen
+	}
+	w, next := 0, 0 // sets [0, w) are kept and in place; [next, Len) unscanned
+	for p := nextMarked(arena, 0, bits); p < len(arena); p = nextMarked(arena, int(offsets[next]), bits) {
+		lo, hi := next, len(c.roots) // the hit's set: the last one starting at or before p
+		for hi-lo > 1 {
+			if mid := int(uint(lo+hi) >> 1); int(offsets[mid]) <= p {
+				lo = mid
+			} else {
+				hi = mid
 			}
 		}
-		c.compactSet(&z, i, keep)
+		set := arena[offsets[lo]:offsets[lo+1]]
+		w = c.moveDown(next, lo, w)
+		if lo < counted {
+			c.coverage.uncount(set)
+			uncounted++
+		}
+		next = lo + 1
 	}
-	return c.endCompaction(z)
+	for _, u := range nodes {
+		bits[uint32(u)>>6] = 0
+	}
+	if next > 0 {
+		w = c.moveDown(next, len(c.roots), w)
+		c.roots, c.offsets, c.arena = c.roots[:w], offsets[:w+1], arena[:offsets[w]]
+		c.invValid = false
+		if c.coverage != nil {
+			c.coverage.seen -= uncounted
+		}
+	}
+	c.requested = c.Len()
+	return c.Len()
+}
+
+// nextMarked returns the first position at or after p whose node is set
+// in bits, or len(arena).
+func nextMarked(arena []graph.NodeID, p int, bits []uint64) int {
+	for ; p < len(arena); p++ {
+		if u := uint32(arena[p]); bits[u>>6]>>(u&63)&1 != 0 {
+			return p
+		}
+	}
+	return p
+}
+
+// moveDown moves the kept sets [from, to) down to slot w, where the kept
+// arena ends at offsets[w], and returns the new kept count.
+func (c *Collection) moveDown(from, to, w int) int {
+	if from != w && from < to {
+		src, dst := c.offsets[from], c.offsets[w]
+		copy(c.arena[dst:], c.arena[src:c.offsets[to]])
+		copy(c.roots[w:], c.roots[from:to])
+		shift := src - dst
+		for k := from + 1; k <= to; k++ {
+			c.offsets[w+k-from] = c.offsets[k] - shift
+		}
+	}
+	return w + to - from
 }

@@ -49,8 +49,9 @@
 //     that avoids every node deleted since is kept for G_j (j > i). Kept
 //     sets are biased — each is a G_i set conditioned on avoiding the
 //     deleted nodes, not a G_j set (TestFilterTiltsSurvivorLaw) — see
-//     Filter for the size of the deviation. InvalidateTouching drops the
-//     sets a topology delta touched through the same compaction pass.
+//     Filter for the size of the deviation. Filter and InvalidateTouching
+//     (the sets a topology delta touched) share one drop pass: a flat
+//     arena scan against a bitset of the removed or touched nodes.
 //   - Coverage queries (coverage.go, select.go): CovR(S), incremental
 //     marginals via Marks, and heap-based CELF greedy max-coverage — the
 //     selection step of IMM (§VI-A). Both are serial: BuildIndex is one
@@ -58,11 +59,11 @@
 //     heap top in place. Workers parallelize RR generation only.
 //   - Coverage tracker and Batcher (tracker.go): Coverage maintains
 //     per-node containment counts incrementally as batches are appended
-//     and is compacted in lockstep by Collection.Filter, so a per-batch
+//     and is compacted in lockstep by the drop pass, so a per-batch
 //     stopping-rule check costs O(batch + alive) instead of an inverted
 //     index rebuild. Batcher packages the draw/filter/top-up cycle —
 //     pool, collection, tracker, accounting — shared by both adaptive
-//     sampling policies, sampled ADG rounds and IMM's θ search; every
-//     Batcher keeps its tracker current. Its warm loop is allocation-free
-//     (TestBatcherWarmLoopNoAllocs).
+//     sampling policies, sampled ADG rounds and IMM's θ search; the
+//     tracker counts only what Batcher.Count asks for. Its warm loop is
+//     allocation-free (TestBatcherWarmLoopNoAllocs).
 package ris

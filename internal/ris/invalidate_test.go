@@ -64,7 +64,7 @@ func TestInvalidateTouchingMatchesBruteForce(t *testing.T) {
 			g := randomGraph(t)
 			res := graph.NewResidual(g)
 			c := NewSampler(res, cascade.IC, rng.New(21)).Generate(2000)
-			cov := c.NewCoverage()
+			cov := newCoverage(c)
 			before := snapshotSets(c)
 
 			_, dres, err := g.ApplyDelta(gen.ChurnDeltas(g, 0.01, rng.New(7)))

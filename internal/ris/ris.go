@@ -446,8 +446,8 @@ func (s *Sampler) appendFastIC(c *Collection, count int, meta []graph.InMeta, in
 
 // Generate draws theta RR sets into a new Collection. If the residual has
 // no alive nodes the collection holds fewer sets than requested; callers
-// must read Collection.Len() (and may check Shortfall) rather than assume
-// theta sets exist.
+// must read Collection.Len() (Requested keeps the asked-for count) rather
+// than assume theta sets exist.
 func (s *Sampler) Generate(theta int) *Collection {
 	c := NewCollection(s.res.FullN())
 	s.AppendTo(c, theta)

@@ -305,16 +305,16 @@ func TestGenerateShortfallSurfaced(t *testing.T) {
 	}
 	s := NewSampler(res, cascade.IC, rng.New(1))
 	c := s.Generate(100)
-	if c.Len() != 0 || c.Requested() != 100 || c.Shortfall() != 100 {
-		t.Fatalf("len=%d requested=%d shortfall=%d, want 0/100/100", c.Len(), c.Requested(), c.Shortfall())
+	if c.Len() != 0 || c.Requested() != 100 {
+		t.Fatalf("len=%d requested=%d, want 0/100", c.Len(), c.Requested())
 	}
 	full := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(1)).Generate(100)
-	if full.Shortfall() != 0 || full.Requested() != 100 {
-		t.Fatalf("live graph reported shortfall %d requested %d", full.Shortfall(), full.Requested())
+	if full.Len() != 100 || full.Requested() != 100 {
+		t.Fatalf("live graph holds %d of %d requested", full.Len(), full.Requested())
 	}
 	par := NewSamplerPool(cascade.IC).Generate(res, rng.New(2), 64, 4)
-	if par.Shortfall() != 64 {
-		t.Fatalf("parallel shortfall %d, want 64", par.Shortfall())
+	if par.Len() != 0 || par.Requested() != 64 {
+		t.Fatalf("parallel len=%d requested=%d, want 0/64", par.Len(), par.Requested())
 	}
 }
 

@@ -38,7 +38,8 @@ func (c *Collection) State() CollectionState {
 // validating the CSR invariants first (a torn or hand-edited checkpoint
 // must fail loudly, not corrupt later coverage queries). Existing arena
 // capacity is reused; the inverted index is invalidated and an attached
-// Coverage tracker is rebuilt from the restored sets.
+// Coverage tracker is zeroed, counting the restored sets at its next
+// Update.
 func (c *Collection) RestoreState(st CollectionState) error {
 	if len(st.Offsets) != len(st.Roots)+1 {
 		return fmt.Errorf("ris: restore: %d offsets for %d sets", len(st.Offsets), len(st.Roots))
@@ -74,7 +75,6 @@ func (c *Collection) RestoreState(st CollectionState) error {
 	c.invValid = false
 	if c.coverage != nil {
 		c.coverage.reset()
-		c.coverage.Update()
 	}
 	return nil
 }

@@ -18,32 +18,26 @@ import (
 // O(new batch nodes) and answers each query in O(1), so a per-batch check
 // over the alive targets costs O(batch + alive).
 //
-// A Coverage is compacted in lockstep by Collection.Filter (counts of
-// dropped sets are subtracted during the same pass) and zeroed by
-// Collection.Reset, so — unlike Marks — it stays valid across the
-// filter/top-up cycles of the adaptive round loop. Storage is allocated
-// once (one int32 per node of the full graph) and reused across batches
-// and rounds. At most one Coverage is attached to a Collection; attaching
-// a new one replaces the old.
+// A Coverage is compacted in lockstep by Collection.Filter and
+// InvalidateTouching (counts of dropped sets are subtracted during the
+// same pass) and zeroed by Collection.Reset, so — unlike Marks — it stays
+// valid across the filter/top-up cycles of the adaptive round loop.
+// Storage (one int32 per node of the full graph) is allocated by the
+// first Update and reused across batches and rounds. At most one Coverage
+// is attached to a Collection; attaching a new one replaces the old.
 type Coverage struct {
 	c      *Collection
 	counts []int32
 	seen   int // sets [0, seen) are reflected in counts
 }
 
-// NewCoverage attaches an incremental containment tracker to c, counting
-// the sets already present.
-func (c *Collection) NewCoverage() *Coverage {
-	cov := &Coverage{c: c, counts: make([]int32, c.n)}
-	c.coverage = cov
-	cov.Update()
-	return cov
-}
-
 // Update folds the RR sets appended since the last Update (or Filter)
-// into the counts. O(nodes of the new sets).
+// into the counts, allocating them on first use. O(nodes of the new sets).
 func (cov *Coverage) Update() {
 	c := cov.c
+	if cov.counts == nil {
+		cov.counts = make([]int32, c.n)
+	}
 	for i := cov.seen; i < c.Len(); i++ {
 		for _, u := range c.arena[c.offsets[i]:c.offsets[i+1]] {
 			cov.counts[u]++
@@ -66,9 +60,7 @@ func (cov *Coverage) uncount(nodes []graph.NodeID) {
 
 // reset zeroes the counts in place (storage is retained).
 func (cov *Coverage) reset() {
-	for i := range cov.counts {
-		cov.counts[i] = 0
-	}
+	clear(cov.counts)
 	cov.seen = 0
 }
 
@@ -132,12 +124,13 @@ func (b *Batcher) Reset() {
 	b.batches = 0
 }
 
-// ensureCol creates the collection and its coverage tracker on first use;
-// n is the node count of the full graph.
+// ensureCol creates the collection and attaches its coverage tracker on
+// first use; n is the node count of the full graph.
 func (b *Batcher) ensureCol(n int) *Collection {
 	if b.col == nil {
 		b.col = NewCollection(n)
-		b.cov = b.col.NewCoverage()
+		b.cov = &Coverage{c: b.col}
+		b.col.coverage = b.cov
 	}
 	return b.col
 }
@@ -175,9 +168,10 @@ func (b *Batcher) Invalidate(touched []graph.NodeID) int {
 
 // GrowTo tops the collection up to target RR sets on res, drawing only the
 // shortfall through the persistent pool (one batch; parent advances by one
-// key only when something is drawn). The coverage tracker is brought
-// current. It returns the collection size, which can fall short of target
-// only when the residual has no alive nodes — or when the installed
+// key only when something is drawn). The coverage tracker folds the new
+// sets in at the next Count, so IMM, which never asks, never pays for it.
+// It returns the collection size, which can fall short of target only
+// when the residual has no alive nodes — or when the installed
 // interrupt aborted the batch, in which case the error is non-nil and the
 // collection contents must be treated as void.
 func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers int) (int, error) {
@@ -205,15 +199,20 @@ func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers i
 			return c.Len(), err
 		}
 	}
-	b.cov.Update()
 	if bytes := c.Bytes(); bytes > b.peakBytes {
 		b.peakBytes = bytes
 	}
 	return c.Len(), nil
 }
 
-// Count returns the tracked containment count of u.
-func (b *Batcher) Count(u graph.NodeID) int { return b.cov.Count(u) }
+// Count returns the containment count of u over every set held, folding
+// the sets drawn since the last Count into the tracker first.
+func (b *Batcher) Count(u graph.NodeID) int {
+	if b.cov.counts == nil || b.cov.seen < b.col.Len() {
+		b.cov.Update()
+	}
+	return b.cov.Count(u)
+}
 
 // Collection returns the batcher's collection (nil before the first Sync
 // or GrowTo).

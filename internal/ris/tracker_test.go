@@ -8,6 +8,14 @@ import (
 	"repro/internal/rng"
 )
 
+// newCoverage attaches a containment tracker to c that has counted the
+// sets already present, as a Batcher's tracker is after a Count.
+func newCoverage(c *Collection) *Coverage {
+	c.coverage = &Coverage{c: c}
+	c.coverage.Update()
+	return c.coverage
+}
+
 // checkCoverageMatchesIndex cross-checks the incremental tracker against
 // the inverted-index count for every node.
 func checkCoverageMatchesIndex(t *testing.T, c *Collection, cov *Coverage, where string) {
@@ -30,7 +38,7 @@ func TestCoverageTracksAppendsFiltersResets(t *testing.T) {
 	parent := rng.New(41)
 	c := NewCollection(res.FullN())
 	pool.AppendParallel(c, res, parent, 200, 2)
-	cov := c.NewCoverage() // attaches mid-life: must count existing sets
+	cov := newCoverage(c) // attaches mid-life: must count existing sets
 	checkCoverageMatchesIndex(t, c, cov, "after attach")
 
 	for round := 0; round < 5; round++ {
@@ -70,7 +78,7 @@ func TestCoverageFilterWithUncountedTail(t *testing.T) {
 	res := graph.NewResidual(g)
 	c := NewCollection(4)
 	c.AddSet(1, []graph.NodeID{1, 0})
-	cov := c.NewCoverage() // counts {1,0}
+	cov := newCoverage(c) // counts {1,0}
 	c.AddSet(3, []graph.NodeID{3, 2})
 	c.AddSet(2, []graph.NodeID{2}) // uncounted tail
 	res.Remove(3)
@@ -117,7 +125,11 @@ func TestBatcherAccountingAndReuse(t *testing.T) {
 	if b.Len() != 500 || b.Drawn() != int64(500+500-kept) {
 		t.Fatalf("top-up len=%d drawn=%d (kept=%d)", b.Len(), b.Drawn(), kept)
 	}
-	checkCoverageMatchesIndex(t, b.Collection(), b.cov, "after top-up")
+	for u := graph.NodeID(0); u < graph.NodeID(g.N()); u++ {
+		if got, want := b.Count(u), b.Collection().CountContaining(u); got != want {
+			t.Fatalf("after top-up: Count(%d) = %d, index says %d", u, got, want)
+		}
+	}
 	if b.PeakBytes() <= 0 || b.SamplingNS() < 0 {
 		t.Fatalf("degenerate accounting peak=%d ns=%d", b.PeakBytes(), b.SamplingNS())
 	}
@@ -136,8 +148,8 @@ func TestBatcherAccountingAndReuse(t *testing.T) {
 
 // TestBatcherWarmLoopNoAllocs extends the PR 3 allocation budget to the
 // sequential controller's batch loop: once the batcher is warm (arena,
-// coverage counts, pool scratch all grown), a filter + top-up + coverage
-// round performs zero allocations.
+// coverage counts, drop bitset, pool scratch all grown), a filter +
+// delta invalidation + top-up + coverage round performs zero allocations.
 func TestBatcherWarmLoopNoAllocs(t *testing.T) {
 	g := wcTestGraph(t)
 	b := NewBatcher(cascade.IC)
@@ -149,6 +161,7 @@ func TestBatcherWarmLoopNoAllocs(t *testing.T) {
 	next := graph.NodeID(1)
 	avg := testing.AllocsPerRun(20, func() {
 		res.Remove(next) // mutate so Sync actually filters
+		b.Invalidate([]graph.NodeID{next + 100})
 		next++
 		b.Sync(res)
 		b.GrowTo(res, parent, 3000, 1)
