@@ -15,9 +15,10 @@ import (
 // graph.ApplyDelta patches the CSR and compressed in-probability tables
 // per touched node, while the rebuild path reconstructs the whole graph
 // from the edited edge list. BenchmarkApplyDelta applies the same delta
-// to one base graph, so every iteration compacts into fresh arenas;
-// BenchmarkApplyDeltaChain chains deltas the way a live campaign does, so
-// most of them append in place. The delta path is the reason temporal
+// to one Builder.Build graph, so every iteration is a campaign's first
+// delta: it shares the base arenas and writes only the touched runs into
+// a fresh overflow; BenchmarkApplyDeltaChain chains deltas the way a live
+// campaign does, so most of them append to the overflow in place. The delta path is the reason temporal
 // sweeps and the mutate endpoint are cheap; run with
 //
 //	go test -bench 'Delta' -run xxx ./internal/gen/
@@ -87,8 +88,8 @@ func BenchmarkRebuildAfterDelta(b *testing.B) {
 // and applied to the previous one's output, as Session.Mutate does during
 // a churning campaign. The deltas are drawn up front, outside the timer,
 // and the chain restarts from the base graph every len(deltas) steps, so
-// the timed mix matches a campaign: one compacting first delta, then
-// in-place appends with an occasional compaction.
+// the timed mix matches a campaign: a first delta into a fresh overflow,
+// then in-place appends with an occasional overflow compaction or fold.
 func BenchmarkApplyDeltaChain(b *testing.B) {
 	ds, err := Lookup("epinions-s")
 	if err != nil {

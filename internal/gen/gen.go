@@ -115,18 +115,14 @@ func erdosRenyi(cfg Config, r *rng.RNG) (*graph.Builder, error) {
 	} else {
 		b.Grow(2 * int(target))
 	}
-	seen := make(map[[2]int32]struct{}, target)
-	for int64(len(seen)) < target {
+	seen := newPairSet(target)
+	for accepted := int64(0); accepted < target; {
 		u := int32(r.Intn(cfg.N))
 		v := int32(r.Intn(cfg.N))
-		if u == v {
+		if u == v || !seen.add(u, v) {
 			continue
 		}
-		k := [2]int32{u, v}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
+		accepted++
 		if cfg.Directed {
 			if err := b.AddArc(u, v); err != nil {
 				return nil, err
@@ -141,6 +137,40 @@ func erdosRenyi(cfg Config, r *rng.RNG) (*graph.Builder, error) {
 		}
 	}
 	return b, nil
+}
+
+// pairSet is a flat open-addressing set of ordered node pairs, each
+// packed into one uint64. The packed pair (0, 0) is a self-loop, which no
+// caller adds, so it marks an empty slot. The table is a power of two at
+// least 1.5 times the expected size (load at most 2/3), probed linearly
+// from a multiplicative hash of the key.
+type pairSet struct {
+	slots []uint64
+	shift uint // 64 - log2(len(slots))
+}
+
+func newPairSet(expect int64) *pairSet {
+	bits := uint(1)
+	for int64(1)<<bits < expect+expect/2 {
+		bits++
+	}
+	return &pairSet{slots: make([]uint64, 1<<bits), shift: 64 - bits}
+}
+
+// add inserts the pair (u, v), u != v, and reports whether it was absent.
+// The set must not fill up: callers add at most the expected count.
+func (s *pairSet) add(u, v int32) bool {
+	k := uint64(uint32(u))<<32 | uint64(uint32(v))
+	mask := uint64(len(s.slots) - 1)
+	for i := (k * 0x9E3779B97F4A7C15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = k
+			return true
+		case k:
+			return false
+		}
+	}
 }
 
 // prefAttach grows a Barabási-Albert-style graph: each new node attaches

@@ -1,6 +1,10 @@
 package gen
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/rng"
+)
 
 // BenchmarkGenerate times the whole generator on dblp-s at scale 0.25
 // (164k nodes, 982k directed edges): preferential attachment, Dedup, the
@@ -17,6 +21,25 @@ func BenchmarkGenerate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkErdosRenyi times the Erdős–Rényi wiring alone (no dedup or
+// build) on livejournal-s at scale 0.01, directed: 48.5k nodes and 1.38M
+// arcs, each drawn pair checked against the ones already accepted.
+func BenchmarkErdosRenyi(b *testing.B) {
+	ds, err := Lookup("livejournal-s")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := ds.Config(0.01)
+	cfg.Model = ErdosRenyi
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := erdosRenyi(cfg, rng.New(cfg.Seed)); err != nil {
 			b.Fatal(err)
 		}
 	}

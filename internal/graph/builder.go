@@ -148,9 +148,10 @@ func (b *Builder) ApplyTrivalency(pick func(i int) int) {
 }
 
 // Build produces the immutable CSR graph. The builder remains usable.
-// Its arenas are exactly sized, with the runs laid out back to back in
-// node order: out-runs sorted by target, in-runs by source, and parallel
-// edges of one (from, to) pair in their input order in both directions.
+// Its arenas are base tiers only, exactly sized, with the runs laid out
+// back to back in node order: out-runs sorted by target, in-runs by
+// source, and parallel edges of one (from, to) pair in their input order
+// in both directions.
 //
 // Construction is O(n+m), three stable counting-sort passes with no
 // comparison sort: the edges are scattered by target into the in-arena,
@@ -162,16 +163,16 @@ func (b *Builder) Build() *Graph {
 	n := b.n
 	m := int64(len(b.edges))
 	g := &Graph{
-		n:        n,
-		m:        m,
-		directed: b.directed,
-		outRun:   make([]span, n),
-		outAdj:   make([]NodeID, m),
-		outP:     make([]float64, m),
-		inMeta:   make([]InMeta, n),
-		inAdj:    make([]NodeID, m),
+		n:           n,
+		m:           m,
+		directed:    b.directed,
+		outRun:      make([]span, n),
+		outBaseLive: m,
+		inMeta:      make([]InMeta, n),
+		inBaseLive:  m,
 	}
-	inP := make([]float64, m)
+	outAdj, outP := make([]NodeID, m), make([]float64, m)
+	inAdj, inP := make([]NodeID, m), make([]float64, m)
 	for _, e := range b.edges {
 		g.outRun[e.From].deg++
 		g.inMeta[e.To].Deg++
@@ -198,7 +199,7 @@ func (b *Builder) Build() *Graph {
 	inCursors()
 	for _, e := range b.edges {
 		k := next[e.To]
-		g.inAdj[k], inP[k] = e.From, e.P
+		inAdj[k], inP[k] = e.From, e.P
 		next[e.To]++
 	}
 	// Pass 2: by source; visiting targets in node order sorts each out-run.
@@ -208,9 +209,9 @@ func (b *Builder) Build() *Graph {
 	for v := int32(0); v < n; v++ {
 		lo, hi := g.inRange(v)
 		for k := lo; k < hi; k++ {
-			u := g.inAdj[k]
+			u := inAdj[k]
 			j := next[u]
-			g.outAdj[j], g.outP[j] = v, inP[k]
+			outAdj[j], outP[j] = v, inP[k]
 			next[u]++
 		}
 	}
@@ -220,30 +221,30 @@ func (b *Builder) Build() *Graph {
 	for u := int32(0); u < n; u++ {
 		lo, hi := g.outRange(u)
 		for j := lo; j < hi; j++ {
-			v := g.outAdj[j]
+			v := outAdj[j]
 			k := next[v]
-			g.inAdj[k], inP[k] = u, g.outP[j]
+			inAdj[k], inP[k] = u, outP[j]
 			next[v]++
 		}
 	}
-	g.compressInProbs(inP)
+	g.outAdj.Base, g.outP.Base, g.inAdj.Base = outAdj, outP, inAdj
+	g.compressInProbs(Arena[float64]{Base: inP})
 	return g
 }
 
 // compressInProbs settles the in-probability storage of a graph whose
 // in-runs are laid out, given the per-edge probabilities parallel to
-// inAdj. When every node's in-edges share one probability — always the
+// inAdj's tiers. When every node's in-edges share one probability — always the
 // case for ApplyWeightedCascade (p = 1/indeg(v)) and
 // ApplyUniformProbability — the per-edge array is dropped (8 bytes per
 // edge -> 8 bytes per node; ~550 MB on livejournal-s's 69M edges) and
 // success-count sampling tables are precomputed so RR-set samplers can
 // draw a node's successful in-edge count in O(1) instead of one coin per
 // edge. Mixed-probability graphs (trivalency) keep per-edge storage.
-func (g *Graph) compressInProbs(inP []float64) {
+func (g *Graph) compressInProbs(inP Arena[float64]) {
 	g.mixedIn = 0
-	for v := int32(0); v < g.n; v++ {
-		lo, hi := g.inRange(v)
-		if !sharedProb(inP[lo:hi]) {
+	for _, m := range g.inMeta {
+		if !sharedProb(inP.Run(m.Start, m.Deg)) {
 			g.mixedIn++
 		}
 	}
@@ -257,8 +258,8 @@ func (g *Graph) compressInProbs(inP []float64) {
 	g.tabIndex = make(map[tabKey]int32)
 	for v := int32(0); v < g.n; v++ {
 		g.inTabOff[v] = -1
-		if lo, hi := g.inRange(v); hi > lo {
-			g.inProb[v] = inP[lo]
+		if m := g.inMeta[v]; m.Deg > 0 {
+			g.inProb[v] = inP.Run(m.Start, m.Deg)[0]
 			g.inTabOff[v] = g.tableFor(v)
 		}
 		g.setThresholds(v)

@@ -219,8 +219,8 @@ func TestInMetaConsistent(t *testing.T) {
 		if int(mv.Deg) != len(srcs) {
 			t.Fatalf("node %d: meta degree %d, want %d", v, mv.Deg, len(srcs))
 		}
-		for i := range srcs {
-			if arena[mv.Start+int32(i)] != srcs[i] {
+		for i, u := range arena.Run(mv.Start, mv.Deg) {
+			if u != srcs[i] {
 				t.Fatalf("node %d: arena neighbor %d mismatch", v, i)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -22,39 +23,43 @@ type DeltaResult struct {
 	Deleted  int
 }
 
-// lineage is the arena state shared by a chain of graphs derived from one
-// another in place. tip holds the linGen of the one graph that may append
-// to the shared arenas: the last graph derived in place.
+// lineage is the overflow state shared by a chain of graphs derived from
+// one another in place. tip holds the linGen of the one graph that may
+// append to the shared overflow tiers: the last graph derived in place.
 type lineage struct {
 	tip atomic.Uint64
 }
 
 // ApplyDelta derives a new immutable Graph from g with the given directed
 // edges inserted and deleted, without rebuilding from scratch. Nodes the
-// delta does not touch keep their adjacency runs where they are; each
-// touched node gets a freshly merged run, appended past the end of the
-// arenas g shares with its lineage, and only the per-node arrays are
-// copied and patched at the touched nodes. The compressed in-probability
-// tables are patched per touched node too: a new (degree, probability)
-// pair appends its table to the lineage's table arena and clones the
-// pair index, and tables no node references anymore are kept as garbage,
-// bounded by the number of distinct pairs ever seen.
+// delta does not touch keep their adjacency runs where they are, in
+// either tier; each touched node gets a freshly merged run in the
+// overflow tier, and only the per-node arrays are copied and patched at
+// the touched nodes. The base tiers are shared, never copied. The
+// compressed in-probability tables are patched per touched node too: a
+// new (degree, probability) pair appends its table to the lineage's
+// table arena and clones the pair index, and tables no node references
+// anymore are kept as garbage, bounded by the number of distinct pairs
+// ever seen.
 //
 // Appending in place needs the lineage-tip claim: after validating the
 // delta, ApplyDelta atomically moves the claim from g to the new graph,
-// and appends in place only if that succeeds and the arenas have room.
-// When g is not the tip — a sibling derived from a shared base, as the
-// first delta of every campaign and of every checkpoint replay is;
-// Builder output has no lineage at all — or the in-probability storage
-// changes mode, it
-// compacts the live runs into new arenas with doubled capacity, which
-// start a new lineage. With the claim held, a direction whose arena is
-// full, or would pass twice the live edge count, is compacted alone, and
-// the new graph stays the tip. Writes only ever land past the visible
-// length of every older graph, so g and all its ancestors stay unchanged
-// and safe for concurrent readers, including concurrent ApplyDelta calls
-// on the same g. A delta costs O(N + Δ·deg) plus the amortized
-// compactions, and no arena holds more than twice its live entries.
+// and a direction appends past the end of g's overflow only if that
+// succeeds and the overflow has room. When g is not the tip — a sibling
+// derived from a shared graph, as the first delta of every campaign and
+// of every checkpoint replay is; Builder output has no lineage at all —
+// or the in-probability storage changes mode, the new graph starts a new
+// lineage. A direction that cannot append compacts only its
+// overflow-resident runs, together with the touched ones, into a fresh
+// overflow with room to grow (see layout). It folds base and overflow
+// into a new, exactly sized base only when the in-probability storage
+// changes mode (in-side only) or when the base plus that compacted
+// overflow would pass twice the live entries. Writes only ever
+// land past the visible length of every older graph, so g and all its
+// ancestors stay unchanged and safe for concurrent readers, including
+// concurrent ApplyDelta calls on the same g. A delta costs O(N + Δ·deg)
+// plus the amortized compactions, and no direction holds more than twice
+// its live entries.
 //
 // The result is structurally identical — per node — to Builder.Build on
 // the edited edge list (g.Edges() minus the first matching occurrence of
@@ -101,10 +106,18 @@ func (g *Graph) ApplyDelta(inserts, deletes []Edge) (*Graph, *DeltaResult, error
 	if newM > math.MaxInt32 {
 		return nil, nil, fmt.Errorf("graph: delta grows the graph past %d edges", math.MaxInt32)
 	}
-	out := g.groupEdits(inserts, deletes, false)
-	if err := g.checkDeletes(&out); err != nil {
-		return nil, nil, err
-	}
+	// The two directions share no state: the out-side edits are grouped
+	// and validated on a second goroutine while the in-side ones are
+	// grouped and their probabilities settled here.
+	var out runEdits
+	var outErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		out = g.groupEdits(inserts, deletes, false)
+		outErr = g.checkDeletes(&out)
+	}()
 	in := g.groupEdits(inserts, deletes, true)
 
 	// Settle the in-probability storage: the new graph is uniform exactly
@@ -123,69 +136,65 @@ func (g *Graph) ApplyDelta(inserts, deletes []Edge) (*Graph, *DeltaResult, error
 		}
 	}
 	uniform := mixed == 0
+	wg.Wait()
+	if outErr != nil {
+		return nil, nil, outErr
+	}
 
 	ng := &Graph{
 		n: g.n, m: newM, directed: g.directed, epoch: g.epoch + 1,
 		uniformIn: uniform, mixedIn: mixed,
 	}
-	// Claim the lineage tip, then place each direction's runs: appended in
-	// place when the claim holds and the arenas have room, else compacted
-	// into fresh arenas with doubled capacity. The claim is not even tried
-	// across a storage-mode change, which rewrites the in-side anyway. The
-	// two directions share no state, so the out-runs are placed on a
-	// second goroutine.
+	// Claim the lineage tip, then place each direction's runs, the
+	// out-runs and the in-side tables on a second goroutine. The claim is
+	// not even tried across a storage-mode change, which folds the in-side
+	// anyway.
 	claimed := g.lin != nil && uniform == g.uniformIn && g.lin.tip.CompareAndSwap(g.linGen, g.linGen+1)
 	if claimed {
 		ng.lin, ng.linGen = g.lin, g.linGen+1
 	} else {
 		ng.lin = &lineage{}
 	}
-	var wg sync.WaitGroup
+	tables := ng.uniformIn && g.uniformIn
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		ng.placeOut(g, &out, claimed)
+		if tables {
+			ng.patchTables(g, &in, probs, claimed)
+		}
 	}()
 	ng.placeIn(g, &in, probs, claimed)
 	wg.Wait()
+	if tables {
+		for _, v := range in.nodes {
+			ng.setThresholds(v)
+		}
+	}
 	return ng, &DeltaResult{Touched: in.nodes, Inserted: len(inserts), Deleted: len(deletes)}, nil
 }
 
-// placeOut lays out ng's out-runs: in place past g's arenas when claimed
-// and they have room, else compacted into fresh ones.
+// placeOut lays out ng's out-runs (see layout).
 func (ng *Graph) placeOut(g *Graph, out *runEdits, claimed bool) {
 	ng.outRun = slices.Clone(g.outRun)
 	set := func(v NodeID, start, deg int32) { ng.outRun[v] = span{start, deg} }
-	if n := len(g.outAdj) + out.newLen(g.outRange); claimed && n <= cap(g.outAdj) && n <= cap(g.outP) && n <= int(2*ng.m) {
-		ng.outAdj, ng.outP = g.relayout(out, g.outSource(), false, g.outAdj, g.outP, true, set)
-		return
-	}
-	c := int(min(2*ng.m, math.MaxInt32))
-	ng.outAdj, ng.outP = g.relayout(out, g.outSource(), true, make([]NodeID, 0, c), make([]float64, 0, c), true, set)
+	ng.outAdj, ng.outP, ng.outBaseLive = g.layout(out, g.outSource(), ng.m, claimed, false, true, set)
 }
 
-// placeIn lays out ng's in-runs like placeOut, then settles the
-// in-probability storage and the cached largest in-degree. probs holds
-// each edited node's post-delta shared probability.
+// placeIn lays out ng's in-runs like placeOut, folding them when the
+// storage mode changes, then settles the in-probability storage and the
+// cached largest in-degree. probs holds each edited node's post-delta
+// shared probability.
 func (ng *Graph) placeIn(g *Graph, in *runEdits, probs []float64, claimed bool) {
 	ng.inMeta = slices.Clone(g.inMeta)
 	set := func(v NodeID, start, deg int32) { ng.inMeta[v].Start, ng.inMeta[v].Deg = start, deg }
 	// Per-edge in-probabilities are written whenever either side of the
 	// delta stores them.
 	withP := !ng.uniformIn || !g.uniformIn
-	var ps []float64
-	if n := len(g.inAdj) + in.newLen(g.inRange); claimed && n <= cap(g.inAdj) && (ng.uniformIn || n <= cap(g.inP)) && n <= int(2*ng.m) {
-		ng.inAdj, ps = g.relayout(in, g.inSource(), false, g.inAdj, g.inP, withP, set)
-	} else {
-		c := int(min(2*ng.m, math.MaxInt32))
-		if withP {
-			ps = make([]float64, 0, c)
-		}
-		ng.inAdj, ps = g.relayout(in, g.inSource(), true, make([]NodeID, 0, c), ps, withP, set)
-	}
+	var ps Arena[float64]
+	ng.inAdj, ps, ng.inBaseLive = g.layout(in, g.inSource(), ng.m, claimed, ng.uniformIn != g.uniformIn, withP, set)
 	switch {
-	case ng.uniformIn && g.uniformIn:
-		ng.patchTables(g, in, probs, claimed)
+	case ng.uniformIn && g.uniformIn: // ApplyDelta patches the tables
 	case ng.uniformIn: // the delta restored uniformity: compress as Build would
 		ng.compressInProbs(ps)
 	default:
@@ -214,6 +223,62 @@ func (ng *Graph) placeIn(g *Graph, in *runEdits, probs []float64, claimed bool) 
 	}
 }
 
+// layout places one direction's post-delta runs for a graph of newM
+// edges, records every run it moves through setRun, and returns the new
+// arenas (probabilities only when withP) and the live entries left in the
+// base tier. The cheapest of three placements that keeps base plus
+// overflow within twice the live entries wins:
+//   - append: with the claim held, the edited runs go past the end of
+//     g's overflow, which must have the capacity;
+//   - compact: every overflow-resident run and every edited run move, in
+//     node order, into a fresh overflow; the base stays shared. The new
+//     overflow has room for its contents again, which amortizes each
+//     compaction over the appends it makes room for. A tip that ran out
+//     of room has shown its lineage keeps growing, so it also gets room
+//     for at least eight more deltas of this one's size; a new lineage
+//     (every campaign's first delta) gets no more than it needs;
+//   - fold: every run moves, in node order, into a fresh exactly sized
+//     base and the overflow empties. It is taken when forced by fold, or
+//     when the compacted overflow and its room would not fit the bound.
+func (g *Graph) layout(e *runEdits, src runSource, newM int64, claimed, fold, withP bool,
+	setRun func(v NodeID, start, deg int32)) (Arena[NodeID], Arena[float64], int64) {
+	split := int64(len(src.adj.Base))
+	n, fromBase := e.sizes(src.runOf, int32(split))
+	baseLive := src.baseLive - fromBase
+	overLive := newM - baseLive // what a compacted overflow holds
+	over, overP := src.adj.Over, src.p.Over
+	end := len(over) + n
+	switch {
+	case !fold && claimed && end <= cap(over) && (!withP || end <= cap(overP)) && split+int64(end) <= 2*newM:
+		over, overP = g.relayout(e, src, math.MaxInt32, int32(split), over, overP, withP, setRun)
+	case !fold && split+2*overLive <= 2*newM:
+		room := overLive
+		if claimed {
+			room = max(room, 8*int64(n))
+		}
+		c := min(overLive+room, 2*newM-split)
+		over, overP = make([]NodeID, 0, c), nil
+		if withP {
+			overP = make([]float64, 0, c)
+		}
+		// Only runs in the old overflow move along with the edited ones;
+		// with none there, the edited runs alone are placed.
+		from := int32(split)
+		if len(src.adj.Over) == 0 {
+			from = math.MaxInt32
+		}
+		over, overP = g.relayout(e, src, from, int32(split), over, overP, withP, setRun)
+	default:
+		var base []float64
+		if withP {
+			base = make([]float64, 0, newM)
+		}
+		adj, ps := g.relayout(e, src, 0, 0, make([]NodeID, 0, newM), base, withP, setRun)
+		return Arena[NodeID]{Base: adj}, Arena[float64]{Base: ps}, newM
+	}
+	return Arena[NodeID]{src.adj.Base, over}, Arena[float64]{src.p.Base, overP}, baseLive
+}
+
 // runEdits groups one direction's edits by the node whose run they change
 // (the source for out-runs, the target for in-runs). Within a node the
 // neighbors are sorted by ID, the order of the runs themselves.
@@ -238,30 +303,24 @@ func (g *Graph) groupEdits(inserts, deletes []Edge, in bool) runEdits {
 		}
 		return uint64(node)<<32 | uint64(nbr)
 	}
+	idBits := bits.Len32(uint32(g.n - 1))
 	del := make([]uint64, len(deletes))
 	for i, e := range deletes {
 		del[i] = key(e)
 	}
-	slices.Sort(del)
+	radixSort(del, nil, idBits)
+	// The sort is stable, so inserts of the same pair keep their input
+	// order, probabilities and all.
 	ins := make([]uint64, len(inserts))
-	for i, e := range inserts {
-		ins[i] = key(e)
-	}
-	slices.Sort(ins)
-	// Each insert's probability goes to the next free slot of its key's
-	// run of equal keys, so inserts of the same pair keep their input
-	// order: a stable sort of the inserts for the price of sorting keys.
 	insP := make([]float64, len(inserts))
-	used := make([]int32, len(inserts))
-	for _, e := range inserts {
-		j, _ := slices.BinarySearch(ins, key(e))
-		insP[j+int(used[j])] = e.P
-		used[j]++
+	for i, e := range inserts {
+		ins[i], insP[i] = key(e), e.P
 	}
+	radixSort(ins, insP, idBits)
 
 	e := runEdits{
 		nodes:  make([]NodeID, 0, len(ins)+len(del)),
-		delOff: []int32{0}, insOff: []int32{0},
+		delOff: make([]int32, 1, len(ins)+len(del)+1), insOff: make([]int32, 1, len(ins)+len(del)+1),
 		del: make([]NodeID, 0, len(del)), ins: make([]NodeID, 0, len(ins)), insP: insP,
 	}
 	i, j := 0, 0
@@ -288,48 +347,89 @@ func (g *Graph) groupEdits(inserts, deletes []Edge, in bool) runEdits {
 	return e
 }
 
-// newLen returns the total length of the edited nodes' post-delta runs.
-func (e *runEdits) newLen(runOf func(NodeID) (lo, hi int32)) int {
-	n := len(e.ins) - len(e.del)
+// radixSort sorts keys — node<<32 | neighbor pairs of IDs below 2^idBits
+// — stably, permuting ps (if not nil) alongside. It makes one counting
+// pass per byte of each half's idBits significant bits, cheaper than a
+// comparison sort, whose comparisons mispredict on random keys.
+func radixSort(keys []uint64, ps []float64, idBits int) {
+	srcK, dstK := keys, make([]uint64, len(keys))
+	var srcP, dstP []float64
+	if ps != nil {
+		srcP, dstP = ps, make([]float64, len(ps))
+	}
+	for _, half := range [2]int{0, 32} {
+		for shift := half; shift < half+idBits; shift += 8 {
+			var next [256]int
+			for _, k := range srcK {
+				next[byte(k>>shift)]++
+			}
+			sum := 0
+			for d, c := range next {
+				next[d] = sum
+				sum += c
+			}
+			for i, k := range srcK {
+				j := next[byte(k>>shift)]
+				next[byte(k>>shift)]++
+				dstK[j] = k
+				if ps != nil {
+					dstP[j] = srcP[i]
+				}
+			}
+			srcK, dstK = dstK, srcK
+			srcP, dstP = dstP, srcP
+		}
+	}
+	if len(keys) > 0 && &srcK[0] != &keys[0] {
+		copy(keys, srcK)
+		copy(ps, srcP)
+	}
+}
+
+// sizes returns the total length of the edited nodes' post-delta runs and
+// the entries their pre-delta runs held in the base tier, below split.
+func (e *runEdits) sizes(runOf func(NodeID) (lo, hi int32), split int32) (n int, fromBase int64) {
+	n = len(e.ins) - len(e.del)
 	for _, v := range e.nodes {
 		lo, hi := runOf(v)
 		n += int(hi - lo)
+		if lo < split {
+			fromBase += int64(hi - lo)
+		}
 	}
-	return n
+	return n, fromBase
 }
 
 // checkDeletes verifies, on the out-run edits, that every delete consumes
-// a distinct existing edge. Out-adjacency is sorted by target, so the
-// multiplicity check binary-searches.
+// a distinct existing edge. Out-runs and each node's deletes are both
+// sorted by target, so one forward scan per run counts the matches.
 func (g *Graph) checkDeletes(e *runEdits) error {
 	for i, u := range e.nodes {
 		dels := e.del[e.delOff[i]:e.delOff[i+1]]
-		adj, _ := g.OutNeighbors(u)
-		for k := 0; k < len(dels); {
-			v, c := dels[k], 1
-			for k+c < len(dels) && dels[k+c] == v {
+		if len(dels) == 0 {
+			continue
+		}
+		adj := g.outAdj.Run(g.outRun[u].start, g.outRun[u].deg)
+		k := 0
+		for d := 0; d < len(dels); {
+			v, c := dels[d], 1
+			for d+c < len(dels) && dels[d+c] == v {
 				c++
 			}
-			lo := searchRun(adj, 0, v)
-			hi := lo
-			for hi < len(adj) && adj[hi] == v {
-				hi++
+			for k < len(adj) && adj[k] < v {
+				k++
 			}
-			if hi-lo < c {
-				return fmt.Errorf("graph: delete (%d,%d) ×%d exceeds %d existing edge(s)",
-					u, v, c, hi-lo)
+			have := 0
+			for ; k < len(adj) && adj[k] == v; k++ {
+				have++
 			}
-			k += c
+			if have < c {
+				return fmt.Errorf("graph: delete (%d,%d) ×%d exceeds %d existing edge(s)", u, v, c, have)
+			}
+			d += c
 		}
 	}
 	return nil
-}
-
-// searchRun returns the first index at or after lo in the sorted run
-// whose ID is at least v.
-func searchRun(run []NodeID, lo int, v NodeID) int {
-	i, _ := slices.BinarySearch(run[lo:], v)
-	return lo + i
 }
 
 // inRunProb reports the probability the in-edges of in-edit i share after
@@ -372,33 +472,42 @@ func (g *Graph) inRunProb(e *runEdits, i int) (p float64, shared, wasShared bool
 
 // runSource is one direction of a graph as relayout reads its runs.
 type runSource struct {
-	runOf func(NodeID) (lo, hi int32)
-	adj   []NodeID
-	p     []float64 // per-edge probabilities parallel to adj, or nil
-	nodeP []float64 // per-node probabilities when p is nil, or nil
+	runOf    func(NodeID) (lo, hi int32)
+	adj      Arena[NodeID]
+	p        Arena[float64] // per-edge probabilities parallel to adj, unless nodeP is set
+	nodeP    []float64      // per-node probabilities, or nil
+	baseLive int64          // live entries in adj's base tier
 }
 
-func (g *Graph) outSource() runSource { return runSource{g.outRange, g.outAdj, g.outP, nil} }
-func (g *Graph) inSource() runSource  { return runSource{g.inRange, g.inAdj, g.inP, g.inProb} }
+func (g *Graph) outSource() runSource {
+	return runSource{g.outRange, g.outAdj, g.outP, nil, g.outBaseLive}
+}
+
+func (g *Graph) inSource() runSource {
+	return runSource{g.inRange, g.inAdj, g.inP, g.inProb, g.inBaseLive}
+}
 
 // relayout appends one direction's post-delta runs to adj (and their
-// probabilities to ps when withP) and records each placed run through
-// setRun. With all set it places every node's run in node order — the
-// compaction into fresh arenas; otherwise only the edited nodes' runs,
-// past the end of the lineage arenas.
-func (g *Graph) relayout(e *runEdits, src runSource, all bool, adj []NodeID, ps []float64, withP bool,
+// probabilities to ps when withP), adj[0] sitting at position at, and
+// records each placed run through setRun. It moves every edited run and
+// every run starting at or past from, in node order, and leaves the rest
+// where they are: from = 0 is the fold into a new base, from = the base
+// length the compaction of the overflow, and from = math.MaxInt32 the
+// append of the edited runs alone, which visits only them.
+func (g *Graph) relayout(e *runEdits, src runSource, from, at int32, adj []NodeID, ps []float64, withP bool,
 	setRun func(v NodeID, start, deg int32)) ([]NodeID, []float64) {
+	pos := func() int32 { return at + int32(len(adj)) }
 	place := func(v NodeID, i int) {
 		lo, hi := src.runOf(v)
-		run := src.adj[lo:hi]
+		run := src.adj.Run(lo, hi-lo)
 		var runP []float64
 		var p float64
-		if src.p != nil {
-			runP = src.p[lo:hi]
-		} else if src.nodeP != nil {
+		if src.nodeP == nil {
+			runP = src.p.Run(lo, hi-lo)
+		} else {
 			p = src.nodeP[v]
 		}
-		start := int32(len(adj))
+		start := pos()
 		if i < 0 {
 			adj = append(adj, run...)
 			if withP {
@@ -408,22 +517,25 @@ func (g *Graph) relayout(e *runEdits, src runSource, all bool, adj []NodeID, ps 
 			adj, ps = mergeRun(adj, ps, withP, run, runP, p, e.del[e.delOff[i]:e.delOff[i+1]],
 				e.ins[e.insOff[i]:e.insOff[i+1]], e.insP[e.insOff[i]:e.insOff[i+1]])
 		}
-		setRun(v, start, int32(len(adj))-start)
+		setRun(v, start, pos()-start)
 	}
-	if !all {
+	if from == math.MaxInt32 {
 		for i, v := range e.nodes {
 			place(v, i)
 		}
 		return adj, ps
 	}
-	// Untouched runs lying back to back in the source move as one block,
-	// unless their probabilities must be materialized per node.
-	batch := !withP || src.p != nil
+	// Unedited runs lying back to back in one tier of the source move as
+	// one block, unless their probabilities must be materialized per node.
+	batch := !withP || src.nodeP == nil
+	split := int32(len(src.adj.Base))
 	blo, bhi := int32(0), int32(0)
 	flush := func() {
-		adj = append(adj, src.adj[blo:bhi]...)
-		if withP {
-			ps = append(ps, src.p[blo:bhi]...)
+		if bhi > blo {
+			adj = append(adj, src.adj.Run(blo, bhi-blo)...)
+			if withP {
+				ps = append(ps, src.p.Run(blo, bhi-blo)...)
+			}
 		}
 		blo = bhi
 	}
@@ -434,16 +546,17 @@ func (g *Graph) relayout(e *runEdits, src runSource, all bool, adj []NodeID, ps 
 			flush()
 			place(v, i)
 			i++
+		case lo < from:
 		case !batch:
 			place(v, -1)
 		case lo == hi:
-			setRun(v, int32(len(adj))+bhi-blo, 0)
+			setRun(v, pos()+bhi-blo, 0)
 		default:
-			if lo != bhi {
+			if lo != bhi || lo == split {
 				flush()
 				blo, bhi = lo, lo
 			}
-			setRun(v, int32(len(adj))+lo-blo, hi-lo)
+			setRun(v, pos()+lo-blo, hi-lo)
 			bhi = hi
 		}
 	}
@@ -465,23 +578,24 @@ func appendProbs(ps, runP []float64, p float64, n int) []float64 {
 	return ps
 }
 
-// mergeRun appends one node's post-delta run: the base run minus one
+// mergeRun appends one node's post-delta run: its old run minus one
 // occurrence per deleted neighbor, plus the inserted ones, in neighbor
-// order with base entries ahead of equal inserts. base, del and ins are
-// all sorted by ID and every delete is known to match,
-// so each edit binary-searches its position past the previous one and the
-// base entries between edits move as one block. A delete removes the
-// first matching base entry. Probabilities come from baseP, or the shared
-// p when baseP is nil.
-func mergeRun(adj []NodeID, ps []float64, withP bool, base []NodeID, baseP []float64, p float64,
+// order with old entries ahead of equal inserts. old, del and ins are all
+// sorted by ID and every delete is known to match, so each edit scans
+// forward from the previous one for its position, and the old entries
+// between edits move as one block. The run is copied whole anyway, so the
+// scans cost no more than the copy. A delete removes the first matching
+// old entry. Probabilities come from oldP, or the shared p when oldP is
+// nil.
+func mergeRun(adj []NodeID, ps []float64, withP bool, old []NodeID, oldP []float64, p float64,
 	del, ins []NodeID, insP []float64) ([]NodeID, []float64) {
-	i := 0 // base entries before i are placed or deleted
+	i := 0 // old entries before i are placed or deleted
 	emit := func(k int) {
-		adj = append(adj, base[i:k]...)
+		adj = append(adj, old[i:k]...)
 		if withP {
 			var runP []float64
-			if baseP != nil {
-				runP = baseP[i:k]
+			if oldP != nil {
+				runP = oldP[i:k]
 			}
 			ps = appendProbs(ps, runP, p, k-i)
 		}
@@ -490,28 +604,38 @@ func mergeRun(adj []NodeID, ps []float64, withP bool, base []NodeID, baseP []flo
 	d, j := 0, 0
 	for d < len(del) || j < len(ins) {
 		if d < len(del) && (j == len(ins) || del[d] <= ins[j]) {
-			emit(searchRun(base, i, del[d]))
-			i++ // base[i] is the deleted edge
+			k := i
+			for old[k] < del[d] {
+				k++
+			}
+			emit(k)
+			i++ // old[i] is the deleted edge
 			d++
 			continue
 		}
-		emit(searchRun(base, i, ins[j]+1))
+		k := i
+		for k < len(old) && old[k] <= ins[j] {
+			k++
+		}
+		emit(k)
 		adj = append(adj, ins[j])
 		if withP {
 			ps = append(ps, insP[j])
 		}
 		j++
 	}
-	emit(len(base))
+	emit(len(old))
 	return adj, ps
 }
 
 // patchTables carries g's compressed in-probability storage over to ng,
-// whose in-runs are laid out, recomputing only the edited nodes: their
-// per-node probability, table offset (reusing the table of any pair seen
-// before along the lineage) and cached thresholds. Appending a new table
-// writes past g's table arena, which only the lineage tip may do; a
-// compacted ng starts a new lineage and must copy on its first append.
+// recomputing only the edited nodes' per-node probability and table
+// offset (reusing the table of any pair seen before along the lineage).
+// It reads the post-delta degrees off the edits, so it runs alongside the
+// in-run layout; ApplyDelta caches the edited nodes' thresholds in their
+// metadata once both are done. Appending a new table writes past g's
+// table arena, which only the lineage tip may do; an ng that starts a new
+// lineage must copy on its first append.
 func (ng *Graph) patchTables(g *Graph, e *runEdits, probs []float64, claimed bool) {
 	ng.inProb = slices.Clone(g.inProb)
 	ng.inTabOff = slices.Clone(g.inTabOff)
@@ -524,7 +648,8 @@ func (ng *Graph) patchTables(g *Graph, e *runEdits, probs []float64, claimed boo
 	for i, v := range e.nodes {
 		ng.inProb[v] = probs[i]
 		ng.inTabOff[v] = -1
-		if d := ng.inMeta[v].Deg; d > 0 && probs[i] < 1 {
+		d := g.inMeta[v].Deg + (e.insOff[i+1] - e.insOff[i]) - (e.delOff[i+1] - e.delOff[i])
+		if d > 0 && probs[i] < 1 {
 			k := tabKey{d, probs[i]}
 			off, seen := ng.tabIndex[k]
 			if !seen {
@@ -536,6 +661,5 @@ func (ng *Graph) patchTables(g *Graph, e *runEdits, probs []float64, claimed boo
 			}
 			ng.inTabOff[v] = off
 		}
-		ng.setThresholds(v)
 	}
 }

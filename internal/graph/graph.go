@@ -9,22 +9,29 @@
 // Kempe et al. that the paper builds on.
 //
 // Each node locates its adjacency run in a direction by a (start, degree)
-// pair into that direction's arena, not by contiguous offsets. Builder.Build
-// lays the runs out back to back in node order, exactly sized. ApplyDelta
-// keeps every untouched node's runs where they are and appends fresh runs
-// for the touched nodes only, past the end of arenas shared along the
-// graph's lineage (the chain of graphs derived from one another by
-// ApplyDelta). Only the lineage tip — the last graph derived in place —
-// may append, and it does so only past the visible length of every older
-// graph, so no graph ever observes a write: graphs stay immutable and
-// safe for concurrent readers. A delta on anything but the tip (a sibling
-// derived from a shared base, such as every campaign's first delta) or
-// one that changes the in-probability storage compacts the live runs into
-// new arenas with doubled capacity, starting a new lineage; on the tip, a
-// direction whose arena would fill up or grow past twice its live entries
-// is compacted alone. A delta therefore costs O(N + Δ·deg) rather than
-// O(M), amortized, and an arena never holds more than twice its live
-// entries.
+// pair into that direction's Arena, not by contiguous offsets. An Arena
+// has two tiers. The base tier is Builder.Build's output, runs laid out
+// back to back in node order and exactly sized; every graph derived from
+// it by ApplyDelta shares it, and nothing ever writes to it or copies it.
+// The overflow tier holds only the runs that deltas have rewritten. A
+// run's start says which tier it lives in: positions below the base
+// length read the base, the rest read the overflow.
+//
+// An overflow is private to one lineage, the chain of graphs derived from
+// one another in place. ApplyDelta keeps every untouched node's runs
+// where they are and writes the touched nodes' runs to the overflow. Only
+// the lineage tip — the last graph derived in place — may append to it,
+// and only past the visible length of every older graph, so no graph
+// ever observes a write: graphs stay immutable and safe for concurrent
+// readers. A delta on anything but the tip (a sibling derived from a
+// shared graph, such as every campaign's first delta), or one whose
+// overflow has no room, compacts just the overflow-resident runs into a
+// fresh overflow with room to grow. A direction folds base and overflow
+// into a new base — the one full relayout, now rare — only when the
+// in-probability storage changes mode, or when the base plus a compacted
+// overflow with room to double would pass twice the live entries.
+// A delta therefore costs O(N + Δ·deg) rather than O(M), amortized, and a
+// direction never holds more than twice its live entries.
 //
 // In-probability storage is dual. Build detects when every node's
 // in-edges share one probability — always true for the paper's
@@ -70,16 +77,18 @@ type Graph struct {
 	n int32
 	m int64
 
-	// Out-adjacency: the edges leaving node u occupy
-	// outAdj[outRun[u].start:][:outRun[u].deg], probabilities in outP at
+	// Out-adjacency: the edges leaving node u are
+	// outAdj.Run(outRun[u].start, outRun[u].deg), probabilities in outP at
 	// the same positions. The arenas may hold runs no node references
-	// (see the package doc).
-	outRun []span
-	outAdj []NodeID
-	outP   []float64
+	// (see the package doc). outBaseLive counts the entries of live runs
+	// in the base tier.
+	outRun      []span
+	outAdj      Arena[NodeID]
+	outP        Arena[float64]
+	outBaseLive int64
 
-	// In-adjacency: the sources of the edges entering node v occupy
-	// inAdj[inMeta[v].Start:][:inMeta[v].Deg]. Probability storage is
+	// In-adjacency: the sources of the edges entering node v are
+	// inAdj.Run(inMeta[v].Start, inMeta[v].Deg). Probability storage is
 	// dual: when every node's in-edges share one probability (always true
 	// for weighted-cascade and ApplyUniformProbability weightings) the
 	// per-edge inP is dropped and a single per-node inProb is kept instead
@@ -88,13 +97,15 @@ type Graph struct {
 	// graphs (trivalency) keep the per-edge inP fallback, parallel to
 	// inAdj; mixedIn counts their nodes whose in-edges do not share one
 	// probability (0 exactly when uniformIn), so ApplyDelta can tell in
-	// O(Δ) when a delta restores uniformity.
-	inMeta    []InMeta
-	inAdj     []NodeID
-	inP       []float64 // per-edge; nil when uniformIn
-	inProb    []float64 // per-node shared probability; nil unless uniformIn
-	uniformIn bool
-	mixedIn   int32
+	// O(Δ) when a delta restores uniformity. inBaseLive is outBaseLive's
+	// in-side twin.
+	inMeta     []InMeta
+	inAdj      Arena[NodeID]
+	inP        Arena[float64] // per-edge; empty when uniformIn
+	inProb     []float64      // per-node shared probability; nil unless uniformIn
+	uniformIn  bool
+	mixedIn    int32
+	inBaseLive int64
 
 	// Success-count sampling tables for uniform in-probability nodes:
 	// inTabThr[inTabOff[v]:] is a truncated cumulative Binomial(indeg(v),
@@ -121,17 +132,48 @@ type Graph struct {
 	epoch int64
 
 	// lin is the arena lineage the graph belongs to and linGen its
-	// position in it: the graph may append to the shared arenas only
-	// while lin's tip claim reads linGen (see ApplyDelta). nil for
-	// Builder.Build output, whose arenas are exactly sized.
+	// position in it: the graph may append to the shared overflow tiers
+	// only while lin's tip claim reads linGen (see ApplyDelta). nil for
+	// Builder.Build output, which has no overflow.
 	lin    *lineage
 	linGen uint64
 }
 
-// span locates one node's out-adjacency run: outAdj[start:start+deg].
+// span locates one node's out-adjacency run: outAdj.Run(start, deg).
 type span struct {
 	start, deg int32
 }
+
+// Arena is one direction's two-tier run storage (see the package doc):
+// a run starting below len(Base) lies in Base, any other in Over, offset
+// by len(Base). No run straddles the two. Positions therefore cover
+// [0, Len()), and every entry of either tier is a valid value, so a
+// speculative read of any position is safe.
+type Arena[T NodeID | float64] struct {
+	Base []T // laid out by Build or a fold; shared by every graph derived since; never written
+	Over []T // private to one lineage; only its tip appends
+}
+
+// Run returns the deg entries of the run at position start. The result
+// aliases the arena and must not be modified.
+func (a Arena[T]) Run(start, deg int32) []T {
+	if int(start) < len(a.Base) {
+		return a.Base[start : start+deg : start+deg]
+	}
+	start -= int32(len(a.Base))
+	return a.Over[start : start+deg : start+deg]
+}
+
+// At returns the entry at position k.
+func (a Arena[T]) At(k int32) T {
+	if int(k) < len(a.Base) {
+		return a.Base[k]
+	}
+	return a.Over[int(k)-len(a.Base)]
+}
+
+// Len returns the number of positions, len(Base)+len(Over).
+func (a Arena[T]) Len() int { return len(a.Base) + len(a.Over) }
 
 // tabKey identifies a success-count table: Binomial(deg, p).
 type tabKey struct {
@@ -201,8 +243,22 @@ func (g *Graph) inRange(v NodeID) (lo, hi int32) {
 // probabilities. The returned slices alias internal storage and must not
 // be modified.
 func (g *Graph) OutNeighbors(u NodeID) ([]NodeID, []float64) {
-	lo, hi := g.outRange(u)
-	return g.outAdj[lo:hi:hi], g.outP[lo:hi:hi]
+	r := g.outRun[u]
+	return runWithProbs(g.outAdj, g.outP, r.start, r.deg)
+}
+
+// runWithProbs returns the run at start of an adjacency arena and of the
+// probability arena parallel to it. The two share their tier split, so
+// one comparison picks both tiers, which keeps the accessors that call it
+// cheap enough to inline.
+func runWithProbs(adj Arena[NodeID], p Arena[float64], start, deg int32) ([]NodeID, []float64) {
+	a, ps := adj.Base, p.Base
+	if int(start) >= len(a) {
+		start -= int32(len(a))
+		a, ps = adj.Over, p.Over
+	}
+	hi := start + deg
+	return a[start:hi:hi], ps[start:hi:hi]
 }
 
 // InNeighbors returns the sources of edges entering v and their
@@ -211,16 +267,16 @@ func (g *Graph) OutNeighbors(u NodeID) ([]NodeID, []float64) {
 // the probability slice is materialized on every call, so hot paths must
 // go through InNeighborsUniform instead.
 func (g *Graph) InNeighbors(v NodeID) ([]NodeID, []float64) {
-	lo, hi := g.inRange(v)
+	m := g.inMeta[v]
 	if !g.uniformIn {
-		return g.inAdj[lo:hi:hi], g.inP[lo:hi:hi]
+		return runWithProbs(g.inAdj, g.inP, m.Start, m.Deg)
 	}
-	ps := make([]float64, hi-lo)
+	ps := make([]float64, m.Deg)
 	p := g.inProb[v]
 	for i := range ps {
 		ps[i] = p
 	}
-	return g.inAdj[lo:hi:hi], ps
+	return g.inAdj.Run(m.Start, m.Deg), ps
 }
 
 // InUniform reports whether the graph stores one shared in-probability per
@@ -237,8 +293,8 @@ func (g *Graph) InNeighborsUniform(v NodeID) ([]NodeID, float64, bool) {
 	if !g.uniformIn {
 		return nil, 0, false
 	}
-	lo, hi := g.inRange(v)
-	return g.inAdj[lo:hi:hi], g.inProb[v], true
+	m := g.inMeta[v]
+	return g.inAdj.Run(m.Start, m.Deg), g.inProb[v], true
 }
 
 // InCountThresholds returns the success-count sampling table of node v, or
@@ -266,20 +322,19 @@ func (g *Graph) InCountThresholds(v NodeID) []uint32 {
 }
 
 // InSamplerTables exposes the packed fast-path arrays for bulk RR
-// samplers: per-node metadata, the shared in-adjacency arena, the
+// samplers: per-node metadata, the two-tier in-adjacency arena, the
 // success-count threshold arena, and the per-node table offsets into it
 // (negative for nodes without a table — the cold complement to the
 // Thr0/Thr1 cache in InMeta, consulted only when a visit draws two or
 // more successes). meta is nil when the graph stores per-edge
 // in-probabilities; callers must then use the accessor-based API. All
-// four slices are read-only views of internal storage.
+// four are read-only views of internal storage.
 //
-// On graphs derived by ApplyDelta the runs in the adjacency arena are not
-// in node order, and the arena can hold runs no node references anymore
-// (every entry is still a valid node ID, so a speculative read of any
-// arena position is safe). Reach a node's sources only through its
-// metadata's Start and Deg.
-func (g *Graph) InSamplerTables() (meta []InMeta, arena []NodeID, thr []uint32, tabOff []int32) {
+// Reach a node's sources only through arena.Run(meta[v].Start,
+// meta[v].Deg), which resolves the tier the run lives in. On graphs
+// derived by ApplyDelta the runs are not in node order, and either tier
+// can hold runs no node references anymore.
+func (g *Graph) InSamplerTables() (meta []InMeta, arena Arena[NodeID], thr []uint32, tabOff []int32) {
 	if !g.uniformIn {
 		return nil, g.inAdj, nil, nil
 	}
@@ -321,18 +376,20 @@ func (g *Graph) Validate() error {
 	if len(g.outRun) != int(g.n) || len(g.inMeta) != int(g.n) {
 		return fmt.Errorf("graph: run index length mismatch for n=%d", g.n)
 	}
-	if len(g.outP) != len(g.outAdj) {
-		return fmt.Errorf("graph: out arena lengths differ: adj=%d p=%d", len(g.outAdj), len(g.outP))
+	if len(g.outP.Base) != len(g.outAdj.Base) || len(g.outP.Over) != len(g.outAdj.Over) {
+		return fmt.Errorf("graph: out arena lengths differ: adj=%d+%d p=%d+%d",
+			len(g.outAdj.Base), len(g.outAdj.Over), len(g.outP.Base), len(g.outP.Over))
 	}
-	if !g.uniformIn && len(g.inP) != len(g.inAdj) {
-		return fmt.Errorf("graph: in arena lengths differ: adj=%d p=%d", len(g.inAdj), len(g.inP))
+	if !g.uniformIn && (len(g.inP.Base) != len(g.inAdj.Base) || len(g.inP.Over) != len(g.inAdj.Over)) {
+		return fmt.Errorf("graph: in arena lengths differ: adj=%d+%d p=%d+%d",
+			len(g.inAdj.Base), len(g.inAdj.Over), len(g.inP.Base), len(g.inP.Over))
 	}
-	// Every run must lie inside its arena, runs must not overlap, and the
-	// degrees must sum to M in both directions.
-	if err := checkRuns("out", g.n, g.m, len(g.outAdj), g.outRange); err != nil {
+	// Every run must lie inside one tier of its arena, runs must not
+	// overlap, and the degrees must sum to M in both directions.
+	if err := checkRuns("out", g.n, g.m, g.outAdj, g.outBaseLive, g.outRange); err != nil {
 		return err
 	}
-	if err := checkRuns("in", g.n, g.m, len(g.inAdj), g.inRange); err != nil {
+	if err := checkRuns("in", g.n, g.m, g.inAdj, g.inBaseLive, g.inRange); err != nil {
 		return err
 	}
 	maxIn := int32(0)
@@ -347,8 +404,7 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph: out edge (%d,%d) has probability %v outside (0,1]", v, u, p)
 			}
 		}
-		lo, hi := g.inRange(v)
-		for i, u := range g.inAdj[lo:hi] {
+		for i, u := range g.inAdj.Run(g.inMeta[v].Start, g.inMeta[v].Deg) {
 			if u < 0 || u >= g.n {
 				return fmt.Errorf("graph: in edge %d of node %d comes from invalid node %d", i, v, u)
 			}
@@ -358,7 +414,7 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: cached max in-degree %d, want %d", g.maxInDeg, maxIn)
 	}
 	if g.uniformIn {
-		if g.inP != nil || g.mixedIn != 0 {
+		if g.inP.Base != nil || g.inP.Over != nil || g.mixedIn != 0 {
 			return fmt.Errorf("graph: uniform in-probability storage retains per-edge state")
 		}
 		if len(g.inProb) != int(g.n) || len(g.inTabOff) != int(g.n) {
@@ -399,8 +455,7 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph: out-adjacency of node %d not sorted at %d", u, i)
 			}
 		}
-		lo, hi := g.inRange(u)
-		srcs := g.inAdj[lo:hi]
+		srcs := g.inAdj.Run(g.inMeta[u].Start, g.inMeta[u].Deg)
 		for i := 1; i < len(srcs); i++ {
 			if srcs[i-1] > srcs[i] {
 				return fmt.Errorf("graph: in-adjacency of node %d not sorted at %d", u, i)
@@ -493,23 +548,34 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// checkRuns verifies one direction's run index: every run lies inside the
-// arena, no two non-empty runs overlap, and the degrees sum to m.
-func checkRuns(dir string, n int32, m int64, arenaLen int, runOf func(NodeID) (lo, hi int32)) error {
-	var sum int64
+// checkRuns verifies one direction's run index: every run lies inside one
+// tier of the arena, no two non-empty runs overlap, the degrees sum to m,
+// and baseLive of them lie in the base tier.
+func checkRuns(dir string, n int32, m int64, a Arena[NodeID], baseLive int64, runOf func(NodeID) (lo, hi int32)) error {
+	var sum, inBase int64
+	split := len(a.Base)
 	live := make([][2]int32, 0, n)
 	for v := int32(0); v < n; v++ {
 		lo, hi := runOf(v)
-		if lo < 0 || hi < lo || int(hi) > arenaLen {
-			return fmt.Errorf("graph: %s run [%d,%d) of node %d outside its arena of %d", dir, lo, hi, v, arenaLen)
+		if lo < 0 || hi < lo || int(hi) > a.Len() {
+			return fmt.Errorf("graph: %s run [%d,%d) of node %d outside its arena of %d", dir, lo, hi, v, a.Len())
+		}
+		if int(lo) < split && int(hi) > split {
+			return fmt.Errorf("graph: %s run [%d,%d) of node %d straddles the base end %d", dir, lo, hi, v, split)
 		}
 		sum += int64(hi - lo)
+		if int(lo) < split {
+			inBase += int64(hi - lo)
+		}
 		if hi > lo {
 			live = append(live, [2]int32{lo, hi})
 		}
 	}
 	if sum != m {
 		return fmt.Errorf("graph: %s degree sum %d, want %d", dir, sum, m)
+	}
+	if inBase != baseLive {
+		return fmt.Errorf("graph: %s base tier holds %d live entries, recorded %d", dir, inBase, baseLive)
 	}
 	slices.SortFunc(live, func(a, b [2]int32) int { return int(a[0]) - int(b[0]) })
 	for i := 1; i < len(live); i++ {

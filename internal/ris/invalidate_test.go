@@ -1,6 +1,7 @@
 package ris
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -148,47 +149,90 @@ func TestInvalidateTouchingEdgeCases(t *testing.T) {
 // TestDeltaGraphSamplingBitIdenticalToRebuild: the delta-overlay graph and
 // a from-scratch rebuild on the edited edge list must drive the RR sampler
 // through bit-identical draws at equal seeds — the strongest form of the
-// delta ≡ rebuild differential, for both diffusion models and across
-// chained deltas.
+// delta ≡ rebuild differential, for both diffusion models. It covers every
+// in-arena tier layout the IC kernel reads: two siblings derived off the
+// shared base (runs in the base and in a small private overflow), then a
+// chain from one of them long enough to append to the overflow in place,
+// compact it, and fold it into a new base.
 func TestDeltaGraphSamplingBitIdenticalToRebuild(t *testing.T) {
 	g := randomGraph(t)
-	edges := g.Edges()
-	cur := g
-	for round := 0; round < 3; round++ {
-		inserts, deletes := gen.ChurnDeltas(cur, 0.02, rng.New(uint64(100+round)))
-		next, _, err := cur.ApplyDelta(inserts, deletes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		edges = editEdges(edges, inserts, deletes)
+	base := g.Edges()
+	assertDraws := func(what string, dg *graph.Graph, edges []graph.Edge, seed uint64) {
+		t.Helper()
 		rebuilt, err := graph.FromEdges(g.N(), true, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, model := range []cascade.Model{cascade.IC, cascade.LT} {
-			seed := uint64(500 + round)
-			cd := NewSampler(graph.NewResidual(next), model, rng.New(seed)).Generate(1500)
+			cd := NewSampler(graph.NewResidual(dg), model, rng.New(seed)).Generate(1500)
 			cr := NewSampler(graph.NewResidual(rebuilt), model, rng.New(seed)).Generate(1500)
 			if cd.Len() != cr.Len() {
-				t.Fatalf("round %d model %v: %d vs %d sets", round, model, cd.Len(), cr.Len())
+				t.Fatalf("%s model %v: %d vs %d sets", what, model, cd.Len(), cr.Len())
 			}
 			for i := 0; i < cd.Len(); i++ {
 				if cd.Root(i) != cr.Root(i) {
-					t.Fatalf("round %d model %v set %d: root %d vs %d", round, model, i, cd.Root(i), cr.Root(i))
+					t.Fatalf("%s model %v set %d: root %d vs %d", what, model, i, cd.Root(i), cr.Root(i))
 				}
 				a, b := cd.SetNodes(i), cr.SetNodes(i)
 				if len(a) != len(b) {
-					t.Fatalf("round %d model %v set %d: %d vs %d nodes", round, model, i, len(a), len(b))
+					t.Fatalf("%s model %v set %d: %d vs %d nodes", what, model, i, len(a), len(b))
 				}
 				for j := range a {
 					if a[j] != b[j] {
-						t.Fatalf("round %d model %v set %d node %d: %d vs %d", round, model, i, j, a[j], b[j])
+						t.Fatalf("%s model %v set %d node %d: %d vs %d", what, model, i, j, a[j], b[j])
 					}
 				}
 			}
 		}
+	}
+	inArena := func(dg *graph.Graph) graph.Arena[graph.NodeID] {
+		t.Helper()
+		meta, arena, _, _ := dg.InSamplerTables()
+		if meta == nil {
+			t.Fatal("weighted-cascade churn left compressed in-probability storage")
+		}
+		return arena
+	}
+	sameArray := func(a, b []graph.NodeID) bool { return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0] }
+
+	var cur *graph.Graph
+	var edges []graph.Edge
+	for sib := uint64(0); sib < 2; sib++ {
+		inserts, deletes := gen.ChurnDeltas(g, 0.02, rng.New(90+sib))
+		next, _, err := g.ApplyDelta(inserts, deletes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := inArena(next); !sameArray(a.Base, inArena(g).Base) || len(a.Over) == 0 {
+			t.Fatalf("sibling %d: in-runs not split between the shared base and an overflow", sib)
+		}
+		cur, edges = next, editEdges(base, inserts, deletes)
+		assertDraws(fmt.Sprintf("sibling %d", sib), cur, edges, 400+sib)
+	}
+	seen := map[string]int{}
+	for round := 0; seen["compact"] == 0 || seen["fold"] == 0 || seen["append"] == 0; round++ {
+		if round == 100 {
+			t.Fatalf("100 chained deltas never exercised every tier layout: %v", seen)
+		}
+		inserts, deletes := gen.ChurnDeltas(cur, 0.02, rng.New(uint64(100+round)))
+		next, _, err := cur.ApplyDelta(inserts, deletes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev, now := inArena(cur), inArena(next)
+		layout := "append"
+		switch {
+		case !sameArray(prev.Base, now.Base):
+			layout = "fold"
+		case !sameArray(prev.Over, now.Over):
+			layout = "compact"
+		}
+		seen[layout]++
+		edges = editEdges(edges, inserts, deletes)
+		assertDraws(fmt.Sprintf("round %d (%s)", round, layout), next, edges, uint64(500+round))
 		cur = next
 	}
+	t.Logf("layouts %v", seen)
 }
 
 // TestPostDeltaTopUpChiSquareMatchesFresh: after invalidation, the top-up

@@ -293,9 +293,12 @@ func (s *Sampler) appendSets(c *Collection, count int) {
 // per-draw prologue (alive list, graph, mode dispatch) is hoisted into
 // locals across the whole batch and per-visit state is read through the
 // packed InSamplerTables metadata — one random load per visit instead of
-// three. TestFastICMatchesReferenceChiSquare checks it against the
-// per-edge reference traversal.
-func (s *Sampler) appendFastIC(c *Collection, count int, meta []graph.InMeta, inArena []graph.NodeID, thr []uint32, tabOff []int32) {
+// three. The in-arena has two tiers (graph.Arena); the one- and
+// two-success paths resolve the tier of each entry they read through
+// Arena.At, and larger counts resolve the run's tier once through
+// Arena.Run. TestFastICMatchesReferenceChiSquare checks the kernel
+// against the per-edge reference traversal.
+func (s *Sampler) appendFastIC(c *Collection, count int, meta []graph.InMeta, inArena graph.Arena[graph.NodeID], thr []uint32, tabOff []int32) {
 	res := s.res
 	alive := res.AliveList()
 	if len(alive) == 0 {
@@ -337,7 +340,7 @@ func (s *Sampler) appendFastIC(c *Collection, count int, meta []graph.InMeta, in
 				// metadata alone, no table access. (Table-less nodes store
 				// Thr1 = 0 and can never land here.)
 				s.edgeTouches++
-				u := inArena[mv.Start+int32(r.Intn(int(mv.Deg)))]
+				u := inArena.At(mv.Start + int32(r.Intn(int(mv.Deg))))
 				if !visited[u] && (skipAlive || res.Alive(u)) {
 					visited[u] = true
 					touched = append(touched, u)
@@ -409,19 +412,19 @@ func (s *Sampler) appendFastIC(c *Collection, count int, meta []graph.InMeta, in
 				for j == i {
 					j = int32(r.Intn(int(mv.Deg)))
 				}
-				u := inArena[mv.Start+i]
+				u := inArena.At(mv.Start + i)
 				if !visited[u] && (skipAlive || res.Alive(u)) {
 					visited[u] = true
 					touched = append(touched, u)
 				}
-				u = inArena[mv.Start+j]
+				u = inArena.At(mv.Start + j)
 				if !visited[u] && (skipAlive || res.Alive(u)) {
 					visited[u] = true
 					touched = append(touched, u)
 				}
 				continue
 			}
-			srcs := inArena[mv.Start : mv.Start+mv.Deg]
+			srcs := inArena.Run(mv.Start, mv.Deg)
 			s.edgeTouches += uint64(k)
 			for _, pos := range s.pickPositions(len(srcs), k, posBuf[:0]) {
 				u := srcs[pos]
