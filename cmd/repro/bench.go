@@ -57,8 +57,6 @@ func cmdBench(args []string) error {
 	costs := fs.String("costs", "all", "comma-separated cost settings (or 'all')")
 	model := fs.String("model", "ic", "diffusion model: ic or lt")
 	out := fs.String("out", "BENCH_results.json", "output file (BENCH_*.json)")
-	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the grid run to this file")
-	memProfile := fs.String("memprofile", "", "write a pprof heap profile (after the grid) to this file")
 	var spec sweep.Spec
 	specFlags(fs, &spec)
 	if err := fs.Parse(args); err != nil {
@@ -68,11 +66,6 @@ func cmdBench(args []string) error {
 	if err != nil {
 		return err
 	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		return err
-	}
-	defer stopProfiles()
 	if err := checkSpecFlags(&spec); err != nil {
 		return err
 	}
@@ -85,7 +78,6 @@ func cmdBench(args []string) error {
 		return err
 	}
 	res, err := sweep.Run(context.Background(), &spec, sweep.Options{Log: os.Stderr})
-	stopProfiles() // profile covers the grid, not the JSON encode below
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cascade"
 	"repro/internal/cost"
 	"repro/internal/graph"
+	"repro/internal/ris"
 )
 
 // Instance is one ATP problem: a weighted graph, a diffusion model, the
@@ -86,28 +87,12 @@ type RunResult struct {
 	Cost      float64        `json:"cost"`
 	Profit    float64        `json:"profit"` // Spread − Cost
 
-	// Sampling accounting (zero for exact-oracle ADG).
-	RRDrawn     int64 `json:"rr_drawn"`
-	RRRequested int64 `json:"rr_requested"`
-	// RRReused counts draws avoided by cross-round reuse: RR sets that
-	// survived validity filtering and were counted toward a later θ target
-	// instead of being regenerated.
-	RRReused int64 `json:"rr_reused"`
-	// RRPeakBytes is the largest heap footprint of the RR collection
-	// (arena + offsets + roots + inverted index); deterministic per seed.
-	RRPeakBytes int64 `json:"rr_peak_bytes"`
-	// SamplingNS is the wall time spent inside RR-set generation calls;
-	// RRDrawn/SamplingNS is the run's RR throughput.
-	SamplingNS int64 `json:"sampling_ns"`
-	// RRVisits and RREdgeTouches count node visits and in-edge
-	// examinations inside RR expansion — the sampler's exact work
-	// counters behind the bytes-per-edge-touch traffic model in the
-	// benchmark tables (each visit reads one 16-byte metadata entry and
-	// one visited-mask byte; each touch one 4-byte adjacency word).
-	// Zero for policies that sample outside a pool the run can observe
-	// (nonadaptive one-shot selection) and for exact oracles.
-	RRVisits      int64 `json:"rr_visits"`
-	RREdgeTouches int64 `json:"rr_edge_touches"`
+	// Sampling accounting (see ris.Stats), zero for exact oracles and
+	// all-targets. ADDATP and HATP count as RRReused only the carried-over
+	// sets a look needed (at most its target) plus the survivors of each
+	// topology delta. Under NSG, RRPeakBytes includes the inverted index
+	// its selection builds.
+	ris.Stats
 	// Fallbacks counts rounds where the refinement budget ran out and the
 	// decision fell back to the point estimate (sampling policies only).
 	Fallbacks int `json:"fallbacks"`
@@ -116,13 +101,11 @@ type RunResult struct {
 	Sampler string `json:"sampler,omitempty"`
 	// Attempts counts stopping-rule evaluations: fixed-θ attempts under
 	// PolicyFixed, batch-boundary looks under PolicySequential.
-	Attempts int `json:"attempts"`
-	// RRBatches counts RR-generator invocations (batches actually drawn);
 	// Attempts − RRBatches looks were answered from carried-over sets.
-	RRBatches int `json:"rr_batches"`
+	Attempts int `json:"attempts"`
 	// CertifiedEarly counts rounds whose seed/stop decision was certified
 	// strictly below the policy's sampling frontier (the θ cap for
-	// sequential, the MaxRefine-th attempt for fixed) — the rounds where
+	// sequential, the maxRefine-th attempt for fixed) — the rounds where
 	// sequential stopping saves draws.
 	CertifiedEarly int `json:"certified_early"`
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/oracle"
+	"repro/internal/ris"
 	"repro/internal/rng"
 )
 
@@ -138,6 +139,35 @@ func TestNonadaptiveGreedyWorkedExample(t *testing.T) {
 	}
 	if run.Profit != 3 {
 		t.Fatalf("nonadaptive greedy profit %.2f, want 3 on this realization", run.Profit)
+	}
+}
+
+// TestNSGReportsSamplerWork: the nonadaptive greedy draws through a
+// ris.Batcher, so its run reports the sampler work of a Batcher drawing
+// the same θ from the same stream — visits, edge touches, draws, one
+// batch — and a peak that also covers the selection's inverted index.
+func TestNSGReportsSamplerWork(t *testing.T) {
+	inst := fig1Instance(t)
+	const theta, workers = 5000, 2
+	run, err := Run(inst, NewEnvironment(fig1Realization(inst.G)), AlgoNSG,
+		RunOptions{NSGTheta: theta, Sampling: SamplingOptions{Workers: workers}}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := ris.NewBatcher(inst.Model)
+	if _, err := b.GrowTo(graph.NewResidual(inst.G), rng.New(3), theta, workers); err != nil {
+		t.Fatal(err)
+	}
+	want := b.Stats()
+	if run.RRVisits <= 0 || run.RREdgeTouches <= 0 {
+		t.Fatalf("NSG reported visits=%d edge touches=%d, want both > 0", run.RRVisits, run.RREdgeTouches)
+	}
+	if run.RRVisits != want.RRVisits || run.RREdgeTouches != want.RREdgeTouches ||
+		run.RRDrawn != want.RRDrawn || run.RRRequested != want.RRRequested || run.RRBatches != 1 {
+		t.Fatalf("NSG stats %+v, batcher draw of the same stream %+v", run.Stats, want)
+	}
+	if run.RRPeakBytes <= want.RRPeakBytes {
+		t.Fatalf("NSG peak %d bytes does not cover the inverted index (draw alone: %d)", run.RRPeakBytes, want.RRPeakBytes)
 	}
 }
 

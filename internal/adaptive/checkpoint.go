@@ -34,21 +34,25 @@ import (
 // against restoring onto the wrong instance. Unknown versions and torn
 // payloads fail loudly.
 //
-// Layout of version 6, in order (u64 counts precede every list; nodes
+// Layout of version 7, in order (u64 counts precede every list; nodes
 // and int32s are 4 bytes each, edges 16: from u32, to u32, p f64):
 //
 //	magic u64, version u32, base fingerprint u64
 //	delta log: count u64, then per delta: inserts []edge, deletes []edge
-//	algo string, sampling options, ADG/NSG theta
+//	algo string, sampling options (policy string, ζ, ε, δ f64, workers,
+//	no-reuse bool), ADG/NSG theta
 //	done, havePending bool, pending u32, spread, seeds []node
 //	RNG present bool [, state u64, inc u64]
 //	residual version i64, removals []node (oldest first)
 //	stepper tag u8, stepper payload (sampling: fallbacks, attempts,
 //	certified-early, reused, then the batcher — collection present
-//	bool [, arena []node, offsets []int32, roots []node, version i64,
-//	requested], drawn, requested, reused, peak bytes i64, batches,
-//	visits i64, edge touches i64;
-//	ADG: sampled bool [, RR stream state u64, inc u64, batcher])
+//	bool [, arena []node, offsets []int32, roots []node, version i64],
+//	then its stats; ADG: sampled bool [, RR stream state u64, inc u64,
+//	batcher]; NSG: selected bool, chosen []node, next index, stats)
+//
+// where stats is the ris.Stats counters but SamplingNS: drawn,
+// requested, reused, peak bytes i64, batches, visits i64, edge
+// touches i64.
 //
 // The fingerprint names the *base* instance (the one the session was
 // created on); ResumeSession reconstructs the current graph by replaying
@@ -66,8 +70,11 @@ import (
 // O(N). Checkpoint sizes the blob with a counting pass over the same
 // encoder and writes it into one exactly sized buffer.
 //
-// Version 6 added the batcher's visit and edge-touch counters, which
-// version 5 left out, so a resumed run restarted them at zero. Version 5
+// Version 7 dropped the sampling options' refinement bound and first
+// batch size (now constants), the collection's requested count (the
+// batcher's stats keep it), and gave NSG the full stats. Version 6
+// added the batcher's visit and edge-touch counters, which version 5
+// left out, so a resumed run restarted them at zero. Version 5
 // replaced version 4's ADG oracle payload (kind, stream, θ,
 // workers, reuse, version cache, batcher) with the sampled flag, stream
 // and batcher: θ, workers and reuse come from the options above. Version
@@ -77,7 +84,7 @@ import (
 // no committed artifacts exist in those formats.
 const (
 	ckptMagic   = uint64(0x4154505345535331) // "ATPSESS1"
-	ckptVersion = uint32(6)
+	ckptVersion = uint32(7)
 )
 
 // Stepper payload tags (one per algorithm family).
@@ -342,16 +349,37 @@ func (w *ckptWriter) collection(st ris.CollectionState) {
 	w.i32s(st.Offsets)
 	w.nodes(st.Roots)
 	w.i64(st.Version)
-	w.i(st.Requested)
 }
 
 func (r *ckptReader) collection() ris.CollectionState {
 	return ris.CollectionState{
-		Arena:     r.nodes(),
-		Offsets:   r.i32s(),
-		Roots:     r.nodes(),
-		Version:   r.i64(),
-		Requested: r.i(),
+		Arena:   r.nodes(),
+		Offsets: r.i32s(),
+		Roots:   r.nodes(),
+		Version: r.i64(),
+	}
+}
+
+// stats writes every ris.Stats counter but the wall-clock SamplingNS.
+func (w *ckptWriter) stats(st ris.Stats) {
+	w.i64(st.RRDrawn)
+	w.i64(st.RRRequested)
+	w.i64(st.RRReused)
+	w.i64(st.RRPeakBytes)
+	w.i(st.RRBatches)
+	w.i64(st.RRVisits)
+	w.i64(st.RREdgeTouches)
+}
+
+func (r *ckptReader) stats() ris.Stats {
+	return ris.Stats{
+		RRDrawn:       r.i64(),
+		RRRequested:   r.i64(),
+		RRReused:      r.i64(),
+		RRPeakBytes:   r.i64(),
+		RRBatches:     r.i(),
+		RRVisits:      r.i64(),
+		RREdgeTouches: r.i64(),
 	}
 }
 
@@ -384,13 +412,7 @@ func (w *ckptWriter) batcher(st ris.BatcherState) {
 	if st.HasCol {
 		w.collection(st.Col)
 	}
-	w.i64(st.Drawn)
-	w.i64(st.Requested)
-	w.i64(st.Reused)
-	w.i64(st.PeakBytes)
-	w.i(st.Batches)
-	w.i64(st.Visits)
-	w.i64(st.EdgeTouches)
+	w.stats(st.Stats)
 }
 
 func (r *ckptReader) batcher() ris.BatcherState {
@@ -398,13 +420,7 @@ func (r *ckptReader) batcher() ris.BatcherState {
 	if st.HasCol {
 		st.Col = r.collection()
 	}
-	st.Drawn = r.i64()
-	st.Requested = r.i64()
-	st.Reused = r.i64()
-	st.PeakBytes = r.i64()
-	st.Batches = r.i()
-	st.Visits = r.i64()
-	st.EdgeTouches = r.i64()
+	st.Stats = r.stats()
 	return st
 }
 
@@ -449,8 +465,6 @@ func (s *Session) encode(w *ckptWriter) error {
 	w.f64(s.opts.Sampling.Zeta)
 	w.f64(s.opts.Sampling.Eps)
 	w.f64(s.opts.Sampling.Delta)
-	w.i(s.opts.Sampling.MaxRefine)
-	w.i(s.opts.Sampling.InitialBatch)
 	w.i(s.opts.Sampling.Workers)
 	w.boolean(s.opts.Sampling.NoReuse)
 	w.i(s.opts.ADGTheta)
@@ -495,9 +509,7 @@ func (s *Session) encode(w *ckptWriter) error {
 		w.boolean(st.selected)
 		w.nodes(st.chosen)
 		w.i(st.idx)
-		w.i64(st.drawn)
-		w.i64(st.requested)
-		w.i64(st.peakBytes)
+		w.stats(st.stats)
 	case *allTargetsStepper:
 		w.u8(ckptStepAllTargets)
 		w.i(st.idx)
@@ -572,8 +584,6 @@ func ResumeSession(inst *Instance, data []byte, ropts ResumeOptions) (*Session, 
 	opts.Sampling.Zeta = r.f64()
 	opts.Sampling.Eps = r.f64()
 	opts.Sampling.Delta = r.f64()
-	opts.Sampling.MaxRefine = r.i()
-	opts.Sampling.InitialBatch = r.i()
 	opts.Sampling.Workers = r.i()
 	opts.Sampling.NoReuse = r.boolean()
 	opts.ADGTheta = r.i()
@@ -661,7 +671,7 @@ func ResumeSession(inst *Instance, data []byte, ropts ResumeOptions) (*Session, 
 		st.selected = r.boolean()
 		st.chosen = r.nodes()
 		st.idx = r.i()
-		st.drawn, st.requested, st.peakBytes = r.i64(), r.i64(), r.i64()
+		st.stats = r.stats()
 		step = st
 	case ckptStepAllTargets:
 		if algo != AlgoAllTargets {

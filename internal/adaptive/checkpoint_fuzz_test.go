@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/cascade"
@@ -100,6 +101,10 @@ func FuzzResumeSession(f *testing.F) {
 			mut[i] ^= 0xA5
 			f.Add(mut)
 		}
+		// The same bytes under the superseded format version.
+		old := append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(old[8:], ckptVersion-1)
+		f.Add(old)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -61,7 +61,7 @@
 //     interval; HATP's hybrid regime only sets its θ cap. That choice is
 //     made at one site, newSamplingStepper's `cert` field. Undecidable
 //     rounds fall back to the point estimate once every target's width
-//     reaches ζ_min = ζ/2^MaxRefine or the sample reaches the θ cap
+//     reaches ζ_min = ζ/2^maxRefine or the sample reaches the θ cap
 //     θ(ζ_min, δ_round). For ADDATP the width test usually binds, at the
 //     precision of the fixed loop's final attempt. For HATP the hybrid
 //     cap binds first (≈6.9k sets at the defaults against ADDATP's
@@ -70,7 +70,7 @@
 //     bound is an open ROADMAP item.
 //   - PolicyFixed replays the paper's attempt loop — draw to
 //     θ(ζ_i, δ_i), certify with the algorithm's own regime, halve ζ,
-//     MaxRefine fallback — and is pinned to the pre-controller
+//     maxRefine fallback — and is pinned to the pre-controller
 //     implementation's decisions and draw counts by
 //     TestFixedPolicyMatchesPreRefactorGolden, so `--sampler fixed` is
 //     the paper-faithful baseline in every A/B.
@@ -79,10 +79,10 @@
 // an unchanged residual so earlier samples count toward the new target,
 // and after a seeding observation the collection is validity-filtered
 // (ris.Collection.Filter) and only the shortfall is redrawn. RunResult's
-// RRDrawn / RRReused / RRPeakBytes fields account for the sampling cost,
-// the draws avoided by reuse, and the peak RR-storage footprint;
-// Attempts / RRBatches / CertifiedEarly / Fallbacks expose the stopping
-// rule's behavior round by round.
+// embedded ris.Stats accounts for the sampling cost, the draws avoided
+// by reuse, and the peak RR-storage footprint; Attempts / RRBatches /
+// CertifiedEarly / Fallbacks expose the stopping rule's behavior round
+// by round.
 //
 // Nonadaptive baselines (nonadaptive.go): seeding all of T upfront (the
 // classic target-set seeding the worked example of Fig. 1 compares

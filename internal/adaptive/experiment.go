@@ -32,7 +32,7 @@ type RunOptions struct {
 	NSGTheta int
 	// Interrupt, when non-nil, is polled by RunExperiment before every
 	// realization, by the session before every round, and by the RR draw
-	// loops every interrupt stride (see ris.SamplerPool.SetInterrupt); a
+	// loops every interrupt stride (see ris.Batcher.SetInterrupt); a
 	// non-nil return aborts the run with that error. Sweep cells use it
 	// for wall-clock budgets and SIGINT checkpointing, so a cell overruns
 	// its budget by at most a stride of RR draws, not a realization.
@@ -77,19 +77,12 @@ type Report struct {
 	AvgRounds    float64 `json:"avg_rounds"`
 	MinProfit    float64 `json:"min_profit"`
 	MaxProfit    float64 `json:"max_profit"`
-	RRDrawn      int64   `json:"rr_drawn"`
-	RRRequested  int64   `json:"rr_requested"`
-	RRReused     int64   `json:"rr_reused"`
-	RRPeakBytes  int64   `json:"rr_peak_bytes"` // max over realizations
-	SamplingNS   int64   `json:"sampling_ns"`   // total across realizations
-	// Sampler work counters summed across realizations (see RunResult);
-	// RRVisits and RREdgeTouches feed the traffic model in reports.
-	RRVisits      int64 `json:"rr_visits"`
-	RREdgeTouches int64 `json:"rr_edge_touches"`
-	Fallbacks     int   `json:"fallbacks"`
+	// Sampling accounting summed across realizations (RRPeakBytes: the
+	// maximum); see RunResult.
+	ris.Stats
+	Fallbacks int `json:"fallbacks"`
 	// Stopping-rule telemetry, summed across realizations (see RunResult).
 	Attempts       int    `json:"attempts"`
-	RRBatches      int    `json:"rr_batches"`
 	CertifiedEarly int    `json:"certified_early"`
 	Sampler        string `json:"sampler,omitempty"`
 	Runs           []*RunResult
@@ -105,18 +98,9 @@ func (rep *Report) Add(run *RunResult) {
 	rep.AvgSpread += float64(run.Spread)
 	rep.AvgCost += run.Cost
 	rep.AvgRounds += float64(run.Rounds)
-	rep.RRDrawn += run.RRDrawn
-	rep.RRRequested += run.RRRequested
-	rep.RRReused += run.RRReused
-	rep.SamplingNS += run.SamplingNS
-	rep.RRVisits += run.RRVisits
-	rep.RREdgeTouches += run.RREdgeTouches
-	if run.RRPeakBytes > rep.RRPeakBytes {
-		rep.RRPeakBytes = run.RRPeakBytes
-	}
+	rep.Stats.Add(run.Stats)
 	rep.Fallbacks += run.Fallbacks
 	rep.Attempts += run.Attempts
-	rep.RRBatches += run.RRBatches
 	rep.CertifiedEarly += run.CertifiedEarly
 	if run.Sampler != "" {
 		rep.Sampler = run.Sampler

@@ -2,7 +2,6 @@ package adaptive
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/ris"
@@ -13,20 +12,23 @@ import (
 // on one RR collection over the full graph it greedily adds the target
 // with the largest estimated marginal profit n·CovR(u|S)/θ − c(u),
 // stopping when no remaining target's estimated marginal profit is
-// positive. theta is the RR sample size.
-func NonadaptiveGreedySelect(inst *Instance, theta int, r *rng.RNG, workers int) ([]graph.NodeID, *ris.Collection, int64, error) {
+// positive. theta is the RR sample size, drawn by a fresh ris.Batcher on
+// r; the returned Stats account for that draw, with RRPeakBytes covering
+// the inverted index the selection builds.
+func NonadaptiveGreedySelect(inst *Instance, theta int, r *rng.RNG, workers int) ([]graph.NodeID, ris.Stats, error) {
 	if err := inst.Validate(); err != nil {
-		return nil, nil, 0, err
+		return nil, ris.Stats{}, err
 	}
 	if theta <= 0 {
-		return nil, nil, 0, fmt.Errorf("adaptive: nonadaptive greedy needs theta > 0, got %d", theta)
+		return nil, ris.Stats{}, fmt.Errorf("adaptive: nonadaptive greedy needs theta > 0, got %d", theta)
 	}
-	res := graph.NewResidual(inst.G)
-	start := time.Now()
-	col := ris.NewSamplerPool(inst.Model).Generate(res, r, theta, workers)
-	samplingNS := time.Since(start).Nanoseconds()
+	b := ris.NewBatcher(inst.Model)
+	if _, err := b.GrowTo(graph.NewResidual(inst.G), r, theta, workers); err != nil {
+		return nil, b.Stats(), err
+	}
+	col, stats := b.Collection(), b.Stats()
 	if col.Len() == 0 {
-		return nil, col, samplingNS, nil
+		return nil, stats, nil
 	}
 	n := float64(inst.G.N())
 	perCov := n / float64(col.Len()) // spread per newly covered RR set
@@ -49,5 +51,6 @@ func NonadaptiveGreedySelect(inst *Instance, theta int, r *rng.RNG, workers int)
 		chosen = append(chosen, remaining[best])
 		remaining = append(remaining[:best], remaining[best+1:]...)
 	}
-	return chosen, col, samplingNS, nil
+	stats.RRPeakBytes = max(stats.RRPeakBytes, col.Bytes())
+	return chosen, stats, nil
 }

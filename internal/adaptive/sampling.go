@@ -19,7 +19,7 @@ const (
 	PolicySequential = "seq"
 	// PolicyFixed is the paper-faithful attempt loop: each attempt draws to
 	// the precomputed θ(ζ_i, δ_i), halving ζ between attempts, with a
-	// MaxRefine fallback. Retained for A/B comparison; pinned to the
+	// maxRefine fallback. Retained for A/B comparison; pinned to the
 	// pre-controller implementation's decisions and draws.
 	PolicyFixed = "fixed"
 )
@@ -40,17 +40,6 @@ type SamplingOptions struct {
 	// Delta is the overall failure probability δ, split over at most |T|
 	// rounds by a union bound. Default 0.1.
 	Delta float64
-	// MaxRefine bounds the ζ-halvings per round (fixed policy); when
-	// exhausted the round decides on the point estimate and records a
-	// fallback. The sequential policy reuses it to place its θ cap at the
-	// same frontier: θ_cap = θ(ζ/2^MaxRefine, δ_round). Default 4.
-	MaxRefine int
-	// InitialBatch is the sequential policy's first batch size; batches
-	// double from there up to the θ cap. Default 2048 — the scale of the
-	// fixed policy's first-attempt θ(ζ, δ_round), so the loosest decision
-	// the controller can certify rests on a comparably sharp estimate
-	// (cross-round carryover makes the floor essentially free).
-	InitialBatch int
 	// Workers for parallel RR generation; 0 means GOMAXPROCS.
 	Workers int
 	// NoReuse disables cross-round RR-set reuse: after every residual
@@ -80,13 +69,21 @@ func (o *SamplingOptions) setDefaults() {
 	if o.Delta <= 0 {
 		o.Delta = 0.1
 	}
-	if o.MaxRefine <= 0 {
-		o.MaxRefine = 4
-	}
-	if o.InitialBatch <= 0 {
-		o.InitialBatch = 2048
-	}
 }
+
+const (
+	// maxRefine bounds the ζ-halvings per round (fixed policy); when
+	// exhausted the round decides on the point estimate and records a
+	// fallback. The sequential policy places its θ cap at the same
+	// frontier: θ_cap = θ(ζ/2^maxRefine, δ_round).
+	maxRefine = 4
+	// initialBatch is the sequential policy's first batch size; batches
+	// double from there up to the θ cap. It is the scale of the fixed
+	// policy's first-attempt θ(ζ, δ_round), so the loosest decision the
+	// controller can certify rests on a comparably sharp estimate
+	// (cross-round carryover makes the floor essentially free).
+	initialBatch = 2048
+)
 
 // regime abstracts the concentration bound a sampling policy certifies
 // its decisions with: the per-round sample size θ, and high-probability
@@ -119,11 +116,11 @@ func clampSpread(v float64, nAlive int) float64 {
 // ris.Batcher on the residual, then seeds the best target if its profit
 // lower bound is positive, stops if every upper bound is ≤ 0, and
 // otherwise draws more. Once every half-width is at most ζ_min =
-// ζ/2^MaxRefine, or the sample has reached θ_cap, it decides on the
+// ζ/2^maxRefine, or the sample has reached θ_cap, it decides on the
 // point estimate and records a fallback, so a marginal profit sitting
 // exactly at 0 cannot loop forever. The policy sets four things:
 //
-//   - each look's sample size: InitialBatch doubling to θ_cap =
+//   - each look's sample size: initialBatch doubling to θ_cap =
 //     θ(ζ_min, δ_round) under PolicySequential; θ(ζ_k, δ_round) with
 //     ζ_k = ζ/2^k under PolicyFixed;
 //   - the half-width: bounds.AnytimeWidth at the look's spent δ
@@ -134,7 +131,7 @@ func clampSpread(v float64, nAlive int) float64 {
 //     (fixed), so NoReuse regenerates every fixed attempt from scratch.
 //
 // Under PolicyFixed θ_cap is unbounded and halving ζ is exact in binary
-// floating point, so the shared frontier test is attempt ≥ MaxRefine.
+// floating point, so the shared frontier test is attempt ≥ maxRefine.
 type samplingStepper struct {
 	reg   regime // the algorithm's θ(ζ, δ): the fixed schedule, the sequential cap
 	cert  regime // the interval a decision is certified with
@@ -163,7 +160,7 @@ func newSamplingStepper(inst *Instance, algo string, opts SamplingOptions, warm 
 	if algo == AlgoHATP {
 		reg = hybridRegime{eps: opts.Eps}
 	}
-	st := &samplingStepper{reg: reg, opts: opts, zetaMin: opts.Zeta / math.Exp2(float64(opts.MaxRefine))}
+	st := &samplingStepper{reg: reg, opts: opts, zetaMin: opts.Zeta / math.Exp2(maxRefine)}
 	switch opts.Policy {
 	case PolicySequential:
 		// Union bound over rounds only: the run seeds at most |T| targets,
@@ -176,12 +173,12 @@ func newSamplingStepper(inst *Instance, algo string, opts SamplingOptions, warm 
 		}
 		st.capTheta = capTheta
 		// Both algorithms certify with the additive anytime bound here;
-		// HATP's hybrid regime only sets its θ cap (ROADMAP item 2).
+		// HATP's hybrid regime only sets its θ cap.
 		st.cert = additiveRegime{}
 	case PolicyFixed:
-		// Union bound: each round may resample up to MaxRefine+1 times and
+		// Union bound: each round may resample up to maxRefine+1 times and
 		// the run lasts at most |T| rounds.
-		st.deltaRound = opts.Delta / float64(len(inst.Targets)*(opts.MaxRefine+1))
+		st.deltaRound = opts.Delta / float64(len(inst.Targets)*(maxRefine+1))
 		st.capTheta = math.MaxInt
 		st.cert = reg
 		st.fixed = true
@@ -230,7 +227,7 @@ func (st *samplingStepper) next(s *Session) (graph.NodeID, bool, error) {
 				}
 				target = theta
 			} else {
-				target = min(max(st.opts.InitialBatch, kept), st.capTheta)
+				target = min(max(initialBatch, kept), st.capTheta)
 			}
 			st.reused += int64(min(kept, target))
 		}
@@ -304,16 +301,10 @@ func (st *samplingStepper) next(s *Session) (graph.NodeID, bool, error) {
 }
 
 func (st *samplingStepper) finishInto(r *RunResult) {
-	r.RRDrawn = st.b.Drawn()
-	r.RRRequested = st.b.Requested()
+	r.Stats = st.b.Stats()
 	r.RRReused = st.reused
-	r.RRPeakBytes = st.b.PeakBytes()
-	r.SamplingNS = st.b.SamplingNS()
-	r.RRVisits = st.b.Visits()
-	r.RREdgeTouches = st.b.EdgeTouches()
 	r.Fallbacks = st.fallbacks
 	r.Attempts = st.attempts
-	r.RRBatches = st.b.Batches()
 	r.CertifiedEarly = st.certifiedEarly
 	r.Sampler = st.opts.Policy
 }

@@ -304,7 +304,7 @@ func (s *Session) CloneResidual() *graph.Residual { return s.res.Clone() }
 
 // SetInterrupt installs a cancellation poll: it is checked before every
 // round and, for the RR-sampling steppers, mid-batch inside the draw
-// loops (ris.SamplerPool.SetInterrupt), so closing a campaign or
+// loops (ris.Batcher.SetInterrupt), so closing a campaign or
 // exceeding a sweep cell budget stops within a stride of draws rather
 // than at the next round boundary. The function must be safe for
 // concurrent use.
@@ -432,16 +432,9 @@ func (st *adgStepper) next(s *Session) (graph.NodeID, bool, error) {
 }
 
 func (st *adgStepper) finishInto(r *RunResult) {
-	if st.b == nil {
-		return
+	if st.b != nil {
+		r.Stats = st.b.Stats()
 	}
-	r.RRDrawn = st.b.Drawn()
-	r.RRRequested = st.b.Requested()
-	r.RRReused = st.b.Reused()
-	r.RRPeakBytes = st.b.PeakBytes()
-	r.SamplingNS = st.b.SamplingNS()
-	r.RRVisits = st.b.Visits()
-	r.RREdgeTouches = st.b.EdgeTouches()
 }
 
 // ---------------------------------------------------------------------------
@@ -456,8 +449,7 @@ type nsgStepper struct {
 	selected bool
 	chosen   []graph.NodeID
 	idx      int
-
-	drawn, requested, peakBytes, samplingNS int64
+	stats    ris.Stats
 }
 
 func (st *nsgStepper) setInterrupt(func() error) {}
@@ -469,18 +461,13 @@ func (st *nsgStepper) mutate(*Instance, []graph.NodeID) error { return nil }
 
 func (st *nsgStepper) next(s *Session) (graph.NodeID, bool, error) {
 	if !st.selected {
-		chosen, col, samplingNS, err := NonadaptiveGreedySelect(s.inst, st.theta, s.r, st.workers)
+		chosen, stats, err := NonadaptiveGreedySelect(s.inst, st.theta, s.r, st.workers)
 		if err != nil {
 			return 0, true, err
 		}
 		st.selected = true
 		st.chosen = chosen
-		st.samplingNS = samplingNS
-		if col != nil {
-			st.drawn = int64(col.Len())
-			st.requested = int64(col.Requested())
-			st.peakBytes = col.Bytes()
-		}
+		st.stats = stats
 	}
 	if st.idx >= len(st.chosen) {
 		return 0, true, nil
@@ -493,12 +480,7 @@ func (st *nsgStepper) next(s *Session) (graph.NodeID, bool, error) {
 	return u, false, nil
 }
 
-func (st *nsgStepper) finishInto(r *RunResult) {
-	r.RRDrawn = st.drawn
-	r.RRRequested = st.requested
-	r.RRPeakBytes = st.peakBytes
-	r.SamplingNS = st.samplingNS
-}
+func (st *nsgStepper) finishInto(r *RunResult) { r.Stats = st.stats }
 
 type allTargetsStepper struct {
 	idx int

@@ -313,8 +313,10 @@ func TestCheckpointRejectsWrongInstance(t *testing.T) {
 		}
 	}
 	// Unknown and superseded versions must be refused with the version
-	// error (version 4 laid ADG's payload out differently).
-	for _, v := range []uint32{4, 0xFF} {
+	// error (version 4 laid ADG's payload out differently; version 6
+	// carried two sampling options that are now constants and the
+	// collection's requested count).
+	for _, v := range []uint32{4, 6, 0xFF} {
 		bad := append([]byte(nil), blob...)
 		binary.LittleEndian.PutUint32(bad[8:], v)
 		_, err := ResumeSession(inst, bad, ResumeOptions{})

@@ -15,14 +15,10 @@ import (
 type Setup struct {
 	K           int          // target set size for IMM; default 50
 	CostSetting cost.Setting // per-node cost distribution
-	// CostScale multiplies the calibrated budget c(T) = E_l[I(T)]; 1 (the
-	// default) reproduces the paper's ρ(T) ≥ 0 calibration.
-	CostScale float64
-	ImmEps    float64 // IMM's ε; default 0.5 (coarse, fast)
-	// LBTheta and LBDelta parameterize the spread lower bound used as the
-	// budget; defaults 50_000 and 0.01.
+	ImmEps      float64      // IMM's ε; default 0.5 (coarse, fast)
+	// LBTheta is the RR sample size of the spread lower bound used as the
+	// budget (confidence 1 − lbDelta); default 50_000.
 	LBTheta int
-	LBDelta float64
 	Seed    uint64
 	Workers int
 	// Sampler is the stopping-rule policy the run will use
@@ -37,19 +33,18 @@ func (s *Setup) setDefaults() {
 	if s.K <= 0 {
 		s.K = 50
 	}
-	if s.CostScale <= 0 {
-		s.CostScale = 1
-	}
 	if s.ImmEps <= 0 {
 		s.ImmEps = 0.5
 	}
 	if s.LBTheta <= 0 {
 		s.LBTheta = 50_000
 	}
-	if s.LBDelta <= 0 {
-		s.LBDelta = 0.01
-	}
 }
+
+// lbDelta is the failure probability of the spread lower bound E_l[I(T)]
+// that becomes the seeding budget c(T), so the paper's ρ(T) ≥ 0
+// calibration holds with probability 1 − lbDelta.
+const lbDelta = 0.01
 
 // Prepare builds an experiment instance the way the paper does: IMM picks
 // the target set T as the top-k influential users, a high-probability
@@ -74,13 +69,15 @@ func Prepare(g *graph.Graph, model cascade.Model, s Setup) (*Instance, *imm.Resu
 	if len(immRes.Seeds) == 0 {
 		return nil, nil, fmt.Errorf("adaptive: IMM selected no targets")
 	}
-	budget := imm.SpreadLowerBound(g, model, immRes.Seeds, s.LBTheta, s.LBDelta, s.Seed+1, s.Workers)
+	budget, err := imm.SpreadLowerBound(g, model, immRes.Seeds, s.LBTheta, lbDelta, s.Seed+1, s.Workers)
+	if err != nil {
+		return nil, nil, fmt.Errorf("adaptive: cost calibration: %w", err)
+	}
 	if budget <= 0 {
 		// Degenerate graphs (or tiny θ) can push the Hoeffding bound to 0;
 		// fall back to the weakest sane budget so costs stay positive.
 		budget = float64(len(immRes.Seeds))
 	}
-	budget *= s.CostScale
 	var r *rng.RNG
 	if s.CostSetting == cost.Random {
 		r = rng.New(s.Seed + 2)

@@ -91,8 +91,8 @@ func ConfidenceInterval(theta int, delta float64) float64 {
 // boundary comes from spending the failure budget across looks
 // (SpendGeometric) and evaluating a per-look confidence interval
 // (AnytimeWidth) at the spent budget — a union bound over an infinite
-// sequence of looks, Σ_k δ_k = δ, in place of the fixed policy's
-// MaxRefine-based union bound.
+// sequence of looks, Σ_k δ_k = δ, in place of the fixed policy's union
+// bound over its refinement attempts.
 
 // SpendGeometric returns δ_k, the share of the failure budget δ spent at
 // the k-th look of an anytime-valid confidence sequence:

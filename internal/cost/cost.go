@@ -1,17 +1,13 @@
 // Package cost implements the paper's seeding-cost models (§VI-A).
 //
-// Two procedures assign costs:
-//
-//  1. Spread-calibrated: a target set T is chosen first, a lower bound
-//     E_l[I(T)] of its expected spread is estimated, and the total budget
-//     c(T) = E_l[I(T)] is distributed over T either proportionally to
-//     out-degree, uniformly, or at random. Under this calibration the
-//     baseline profit ρ(T) = E[I(T)] − c(T) ≥ 0, the nonnegativity
-//     assumption the approximation guarantees need.
-//  2. Predefined-λ: every node of V gets a cost first (λ = c(V)/n fixes
-//     the total), then the target set is derived by running a nonadaptive
-//     profit algorithm. Per-node distribution is again degree-proportional
-//     or uniform.
+// Costs are spread-calibrated: a target set T is chosen first, a lower
+// bound E_l[I(T)] of its expected spread is estimated, and the total
+// budget c(T) = E_l[I(T)] is distributed over T either proportionally to
+// out-degree, uniformly, or at random. Under this calibration the
+// baseline profit ρ(T) = E[I(T)] − c(T) ≥ 0, the nonnegativity
+// assumption the approximation guarantees need. (The paper's second,
+// predefined-λ procedure, which costs every node of V first, is not
+// implemented: no experiment here uses it.)
 package cost
 
 import (
@@ -111,17 +107,4 @@ func Assign(g *graph.Graph, set []graph.NodeID, total float64, setting Setting, 
 		m.costs[u] = total * weights[i] / sum
 	}
 	return m, nil
-}
-
-// AssignLambda implements the predefined-cost procedure: every node in V
-// receives a cost such that c(V) = λ·n, distributed per the setting.
-func AssignLambda(g *graph.Graph, lambda float64, setting Setting, r *rng.RNG) (*Model, error) {
-	if lambda <= 0 {
-		return nil, fmt.Errorf("cost: lambda %v must be positive", lambda)
-	}
-	all := make([]graph.NodeID, g.N())
-	for i := range all {
-		all[i] = graph.NodeID(i)
-	}
-	return Assign(g, all, lambda*float64(g.N()), setting, r)
 }

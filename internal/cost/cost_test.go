@@ -96,24 +96,6 @@ func TestAssignErrors(t *testing.T) {
 	}
 }
 
-func TestAssignLambda(t *testing.T) {
-	g := starGraph()
-	m, err := AssignLambda(g, 2.5, Uniform, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != g.N() {
-		t.Fatalf("lambda model covers %d nodes, want %d", m.Len(), g.N())
-	}
-	all := []graph.NodeID{0, 1, 2, 3}
-	if got := m.Total(all); math.Abs(got-10) > 1e-12 {
-		t.Fatalf("c(V) = %v, want λ·n = 10", got)
-	}
-	if _, err := AssignLambda(g, 0, Uniform, nil); err == nil {
-		t.Error("lambda = 0 accepted")
-	}
-}
-
 func TestCostOfUnassignedNodeIsZero(t *testing.T) {
 	g := starGraph()
 	m, _ := Assign(g, []graph.NodeID{0}, 5, Uniform, nil)

@@ -13,7 +13,6 @@ import (
 // Options configures IMM.
 type Options struct {
 	Eps   float64 // approximation slack ε; default 0.5 (coarse, fast)
-	Ell   float64 // failure exponent ℓ (success prob 1 − 1/n^ℓ); default 1
 	Model cascade.Model
 	Seed  uint64
 	// Workers for parallel RR generation; 0 means GOMAXPROCS. Greedy
@@ -40,10 +39,11 @@ func (o *Options) setDefaults() {
 	if o.Eps <= 0 {
 		o.Eps = 0.5
 	}
-	if o.Ell <= 0 {
-		o.Ell = 1
-	}
 }
+
+// ell is IMM's failure exponent ℓ: the selection succeeds with
+// probability at least 1 − 1/n^ℓ.
+const ell = 1.0
 
 // Result carries the selected seeds and diagnostics.
 type Result struct {
@@ -72,11 +72,12 @@ func Select(g *graph.Graph, k int, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("imm: empty graph")
 	}
 	nf := float64(n)
-	eps, ell := opts.Eps, opts.Ell
+	eps := opts.Eps
 	// Boost ℓ so the union bound over the sampling phase holds
 	// (ℓ' = ℓ·(1 + log 2 / log n) in the paper).
+	ellP := ell
 	if n > 1 {
-		ell = ell * (1 + math.Ln2/math.Log(nf))
+		ellP = ell * (1 + math.Ln2/math.Log(nf))
 	}
 	logChooseNK := logChoose(n, k)
 
@@ -91,7 +92,7 @@ func Select(g *graph.Graph, k int, opts Options) (*Result, error) {
 
 	// Sampling phase: find LB.
 	epsPrime := math.Sqrt2 * eps
-	lambdaPrime := (2 + 2*epsPrime/3) * (logChooseNK + ell*math.Log(nf) + math.Log(math.Log2(math.Max(nf, 2)))) * nf / (epsPrime * epsPrime)
+	lambdaPrime := (2 + 2*epsPrime/3) * (logChooseNK + ellP*math.Log(nf) + math.Log(math.Log2(math.Max(nf, 2)))) * nf / (epsPrime * epsPrime)
 	lb := 1.0
 	maxI := int(math.Ceil(math.Log2(nf))) - 1
 	if maxI < 1 {
@@ -120,8 +121,8 @@ func Select(g *graph.Graph, k int, opts Options) (*Result, error) {
 	}
 
 	// Selection phase.
-	alpha := math.Sqrt(ell*math.Log(nf) + math.Ln2)
-	beta := math.Sqrt((1 - 1/math.E) * (logChooseNK + ell*math.Log(nf) + math.Ln2))
+	alpha := math.Sqrt(ellP*math.Log(nf) + math.Ln2)
+	beta := math.Sqrt((1 - 1/math.E) * (logChooseNK + ellP*math.Log(nf) + math.Ln2))
 	lambdaStar := 2 * nf * sq((1-1/math.E)*alpha+beta) / (eps * eps)
 	theta := int(math.Ceil(lambdaStar / lb))
 	if theta < 1 {
@@ -143,28 +144,33 @@ func Select(g *graph.Graph, k int, opts Options) (*Result, error) {
 	if len(cum) > 0 {
 		spread = nf * float64(cum[len(cum)-1]) / float64(collection.Len())
 	}
+	stats := b.Stats()
 	return &Result{
 		Seeds:          seeds,
 		SpreadLower:    spread / (1 + eps),
 		Theta:          collection.Len(),
 		ThetaRequested: theta,
-		TotalRR:        b.Drawn(),
-		PeakRRBytes:    b.PeakBytes(),
+		TotalRR:        stats.RRDrawn,
+		PeakRRBytes:    stats.RRPeakBytes,
 	}, nil
 }
 
 // SpreadLowerBound estimates a high-probability lower bound of E[I(S)] on
-// g by drawing theta RR sets and subtracting the Hoeffding half-width at
-// confidence 1−delta. The paper's cost calibration uses such a bound as
-// E_l[I(T)] so that c(T) = E_l[I(T)] keeps ρ(T) ≥ 0.
-func SpreadLowerBound(g *graph.Graph, model cascade.Model, s []graph.NodeID, theta int, delta float64, seed uint64, workers int) float64 {
+// g by drawing theta RR sets through a fresh ris.Batcher and subtracting
+// the Hoeffding half-width at confidence 1−delta. The paper's cost
+// calibration uses such a bound as E_l[I(T)] so that c(T) = E_l[I(T)]
+// keeps ρ(T) ≥ 0. The error is the draw's (ris.Batcher.GrowTo).
+func SpreadLowerBound(g *graph.Graph, model cascade.Model, s []graph.NodeID, theta int, delta float64, seed uint64, workers int) (float64, error) {
 	if theta <= 0 {
 		panic("imm: theta must be positive")
 	}
-	res := graph.NewResidual(g)
-	c := ris.NewSamplerPool(model).Generate(res, rng.New(seed), theta, workers)
+	b := ris.NewBatcher(model)
+	if _, err := b.GrowTo(graph.NewResidual(g), rng.New(seed), theta, workers); err != nil {
+		return 0, fmt.Errorf("imm: spread lower bound: %w", err)
+	}
+	c := b.Collection()
 	if c.Len() == 0 {
-		return 0
+		return 0, nil
 	}
 	frac := float64(c.Cov(s)) / float64(c.Len())
 	half := math.Sqrt(math.Log(1/delta) / (2 * float64(c.Len())))
@@ -172,7 +178,7 @@ func SpreadLowerBound(g *graph.Graph, model cascade.Model, s []graph.NodeID, the
 	if lower < 0 {
 		lower = 0
 	}
-	return lower
+	return lower, nil
 }
 
 func allNodes(n int) []graph.NodeID {

@@ -131,7 +131,10 @@ func TestSpreadLowerBound(t *testing.T) {
 	// Chain 0 -> 1 (p=0.5): E[I({0})] = 1.5. The lower bound must be below
 	// the truth but positive at reasonable sample sizes.
 	g := graph.MustFromEdges(2, true, []graph.Edge{{From: 0, To: 1, P: 0.5}})
-	lb := SpreadLowerBound(g, cascade.IC, []graph.NodeID{0}, 50000, 0.001, 3, 0)
+	lb, err := SpreadLowerBound(g, cascade.IC, []graph.NodeID{0}, 50000, 0.001, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if lb <= 0 || lb > 1.5 {
 		t.Fatalf("lower bound %v outside (0, 1.5]", lb)
 	}
@@ -144,7 +147,10 @@ func TestSpreadLowerBoundNeverNegative(t *testing.T) {
 	g := graph.MustFromEdges(2, true, []graph.Edge{{From: 0, To: 1, P: 0.5}})
 	// With almost no samples the half-width exceeds the estimate; bound
 	// must clamp at 0.
-	lb := SpreadLowerBound(g, cascade.IC, []graph.NodeID{1}, 2, 0.0001, 3, 1)
+	lb, err := SpreadLowerBound(g, cascade.IC, []graph.NodeID{1}, 2, 0.0001, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if lb < 0 {
 		t.Fatalf("lower bound %v negative", lb)
 	}

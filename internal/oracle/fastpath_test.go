@@ -35,6 +35,16 @@ func uniformFig1(t *testing.T) *graph.Graph {
 	return g
 }
 
+// drawRR draws theta RR sets on res through a fresh batcher on one worker.
+func drawRR(t *testing.T, res *graph.Residual, model cascade.Model, r *rng.RNG, theta int) *ris.Collection {
+	t.Helper()
+	b := ris.NewBatcher(model)
+	if _, err := b.GrowTo(res, r, theta, 1); err != nil {
+		t.Fatal(err)
+	}
+	return b.Collection()
+}
+
 // TestFastICMatchesExactOracle: the RIS estimate over fast-path RR sets
 // must agree with exact world enumeration on the uniform worked example.
 func TestFastICMatchesExactOracle(t *testing.T) {
@@ -45,7 +55,7 @@ func TestFastICMatchesExactOracle(t *testing.T) {
 	}
 	res := graph.NewResidual(g)
 	const theta = 300000
-	col := ris.NewSamplerPool(cascade.IC).Generate(res, rng.New(17), theta, 1)
+	col := drawRR(t, res, cascade.IC, rng.New(17), theta)
 	for _, seed := range []graph.NodeID{0, 1, 4, 5} {
 		want := exact.ExpectedSpread(res, []graph.NodeID{seed})
 		got := ris.EstimateSpread(col.Cov([]graph.NodeID{seed}), col.Len(), g.N())
@@ -134,7 +144,7 @@ func TestFastLTMatchesExactEnumeration(t *testing.T) {
 	}
 	res := graph.NewResidual(g)
 	const theta = 400000
-	col := ris.NewSamplerPool(cascade.LT).Generate(res, rng.New(19), theta, 1)
+	col := drawRR(t, res, cascade.LT, rng.New(19), theta)
 	for _, seed := range []graph.NodeID{0, 1, 3} {
 		want := exactLTSpread(g, []graph.NodeID{seed})
 		got := ris.EstimateSpread(col.Cov([]graph.NodeID{seed}), col.Len(), g.N())

@@ -28,8 +28,8 @@ func TestRISReuseTopsUpShortfall(t *testing.T) {
 	res := graph.NewResidual(g)
 	const seed = graph.NodeID(5)
 	_ = risSpread(t, reusing, res, rReusing, theta, seed)
-	if reusing.Reused() != 0 {
-		t.Fatalf("reused %d sets before any mutation", reusing.Reused())
+	if reusing.Stats().RRReused != 0 {
+		t.Fatalf("reused %d sets before any mutation", reusing.Stats().RRReused)
 	}
 
 	// Delete a low-degree leaf-ish node: most RR sets stay valid.
@@ -40,15 +40,15 @@ func TestRISReuseTopsUpShortfall(t *testing.T) {
 	resFresh.Remove(victim)
 	b := risSpread(t, fresh, resFresh, rFresh, theta, seed)
 
-	if reusing.Reused() == 0 {
+	if reusing.Stats().RRReused == 0 {
 		t.Fatal("no RR sets reused across the residual change")
 	}
-	if reusing.Drawn() >= fresh.Drawn()+int64(theta) {
+	if reusing.Stats().RRDrawn >= fresh.Stats().RRDrawn+int64(theta) {
 		t.Fatalf("reuse drew %d, fresh %d per version; reuse saved nothing",
-			reusing.Drawn(), fresh.Drawn())
+			reusing.Stats().RRDrawn, fresh.Stats().RRDrawn)
 	}
-	if reusing.PeakBytes() <= 0 {
-		t.Fatalf("peak RR bytes %d", reusing.PeakBytes())
+	if reusing.Stats().RRPeakBytes <= 0 {
+		t.Fatalf("peak RR bytes %d", reusing.Stats().RRPeakBytes)
 	}
 	// Same spread up to sampling noise (both pools are size θ): an
 	// estimate x = n·p̂ has variance n²·p̂(1−p̂)/θ.
@@ -81,10 +81,10 @@ func TestRISDefaultRegeneratesUnbiased(t *testing.T) {
 	if math.Abs(got-1) > 0.05 {
 		t.Fatalf("non-reusing batcher estimates %.3f after removal, want ~1", got)
 	}
-	if b.Reused() != 0 {
-		t.Fatalf("non-reusing batcher reused %d sets", b.Reused())
+	if b.Stats().RRReused != 0 {
+		t.Fatalf("non-reusing batcher reused %d sets", b.Stats().RRReused)
 	}
-	if b.Drawn() != 10000 {
-		t.Fatalf("non-reusing batcher drew %d, want 2×5000", b.Drawn())
+	if b.Stats().RRDrawn != 10000 {
+		t.Fatalf("non-reusing batcher drew %d, want 2×5000", b.Stats().RRDrawn)
 	}
 }

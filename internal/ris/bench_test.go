@@ -33,20 +33,20 @@ func datasetGraph(b *testing.B, name string) *graph.Graph {
 }
 
 // benchmarkDraw measures single-threaded RR-set draws through the bulk
-// kernel AppendTo runs (appendFastIC under IC), in batches of 4096 into a
+// kernel appendSets runs (appendFastIC under IC), in batches of 4096 into a
 // warm collection; the reported rr/s metric is sets per second.
 func benchmarkDraw(b *testing.B, model cascade.Model) {
 	const batch = 4096
 	g := benchGraph(b)
 	res := graph.NewResidual(g)
-	s := NewSampler(res, model, rng.New(1))
+	s := newSampler(res, model, rng.New(1))
 	c := NewCollection(res.FullN())
 	var nodes int64
 	b.ResetTimer()
 	for done := 0; done < b.N; done += batch {
 		c.Reset()
 		n := min(batch, b.N-done)
-		s.AppendTo(c, n)
+		s.appendTo(c, n)
 		if c.Len() != n {
 			b.Fatal("draw failed on a live graph")
 		}
@@ -69,7 +69,7 @@ func benchmarkAppendParallel(b *testing.B, dataset string) {
 	g := datasetGraph(b, dataset)
 	res := graph.NewResidual(g)
 	parent := rng.New(2)
-	pool := NewSamplerPool(cascade.IC)
+	pool := newSamplerPool(cascade.IC)
 	c := NewCollection(res.FullN())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -97,7 +97,7 @@ func BenchmarkAppendParallelDBLP(b *testing.B) { benchmarkAppendParallel(b, "dbl
 func benchmarkDrop(b *testing.B, g *graph.Graph, drop func(c *Collection)) {
 	const sets = 25000
 	res := graph.NewResidual(g)
-	pool := NewSamplerPool(cascade.IC)
+	pool := newSamplerPool(cascade.IC)
 	base := NewCollection(res.FullN())
 	pool.AppendParallel(base, res, rng.New(3), sets, 1)
 	st := base.State()

@@ -16,14 +16,14 @@ import (
 //	set i's nodes:            arena[offsets[i]:offsets[i+1]], root roots[i]
 //	sets containing node u:   invArena[invOff[u]:invOff[u+1]]
 //
-// Compared to the previous []*RRSet + per-node []int32 layout this cuts
-// per-set and per-node allocations to O(1) amortized and keeps the data
+// Compared to a boxed set-per-allocation layout this cuts per-set and
+// per-node allocations to O(1) amortized and keeps the data
 // cache-contiguous, which is what lets livejournal-scale θ fit in memory.
 //
 // A Collection additionally supports cross-round reuse: Filter compacts
 // the arena in place to the RR sets still valid on a mutated residual,
-// and the generators in ris.go / parallel.go can append a top-up into an
-// existing collection instead of rebuilding from scratch. Filter reads
+// and Batcher.GrowTo appends a top-up into the existing collection
+// instead of rebuilding from scratch. Filter reads
 // the nodes removed since the collection's version off the residual's
 // removal log, so that version must come from the history of the
 // residual filtered against: the same view, a Clone of it, or its replay
@@ -46,13 +46,6 @@ type Collection struct {
 	// (or last filtered against); -1 when unknown.
 	version int64
 
-	// requested accumulates the θ values asked of the generators, so a
-	// shortfall (empty residual mid-generation) is observable instead of
-	// silently weakening the concentration guarantee. Filter resets it to
-	// the surviving count, so after a filter + top-up cycle it reflects
-	// the current contents again.
-	requested int
-
 	// coverage is the attached incremental containment tracker, if any;
 	// Filter compacts it in lockstep and Reset zeroes it (see tracker.go).
 	coverage *Coverage
@@ -67,16 +60,13 @@ func NewCollection(n int) *Collection {
 	return &Collection{n: n, offsets: []int32{0}, version: -1}
 }
 
-// Add appends one RR set and invalidates the inverted index.
-func (c *Collection) Add(rr *RRSet) { c.AddSet(rr.Root, rr.Nodes) }
-
 // maxArena bounds the flat arena length so int32 offsets cannot wrap; at
 // livejournal scale that is ~2 billion node entries (8 GiB) per
 // collection, beyond which the overflow must be loud, not silent.
 const maxArena = 1<<31 - 1
 
-// AddSet appends an RR set given as (root, nodes) without requiring an
-// RRSet box; nodes are copied into the arena.
+// AddSet appends an RR set given as (root, nodes); nodes are copied into
+// the arena.
 func (c *Collection) AddSet(root graph.NodeID, nodes []graph.NodeID) {
 	if len(c.arena)+len(nodes) > maxArena {
 		panic("ris: collection arena exceeds int32 offset range; shard the collection")
@@ -158,7 +148,6 @@ func (c *Collection) Reset() {
 	c.roots = c.roots[:0]
 	c.invValid = false
 	c.version = -1
-	c.requested = 0
 	if c.coverage != nil {
 		c.coverage.reset()
 	}
@@ -176,13 +165,6 @@ func (c *Collection) Root(i int) graph.NodeID { return c.roots[i] }
 func (c *Collection) SetNodes(i int) []graph.NodeID {
 	return c.arena[c.offsets[i]:c.offsets[i+1]]
 }
-
-// Requested returns the total number of RR sets the generators were asked
-// for. Requested > Len means some draws hit an empty residual.
-func (c *Collection) Requested() int { return c.requested }
-
-// noteRequested records that theta RR sets were requested from a generator.
-func (c *Collection) noteRequested(theta int) { c.requested += theta }
 
 // noteVersion records the residual version the sets are being drawn on.
 func (c *Collection) noteVersion(v int64) { c.version = v }
@@ -279,7 +261,7 @@ func (c *Collection) InvalidateTouching(touched []graph.NodeID) int {
 
 // dropContaining is the drop pass behind Filter and InvalidateTouching:
 // it compacts the collection in place, in order, to the sets holding none
-// of nodes and returns the kept count, which also becomes Requested. The
+// of nodes and returns the kept count. The
 // nodes are set in dropBits (and cleared after), the arena is scanned
 // flat against them, a hit's set is found by binary search over offsets,
 // and each run of kept sets between two dropped ones moves down in one
@@ -287,7 +269,6 @@ func (c *Collection) InvalidateTouching(touched []graph.NodeID) int {
 // back; kept sets keep their order, so the counted prefix stays a prefix.
 func (c *Collection) dropContaining(nodes []graph.NodeID) int {
 	if len(nodes) == 0 || c.Len() == 0 {
-		c.requested = c.Len()
 		return c.Len()
 	}
 	if c.dropBits == nil {
@@ -330,7 +311,6 @@ func (c *Collection) dropContaining(nodes []graph.NodeID) int {
 			c.coverage.seen -= uncounted
 		}
 	}
-	c.requested = c.Len()
 	return c.Len()
 }
 

@@ -10,10 +10,10 @@ import (
 )
 
 // legacyCollection replicates the pre-CSR storage layout — one boxed
-// *RRSet per set plus a per-node [][]int32 inverted index — as the
+// *rrSet per set plus a per-node [][]int32 inverted index — as the
 // reference the arena layout must be behaviorally identical to.
 type legacyCollection struct {
-	sets  []*RRSet
+	sets  []*rrSet
 	index [][]int32
 }
 
@@ -21,7 +21,7 @@ func newLegacy(n int) *legacyCollection {
 	return &legacyCollection{index: make([][]int32, n)}
 }
 
-func (l *legacyCollection) add(rr *RRSet) {
+func (l *legacyCollection) add(rr *rrSet) {
 	id := int32(len(l.sets))
 	l.sets = append(l.sets, rr)
 	for _, u := range rr.Nodes {
@@ -78,17 +78,17 @@ func (l *legacyCollection) greedy(candidates []graph.NodeID, k int) ([]graph.Nod
 // consumption) into both layouts: the legacy side draws them one at a
 // time through the same bulk kernel and boxes each.
 func generateBoth(g *graph.Graph, theta int, seed uint64) (*Collection, *legacyCollection) {
-	csr := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(seed)).Generate(theta)
+	csr := newSampler(graph.NewResidual(g), cascade.IC, rng.New(seed)).generate(theta)
 	leg := newLegacy(g.N())
-	s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(seed))
+	s := newSampler(graph.NewResidual(g), cascade.IC, rng.New(seed))
 	one := NewCollection(g.N())
 	for i := 0; i < theta; i++ {
 		one.Reset()
-		s.AppendTo(one, 1)
+		s.appendTo(one, 1)
 		if one.Len() == 0 {
 			break
 		}
-		leg.add(&RRSet{Root: one.Root(0), Nodes: append([]graph.NodeID(nil), one.SetNodes(0)...)})
+		leg.add(&rrSet{Root: one.Root(0), Nodes: append([]graph.NodeID(nil), one.SetNodes(0)...)})
 	}
 	return csr, leg
 }
@@ -192,20 +192,20 @@ func TestCSREquivalentToLegacyLayout(t *testing.T) {
 // TestCSRAllocationDrop asserts the headline win: building a θ-set
 // collection in the arena layout performs at least 10× fewer allocations
 // than the legacy boxed layout (which paid ≥2 allocations per RR set —
-// the *RRSet box and its Nodes slice — plus per-node index growth).
+// the *rrSet box and its Nodes slice — plus per-node index growth).
 func TestCSRAllocationDrop(t *testing.T) {
 	g := fig1Graph()
 	const theta = 2000
 	legacyAllocs := testing.AllocsPerRun(5, func() {
 		leg := newLegacy(g.N())
-		s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(7))
+		s := newSampler(graph.NewResidual(g), cascade.IC, rng.New(7))
 		for i := 0; i < theta; i++ {
-			leg.add(s.Draw())
+			leg.add(s.draw())
 		}
 	})
 	csrAllocs := testing.AllocsPerRun(5, func() {
-		s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(7))
-		c := s.Generate(theta)
+		s := newSampler(graph.NewResidual(g), cascade.IC, rng.New(7))
+		c := s.generate(theta)
 		c.BuildIndex()
 	})
 	if csrAllocs*10 > legacyAllocs {
@@ -223,8 +223,8 @@ func BenchmarkCollectionBuildCSR(b *testing.B) {
 	g := fig1Graph()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(7))
-		c := s.Generate(2000)
+		s := newSampler(graph.NewResidual(g), cascade.IC, rng.New(7))
+		c := s.generate(2000)
 		c.BuildIndex()
 	}
 }
@@ -234,16 +234,16 @@ func BenchmarkCollectionBuildLegacy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		leg := newLegacy(g.N())
-		s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(7))
+		s := newSampler(graph.NewResidual(g), cascade.IC, rng.New(7))
 		for j := 0; j < 2000; j++ {
-			leg.add(s.Draw())
+			leg.add(s.draw())
 		}
 	}
 }
 
 func BenchmarkCovCSR(b *testing.B) {
 	g := fig1Graph()
-	c := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(7)).Generate(50000)
+	c := newSampler(graph.NewResidual(g), cascade.IC, rng.New(7)).generate(50000)
 	seeds := []graph.NodeID{0, 1, 5}
 	c.Cov(seeds)
 	b.ReportAllocs()

@@ -15,7 +15,7 @@
 //
 // The package is organized as:
 //
-//   - Sampler (ris.go): single-threaded RR-set generation on a residual
+//   - sampler (ris.go): single-threaded RR-set generation on a residual
 //     view, with scratch reuse so a draw allocates only its arena append.
 //     On graphs with compressed in-probabilities (graph.InUniform — the
 //     weighted-cascade and uniform weightings) the bulk IC kernel
@@ -28,7 +28,7 @@
 //     quantization. LT picks its in-parent by inverting the prefix scan in
 //     O(1). Trivalency-style mixed graphs take the per-edge reference path
 //     unchanged.
-//   - SamplerPool (parallel.go): the one bulk draw path, for every worker
+//   - samplerPool (parallel.go): the one bulk draw path, for every worker
 //     count. A batch takes one key from its parent stream; chunk k is the
 //     64 consecutive sets drawn from the substream keyed by chunk k, and
 //     chunks land in index order, so the sets depend on (seed, count)
@@ -39,7 +39,8 @@
 //     survive across attempts, rounds, and algorithms, so a warm pool
 //     draws a whole attempt with zero allocations (asserted by
 //     TestAppendParallelWarmNoAllocs at one and two workers). Every
-//     Batcher owns one; one-shot selections use Generate.
+//     Batcher owns one, so a one-shot draw through a fresh Batcher gets
+//     the same sets.
 //   - Collection (collection.go): CSR/arena storage — one flat node arena
 //     plus per-set offsets, and a CSR inverted index built on first use —
 //     so a collection is ~4 contiguous allocations regardless of θ. Reset
@@ -62,8 +63,11 @@
 //     and is compacted in lockstep by the drop pass, so a per-batch
 //     stopping-rule check costs O(batch + alive) instead of an inverted
 //     index rebuild. Batcher packages the draw/filter/top-up cycle —
-//     pool, collection, tracker, accounting — shared by both adaptive
-//     sampling policies, sampled ADG rounds and IMM's θ search; the
-//     tracker counts only what Batcher.Count asks for. Its warm loop is
-//     allocation-free (TestBatcherWarmLoopNoAllocs).
+//     pool, collection, tracker, accounting — and is the package's only
+//     way to draw RR sets: both adaptive sampling policies, sampled ADG
+//     rounds, IMM's θ search and the one-shot draws of the nonadaptive
+//     greedy and imm.SpreadLowerBound go through it, and its Stats value
+//     is the one record of sampling work they report. The tracker counts
+//     only what Batcher.Count asks for. The warm loop is allocation-free
+//     (TestBatcherWarmLoopNoAllocs).
 package ris

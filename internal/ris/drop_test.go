@@ -10,21 +10,21 @@ import (
 )
 
 // refPool is the reference model of a Batcher's collection: the sets in
-// order, with the bookkeeping the collection keeps around them. Its
+// order, with the bookkeeping the batcher keeps around them. Its
 // filter and invalidate are the per-set scans the drop pass replaced —
 // every node of every set tested against the residual's alive mask or a
 // marked-node array — kept here as the oracle.
 type refPool struct {
-	sets      []*RRSet
+	sets      []*rrSet
 	version   int64
-	requested int
-	counted   int // sets [0, counted) are folded into the Coverage counts
+	requested int64 // sets asked of the pool, as Stats.RRRequested counts them
+	counted   int   // sets [0, counted) are folded into the Coverage counts
 }
 
 // drop keeps the sets keep accepts, in order, and gives back the counted
 // prefix's share of the dropped ones.
-func (m *refPool) drop(keep func(*RRSet) bool) {
-	var kept []*RRSet
+func (m *refPool) drop(keep func(*rrSet) bool) {
+	var kept []*rrSet
 	counted := m.counted
 	for i, rr := range m.sets {
 		if keep(rr) {
@@ -33,7 +33,7 @@ func (m *refPool) drop(keep func(*RRSet) bool) {
 			counted--
 		}
 	}
-	m.sets, m.counted, m.requested = kept, counted, len(kept)
+	m.sets, m.counted = kept, counted
 }
 
 // filter is the reference Filter: version-keyed, dropping every set that
@@ -42,7 +42,7 @@ func (m *refPool) filter(res *graph.Residual) {
 	if m.version == res.Version() {
 		return
 	}
-	m.drop(func(rr *RRSet) bool {
+	m.drop(func(rr *rrSet) bool {
 		for _, u := range rr.Nodes {
 			if !res.Alive(u) {
 				return false
@@ -62,7 +62,7 @@ func (m *refPool) invalidate(touched []graph.NodeID, n int) {
 	for _, u := range touched {
 		marked[u] = true
 	}
-	m.drop(func(rr *RRSet) bool {
+	m.drop(func(rr *rrSet) bool {
 		for _, u := range rr.Nodes {
 			if marked[u] {
 				return false
@@ -73,8 +73,8 @@ func (m *refPool) invalidate(touched []graph.NodeID, n int) {
 }
 
 // checkPool asserts that b's collection equals the reference: the same
-// sets, roots and order, Requested and Version, and Coverage counts equal
-// to a recount of the counted prefix.
+// sets, roots and order, requested count and Version, and Coverage
+// counts equal to a recount of the counted prefix.
 func checkPool(t *testing.T, step int, what string, b *Batcher, m *refPool) {
 	t.Helper()
 	c := b.Collection()
@@ -95,9 +95,9 @@ func checkPool(t *testing.T, step int, what string, b *Batcher, m *refPool) {
 			}
 		}
 	}
-	if c.Requested() != m.requested || c.Version() != m.version {
+	if b.Stats().RRRequested != m.requested || c.Version() != m.version {
 		t.Fatalf("step %d (%s): requested %d version %d, reference %d and %d",
-			step, what, c.Requested(), c.Version(), m.requested, m.version)
+			step, what, b.Stats().RRRequested, c.Version(), m.requested, m.version)
 	}
 	if b.cov.seen != m.counted {
 		t.Fatalf("step %d (%s): coverage has counted %d sets, reference %d", step, what, b.cov.seen, m.counted)
@@ -151,9 +151,9 @@ func TestDropMatchesReferenceScan(t *testing.T) {
 			}
 			c := b.Collection()
 			for i := before; i < c.Len(); i++ {
-				m.sets = append(m.sets, &RRSet{Root: c.Root(i), Nodes: append([]graph.NodeID(nil), c.SetNodes(i)...)})
+				m.sets = append(m.sets, &rrSet{Root: c.Root(i), Nodes: append([]graph.NodeID(nil), c.SetNodes(i)...)})
 			}
-			m.requested += target - before
+			m.requested += int64(target - before)
 			m.version = res.Version()
 			checkPool(t, step, "grow", b, m)
 		}
@@ -209,8 +209,8 @@ func TestDropMatchesReferenceScan(t *testing.T) {
 				grow(step)
 			}
 		}
-		if b.Drawn() == 0 || res.Version() == 0 {
-			t.Fatalf("seed %d: degenerate history (drawn %d, version %d)", seed, b.Drawn(), res.Version())
+		if b.Stats().RRDrawn == 0 || res.Version() == 0 {
+			t.Fatalf("seed %d: degenerate history (drawn %d, version %d)", seed, b.Stats().RRDrawn, res.Version())
 		}
 	}
 }

@@ -28,16 +28,16 @@ func wcTestGraph(t testing.TB) *graph.Graph {
 	return g
 }
 
-// sampleHistograms draws theta RR sets through the bulk kernel AppendTo
+// sampleHistograms draws theta RR sets through the bulk kernel appendSets
 // runs (appendFastIC under IC on compressed graphs) — or, with ref, the
 // per-edge reference traversal — and returns the set-size histogram
 // (sizes above maxSize pooled into the last bin) plus per-node membership
 // counts.
 func sampleHistograms(g *graph.Graph, model cascade.Model, seed uint64, theta, maxSize int, ref bool) ([]float64, []float64) {
-	s := NewSampler(graph.NewResidual(g), model, rng.New(seed))
+	s := newSampler(graph.NewResidual(g), model, rng.New(seed))
 	s.noFast = ref
 	c := NewCollection(g.N())
-	s.AppendTo(c, theta)
+	s.appendTo(c, theta)
 	if c.Len() != theta {
 		panic("draw failed")
 	}
@@ -151,11 +151,11 @@ func TestTrivalencyFallbackIdentical(t *testing.T) {
 	if g.InUniform() {
 		t.Fatal("trivalency graph unexpectedly compressed")
 	}
-	def := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(77))
-	ref := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(77))
+	def := newSampler(graph.NewResidual(g), cascade.IC, rng.New(77))
+	ref := newSampler(graph.NewResidual(g), cascade.IC, rng.New(77))
 	ref.noFast = true
 	for i := 0; i < 500; i++ {
-		a, b := def.Draw(), ref.Draw()
+		a, b := def.draw(), ref.draw()
 		if a.Root != b.Root || len(a.Nodes) != len(b.Nodes) {
 			t.Fatalf("draw %d diverged: %+v vs %+v", i, a, b)
 		}
@@ -190,13 +190,13 @@ func sameSets(t *testing.T, where string, a, b *Collection) {
 // removals draws exactly what a fresh pool draws from the same seed.
 func TestPoolMatchesFreeFunctions(t *testing.T) {
 	g := wcTestGraph(t)
-	pool := NewSamplerPool(cascade.IC)
+	pool := newSamplerPool(cascade.IC)
 	for _, workers := range []int{1, 4} {
 		resA := graph.NewResidual(g)
 		resB := graph.NewResidual(g)
 		for round := 0; round < 3; round++ {
-			a := NewSamplerPool(cascade.IC).Generate(resA, rng.New(uint64(round)+60), 700, workers)
-			b := pool.Generate(resB, rng.New(uint64(round)+60), 700, workers)
+			a := newSamplerPool(cascade.IC).generate(resA, rng.New(uint64(round)+60), 700, workers)
+			b := pool.generate(resB, rng.New(uint64(round)+60), 700, workers)
 			sameSets(t, fmt.Sprintf("round %d workers %d", round, workers), a, b)
 			resA.Remove(graph.NodeID(round * 7))
 			resB.Remove(graph.NodeID(round * 7))
@@ -209,11 +209,11 @@ func TestPoolMatchesFreeFunctions(t *testing.T) {
 // same collection — and the same capacity-based Bytes — through a first
 // batch, a top-up after Filter and a top-up after InvalidateTouching, on
 // one warm pool; and chunk k of the first batch is exactly the
-// interruptStride sets a bare Sampler draws from Mix64(key + k·Golden).
+// interruptStride sets a bare sampler draws from Mix64(key + k·Golden).
 func TestAppendParallelWorkerCountIndependent(t *testing.T) {
 	g := wcTestGraph(t)
 	for _, model := range []cascade.Model{cascade.IC, cascade.LT} {
-		pool := NewSamplerPool(model)
+		pool := newSamplerPool(model)
 		for _, count := range []int{1, 63, 64, 65, 1000} {
 			var want []*Collection
 			var wantBytes int64
@@ -250,10 +250,10 @@ func TestAppendParallelWorkerCountIndependent(t *testing.T) {
 
 			key := rng.New(uint64(count) + 60).Uint64()
 			ref := NewCollection(g.N())
-			s := NewSampler(graph.NewResidual(g), model, &rng.RNG{})
+			s := newSampler(graph.NewResidual(g), model, &rng.RNG{})
 			for k := 0; k*interruptStride < count; k++ {
 				s.r.Reseed(rng.Mix64(key + uint64(k)*rng.Golden))
-				s.AppendTo(ref, min(interruptStride, count-k*interruptStride))
+				s.appendTo(ref, min(interruptStride, count-k*interruptStride))
 			}
 			sameSets(t, fmt.Sprintf("%v count %d chunk-keyed reference", model, count), ref, want[0])
 		}
@@ -266,12 +266,12 @@ func TestAppendParallelWorkerCountIndependent(t *testing.T) {
 func TestAppendParallelInterrupt(t *testing.T) {
 	g := wcTestGraph(t)
 	res := graph.NewResidual(g)
-	want := NewSamplerPool(cascade.IC).Generate(res, rng.New(8), 1000, 1)
+	want := newSamplerPool(cascade.IC).generate(res, rng.New(8), 1000, 1)
 	stop := errors.New("stop")
 	for _, workers := range []int{1, 3} {
-		pool := NewSamplerPool(cascade.IC)
+		pool := newSamplerPool(cascade.IC)
 		pool.SetInterrupt(func() error { return nil })
-		sameSets(t, fmt.Sprintf("workers %d, idle interrupt", workers), want, pool.Generate(res, rng.New(8), 1000, workers))
+		sameSets(t, fmt.Sprintf("workers %d, idle interrupt", workers), want, pool.generate(res, rng.New(8), 1000, workers))
 
 		var polls atomic.Int32
 		pool.SetInterrupt(func() error {
@@ -280,12 +280,12 @@ func TestAppendParallelInterrupt(t *testing.T) {
 			}
 			return nil
 		})
-		pool.Generate(res, rng.New(8), 1000, workers)
+		pool.generate(res, rng.New(8), 1000, workers)
 		if !errors.Is(pool.Err(), stop) {
 			t.Fatalf("workers %d: Err = %v after an interrupted batch", workers, pool.Err())
 		}
 		pool.SetInterrupt(nil)
-		sameSets(t, fmt.Sprintf("workers %d, after abort", workers), want, pool.Generate(res, rng.New(8), 1000, workers))
+		sameSets(t, fmt.Sprintf("workers %d, after abort", workers), want, pool.generate(res, rng.New(8), 1000, workers))
 		if pool.Err() != nil {
 			t.Fatalf("workers %d: Err = %v not reset", workers, pool.Err())
 		}
@@ -298,7 +298,7 @@ func TestAppendParallelInterrupt(t *testing.T) {
 func TestPoolConcurrentWorkersSafe(t *testing.T) {
 	g := wcTestGraph(t)
 	res := graph.NewResidual(g)
-	pool := NewSamplerPool(cascade.IC)
+	pool := newSamplerPool(cascade.IC)
 	parent := rng.New(9)
 	c := NewCollection(res.FullN())
 	for round := 0; round < 6; round++ {
@@ -324,7 +324,7 @@ func TestAppendParallelWarmNoAllocs(t *testing.T) {
 	g := wcTestGraph(t)
 	res := graph.NewResidual(g)
 	for _, workers := range []int{1, 2} {
-		pool := NewSamplerPool(cascade.IC)
+		pool := newSamplerPool(cascade.IC)
 		parent := rng.New(5)
 		c := NewCollection(res.FullN())
 		pool.AppendParallel(c, res, parent, 2000, workers) // warm-up attempt

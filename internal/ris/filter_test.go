@@ -10,20 +10,20 @@ import (
 
 // snapshotSets copies every RR set out of c (roots + nodes) so a later
 // in-place Filter can be cross-checked against a brute-force rescan.
-func snapshotSets(c *Collection) []*RRSet {
-	out := make([]*RRSet, c.Len())
+func snapshotSets(c *Collection) []*rrSet {
+	out := make([]*rrSet, c.Len())
 	for i := range out {
 		nodes := make([]graph.NodeID, len(c.SetNodes(i)))
 		copy(nodes, c.SetNodes(i))
-		out[i] = &RRSet{Root: c.Root(i), Nodes: nodes}
+		out[i] = &rrSet{Root: c.Root(i), Nodes: nodes}
 	}
 	return out
 }
 
 // surviving returns the subsequence of sets avoiding every dead node,
 // the brute-force definition Filter must match exactly.
-func surviving(sets []*RRSet, res *graph.Residual) []*RRSet {
-	var out []*RRSet
+func surviving(sets []*rrSet, res *graph.Residual) []*rrSet {
+	var out []*rrSet
 	for _, rr := range sets {
 		ok := true
 		for _, u := range rr.Nodes {
@@ -58,8 +58,8 @@ func TestFilterKeepsExactlyValidSets(t *testing.T) {
 				g = randomGraph(t)
 			}
 			res := graph.NewResidual(g)
-			s := NewSampler(res, cascade.IC, rng.New(5))
-			c := s.Generate(2000)
+			s := newSampler(res, cascade.IC, rng.New(5))
+			c := s.generate(2000)
 			before := snapshotSets(c)
 
 			for _, u := range tc.remove {
@@ -117,8 +117,11 @@ func TestFilterKeepsExactlyValidSets(t *testing.T) {
 func TestFilterVersionTracking(t *testing.T) {
 	g := fig1Graph()
 	res := graph.NewResidual(g)
-	s := NewSampler(res, cascade.IC, rng.New(9))
-	c := s.Generate(500)
+	b := NewBatcher(cascade.IC)
+	if _, err := b.GrowTo(res, rng.New(9), 500, 1); err != nil {
+		t.Fatal(err)
+	}
+	c := b.Collection()
 	if c.Version() != res.Version() {
 		t.Fatalf("generated collection version %d, residual %d", c.Version(), res.Version())
 	}
@@ -149,12 +152,14 @@ func TestFilterVersionTracking(t *testing.T) {
 		t.Fatalf("more deletions kept more sets: %d then %d", kept1, kept2)
 	}
 
-	// Requested tracks the surviving count after a filter, so a top-up to
-	// a new θ target leaves shortfall accounting consistent.
-	s2 := NewSampler(res, cascade.IC, rng.New(10))
-	s2.AppendTo(c, 800-c.Len())
-	if c.Len() != 800 || c.Requested() != 800 {
-		t.Fatalf("after top-up len=%d requested=%d, want 800/800", c.Len(), c.Requested())
+	// A top-up to a new θ target after a filter asks the pool for the
+	// shortfall only, so shortfall accounting stays exact.
+	if _, err := b.GrowTo(res, rng.New(10), 800, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := b.Stats(); c.Len() != 800 || st.RRRequested != int64(500+800-kept2) || st.RRDrawn != st.RRRequested {
+		t.Fatalf("after top-up len=%d requested=%d drawn=%d, want 800/%d/%d",
+			c.Len(), st.RRRequested, st.RRDrawn, 500+800-kept2, 500+800-kept2)
 	}
 	// Topped-up sets were drawn on the current residual: still all valid.
 	if kept := c.Filter(res); kept != 800 {
@@ -193,13 +198,13 @@ func TestFilterTiltsSurvivorLaw(t *testing.T) {
 	}
 
 	res := graph.NewResidual(g)
-	kept := NewSampler(res, cascade.IC, rng.New(61)).Generate(theta)
+	kept := newSampler(res, cascade.IC, rng.New(61)).generate(theta)
 	res.Remove(2)
 	kept.Filter(res)
 	if got := pairGivenRoot0(kept); got < 1.0/3-0.02 || got > 1.0/3+0.02 {
 		t.Fatalf("after Filter P[{0,1} | root 0] = %.3f, want 1/3 ± 0.02", got)
 	}
-	fresh := NewSampler(res, cascade.IC, rng.New(62)).Generate(theta)
+	fresh := newSampler(res, cascade.IC, rng.New(62)).generate(theta)
 	if got := pairGivenRoot0(fresh); got < 0.5-0.02 || got > 0.5+0.02 {
 		t.Fatalf("fresh P[{0,1} | root 0] = %.3f, want 1/2 ± 0.02", got)
 	}

@@ -13,12 +13,12 @@ import (
 
 // survivingTouched is the brute-force oracle for InvalidateTouching: the
 // subsequence of sets containing none of the touched nodes.
-func survivingTouched(sets []*RRSet, touched []graph.NodeID) []*RRSet {
+func survivingTouched(sets []*rrSet, touched []graph.NodeID) []*rrSet {
 	mark := make(map[graph.NodeID]bool, len(touched))
 	for _, u := range touched {
 		mark[u] = true
 	}
-	var out []*RRSet
+	var out []*rrSet
 	for _, rr := range sets {
 		ok := true
 		for _, u := range rr.Nodes {
@@ -64,7 +64,7 @@ func TestInvalidateTouchingMatchesBruteForce(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			g := randomGraph(t)
 			res := graph.NewResidual(g)
-			c := NewSampler(res, cascade.IC, rng.New(21)).Generate(2000)
+			c := newSampler(res, cascade.IC, rng.New(21)).generate(2000)
 			cov := newCoverage(c)
 			before := snapshotSets(c)
 
@@ -132,7 +132,7 @@ func TestInvalidateTouchingMatchesBruteForce(t *testing.T) {
 func TestInvalidateTouchingEdgeCases(t *testing.T) {
 	g := fig1Graph()
 	res := graph.NewResidual(g)
-	c := NewSampler(res, cascade.IC, rng.New(3)).Generate(100)
+	c := newSampler(res, cascade.IC, rng.New(3)).generate(100)
 	if kept := c.InvalidateTouching(nil); kept != 100 {
 		t.Fatalf("empty touched dropped sets: %d", kept)
 	}
@@ -164,8 +164,8 @@ func TestDeltaGraphSamplingBitIdenticalToRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, model := range []cascade.Model{cascade.IC, cascade.LT} {
-			cd := NewSampler(graph.NewResidual(dg), model, rng.New(seed)).Generate(1500)
-			cr := NewSampler(graph.NewResidual(rebuilt), model, rng.New(seed)).Generate(1500)
+			cd := newSampler(graph.NewResidual(dg), model, rng.New(seed)).generate(1500)
+			cr := newSampler(graph.NewResidual(rebuilt), model, rng.New(seed)).generate(1500)
 			if cd.Len() != cr.Len() {
 				t.Fatalf("%s model %v: %d vs %d sets", what, model, cd.Len(), cr.Len())
 			}
@@ -313,16 +313,16 @@ func TestBatcherInvalidateNoReuse(t *testing.T) {
 		}
 		kept := b.Invalidate(touched)
 		if !reuse {
-			if kept != 0 || b.Reused() != 0 || b.Len() != 200 {
-				t.Fatalf("reuse off: kept %d, reused %d, len %d; want 0, 0, 200", kept, b.Reused(), b.Len())
+			if kept != 0 || b.Stats().RRReused != 0 || b.Len() != 200 {
+				t.Fatalf("reuse off: kept %d, reused %d, len %d; want 0, 0, 200", kept, b.Stats().RRReused, b.Len())
 			}
-			if b.Sync(res) != 0 || b.Len() != 0 || b.Reused() != 0 {
-				t.Fatalf("reuse off: Sync kept %d sets (reused %d)", b.Len(), b.Reused())
+			if b.Sync(res) != 0 || b.Len() != 0 || b.Stats().RRReused != 0 {
+				t.Fatalf("reuse off: Sync kept %d sets (reused %d)", b.Len(), b.Stats().RRReused)
 			}
 			continue
 		}
-		if kept <= 0 || kept >= 200 || b.Reused() != int64(kept) || b.Len() != kept {
-			t.Fatalf("reuse on: kept %d of 200, reused %d, len %d", kept, b.Reused(), b.Len())
+		if kept <= 0 || kept >= 200 || b.Stats().RRReused != int64(kept) || b.Len() != kept {
+			t.Fatalf("reuse on: kept %d of 200, reused %d, len %d", kept, b.Stats().RRReused, b.Len())
 		}
 	}
 }

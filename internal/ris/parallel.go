@@ -10,14 +10,14 @@ import (
 	"repro/internal/rng"
 )
 
-// SamplerPool owns persistent per-worker samplers for bulk RR generation.
-// Worker scratch (visited marks, traversal stacks, output collections) and
-// RNG stream objects survive across batches, so a warm pool draws a whole
-// attempt without allocating — unlike the one-sampler-per-call pattern,
-// which paid a fresh O(N) visited array per worker per batch. A pool is
-// owned by one run (an adaptive algorithm, an oracle, an IMM invocation)
-// and is not safe for concurrent use; its workers synchronize internally.
-type SamplerPool struct {
+// samplerPool owns persistent per-worker samplers for bulk RR generation;
+// every Batcher draws through one. Worker scratch (visited marks,
+// traversal stacks, output collections) and RNG stream objects survive
+// across batches, so a warm pool draws a whole attempt without
+// allocating — unlike the one-sampler-per-call pattern, which paid a
+// fresh O(N) visited array per worker per batch. A pool is not safe for
+// concurrent use; its workers synchronize internally.
+type samplerPool struct {
 	model   cascade.Model
 	workers []*poolWorker
 
@@ -42,7 +42,7 @@ type SamplerPool struct {
 // into the destination collection; the others fill out, which is spliced
 // in after them in worker order.
 type poolWorker struct {
-	s   *Sampler
+	s   *sampler
 	r   rng.RNG // reseeded at every chunk
 	out *Collection
 	// spawn runs this worker's share of the batch; built once so that
@@ -60,14 +60,11 @@ const interruptStride = 64
 
 // SetInterrupt installs (or, with nil, removes) the cancellation poll for
 // future batches.
-func (p *SamplerPool) SetInterrupt(f func() error) { p.interrupt = f }
+func (p *samplerPool) SetInterrupt(f func() error) { p.interrupt = f }
 
 // Visits returns the cumulative number of node visits (nodes appended to
 // RR sets) across all draws by this pool's workers.
-// With EdgeTouches it prices sampling in memory traffic: a visit costs
-// one 16-byte metadata load plus bookkeeping, an edge touch one 4-byte
-// adjacency read.
-func (p *SamplerPool) Visits() uint64 {
+func (p *samplerPool) Visits() uint64 {
 	var v uint64
 	for _, wk := range p.workers {
 		v += wk.s.visits
@@ -77,7 +74,7 @@ func (p *SamplerPool) Visits() uint64 {
 
 // EdgeTouches returns the cumulative number of in-adjacency entries read
 // across all draws by this pool's workers.
-func (p *SamplerPool) EdgeTouches() uint64 {
+func (p *samplerPool) EdgeTouches() uint64 {
 	var v uint64
 	for _, wk := range p.workers {
 		v += wk.s.edgeTouches
@@ -88,20 +85,14 @@ func (p *SamplerPool) EdgeTouches() uint64 {
 // Err reports whether the most recent AppendParallel batch was aborted by
 // the interrupt, and with what error. It is reset at the start of every
 // batch.
-func (p *SamplerPool) Err() error { return p.err }
-
-// NewSamplerPool creates an empty pool drawing under the given model.
-// Workers are materialized lazily on first use.
-func NewSamplerPool(model cascade.Model) *SamplerPool {
-	return &SamplerPool{model: model}
-}
+func (p *samplerPool) Err() error { return p.err }
 
 // grow ensures at least n workers exist.
-func (p *SamplerPool) grow(n int) {
+func (p *samplerPool) grow(n int) {
 	for w := len(p.workers); w < n; w++ {
 		// out is only appended to and spliced, never indexed, so its
 		// node-ID space is irrelevant.
-		wk := &poolWorker{s: &Sampler{model: p.model}, out: NewCollection(0)}
+		wk := &poolWorker{s: &sampler{model: p.model}, out: NewCollection(0)}
 		wk.spawn = func() {
 			defer p.wg.Done()
 			p.work(w, wk.out)
@@ -123,7 +114,7 @@ func (p *SamplerPool) grow(n int) {
 // callers must not mutate it during generation. An aborted batch (see
 // SetInterrupt and Err) leaves c holding an arbitrary prefix of it; the
 // caller must treat the collection as void.
-func (p *SamplerPool) AppendParallel(c *Collection, res *graph.Residual, parent *rng.RNG, count, workers int) {
+func (p *samplerPool) AppendParallel(c *Collection, res *graph.Residual, parent *rng.RNG, count, workers int) {
 	p.err = nil
 	p.stop.Store(false)
 	p.res, p.key, p.count = res, parent.Uint64(), count
@@ -133,7 +124,6 @@ func (p *SamplerPool) AppendParallel(c *Collection, res *graph.Residual, parent 
 	}
 	p.nw = max(1, min(workers, chunks))
 	p.grow(p.nw)
-	c.noteRequested(count)
 	c.noteVersion(res.Version())
 	for _, wk := range p.workers[1:p.nw] {
 		wk.out.Reset()
@@ -152,7 +142,7 @@ func (p *SamplerPool) AppendParallel(c *Collection, res *graph.Residual, parent 
 }
 
 // work draws worker w's contiguous run of chunks into dst.
-func (p *SamplerPool) work(w int, dst *Collection) {
+func (p *samplerPool) work(w int, dst *Collection) {
 	wk := p.workers[w]
 	wk.s.bind(p.res, &wk.r)
 	chunks := (p.count + interruptStride - 1) / interruptStride
@@ -171,11 +161,4 @@ func (p *SamplerPool) work(w int, dst *Collection) {
 		wk.r.Reseed(rng.Mix64(p.key + uint64(k)*rng.Golden))
 		wk.s.appendSets(dst, min(interruptStride, p.count-k*interruptStride))
 	}
-}
-
-// Generate draws theta RR sets into a new Collection through the pool.
-func (p *SamplerPool) Generate(res *graph.Residual, parent *rng.RNG, theta, workers int) *Collection {
-	c := NewCollection(res.FullN())
-	p.AppendParallel(c, res, parent, theta, workers)
-	return c
 }

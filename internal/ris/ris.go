@@ -8,19 +8,10 @@ import (
 	"repro/internal/rng"
 )
 
-// RRSet is one reverse-reachable set: the nodes that reach Root under one
-// sampled realization, Root included. Collections store sets unboxed in a
-// flat arena; RRSet is the boxed form for single-draw callers and tests.
-type RRSet struct {
-	Root  graph.NodeID
-	Nodes []graph.NodeID
-}
-
-// Sampler generates RR sets on a (residual view of a) graph.
-// A Sampler is not safe for concurrent use; create one per goroutine with
-// independent RNG streams, or draw through a SamplerPool which owns one
-// sampler per worker.
-type Sampler struct {
+// sampler generates RR sets on a (residual view of a) graph. It is not
+// safe for concurrent use: a samplerPool owns one per worker, each with
+// its own RNG stream.
+type sampler struct {
 	res   *graph.Residual
 	model cascade.Model
 	r     *rng.RNG
@@ -44,16 +35,9 @@ type Sampler struct {
 	// Bandwidth accounting, cumulative across draws: visits counts nodes
 	// added to RR sets, edgeTouches counts in-adjacency entries actually
 	// read. Together they price a draw in memory traffic (see
-	// SamplerPool.Visits / EdgeTouches).
+	// Stats.RRVisits).
 	visits      uint64
 	edgeTouches uint64
-}
-
-// NewSampler creates a sampler over res under the given model.
-func NewSampler(res *graph.Residual, model cascade.Model, r *rng.RNG) *Sampler {
-	s := &Sampler{model: model}
-	s.bind(res, r)
-	return s
 }
 
 // bind points the sampler at a residual view and RNG stream, growing all
@@ -62,10 +46,10 @@ func NewSampler(res *graph.Residual, model cascade.Model, r *rng.RNG) *Sampler {
 // from the maximum in-degree (the largest position set pickPositions can
 // spill). Sizing everything here — instead of growing touched/perm ad
 // hoc inside the draw loop — is what makes the warm loop allocation-free
-// from the very first draw. SamplerPool rebinds its workers this way on
+// from the very first draw. samplerPool rebinds its workers this way on
 // every batch, so scratch survives across attempts, rounds, and
 // algorithms.
-func (s *Sampler) bind(res *graph.Residual, r *rng.RNG) {
+func (s *sampler) bind(res *graph.Residual, r *rng.RNG) {
 	s.res = res
 	s.r = r
 	n := res.FullN()
@@ -100,7 +84,7 @@ const jumpMaxP = 0.25
 // graphs runs appendFastIC instead (see appendSets). Under LT, each
 // visited node picks at most one in-parent; the uniform fast path inverts
 // the pick in O(1) instead of a linear prefix scan.
-func (s *Sampler) drawTouched() (root graph.NodeID, ok bool) {
+func (s *sampler) drawTouched() (root graph.NodeID, ok bool) {
 	alive := s.res.AliveList()
 	if len(alive) == 0 {
 		return 0, false
@@ -126,7 +110,7 @@ func (s *Sampler) drawTouched() (root graph.NodeID, ok bool) {
 // traverseFastLT runs the reverse walk under LT on a graph with compressed
 // in-probabilities: the prefix scan picks srcs[i] iff x lands in
 // [i·p, (i+1)·p), which inverts to one division per visit.
-func (s *Sampler) traverseFastLT(g *graph.Graph) {
+func (s *sampler) traverseFastLT(g *graph.Graph) {
 	for head := 0; head < len(s.touched); head++ {
 		v := s.touched[head]
 		srcs, p, _ := g.InNeighborsUniform(v)
@@ -141,9 +125,8 @@ func (s *Sampler) traverseFastLT(g *graph.Graph) {
 }
 
 // traverseRef is the per-edge reference traversal: used on mixed
-// in-probability graphs, for single IC draws (Draw), and by equivalence
-// tests on any graph.
-func (s *Sampler) traverseRef(g *graph.Graph) {
+// in-probability graphs and by equivalence tests on any graph.
+func (s *sampler) traverseRef(g *graph.Graph) {
 	for head := 0; head < len(s.touched); head++ {
 		v := s.touched[head]
 		srcs, ps := g.InNeighbors(v)
@@ -178,7 +161,7 @@ const maxRejectK = 8
 // pickPositions draws k distinct uniform positions in [0, d) from the
 // sampler's stream, appending to buf when it fits and spilling to the
 // perm scratch otherwise. The returned slice is valid until the next call.
-func (s *Sampler) pickPositions(d, k int, buf []int32) []int32 {
+func (s *sampler) pickPositions(d, k int, buf []int32) []int32 {
 	r := s.r
 	out := buf
 	if k > cap(out) || k >= d {
@@ -232,7 +215,7 @@ func (s *Sampler) pickPositions(d, k int, buf []int32) []int32 {
 
 // pushNode adds u to the RR set under construction if it is alive and not
 // yet visited.
-func (s *Sampler) pushNode(u graph.NodeID) {
+func (s *sampler) pushNode(u graph.NodeID) {
 	if s.visited[u] || (!s.skipAlive && !s.res.Alive(u)) {
 		return
 	}
@@ -240,33 +223,11 @@ func (s *Sampler) pushNode(u graph.NodeID) {
 	s.touched = append(s.touched, u)
 }
 
-// Draw samples one RR set into a freshly allocated RRSet. It returns nil
-// if no node is alive. Bulk generation should go through Generate /
-// AppendTo, which write into a Collection's arena without boxing.
-func (s *Sampler) Draw() *RRSet {
-	root, ok := s.drawTouched()
-	if !ok {
-		return nil
-	}
-	set := &RRSet{Root: root, Nodes: make([]graph.NodeID, len(s.touched))}
-	copy(set.Nodes, s.touched)
-	return set
-}
-
-// AppendTo draws up to count RR sets directly into c's arena, stopping
-// early if the residual empties. The requested count is recorded on c so
-// shortfalls stay observable.
-func (s *Sampler) AppendTo(c *Collection, count int) {
-	c.noteRequested(count)
-	c.noteVersion(s.res.Version())
-	s.appendSets(c, count)
-}
-
-// appendSets is the bulk draw loop behind AppendTo and every SamplerPool
-// worker: IC on compressed graphs runs appendFastIC, which hoists the
-// per-draw dispatch out of the hot path; every other case draws through
+// appendSets is the bulk draw loop of every samplerPool worker: IC on
+// compressed graphs runs appendFastIC, which hoists the per-draw
+// dispatch out of the hot path; every other case draws through
 // drawTouched.
-func (s *Sampler) appendSets(c *Collection, count int) {
+func (s *sampler) appendSets(c *Collection, count int) {
 	if meta, arena, thr, tabOff := s.res.Graph().InSamplerTables(); meta != nil && !s.noFast && s.model == cascade.IC {
 		s.appendFastIC(c, count, meta, arena, thr, tabOff)
 		return
@@ -298,7 +259,7 @@ func (s *Sampler) appendSets(c *Collection, count int) {
 // Arena.At, and larger counts resolve the run's tier once through
 // Arena.Run. TestFastICMatchesReferenceChiSquare checks the kernel
 // against the per-edge reference traversal.
-func (s *Sampler) appendFastIC(c *Collection, count int, meta []graph.InMeta, inArena graph.Arena[graph.NodeID], thr []uint32, tabOff []int32) {
+func (s *sampler) appendFastIC(c *Collection, count int, meta []graph.InMeta, inArena graph.Arena[graph.NodeID], thr []uint32, tabOff []int32) {
 	res := s.res
 	alive := res.AliveList()
 	if len(alive) == 0 {
@@ -445,14 +406,4 @@ func (s *Sampler) appendFastIC(c *Collection, count int, meta []graph.InMeta, in
 			s.touched = touched
 		}
 	}
-}
-
-// Generate draws theta RR sets into a new Collection. If the residual has
-// no alive nodes the collection holds fewer sets than requested; callers
-// must read Collection.Len() (Requested keeps the asked-for count) rather
-// than assume theta sets exist.
-func (s *Sampler) Generate(theta int) *Collection {
-	c := NewCollection(s.res.FullN())
-	s.AppendTo(c, theta)
-	return c
 }

@@ -25,13 +25,62 @@ func fig1Graph() *graph.Graph {
 	})
 }
 
+// rrSet is one boxed RR set — the form single-draw tests and reference
+// models hold sets in; collections store them unboxed.
+type rrSet struct {
+	Root  graph.NodeID
+	Nodes []graph.NodeID
+}
+
+// newSampler creates a lone sampler over res under model, drawing from r.
+func newSampler(res *graph.Residual, model cascade.Model, r *rng.RNG) *sampler {
+	s := &sampler{model: model}
+	s.bind(res, r)
+	return s
+}
+
+// newSamplerPool creates an empty pool drawing under model.
+func newSamplerPool(model cascade.Model) *samplerPool { return &samplerPool{model: model} }
+
+// draw samples one RR set into a fresh rrSet, or returns nil if no node
+// is alive. IC draws take the per-edge reference traversal.
+func (s *sampler) draw() *rrSet {
+	root, ok := s.drawTouched()
+	if !ok {
+		return nil
+	}
+	return &rrSet{Root: root, Nodes: append([]graph.NodeID(nil), s.touched...)}
+}
+
+// appendTo draws up to count RR sets into c with the bulk kernel, stopping
+// early if the residual empties.
+func (s *sampler) appendTo(c *Collection, count int) {
+	c.noteVersion(s.res.Version())
+	s.appendSets(c, count)
+}
+
+// generate draws theta RR sets into a new collection with the bulk kernel.
+func (s *sampler) generate(theta int) *Collection {
+	c := NewCollection(s.res.FullN())
+	s.appendTo(c, theta)
+	return c
+}
+
+// generate draws theta RR sets through the pool into a new collection —
+// the sets a fresh Batcher's first GrowTo draws.
+func (p *samplerPool) generate(res *graph.Residual, parent *rng.RNG, theta, workers int) *Collection {
+	c := NewCollection(res.FullN())
+	p.AppendParallel(c, res, parent, theta, workers)
+	return c
+}
+
 func TestDrawBasics(t *testing.T) {
 	g := fig1Graph()
-	s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(1))
+	s := newSampler(graph.NewResidual(g), cascade.IC, rng.New(1))
 	for i := 0; i < 100; i++ {
-		rr := s.Draw()
+		rr := s.draw()
 		if rr == nil {
-			t.Fatal("Draw returned nil on a live graph")
+			t.Fatal("draw returned nil on a live graph")
 		}
 		if len(rr.Nodes) == 0 {
 			t.Fatal("RR set is empty")
@@ -59,9 +108,9 @@ func TestDrawOnEmptyResidual(t *testing.T) {
 	for u := graph.NodeID(0); u < 7; u++ {
 		res.Remove(u)
 	}
-	s := NewSampler(res, cascade.IC, rng.New(1))
-	if rr := s.Draw(); rr != nil {
-		t.Fatalf("Draw on empty residual returned %+v", rr)
+	s := newSampler(res, cascade.IC, rng.New(1))
+	if rr := s.draw(); rr != nil {
+		t.Fatalf("draw on empty residual returned %+v", rr)
 	}
 }
 
@@ -69,9 +118,9 @@ func TestDrawExcludesDeadNodes(t *testing.T) {
 	g := fig1Graph()
 	res := graph.NewResidual(g)
 	res.Remove(2) // v3 dead
-	s := NewSampler(res, cascade.IC, rng.New(4))
+	s := newSampler(res, cascade.IC, rng.New(4))
 	for i := 0; i < 500; i++ {
-		rr := s.Draw()
+		rr := s.draw()
 		for _, u := range rr.Nodes {
 			if u == 2 {
 				t.Fatal("dead node appeared in an RR set")
@@ -85,11 +134,11 @@ func TestDrawRespectsResidualVersion(t *testing.T) {
 	// picked up on the next draw.
 	g := fig1Graph()
 	res := graph.NewResidual(g)
-	s := NewSampler(res, cascade.IC, rng.New(4))
-	_ = s.Draw()
+	s := newSampler(res, cascade.IC, rng.New(4))
+	_ = s.draw()
 	res.Remove(0)
 	for i := 0; i < 300; i++ {
-		rr := s.Draw()
+		rr := s.draw()
 		if rr.Root == 0 {
 			t.Fatal("sampled a dead root after removal")
 		}
@@ -108,9 +157,9 @@ func TestEstimatorUnbiasedChain(t *testing.T) {
 	g := graph.MustFromEdges(3, true, []graph.Edge{
 		{From: 0, To: 1, P: p1}, {From: 1, To: 2, P: p2},
 	})
-	s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(11))
+	s := newSampler(graph.NewResidual(g), cascade.IC, rng.New(11))
 	const theta = 300000
-	c := s.Generate(theta)
+	c := s.generate(theta)
 	got := EstimateSpread(c.Cov([]graph.NodeID{0}), c.Len(), g.N())
 	want := 1 + p1 + p1*p2
 	if math.Abs(got-want) > 0.02 {
@@ -121,8 +170,8 @@ func TestEstimatorUnbiasedChain(t *testing.T) {
 func TestEstimatorMatchesMonteCarloFig1(t *testing.T) {
 	g := fig1Graph()
 	res := graph.NewResidual(g)
-	s := NewSampler(res, cascade.IC, rng.New(21))
-	c := s.Generate(200000)
+	s := newSampler(res, cascade.IC, rng.New(21))
+	c := s.generate(200000)
 	for _, seed := range []graph.NodeID{0, 1, 5} {
 		est := EstimateSpread(c.Cov([]graph.NodeID{seed}), c.Len(), g.N())
 		mc := cascade.MonteCarloSpread(g, cascade.IC, []graph.NodeID{seed}, 100000, rng.New(22))
@@ -140,8 +189,8 @@ func TestEstimatorOnResidual(t *testing.T) {
 	})
 	res := graph.NewResidual(g)
 	res.Remove(0)
-	s := NewSampler(res, cascade.IC, rng.New(31))
-	c := s.Generate(20000)
+	s := newSampler(res, cascade.IC, rng.New(31))
+	c := s.generate(20000)
 	got := EstimateSpread(c.Cov([]graph.NodeID{1}), c.Len(), res.N())
 	if math.Abs(got-2) > 0.05 {
 		t.Fatalf("residual RIS estimate %.3f, want 2", got)
@@ -153,8 +202,8 @@ func TestLTSamplerUnbiased(t *testing.T) {
 	g := graph.MustFromEdges(3, true, []graph.Edge{
 		{From: 0, To: 2, P: 0.5}, {From: 1, To: 2, P: 0.25},
 	})
-	s := NewSampler(graph.NewResidual(g), cascade.LT, rng.New(41))
-	c := s.Generate(200000)
+	s := newSampler(graph.NewResidual(g), cascade.LT, rng.New(41))
+	c := s.generate(200000)
 	got := EstimateSpread(c.Cov([]graph.NodeID{0}), c.Len(), g.N())
 	mc := cascade.MonteCarloSpread(g, cascade.LT, []graph.NodeID{0}, 100000, rng.New(42))
 	if math.Abs(got-1.5) > 0.02 || math.Abs(mc-1.5) > 0.02 {
@@ -164,8 +213,8 @@ func TestLTSamplerUnbiased(t *testing.T) {
 
 func TestCovBruteForceProperty(t *testing.T) {
 	g := fig1Graph()
-	s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(51))
-	c := s.Generate(500)
+	s := newSampler(graph.NewResidual(g), cascade.IC, rng.New(51))
+	c := s.generate(500)
 	f := func(mask uint8) bool {
 		var set []graph.NodeID
 		for u := 0; u < 7; u++ {
@@ -197,8 +246,8 @@ func TestCovBruteForceProperty(t *testing.T) {
 
 func TestMarksIncrementalMatchesCov(t *testing.T) {
 	g := fig1Graph()
-	s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(61))
-	c := s.Generate(2000)
+	s := newSampler(graph.NewResidual(g), cascade.IC, rng.New(61))
+	c := s.generate(2000)
 	m := c.NewMarks()
 	var acc []graph.NodeID
 	for _, u := range []graph.NodeID{1, 5, 0, 3} {
@@ -220,8 +269,8 @@ func TestMarksIncrementalMatchesCov(t *testing.T) {
 
 func TestGreedyMaxCoverage(t *testing.T) {
 	g := fig1Graph()
-	s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(81))
-	c := s.Generate(5000)
+	s := newSampler(graph.NewResidual(g), cascade.IC, rng.New(81))
+	c := s.generate(5000)
 	all := []graph.NodeID{0, 1, 2, 3, 4, 5, 6}
 	chosen, cum := c.GreedyMaxCoverage(all, 3)
 	if len(chosen) == 0 || len(chosen) != len(cum) {
@@ -249,7 +298,7 @@ func TestGreedyMaxCoverage(t *testing.T) {
 func TestGreedyMaxCoverageStopsWhenSaturated(t *testing.T) {
 	// Single RR set; after one pick nothing can add coverage.
 	c := NewCollection(3)
-	c.Add(&RRSet{Root: 0, Nodes: []graph.NodeID{0, 1}})
+	c.AddSet(0, []graph.NodeID{0, 1})
 	chosen, _ := c.GreedyMaxCoverage([]graph.NodeID{0, 1, 2}, 3)
 	if len(chosen) != 1 {
 		t.Fatalf("chose %v, want exactly one node", chosen)
@@ -258,7 +307,7 @@ func TestGreedyMaxCoverageStopsWhenSaturated(t *testing.T) {
 
 func TestGreedyDeterministicTieBreak(t *testing.T) {
 	c := NewCollection(3)
-	c.Add(&RRSet{Root: 0, Nodes: []graph.NodeID{0, 1, 2}})
+	c.AddSet(0, []graph.NodeID{0, 1, 2})
 	for i := 0; i < 20; i++ {
 		chosen, _ := c.GreedyMaxCoverage([]graph.NodeID{2, 1, 0}, 1)
 		if len(chosen) != 1 || chosen[0] != 0 {
@@ -270,15 +319,15 @@ func TestGreedyDeterministicTieBreak(t *testing.T) {
 func TestGenerateParallelDeterministic(t *testing.T) {
 	g := fig1Graph()
 	res := graph.NewResidual(g)
-	a := NewSamplerPool(cascade.IC).Generate(res, rng.New(90), 1000, 4)
-	b := NewSamplerPool(cascade.IC).Generate(res, rng.New(90), 1000, 4)
+	a := newSamplerPool(cascade.IC).generate(res, rng.New(90), 1000, 4)
+	b := newSamplerPool(cascade.IC).generate(res, rng.New(90), 1000, 4)
 	sameSets(t, "same seed, fresh pools", a, b)
 }
 
 func TestGenerateParallelCountAndEstimate(t *testing.T) {
 	g := fig1Graph()
 	res := graph.NewResidual(g)
-	c := NewSamplerPool(cascade.IC).Generate(res, rng.New(91), 50000, 0)
+	c := newSamplerPool(cascade.IC).generate(res, rng.New(91), 50000, 0)
 	if c.Len() != 50000 {
 		t.Fatalf("generated %d sets, want 50000", c.Len())
 	}
@@ -296,32 +345,41 @@ func TestEstimateSpreadZeroTheta(t *testing.T) {
 }
 
 func TestGenerateShortfallSurfaced(t *testing.T) {
-	// Empty residual: every draw fails, so the collection must report the
-	// full shortfall instead of silently holding fewer sets.
+	// Empty residual: every draw fails, so the batcher must report the
+	// full shortfall instead of silently holding fewer sets — on one
+	// worker and on several.
 	g := fig1Graph()
 	res := graph.NewResidual(g)
 	for u := graph.NodeID(0); u < 7; u++ {
 		res.Remove(u)
 	}
-	s := NewSampler(res, cascade.IC, rng.New(1))
-	c := s.Generate(100)
-	if c.Len() != 0 || c.Requested() != 100 {
-		t.Fatalf("len=%d requested=%d, want 0/100", c.Len(), c.Requested())
-	}
-	full := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(1)).Generate(100)
-	if full.Len() != 100 || full.Requested() != 100 {
-		t.Fatalf("live graph holds %d of %d requested", full.Len(), full.Requested())
-	}
-	par := NewSamplerPool(cascade.IC).Generate(res, rng.New(2), 64, 4)
-	if par.Len() != 0 || par.Requested() != 64 {
-		t.Fatalf("parallel len=%d requested=%d, want 0/64", par.Len(), par.Requested())
+	for _, tc := range []struct {
+		name           string
+		res            *graph.Residual
+		seed           uint64
+		theta, workers int
+		held           int
+	}{
+		{"empty", res, 1, 100, 1, 0},
+		{"live graph", graph.NewResidual(g), 1, 100, 1, 100},
+		{"parallel", res, 2, 64, 4, 0},
+	} {
+		b := NewBatcher(cascade.IC)
+		n, err := b.GrowTo(tc.res, rng.New(tc.seed), tc.theta, tc.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := b.Stats(); n != tc.held || st.RRDrawn != int64(tc.held) || st.RRRequested != int64(tc.theta) {
+			t.Fatalf("%s: len=%d drawn=%d requested=%d, want %d/%d/%d",
+				tc.name, n, st.RRDrawn, st.RRRequested, tc.held, tc.held, tc.theta)
+		}
 	}
 }
 
 func TestMarksResetReusable(t *testing.T) {
 	g := fig1Graph()
-	s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(61))
-	c := s.Generate(2000)
+	s := newSampler(graph.NewResidual(g), cascade.IC, rng.New(61))
+	c := s.generate(2000)
 	m := c.NewMarks()
 	want := c.Cov([]graph.NodeID{1, 5})
 	for i := 0; i < 3; i++ {
@@ -333,7 +391,7 @@ func TestMarksResetReusable(t *testing.T) {
 	}
 	// Marks created before more sets are added must grow on Reset.
 	early := c.NewMarks()
-	c.Add(&RRSet{Root: 0, Nodes: []graph.NodeID{0}})
+	c.AddSet(0, []graph.NodeID{0})
 	early.Reset()
 	if got := early.Cover(0); got != len(c.SetsContaining(0)) {
 		t.Fatalf("grown marks covered %d, want %d", got, len(c.SetsContaining(0)))

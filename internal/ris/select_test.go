@@ -50,7 +50,7 @@ func TestGreedyMaxCoverageMatchesPlainGreedy(t *testing.T) {
 		c := randomCollection(r, tc.n, tc.sets, tc.maxLen)
 		leg := newLegacy(tc.n)
 		for i := 0; i < c.Len(); i++ {
-			leg.add(&RRSet{Root: c.Root(i), Nodes: c.SetNodes(i)})
+			leg.add(&rrSet{Root: c.Root(i), Nodes: c.SetNodes(i)})
 		}
 		candidates := make([]graph.NodeID, tc.n)
 		for i := range candidates {
@@ -116,7 +116,7 @@ func TestBuildIndexMatchesBruteForce(t *testing.T) {
 func BenchmarkGreedyMaxCoverage(b *testing.B) {
 	g := benchGraph(b)
 	res := graph.NewResidual(g)
-	c := NewSamplerPool(cascade.IC).Generate(res, rng.New(3), 120_000, 0)
+	c := newSamplerPool(cascade.IC).generate(res, rng.New(3), 120_000, 0)
 	candidates := make([]graph.NodeID, g.N())
 	for i := range candidates {
 		candidates[i] = graph.NodeID(i)

@@ -7,17 +7,15 @@ import (
 )
 
 // CollectionState is the serializable snapshot of a Collection: the CSR
-// arena, per-set offsets, roots, the residual version the sets are valid
-// for, and the requested-draw counter. The inverted index and the
-// attached Coverage counts are deliberately absent — each is a pure
-// function of the sets, so restore rebuilds them instead of trusting 2×
-// the bytes on disk.
+// arena, per-set offsets, roots, and the residual version the sets are
+// valid for. The inverted index and the attached Coverage counts are
+// deliberately absent — each is a pure function of the sets, so restore
+// rebuilds them instead of trusting 2× the bytes on disk.
 type CollectionState struct {
-	Arena     []graph.NodeID
-	Offsets   []int32
-	Roots     []graph.NodeID
-	Version   int64
-	Requested int
+	Arena   []graph.NodeID
+	Offsets []int32
+	Roots   []graph.NodeID
+	Version int64
 }
 
 // State captures the collection's snapshot without copying: like
@@ -26,11 +24,10 @@ type CollectionState struct {
 // Encoders serialize them straight away.
 func (c *Collection) State() CollectionState {
 	return CollectionState{
-		Arena:     c.arena,
-		Offsets:   c.offsets,
-		Roots:     c.roots,
-		Version:   c.version,
-		Requested: c.requested,
+		Arena:   c.arena,
+		Offsets: c.offsets,
+		Roots:   c.roots,
+		Version: c.version,
 	}
 }
 
@@ -71,7 +68,6 @@ func (c *Collection) RestoreState(st CollectionState) error {
 	c.offsets = append(c.offsets[:0], st.Offsets...)
 	c.roots = append(c.roots[:0], st.Roots...)
 	c.version = st.Version
-	c.requested = st.Requested
 	c.invValid = false
 	if c.coverage != nil {
 		c.coverage.reset()
@@ -80,36 +76,20 @@ func (c *Collection) RestoreState(st CollectionState) error {
 }
 
 // BatcherState is the serializable snapshot of a Batcher: the collection
-// plus the sampling accounting a resumed run must continue from so its
-// final telemetry matches the uninterrupted run's. The sampler pool itself
-// is stateless between batches (worker streams are reseeded from the
-// caller's RNG on every call), so it needs no snapshot.
+// plus the Stats a resumed run must continue from so its final telemetry
+// matches the uninterrupted run's. The sampler pool itself is stateless
+// between batches (worker streams are reseeded from the caller's RNG on
+// every call), so it needs no snapshot.
 type BatcherState struct {
-	Col         CollectionState
-	HasCol      bool
-	Drawn       int64
-	Requested   int64
-	Reused      int64
-	PeakBytes   int64
-	Batches     int
-	Visits      int64
-	EdgeTouches int64
+	Col    CollectionState
+	HasCol bool
+	Stats  Stats
 }
 
 // State captures the batcher's snapshot; the collection part aliases the
-// live collection exactly as Collection.State does. SamplingNS is
-// deliberately not captured: it is wall-clock telemetry, meaningless
-// across process boundaries.
+// live collection exactly as Collection.State does.
 func (b *Batcher) State() BatcherState {
-	st := BatcherState{
-		Drawn:       b.drawn,
-		Requested:   b.requested,
-		Reused:      b.reused,
-		PeakBytes:   b.peakBytes,
-		Batches:     b.batches,
-		Visits:      b.visits,
-		EdgeTouches: b.edgeTouches,
-	}
+	st := BatcherState{Stats: b.stats}
 	if b.col != nil {
 		st.HasCol = true
 		st.Col = b.col.State()
@@ -122,16 +102,11 @@ func (b *Batcher) State() BatcherState {
 // FullN); it sizes the collection and coverage tracker when the batcher
 // has never drawn. The reuse setting is not part of the state — callers
 // call SetReuse before restoring, exactly as they would before a fresh
-// run.
+// run. Stats.SamplingNS restarts at zero: it is wall-clock telemetry,
+// meaningless across process boundaries.
 func (b *Batcher) RestoreState(st BatcherState, fullN int) error {
-	b.drawn = st.Drawn
-	b.requested = st.Requested
-	b.reused = st.Reused
-	b.peakBytes = st.PeakBytes
-	b.samplingNS = 0
-	b.batches = st.Batches
-	b.visits = st.Visits
-	b.edgeTouches = st.EdgeTouches
+	b.stats = st.Stats
+	b.stats.SamplingNS = 0
 	if !st.HasCol {
 		if b.col != nil {
 			b.col.Reset()

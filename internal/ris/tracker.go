@@ -64,32 +64,73 @@ func (cov *Coverage) reset() {
 	cov.seen = 0
 }
 
-// Batcher owns the draw/filter/top-up cycle every RR-consuming run shares:
-// a persistent SamplerPool, one Collection reused across batches and
-// residual versions with its Coverage tracker, and the sampling
-// accounting (drawn / requested / reused / peak bytes / wall time /
-// batches / visits / edge touches) that runs report. The adaptive
-// sampling stepper (both policies), ADG's sampled rounds and IMM's θ
-// search all draw through a Batcher instead of hand-rolling the same
-// loop. One-shot selections (nonadaptive greedy, imm.SpreadLowerBound)
-// draw through SamplerPool.Generate instead.
+// Stats is the record of a Batcher's sampling work since it was created
+// or Reset (carried over by RestoreState): the one value runs report,
+// reports sum and checkpoints carry. Its JSON names are those of run
+// results and benchmark rows. Every field but SamplingNS is
+// deterministic for a fixed seed.
+type Stats struct {
+	// RRDrawn counts RR sets generated; RRRequested the sets asked of the
+	// pool. RRRequested > RRDrawn means some draws hit an empty residual,
+	// which weakens the concentration guarantee the count was sized for.
+	RRDrawn     int64 `json:"rr_drawn"`
+	RRRequested int64 `json:"rr_requested"`
+	// RRReused counts draws avoided by reuse: the sets Sync carried across
+	// residual versions plus the survivors of each Invalidate.
+	RRReused int64 `json:"rr_reused"`
+	// RRPeakBytes is the largest Collection.Bytes seen (arena, offsets,
+	// roots and inverted index).
+	RRPeakBytes int64 `json:"rr_peak_bytes"`
+	// SamplingNS is the wall time spent inside draws; RRDrawn/SamplingNS
+	// is the RR throughput.
+	SamplingNS int64 `json:"sampling_ns"`
+	// RRVisits and RREdgeTouches count node visits and in-adjacency
+	// entries read while expanding RR sets — the exact work counters
+	// behind the bytes-per-edge-touch traffic model in the benchmark
+	// tables (each visit reads one 16-byte metadata entry and one
+	// visited-mask byte; each touch one 4-byte adjacency word).
+	RRVisits      int64 `json:"rr_visits"`
+	RREdgeTouches int64 `json:"rr_edge_touches"`
+	// RRBatches counts pool invocations (GrowTo calls that drew).
+	RRBatches int `json:"rr_batches"`
+}
+
+// Add folds o into s: every counter adds up, RRPeakBytes takes the
+// larger of the two.
+func (s *Stats) Add(o Stats) {
+	s.RRDrawn += o.RRDrawn
+	s.RRRequested += o.RRRequested
+	s.RRReused += o.RRReused
+	s.RRPeakBytes = max(s.RRPeakBytes, o.RRPeakBytes)
+	s.SamplingNS += o.SamplingNS
+	s.RRVisits += o.RRVisits
+	s.RREdgeTouches += o.RREdgeTouches
+	s.RRBatches += o.RRBatches
+}
+
+// Batcher is the one way to draw RR sets. It owns the draw/filter/top-up
+// cycle every RR-consuming run shares: a persistent samplerPool, one
+// Collection reused across batches and residual versions with its
+// Coverage tracker, and the Stats that runs report. The adaptive
+// sampling stepper (both policies), ADG's sampled rounds, IMM's θ search
+// and the one-shot draws of the nonadaptive greedy and
+// imm.SpreadLowerBound all draw through a Batcher. Its draws depend on
+// the parent stream and the counts only (see GrowTo), so a one-shot
+// draw through a fresh Batcher is reproducible at any worker count.
 type Batcher struct {
 	model cascade.Model
-	pool  *SamplerPool
+	pool  *samplerPool
 	col   *Collection
 	cov   *Coverage
 	reuse bool
-
-	drawn, requested, reused, peakBytes, samplingNS int64
-	visits, edgeTouches                             int64
-	batches                                         int
+	stats Stats
 }
 
 // NewBatcher creates a batcher drawing under the given model. Cross-version
 // reuse is on by default; SetReuse(false) makes Sync regenerate from
 // scratch instead of validity-filtering.
 func NewBatcher(model cascade.Model) *Batcher {
-	return &Batcher{model: model, pool: NewSamplerPool(model), reuse: true}
+	return &Batcher{model: model, pool: &samplerPool{model: model}, reuse: true}
 }
 
 // Model returns the diffusion model the batcher draws under. Warm-reuse
@@ -101,9 +142,10 @@ func (b *Batcher) Model() cascade.Model { return b.model }
 // kept sets deviate from fresh draws).
 func (b *Batcher) SetReuse(on bool) { b.reuse = on }
 
-// SetInterrupt installs a cancellation poll on the underlying sampler
-// pool: GrowTo batches abort mid-draw when it returns an error (see
-// SamplerPool.SetInterrupt). nil removes it.
+// SetInterrupt installs (or, with nil, removes) a cancellation poll for
+// future GrowTo batches: it is polled before every chunk of 64 draws, by
+// every worker, so it must be safe for concurrent use; a non-nil return
+// aborts the batch, and GrowTo returns that error.
 func (b *Batcher) SetInterrupt(f func() error) { b.pool.SetInterrupt(f) }
 
 // Reset returns the batcher to its freshly constructed state while keeping
@@ -119,9 +161,7 @@ func (b *Batcher) Reset() {
 		b.col.Reset()
 	}
 	b.pool.SetInterrupt(nil)
-	b.drawn, b.requested, b.reused, b.peakBytes, b.samplingNS = 0, 0, 0, 0, 0
-	b.visits, b.edgeTouches = 0, 0
-	b.batches = 0
+	b.stats = Stats{}
 }
 
 // ensureCol creates the collection and attaches its coverage tracker on
@@ -147,7 +187,7 @@ func (b *Batcher) Sync(res *graph.Residual) int {
 		return 0
 	}
 	kept := c.Filter(res)
-	b.reused += int64(kept)
+	b.stats.RRReused += int64(kept)
 	return kept
 }
 
@@ -162,7 +202,7 @@ func (b *Batcher) Invalidate(touched []graph.NodeID) int {
 		return 0
 	}
 	kept := b.col.InvalidateTouching(touched)
-	b.reused += int64(kept)
+	b.stats.RRReused += int64(kept)
 	return kept
 }
 
@@ -189,18 +229,18 @@ func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers i
 		visits, touches := b.pool.Visits(), b.pool.EdgeTouches()
 		start := time.Now()
 		b.pool.AppendParallel(c, res, parent, shortfall, workers)
-		b.samplingNS += time.Since(start).Nanoseconds()
-		b.visits += int64(b.pool.Visits() - visits)
-		b.edgeTouches += int64(b.pool.EdgeTouches() - touches)
-		b.drawn += int64(c.Len() - before)
-		b.requested += int64(shortfall)
-		b.batches++
+		b.stats.SamplingNS += time.Since(start).Nanoseconds()
+		b.stats.RRVisits += int64(b.pool.Visits() - visits)
+		b.stats.RREdgeTouches += int64(b.pool.EdgeTouches() - touches)
+		b.stats.RRDrawn += int64(c.Len() - before)
+		b.stats.RRRequested += int64(shortfall)
+		b.stats.RRBatches++
 		if err := b.pool.Err(); err != nil {
 			return c.Len(), err
 		}
 	}
-	if bytes := c.Bytes(); bytes > b.peakBytes {
-		b.peakBytes = bytes
+	if bytes := c.Bytes(); bytes > b.stats.RRPeakBytes {
+		b.stats.RRPeakBytes = bytes
 	}
 	return c.Len(), nil
 }
@@ -226,18 +266,6 @@ func (b *Batcher) Len() int {
 	return b.col.Len()
 }
 
-// Accounting: totals since the batcher was created.
-func (b *Batcher) Drawn() int64      { return b.drawn }     // RR sets generated
-func (b *Batcher) Requested() int64  { return b.requested } // RR sets asked of the pool
-func (b *Batcher) Reused() int64     { return b.reused }    // sets carried across versions by Sync
-func (b *Batcher) PeakBytes() int64  { return b.peakBytes } // max Collection.Bytes seen
-func (b *Batcher) SamplingNS() int64 { return b.samplingNS }
-func (b *Batcher) Batches() int      { return b.batches } // generator invocations
-
-// Bandwidth accounting: node visits and in-adjacency entries the pool
-// read across every GrowTo since the batcher was created or Reset (and
-// carried over by RestoreState). Together with SamplingNS they yield the
-// bytes/edge-touch measurement in the benchmark tables (each visit loads
-// one 16-byte metadata entry, each edge touch one 4-byte adjacency word).
-func (b *Batcher) Visits() int64      { return b.visits }
-func (b *Batcher) EdgeTouches() int64 { return b.edgeTouches }
+// Stats returns the sampling accounting since the batcher was created or
+// Reset.
+func (b *Batcher) Stats() Stats { return b.stats }

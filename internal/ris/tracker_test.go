@@ -34,7 +34,7 @@ func checkCoverageMatchesIndex(t *testing.T, c *Collection, cov *Coverage, where
 func TestCoverageTracksAppendsFiltersResets(t *testing.T) {
 	g := wcTestGraph(t)
 	res := graph.NewResidual(g)
-	pool := NewSamplerPool(cascade.IC)
+	pool := newSamplerPool(cascade.IC)
 	parent := rng.New(41)
 	c := NewCollection(res.FullN())
 	pool.AppendParallel(c, res, parent, 200, 2)
@@ -105,33 +105,33 @@ func TestBatcherAccountingAndReuse(t *testing.T) {
 	if n, err := b.GrowTo(res, parent, 500, 2); n != 500 || err != nil {
 		t.Fatalf("GrowTo returned %d, %v, want 500, nil", n, err)
 	}
-	if b.Drawn() != 500 || b.Requested() != 500 || b.Batches() != 1 || b.Reused() != 0 {
+	if st := b.Stats(); st.RRDrawn != 500 || st.RRRequested != 500 || st.RRBatches != 1 || st.RRReused != 0 {
 		t.Fatalf("fresh grow accounting drawn=%d requested=%d batches=%d reused=%d",
-			b.Drawn(), b.Requested(), b.Batches(), b.Reused())
+			st.RRDrawn, st.RRRequested, st.RRBatches, st.RRReused)
 	}
 	// Growing to a target at or below Len draws nothing.
-	if _, _ = b.GrowTo(res, parent, 400, 2); b.Drawn() != 500 || b.Batches() != 1 {
-		t.Fatalf("no-op grow drew sets: drawn=%d batches=%d", b.Drawn(), b.Batches())
+	if _, _ = b.GrowTo(res, parent, 400, 2); b.Stats().RRDrawn != 500 || b.Stats().RRBatches != 1 {
+		t.Fatalf("no-op grow drew sets: drawn=%d batches=%d", b.Stats().RRDrawn, b.Stats().RRBatches)
 	}
 	res.Remove(3)
 	kept := b.Sync(res)
 	if kept <= 0 || kept >= 500 {
 		t.Fatalf("Sync kept %d of 500 after removing a hub-adjacent node", kept)
 	}
-	if b.Reused() != int64(kept) {
-		t.Fatalf("reused %d, want %d", b.Reused(), kept)
+	if b.Stats().RRReused != int64(kept) {
+		t.Fatalf("reused %d, want %d", b.Stats().RRReused, kept)
 	}
 	b.GrowTo(res, parent, 500, 2)
-	if b.Len() != 500 || b.Drawn() != int64(500+500-kept) {
-		t.Fatalf("top-up len=%d drawn=%d (kept=%d)", b.Len(), b.Drawn(), kept)
+	if b.Len() != 500 || b.Stats().RRDrawn != int64(500+500-kept) {
+		t.Fatalf("top-up len=%d drawn=%d (kept=%d)", b.Len(), b.Stats().RRDrawn, kept)
 	}
 	for u := graph.NodeID(0); u < graph.NodeID(g.N()); u++ {
 		if got, want := b.Count(u), b.Collection().CountContaining(u); got != want {
 			t.Fatalf("after top-up: Count(%d) = %d, index says %d", u, got, want)
 		}
 	}
-	if b.PeakBytes() <= 0 || b.SamplingNS() < 0 {
-		t.Fatalf("degenerate accounting peak=%d ns=%d", b.PeakBytes(), b.SamplingNS())
+	if st := b.Stats(); st.RRPeakBytes <= 0 || st.SamplingNS < 0 {
+		t.Fatalf("degenerate accounting peak=%d ns=%d", st.RRPeakBytes, st.SamplingNS)
 	}
 
 	// Reuse off: Sync resets, keeps nothing, reuses nothing.
@@ -141,8 +141,8 @@ func TestBatcherAccountingAndReuse(t *testing.T) {
 	res2 := graph.NewResidual(g)
 	b2.GrowTo(res2, parent2, 300, 2)
 	res2.Remove(3)
-	if kept := b2.Sync(res2); kept != 0 || b2.Reused() != 0 || b2.Len() != 0 {
-		t.Fatalf("no-reuse Sync kept=%d reused=%d len=%d", kept, b2.Reused(), b2.Len())
+	if kept := b2.Sync(res2); kept != 0 || b2.Stats().RRReused != 0 || b2.Len() != 0 {
+		t.Fatalf("no-reuse Sync kept=%d reused=%d len=%d", kept, b2.Stats().RRReused, b2.Len())
 	}
 }
 

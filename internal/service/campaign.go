@@ -21,6 +21,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/ris"
 	"repro/internal/rng"
 	"repro/internal/sweep"
@@ -60,9 +61,9 @@ type Campaign struct {
 	// m plus the pre-resolved traffic handles and last-published batcher
 	// readings make the per-step instrumentation epilogue allocation-free.
 	// m is nil on campaigns opened from a bare (unattached) registry.
-	m                                              *Metrics
-	traf                                           trafficCounters
-	lastDrawn, lastReused, lastVisits, lastTouches int64
+	m    *Metrics
+	traf trafficCounters
+	last ris.Stats
 }
 
 // Campaign lifecycle phases, as stored in Campaign.state.
@@ -78,23 +79,6 @@ const (
 func derivedPrepared(base *sweep.Prepared, sess *adaptive.Session) *sweep.Prepared {
 	inst := sess.Instance()
 	return &sweep.Prepared{G: inst.G, DS: base.DS, Inst: inst, ImmRes: base.ImmRes, SetupMS: base.SetupMS}
-}
-
-// optsFromSpec mirrors sweep.Execute's RunOptions construction, so a
-// served campaign runs under exactly the parameters a `repro run` with
-// the same spec would.
-func optsFromSpec(spec *sweep.Spec) adaptive.RunOptions {
-	return adaptive.RunOptions{
-		Sampling: adaptive.SamplingOptions{
-			Policy:  spec.Sampler,
-			Zeta:    spec.Zeta,
-			Eps:     spec.Eps,
-			Delta:   spec.Delta,
-			Workers: spec.Workers,
-		},
-		ADGTheta: spec.ADGTheta,
-		NSGTheta: spec.NSGTheta,
-	}
 }
 
 // StartCampaign acquires key's instance and opens a session for algo.
@@ -131,7 +115,7 @@ func (r *Registry) openCampaign(inst *Instance, id string, key Key, algo string,
 		return nil, err
 	}
 	spec := r.Spec()
-	opts := optsFromSpec(&spec)
+	opts := spec.RunOptions()
 	opts.Batcher = b
 
 	root := rng.New(seed)
@@ -244,25 +228,21 @@ func (c *Campaign) finishStep(start time.Time) {
 // monotone between campaign checkouts (CheckoutBatcher resets them), so
 // the deltas are non-negative and four atomic adds suffice.
 func (c *Campaign) publishTraffic() {
-	b := c.batcher
-	if b == nil || c.traf.drawn == nil {
+	if c.batcher == nil || c.traf.drawn == nil {
 		return
 	}
-	if v := b.Drawn(); v > c.lastDrawn {
-		c.traf.drawn.Add(v - c.lastDrawn)
-		c.lastDrawn = v
-	}
-	if v := b.Reused(); v > c.lastReused {
-		c.traf.reused.Add(v - c.lastReused)
-		c.lastReused = v
-	}
-	if v := b.Visits(); v > c.lastVisits {
-		c.traf.visits.Add(v - c.lastVisits)
-		c.lastVisits = v
-	}
-	if v := b.EdgeTouches(); v > c.lastTouches {
-		c.traf.touches.Add(v - c.lastTouches)
-		c.lastTouches = v
+	st := c.batcher.Stats()
+	publish(c.traf.drawn, st.RRDrawn, &c.last.RRDrawn)
+	publish(c.traf.reused, st.RRReused, &c.last.RRReused)
+	publish(c.traf.visits, st.RRVisits, &c.last.RRVisits)
+	publish(c.traf.touches, st.RREdgeTouches, &c.last.RREdgeTouches)
+}
+
+// publish adds a reading's advance past *last to ctr and records it.
+func publish(ctr *obs.Counter, v int64, last *int64) {
+	if v > *last {
+		ctr.Add(v - *last)
+		*last = v
 	}
 }
 

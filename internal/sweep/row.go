@@ -49,7 +49,7 @@ type Row struct {
 	// (node visits and in-edge examinations across all realizations);
 	// together they give the bytes-per-edge-touch traffic model:
 	// (4·touches + 17·visits) / touches. Deterministic for a fixed seed;
-	// zero for exact-oracle and one-shot nonadaptive cells.
+	// zero for exact-oracle and all-targets cells.
 	RRVisits      int64 `json:"rr_visits"`
 	RREdgeTouches int64 `json:"rr_edge_touches"`
 	Fallbacks     int   `json:"fallbacks"`
@@ -162,18 +162,8 @@ func Execute(spec *Spec, p *Prepared, cell Cell, interrupt func() error) (*Row, 
 	if err != nil {
 		return nil, err
 	}
-	opts := adaptive.RunOptions{
-		Sampling: adaptive.SamplingOptions{
-			Policy:  spec.Sampler,
-			Zeta:    spec.Zeta,
-			Eps:     spec.Eps,
-			Delta:   spec.Delta,
-			Workers: spec.Workers,
-		},
-		ADGTheta:  spec.ADGTheta,
-		NSGTheta:  spec.NSGTheta,
-		Interrupt: interrupt,
-	}
+	opts := spec.RunOptions()
+	opts.Interrupt = interrupt
 	var rep *adaptive.Report
 	var churn string
 	var mutations int

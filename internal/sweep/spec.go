@@ -57,7 +57,7 @@ type Spec struct {
 	// CellBudgetMS is the per-cell wall-clock budget in milliseconds;
 	// 0 means unbounded. The budget is polled between realizations, before
 	// every session round, and inside the RR draw loops every interrupt
-	// stride (ris.SamplerPool.SetInterrupt), so a cell overruns by at most
+	// stride (ris.Batcher.SetInterrupt), so a cell overruns by at most
 	// a stride of RR draws even mid-batch; a cell that trips it is
 	// journaled as failed and retried on resume.
 	CellBudgetMS int64 `json:"cell_budget_ms,omitempty"`
@@ -134,6 +134,22 @@ func (s *Spec) SetDefaults() {
 	}
 	if s.Sampler == "" {
 		s.Sampler = adaptive.PolicySequential
+	}
+}
+
+// RunOptions returns the options every run of this spec's cells uses: a
+// sweep cell, `repro run`, and a campaign the service starts on it.
+func (s *Spec) RunOptions() adaptive.RunOptions {
+	return adaptive.RunOptions{
+		Sampling: adaptive.SamplingOptions{
+			Policy:  s.Sampler,
+			Zeta:    s.Zeta,
+			Eps:     s.Eps,
+			Delta:   s.Delta,
+			Workers: s.Workers,
+		},
+		ADGTheta: s.ADGTheta,
+		NSGTheta: s.NSGTheta,
 	}
 }
 
