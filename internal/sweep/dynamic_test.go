@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -128,5 +129,27 @@ func TestSweepChurnGrid(t *testing.T) {
 	}
 	if res.Skipped != 4 || len(res.Rows) != 0 {
 		t.Fatalf("resume reran cells: skipped %d, rows %d", res.Skipped, len(res.Rows))
+	}
+}
+
+// TestChurnGridGolden pins the values of churn cells, not only their
+// determinism: a tiny IC+LT grid over the adaptive policies, ADG and
+// all-targets, static and churning every round, must canonicalize to the
+// committed journal byte for byte. A change to how a temporal cell
+// drives its realizations, draws its deltas or re-homes its world shows
+// up here as a diff.
+func TestChurnGridGolden(t *testing.T) {
+	spec := tinySpec()
+	spec.Algos = []string{"adg", "addatp", "hatp", "all-targets"}
+	spec.Churns = []string{"none", "2@1"}
+	path := filepath.Join(t.TempDir(), "SWEEP_churn.jsonl")
+	runToJournal(t, spec, path)
+	got := canonicalBytes(t, path)
+	want, err := os.ReadFile(filepath.Join("testdata", "SWEEP_churn_golden.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("churn grid diverged from the golden journal:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
