@@ -66,14 +66,10 @@ func cmdBench(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := checkSpecFlags(&spec); err != nil {
-		return err
-	}
 	spec.Datasets = splitList(*datasets, sweep.AllDatasets())
 	spec.Algos = splitList(*algos, adaptive.Algorithms)
 	spec.CostSettings = splitList(*costs, sweep.AllCostSettings)
 	spec.Models = []string{*model}
-	spec.SetDefaults()
 	if err := spec.Validate(); err != nil {
 		return err
 	}

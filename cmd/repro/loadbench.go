@@ -76,9 +76,6 @@ func cmdLoadBench(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := checkSpecFlags(&spec); err != nil {
-		return err
-	}
 	if *clients <= 0 {
 		return fmt.Errorf("loadbench: clients must be positive, got %d", *clients)
 	}
@@ -92,7 +89,6 @@ func cmdLoadBench(args []string) error {
 	spec.Models = []string{*model}
 	spec.CostSettings = []string{*costName}
 	spec.Algos = []string{*algo}
-	spec.SetDefaults()
 	if err := spec.Validate(); err != nil {
 		return err
 	}

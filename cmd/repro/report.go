@@ -227,12 +227,7 @@ var reportMetrics = []metric{
 			"policies only; — for oracle/nonadaptive algorithms.",
 		cell: func(r *resultRow) string {
 			if r.Attempts == 0 {
-				if r.Fallbacks == 0 {
-					return "—"
-				}
-				// Rows written before the telemetry columns existed carry
-				// only the fallback count.
-				return fmt.Sprintf("%d fallbacks", r.Fallbacks)
+				return "—"
 			}
 			return fmt.Sprintf("%d looks · %d batches · %d early · %d fallbacks",
 				r.Attempts, r.RRBatches, r.CertifiedEarly, r.Fallbacks)
@@ -316,21 +311,14 @@ func mergeSections(benches []*benchOutput) []*reportSection {
 			byKey[key] = sec
 			sections = append(sections, sec)
 		}
-		bm := benchModels(bench)
-		sec.models = appendUnique(sec.models, bm...)
+		sec.models = appendUnique(sec.models, benchModels(bench)...)
 		sec.datasets = appendUnique(sec.datasets, bench.Datasets...)
 		sec.costs = appendUnique(sec.costs, bench.CostSettings...)
 		sec.algos = appendUnique(sec.algos, bench.Algos...)
 		sec.wallMS += bench.WallMS
 		sec.errors = append(sec.errors, bench.Errors...)
 		for _, r := range bench.Rows {
-			model := r.Model
-			if model == "" && len(bm) == 1 {
-				// Rows written before the model column existed inherit the
-				// document's single model.
-				model = bm[0]
-			}
-			sec.rows[r.Dataset+"\x00"+model+"\x00"+r.CostSetting+"\x00"+r.Algo] = r
+			sec.rows[r.Dataset+"\x00"+r.Model+"\x00"+r.CostSetting+"\x00"+r.Algo] = r
 			sec.reps = r.Realizations
 		}
 	}
@@ -373,25 +361,25 @@ func renderReport(benches []*benchOutput, serveDocs []*serveBenchOutput, inputs 
 			fmt.Fprintf(&b, "\n### %s\n\n%s\n", m.title, m.note)
 			for _, cost := range sec.costs {
 				fmt.Fprintf(&b, "\nCost setting: **%s**\n\n", cost)
-				fmt.Fprintf(&b, "| dataset | %s |\n", strings.Join(algos, " | "))
-				fmt.Fprintf(&b, "|---|%s\n", strings.Repeat("---|", len(algos)))
+				var rows [][]string
 				for _, ds := range datasets {
 					for _, model := range models {
 						label := ds
 						if len(models) > 1 {
 							label = fmt.Sprintf("%s (%s)", ds, model)
 						}
-						cells := make([]string, len(algos))
-						for i, algo := range algos {
+						row := []string{label}
+						for _, algo := range algos {
+							cell := "—"
 							if r, ok := sec.rows[ds+"\x00"+model+"\x00"+cost+"\x00"+algo]; ok {
-								cells[i] = m.cell(r)
-							} else {
-								cells[i] = "—"
+								cell = m.cell(r)
 							}
+							row = append(row, cell)
 						}
-						fmt.Fprintf(&b, "| %s | %s |\n", label, strings.Join(cells, " | "))
+						rows = append(rows, row)
 					}
 				}
+				writeTable(&b, append([]string{"dataset"}, algos...), rows)
 			}
 		}
 		if len(sec.errors) > 0 {
@@ -419,21 +407,21 @@ func renderServeThroughput(b *strings.Builder, docs []*serveBenchOutput) {
 		fmt.Fprintf(b, "HTTP, and deletes it, all on one warm instance. Step latency is the\n")
 		fmt.Fprintf(b, "next-seed decision as the client sees it — selection, simulated feedback,\n")
 		fmt.Fprintf(b, "instrumentation, JSON, loopback sockets.\n\n")
-		fmt.Fprintf(b, "| algo | k | clients | wall | campaigns | campaigns/s | steps/s | step p50 | p95 | p99 |\n")
-		fmt.Fprintf(b, "|---|---|---|---|---|---|---|---|---|---|\n")
-		fmt.Fprintf(b, "| %s | %d | %d | %.1fs | %d | %.1f | %.0f | %.3fms | %.3fms | %.3fms |\n",
-			doc.Algo, doc.K, doc.Clients, doc.WallMS/1000, doc.Campaigns,
-			doc.CampaignsPerSec, doc.StepsPerSec, doc.StepP50MS, doc.StepP95MS, doc.StepP99MS)
+		writeTable(b,
+			[]string{"algo", "k", "clients", "wall", "campaigns", "campaigns/s", "steps/s", "step p50", "p95", "p99"},
+			[][]string{{doc.Algo, fmt.Sprint(doc.K), fmt.Sprint(doc.Clients), fmt.Sprintf("%.1fs", doc.WallMS/1000),
+				fmt.Sprint(doc.Campaigns), fmt.Sprintf("%.1f", doc.CampaignsPerSec), fmt.Sprintf("%.0f", doc.StepsPerSec),
+				fmt.Sprintf("%.3fms", doc.StepP50MS), fmt.Sprintf("%.3fms", doc.StepP95MS), fmt.Sprintf("%.3fms", doc.StepP99MS)}})
 	}
 }
 
-// rowSampler normalizes a row's sampler label: rows written before the
-// sampler column existed ran the fixed attempt loop.
-func rowSampler(r *resultRow) string {
-	if r.Sampler != "" {
-		return r.Sampler
+// writeTable renders one markdown table: the header, its separator line,
+// and one line per row of already formatted cells.
+func writeTable(b *strings.Builder, header []string, rows [][]string) {
+	fmt.Fprintf(b, "| %s |\n|%s\n", strings.Join(header, " | "), strings.Repeat("---|", len(header)))
+	for _, row := range rows {
+		fmt.Fprintf(b, "| %s |\n", strings.Join(row, " | "))
 	}
-	return adaptive.PolicyFixed
 }
 
 // renderSamplerComparison emits the sequential-vs-fixed RR-draw table when
@@ -447,7 +435,7 @@ func renderSamplerComparison(b *strings.Builder, benches []*benchOutput) {
 	var order []string
 	for _, bench := range benches {
 		for _, r := range bench.Rows {
-			if r.Attempts == 0 && r.Fallbacks == 0 {
+			if r.Attempts == 0 {
 				continue // not a sampling policy; nothing to compare
 			}
 			key := fmt.Sprintf("%s · %s · %s · scale %g · seed %d · k %d · %d reps · %s",
@@ -458,7 +446,7 @@ func renderSamplerComparison(b *strings.Builder, benches []*benchOutput) {
 				pairs[key] = p
 				order = append(order, key)
 			}
-			switch rowSampler(r) {
+			switch r.Sampler {
 			case adaptive.PolicySequential:
 				p.seq = r
 			case adaptive.PolicyFixed:
@@ -466,24 +454,7 @@ func renderSamplerComparison(b *strings.Builder, benches []*benchOutput) {
 			}
 		}
 	}
-	any := false
-	for _, key := range order {
-		if p := pairs[key]; p.seq != nil && p.fixed != nil {
-			any = true
-		}
-	}
-	if !any {
-		return
-	}
-	fmt.Fprintf(b, "\n## Sequential vs fixed sampling\n\n")
-	fmt.Fprintf(b, "Configurations present under both stopping rules. `rr_drawn` is the total\n")
-	fmt.Fprintf(b, "RR sets generated; the reduction is fixed/sequential. Profits are realized\n")
-	fmt.Fprintf(b, "on the same realization pool (same seed), so differences are the policies'\n")
-	fmt.Fprintf(b, "decisions plus sampling noise. Rows marked † had diverging instances\n")
-	fmt.Fprintf(b, "(`--sampler` also pins IMM's target selection, which can pick different\n")
-	fmt.Fprintf(b, "targets on some seeds); their profit columns are not directly comparable.\n\n")
-	fmt.Fprintf(b, "| configuration | rr drawn (fixed) | rr drawn (seq) | reduction | profit (fixed) | profit (seq) | fallbacks (fixed → seq) |\n")
-	fmt.Fprintf(b, "|---|---|---|---|---|---|---|\n")
+	var rows [][]string
 	for _, key := range order {
 		p := pairs[key]
 		if p.seq == nil || p.fixed == nil {
@@ -497,10 +468,22 @@ func renderSamplerComparison(b *strings.Builder, benches []*benchOutput) {
 		if p.seq.Targets != p.fixed.Targets || p.seq.Budget != p.fixed.Budget {
 			mark = " †"
 		}
-		fmt.Fprintf(b, "| %s%s | %d | %d | %s | %.2f | %.2f | %d → %d |\n",
-			key, mark, p.fixed.RRDrawn, p.seq.RRDrawn, red,
-			p.fixed.AvgProfit, p.seq.AvgProfit, p.fixed.Fallbacks, p.seq.Fallbacks)
+		rows = append(rows, []string{key + mark, fmt.Sprint(p.fixed.RRDrawn), fmt.Sprint(p.seq.RRDrawn), red,
+			fmt.Sprintf("%.2f", p.fixed.AvgProfit), fmt.Sprintf("%.2f", p.seq.AvgProfit),
+			fmt.Sprintf("%d → %d", p.fixed.Fallbacks, p.seq.Fallbacks)})
 	}
+	if len(rows) == 0 {
+		return
+	}
+	fmt.Fprintf(b, "\n## Sequential vs fixed sampling\n\n")
+	fmt.Fprintf(b, "Configurations present under both stopping rules. `rr_drawn` is the total\n")
+	fmt.Fprintf(b, "RR sets generated; the reduction is fixed/sequential. Profits are realized\n")
+	fmt.Fprintf(b, "on the same realization pool (same seed), so differences are the policies'\n")
+	fmt.Fprintf(b, "decisions plus sampling noise. Rows marked † had diverging instances\n")
+	fmt.Fprintf(b, "(`--sampler` also pins IMM's target selection, which can pick different\n")
+	fmt.Fprintf(b, "targets on some seeds); their profit columns are not directly comparable.\n\n")
+	writeTable(b, []string{"configuration", "rr drawn (fixed)", "rr drawn (seq)", "reduction",
+		"profit (fixed)", "profit (seq)", "fallbacks (fixed → seq)"}, rows)
 }
 
 // datasetNames lists the registered stand-ins in Table II order.

@@ -18,9 +18,9 @@ func sampleBench() *benchOutput {
 		Seed:         1,
 		WallMS:       1234,
 		Rows: []*resultRow{
-			{Algo: "addatp", Dataset: "nethept-s", CostSetting: "uniform", Realizations: 2,
+			{Algo: "addatp", Dataset: "nethept-s", Model: "IC", CostSetting: "uniform", Realizations: 2,
 				AvgProfit: 42.5, AvgRounds: 7, RRDrawn: 100000, RRReused: 900000, RRPeakBytes: 2 << 20},
-			{Algo: "hatp", Dataset: "nethept-s", CostSetting: "uniform", Realizations: 2,
+			{Algo: "hatp", Dataset: "nethept-s", Model: "IC", CostSetting: "uniform", Realizations: 2,
 				AvgProfit: 41.25, AvgRounds: 6.5, RRDrawn: 12000, RRReused: 50000, RRPeakBytes: 1 << 20},
 		},
 		Errors: []string{"epinions-s/uniform: boom"},
@@ -180,12 +180,5 @@ func TestRenderSamplerComparison(t *testing.T) {
 	md = renderReport(kdiff, nil, []string{"BENCH_f.json", "BENCH_s.json"})
 	if strings.Contains(md, "## Sequential vs fixed sampling") {
 		t.Fatal("rows with different k paired as an A/B")
-	}
-	// Pre-telemetry rows (no attempts recorded) degrade to fallbacks-only.
-	old := sampleBench()
-	old.Rows[0].Fallbacks = 7
-	md = renderReport([]*benchOutput{old}, nil, []string{"BENCH_old.json"})
-	if !strings.Contains(md, "| nethept-s | 7 fallbacks | — |") {
-		t.Fatalf("pre-telemetry fallback cell missing:\n%s", md)
 	}
 }

@@ -33,28 +33,6 @@ func specFlags(fs *flag.FlagSet, s *sweep.Spec) {
 		fmt.Sprintf("RR sampling stopping rule for ADDATP/HATP: %v (fixed = paper-faithful attempt loop)", adaptive.SamplingPolicies))
 }
 
-// checkSpecFlags rejects explicitly non-positive parameter flags. Every
-// specFlags default is positive, so a zero or negative here is always an
-// explicit `--reps 0`-style request — which must keep failing fast, as
-// it always did; sweep.Spec treats 0 as "use the default" only for
-// fields omitted from spec documents.
-func checkSpecFlags(s *sweep.Spec) error {
-	switch {
-	case s.Reps <= 0:
-		return fmt.Errorf("reps must be positive, got %d", s.Reps)
-	case s.Scale <= 0:
-		return fmt.Errorf("scale must be positive, got %g", s.Scale)
-	case s.K <= 0:
-		return fmt.Errorf("k must be positive, got %d", s.K)
-	case s.Zeta <= 0 || s.Eps <= 0 || s.Delta <= 0 || s.ImmEps <= 0:
-		return fmt.Errorf("zeta/eps/delta/imm-eps must be positive (got %g/%g/%g/%g)",
-			s.Zeta, s.Eps, s.Delta, s.ImmEps)
-	case s.ADGTheta <= 0 || s.NSGTheta <= 0:
-		return fmt.Errorf("adg-theta/nsg-theta must be positive (got %d/%d)", s.ADGTheta, s.NSGTheta)
-	}
-	return nil
-}
-
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	algo := fs.String("algo", adaptive.AlgoADDATP, fmt.Sprintf("algorithm: %v", adaptive.Algorithms))
@@ -67,15 +45,11 @@ func cmdRun(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := checkSpecFlags(&spec); err != nil {
-		return err
-	}
 	spec.Datasets = []string{*dataset}
 	spec.Models = []string{*model}
 	spec.CostSettings = []string{*costName}
 	spec.Algos = []string{*algo}
 	spec.EmitSeeds = *showSeeds
-	spec.SetDefaults()
 	if err := spec.Validate(); err != nil {
 		return err
 	}

@@ -42,14 +42,10 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := checkSpecFlags(&spec); err != nil {
-		return err
-	}
 	spec.Datasets = []string{*dataset}
 	spec.Models = []string{*model}
 	spec.CostSettings = []string{*costName}
 	spec.Algos = append([]string(nil), adaptive.Algorithms...)
-	spec.SetDefaults()
 	if err := spec.Validate(); err != nil {
 		return err
 	}

@@ -61,10 +61,8 @@ func cmdSweep(args []string) error {
 			if err := json.Unmarshal(data, spec); err != nil {
 				return fmt.Errorf("sweep: parsing %s: %w", *specPath, err)
 			}
+			spec.SetDefaults()
 		} else {
-			if err := checkSpecFlags(&flagSpec); err != nil {
-				return err
-			}
 			flagSpec.Datasets = splitList(*datasets, sweep.AllDatasets())
 			flagSpec.Models = splitList(*models, sweep.AllModels)
 			flagSpec.CostSettings = splitList(*costs, sweep.AllCostSettings)
@@ -75,7 +73,6 @@ func cmdSweep(args []string) error {
 			spec = &flagSpec
 		}
 	}
-	spec.SetDefaults()
 	if err := spec.Validate(); err != nil {
 		return err
 	}

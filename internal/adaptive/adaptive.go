@@ -61,6 +61,16 @@ func NewEnvironmentAt(rz *cascade.Realization, res *graph.Residual, activated in
 	return &Environment{rz: rz, res: res, activated: activated}
 }
 
+// Follow moves the environment onto g after a topology delta, g being the
+// ApplyDelta descendant of its graph (Session.Instance().G after
+// Session.Mutate): the world keeps its key (cascade.Realization.On) and
+// the residual its removals, so observations continue in lockstep with
+// the session and the environment never reports an edge g lacks.
+func (e *Environment) Follow(g *graph.Graph) {
+	e.rz = e.rz.On(g)
+	e.res.SetGraph(g)
+}
+
 // Residual returns the current residual view G_i. Policies may read it
 // (and sample RR sets on it) but must mutate it only through Observe.
 func (e *Environment) Residual() *graph.Residual { return e.res }

@@ -184,11 +184,11 @@ func TestDeterminism(t *testing.T) {
 	}
 	opts := RunOptions{Sampling: SamplingOptions{Workers: 2}, ADGTheta: 2000, NSGTheta: 4000}
 	for _, algo := range Algorithms {
-		a, err := RunExperiment(inst, algo, 2, opts, 5)
+		a, err := RunExperiment(inst, algo, 2, Churn{}, opts, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
-		b, err := RunExperiment(inst, algo, 2, opts, 5)
+		b, err := RunExperiment(inst, algo, 2, Churn{}, opts, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -226,7 +226,7 @@ func TestPreparedInstanceProfitNonnegative(t *testing.T) {
 	}
 	opts := RunOptions{Sampling: SamplingOptions{Workers: 2}}
 	for _, algo := range []string{AlgoADDATP, AlgoHATP} {
-		rep, err := RunExperiment(inst, algo, 5, opts, 51)
+		rep, err := RunExperiment(inst, algo, 5, Churn{}, opts, 51)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,10 @@
 // Session shell, and a session can be serialized at any round boundary
 // (Checkpoint) and rebuilt later (ResumeSession) to continue
 // bit-identically — the internal/service campaign registry and `repro
-// serve` are built on exactly this surface.
+// serve` are built on exactly this surface. RunExperiment is the one
+// realization loop behind every sweep cell, static or churning: under a
+// Churn it applies each delta with Session.Mutate and moves the world
+// onto the new graph with Environment.Follow.
 //
 // ADDATP and HATP share one stepper, samplingStepper (sampling.go), for
 // both sampling policies. It always draws through one ris.Batcher whose

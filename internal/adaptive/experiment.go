@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cascade"
+	"repro/internal/gen"
 	"repro/internal/ris"
 	"repro/internal/rng"
 )
@@ -85,7 +86,10 @@ type Report struct {
 	Attempts       int    `json:"attempts"`
 	CertifiedEarly int    `json:"certified_early"`
 	Sampler        string `json:"sampler,omitempty"`
-	Runs           []*RunResult
+	// Mutations counts the topology deltas applied across all
+	// realizations; zero for a static experiment.
+	Mutations int `json:"mutations,omitempty"`
+	Runs      []*RunResult
 }
 
 // Add folds one realization's result into the report: the run is
@@ -127,9 +131,28 @@ func (rep *Report) Finalize() {
 	rep.AvgRounds /= f
 }
 
+// Churn is a temporal workload: every Every observed rounds, replace a
+// fraction Frac of the current edges (gen.ChurnDeltas: delete Frac·M
+// edges, insert as many fresh ones). The zero value is a static graph.
+type Churn struct {
+	Frac  float64
+	Every int
+}
+
+// churnSeed derives the delta stream of one (realization, round) from the
+// experiment seed, so churning runs are as seed-deterministic as static
+// ones.
+func churnSeed(seed uint64, rep, round int) uint64 {
+	return seed ^ (0x9E3779B97F4A7C15 * (uint64(rep)*1_000_003 + uint64(round)))
+}
+
 // RunExperiment samples `realizations` possible worlds from the instance
 // graph (deterministically from seed) and runs the algorithm on each.
-func RunExperiment(inst *Instance, algo string, realizations int, opts RunOptions, seed uint64) (*Report, error) {
+// Under a non-zero churn the topology changes on schedule mid-campaign:
+// the session applies each delta (Session.Mutate, invalidating only the
+// RR sets it touches) and the world follows it (Environment.Follow).
+// Report.Mutations counts the deltas applied.
+func RunExperiment(inst *Instance, algo string, realizations int, churn Churn, opts RunOptions, seed uint64) (*Report, error) {
 	if realizations <= 0 {
 		return nil, fmt.Errorf("adaptive: need at least one realization")
 	}
@@ -144,11 +167,35 @@ func RunExperiment(inst *Instance, algo string, realizations int, opts RunOption
 		worldRNG := root.Split()
 		algoRNG := root.Split()
 		env := NewEnvironment(cascade.Sample(inst.G, inst.Model, worldRNG))
-		run, err := Run(inst, env, algo, opts, algoRNG)
+		sess, err := NewSession(inst, algo, opts, algoRNG)
 		if err != nil {
 			return nil, fmt.Errorf("adaptive: realization %d: %w", i, err)
 		}
-		rep.Add(run)
+		for round := 1; ; round++ {
+			u, stop, err := sess.NextSeed()
+			if err != nil {
+				return nil, fmt.Errorf("adaptive: realization %d round %d: %w", i, round, err)
+			}
+			if stop {
+				break
+			}
+			if err := sess.Observe(env.Observe(u)); err != nil {
+				return nil, fmt.Errorf("adaptive: realization %d round %d: %w", i, round, err)
+			}
+			if churn.Every == 0 || round%churn.Every != 0 {
+				continue
+			}
+			ins, dels := gen.ChurnDeltas(sess.Instance().G, churn.Frac, rng.New(churnSeed(seed, i, round)))
+			if len(ins) == 0 && len(dels) == 0 {
+				continue
+			}
+			if _, err := sess.Mutate(ins, dels); err != nil {
+				return nil, fmt.Errorf("adaptive: realization %d round %d: mutate: %w", i, round, err)
+			}
+			env.Follow(sess.Instance().G)
+			rep.Mutations++
+		}
+		rep.Add(sess.Result())
 	}
 	rep.Finalize()
 	return rep, nil

@@ -1,9 +1,11 @@
 package adaptive
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cascade"
+	"repro/internal/cost"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -235,5 +237,66 @@ func TestSessionMutateContract(t *testing.T) {
 	}
 	if _, err := sess.Mutate(nil, nil); err == nil {
 		t.Fatal("Mutate on a finished campaign succeeded")
+	}
+}
+
+// TestEnvironmentFollowMatchesResample: after each topology delta,
+// Environment.Follow must reveal exactly what the construction it
+// replaces reveals — the world re-sampled on the new graph from a copy of
+// the realization's world stream, wrapped around a clone of the session's
+// residual — under both diffusion models. all-targets seeds every target,
+// so most observations happen on mutated graphs.
+func TestEnvironmentFollowMatchesResample(t *testing.T) {
+	g, err := gen.Generate(gen.Config{Model: gen.PrefAttach, N: 600, AvgDeg: 5, Directed: true, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []cascade.Model{cascade.IC, cascade.LT} {
+		inst, _, err := Prepare(g, model, Setup{K: 15, CostSetting: cost.Uniform, LBTheta: 5000, Seed: 29})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := rng.New(41)
+		worldRNG := root.Split()
+		world := *worldRNG
+		sess, err := NewSession(inst, AlgoAllTargets, RunOptions{}, root.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		followed := NewEnvironment(cascade.Sample(inst.G, inst.Model, worldRNG))
+		ref := followed
+		mutatedReveals := 0
+		for round := 1; ; round++ {
+			u, stop, err := sess.NextSeed()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stop {
+				break
+			}
+			got := followed.Observe(u)
+			if ref != followed {
+				if want := ref.Observe(u); !slices.Equal(got, want) {
+					t.Fatalf("%v round %d: Follow activated %v, re-sampled world %v", model, round, got, want)
+				}
+				mutatedReveals += len(got)
+			}
+			if err := sess.Observe(got); err != nil {
+				t.Fatal(err)
+			}
+			if followed.Activated() != sess.Spread() {
+				t.Fatalf("%v round %d: environment activated %d, session spread %d", model, round, followed.Activated(), sess.Spread())
+			}
+			ins, dels := gen.ChurnDeltas(sess.Instance().G, 0.05, rng.New(uint64(round)))
+			if _, err := sess.Mutate(ins, dels); err != nil {
+				t.Fatal(err)
+			}
+			followed.Follow(sess.Instance().G)
+			w := world
+			ref = NewEnvironmentAt(cascade.Sample(sess.Instance().G, inst.Model, &w), sess.CloneResidual(), sess.Spread())
+		}
+		if sess.Mutations() < 2 || mutatedReveals <= sess.Mutations() {
+			t.Fatalf("%v: %d deltas, %d nodes revealed after one; too weak to compare worlds", model, sess.Mutations(), mutatedReveals)
+		}
 	}
 }

@@ -73,7 +73,7 @@ func TestFixedPolicyMatchesPreRefactorGolden(t *testing.T) {
 		},
 	}
 	for algo, want := range golden {
-		rep, err := RunExperiment(inst, algo, 2, RunOptions{
+		rep, err := RunExperiment(inst, algo, 2, Churn{}, RunOptions{
 			Sampling: SamplingOptions{Policy: PolicyFixed},
 		}, 101)
 		if err != nil {
@@ -149,7 +149,7 @@ func TestSequentialDrawsFewerThanFixed(t *testing.T) {
 		var drawn [2]int64
 		var profit [2]float64
 		for i, policy := range []string{PolicyFixed, PolicySequential} {
-			rep, err := RunExperiment(inst, algo, 2, RunOptions{
+			rep, err := RunExperiment(inst, algo, 2, Churn{}, RunOptions{
 				Sampling: SamplingOptions{Policy: policy, Workers: 2},
 			}, 101)
 			if err != nil {

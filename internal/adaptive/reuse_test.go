@@ -70,11 +70,11 @@ func TestSamplingReuseDeterministicOnGenerated(t *testing.T) {
 	}
 	opts := RunOptions{Sampling: SamplingOptions{Workers: 2}}
 	for _, algo := range []string{AlgoADDATP, AlgoHATP} {
-		a, err := RunExperiment(inst, algo, 2, opts, 5)
+		a, err := RunExperiment(inst, algo, 2, Churn{}, opts, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunExperiment(inst, algo, 2, opts, 5)
+		b, err := RunExperiment(inst, algo, 2, Churn{}, opts, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

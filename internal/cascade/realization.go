@@ -81,6 +81,21 @@ func Sample(g *graph.Graph, model Model, r *rng.RNG) *Realization {
 	return &Realization{g: g, model: model, key: r.Uint64()}
 }
 
+// On returns the same keyed world on h, a graph of rz's lineage over the
+// same node set (typically an ApplyDelta descendant of rz's graph): the
+// key is kept, so only coins of edges the delta changed and LT parents of
+// nodes whose in-list it changed can differ. It panics on an explicit
+// realization, which has no key to carry over, or a different node count.
+func (rz *Realization) On(h *graph.Graph) *Realization {
+	if rz.outIdx != nil {
+		panic("cascade: On needs a keyed realization")
+	}
+	if h.N() != rz.g.N() {
+		panic(fmt.Sprintf("cascade: world of a %d-node graph moved onto a %d-node graph", rz.g.N(), h.N()))
+	}
+	return &Realization{g: h, model: rz.model, key: rz.key}
+}
+
 // FromLiveEdges builds a realization from an explicit live-edge list.
 // Used by tests and by the exact oracle's world enumeration.
 func FromLiveEdges(g *graph.Graph, live []graph.Edge) *Realization {

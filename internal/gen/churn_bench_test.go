@@ -1,4 +1,4 @@
-package gen
+package gen_test
 
 import (
 	"testing"
@@ -6,6 +6,7 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/cascade"
 	"repro/internal/cost"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -26,15 +27,15 @@ import (
 // to compare.
 func churnFixture(b *testing.B) (*graph.Graph, []graph.Edge, []graph.Edge) {
 	b.Helper()
-	ds, err := Lookup("nethept-s")
+	ds, err := gen.Lookup("nethept-s")
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := Generate(ds.Config(1))
+	g, err := gen.Generate(ds.Config(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	inserts, deletes := ChurnDeltas(g, 0.01, rng.New(42))
+	inserts, deletes := gen.ChurnDeltas(g, 0.01, rng.New(42))
 	if len(deletes) == 0 || len(inserts) == 0 {
 		b.Fatalf("degenerate churn: %d inserts, %d deletes", len(inserts), len(deletes))
 	}
@@ -91,11 +92,11 @@ func BenchmarkRebuildAfterDelta(b *testing.B) {
 // the timed mix matches a campaign: a first delta into a fresh overflow,
 // then in-place appends with an occasional overflow compaction or fold.
 func BenchmarkApplyDeltaChain(b *testing.B) {
-	ds, err := Lookup("epinions-s")
+	ds, err := gen.Lookup("epinions-s")
 	if err != nil {
 		b.Fatal(err)
 	}
-	base, err := Generate(ds.Config(0.5))
+	base, err := gen.Generate(ds.Config(0.5))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func BenchmarkApplyDeltaChain(b *testing.B) {
 	deltas := make([]delta, 16)
 	g := base
 	for i := range deltas {
-		ins, dels := ChurnDeltas(g, 0.001, rng.New(uint64(i)+1))
+		ins, dels := gen.ChurnDeltas(g, 0.001, rng.New(uint64(i)+1))
 		deltas[i] = delta{ins, dels}
 		if g, _, err = g.ApplyDelta(ins, dels); err != nil {
 			b.Fatal(err)
@@ -131,11 +132,11 @@ func BenchmarkApplyDeltaChain(b *testing.B) {
 // blob_KB is the checkpoint's size, and B/op and allocs/op should read
 // one blob-sized allocation.
 func BenchmarkSessionCheckpoint(b *testing.B) {
-	ds, err := Lookup("epinions-s")
+	ds, err := gen.Lookup("epinions-s")
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := Generate(ds.Config(0.5))
+	g, err := gen.Generate(ds.Config(0.5))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func BenchmarkSessionCheckpoint(b *testing.B) {
 		if round%2 != 0 {
 			continue
 		}
-		ins, dels := ChurnDeltas(sess.Instance().G, 0.001, rng.New(uint64(round)))
+		ins, dels := gen.ChurnDeltas(sess.Instance().G, 0.001, rng.New(uint64(round)))
 		if _, err := sess.Mutate(ins, dels); err != nil {
 			b.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-package gen
+package gen_test
 
 import (
 	"slices"
@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/cascade"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -20,11 +21,11 @@ import (
 //
 //	go test -run xxx -bench WorldFeedback ./internal/gen/
 func BenchmarkWorldFeedback(b *testing.B) {
-	ds, err := Lookup("dblp-s")
+	ds, err := gen.Lookup("dblp-s")
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := Generate(ds.Config(0.25))
+	g, err := gen.Generate(ds.Config(0.25))
 	if err != nil {
 		b.Fatal(err)
 	}

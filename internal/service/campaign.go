@@ -88,7 +88,9 @@ func derivedPrepared(base *sweep.Prepared, sess *adaptive.Session) *sweep.Prepar
 // split is consumed even in external-feedback mode, so a simulated and an
 // external campaign with the same seed propose identical first seeds, and
 // a simulated campaign with seed S+100 reproduces realization 0 of
-// `repro run --seed S`.
+// `repro run --seed S`. Later deltas move the world with
+// adaptive.Environment.Follow (Mutate); only a restore re-derives it from
+// the seed (openCampaign).
 func (r *Registry) StartCampaign(id string, key Key, algo string, seed uint64, simulate bool) (*Campaign, error) {
 	inst, err := r.Acquire(key)
 	if err != nil {
@@ -140,9 +142,9 @@ func (r *Registry) openCampaign(inst *Instance, id string, key Key, algo string,
 	var env *adaptive.Environment
 	if simulate {
 		// The world is keyed by the base world stream, and a topology
-		// delta keeps the key (Mutate), so a campaign restored after
-		// mutations rebuilds its world on the replayed graph from the same
-		// stream.
+		// delta keeps the key (Environment.Follow in Mutate), so a
+		// campaign restored after mutations samples its world on the
+		// replayed graph from the same stream.
 		rz := cascade.Sample(sess.Instance().G, prep.Inst.Model, worldRNG)
 		// The session's residual already reflects every observation made
 		// before the checkpoint, so the environment resumes in lockstep.
@@ -311,11 +313,12 @@ type MutateInfo struct {
 // churn delta replacing churnPct percent of the current edges
 // (gen.ChurnDeltas seeded with churnSeed, deterministic and replayable).
 // The session invalidates exactly the RR sets touching a changed edge
-// (adaptive.Session.Mutate), the simulated environment keeps its world —
-// the same key on the new graph, so only the coins of edges the delta
-// touched and the LT parents of nodes whose in-list it changed can
-// differ — and the campaign re-homes onto a derived registry instance
-// keyed by the new topology epoch.
+// (adaptive.Session.Mutate), the simulated environment follows the delta
+// with its world (adaptive.Environment.Follow: the same key on the new
+// graph, so only the coins of edges the delta touched and the LT parents
+// of nodes whose in-list it changed can differ), and the campaign
+// re-homes onto a derived registry instance keyed by the new topology
+// epoch.
 func (c *Campaign) Mutate(inserts, deletes []graph.Edge, churnPct float64, churnSeed uint64) (info *MutateInfo, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -337,9 +340,7 @@ func (c *Campaign) Mutate(inserts, deletes []graph.Edge, churnPct float64, churn
 	}
 	n := c.sess.Mutations()
 	if c.env != nil {
-		// openCampaign's base world stream: the same key on the new graph.
-		rz := cascade.Sample(c.sess.Instance().G, c.sess.Instance().Model, rng.New(c.Seed).Split())
-		c.env = adaptive.NewEnvironmentAt(rz, c.sess.CloneResidual(), c.sess.Spread())
+		c.env.Follow(c.sess.Instance().G)
 	}
 	// Re-home onto the epoch-keyed derived instance; the old reference
 	// (base, or the previous epoch's) goes back to the registry.

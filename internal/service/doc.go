@@ -29,7 +29,8 @@
 // campaign seed with the same RNG discipline as adaptive.RunExperiment,
 // so a simulated campaign with seed S+100 reproduces realization 0 of
 // `repro run --seed S` exactly) and Step advances one full
-// propose-observe round. In external mode the client drives the loop:
+// propose-observe round. Mutate moves that world onto the new graph with
+// adaptive.Environment.Follow, which keeps its key. In external mode the client drives the loop:
 // Next returns the proposed seed, Observe feeds back the realized
 // activations from whatever real-world process the campaign controls.
 //
@@ -41,9 +42,11 @@
 // Restore reacquires the instance from the header, resumes the session
 // (bit-identical continuation; see adaptive.ResumeSession), and in
 // simulate mode rebuilds the environment in lockstep: the realization
-// is keyed by the stored seed's world stream, so it is rebuilt on the
+// is keyed by the stored seed's world stream, so it is sampled on the
 // session's (possibly delta-replayed) graph, next to a clone of the
-// session's restored residual. Server.Drain checkpoints every open
+// session's restored residual — the same world Follow carried across
+// each delta. This is the only place a world is derived from the seed
+// after the campaign starts. Server.Drain checkpoints every open
 // campaign before shutdown, which is what makes `repro serve`
 // kill/restart/resume transparent to clients.
 package service

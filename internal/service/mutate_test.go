@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/adaptive"
+	"repro/internal/cascade"
+	"repro/internal/gen"
+	"repro/internal/rng"
 	"repro/internal/sweep"
 )
 
@@ -146,4 +149,64 @@ func TestMutatedCampaignCheckpointRestore(t *testing.T) {
 	got := driveCampaign(t, restored)
 	restored.Close()
 	sameOutcome(t, got, want, "restored-mutated vs straight-through")
+}
+
+// TestMutatedCampaignKeepsWorld: a simulated campaign mutated with
+// churn_pct after every round must realize the world the campaign seed
+// names on every epoch — the same key on each new graph. The reference
+// drives the same session by hand and, after each delta, re-samples the
+// world on the new graph from a fresh copy of the seed's world stream
+// around a clone of the session's residual.
+func TestMutatedCampaignKeepsWorld(t *testing.T) {
+	const seed = 4242
+	reg := NewRegistry(testSpec(), 0)
+	c, err := reg.StartCampaign("w", testKey(), adaptive.AlgoAllTargets, seed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	prep := mustPrep(t, c.inst)
+	spec := reg.Spec()
+
+	root := rng.New(seed)
+	world := root.Split()
+	sess, err := adaptive.NewSession(prep.Inst, adaptive.AlgoAllTargets, spec.RunOptions(), root.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := adaptive.NewEnvironment(cascade.Sample(prep.Inst.G, prep.Inst.Model, world))
+	for round := uint64(1); ; round++ {
+		u, stop, _, err := c.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, refStop, err := sess.NextSeed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stop != refStop || !stop && u != v {
+			t.Fatalf("round %d: campaign proposed (%d, stop=%v), reference (%d, stop=%v)", round, u, stop, v, refStop)
+		}
+		if stop {
+			break
+		}
+		if err := sess.Observe(env.Observe(v)); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Result().Spread; got != sess.Spread() {
+			t.Fatalf("round %d: campaign spread %d, reference %d", round, got, sess.Spread())
+		}
+		if _, err := c.Mutate(nil, nil, 20, round); err != nil {
+			t.Fatal(err)
+		}
+		ins, dels := gen.ChurnDeltas(sess.Instance().G, 0.2, rng.New(round))
+		if _, err := sess.Mutate(ins, dels); err != nil {
+			t.Fatal(err)
+		}
+		rz := cascade.Sample(sess.Instance().G, prep.Inst.Model, rng.New(seed).Split())
+		env = adaptive.NewEnvironmentAt(rz, sess.CloneResidual(), sess.Spread())
+	}
+	if sess.Mutations() < 2 {
+		t.Fatalf("only %d deltas applied", sess.Mutations())
+	}
 }

@@ -23,4 +23,11 @@
 //     the recorded results and reruns the rest; per-cell wall-clock
 //     budgets (checked between realizations) and SIGINT checkpointing
 //     bound how much any one cell can hold the grid hostage.
+//
+// A cell is one adaptive.RunExperiment call. Temporal cells (a "p@k"
+// churn schedule, ParseChurn) pass it an adaptive.Churn: the experiment
+// applies a gen.ChurnDeltas edit every k observed rounds, invalidates
+// only the RR sets it touches, and moves each realization's world onto
+// the new graph with adaptive.Environment.Follow, so churn cells are as
+// seed-deterministic as static ones.
 package sweep

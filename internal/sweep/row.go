@@ -146,8 +146,8 @@ func Prepare(spec *Spec, dataset, model, costSetting string) (*Prepared, error) 
 // Execute runs one algorithm cell on a prepared group over spec.Reps
 // realizations. interrupt, when non-nil, is polled between realizations
 // and before every session round (budget/SIGINT checkpointing). Temporal
-// cells (Cell.Churn != "none") run through the churn driver instead of
-// adaptive.RunExperiment, mutating the topology on schedule.
+// cells (Cell.Churn != "none") pass their schedule to
+// adaptive.RunExperiment, which mutates the topology on it.
 func Execute(spec *Spec, p *Prepared, cell Cell, interrupt func() error) (*Row, error) {
 	start := time.Now()
 	cs, err := ParseCostSetting(cell.Cost)
@@ -164,17 +164,13 @@ func Execute(spec *Spec, p *Prepared, cell Cell, interrupt func() error) (*Row, 
 	}
 	opts := spec.RunOptions()
 	opts.Interrupt = interrupt
-	var rep *adaptive.Report
-	var churn string
-	var mutations int
-	if every > 0 {
-		churn = cell.Churn
-		rep, mutations, err = runChurn(spec, p, cell, frac, every, opts)
-	} else {
-		rep, err = adaptive.RunExperiment(p.Inst, cell.Algo, spec.Reps, opts, spec.Seed+100)
-	}
+	rep, err := adaptive.RunExperiment(p.Inst, cell.Algo, spec.Reps, adaptive.Churn{Frac: frac, Every: every}, opts, spec.Seed+100)
 	if err != nil {
 		return nil, err
+	}
+	var churn string
+	if every > 0 {
+		churn = cell.Churn
 	}
 	var seeds [][]graph.NodeID
 	if spec.EmitSeeds {
@@ -215,7 +211,7 @@ func Execute(spec *Spec, p *Prepared, cell Cell, interrupt func() error) (*Row, 
 		RRBatches:         rep.RRBatches,
 		CertifiedEarly:    rep.CertifiedEarly,
 		Churn:             churn,
-		Mutations:         mutations,
+		Mutations:         rep.Mutations,
 		ImmTheta:          p.ImmRes.Theta,
 		ImmThetaRequested: p.ImmRes.ThetaRequested,
 		ImmTotalRR:        p.ImmRes.TotalRR,
