@@ -16,6 +16,12 @@ type Instance struct {
 	Model   cascade.Model
 	Targets []graph.NodeID
 	Costs   *cost.Model
+
+	// first is the shared first look of a prepared instance (nil on one
+	// built by hand or derived by a topology delta): the RR sets on the
+	// untouched graph that every sequential ADDATP/HATP campaign copies
+	// instead of drawing, keyed by the instance fingerprint.
+	first *ris.Base
 }
 
 // Validate checks the instance is runnable.
@@ -99,8 +105,9 @@ type RunResult struct {
 
 	// Sampling accounting (see ris.Stats), zero for exact oracles and
 	// all-targets. ADDATP and HATP count as RRReused only the carried-over
-	// sets a look needed (at most its target) plus the survivors of each
-	// topology delta. Under NSG, RRPeakBytes includes the inverted index
+	// sets a look needed (at most its target), the sets copied from the
+	// instance's shared first look, and the survivors of each topology
+	// delta. Under NSG, RRPeakBytes includes the inverted index
 	// its selection builds.
 	ris.Stats
 	// Fallbacks counts rounds where the refinement budget ran out and the

@@ -96,4 +96,19 @@
 // picks T, a high-probability spread lower bound E_l[I(T)] becomes the
 // seeding budget so ρ(T) ≥ 0, and the budget is split over T per the
 // configured cost setting.
+//
+// A prepared instance also owns its campaigns' shared first look, a
+// ris.Base keyed by the instance fingerprint. Every campaign starts on
+// the untouched graph, so the sets of its first round are draws from
+// one law: under PolicySequential, ADDATP and HATP copy them from the
+// base instead of drawing them, and the base is drawn once, lazily, to
+// the largest first-round size any campaign asked for (at most the θ
+// cap). Each campaign still certifies on independent RR sets of its
+// residual, so its (ζ, δ) guarantee is unchanged; campaigns on one
+// instance are correlated through their first look. A campaign stops
+// taking base sets at its first private draw, topology delta or restore
+// of a non-empty collection, and the copies leave its RNG stream alone,
+// so a campaign checkpointed before its first step resumes onto the same
+// first look. PolicyFixed, ADG and the nonadaptive baselines draw their
+// own.
 package adaptive

@@ -145,7 +145,8 @@ type samplingStepper struct {
 
 	fallbacks, attempts, certifiedEarly int
 	// reused counts draws avoided: at every Sync, the carried-over sets
-	// up to that look's target, plus the survivors of each topology delta.
+	// up to that look's target, the sets copied from the instance's
+	// shared first look, and the survivors of each topology delta.
 	reused int64
 }
 
@@ -195,6 +196,9 @@ func newSamplingStepper(inst *Instance, algo string, opts SamplingOptions, warm 
 		st.b = ris.NewBatcher(inst.Model)
 	}
 	st.b.SetReuse(!opts.NoReuse)
+	if !st.fixed {
+		st.b.SetBase(inst.first)
+	}
 	return st, nil
 }
 
@@ -231,10 +235,12 @@ func (st *samplingStepper) next(s *Session) (graph.NodeID, bool, error) {
 			}
 			st.reused += int64(min(kept, target))
 		}
+		adopted := st.b.Stats().RRReused
 		n, err := st.b.GrowTo(res, s.r, target, st.opts.Workers)
 		if err != nil {
 			return 0, true, err
 		}
+		st.reused += st.b.Stats().RRReused - adopted // copied from the first look
 		st.attempts++
 		if n == 0 {
 			return 0, true, nil

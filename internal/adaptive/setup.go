@@ -7,6 +7,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/imm"
+	"repro/internal/ris"
 	"repro/internal/rng"
 )
 
@@ -50,7 +51,10 @@ const lbDelta = 0.01
 // the target set T as the top-k influential users, a high-probability
 // lower bound E_l[I(T)] of T's spread becomes the total seeding budget
 // (so the baseline profit ρ(T) = E[I(T)] − c(T) stays nonnegative), and
-// the budget is distributed over T per the cost setting.
+// the budget is distributed over T per the cost setting. The instance
+// also owns the shared first look of its sequential ADDATP/HATP
+// campaigns (see SamplingOptions), drawn lazily by the first campaign
+// that needs it, never here.
 func Prepare(g *graph.Graph, model cascade.Model, s Setup) (*Instance, *imm.Result, error) {
 	s.setDefaults()
 	if g.N() < s.K {
@@ -86,5 +90,7 @@ func Prepare(g *graph.Graph, model cascade.Model, s Setup) (*Instance, *imm.Resu
 	if err != nil {
 		return nil, nil, fmt.Errorf("adaptive: cost calibration: %w", err)
 	}
-	return &Instance{G: g, Model: model, Targets: immRes.Seeds, Costs: costs}, immRes, nil
+	inst := &Instance{G: g, Model: model, Targets: immRes.Seeds, Costs: costs}
+	inst.first = ris.NewBase(g, model, instFingerprint(inst))
+	return inst, immRes, nil
 }

@@ -1,0 +1,254 @@
+package ris
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/cascade"
+	"repro/internal/graph"
+	"repro/internal/rng"
+)
+
+// baseKeyOf returns the key AppendParallel takes from a parent at seed,
+// without advancing anything.
+func baseKeyOf(seed uint64) uint64 {
+	return rng.New(seed).Uint64()
+}
+
+// TestBasePrefixMatchesKeyedBatch: a base prefix of 64·j sets is
+// bit-identical to one AppendParallel batch whose parent yields the base
+// key, at any worker count, so its law is the bulk kernel's
+// (TestFastICMatchesReferenceChiSquare).
+func TestBasePrefixMatchesKeyedBatch(t *testing.T) {
+	g := wcTestGraph(t)
+	for _, model := range []cascade.Model{cascade.IC, cascade.LT} {
+		for _, j := range []int{1, 5, 32} {
+			want := newSamplerPool(model).generate(graph.NewResidual(g), rng.New(71), 64*j, 1)
+			for _, workers := range []int{1, 2, 4} {
+				bs := NewBase(g, model, baseKeyOf(71))
+				sets, err := bs.growTo(graph.NewResidual(g), 64*j, workers, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameSets(t, fmt.Sprintf("%v j=%d workers %d", model, j, workers), want, sets)
+			}
+		}
+	}
+}
+
+// TestBaseGrowthOrderIndependent: the base is a pure function of (key,
+// length). Growing 2048 → 4096 → 6912 and 8192 → 2048 give the same sets
+// at workers 1, 2 and 4; targets round up to whole chunks.
+func TestBaseGrowthOrderIndependent(t *testing.T) {
+	g := wcTestGraph(t)
+	grow := func(workers int, targets ...int) *Collection {
+		bs := NewBase(g, cascade.IC, 0xBA5E)
+		var sets *Collection
+		for _, n := range targets {
+			var err error
+			if sets, err = bs.growTo(graph.NewResidual(g), n, workers, nil); err != nil {
+				t.Fatal(err)
+			}
+			if sets.Len()%interruptStride != 0 || sets.Len() < n {
+				t.Fatalf("grown to %d sets for target %d", sets.Len(), n)
+			}
+		}
+		return sets
+	}
+	want := grow(1, 8192, 2048)
+	for _, workers := range []int{1, 2, 4} {
+		stepped := grow(workers, 2048, 4096, 6900)
+		if stepped.Len() != 6912 {
+			t.Fatalf("workers %d: 6900 rounded to %d sets, want 6912", workers, stepped.Len())
+		}
+		prefix := NewCollection(g.N())
+		prefix.appendRange(want, 0, stepped.Len())
+		sameSets(t, fmt.Sprintf("workers %d: 2048→4096→6912 vs 8192→2048", workers), prefix, stepped)
+		sameSets(t, fmt.Sprintf("workers %d: 8192→2048", workers), want, grow(workers, 8192, 2048))
+	}
+}
+
+// TestBatcherAdoptsBase: a batcher with a base attached copies its
+// shortfall from the base while the residual is untouched and the
+// collection holds only base sets. The copies count as reused, never as
+// drawn or requested, and leave the parent stream alone; the first
+// removal, drop or restored snapshot detaches the base for good.
+func TestBatcherAdoptsBase(t *testing.T) {
+	g := wcTestGraph(t)
+	bs := NewBase(g, cascade.IC, 0xF1257)
+	parent := rng.New(3)
+	st0, inc0 := parent.State()
+	res := graph.NewResidual(g)
+
+	b := NewBatcher(cascade.IC)
+	b.SetBase(bs)
+	b.Sync(res)
+	for _, target := range []int{100, 2048, 3000} {
+		if n, err := b.GrowTo(res, parent, target, 2); err != nil || n != target {
+			t.Fatalf("GrowTo(%d) = %d, %v", target, n, err)
+		}
+	}
+	if st, inc := parent.State(); st != st0 || inc != inc0 {
+		t.Fatal("copying from the base advanced the parent stream")
+	}
+	if s := b.Stats(); s.RRReused != 3000 || s.RRDrawn != 0 || s.RRRequested != 0 || s.RRBatches != 0 {
+		t.Fatalf("after copying 3000 sets: %+v", s)
+	}
+	if bs.Len() != 3008 {
+		t.Fatalf("base holds %d sets, want 3000 rounded up to 3008", bs.Len())
+	}
+	sets, _ := bs.growTo(res, 0, 1, nil)
+	want := NewCollection(g.N())
+	want.appendRange(sets, 0, 3000)
+	sameSets(t, "adopted", want, b.Collection())
+	for u := graph.NodeID(0); u < 50; u++ {
+		if got, w := b.Count(u), want.CountContaining(u); got != w {
+			t.Fatalf("coverage of %d over adopted sets: %d, want %d", u, got, w)
+		}
+	}
+
+	// A removal moves the residual off the base: the top-up is drawn.
+	res.Remove(7)
+	b.Sync(res)
+	kept := b.Len()
+	b.GrowTo(res, parent, 4000, 2)
+	if s := b.Stats(); s.RRDrawn != int64(4000-kept) || s.RRRequested != s.RRDrawn {
+		t.Fatalf("top-up after a removal: %+v", s)
+	}
+
+	// A drop detaches the base even on an untouched residual.
+	fresh := graph.NewResidual(g)
+	b2 := NewBatcher(cascade.IC)
+	b2.SetBase(bs)
+	b2.GrowTo(fresh, parent, 500, 1)
+	b2.Invalidate([]graph.NodeID{0})
+	b2.GrowTo(fresh, parent, 1000, 1)
+	if s := b2.Stats(); s.RRDrawn == 0 {
+		t.Fatalf("top-up after a drop copied from the base: %+v", s)
+	}
+
+	// A restored non-empty snapshot never takes base sets again; an empty
+	// one does.
+	b3 := NewBatcher(cascade.IC)
+	b3.SetBase(bs)
+	if err := b3.RestoreState(b2.State(), g.N()); err != nil {
+		t.Fatal(err)
+	}
+	b3.Reset()
+	b3.SetBase(bs)
+	if err := b3.RestoreState(BatcherState{}, g.N()); err != nil {
+		t.Fatal(err)
+	}
+	b3.GrowTo(graph.NewResidual(g), parent, 64, 1)
+	if s := b3.Stats(); s.RRDrawn != 0 || s.RRReused != 64 {
+		t.Fatalf("restored empty snapshot did not copy from the base: %+v", s)
+	}
+	b4 := NewBatcher(cascade.IC)
+	b4.SetBase(bs)
+	snap := b3.State()
+	if err := b4.RestoreState(snap, g.N()); err != nil {
+		t.Fatal(err)
+	}
+	b4.GrowTo(graph.NewResidual(g), parent, 128, 1)
+	if s := b4.Stats(); s.RRDrawn != 64 {
+		t.Fatalf("restored non-empty snapshot took base sets: %+v", s)
+	}
+}
+
+// TestBaseGrowthFaultLeavesBaseIntact: an interrupt or a panic during
+// base growth leaves the base at its previous length with its mutex
+// unlocked, and the next growth draws the same sets as an unfaulted one.
+func TestBaseGrowthFaultLeavesBaseIntact(t *testing.T) {
+	g := wcTestGraph(t)
+	res := graph.NewResidual(g)
+	want, err := NewBase(g, cascade.IC, 9).growTo(res, 1024, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := NewBase(g, cascade.IC, 9)
+	if _, err := bs.growTo(res, 256, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	var polls atomic.Int32
+	b := NewBatcher(cascade.IC)
+	b.SetBase(bs)
+	b.SetInterrupt(func() error {
+		if polls.Add(1) > 3 {
+			return stop
+		}
+		return nil
+	})
+	if _, err := b.GrowTo(res, rng.New(1), 1024, 2); !errors.Is(err, stop) {
+		t.Fatalf("interrupted growth returned %v", err)
+	}
+	if bs.Len() != 256 {
+		t.Fatalf("interrupted growth left %d sets, want 256", bs.Len())
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("panicking interrupt did not panic")
+			}
+		}()
+		bs.growTo(res, 1024, 1, func() error {
+			if polls.Add(1) > 6 {
+				panic("injected")
+			}
+			return nil
+		})
+	}()
+	if !bs.mu.TryLock() {
+		t.Fatal("panic during growth left the base locked")
+	}
+	bs.mu.Unlock()
+	if bs.Len() != 256 {
+		t.Fatalf("panicking growth left %d sets, want 256", bs.Len())
+	}
+	got, err := bs.growTo(res, 1024, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSets(t, "after faults", want, got)
+}
+
+// TestBaseConcurrentGrowth: batchers on several goroutines adopting from
+// one base at once, each to its own target, copy exactly the prefix a
+// base grown alone holds. CI runs it under -race.
+func TestBaseConcurrentGrowth(t *testing.T) {
+	g := wcTestGraph(t)
+	want, err := NewBase(g, cascade.IC, 77).growTo(graph.NewResidual(g), 4096, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := NewBase(g, cascade.IC, 77)
+	got := make([]*Collection, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := NewBatcher(cascade.IC)
+			b.SetBase(bs)
+			target := 512 * (i + 1)
+			if n, err := b.GrowTo(graph.NewResidual(g), rng.New(uint64(i)), target, 1+i%3); err != nil || n != target {
+				t.Errorf("goroutine %d: GrowTo(%d) = %d, %v", i, target, n, err)
+				return
+			}
+			got[i] = b.Collection()
+		}()
+	}
+	wg.Wait()
+	for i, c := range got {
+		if c == nil {
+			continue
+		}
+		prefix := NewCollection(g.N())
+		prefix.appendRange(want, 0, c.Len())
+		sameSets(t, fmt.Sprintf("goroutine %d", i), prefix, c)
+	}
+}

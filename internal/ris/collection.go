@@ -123,17 +123,43 @@ func (c *Collection) appendBulk(src *Collection, reserve int) {
 	if src.Len() == 0 {
 		return
 	}
-	if len(c.arena)+len(src.arena) > maxArena {
+	c.growArena(len(c.arena) + int(src.offsets[src.Len()-1]) + reserve)
+	c.appendRange(src, 0, src.Len())
+}
+
+// appendRange appends copies of src's sets [from, to) to c, growing the
+// arena as append does and offsets and roots one entry at a time.
+func (c *Collection) appendRange(src *Collection, from, to int) {
+	if from >= to {
+		return
+	}
+	lo, hi := src.offsets[from], src.offsets[to]
+	if len(c.arena)+int(hi-lo) > maxArena {
 		panic("ris: collection arena exceeds int32 offset range; shard the collection")
 	}
-	base := int32(len(c.arena))
-	c.growArena(int(base+src.offsets[src.Len()-1]) + reserve)
-	c.arena = append(c.arena, src.arena...)
-	for i, off := range src.offsets[1:] {
-		c.offsets = append(c.offsets, base+off)
+	shift := int32(len(c.arena)) - lo
+	c.arena = append(c.arena, src.arena[lo:hi]...)
+	for i := from; i < to; i++ {
+		c.offsets = append(c.offsets, src.offsets[i+1]+shift)
 		c.roots = append(c.roots, src.roots[i])
 	}
 	c.invValid = false
+}
+
+// extended returns a new collection holding c's sets followed by src's in
+// exactly sized arrays, leaving c and src unchanged.
+func (c *Collection) extended(src *Collection) *Collection {
+	out := &Collection{
+		n:       c.n,
+		arena:   make([]graph.NodeID, 0, len(c.arena)+len(src.arena)),
+		offsets: make([]int32, 0, len(c.offsets)+src.Len()),
+		roots:   make([]graph.NodeID, 0, c.Len()+src.Len()),
+		version: c.version,
+	}
+	out.offsets = append(out.offsets, 0)
+	out.appendRange(c, 0, c.Len())
+	out.appendRange(src, 0, src.Len())
+	return out
 }
 
 // Reset empties the collection in place, keeping the arena, offset, root

@@ -36,11 +36,21 @@
 //     contiguous run of chunks with the bulk kernel — worker 0 straight
 //     into the destination, the rest into pooled collections spliced in
 //     after it. Worker scratch, RNG stream objects and output collections
-//     survive across attempts, rounds, and algorithms, so a warm pool
-//     draws a whole attempt with zero allocations (asserted by
-//     TestAppendParallelWarmNoAllocs at one and two workers). Every
-//     Batcher owns one, so a one-shot draw through a fresh Batcher gets
-//     the same sets.
+//     survive across batches, so a warm pool draws a whole attempt with
+//     zero allocations (asserted by TestAppendParallelWarmNoAllocs at one
+//     and two workers). Pools live on a per-model free list: every batch
+//     borrows a warm one and hands it back, so no campaign pays the O(N)
+//     scratch again, and a one-shot draw through a fresh Batcher gets the
+//     same sets.
+//   - Base (base.go): an instance's shared first look — an append-only
+//     pool of RR sets on the full graph whose set i comes from chunk
+//     ⌊i/64⌋ of one instance key, so it is a pure function of (key,
+//     length) whatever order, worker count or campaign grew it
+//     (TestBaseGrowthOrderIndependent). It grows lazily, in whole chunks
+//     under its own mutex, and publishes exactly sized arrays it never
+//     writes again. A Batcher with a base attached copies its shortfall
+//     from it while the residual is untouched and the collection holds
+//     only base sets; the copies count as reused, never as drawn.
 //   - Collection (collection.go): CSR/arena storage — one flat node arena
 //     plus per-set offsets, and a CSR inverted index built on first use —
 //     so a collection is ~4 contiguous allocations regardless of θ. Reset
@@ -63,7 +73,7 @@
 //     and is compacted in lockstep by the drop pass, so a per-batch
 //     stopping-rule check costs O(batch + alive) instead of an inverted
 //     index rebuild. Batcher packages the draw/filter/top-up cycle —
-//     pool, collection, tracker, accounting — and is the package's only
+//     collection, tracker, optional base, accounting — and is the package's only
 //     way to draw RR sets: both adaptive sampling policies, sampled ADG
 //     rounds, IMM's θ search and the one-shot draws of the nonadaptive
 //     greedy and imm.SpreadLowerBound go through it, and its Stats value

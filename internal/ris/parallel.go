@@ -4,19 +4,23 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"repro/internal/cascade"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
-// samplerPool owns persistent per-worker samplers for bulk RR generation;
-// every Batcher draws through one. Worker scratch (visited marks,
-// traversal stacks, output collections) and RNG stream objects survive
-// across batches, so a warm pool draws a whole attempt without
-// allocating — unlike the one-sampler-per-call pattern, which paid a
-// fresh O(N) visited array per worker per batch. A pool is not safe for
-// concurrent use; its workers synchronize internally.
+// samplerPool holds persistent per-worker samplers for bulk RR
+// generation. Worker scratch (visited marks, traversal stacks, output
+// collections) and RNG stream objects survive across batches, so a warm
+// pool draws a whole attempt without allocating — unlike the
+// one-sampler-per-call pattern, which paid a fresh O(N) visited array per
+// worker per batch. Batchers and bases own none: each batch borrows a
+// warm pool (borrowPool) and hands it back (release), so scratch is
+// shared by every campaign of the process instead of being paid again
+// per campaign. A pool is not safe for concurrent use; its workers
+// synchronize internally.
 type samplerPool struct {
 	model   cascade.Model
 	workers []*poolWorker
@@ -24,6 +28,7 @@ type samplerPool struct {
 	// The batch in flight, read by every worker.
 	res     *graph.Residual
 	key     uint64
+	chunk0  uint64 // absolute index of the batch's first chunk
 	count   int
 	nw      int
 	wg      sync.WaitGroup
@@ -36,6 +41,50 @@ type samplerPool struct {
 	// The function must be safe for concurrent use — every worker calls it.
 	interrupt func() error
 	err       error
+
+	// grown receives a Base's growth before it is published.
+	grown *Collection
+}
+
+// idle keeps each diffusion model's warm samplerPools between batches,
+// held weakly: a pool idle through a garbage collection is reclaimed like
+// any garbage, so a process that stopped drawing keeps no O(N) scratch
+// alive, and the next batch after a collection builds one cold pool. A
+// weak free list rather than a sync.Pool, because a sync.Pool also drops
+// items at random under the race detector, which would make the warm
+// draw loop's zero-allocation contract untestable there.
+var idle [2]struct {
+	sync.Mutex
+	pools []weak.Pointer[samplerPool]
+}
+
+// borrowPool takes a warm pool for model off its free list, or makes a
+// cold one.
+func borrowPool(model cascade.Model) *samplerPool {
+	l := &idle[model]
+	l.Lock()
+	defer l.Unlock()
+	for n := len(l.pools); n > 0; n-- {
+		p := l.pools[n-1].Value()
+		l.pools = l.pools[:n-1]
+		if p != nil {
+			return p
+		}
+	}
+	return &samplerPool{model: model}
+}
+
+// release hands the pool back to its free list, dropping the batch's
+// references (residual, interrupt) so an idle pool pins no graph.
+func (p *samplerPool) release() {
+	p.res, p.interrupt = nil, nil
+	for _, wk := range p.workers {
+		wk.s.res = nil
+	}
+	l := &idle[p.model]
+	l.Lock()
+	defer l.Unlock()
+	l.pools = append(l.pools, weak.Make(p))
 }
 
 // poolWorker is one worker's persistent state. Worker 0 draws straight
@@ -103,21 +152,28 @@ func (p *samplerPool) grow(n int) {
 
 // AppendParallel draws count RR sets on res using up to workers goroutines
 // and appends them to c. The batch takes one key from parent (advancing it
-// exactly as one Uint64 draw); chunk k holds the interruptStride
-// consecutive sets drawn from the substream keyed by
-// Mix64(key + k·Golden), and chunks are appended in index order. The sets
-// are therefore a deterministic function of (parent state, count) alone —
-// the worker count only decides which worker draws which contiguous run
-// of chunks, never what a chunk contains.
+// exactly as one Uint64 draw) and is appendChunks from chunk 0 at that
+// key, so the sets are a deterministic function of (parent state, count)
+// alone — the worker count only decides which worker draws which
+// contiguous run of chunks, never what a chunk contains.
+func (p *samplerPool) AppendParallel(c *Collection, res *graph.Residual, parent *rng.RNG, count, workers int) {
+	p.appendChunks(c, res, parent.Uint64(), 0, count, workers)
+}
+
+// appendChunks draws count RR sets on res and appends them to c: chunk
+// chunk0+j holds the interruptStride consecutive sets drawn from the
+// substream keyed by Mix64(key + (chunk0+j)·Golden), and chunks are
+// appended in index order. Base growth continues a key's chunk sequence
+// this way; AppendParallel starts one at chunk 0.
 //
 // workers <= 0 means GOMAXPROCS. The residual view is shared read-only;
 // callers must not mutate it during generation. An aborted batch (see
 // SetInterrupt and Err) leaves c holding an arbitrary prefix of it; the
 // caller must treat the collection as void.
-func (p *samplerPool) AppendParallel(c *Collection, res *graph.Residual, parent *rng.RNG, count, workers int) {
+func (p *samplerPool) appendChunks(c *Collection, res *graph.Residual, key, chunk0 uint64, count, workers int) {
 	p.err = nil
 	p.stop.Store(false)
-	p.res, p.key, p.count = res, parent.Uint64(), count
+	p.res, p.key, p.chunk0, p.count = res, key, chunk0, count
 	chunks := (count + interruptStride - 1) / interruptStride
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -158,7 +214,7 @@ func (p *samplerPool) work(w int, dst *Collection) {
 				return
 			}
 		}
-		wk.r.Reseed(rng.Mix64(p.key + uint64(k)*rng.Golden))
+		wk.r.Reseed(rng.Mix64(p.key + (p.chunk0+uint64(k))*rng.Golden))
 		wk.s.appendSets(dst, min(interruptStride, p.count-k*interruptStride))
 	}
 }

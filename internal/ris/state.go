@@ -77,9 +77,11 @@ func (c *Collection) RestoreState(st CollectionState) error {
 
 // BatcherState is the serializable snapshot of a Batcher: the collection
 // plus the Stats a resumed run must continue from so its final telemetry
-// matches the uninterrupted run's. The sampler pool itself is stateless
-// between batches (worker streams are reseeded from the caller's RNG on
-// every call), so it needs no snapshot.
+// matches the uninterrupted run's. Sampler pools are borrowed per batch
+// and stateless between batches (worker streams are reseeded from the
+// caller's RNG on every call), so they need no snapshot, and neither does
+// an attached base: a restored batcher holding sets never takes base
+// sets again.
 type BatcherState struct {
 	Col    CollectionState
 	HasCol bool
@@ -102,8 +104,11 @@ func (b *Batcher) State() BatcherState {
 // FullN); it sizes the collection and coverage tracker when the batcher
 // has never drawn. The reuse setting is not part of the state — callers
 // call SetReuse before restoring, exactly as they would before a fresh
-// run. Stats.SamplingNS restarts at zero: it is wall-clock telemetry,
-// meaningless across process boundaries.
+// run. A snapshot holding a collection detaches the base (SetBase); one
+// without leaves it attached, so a campaign checkpointed before its first
+// look still takes that look from the base. Stats.SamplingNS restarts at
+// zero: it is wall-clock telemetry, meaningless across process
+// boundaries.
 func (b *Batcher) RestoreState(st BatcherState, fullN int) error {
 	b.stats = st.Stats
 	b.stats.SamplingNS = 0
@@ -113,5 +118,6 @@ func (b *Batcher) RestoreState(st BatcherState, fullN int) error {
 		}
 		return nil
 	}
+	b.base = nil
 	return b.ensureCol(fullN).RestoreState(st.Col)
 }

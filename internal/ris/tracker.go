@@ -76,7 +76,8 @@ type Stats struct {
 	RRDrawn     int64 `json:"rr_drawn"`
 	RRRequested int64 `json:"rr_requested"`
 	// RRReused counts draws avoided by reuse: the sets Sync carried across
-	// residual versions plus the survivors of each Invalidate.
+	// residual versions, the survivors of each Invalidate, and the sets
+	// GrowTo copied from a shared first look (Base).
 	RRReused int64 `json:"rr_reused"`
 	// RRPeakBytes is the largest Collection.Bytes seen (arena, offsets,
 	// roots and inverted index).
@@ -109,20 +110,25 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Batcher is the one way to draw RR sets. It owns the draw/filter/top-up
-// cycle every RR-consuming run shares: a persistent samplerPool, one
-// Collection reused across batches and residual versions with its
-// Coverage tracker, and the Stats that runs report. The adaptive
-// sampling stepper (both policies), ADG's sampled rounds, IMM's θ search
-// and the one-shot draws of the nonadaptive greedy and
-// imm.SpreadLowerBound all draw through a Batcher. Its draws depend on
-// the parent stream and the counts only (see GrowTo), so a one-shot
-// draw through a fresh Batcher is reproducible at any worker count.
+// cycle every RR-consuming run shares: one Collection reused across
+// batches and residual versions with its Coverage tracker, and the Stats
+// that runs report. It owns no sampler scratch: each batch borrows a warm
+// samplerPool and hands it back. The adaptive sampling stepper (both
+// policies), ADG's sampled rounds, IMM's θ search and the one-shot draws
+// of the nonadaptive greedy and imm.SpreadLowerBound all draw through a
+// Batcher. Its draws depend on the parent stream and the counts only (see
+// GrowTo), so a one-shot draw through a fresh Batcher is reproducible at
+// any worker count.
 type Batcher struct {
-	model cascade.Model
-	pool  *samplerPool
-	col   *Collection
-	cov   *Coverage
-	reuse bool
+	model     cascade.Model
+	col       *Collection
+	cov       *Coverage
+	reuse     bool
+	interrupt func() error
+	// base, while non-nil, is the shared first look the collection is a
+	// prefix of (SetBase); the first private draw, drop or delta detaches
+	// it for good.
+	base  *Base
 	stats Stats
 }
 
@@ -130,7 +136,7 @@ type Batcher struct {
 // reuse is on by default; SetReuse(false) makes Sync regenerate from
 // scratch instead of validity-filtering.
 func NewBatcher(model cascade.Model) *Batcher {
-	return &Batcher{model: model, pool: &samplerPool{model: model}, reuse: true}
+	return &Batcher{model: model, reuse: true}
 }
 
 // Model returns the diffusion model the batcher draws under. Warm-reuse
@@ -142,17 +148,33 @@ func (b *Batcher) Model() cascade.Model { return b.model }
 // kept sets deviate from fresh draws).
 func (b *Batcher) SetReuse(on bool) { b.reuse = on }
 
+// SetBase attaches a shared first look (or, with nil, detaches it). While
+// the residual GrowTo is asked about is the base's untouched graph
+// (version 0) and the collection holds only base sets, GrowTo copies its
+// shortfall from the base instead of drawing it, without advancing the
+// parent stream. Each copied set is an independent draw on that residual,
+// so a campaign's estimates keep their law; campaigns sharing a base are
+// correlated through it. Attach it to an empty batcher, after Reset;
+// RestoreState of a non-empty snapshot and the first private draw, drop
+// or delta detach it for good.
+func (b *Batcher) SetBase(bs *Base) {
+	if bs != nil && bs.model != b.model {
+		panic("ris: base drawn under a different model than the batcher")
+	}
+	b.base = bs
+}
+
 // SetInterrupt installs (or, with nil, removes) a cancellation poll for
 // future GrowTo batches: it is polled before every chunk of 64 draws, by
 // every worker, so it must be safe for concurrent use; a non-nil return
 // aborts the batch, and GrowTo returns that error.
-func (b *Batcher) SetInterrupt(f func() error) { b.pool.SetInterrupt(f) }
+func (b *Batcher) SetInterrupt(f func() error) { b.interrupt = f }
 
 // Reset returns the batcher to its freshly constructed state while keeping
-// every warm buffer: the collection's arenas, the coverage tracker's count
-// array, and the pool's per-worker samplers all survive for the next run.
-// Accounting is zeroed and the collection emptied (version −1), so a new
-// campaign checked out on a warm batcher can never mistake a previous
+// every warm buffer: the collection's arenas and the coverage tracker's
+// count array survive for the next run. Accounting is zeroed, the base
+// and interrupt detached, and the collection emptied (version −1), so a
+// new campaign checked out on a warm batcher can never mistake a previous
 // campaign's RR sets for its own — in particular, a fresh residual's
 // version 0 must not collide with stale sets drawn on some earlier
 // residual's version 0 (Collection.Filter is version-keyed).
@@ -160,7 +182,8 @@ func (b *Batcher) Reset() {
 	if b.col != nil {
 		b.col.Reset()
 	}
-	b.pool.SetInterrupt(nil)
+	b.interrupt = nil
+	b.base = nil
 	b.stats = Stats{}
 }
 
@@ -194,10 +217,12 @@ func (b *Batcher) Sync(res *graph.Residual) int {
 // Invalidate drops the RR sets that contain any of the touched nodes of a
 // topology delta (Collection.InvalidateTouching) and counts the survivors
 // as reused draws, so post-delta accounting mirrors the filter/top-up
-// cycle. A no-op returning 0 before the first Sync/GrowTo and whenever
-// reuse is off: the next Sync discards every set anyway, so none of them
-// is reused. Returns the surviving count.
+// cycle. It detaches the base: the graph is no longer the base's. A no-op
+// returning 0 before the first Sync/GrowTo and whenever reuse is off: the
+// next Sync discards every set anyway, so none of them is reused. Returns
+// the surviving count.
 func (b *Batcher) Invalidate(touched []graph.NodeID) int {
+	b.base = nil
 	if b.col == nil || !b.reuse {
 		return 0
 	}
@@ -206,14 +231,16 @@ func (b *Batcher) Invalidate(touched []graph.NodeID) int {
 	return kept
 }
 
-// GrowTo tops the collection up to target RR sets on res, drawing only the
-// shortfall through the persistent pool (one batch; parent advances by one
-// key only when something is drawn). The coverage tracker folds the new
-// sets in at the next Count, so IMM, which never asks, never pays for it.
-// It returns the collection size, which can fall short of target only
-// when the residual has no alive nodes — or when the installed
-// interrupt aborted the batch, in which case the error is non-nil and the
-// collection contents must be treated as void.
+// GrowTo tops the collection up to target RR sets on res. While an
+// attached base fits (see SetBase) the shortfall is copied from it,
+// counted as reused and never as drawn; otherwise it is drawn through a
+// borrowed pool in one batch, and parent advances by one key only when
+// something is drawn. The coverage tracker folds the new sets in at the
+// next Count, so IMM, which never asks, never pays for it. It returns the
+// collection size, which can fall short of target only when the residual
+// has no alive nodes — or when the installed interrupt aborted the batch,
+// in which case the error is non-nil and the collection contents must be
+// treated as void.
 func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers int) (int, error) {
 	// Fault-plane hook (no-op unless an injector is active): a batch
 	// top-up is the failure-prone operation inside every campaign step,
@@ -225,17 +252,14 @@ func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers i
 	}
 	c := b.ensureCol(res.FullN())
 	if shortfall := target - c.Len(); shortfall > 0 {
-		before := c.Len()
-		visits, touches := b.pool.Visits(), b.pool.EdgeTouches()
-		start := time.Now()
-		b.pool.AppendParallel(c, res, parent, shortfall, workers)
-		b.stats.SamplingNS += time.Since(start).Nanoseconds()
-		b.stats.RRVisits += int64(b.pool.Visits() - visits)
-		b.stats.RREdgeTouches += int64(b.pool.EdgeTouches() - touches)
-		b.stats.RRDrawn += int64(c.Len() - before)
-		b.stats.RRRequested += int64(shortfall)
-		b.stats.RRBatches++
-		if err := b.pool.Err(); err != nil {
+		var err error
+		if b.base != nil && b.base.fits(res) {
+			err = b.adopt(c, res, target, workers)
+		} else {
+			b.base = nil
+			err = b.draw(c, res, parent, shortfall, workers)
+		}
+		if err != nil {
 			return c.Len(), err
 		}
 	}
@@ -243,6 +267,45 @@ func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers i
 		b.stats.RRPeakBytes = bytes
 	}
 	return c.Len(), nil
+}
+
+// adopt copies the base's sets [c.Len(), target) onto c, growing the base
+// first when it is shorter. Like a draw, it leaves the arena room for one
+// worst-case set past the copies, so the first private top-up after the
+// first look does not reallocate it.
+func (b *Batcher) adopt(c *Collection, res *graph.Residual, target, workers int) error {
+	sets, err := b.base.growTo(res, target, workers, b.interrupt)
+	if err != nil {
+		return err
+	}
+	from, to := c.Len(), min(target, sets.Len())
+	if from < to {
+		c.growArena(len(c.arena) + int(sets.offsets[to]-sets.offsets[from]) + res.FullN())
+	}
+	c.noteVersion(res.Version())
+	c.appendRange(sets, from, to)
+	b.stats.RRReused += int64(to - from)
+	return nil
+}
+
+// draw appends count fresh sets to c through a borrowed pool and accounts
+// for them.
+func (b *Batcher) draw(c *Collection, res *graph.Residual, parent *rng.RNG, count, workers int) error {
+	p := borrowPool(b.model)
+	p.interrupt = b.interrupt
+	before := c.Len()
+	visits, touches := p.Visits(), p.EdgeTouches()
+	start := time.Now()
+	p.AppendParallel(c, res, parent, count, workers)
+	b.stats.SamplingNS += time.Since(start).Nanoseconds()
+	b.stats.RRVisits += int64(p.Visits() - visits)
+	b.stats.RREdgeTouches += int64(p.EdgeTouches() - touches)
+	b.stats.RRDrawn += int64(c.Len() - before)
+	b.stats.RRRequested += int64(count)
+	b.stats.RRBatches++
+	err := p.Err()
+	p.release()
+	return err
 }
 
 // Count returns the containment count of u over every set held, folding
