@@ -24,6 +24,16 @@ type Instance struct {
 	first *ris.Base
 }
 
+// FirstLook returns the size of the instance's shared first look: the
+// sets drawn so far and their bytes (ris.Base.Footprint), 0 and 0 on an
+// instance without one. It never waits on a growth in progress.
+func (inst *Instance) FirstLook() (sets int, bytes int64) {
+	if inst.first == nil {
+		return 0, 0
+	}
+	return inst.first.Footprint()
+}
+
 // Validate checks the instance is runnable.
 func (inst *Instance) Validate() error {
 	if inst.G == nil {

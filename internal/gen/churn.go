@@ -1,7 +1,8 @@
 package gen
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -32,25 +33,44 @@ func ChurnDeltas(g *graph.Graph, frac float64, r *rng.RNG) (inserts, deletes []g
 		k = int(m)
 	}
 
-	// Deletes: distinct random arena positions, mapped to (source, target)
-	// by binary search over the out-CSR index. Distinct pairs only, so the
-	// delta stays unambiguous even on graphs with parallel edges.
-	chosen := make(map[[2]graph.NodeID]bool, 2*k)
-	outIdx := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		outIdx[v+1] = outIdx[v] + int64(g.OutDegree(graph.NodeID(v)))
+	// Deletes: distinct random edge ranks in out-CSR order (source-major),
+	// drawn one per try. Each batch of draws is resolved to (source,
+	// target) pairs by one sweep over the out-degrees in rank order, then
+	// taken in draw order; a pair already chosen is rejected, and the next
+	// batch draws only as many ranks as were rejected, so every try costs
+	// exactly one draw. Distinct pairs only, so the delta stays unambiguous
+	// even on graphs with parallel edges.
+	type rank struct {
+		idx int64
+		at  int // position in draw order
 	}
-	for tries := 0; len(deletes) < k && tries < 100*k+100; tries++ {
-		idx := int64(r.Intn(int(m)))
-		v := sort.Search(n, func(i int) bool { return outIdx[i+1] > idx }) // node owning arena slot idx
-		adj, _ := g.OutNeighbors(graph.NodeID(v))
-		to := adj[idx-outIdx[v]]
-		pair := [2]graph.NodeID{graph.NodeID(v), to}
-		if chosen[pair] {
-			continue
+	chosen := make(map[[2]graph.NodeID]bool, 2*k)
+	batch := make([]rank, 0, k)
+	pairs := make([][2]graph.NodeID, k)
+	for tries, limit := 0, 100*k+100; len(deletes) < k && tries < limit; {
+		draws := min(k-len(deletes), limit-tries)
+		tries += draws
+		batch = batch[:0]
+		for j := 0; j < draws; j++ {
+			batch = append(batch, rank{int64(r.Intn(int(m))), j})
 		}
-		chosen[pair] = true
-		deletes = append(deletes, graph.Edge{From: graph.NodeID(v), To: to})
+		slices.SortFunc(batch, func(a, b rank) int { return cmp.Compare(a.idx, b.idx) })
+		v, lo, hi := 0, int64(0), int64(g.OutDegree(0)) // node v owns ranks [lo, hi)
+		for _, d := range batch {
+			for hi <= d.idx {
+				v++
+				lo, hi = hi, hi+int64(g.OutDegree(graph.NodeID(v)))
+			}
+			adj, _ := g.OutNeighbors(graph.NodeID(v))
+			pairs[d.at] = [2]graph.NodeID{graph.NodeID(v), adj[d.idx-lo]}
+		}
+		for _, pair := range pairs[:draws] {
+			if chosen[pair] {
+				continue
+			}
+			chosen[pair] = true
+			deletes = append(deletes, graph.Edge{From: pair[0], To: pair[1]})
+		}
 	}
 
 	// Inserts: fresh pairs — absent from g and from this delta.

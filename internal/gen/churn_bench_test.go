@@ -187,3 +187,28 @@ func BenchmarkSessionCheckpoint(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(blob))/1024, "blob_KB")
 }
+
+// BenchmarkChurnDeltas times drawing one 0.1% churn delta on epinions-s
+// at half scale after four chained deltas, the graph shape a churning
+// campaign draws its later deltas on.
+func BenchmarkChurnDeltas(b *testing.B) {
+	ds, err := gen.Lookup("epinions-s")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := gen.Generate(ds.Config(0.5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		ins, dels := gen.ChurnDeltas(g, 0.001, rng.New(uint64(i)+1))
+		if g, _, err = g.ApplyDelta(ins, dels); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gen.ChurnDeltas(g, 0.001, rng.New(uint64(i)))
+	}
+}

@@ -2,6 +2,7 @@ package ris
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cascade"
 	"repro/internal/graph"
@@ -21,15 +22,16 @@ import (
 // It grows lazily, in whole chunks under its own mutex, to the largest
 // target any campaign asked for, and keeps only exactly sized arena,
 // offset and root arrays. A growth publishes new arrays and never writes
-// published ones, so campaigns copy from a snapshot without holding the
-// lock. A Base is safe for concurrent use.
+// published ones, so campaigns copy from a snapshot outside the lock a
+// growth holds across its whole draw, and Len and Footprint never take it.
+// A Base is safe for concurrent use.
 type Base struct {
 	g     *graph.Graph
 	model cascade.Model
 	key   uint64
 
-	mu   sync.Mutex
-	sets *Collection // published; never written after publication
+	mu   sync.Mutex                 // serializes growth
+	sets atomic.Pointer[Collection] // published; never written after publication
 }
 
 // NewBase returns an empty first-look pool for g under model, keyed by
@@ -37,15 +39,21 @@ type Base struct {
 func NewBase(g *graph.Graph, model cascade.Model, key uint64) *Base {
 	sets := NewCollection(g.N())
 	sets.version = 0
-	return &Base{g: g, model: model, key: key, sets: sets}
+	bs := &Base{g: g, model: model, key: key}
+	bs.sets.Store(sets)
+	return bs
 }
 
-// Len returns the number of sets drawn so far, always a whole number of
-// chunks.
-func (bs *Base) Len() int {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	return bs.sets.Len()
+// Len returns the number of sets published so far, always a whole number
+// of chunks. It never waits on a growth in progress.
+func (bs *Base) Len() int { return bs.sets.Load().Len() }
+
+// Footprint returns the number of published sets and the bytes of their
+// arrays (Collection.Bytes), both read from one snapshot. It never waits
+// on a growth in progress.
+func (bs *Base) Footprint() (sets int, bytes int64) {
+	c := bs.sets.Load()
+	return c.Len(), c.Bytes()
 }
 
 // fits reports whether res is the untouched full residual of the base's
@@ -63,9 +71,10 @@ func (bs *Base) fits(res *graph.Residual) bool {
 func (bs *Base) growTo(res *graph.Residual, n, workers int, interrupt func() error) (*Collection, error) {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	have := bs.sets.Len()
+	sets := bs.sets.Load()
+	have := sets.Len()
 	if have >= n {
-		return bs.sets, nil
+		return sets, nil
 	}
 	p := borrowPool(bs.model)
 	if p.grown == nil {
@@ -77,11 +86,12 @@ func (bs *Base) growTo(res *graph.Residual, n, workers int, interrupt func() err
 	p.appendChunks(p.grown, res, bs.key, uint64(have/interruptStride), chunks*interruptStride, workers)
 	err := p.Err()
 	if err == nil {
-		bs.sets = bs.sets.extended(p.grown)
+		sets = sets.extended(p.grown)
+		bs.sets.Store(sets)
 	}
 	p.release()
 	if err != nil {
 		return nil, err
 	}
-	return bs.sets, nil
+	return sets, nil
 }

@@ -3,11 +3,13 @@ package ris
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/cascade"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -250,5 +252,83 @@ func TestBaseConcurrentGrowth(t *testing.T) {
 		prefix := NewCollection(g.N())
 		prefix.appendRange(want, 0, c.Len())
 		sameSets(t, fmt.Sprintf("goroutine %d", i), prefix, c)
+	}
+}
+
+// TestBaseFootprintDoesNotWaitOnGrowth: Len and Footprint read the
+// published snapshot while another goroutine holds the base's lock
+// across a draw, and see the growth once it is published.
+func TestBaseFootprintDoesNotWaitOnGrowth(t *testing.T) {
+	g := wcTestGraph(t)
+	res := graph.NewResidual(g)
+	bs := NewBase(g, cascade.IC, 5)
+	if _, err := bs.growTo(res, 128, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, before := bs.Footprint()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	done := make(chan error)
+	go func() {
+		_, err := bs.growTo(res, 1024, 1, func() error {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+			return nil
+		})
+		done <- err
+	}()
+	<-entered // the growth holds the lock until release
+	if sets, bytes := bs.Footprint(); sets != 128 || bytes != before || bs.Len() != 128 {
+		t.Fatalf("during growth: %d sets, %d bytes, Len %d; want 128, %d", sets, bytes, bs.Len(), before)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	sets, bytes := bs.Footprint()
+	c, _ := bs.growTo(res, 0, 1, nil)
+	if sets != 1024 || bytes != c.Bytes() || bytes <= before {
+		t.Fatalf("after growth: %d sets, %d bytes; want 1024, %d", sets, bytes, c.Bytes())
+	}
+}
+
+// TestBaseAdoptAllocatesByContent: a fresh batcher adopting a first look
+// from its base on a 120k-node graph allocates for the entries it copies
+// (arena, offsets and roots with their doubling slack), not for a
+// worst-case RR set of FullN entries past them.
+func TestBaseAdoptAllocatesByContent(t *testing.T) {
+	g, err := gen.Generate(gen.Config{Model: gen.PrefAttach, N: 120_000, AvgDeg: 5, Directed: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := graph.NewResidual(g)
+	bs := NewBase(g, cascade.IC, 0xADD)
+	sets, err := bs.growTo(res, 4096, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const target = 4000
+	copied := int64(sets.offsets[target])
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := NewBatcher(cascade.IC)
+	b.SetBase(bs)
+	if n, err := b.GrowTo(res, rng.New(1), target, 2); err != nil || n != target {
+		t.Fatalf("GrowTo(%d) = %d, %v", target, n, err)
+	}
+	runtime.ReadMemStats(&after)
+	allocated := int64(after.TotalAlloc - before.TotalAlloc)
+	// Arena: exactly the copies. Offsets and roots: int32s appended one
+	// by one, whose growth allocates at most five times their final
+	// length (append's 1.25× steps).
+	budget := 4*copied + 2*5*4*(target+1) + 4096
+	if allocated > budget || allocated >= 2*int64(g.N()) {
+		t.Fatalf("adopting %d sets (%d entries) allocated %d bytes, want <= %d and < 2·FullN = %d bytes",
+			target, copied, allocated, budget, 2*g.N())
+	}
+	if got := b.Collection().Bytes(); got > 4*copied+2*2*4*(target+1) {
+		t.Fatalf("adopted collection holds %d bytes for %d entries", got, copied)
 	}
 }

@@ -78,12 +78,13 @@ func (c *Collection) AddSet(root graph.NodeID, nodes []graph.NodeID) {
 }
 
 // growArena ensures the arena can hold need entries without reallocating,
-// clamping the capacity to maxArena. Bulk generators reserve a worst-case
-// RR set (FullN entries) past every set's start, so they can build sets
-// in the arena tail in place. An empty arena starts at need; capacity then
-// doubles until it covers need, so after a batch it depends only on the
-// first and the largest need — not on how the batch was split across pool
-// workers (see appendBulk), which keeps Bytes worker-count independent.
+// clamping the capacity to maxArena. Bulk draws and copies ask for
+// exactly what they add, so the arena is sized by what it holds. An empty
+// arena starts at need; capacity then doubles until it covers need, so
+// after a batch it depends only on the first and the largest need — the
+// set that started the arena and the total it holds — not on how the
+// batch was split across pool workers (see samplerPool.appendChunks),
+// which keeps Bytes worker-count independent.
 func (c *Collection) growArena(need int) {
 	if cap(c.arena) >= need || need > maxArena {
 		return
@@ -115,20 +116,9 @@ func (c *Collection) commitSet(root graph.NodeID, n int) {
 	c.invValid = false
 }
 
-// appendBulk splices src's sets (a pool worker's output) onto c,
-// preserving set order. It grows c exactly as drawing those sets into c
-// directly would have: the arena to cover reserve entries past the last
-// set's start, offsets and roots one entry at a time.
-func (c *Collection) appendBulk(src *Collection, reserve int) {
-	if src.Len() == 0 {
-		return
-	}
-	c.growArena(len(c.arena) + int(src.offsets[src.Len()-1]) + reserve)
-	c.appendRange(src, 0, src.Len())
-}
-
-// appendRange appends copies of src's sets [from, to) to c, growing the
-// arena as append does and offsets and roots one entry at a time.
+// appendRange appends copies of src's sets [from, to) to c (a pool
+// worker's output, a first look's prefix), growing the arena through
+// growArena by what they add and offsets and roots one entry at a time.
 func (c *Collection) appendRange(src *Collection, from, to int) {
 	if from >= to {
 		return
@@ -137,6 +127,7 @@ func (c *Collection) appendRange(src *Collection, from, to int) {
 	if len(c.arena)+int(hi-lo) > maxArena {
 		panic("ris: collection arena exceeds int32 offset range; shard the collection")
 	}
+	c.growArena(len(c.arena) + int(hi-lo))
 	shift := int32(len(c.arena)) - lo
 	c.arena = append(c.arena, src.arena[lo:hi]...)
 	for i := from; i < to; i++ {

@@ -48,13 +48,15 @@
 //     length) whatever order, worker count or campaign grew it
 //     (TestBaseGrowthOrderIndependent). It grows lazily, in whole chunks
 //     under its own mutex, and publishes exactly sized arrays it never
-//     writes again. A Batcher with a base attached copies its shortfall
-//     from it while the residual is untouched and the collection holds
-//     only base sets; the copies count as reused, never as drawn.
+//     writes again, read without the lock. A Batcher with a base attached
+//     copies its shortfall from it while the residual is untouched and
+//     the collection holds only base sets; the copies count as reused,
+//     never as drawn.
 //   - Collection (collection.go): CSR/arena storage — one flat node arena
 //     plus per-set offsets, and a CSR inverted index built on first use —
-//     so a collection is ~4 contiguous allocations regardless of θ. Reset
-//     empties it in place keeping capacity (the pool's warm path);
+//     so a collection is ~4 contiguous allocations regardless of θ, and
+//     its arena grows by what it holds. Reset empties it in place keeping
+//     capacity (the pool's warm path);
 //     Collection.Filter compacts in place to the sets still valid on a
 //     mutated residual, enabling cross-round reuse: a set drawn on G_i
 //     that avoids every node deleted since is kept for G_j (j > i). Kept

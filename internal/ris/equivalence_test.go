@@ -206,10 +206,11 @@ func TestPoolMatchesFreeFunctions(t *testing.T) {
 
 // TestAppendParallelWorkerCountIndependent: the sets a batch appends are a
 // function of (parent state, count) only. Every worker count yields the
-// same collection — and the same capacity-based Bytes — through a first
-// batch, a top-up after Filter and a top-up after InvalidateTouching, on
-// one warm pool; and chunk k of the first batch is exactly the
-// interruptStride sets a bare sampler draws from Mix64(key + k·Golden).
+// same collection — and the same capacity-based Bytes, with an arena
+// sized by its content — through a first batch, a top-up after Filter
+// and a top-up after InvalidateTouching, on one warm pool; and chunk k of
+// the first batch is exactly the interruptStride sets a bare sampler
+// draws from Mix64(key + k·Golden).
 func TestAppendParallelWorkerCountIndependent(t *testing.T) {
 	g := wcTestGraph(t)
 	for _, model := range []cascade.Model{cascade.IC, cascade.LT} {
@@ -224,11 +225,16 @@ func TestAppendParallelWorkerCountIndependent(t *testing.T) {
 				var got []*Collection
 				snap := func() {
 					cp := NewCollection(c.n)
-					cp.appendBulk(c, 0)
+					cp.appendRange(c, 0, c.Len())
 					got = append(got, cp)
 				}
 				pool.AppendParallel(c, res, parent, count, workers)
 				snap()
+				// Sized by content: the arena starts at the first set and
+				// doubles, so it never reaches twice what it holds.
+				if len(c.arena) > len(c.SetNodes(0)) && cap(c.arena) >= 2*len(c.arena) {
+					t.Fatalf("%v count %d workers %d: arena capacity %d for %d entries", model, count, workers, cap(c.arena), len(c.arena))
+				}
 				res.Remove(graph.NodeID(count % 300))
 				c.Filter(res)
 				pool.AppendParallel(c, res, parent, count, workers)

@@ -193,7 +193,7 @@ func (p *samplerPool) appendChunks(c *Collection, res *graph.Residual, key, chun
 		return
 	}
 	for _, wk := range p.workers[1:p.nw] {
-		c.appendBulk(wk.out, res.FullN())
+		c.appendRange(wk.out, 0, wk.out.Len())
 	}
 }
 

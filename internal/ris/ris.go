@@ -237,7 +237,7 @@ func (s *sampler) appendSets(c *Collection, count int) {
 		if !ok {
 			return
 		}
-		c.growArena(len(c.arena) + s.res.FullN()) // as appendFastIC reserves
+		c.growArena(len(c.arena) + len(s.touched))
 		c.AddSet(root, s.touched)
 	}
 }
@@ -272,17 +272,11 @@ func (s *sampler) appendFastIC(c *Collection, count int, meta []graph.InMeta, in
 	skipAlive := len(alive) == full
 	var posBuf [maxRejectK]int32
 	for i := 0; i < count; i++ {
-		// Build the set in the arena tail in place; a worst-case
-		// reservation keeps the frontier from reallocating away, except
-		// next to the maxArena boundary, where the post-draw copy path
-		// below takes over.
+		// Build the set in the arena tail in place. A set that outgrows
+		// the arena's spare capacity is moved by append to a fresh buffer,
+		// and copied in below once the arena has grown by what it holds.
 		base := len(c.arena)
-		c.growArena(base + full)
-		inPlace := cap(c.arena)-base >= full
 		touched := c.arena[base:base]
-		if !inPlace {
-			touched = s.touched[:0]
-		}
 		root := alive[r.Intn(len(alive))]
 		visited[root] = true
 		touched = append(touched, root)
@@ -399,11 +393,11 @@ func (s *sampler) appendFastIC(c *Collection, count int, meta []graph.InMeta, in
 		for _, u := range touched {
 			visited[u] = false
 		}
-		if inPlace {
+		if len(touched) <= cap(c.arena)-base {
 			c.commitSet(root, len(touched))
 		} else {
+			c.growArena(base + len(touched))
 			c.AddSet(root, touched)
-			s.touched = touched
 		}
 	}
 }

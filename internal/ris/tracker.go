@@ -270,18 +270,13 @@ func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers i
 }
 
 // adopt copies the base's sets [c.Len(), target) onto c, growing the base
-// first when it is shorter. Like a draw, it leaves the arena room for one
-// worst-case set past the copies, so the first private top-up after the
-// first look does not reallocate it.
+// first when it is shorter.
 func (b *Batcher) adopt(c *Collection, res *graph.Residual, target, workers int) error {
 	sets, err := b.base.growTo(res, target, workers, b.interrupt)
 	if err != nil {
 		return err
 	}
 	from, to := c.Len(), min(target, sets.Len())
-	if from < to {
-		c.growArena(len(c.arena) + int(sets.offsets[to]-sets.offsets[from]) + res.FullN())
-	}
 	c.noteVersion(res.Version())
 	c.appendRange(sets, from, to)
 	b.stats.RRReused += int64(to - from)

@@ -305,6 +305,11 @@ type InstanceInfo struct {
 	N        int   `json:"n,omitempty"`
 	M        int64 `json:"m,omitempty"`
 	Targets  int   `json:"targets,omitempty"`
+	// FirstLookSets and FirstLookBytes size the instance's shared first
+	// look (adaptive.Instance.FirstLook): the RR sets its campaigns copy
+	// instead of drawing, counted in no campaign's rr_drawn.
+	FirstLookSets  int   `json:"first_look_sets"`
+	FirstLookBytes int64 `json:"first_look_bytes"`
 }
 
 // Stats snapshots the registry, sorted by key string for stable output.
@@ -333,6 +338,7 @@ func (r *Registry) Stats() []InstanceInfo {
 			info.N = p.G.N()
 			info.M = p.G.M()
 			info.Targets = len(p.Inst.Targets)
+			info.FirstLookSets, info.FirstLookBytes = p.Inst.FirstLook()
 		}
 		out = append(out, info)
 	}

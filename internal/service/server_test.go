@@ -246,3 +246,48 @@ func TestServerCreateValidation(t *testing.T) {
 	call(t, ts, http.MethodPost, "/v1/campaigns", map[string]any{"algo": "all-targets"}, http.StatusCreated, &st)
 	call(t, ts, http.MethodPost, "/v1/campaigns/"+st.ID+"/checkpoint", nil, http.StatusConflict, nil)
 }
+
+// TestInstancesReportFirstLook: GET /v1/instances sizes each prepared
+// instance's shared first look — no sets before a campaign has stepped,
+// then whole 64-set chunks and their bytes, matching the instance's own
+// count.
+func TestInstancesReportFirstLook(t *testing.T) {
+	reg := NewRegistry(testSpec(), 0)
+	ts := httptest.NewServer(NewServer(reg, t.TempDir()).Handler())
+	defer ts.Close()
+
+	var st Status
+	call(t, ts, http.MethodPost, "/v1/campaigns", nil, http.StatusCreated, &st)
+	var raw []map[string]any
+	call(t, ts, http.MethodGet, "/v1/instances", nil, http.StatusOK, &raw)
+	if len(raw) != 1 {
+		t.Fatalf("instances = %+v, want one", raw)
+	}
+	if _, ok := raw[0]["first_look_bytes"]; raw[0]["first_look_sets"] != 0.0 || !ok {
+		t.Fatalf("before the first step: %+v, want first_look_sets 0 and first_look_bytes", raw)
+	}
+
+	var step stepResponse
+	call(t, ts, http.MethodPost, "/v1/campaigns/"+st.ID+"/step", nil, http.StatusOK, &step)
+	var infos []InstanceInfo
+	call(t, ts, http.MethodGet, "/v1/instances", nil, http.StatusOK, &infos)
+	if len(infos) != 1 {
+		t.Fatalf("instances = %+v, want one", infos)
+	}
+	got := infos[0]
+	if got.FirstLookSets <= 0 || got.FirstLookSets%64 != 0 || got.FirstLookBytes <= 0 {
+		t.Fatalf("after one step: %d first-look sets in %d bytes, want whole chunks", got.FirstLookSets, got.FirstLookBytes)
+	}
+	inst, err := reg.Acquire(testKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Release()
+	prep, err := inst.Prepared()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sets, bytes := prep.Inst.FirstLook(); sets != got.FirstLookSets || bytes != got.FirstLookBytes {
+		t.Fatalf("reported %d sets, %d bytes; instance holds %d, %d", got.FirstLookSets, got.FirstLookBytes, sets, bytes)
+	}
+}
