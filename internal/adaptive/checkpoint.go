@@ -46,9 +46,10 @@ import (
 //	residual version i64, removals []node (oldest first)
 //	stepper tag u8, stepper payload (sampling: fallbacks, attempts,
 //	certified-early, reused, then the batcher — collection present
-//	bool [, arena []node, offsets []int32, roots []node, version i64],
-//	then its stats; ADG: sampled bool [, RR stream state u64, inc u64,
-//	batcher]; NSG: selected bool, chosen []node, next index, stats)
+//	bool [, arena []node, offsets []int32, roots []node, version i64]
+//	over its live sets only, then its stats; ADG: sampled bool [, RR
+//	stream state u64, inc u64, batcher]; NSG: selected bool, chosen
+//	[]node, next index, stats)
 //
 // where stats is the ris.Stats counters but SamplingNS: drawn,
 // requested, reused, peak bytes i64, batches, visits i64, edge
@@ -181,14 +182,6 @@ func (w *ckptWriter) nodes(ns []graph.NodeID) {
 	if b := w.reserve(4 * len(ns)); b != nil {
 		for i, u := range ns {
 			binary.LittleEndian.PutUint32(b[4*i:], uint32(u))
-		}
-	}
-}
-func (w *ckptWriter) i32s(vs []int32) {
-	w.u64(uint64(len(vs)))
-	if b := w.reserve(4 * len(vs)); b != nil {
-		for i, v := range vs {
-			binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
 		}
 	}
 }
@@ -344,11 +337,21 @@ func (r *ckptReader) edges() []graph.Edge {
 	return out
 }
 
+// collection writes the snapshot's live sets only (ris.CollectionState's
+// PutLive), so the blob is the same whether or not the collection has
+// compacted its dropped sets away.
 func (w *ckptWriter) collection(st ris.CollectionState) {
-	w.nodes(st.Arena)
-	w.i32s(st.Offsets)
-	w.nodes(st.Roots)
+	sets, entries := st.Len()
+	w.u64(uint64(entries))
+	arena := w.reserve(4 * entries)
+	w.u64(uint64(sets + 1))
+	offsets := w.reserve(4 * (sets + 1))
+	w.u64(uint64(sets))
+	roots := w.reserve(4 * sets)
 	w.i64(st.Version)
+	if offsets != nil {
+		st.PutLive(arena, offsets, roots)
+	}
 }
 
 func (r *ckptReader) collection() ris.CollectionState {

@@ -93,12 +93,22 @@ func resampledEnv(s *Session, seed uint64) *Environment {
 // TestCheckpointExactSize: for every stepper kind, a checkpoint taken
 // mid-campaign after a topology delta is one buffer of exactly its final
 // size, re-encodes byte-identically after a resume, and the resumed
-// campaign finishes seed-identically to the uninterrupted one.
+// campaign finishes seed-identically to the uninterrupted one. The
+// sampling steppers' collections still hold the sets the delta dropped
+// when the blob is written and none after the resume, so the
+// byte-identical re-encode checks that the writer leaves dropped sets out.
 func TestCheckpointExactSize(t *testing.T) {
+	sparse := 0
 	for _, k := range checkpointKinds(t) {
 		sess, env := midCampaign(t, k.inst, k.tc, 7)
 		if got := stepperType(sess); got != k.stepType {
 			t.Fatalf("%s: stepper %s, want %s", k.tc.name, got, k.stepType)
+		}
+		if st, ok := sess.step.(*samplingStepper); ok {
+			cs := st.b.Collection().State()
+			if sets, _ := cs.Len(); sets < len(cs.Roots) {
+				sparse++
+			}
 		}
 		blob, err := sess.Checkpoint()
 		if err != nil {
@@ -127,6 +137,9 @@ func TestCheckpointExactSize(t *testing.T) {
 			t.Fatalf("%s: finishing the resumed session: %v", k.tc.name, err)
 		}
 		compareRuns(t, k.tc.name+"/exact-size", got, want)
+	}
+	if sparse == 0 {
+		t.Fatal("no sampling session held dropped sets at its checkpoint")
 	}
 }
 

@@ -143,12 +143,12 @@ func TestADGGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := map[string]goldenADG{
-		"IC/noreuse=false/mutated=false": {[]graph.NodeID{592, 591, 565, 546}, 64, 11843, 11843, 38157, 28992, 17251, 212992},
-		"IC/noreuse=false/mutated=true":  {[]graph.NodeID{592, 591, 546, 443, 565}, 70, 16750, 16750, 58067, 41605, 25356, 212992},
+		"IC/noreuse=false/mutated=false": {[]graph.NodeID{592, 591, 565, 546}, 64, 11843, 11843, 38157, 28992, 17251, 397312},
+		"IC/noreuse=false/mutated=true":  {[]graph.NodeID{592, 591, 546, 443, 565}, 70, 16750, 16750, 58067, 41605, 25356, 532480},
 		"IC/noreuse=true/mutated=false":  {[]graph.NodeID{592, 591, 565, 531}, 58, 50000, 50000, 0, 114391, 66669, 212992},
 		"IC/noreuse=true/mutated=true":   {[]graph.NodeID{592, 591, 565, 531}, 65, 50000, 50000, 0, 122165, 75751, 212992},
-		"LT/noreuse=false/mutated=false": {[]graph.NodeID{592, 591, 565, 531, 546, 523, 487, 515, 386}, 92, 12880, 12880, 87120, 31384, 18711, 212992},
-		"LT/noreuse=false/mutated=true":  {[]graph.NodeID{592, 591, 515, 597, 546}, 81, 17283, 17283, 57242, 42221, 25318, 212992},
+		"LT/noreuse=false/mutated=false": {[]graph.NodeID{592, 591, 565, 531, 546, 523, 487, 515, 386}, 92, 12880, 12880, 87120, 31384, 18711, 397312},
+		"LT/noreuse=false/mutated=true":  {[]graph.NodeID{592, 591, 515, 597, 546}, 81, 17283, 17283, 57242, 42221, 25318, 532480},
 		"LT/noreuse=true/mutated=false":  {[]graph.NodeID{592, 591, 565, 531, 546, 386, 523}, 82, 80000, 80000, 0, 180068, 105437, 212992},
 		"LT/noreuse=true/mutated=true":   {[]graph.NodeID{592, 591, 597}, 64, 40000, 40000, 0, 94384, 56147, 212992},
 	}

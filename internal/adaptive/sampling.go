@@ -123,8 +123,9 @@ func clampSpread(v float64, nAlive int) float64 {
 //   - each look's sample size: initialBatch doubling to θ_cap =
 //     θ(ζ_min, δ_round) under PolicySequential; θ(ζ_k, δ_round) with
 //     ζ_k = ζ/2^k under PolicyFixed;
-//   - the half-width: bounds.AnytimeWidth at the look's spent δ
-//     (sequential); ζ_k (fixed);
+//   - the half-width: bounds.AnytimeWidth at the look's spent δ, its
+//     logs taken once per look (bounds.AnytimeLook) (sequential); ζ_k
+//     (fixed);
 //   - the interval regime (cert): additive for both algorithms under
 //     PolicySequential, the algorithm's own under PolicyFixed;
 //   - the Sync cadence: once per round (sequential), once per attempt
@@ -254,7 +255,7 @@ func (st *samplingStepper) next(s *Session) (graph.NodeID, bool, error) {
 		// over-represent those whose sets survive, so cross-round
 		// certificates are approximate — NoReuse restores the paper's
 		// from-scratch sampling when that matters.
-		deltaK := bounds.SpendGeometric(st.deltaRound, k)
+		look := bounds.NewAnytimeLook(n, bounds.SpendGeometric(st.deltaRound, k))
 		w := zeta
 		best := graph.NodeID(-1)
 		bestProfit, bestLower := 0.0, 0.0
@@ -262,7 +263,7 @@ func (st *samplingStepper) next(s *Session) (graph.NodeID, bool, error) {
 		for _, u := range s.alive {
 			frac := float64(st.b.Count(u)) / float64(n)
 			if !st.fixed {
-				w = bounds.AnytimeWidth(n, frac, deltaK)
+				w = look.Width(frac)
 			}
 			cost := s.inst.Costs.Cost(u)
 			profit := clampSpread(frac*float64(nAlive), nAlive) - cost

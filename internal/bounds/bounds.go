@@ -128,16 +128,41 @@ func SpendGeometric(delta float64, k int) float64 {
 // at the k-th look; the sequence then holds at every look simultaneously
 // with probability ≥ 1−δ.
 func AnytimeWidth(theta int, frac, delta float64) float64 {
+	return NewAnytimeLook(theta, delta).Width(frac)
+}
+
+// AnytimeLook is AnytimeWidth at one look's (θ, δ) with the parts that
+// do not depend on the observed mean computed once — the Hoeffding width
+// and ln(6/δ) — so a look that certifies many targets pays for the logs
+// once, not per target. Width returns exactly what AnytimeWidth does.
+type AnytimeLook struct {
+	t, hoeffding, logTerm float64
+	trivial               bool // θ ≤ 0 or δ outside (0, 1): every width is 1
+}
+
+// NewAnytimeLook prepares AnytimeWidth for theta samples at delta.
+func NewAnytimeLook(theta int, delta float64) AnytimeLook {
 	if theta <= 0 || delta <= 0 || delta >= 1 {
-		return 1
+		return AnytimeLook{trivial: true}
 	}
 	t := float64(theta)
-	hoeffding := math.Sqrt(math.Log(4/delta) / (2 * t))
+	return AnytimeLook{
+		t:         t,
+		hoeffding: math.Sqrt(math.Log(4/delta) / (2 * t)),
+		logTerm:   math.Log(6 / delta),
+	}
+}
+
+// Width returns AnytimeWidth(theta, frac, delta) for the look's theta
+// and delta.
+func (l AnytimeLook) Width(frac float64) float64 {
+	if l.trivial {
+		return 1
+	}
 	v := frac * (1 - frac)
 	if v < 0 {
 		v = 0
 	}
-	logTerm := math.Log(6 / delta)
-	bernstein := math.Sqrt(2*v*logTerm/t) + 3*logTerm/t
-	return math.Min(1, math.Min(hoeffding, bernstein))
+	bernstein := math.Sqrt(2*v*l.logTerm/l.t) + 3*l.logTerm/l.t
+	return math.Min(1, math.Min(l.hoeffding, bernstein))
 }

@@ -209,6 +209,37 @@ func TestAnytimeWidthShrinksWithTheta(t *testing.T) {
 	}
 }
 
+// TestAnytimeLookMatchesPerTargetFormula: hoisting the logs out of the
+// per-target width changes no bit. The reference is the per-call formula
+// AnytimeWidth evaluated before AnytimeLook existed.
+func TestAnytimeLookMatchesPerTargetFormula(t *testing.T) {
+	ref := func(theta int, frac, delta float64) float64 {
+		if theta <= 0 || delta <= 0 || delta >= 1 {
+			return 1
+		}
+		tf := float64(theta)
+		hoeffding := math.Sqrt(math.Log(4/delta) / (2 * tf))
+		v := frac * (1 - frac)
+		if v < 0 {
+			v = 0
+		}
+		logTerm := math.Log(6 / delta)
+		bernstein := math.Sqrt(2*v*logTerm/tf) + 3*logTerm/tf
+		return math.Min(1, math.Min(hoeffding, bernstein))
+	}
+	for _, theta := range []int{0, 1, 7, 2048, 16384, 131072, 1 << 22} {
+		for k := 0; k <= 12; k++ {
+			delta := SpendGeometric(0.1/50, k)
+			look := NewAnytimeLook(theta, delta)
+			for _, frac := range []float64{-0.01, 0, 1e-6, 0.002, 0.01, 0.1, 1.0 / 3, 0.5, 0.9, 1, 1.2} {
+				if got, want := look.Width(frac), ref(theta, frac, delta); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("θ=%d k=%d frac=%v: look width %v, per-target formula %v", theta, k, frac, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestAnytimeWidthVarianceAdaptive(t *testing.T) {
 	// At small coverage fractions the empirical-Bernstein branch must beat
 	// the range-based Hoeffding width — the lever that makes the sequential

@@ -21,10 +21,12 @@ import (
 // order it grew in, on the worker count, or on which campaign grew it.
 // It grows lazily, in whole chunks under its own mutex, to the largest
 // target any campaign asked for, and keeps only exactly sized arena,
-// offset and root arrays. A growth publishes new arrays and never writes
-// published ones, so campaigns copy from a snapshot outside the lock a
-// growth holds across its whole draw, and Len and Footprint never take it.
-// A Base is safe for concurrent use.
+// offset and root arrays plus their drop index (Collection.index), from
+// which a campaign's collection starts its own at its first drop instead
+// of chaining the copied sets again. A growth publishes new arrays and
+// never writes published ones, so campaigns copy from a snapshot outside
+// the lock a growth holds across its whole draw, and Len and Footprint
+// never take it. A Base is safe for concurrent use.
 type Base struct {
 	g     *graph.Graph
 	model cascade.Model
@@ -87,6 +89,7 @@ func (bs *Base) growTo(res *graph.Residual, n, workers int, interrupt func() err
 	err := p.Err()
 	if err == nil {
 		sets = sets.extended(p.grown)
+		sets.index()
 		bs.sets.Store(sets)
 	}
 	p.release()

@@ -107,7 +107,7 @@ func TestBatcherAdoptsBase(t *testing.T) {
 	want.appendRange(sets, 0, 3000)
 	sameSets(t, "adopted", want, b.Collection())
 	for u := graph.NodeID(0); u < 50; u++ {
-		if got, w := b.Count(u), want.CountContaining(u); got != w {
+		if got, w := b.Count(u), countContaining(want, u); got != w {
 			t.Fatalf("coverage of %d over adopted sets: %d, want %d", u, got, w)
 		}
 	}

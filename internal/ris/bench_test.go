@@ -89,19 +89,27 @@ func BenchmarkAppendParallel(b *testing.B) { benchmarkAppendParallel(b, "nethept
 // nodes, ~27MB of CSR+meta).
 func BenchmarkAppendParallelDBLP(b *testing.B) { benchmarkAppendParallel(b, "dblp-s") }
 
-// benchmarkDrop times one drop pass over a nethept-s-sized pool: 25k RR
-// sets drawn on g (the paper-scale nethept-s graph), every set folded
-// into an attached Coverage as the adaptive stepper's looks leave it.
-// drop runs the pass under test on a fresh copy of the pool; the copy is
-// made off the clock.
-func benchmarkDrop(b *testing.B, g *graph.Graph, drop func(c *Collection)) {
+// dropPool draws the pool the drop benchmarks start from: 25k RR sets on
+// g (the paper-scale nethept-s graph), as one first look leaves them.
+func dropPool(g *graph.Graph) CollectionState {
 	const sets = 25000
 	res := graph.NewResidual(g)
-	pool := newSamplerPool(cascade.IC)
 	base := NewCollection(res.FullN())
-	pool.AppendParallel(base, res, rng.New(3), sets, 1)
-	st := base.State()
-	c := NewCollection(res.FullN())
+	newSamplerPool(cascade.IC).AppendParallel(base, res, rng.New(3), sets, 1)
+	return base.State()
+}
+
+// benchmarkDrop times one drop pass over the dropPool pool, every set
+// folded into an attached Coverage as the adaptive stepper's looks leave
+// it. drop runs the pass under test on a fresh copy of the pool; the copy
+// is made off the clock. A fresh copy has no drop index, so every pass
+// timed here is a collection's first drop, which builds the index in one
+// pass over the arena: this times a campaign's first Sync, not the later
+// ones (BenchmarkSyncRounds times those).
+func benchmarkDrop(b *testing.B, g *graph.Graph, drop func(c *Collection)) {
+	st := dropPool(g)
+	sets, _ := st.Len()
+	c := NewCollection(g.N())
 	cov := newCoverage(c)
 	kept := 0
 	b.ResetTimer()
@@ -120,8 +128,7 @@ func benchmarkDrop(b *testing.B, g *graph.Graph, drop func(c *Collection)) {
 }
 
 // BenchmarkFilter: Filter after 100 nodes were removed since the pool was
-// drawn — the per-round Sync of the adaptive loop, where an observed
-// cascade kills a handful of nodes and a few percent of the pool.
+// drawn, on a pool that has dropped nothing before (see benchmarkDrop).
 func BenchmarkFilter(b *testing.B) {
 	g := benchGraph(b)
 	res := graph.NewResidual(g)
@@ -133,7 +140,8 @@ func BenchmarkFilter(b *testing.B) {
 }
 
 // BenchmarkInvalidateTouching: the drop pass after a 0.1% edge churn, the
-// rate of the churn benchmark workload.
+// rate of the churn benchmark workload, on a pool that has dropped
+// nothing before (see benchmarkDrop).
 func BenchmarkInvalidateTouching(b *testing.B) {
 	g := benchGraph(b)
 	_, dres, err := g.ApplyDelta(gen.ChurnDeltas(g, 0.001, rng.New(5)))
@@ -141,4 +149,57 @@ func BenchmarkInvalidateTouching(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchmarkDrop(b, g, func(c *Collection) { c.InvalidateTouching(dres.Touched) })
+}
+
+// BenchmarkSyncRounds times the adaptive round cycle on the dropPool
+// pool: each op restores the pool onto a warm batcher (off the clock) and
+// runs syncRounds rounds of — seed the best-covered of 50 random alive
+// nodes and remove the nodes one sampled IC cascade activates, Sync,
+// GrowTo back to the pool size, Count. The drops, the drop index's build
+// and upkeep, compaction and the top-up draws are all timed, as a
+// campaign pays for them. Every op replays the same rounds; one untimed
+// op first grows the batcher's storage, so B/op is the steady state.
+func BenchmarkSyncRounds(b *testing.B) {
+	const syncRounds = 15
+	g := benchGraph(b)
+	st := dropPool(g)
+	target, _ := st.Len()
+	bt := NewBatcher(cascade.IC)
+	dropped := 0
+	op := func() {
+		b.StopTimer()
+		res := graph.NewResidual(g)
+		if err := bt.RestoreState(BatcherState{Col: st, HasCol: true}, g.N()); err != nil {
+			b.Fatal(err)
+		}
+		bt.Count(0)
+		r, parent := rng.New(6), rng.New(7)
+		b.StartTimer()
+		for range syncRounds {
+			// Seed the best-covered of 50 random alive nodes, as a policy
+			// choosing among 50 targets would.
+			alive := res.AliveList()
+			seed := alive[r.Intn(len(alive))]
+			for range 49 {
+				if u := alive[r.Intn(len(alive))]; bt.Count(u) > bt.Count(seed) {
+					seed = u
+				}
+			}
+			cascade.Activate(cascade.Sample(g, cascade.IC, r), res, []graph.NodeID{seed})
+			dropped += target - bt.Sync(res)
+			if _, err := bt.GrowTo(res, parent, target, 1); err != nil {
+				b.Fatal(err)
+			}
+			bt.Count(seed)
+		}
+	}
+	op()
+	dropped = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*syncRounds), "ns/round")
+	b.ReportMetric(float64(dropped)/float64(b.N*syncRounds), "dropped/round")
 }

@@ -1,6 +1,9 @@
 package ris
 
 import (
+	"math/bits"
+	"slices"
+
 	"repro/internal/graph"
 )
 
@@ -20,14 +23,23 @@ import (
 // per-node allocations to O(1) amortized and keeps the data
 // cache-contiguous, which is what lets livejournal-scale θ fit in memory.
 //
-// A Collection additionally supports cross-round reuse: Filter compacts
-// the arena in place to the RR sets still valid on a mutated residual,
-// and Batcher.GrowTo appends a top-up into the existing collection
-// instead of rebuilding from scratch. Filter reads
-// the nodes removed since the collection's version off the residual's
-// removal log, so that version must come from the history of the
-// residual filtered against: the same view, a Clone of it, or its replay
-// from a checkpoint's removal log.
+// A Collection additionally supports cross-round reuse: Filter drops the
+// RR sets no longer valid on a mutated residual, and Batcher.GrowTo
+// appends a top-up into the existing collection instead of rebuilding
+// from scratch. Filter reads the nodes removed since the collection's
+// version off the residual's removal log, so that version must come from
+// the history of the residual filtered against: the same view, a Clone of
+// it, or its replay from a checkpoint's removal log.
+//
+// A dropped set is a tombstone: its slot keeps its place, marked by a
+// deadRoot root, and Len counts only the live sets. The drop index —
+// chains of arena entries hashed by node into about half as many buckets
+// as entries, built by the first drop and extended by later ones — finds
+// the sets to drop by walking their nodes' chains instead of scanning the
+// arena. compact moves the live sets down in order once the dropped
+// entries (or sets) reach the live ones, or when the inverted index is
+// built, so the arena and the drop index hold at most twice the live
+// entries and set ids change only there.
 //
 // A Collection is not safe for concurrent use: queries build the inverted
 // index on first use.
@@ -36,7 +48,7 @@ type Collection struct {
 
 	arena   []graph.NodeID
 	offsets []int32
-	roots   []graph.NodeID
+	roots   []graph.NodeID // deadRoot marks a dropped set until compact
 
 	invArena []int32
 	invOff   []int32
@@ -47,12 +59,55 @@ type Collection struct {
 	version int64
 
 	// coverage is the attached incremental containment tracker, if any;
-	// Filter compacts it in lockstep and Reset zeroes it (see tracker.go).
+	// a drop uncounts its sets, compact renumbers its counted prefix and
+	// Reset zeroes it (see tracker.go).
 	coverage *Coverage
 
-	// dropBits is dropContaining's n-bit node set, all zero between passes.
-	dropBits []uint64
+	// deadSets and deadEntries count the tombstones and their arena
+	// entries.
+	deadSets, deadEntries int
+
+	// The drop index: the arena entries holding node u are chained from
+	// head[u & (len(head)-1)] through post (post[p] links entry p to the
+	// previous entry in the same bucket), newest first, each link an arena
+	// position plus one, 0 ending the chain; setAt[k] is the set holding
+	// entry k·setAtStride. Sets [0, indexed) are indexed. Built by the
+	// first drop after a compact, Reset or restore (indexed == 0).
+	head    []int32
+	post    []int32
+	setAt   []int32
+	indexed int
+
+	// shared, while non-nil, is the Base snapshot whose first sharedSets
+	// sets are this collection's sets [0, sharedSets), copied from it; its
+	// drop index (built when the base published it) can stand in for
+	// theirs until a compaction moves them.
+	shared     *Collection
+	sharedSets int
 }
+
+// setAtStride is the spacing of the drop index's entry-to-set samples: a
+// chained entry finds its set by a forward scan over at most a stride's
+// worth of offsets instead of a binary search over all of them.
+const setAtStride = 16
+
+// maxBucketLoad is the mean number of arena entries per head bucket past
+// which the next drop rebuilds the index with more buckets.
+const maxBucketLoad = 8
+
+// headBuckets returns the number of head buckets for an index over
+// entries arena entries on n nodes: a power of two of about half the
+// entries, so chains stay short while the heads stay small next to the
+// arena, but never more than one per node, where every node has its own
+// chain.
+func headBuckets(entries, n int) int {
+	return 1 << bits.Len(uint(max(1, min(n, entries/2))-1))
+}
+
+// deadRoot is the root of a dropped set's slot. A dropped set's entries
+// are complemented (^u < 0), so a chain walk skips them without finding
+// their set.
+const deadRoot graph.NodeID = -1
 
 // NewCollection creates an empty collection over a graph with n nodes
 // (full node count; residual sampling still uses original IDs).
@@ -84,7 +139,11 @@ func (c *Collection) AddSet(root graph.NodeID, nodes []graph.NodeID) {
 // after a batch it depends only on the first and the largest need — the
 // set that started the arena and the total it holds — not on how the
 // batch was split across pool workers (see samplerPool.appendChunks),
-// which keeps Bytes worker-count independent.
+// which keeps Bytes worker-count independent. Growth never compacts
+// dropped sets away: when a collection compacts depends on its contents
+// only, not on the capacity it inherited, so a warm collection (Reset,
+// then reused) repeats a cold one's layout and allocates nothing the cold
+// one did not.
 func (c *Collection) growArena(need int) {
 	if cap(c.arena) >= need || need > maxArena {
 		return
@@ -119,6 +178,7 @@ func (c *Collection) commitSet(root graph.NodeID, n int) {
 // appendRange appends copies of src's sets [from, to) to c (a pool
 // worker's output, a first look's prefix), growing the arena through
 // growArena by what they add and offsets and roots one entry at a time.
+// src holds no dropped sets.
 func (c *Collection) appendRange(src *Collection, from, to int) {
 	if from >= to {
 		return
@@ -165,23 +225,16 @@ func (c *Collection) Reset() {
 	c.roots = c.roots[:0]
 	c.invValid = false
 	c.version = -1
+	c.deadSets, c.deadEntries, c.indexed, c.shared = 0, 0, 0, nil
 	if c.coverage != nil {
 		c.coverage.reset()
 	}
 }
 
-// Len returns the number of RR sets actually held (the paper's θ as far as
-// estimates are concerned).
-func (c *Collection) Len() int { return len(c.roots) }
-
-// Root returns the root of RR set i.
-func (c *Collection) Root(i int) graph.NodeID { return c.roots[i] }
-
-// SetNodes returns the nodes of RR set i as a view into the arena;
-// read-only, invalidated by Filter.
-func (c *Collection) SetNodes(i int) []graph.NodeID {
-	return c.arena[c.offsets[i]:c.offsets[i+1]]
-}
+// Len returns the number of live RR sets held (the paper's θ as far as
+// estimates are concerned); dropped sets awaiting compaction are not
+// counted.
+func (c *Collection) Len() int { return len(c.roots) - c.deadSets }
 
 // noteVersion records the residual version the sets are being drawn on.
 func (c *Collection) noteVersion(v int64) { c.version = v }
@@ -191,30 +244,27 @@ func (c *Collection) noteVersion(v int64) { c.version = v }
 func (c *Collection) Version() int64 { return c.version }
 
 // Bytes returns the heap footprint of the collection's backing arrays
-// (arena, offsets, roots, and inverted index if built). Deterministic for
-// a deterministic build, unlike process-level memory stats, so it can be
-// reported in reproducible experiment rows.
+// (arena, offsets, roots, the inverted index if built, and the drop
+// index once a drop has built it). Deterministic for a deterministic
+// build, unlike process-level memory stats, so it can be reported in
+// reproducible experiment rows.
 func (c *Collection) Bytes() int64 {
 	b := int64(cap(c.arena))*4 + int64(cap(c.offsets))*4 + int64(cap(c.roots))*4
 	b += int64(cap(c.invArena))*4 + int64(cap(c.invOff))*4
+	b += int64(cap(c.head))*4 + int64(cap(c.post))*4 + int64(cap(c.setAt))*4
 	return b
 }
 
 // SetsContaining returns the ids of RR sets that contain u (ascending).
+// Building the inverted index compacts dropped sets away first, so ids
+// run over the live sets only.
 func (c *Collection) SetsContaining(u graph.NodeID) []int32 {
 	c.BuildIndex()
 	return c.invArena[c.invOff[u]:c.invOff[u+1]]
 }
 
-// CountContaining returns |{i : u ∈ R_i}| — the single-node coverage
-// CovR({u}) — without materializing the slice.
-func (c *Collection) CountContaining(u graph.NodeID) int {
-	c.BuildIndex()
-	return int(c.invOff[u+1] - c.invOff[u])
-}
-
-// Filter compacts the collection in place to the RR sets that are still
-// valid on res: exactly those whose nodes (root included) are all alive.
+// Filter drops the RR sets no longer valid on res, keeping exactly those
+// whose nodes (root included) are all alive, in order.
 // Adaptive rounds keep these sets and only top up the shortfall
 // (the ADG, ADDATP and HATP round loops unless NoReuse), but the
 // survivors are not distributed as RR sets of the current residual, even
@@ -236,8 +286,10 @@ func (c *Collection) CountContaining(u graph.NodeID) int {
 // usually a handful of nodes, and never reads the alive mask: a set drawn
 // at version v holds only nodes alive at v, so it is valid iff it avoids
 // every node removed after v (at version -1, the whole log: every dead
-// node). It returns the number of surviving sets. Set ids change on
-// compaction, so any Marks over the collection must be discarded.
+// node). It returns the number of surviving sets. Dropped sets become
+// tombstones, found through the drop index (see dropContaining); set ids
+// change only when a later compaction moves the survivors down, but any
+// Marks over the collection must be discarded all the same.
 func (c *Collection) Filter(res *graph.Residual) int {
 	if c.version == res.Version() {
 		return c.Len()
@@ -247,28 +299,28 @@ func (c *Collection) Filter(res *graph.Residual) int {
 	return kept
 }
 
-// InvalidateTouching compacts the collection in place to the RR sets that
-// contain none of the touched nodes — the generalized invalidation
-// contract for topology deltas. Reverse sampling examines edge (u,v) only
-// when it visits v, so a set avoiding every delta target endpoint
-// (graph.DeltaResult.Touched) read no changed edge. Conditioned on its
-// root, a survivor is therefore a new-topology RR set conditioned on
-// avoiding the touched nodes — not an unconditioned one. Sets containing a
-// touched node are dropped and the shortfall is topped up through the
-// usual Batcher.GrowTo with unconditioned draws, so the pool
-// under-represents sets through touched nodes: if a fraction q of the
-// pool is dropped and a fresh draw meets a touched node with probability
-// q', the pool ends with a share q·q' of such sets instead of q'. The
-// root mix tilts as under Filter. Both deviations scale with the dropped
-// fraction.
+// InvalidateTouching drops the RR sets that contain any of the touched
+// nodes — the generalized invalidation contract for topology deltas.
+// Reverse sampling examines edge (u,v) only when it visits v, so a set
+// avoiding every delta target endpoint (graph.DeltaResult.Touched) read
+// no changed edge. Conditioned on its root, a survivor is therefore a
+// new-topology RR set conditioned on avoiding the touched nodes — not an
+// unconditioned one. Sets containing a touched node are dropped and the
+// shortfall is topped up through the usual Batcher.GrowTo with
+// unconditioned draws, so the pool under-represents sets through touched
+// nodes: if a fraction q of the pool is dropped and a fresh draw meets a
+// touched node with probability q', the pool ends with a share q·q' of
+// such sets instead of q'. The root mix tilts as under Filter. Both
+// deviations scale with the dropped fraction.
 //
 // Unlike Filter, the collection's residual version is left alone: the
 // survivors remain valid for the current residual, so a later Sync/Filter
 // at the same version is the expected no-op. It runs Filter's drop pass
-// over the touched nodes and allocates nothing once the collection has
-// dropped sets before. Set ids change on compaction, so any Marks over
-// the collection must be discarded; an attached Coverage is compacted in
-// lockstep. Returns the number of surviving sets.
+// over the touched nodes, which allocates nothing once the collection's
+// drop index is built. Set ids change only at compaction, but any Marks
+// over the collection must be discarded; an attached Coverage gives the
+// dropped sets' counts back in the same pass. Returns the number of
+// surviving sets.
 func (c *Collection) InvalidateTouching(touched []graph.NodeID) int {
 	if len(touched) == 0 || c.Len() == 0 {
 		return c.Len()
@@ -277,82 +329,158 @@ func (c *Collection) InvalidateTouching(touched []graph.NodeID) int {
 }
 
 // dropContaining is the drop pass behind Filter and InvalidateTouching:
-// it compacts the collection in place, in order, to the sets holding none
-// of nodes and returns the kept count. The
-// nodes are set in dropBits (and cleared after), the arena is scanned
-// flat against them, a hit's set is found by binary search over offsets,
-// and each run of kept sets between two dropped ones moves down in one
-// block. A dropped set the attached Coverage has counted gives its counts
-// back; kept sets keep their order, so the counted prefix stays a prefix.
+// it turns every live set holding one of nodes into a tombstone and
+// returns the live count. The sets are found by walking each node's
+// bucket chain in the drop index, which it first extends over the sets
+// appended since the last drop, so a pass costs O(chains of nodes +
+// entries of the dropped sets), not O(arena); a chain holds about two
+// entries of other nodes per bucket besides the node's own. An entry of
+// the node finds its set through setAt, and the set's entries are
+// complemented, so later walks skip them. A dropped set the attached
+// Coverage has counted gives its counts back; live sets keep their slots,
+// so the counted prefix stays a prefix. Once the dropped entries or sets
+// reach the live ones, the pass compacts and rebuilds the index over the
+// survivors, so the next drop finds it current.
 func (c *Collection) dropContaining(nodes []graph.NodeID) int {
 	if len(nodes) == 0 || c.Len() == 0 {
 		return c.Len()
 	}
-	if c.dropBits == nil {
-		c.dropBits = make([]uint64, (c.n+63)/64)
-	}
-	bits, arena, offsets := c.dropBits, c.arena, c.offsets
-	for _, u := range nodes {
-		bits[uint32(u)>>6] |= 1 << (uint32(u) & 63)
-	}
-	counted, uncounted := 0, 0
+	c.index()
+	var counts []int32
 	if c.coverage != nil {
+		counts = c.coverage.counts
+	}
+	counted := 0
+	if counts != nil {
 		counted = c.coverage.seen
 	}
-	w, next := 0, 0 // sets [0, w) are kept and in place; [next, Len) unscanned
-	for p := nextMarked(arena, 0, bits); p < len(arena); p = nextMarked(arena, int(offsets[next]), bits) {
-		lo, hi := next, len(c.roots) // the hit's set: the last one starting at or before p
-		for hi-lo > 1 {
-			if mid := int(uint(lo+hi) >> 1); int(offsets[mid]) <= p {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		set := arena[offsets[lo]:offsets[lo+1]]
-		w = c.moveDown(next, lo, w)
-		if lo < counted {
-			c.coverage.uncount(set)
-			uncounted++
-		}
-		next = lo + 1
-	}
+	head, post, arena, offsets := c.head, c.post, c.arena, c.offsets
+	mask := int32(len(head) - 1)
+	dead := c.deadSets
 	for _, u := range nodes {
-		bits[uint32(u)>>6] = 0
+		for q := head[u&mask]; q > 0; q = post[q-1] {
+			if arena[q-1] != u {
+				continue // another node's entry, or one of a dropped set
+			}
+			s := c.setAt[(q-1)/setAtStride]
+			for offsets[s+1] < q {
+				s++
+			}
+			c.roots[s] = deadRoot
+			set := arena[offsets[s]:offsets[s+1]]
+			for i, v := range set {
+				if int(s) < counted {
+					counts[v]--
+				}
+				set[i] = ^v
+			}
+			c.deadSets++
+			c.deadEntries += len(set)
+		}
 	}
-	if next > 0 {
-		w = c.moveDown(next, len(c.roots), w)
-		c.roots, c.offsets, c.arena = c.roots[:w], offsets[:w+1], arena[:offsets[w]]
+	if c.deadSets > dead {
 		c.invValid = false
-		if c.coverage != nil {
-			c.coverage.seen -= uncounted
+		if 2*c.deadEntries >= len(c.arena) || 2*c.deadSets >= len(c.roots) {
+			c.compact()
+			c.index()
 		}
 	}
 	return c.Len()
 }
 
-// nextMarked returns the first position at or after p whose node is set
-// in bits, or len(arena).
-func nextMarked(arena []graph.NodeID, p int, bits []uint64) int {
-	for ; p < len(arena); p++ {
-		if u := uint32(arena[p]); bits[u>>6]>>(u&63)&1 != 0 {
-			return p
+// index chains the sets appended since the last drop into the drop
+// index. After a compact, Reset or restore (indexed == 0), or once the
+// arena has outgrown the head buckets, it rebuilds the index: the heads
+// are sized by headBuckets and cleared, and the whole arena is chained in
+// one pass, dropped sets left out. A collection whose first sets were
+// copied from a Base, and are most of its entries and of the base's,
+// starts instead from the base's index, cut at the end of the copies, and
+// chains only the sets after them.
+func (c *Collection) index() {
+	head, arena, offsets := c.head, c.arena, c.offsets
+	size := headBuckets(len(arena), c.n)
+	if c.indexed > 0 && len(arena) > maxBucketLoad*len(head) && size > len(head) {
+		c.indexed, c.shared = 0, nil
+	}
+	if c.indexed == 0 {
+		sh := c.shared
+		if sh != nil {
+			// Cutting the base's heads walks its entries past the copies,
+			// so it pays only when the copies are most of both collections.
+			if end := int(offsets[c.sharedSets]); 2*end < len(arena) || 2*end <= len(sh.arena) {
+				sh = nil
+			}
+		}
+		if sh != nil {
+			size = len(sh.head)
+		}
+		if cap(head) < size {
+			head = make([]int32, size)
+		} else {
+			head = head[:size]
+			clear(head)
+		}
+		if sh != nil {
+			end := offsets[c.sharedSets]
+			for b, q := range sh.head {
+				for q > end {
+					q = sh.post[q-1]
+				}
+				head[b] = q
+			}
+			c.post = append(c.post[:0], sh.post[:end]...)
+			c.setAt = append(c.setAt[:0], sh.setAt[:(int(end)+setAtStride-1)/setAtStride]...)
+			c.indexed = c.sharedSets
+		}
+		c.head = head
+	}
+	mask := int32(len(head) - 1)
+	from := int(offsets[c.indexed])
+	post := slices.Grow(c.post[:from], len(arena)-from)[:len(arena)]
+	for p := from; p < len(arena); p++ {
+		if u := arena[p]; u >= 0 { // a growth rebuild skips the dropped sets
+			post[p] = head[u&mask]
+			head[u&mask] = int32(p) + 1
 		}
 	}
-	return p
+	setAt := c.setAt[:(from+setAtStride-1)/setAtStride]
+	for s := c.indexed; s < len(c.roots); s++ {
+		for int32(len(setAt)*setAtStride) < offsets[s+1] {
+			setAt = append(setAt, int32(s))
+		}
+	}
+	c.post, c.setAt, c.indexed = post, setAt, len(c.roots)
 }
 
-// moveDown moves the kept sets [from, to) down to slot w, where the kept
-// arena ends at offsets[w], and returns the new kept count.
-func (c *Collection) moveDown(from, to, w int) int {
-	if from != w && from < to {
-		src, dst := c.offsets[from], c.offsets[w]
-		copy(c.arena[dst:], c.arena[src:c.offsets[to]])
-		copy(c.roots[w:], c.roots[from:to])
-		shift := src - dst
-		for k := from + 1; k <= to; k++ {
-			c.offsets[w+k-from] = c.offsets[k] - shift
+// compact moves the live sets down over the tombstones, in order, and
+// empties the drop index, which the next drop rebuilds. An attached
+// Coverage's counted prefix shrinks to the live sets it held.
+func (c *Collection) compact() {
+	counted := 0
+	if c.coverage != nil {
+		counted = c.coverage.seen
+	}
+	w, end, seen := 0, int32(0), 0
+	for s, root := range c.roots {
+		if root == deadRoot {
+			continue
+		}
+		// Earlier slots wrote offsets[1..w] with w ≤ s, so offsets[s+1] is
+		// intact, and offsets[s] was rewritten only if no slot before s was
+		// dropped, with its own value.
+		lo, hi := c.offsets[s], c.offsets[s+1]
+		end += int32(copy(c.arena[end:], c.arena[lo:hi]))
+		c.roots[w] = root
+		c.offsets[w+1] = end
+		w++
+		if s < counted {
+			seen++
 		}
 	}
-	return w + to - from
+	c.roots, c.offsets, c.arena = c.roots[:w], c.offsets[:w+1], c.arena[:end]
+	c.deadSets, c.deadEntries, c.indexed, c.shared = 0, 0, 0, nil
+	c.invValid = false
+	if c.coverage != nil {
+		c.coverage.seen = seen
+	}
 }

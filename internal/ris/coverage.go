@@ -20,8 +20,10 @@ func (c *Collection) Cov(s []graph.NodeID) int {
 // RR sets covered by a base set once, then ask marginal coverages of many
 // candidate nodes in O(|SetsContaining(u)|) each. Reset is O(1) via
 // generation stamps, so one Marks serves many queries without
-// reallocation. A Marks is invalidated by Collection.Filter (set ids are
-// compacted); create a fresh one afterwards.
+// reallocation. A Marks is invalidated by a drop (Collection.Filter or
+// InvalidateTouching): its counts still include the dropped sets, and the
+// next index build compacts them away and renumbers the rest. Create a
+// fresh one afterwards.
 type Marks struct {
 	c     *Collection
 	stamp []uint32 // stamp[id] == gen means RR set id is covered

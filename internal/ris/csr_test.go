@@ -88,7 +88,7 @@ func generateBoth(g *graph.Graph, theta int, seed uint64) (*Collection, *legacyC
 		if one.Len() == 0 {
 			break
 		}
-		leg.add(&rrSet{Root: one.Root(0), Nodes: append([]graph.NodeID(nil), one.SetNodes(0)...)})
+		leg.add(&rrSet{Root: one.roots[0], Nodes: append([]graph.NodeID(nil), one.nodesAt(0)...)})
 	}
 	return csr, leg
 }
@@ -121,23 +121,7 @@ func TestCSREquivalentToLegacyLayout(t *testing.T) {
 			}
 			csr, leg := generateBoth(g, tc.theta, 123)
 
-			if csr.Len() != len(leg.sets) {
-				t.Fatalf("CSR holds %d sets, legacy %d", csr.Len(), len(leg.sets))
-			}
-			for i := 0; i < csr.Len(); i++ {
-				if csr.Root(i) != leg.sets[i].Root {
-					t.Fatalf("set %d root %d, legacy %d", i, csr.Root(i), leg.sets[i].Root)
-				}
-				nodes := csr.SetNodes(i)
-				if len(nodes) != len(leg.sets[i].Nodes) {
-					t.Fatalf("set %d has %d nodes, legacy %d", i, len(nodes), len(leg.sets[i].Nodes))
-				}
-				for j := range nodes {
-					if nodes[j] != leg.sets[i].Nodes[j] {
-						t.Fatalf("set %d node %d: %d vs legacy %d", i, j, nodes[j], leg.sets[i].Nodes[j])
-					}
-				}
-			}
+			sameRRSets(t, "CSR vs legacy", snapshotSets(csr), leg.sets)
 			for u := graph.NodeID(0); u < graph.NodeID(g.N()); u++ {
 				got := csr.SetsContaining(u)
 				want := leg.index[u]
@@ -149,8 +133,8 @@ func TestCSREquivalentToLegacyLayout(t *testing.T) {
 						t.Fatalf("node %d entry %d: %d vs legacy %d", u, j, got[j], want[j])
 					}
 				}
-				if csr.CountContaining(u) != len(want) {
-					t.Fatalf("node %d CountContaining %d, want %d", u, csr.CountContaining(u), len(want))
+				if countContaining(csr, u) != len(want) {
+					t.Fatalf("node %d countContaining %d, want %d", u, countContaining(csr, u), len(want))
 				}
 			}
 

@@ -51,20 +51,29 @@
 //     writes again, read without the lock. A Batcher with a base attached
 //     copies its shortfall from it while the residual is untouched and
 //     the collection holds only base sets; the copies count as reused,
-//     never as drawn.
+//     never as drawn, and the collection's drop index starts from the
+//     base's.
 //   - Collection (collection.go): CSR/arena storage — one flat node arena
 //     plus per-set offsets, and a CSR inverted index built on first use —
 //     so a collection is ~4 contiguous allocations regardless of θ, and
 //     its arena grows by what it holds. Reset empties it in place keeping
 //     capacity (the pool's warm path);
-//     Collection.Filter compacts in place to the sets still valid on a
-//     mutated residual, enabling cross-round reuse: a set drawn on G_i
-//     that avoids every node deleted since is kept for G_j (j > i). Kept
-//     sets are biased — each is a G_i set conditioned on avoiding the
-//     deleted nodes, not a G_j set (TestFilterTiltsSurvivorLaw) — see
-//     Filter for the size of the deviation. Filter and InvalidateTouching
-//     (the sets a topology delta touched) share one drop pass: a flat
-//     arena scan against a bitset of the removed or touched nodes.
+//     Collection.Filter drops the sets no longer valid on a mutated
+//     residual, enabling cross-round reuse: a set drawn on G_i that
+//     avoids every node deleted since is kept for G_j (j > i). Kept sets
+//     are biased — each is a G_i set conditioned on avoiding the deleted
+//     nodes, not a G_j set (TestFilterTiltsSurvivorLaw) — see Filter for
+//     the size of the deviation. Filter and InvalidateTouching (the sets
+//     a topology delta touched) share one drop pass, which costs
+//     O(postings of the dropped nodes + entries of the dropped sets), not
+//     O(arena): chains of arena entries hashed by node (the drop index,
+//     built in one pass by a collection's first drop and extended by
+//     later ones) find the sets, and each becomes a tombstone that Len
+//     and Coverage no longer count. The live sets move down in order —
+//     and set ids change — only when the dropped entries reach the live
+//     ones or the inverted index is built (TestDropMatchesReferenceScan
+//     checks every step against a per-set rescan). Checkpoints write the
+//     live sets only.
 //   - Coverage queries (coverage.go, select.go): CovR(S), incremental
 //     marginals via Marks, and heap-based CELF greedy max-coverage — the
 //     selection step of IMM (§VI-A). Both are serial: BuildIndex is one
@@ -72,7 +81,7 @@
 //     heap top in place. Workers parallelize RR generation only.
 //   - Coverage tracker and Batcher (tracker.go): Coverage maintains
 //     per-node containment counts incrementally as batches are appended
-//     and is compacted in lockstep by the drop pass, so a per-batch
+//     and gives a dropped set's counts back in the drop pass, so a per-batch
 //     stopping-rule check costs O(batch + alive) instead of an inverted
 //     index rebuild. Batcher packages the draw/filter/top-up cycle —
 //     collection, tracker, optional base, accounting — and is the package's only

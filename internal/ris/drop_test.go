@@ -1,6 +1,8 @@
 package ris
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/cascade"
@@ -73,34 +75,43 @@ func (m *refPool) invalidate(touched []graph.NodeID, n int) {
 }
 
 // checkPool asserts that b's collection equals the reference: the same
-// sets, roots and order, requested count and Version, and Coverage
-// counts equal to a recount of the counted prefix.
+// live sets, roots and order, requested count and Version, and Coverage
+// counts equal to a recount of the counted prefix. It also checks the
+// tombstone bookkeeping: the dead slots are the ones counted as dead, no
+// dead slot is counted as live or folded into Coverage, dropped entries
+// stay below the live ones, and every live set the drop index covers is
+// reachable from the bucket chain of each of its nodes.
 func checkPool(t *testing.T, step int, what string, b *Batcher, m *refPool) {
 	t.Helper()
 	c := b.Collection()
+	sameRRSets(t, fmt.Sprintf("step %d (%s)", step, what), snapshotSets(c), m.sets)
 	if c.Len() != len(m.sets) {
-		t.Fatalf("step %d (%s): %d sets, reference %d", step, what, c.Len(), len(m.sets))
-	}
-	for i, rr := range m.sets {
-		if c.Root(i) != rr.Root {
-			t.Fatalf("step %d (%s): set %d root %d, reference %d", step, what, i, c.Root(i), rr.Root)
-		}
-		nodes := c.SetNodes(i)
-		if len(nodes) != len(rr.Nodes) {
-			t.Fatalf("step %d (%s): set %d holds %d nodes, reference %d", step, what, i, len(nodes), len(rr.Nodes))
-		}
-		for j := range nodes {
-			if nodes[j] != rr.Nodes[j] {
-				t.Fatalf("step %d (%s): set %d node %d is %d, reference %d", step, what, i, j, nodes[j], rr.Nodes[j])
-			}
-		}
+		t.Fatalf("step %d (%s): Len %d, reference %d", step, what, c.Len(), len(m.sets))
 	}
 	if b.Stats().RRRequested != m.requested || c.Version() != m.version {
 		t.Fatalf("step %d (%s): requested %d version %d, reference %d and %d",
 			step, what, b.Stats().RRRequested, c.Version(), m.requested, m.version)
 	}
-	if b.cov.seen != m.counted {
-		t.Fatalf("step %d (%s): coverage has counted %d sets, reference %d", step, what, b.cov.seen, m.counted)
+	deadSets, deadEntries, counted := 0, 0, 0
+	for s, root := range c.roots {
+		switch {
+		case root == deadRoot:
+			deadSets++
+			deadEntries += len(c.nodesAt(s))
+		case s < b.cov.seen:
+			counted++
+		}
+	}
+	if deadSets != c.deadSets || deadEntries != c.deadEntries {
+		t.Fatalf("step %d (%s): %d dead sets with %d entries, collection counts %d and %d",
+			step, what, deadSets, deadEntries, c.deadSets, c.deadEntries)
+	}
+	if deadSets > 0 && (2*deadEntries >= len(c.arena) || 2*deadSets >= len(c.roots)) {
+		t.Fatalf("step %d (%s): %d of %d entries and %d of %d sets dead without a compaction",
+			step, what, deadEntries, len(c.arena), deadSets, len(c.roots))
+	}
+	if counted != m.counted {
+		t.Fatalf("step %d (%s): coverage has counted %d live sets, reference %d", step, what, counted, m.counted)
 	}
 	want := make([]int32, c.n)
 	for _, rr := range m.sets[:m.counted] {
@@ -117,82 +128,190 @@ func checkPool(t *testing.T, step int, what string, b *Batcher, m *refPool) {
 			t.Fatalf("step %d (%s): coverage count of node %d is %d, recount %d", step, what, u, got, w)
 		}
 	}
-	for _, word := range c.dropBits {
-		if word != 0 {
-			t.Fatalf("step %d (%s): drop bitset not cleared", step, what)
+	if c.indexed == 0 {
+		return
+	}
+	for k, s := range c.setAt {
+		if p := int32(k * setAtStride); slotOf(c, p) != int(s) {
+			t.Fatalf("step %d (%s): setAt[%d] is %d, entry %d is in set %d", step, what, k, s, p, slotOf(c, p))
 		}
 	}
+	holders := make([][]int32, c.n)
+	for s := 0; s < c.indexed; s++ {
+		for _, u := range c.nodesAt(s) {
+			if c.roots[s] != deadRoot {
+				holders[u] = append(holders[u], int32(s))
+			} else if u >= 0 {
+				t.Fatalf("step %d (%s): dropped set %d holds a live entry of node %d", step, what, s, u)
+			}
+		}
+	}
+	mask := int32(len(c.head) - 1)
+	if len(c.head)&int(mask) != 0 || len(c.head) > headBuckets(2*c.n, c.n) {
+		t.Fatalf("step %d (%s): %d head buckets for %d nodes", step, what, len(c.head), c.n)
+	}
+	onChain := make([]int, len(c.roots))
+	for u, slots := range holders {
+		for q := c.head[int32(u)&mask]; q > 0; q = c.post[q-1] {
+			p := q - 1
+			s := slotOf(c, p)
+			v := c.arena[p]
+			if v < 0 {
+				v = ^v
+				if c.roots[s] != deadRoot {
+					t.Fatalf("step %d (%s): entry %d of live set %d is marked dead", step, what, p, s)
+				}
+			}
+			if v&mask != int32(u)&mask {
+				t.Fatalf("step %d (%s): node %d's bucket chain reaches entry %d of node %d", step, what, u, p, v)
+			}
+			if int(v) == u {
+				onChain[s] = u + 1
+			}
+		}
+		for _, s := range slots {
+			if onChain[s] != u+1 {
+				t.Fatalf("step %d (%s): live set in slot %d holds node %d but is not on its chain", step, what, s, u)
+			}
+		}
+	}
+}
+
+// slotOf returns the slot of the set holding arena entry p.
+func slotOf(c *Collection, p int32) int {
+	return sort.Search(len(c.roots), func(s int) bool { return c.offsets[s+1] > p })
 }
 
 // TestDropMatchesReferenceScan drives random histories through a Batcher
 // — node removals with Sync and GrowTo top-ups, residual clones, topology
 // deltas re-homed with SetGraph and invalidated, Count calls that fold
-// the coverage at random points, and a state capture restored onto a
-// fresh batcher and a residual replayed from the removal log (the resume
-// path) — and checks the collection after every step against the
-// reference scans of refPool.
+// the coverage at random points, drop-only stretches that run until the
+// dropped entries force a compaction, Reset, and a state capture (taken
+// while dropped sets are still in place) restored onto a fresh batcher
+// and a residual replayed from the removal log (the resume path) — and
+// checks the collection after every step against the reference scans of
+// refPool. Odd seeds start from a prefix adopted from a shared first look
+// (Base), which the first drop detaches, and compact it before drawing.
 func TestDropMatchesReferenceScan(t *testing.T) {
+	compactions, sparseResumes, resets := 0, 0, 0
 	for seed := uint64(1); seed <= 6; seed++ {
 		r := rng.New(seed)
 		g := randomGraph(t)
 		n := g.N()
 		res := graph.NewResidual(g)
 		b := NewBatcher(cascade.IC)
+		if seed%2 == 1 {
+			b.SetBase(NewBase(g, cascade.IC, seed))
+		}
 		parent := rng.New(seed + 100)
 		m := &refPool{version: -1}
+		drawn := int64(0)
 		grow := func(step int) {
 			b.Sync(res)
 			m.filter(res)
 			checkPool(t, step, "sync", b, m)
 			before := b.Len()
+			adopting := b.base != nil && b.base.fits(res)
 			target := before + 1 + r.Intn(400)
 			if _, err := b.GrowTo(res, parent, target, 1+r.Intn(2)); err != nil {
 				t.Fatal(err)
 			}
-			c := b.Collection()
-			for i := before; i < c.Len(); i++ {
-				m.sets = append(m.sets, &rrSet{Root: c.Root(i), Nodes: append([]graph.NodeID(nil), c.SetNodes(i)...)})
+			m.sets = append(m.sets, snapshotSets(b.Collection())[before:]...)
+			if !adopting {
+				m.requested += int64(target - before)
+			} else if b.Stats().RRRequested != 0 {
+				t.Fatalf("step %d: adopting from the base drew %d sets", step, b.Stats().RRRequested)
 			}
-			m.requested += int64(target - before)
 			m.version = res.Version()
 			checkPool(t, step, "grow", b, m)
 		}
+		invalidate := func(step int, touched []graph.NodeID) {
+			b.Invalidate(touched)
+			m.invalidate(touched, n)
+			checkPool(t, step, "invalidate", b, m)
+		}
+		// dropUntilCompaction drops through removals (or, with touch or
+		// once half the nodes are gone, topology deltas) and nothing else
+		// until a drop compacts the arena.
+		dropUntilCompaction := func(step int, touch bool) {
+			for compacted := false; !compacted; {
+				entries := len(b.Collection().arena)
+				if touch || res.N() <= n/2 {
+					invalidate(step, []graph.NodeID{graph.NodeID(r.Intn(n))})
+				} else {
+					res.Remove(graph.NodeID(r.Intn(n)))
+					b.Sync(res)
+					m.filter(res)
+					checkPool(t, step, "drop-only filter", b, m)
+				}
+				compacted = len(b.Collection().arena) < entries
+			}
+			compactions++
+		}
 		grow(-1)
+		if seed%2 == 1 {
+			if b.Stats().RRReused == 0 || b.Stats().RRDrawn != 0 {
+				t.Fatalf("seed %d: first look not adopted from the base: %+v", seed, b.Stats())
+			}
+			// Compact the adopted sets below their count before anything
+			// is drawn, then drop again: the index must rebuild without
+			// the base's.
+			dropUntilCompaction(-1, true)
+			invalidate(-1, []graph.NodeID{graph.NodeID(r.Intn(n))})
+		}
 		for step := 0; step < 120; step++ {
 			switch k := r.Intn(20); {
-			case k < 8: // a round: a few nodes die, then Sync and top up
+			case k < 7: // a round: a few nodes die, then Sync and top up
 				for range 1 + r.Intn(3) {
 					if res.N() > n/2 {
 						res.Remove(graph.NodeID(r.Intn(n)))
 					}
 				}
 				grow(step)
-			case k < 10: // removals caught by a bare Sync
+			case k < 9: // removals caught by a bare Sync
 				res.Remove(graph.NodeID(r.Intn(n)))
 				b.Sync(res)
 				m.filter(res)
 				checkPool(t, step, "filter", b, m)
-			case k < 12: // fold the coverage through Count
+			case k < 11: // fold the coverage through Count
 				_ = b.Count(graph.NodeID(r.Intn(n)))
 				m.counted = len(m.sets)
 				checkPool(t, step, "count", b, m)
-			case k < 13: // continue on a clone of the residual
+			case k < 12: // continue on a clone of the residual
 				res = res.Clone()
 				checkPool(t, step, "clone", b, m)
-			case k < 16: // a topology delta, re-homed and invalidated
+			case k < 14: // a topology delta, re-homed and invalidated
 				ng, dres, err := res.Graph().ApplyDelta(gen.ChurnDeltas(res.Graph(), 0.01, rng.New(r.Uint64())))
 				if err != nil {
 					t.Fatal(err)
 				}
 				res.SetGraph(ng)
-				b.Invalidate(dres.Touched)
-				m.invalidate(dres.Touched, n)
-				checkPool(t, step, "invalidate", b, m)
-			case k < 17: // checkpoint and resume mid-history
+				invalidate(step, dres.Touched)
+			case k < 16: // drops alone until one compacts the arena
+				if b.Len() == 0 {
+					grow(step)
+				}
+				dropUntilCompaction(step, k == 14)
+			case k < 18: // checkpoint and resume mid-history
 				st := b.State()
+				captured := liveSets(st.Col)
+				entries := 0
+				for _, rr := range captured {
+					entries += len(rr.Nodes)
+				}
+				sameRRSets(t, fmt.Sprintf("step %d (captured state)", step), captured, m.sets)
+				if sets, e := st.Col.Len(); sets != len(m.sets) || e != entries {
+					t.Fatalf("step %d: state counts %d sets and %d entries, holds %d and %d", step, sets, e, len(m.sets), entries)
+				}
+				if st.Col.dropped > 0 {
+					sparseResumes++
+				}
 				nb := NewBatcher(cascade.IC)
 				if err := nb.RestoreState(st, n); err != nil {
 					t.Fatal(err)
+				}
+				if nb.col.deadSets != 0 || len(nb.col.roots) != len(m.sets) {
+					t.Fatalf("step %d: restored %d slots (%d dead), reference %d sets", step, len(nb.col.roots), nb.col.deadSets, len(m.sets))
 				}
 				rep := graph.NewResidual(res.Graph())
 				log := res.Removed()
@@ -205,12 +324,23 @@ func TestDropMatchesReferenceScan(t *testing.T) {
 				b, res = nb, rep
 				m.counted = 0
 				checkPool(t, step, "resume", b, m)
+			case k < 19: // Reset after drops: the next history starts clean
+				drawn += b.Stats().RRDrawn
+				b.Reset()
+				*m = refPool{version: -1}
+				resets++
+				checkPool(t, step, "reset", b, m)
 			default: // a top-up on the unchanged residual
 				grow(step)
 			}
 		}
-		if b.Stats().RRDrawn == 0 || res.Version() == 0 {
-			t.Fatalf("seed %d: degenerate history (drawn %d, version %d)", seed, b.Stats().RRDrawn, res.Version())
+		if drawn += b.Stats().RRDrawn; drawn == 0 || res.Version() == 0 {
+			t.Fatalf("seed %d: degenerate history (drawn %d, version %d)", seed, drawn, res.Version())
 		}
+	}
+	t.Logf("%d drop-only compactions, %d resumes with dropped sets, %d resets", compactions, sparseResumes, resets)
+	if compactions == 0 || sparseResumes == 0 || resets == 0 {
+		t.Fatalf("histories missed a case: %d drop-only compactions, %d resumes with dropped sets, %d resets",
+			compactions, sparseResumes, resets)
 	}
 }

@@ -44,7 +44,7 @@ func sampleHistograms(g *graph.Graph, model cascade.Model, seed uint64, theta, m
 	sizes := make([]float64, maxSize+1)
 	members := make([]float64, g.N())
 	for i := 0; i < theta; i++ {
-		set := c.SetNodes(i)
+		set := c.nodesAt(i)
 		sizes[min(len(set), maxSize)]++
 		for _, u := range set {
 			members[u]++
@@ -170,20 +170,7 @@ func TestTrivalencyFallbackIdentical(t *testing.T) {
 // sameSets fails unless a and b hold identical sets in identical order.
 func sameSets(t *testing.T, where string, a, b *Collection) {
 	t.Helper()
-	if a.Len() != b.Len() {
-		t.Fatalf("%s: %d vs %d sets", where, a.Len(), b.Len())
-	}
-	for i := 0; i < a.Len(); i++ {
-		na, nb := a.SetNodes(i), b.SetNodes(i)
-		if a.Root(i) != b.Root(i) || len(na) != len(nb) {
-			t.Fatalf("%s: set %d differs: root %d/%d, size %d/%d", where, i, a.Root(i), b.Root(i), len(na), len(nb))
-		}
-		for j := range na {
-			if na[j] != nb[j] {
-				t.Fatalf("%s: set %d node %d differs", where, i, j)
-			}
-		}
-	}
+	sameRRSets(t, where, snapshotSets(b), snapshotSets(a))
 }
 
 // TestPoolMatchesFreeFunctions: a pool kept warm across rounds of residual
@@ -225,14 +212,16 @@ func TestAppendParallelWorkerCountIndependent(t *testing.T) {
 				var got []*Collection
 				snap := func() {
 					cp := NewCollection(c.n)
-					cp.appendRange(c, 0, c.Len())
+					for _, rr := range snapshotSets(c) {
+						cp.AddSet(rr.Root, rr.Nodes)
+					}
 					got = append(got, cp)
 				}
 				pool.AppendParallel(c, res, parent, count, workers)
 				snap()
 				// Sized by content: the arena starts at the first set and
 				// doubles, so it never reaches twice what it holds.
-				if len(c.arena) > len(c.SetNodes(0)) && cap(c.arena) >= 2*len(c.arena) {
+				if len(c.arena) > len(c.nodesAt(0)) && cap(c.arena) >= 2*len(c.arena) {
 					t.Fatalf("%v count %d workers %d: arena capacity %d for %d entries", model, count, workers, cap(c.arena), len(c.arena))
 				}
 				res.Remove(graph.NodeID(count % 300))
@@ -309,8 +298,8 @@ func TestPoolConcurrentWorkersSafe(t *testing.T) {
 	c := NewCollection(res.FullN())
 	for round := 0; round < 6; round++ {
 		pool.AppendParallel(c, res, parent, 400, 4)
-		for i := 0; i < c.Len(); i++ {
-			for _, u := range c.SetNodes(i) {
+		for _, rr := range snapshotSets(c) {
+			for _, u := range rr.Nodes {
 				if !res.Alive(u) && round == 0 {
 					t.Fatalf("dead node %d in a set on a full residual", u)
 				}

@@ -8,18 +8,6 @@ import (
 	"repro/internal/rng"
 )
 
-// snapshotSets copies every RR set out of c (roots + nodes) so a later
-// in-place Filter can be cross-checked against a brute-force rescan.
-func snapshotSets(c *Collection) []*rrSet {
-	out := make([]*rrSet, c.Len())
-	for i := range out {
-		nodes := make([]graph.NodeID, len(c.SetNodes(i)))
-		copy(nodes, c.SetNodes(i))
-		out[i] = &rrSet{Root: c.Root(i), Nodes: nodes}
-	}
-	return out
-}
-
 // surviving returns the subsequence of sets avoiding every dead node,
 // the brute-force definition Filter must match exactly.
 func surviving(sets []*rrSet, res *graph.Residual) []*rrSet {
@@ -71,24 +59,11 @@ func TestFilterKeepsExactlyValidSets(t *testing.T) {
 			if kept != len(want) || c.Len() != len(want) {
 				t.Fatalf("Filter kept %d (Len %d), brute force %d", kept, c.Len(), len(want))
 			}
-			for i, rr := range want {
-				if c.Root(i) != rr.Root {
-					t.Fatalf("kept set %d root %d, want %d", i, c.Root(i), rr.Root)
-				}
-				nodes := c.SetNodes(i)
-				if len(nodes) != len(rr.Nodes) {
-					t.Fatalf("kept set %d length %d, want %d", i, len(nodes), len(rr.Nodes))
-				}
-				for j := range nodes {
-					if nodes[j] != rr.Nodes[j] {
-						t.Fatalf("kept set %d node %d: %d, want %d", i, j, nodes[j], rr.Nodes[j])
-					}
-				}
-			}
+			sameRRSets(t, "kept sets", snapshotSets(c), want)
 			// The rebuilt inverted index must agree: no deleted node may
 			// index anything, and coverage matches a brute-force count.
 			for _, u := range tc.remove {
-				if got := c.CountContaining(u); got != 0 {
+				if got := countContaining(c, u); got != 0 {
 					t.Fatalf("deleted node %d still in %d sets", u, got)
 				}
 			}
@@ -182,12 +157,12 @@ func TestFilterTiltsSurvivorLaw(t *testing.T) {
 	// pairGivenRoot0 returns the fraction of root-0 sets in c equal to {0,1}.
 	pairGivenRoot0 := func(c *Collection) float64 {
 		roots, pairs := 0, 0
-		for i := 0; i < c.Len(); i++ {
-			if c.Root(i) != 0 {
+		for _, rr := range snapshotSets(c) {
+			if rr.Root != 0 {
 				continue
 			}
 			roots++
-			if nodes := c.SetNodes(i); len(nodes) == 2 && nodes[0]+nodes[1] == 1 {
+			if len(rr.Nodes) == 2 && rr.Nodes[0]+rr.Nodes[1] == 1 {
 				pairs++
 			}
 		}

@@ -73,7 +73,7 @@ func TestInvalidateTouchingMatchesBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			if warmIndex {
-				c.CountContaining(0) // force the inverted index current
+				countContaining(c, 0) // force the inverted index current
 			}
 			versionBefore := c.Version()
 			want := survivingTouched(before, dres.Touched)
@@ -88,20 +88,7 @@ func TestInvalidateTouchingMatchesBruteForce(t *testing.T) {
 			if kept != len(want) || c.Len() != len(want) {
 				t.Fatalf("kept %d (Len %d), brute force %d", kept, c.Len(), len(want))
 			}
-			for i, rr := range want {
-				if c.Root(i) != rr.Root {
-					t.Fatalf("kept set %d root %d, want %d", i, c.Root(i), rr.Root)
-				}
-				nodes := c.SetNodes(i)
-				if len(nodes) != len(rr.Nodes) {
-					t.Fatalf("kept set %d length %d, want %d", i, len(nodes), len(rr.Nodes))
-				}
-				for j := range nodes {
-					if nodes[j] != rr.Nodes[j] {
-						t.Fatalf("kept set %d node %d: %d, want %d", i, j, nodes[j], rr.Nodes[j])
-					}
-				}
-			}
+			sameRRSets(t, "kept sets", snapshotSets(c), want)
 			if c.Version() != versionBefore {
 				t.Fatalf("version changed %d -> %d; survivors stay valid for the current residual",
 					versionBefore, c.Version())
@@ -109,14 +96,14 @@ func TestInvalidateTouchingMatchesBruteForce(t *testing.T) {
 			// No touched node may remain in any set; coverage must agree
 			// with a brute-force recount after the lockstep compaction.
 			for _, u := range dres.Touched {
-				if got := c.CountContaining(u); got != 0 {
+				if got := countContaining(c, u); got != 0 {
 					t.Fatalf("touched node %d still in %d sets", u, got)
 				}
 			}
 			cov.Update()
 			for u := graph.NodeID(0); u < graph.NodeID(g.N()); u++ {
-				if cov.Count(u) != c.CountContaining(u) {
-					t.Fatalf("coverage desync at node %d: %d vs %d", u, cov.Count(u), c.CountContaining(u))
+				if cov.Count(u) != countContaining(c, u) {
+					t.Fatalf("coverage desync at node %d: %d vs %d", u, cov.Count(u), countContaining(c, u))
 				}
 			}
 			// Survivors are still valid at the unchanged residual version:
@@ -166,23 +153,7 @@ func TestDeltaGraphSamplingBitIdenticalToRebuild(t *testing.T) {
 		for _, model := range []cascade.Model{cascade.IC, cascade.LT} {
 			cd := newSampler(graph.NewResidual(dg), model, rng.New(seed)).generate(1500)
 			cr := newSampler(graph.NewResidual(rebuilt), model, rng.New(seed)).generate(1500)
-			if cd.Len() != cr.Len() {
-				t.Fatalf("%s model %v: %d vs %d sets", what, model, cd.Len(), cr.Len())
-			}
-			for i := 0; i < cd.Len(); i++ {
-				if cd.Root(i) != cr.Root(i) {
-					t.Fatalf("%s model %v set %d: root %d vs %d", what, model, i, cd.Root(i), cr.Root(i))
-				}
-				a, b := cd.SetNodes(i), cr.SetNodes(i)
-				if len(a) != len(b) {
-					t.Fatalf("%s model %v set %d: %d vs %d nodes", what, model, i, len(a), len(b))
-				}
-				for j := range a {
-					if a[j] != b[j] {
-						t.Fatalf("%s model %v set %d node %d: %d vs %d", what, model, i, j, a[j], b[j])
-					}
-				}
-			}
+			sameRRSets(t, fmt.Sprintf("%s model %v", what, model), snapshotSets(cd), snapshotSets(cr))
 		}
 	}
 	inArena := func(dg *graph.Graph) graph.Arena[graph.NodeID] {
@@ -277,7 +248,7 @@ func TestPostDeltaTopUpChiSquareMatchesFresh(t *testing.T) {
 
 	stat, df := 0.0, 0
 	for u := 0; u < g.N(); u++ {
-		ca, cb := a.CountContaining(graph.NodeID(u)), b.CountContaining(graph.NodeID(u))
+		ca, cb := countContaining(a, graph.NodeID(u)), countContaining(b, graph.NodeID(u))
 		if ca+cb < 16 {
 			continue
 		}

@@ -2,6 +2,7 @@ package ris
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -30,6 +31,50 @@ func fig1Graph() *graph.Graph {
 type rrSet struct {
 	Root  graph.NodeID
 	Nodes []graph.NodeID
+}
+
+// snapshotSets copies c's live sets out in order (roots + nodes), so a
+// later in-place drop can be cross-checked against a brute-force rescan.
+func snapshotSets(c *Collection) []*rrSet { return liveSets(c.State()) }
+
+// liveSets copies a snapshot's live sets (the slots with a non-negative
+// root) out in order.
+func liveSets(st CollectionState) []*rrSet {
+	var out []*rrSet
+	for i, root := range st.Roots {
+		if root >= 0 {
+			nodes := st.Arena[st.Offsets[i]:st.Offsets[i+1]]
+			out = append(out, &rrSet{Root: root, Nodes: append([]graph.NodeID(nil), nodes...)})
+		}
+	}
+	return out
+}
+
+// nodesAt returns the nodes of the set in slot i as a view into the
+// arena; until a collection drops a set, slot i is its set i.
+func (c *Collection) nodesAt(i int) []graph.NodeID {
+	return c.arena[c.offsets[i]:c.offsets[i+1]]
+}
+
+// countContaining returns the number of live sets holding u, read off the
+// inverted index.
+func countContaining(c *Collection, u graph.NodeID) int {
+	c.BuildIndex()
+	return int(c.invOff[u+1] - c.invOff[u])
+}
+
+// sameRRSets fails unless got and want hold identical sets in identical
+// order.
+func sameRRSets(t *testing.T, where string, got, want []*rrSet) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d sets, want %d", where, len(got), len(want))
+	}
+	for i, rr := range want {
+		if got[i].Root != rr.Root || !slices.Equal(got[i].Nodes, rr.Nodes) {
+			t.Fatalf("%s: set %d is (%d, %v), want (%d, %v)", where, i, got[i].Root, got[i].Nodes, rr.Root, rr.Nodes)
+		}
+	}
 }
 
 // newSampler creates a lone sampler over res under model, drawing from r.
@@ -226,7 +271,7 @@ func TestCovBruteForceProperty(t *testing.T) {
 		want := 0
 		for i := 0; i < c.Len(); i++ {
 			hit := false
-			for _, u := range c.SetNodes(i) {
+			for _, u := range c.nodesAt(i) {
 				for _, v := range set {
 					if u == v {
 						hit = true

@@ -16,12 +16,17 @@ import (
 // prefix-summed into end offsets; the sets are then scattered from the
 // last one backwards, each entry decrementing its node's offset, so every
 // node's offset ends at its start and its set ids come out ascending.
-// Queries (SetsContaining, CountContaining) and the greedy build it on
-// first use. The index arrays are retained, so steady-state rebuilds (one
-// per Filter or top-up) allocate nothing.
+// A collection holding dropped sets compacts first, so the index and the
+// Marks over it number the live sets only. Queries (SetsContaining, Cov,
+// Marks) and the greedy build it on first use. The index arrays are
+// retained, so steady-state rebuilds (one per drop or top-up) allocate
+// nothing.
 func (c *Collection) BuildIndex() {
 	if c.invValid {
 		return
+	}
+	if c.deadSets > 0 {
+		c.compact()
 	}
 	if cap(c.invOff) < c.n+1 {
 		c.invOff = make([]int32, c.n+1)

@@ -50,7 +50,7 @@ func TestGreedyMaxCoverageMatchesPlainGreedy(t *testing.T) {
 		c := randomCollection(r, tc.n, tc.sets, tc.maxLen)
 		leg := newLegacy(tc.n)
 		for i := 0; i < c.Len(); i++ {
-			leg.add(&rrSet{Root: c.Root(i), Nodes: c.SetNodes(i)})
+			leg.add(&rrSet{Root: c.roots[i], Nodes: c.nodesAt(i)})
 		}
 		candidates := make([]graph.NodeID, tc.n)
 		for i := range candidates {
@@ -86,7 +86,7 @@ func TestBuildIndexMatchesBruteForce(t *testing.T) {
 		}
 		want := make([][]int32, n)
 		for i := 0; i < c.Len(); i++ {
-			for _, u := range c.SetNodes(i) {
+			for _, u := range c.nodesAt(i) {
 				want[u] = append(want[u], int32(i))
 			}
 		}

@@ -1,6 +1,7 @@
 package ris
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/graph"
@@ -8,35 +9,87 @@ import (
 
 // CollectionState is the serializable snapshot of a Collection: the CSR
 // arena, per-set offsets, roots, and the residual version the sets are
-// valid for. The inverted index and the attached Coverage counts are
-// deliberately absent — each is a pure function of the sets, so restore
-// rebuilds them instead of trusting 2× the bytes on disk.
+// valid for. The inverted index, the drop index and the attached Coverage
+// counts are deliberately absent — each is a pure function of the sets,
+// so restore rebuilds them instead of trusting 2× the bytes on disk.
+//
+// A state captured by State may still hold dropped sets, in their slots
+// with negative roots and entries. Len counts the live sets and PutLive
+// writes only those, so an encoding does not depend on when the
+// collection last compacted; a decoded state holds no dropped set, and
+// RestoreState rejects a negative root in it.
 type CollectionState struct {
 	Arena   []graph.NodeID
 	Offsets []int32
 	Roots   []graph.NodeID
 	Version int64
+
+	// dropped and droppedEntries count the dropped sets in Roots and their
+	// entries in Arena.
+	dropped, droppedEntries int
 }
 
-// State captures the collection's snapshot without copying: like
-// graph.Residual.AliveList, the returned slices alias the collection, must
-// not be modified, and are only valid until the collection next changes.
-// Encoders serialize them straight away.
+// State captures the collection's snapshot without copying or compacting:
+// like graph.Residual.AliveList, the returned slices alias the collection,
+// must not be modified, and are only valid until the collection next
+// changes. Encoders serialize them straight away.
 func (c *Collection) State() CollectionState {
 	return CollectionState{
-		Arena:   c.arena,
-		Offsets: c.offsets,
-		Roots:   c.roots,
-		Version: c.version,
+		Arena:          c.arena,
+		Offsets:        c.offsets,
+		Roots:          c.roots,
+		Version:        c.version,
+		dropped:        c.deadSets,
+		droppedEntries: c.deadEntries,
 	}
 }
 
-// RestoreState overwrites the collection with a captured snapshot,
-// validating the CSR invariants first (a torn or hand-edited checkpoint
-// must fail loudly, not corrupt later coverage queries). Existing arena
-// capacity is reused; the inverted index is invalidated and an attached
-// Coverage tracker is zeroed, counting the restored sets at its next
-// Update.
+// Len returns the number of live sets in the snapshot and their total
+// number of nodes.
+func (st CollectionState) Len() (sets, entries int) {
+	return len(st.Roots) - st.dropped, len(st.Arena) - st.droppedEntries
+}
+
+// PutLive writes the snapshot's live sets, renumbered densely, as
+// little-endian 32-bit words: their nodes into arena (4·entries bytes),
+// the offsets of their nodes into offsets (4·(sets+1) bytes) and their
+// roots into roots (4·sets bytes), sets and entries as Len counts them.
+// Every value is written and the write position advances past the live
+// ones only, so the branch on liveness, unpredictable at the boundaries of
+// dropped sets, becomes arithmetic.
+func (st CollectionState) PutLive(arena, offsets, roots []byte) {
+	putLive(arena, st.Arena)
+	putLive(roots, st.Roots)
+	end, k := int32(0), 0
+	for i, root := range st.Roots {
+		if k < len(offsets) {
+			binary.LittleEndian.PutUint32(offsets[k:], uint32(end))
+		}
+		live := ^(root >> 31) // all ones for a live set, zero for a dropped one
+		end += (st.Offsets[i+1] - st.Offsets[i]) & live
+		k += 4 & int(live)
+	}
+	binary.LittleEndian.PutUint32(offsets[len(offsets)-4:], uint32(end))
+}
+
+// putLive writes the non-negative values of vs into b as little-endian
+// 32-bit words.
+func putLive(b []byte, vs []graph.NodeID) {
+	k := 0
+	for _, v := range vs {
+		if k < len(b) {
+			binary.LittleEndian.PutUint32(b[k:], uint32(v))
+		}
+		k += 4 &^ int(v>>31)
+	}
+}
+
+// RestoreState overwrites the collection with a captured snapshot's live
+// sets, validating the CSR invariants first (a torn or hand-edited
+// checkpoint must fail loudly, not corrupt later coverage queries).
+// Existing arena capacity is reused; the restored collection holds no
+// dropped sets, its indexes are rebuilt on use, and an attached Coverage
+// tracker is zeroed, counting the restored sets at its next Update.
 func (c *Collection) RestoreState(st CollectionState) error {
 	if len(st.Offsets) != len(st.Roots)+1 {
 		return fmt.Errorf("ris: restore: %d offsets for %d sets", len(st.Offsets), len(st.Roots))
@@ -54,19 +107,33 @@ func (c *Collection) RestoreState(st CollectionState) error {
 			st.Offsets[len(st.Offsets)-1], len(st.Arena))
 	}
 	n := graph.NodeID(c.n)
-	for _, u := range st.Arena {
-		if u < 0 || u >= n {
-			return fmt.Errorf("ris: restore: arena node %d outside [0,%d)", u, n)
+	dropped := 0
+	for i, root := range st.Roots {
+		if root == deadRoot && st.dropped > 0 {
+			dropped++
+			continue
+		}
+		if root < 0 || root >= n {
+			return fmt.Errorf("ris: restore: root %d outside [0,%d)", root, n)
+		}
+		for _, u := range st.Arena[st.Offsets[i]:st.Offsets[i+1]] {
+			if u < 0 || u >= n {
+				return fmt.Errorf("ris: restore: arena node %d outside [0,%d)", u, n)
+			}
 		}
 	}
-	for _, u := range st.Roots {
-		if u < 0 || u >= n {
-			return fmt.Errorf("ris: restore: root %d outside [0,%d)", u, n)
+	if dropped != st.dropped {
+		return fmt.Errorf("ris: restore: %d dropped sets, state counts %d", dropped, st.dropped)
+	}
+	_, entries := st.Len()
+	c.arena, c.offsets, c.roots = c.arena[:0], c.offsets[:1], c.roots[:0]
+	c.deadSets, c.deadEntries, c.indexed, c.shared = 0, 0, 0, nil
+	c.growArena(entries)
+	for i, root := range st.Roots {
+		if root >= 0 {
+			c.AddSet(root, st.Arena[st.Offsets[i]:st.Offsets[i+1]])
 		}
 	}
-	c.arena = append(c.arena[:0], st.Arena...)
-	c.offsets = append(c.offsets[:0], st.Offsets...)
-	c.roots = append(c.roots[:0], st.Roots...)
 	c.version = st.Version
 	c.invValid = false
 	if c.coverage != nil {

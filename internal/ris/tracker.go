@@ -9,54 +9,51 @@ import (
 	"repro/internal/rng"
 )
 
-// Coverage maintains per-node single-node containment counts
-// (CountContaining for every node at once) incrementally as RR sets are
-// appended to a Collection. The adaptive sampling stepper checks its
-// stopping rule after every batch; recomputing CountContaining through
-// the CSR inverted index would rebuild the index — an O(arena + n) pass —
-// per batch per look, while Coverage keeps the counts current in
-// O(new batch nodes) and answers each query in O(1), so a per-batch check
-// over the alive targets costs O(batch + alive).
+// Coverage maintains per-node single-node containment counts (how many
+// RR sets hold each node) incrementally as RR sets are appended to a
+// Collection. The adaptive sampling stepper checks its stopping rule
+// after every batch; recounting through the CSR inverted index would
+// rebuild the index — an O(arena + n) pass — per batch per look, while
+// Coverage keeps the counts current in O(new batch nodes) and answers
+// each query in O(1), so a per-batch check over the alive targets costs
+// O(batch + alive).
 //
-// A Coverage is compacted in lockstep by Collection.Filter and
-// InvalidateTouching (counts of dropped sets are subtracted during the
-// same pass) and zeroed by Collection.Reset, so — unlike Marks — it stays
-// valid across the filter/top-up cycles of the adaptive round loop.
-// Storage (one int32 per node of the full graph) is allocated by the
-// first Update and reused across batches and rounds. At most one Coverage
-// is attached to a Collection; attaching a new one replaces the old.
+// A Coverage follows its Collection's drops: Filter and InvalidateTouching
+// give a dropped set's counts back in the same pass, compaction renumbers
+// the counted prefix with the sets, and Collection.Reset zeroes it — so,
+// unlike Marks, it stays valid across the filter/top-up cycles of the
+// adaptive round loop. Storage (one int32 per node of the full graph) is
+// allocated by the first Update and reused across batches and rounds. At
+// most one Coverage is attached to a Collection; attaching a new one
+// replaces the old.
 type Coverage struct {
 	c      *Collection
 	counts []int32
-	seen   int // sets [0, seen) are reflected in counts
+	seen   int // the live sets among slots [0, seen) are reflected in counts
 }
 
-// Update folds the RR sets appended since the last Update (or Filter)
-// into the counts, allocating them on first use. O(nodes of the new sets).
+// Update folds the RR sets appended since the last Update into the
+// counts, allocating them on first use; a set dropped before it was
+// folded is skipped. O(nodes of the new sets).
 func (cov *Coverage) Update() {
 	c := cov.c
 	if cov.counts == nil {
 		cov.counts = make([]int32, c.n)
 	}
-	for i := cov.seen; i < c.Len(); i++ {
+	for i := cov.seen; i < len(c.roots); i++ {
+		if c.roots[i] == deadRoot {
+			continue
+		}
 		for _, u := range c.arena[c.offsets[i]:c.offsets[i+1]] {
 			cov.counts[u]++
 		}
 	}
-	cov.seen = c.Len()
+	cov.seen = len(c.roots)
 }
 
-// Count returns |{i : u ∈ R_i}| over the sets folded in so far — equal to
-// c.CountContaining(u) whenever Update has seen every set — without
-// touching the inverted index.
+// Count returns |{i : u ∈ R_i}| over the live sets folded in so far
+// without touching the inverted index.
 func (cov *Coverage) Count(u graph.NodeID) int { return int(cov.counts[u]) }
-
-// uncount gives a dropped set's containment counts back.
-func (cov *Coverage) uncount(nodes []graph.NodeID) {
-	for _, u := range nodes {
-		cov.counts[u]--
-	}
-}
 
 // reset zeroes the counts in place (storage is retained).
 func (cov *Coverage) reset() {
@@ -199,7 +196,7 @@ func (b *Batcher) ensureCol(n int) *Collection {
 }
 
 // Sync aligns the collection with the residual before a round of growth:
-// with reuse on it compacts to the sets still valid on res
+// with reuse on it drops the sets no longer valid on res
 // (Collection.Filter) and counts the survivors as reused draws; with reuse
 // off it resets the collection (warm storage, fresh sets). It returns the
 // number of sets carried over.
@@ -270,7 +267,7 @@ func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers i
 }
 
 // adopt copies the base's sets [c.Len(), target) onto c, growing the base
-// first when it is shorter.
+// first when it is shorter, and lets c's drop index start from the base's.
 func (b *Batcher) adopt(c *Collection, res *graph.Residual, target, workers int) error {
 	sets, err := b.base.growTo(res, target, workers, b.interrupt)
 	if err != nil {
@@ -279,6 +276,9 @@ func (b *Batcher) adopt(c *Collection, res *graph.Residual, target, workers int)
 	from, to := c.Len(), min(target, sets.Len())
 	c.noteVersion(res.Version())
 	c.appendRange(sets, from, to)
+	if to > 0 {
+		c.shared, c.sharedSets = sets, to
+	}
 	b.stats.RRReused += int64(to - from)
 	return nil
 }
@@ -306,7 +306,7 @@ func (b *Batcher) draw(c *Collection, res *graph.Residual, parent *rng.RNG, coun
 // Count returns the containment count of u over every set held, folding
 // the sets drawn since the last Count into the tracker first.
 func (b *Batcher) Count(u graph.NodeID) int {
-	if b.cov.counts == nil || b.cov.seen < b.col.Len() {
+	if b.cov.counts == nil || b.cov.seen < len(b.col.roots) {
 		b.cov.Update()
 	}
 	return b.cov.Count(u)

@@ -21,7 +21,7 @@ func newCoverage(c *Collection) *Coverage {
 func checkCoverageMatchesIndex(t *testing.T, c *Collection, cov *Coverage, where string) {
 	t.Helper()
 	for u := 0; u < c.n; u++ {
-		if got, want := cov.Count(graph.NodeID(u)), c.CountContaining(graph.NodeID(u)); got != want {
+		if got, want := cov.Count(graph.NodeID(u)), countContaining(c, graph.NodeID(u)); got != want {
 			t.Fatalf("%s: coverage count of node %d = %d, index says %d", where, u, got, want)
 		}
 	}
@@ -126,7 +126,7 @@ func TestBatcherAccountingAndReuse(t *testing.T) {
 		t.Fatalf("top-up len=%d drawn=%d (kept=%d)", b.Len(), b.Stats().RRDrawn, kept)
 	}
 	for u := graph.NodeID(0); u < graph.NodeID(g.N()); u++ {
-		if got, want := b.Count(u), b.Collection().CountContaining(u); got != want {
+		if got, want := b.Count(u), countContaining(b.Collection(), u); got != want {
 			t.Fatalf("after top-up: Count(%d) = %d, index says %d", u, got, want)
 		}
 	}
