@@ -17,11 +17,33 @@ type Instance struct {
 	Targets []graph.NodeID
 	Costs   *cost.Model
 
+	// targetIdx is the node-to-slot table of Targets the sampled
+	// steppers count coverage through (see targetIndex); a prepared
+	// instance builds it once, and the instances its deltas derive share
+	// it.
+	targetIdx *ris.TargetIndex
 	// first is the shared first look of a prepared instance (nil on one
 	// built by hand or derived by a topology delta): the RR sets on the
 	// untouched graph that every sequential ADDATP/HATP campaign copies
-	// instead of drawing, keyed by the instance fingerprint.
+	// instead of drawing, keyed by the instance fingerprint, with their
+	// targets' counts per chunk.
 	first *ris.Base
+}
+
+// targetIndex returns the instance's target table, or a private one for
+// an instance built by hand.
+func (inst *Instance) targetIndex() *ris.TargetIndex {
+	if inst.targetIdx != nil {
+		return inst.targetIdx
+	}
+	return ris.NewTargetIndex(inst.G.N(), inst.Targets)
+}
+
+// on returns the instance a topology delta derives on g, its ApplyDelta
+// descendant: the same model, targets, target table and costs, and no
+// first look (its sets are draws on the old graph).
+func (inst *Instance) on(g *graph.Graph) *Instance {
+	return &Instance{G: g, Model: inst.Model, Targets: inst.Targets, Costs: inst.Costs, targetIdx: inst.targetIdx}
 }
 
 // FirstLook returns the size of the instance's shared first look: the
@@ -41,6 +63,9 @@ func (inst *Instance) Validate() error {
 	}
 	if len(inst.Targets) == 0 {
 		return fmt.Errorf("adaptive: empty target set")
+	}
+	if len(inst.Targets) > ris.MaxTargets {
+		return fmt.Errorf("adaptive: %d targets, more than the %d coverage can count", len(inst.Targets), ris.MaxTargets)
 	}
 	n := graph.NodeID(inst.G.N())
 	for _, u := range inst.Targets {

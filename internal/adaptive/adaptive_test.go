@@ -299,6 +299,10 @@ func TestInstanceValidate(t *testing.T) {
 	if err := (&Instance{G: inst.G, Costs: inst.Costs}).Validate(); err == nil {
 		t.Fatal("empty target set accepted")
 	}
+	many := &Instance{G: inst.G, Targets: make([]graph.NodeID, ris.MaxTargets+1), Costs: inst.Costs}
+	if err := many.Validate(); err == nil {
+		t.Fatal("more targets than coverage can count accepted")
+	}
 }
 
 // TestTiesBreakTowardSmallerID pins the argmax tie-break of every

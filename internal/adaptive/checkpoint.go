@@ -564,7 +564,6 @@ func ResumeSession(inst *Instance, data []byte, ropts ResumeOptions) (*Session, 
 	// held, so the restored RR state and RNG stream line up exactly.
 	nDeltas := r.length()
 	logStart := r.off
-	base := inst
 	for i := 0; i < nDeltas; i++ {
 		inserts, deletes := r.edges(), r.edges()
 		if r.err != nil {
@@ -574,7 +573,7 @@ func ResumeSession(inst *Instance, data []byte, ropts ResumeOptions) (*Session, 
 		if err != nil {
 			return nil, fmt.Errorf("adaptive: checkpoint: replaying topology delta %d/%d: %w", i+1, nDeltas, err)
 		}
-		inst = &Instance{G: ng, Model: base.Model, Targets: base.Targets, Costs: base.Costs}
+		inst = inst.on(ng)
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -111,4 +111,11 @@
 // so a campaign checkpointed before its first step resumes onto the same
 // first look. PolicyFixed, ADG and the nonadaptive baselines draw their
 // own.
+//
+// The instance also builds one read-only table of its targets
+// (ris.TargetIndex), which its campaigns and the instances its topology
+// deltas derive share. Coverage is counted for the targets only, one
+// counter each, and the base keeps its targets' counts per 64-set chunk,
+// so a campaign's first look costs a copy of the sets and a difference of
+// two count vectors, not a pass over every copied entry.
 package adaptive

@@ -16,8 +16,8 @@ import (
 // undrawn first look of its own, so a test can compare campaigns that
 // grew the pool in different orders.
 func withFreshFirstLook(inst *Instance) *Instance {
-	cp := &Instance{G: inst.G, Model: inst.Model, Targets: inst.Targets, Costs: inst.Costs}
-	cp.first = ris.NewBase(inst.G, inst.Model, instFingerprint(cp))
+	cp := inst.on(inst.G)
+	cp.first = ris.NewBase(inst.G, inst.Model, instFingerprint(cp), cp.targetIdx)
 	return cp
 }
 

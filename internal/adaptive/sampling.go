@@ -152,9 +152,9 @@ type samplingStepper struct {
 }
 
 // newSamplingStepper builds the stepper for algo under opts.Policy. warm,
-// when non-nil, donates its storage (collection arenas, coverage counts,
-// pool scratch); it is Reset first, so campaign results are independent
-// of what it previously held.
+// when non-nil, donates its storage (collection arenas, coverage counts);
+// it is Reset first, so campaign results are independent of what it
+// previously held.
 func newSamplingStepper(inst *Instance, algo string, opts SamplingOptions, warm *ris.Batcher) (*samplingStepper, error) {
 	// The algorithm's concentration regime: ADDATP's additive bound
 	// (Lemma 4) or HATP's hybrid one (Lemma 7).
@@ -197,6 +197,7 @@ func newSamplingStepper(inst *Instance, algo string, opts SamplingOptions, warm 
 		st.b = ris.NewBatcher(inst.Model)
 	}
 	st.b.SetReuse(!opts.NoReuse)
+	st.b.SetTargets(inst.targetIndex())
 	if !st.fixed {
 		st.b.SetBase(inst.first)
 	}

@@ -235,7 +235,7 @@ func (s *Session) Mutate(inserts, deletes []graph.Edge) (*graph.DeltaResult, err
 	if err != nil {
 		return nil, err
 	}
-	newInst := &Instance{G: newG, Model: s.inst.Model, Targets: s.inst.Targets, Costs: s.inst.Costs}
+	newInst := s.inst.on(newG)
 	if err := s.step.mutate(newInst, dres.Touched); err != nil {
 		return nil, err
 	}
@@ -352,6 +352,7 @@ func newOracleADG(orc oracle.Oracle) *adgStepper {
 func newSampledADG(inst *Instance, opts RunOptions, r *rng.RNG) *adgStepper {
 	b := ris.NewBatcher(inst.Model)
 	b.SetReuse(!opts.Sampling.NoReuse)
+	b.SetTargets(inst.targetIndex())
 	return &adgStepper{b: b, r: r}
 }
 

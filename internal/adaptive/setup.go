@@ -60,6 +60,9 @@ func Prepare(g *graph.Graph, model cascade.Model, s Setup) (*Instance, *imm.Resu
 	if g.N() < s.K {
 		s.K = g.N()
 	}
+	if s.K > ris.MaxTargets {
+		return nil, nil, fmt.Errorf("adaptive: K = %d targets, more than the %d coverage can count", s.K, ris.MaxTargets)
+	}
 	immRes, err := imm.Select(g, s.K, imm.Options{
 		Eps:     s.ImmEps,
 		Model:   model,
@@ -91,6 +94,7 @@ func Prepare(g *graph.Graph, model cascade.Model, s Setup) (*Instance, *imm.Resu
 		return nil, nil, fmt.Errorf("adaptive: cost calibration: %w", err)
 	}
 	inst := &Instance{G: g, Model: model, Targets: immRes.Seeds, Costs: costs}
-	inst.first = ris.NewBase(g, model, instFingerprint(inst))
+	inst.targetIdx = ris.NewTargetIndex(g.N(), inst.Targets)
+	inst.first = ris.NewBase(g, model, instFingerprint(inst), inst.targetIdx)
 	return inst, immRes, nil
 }

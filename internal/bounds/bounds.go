@@ -5,15 +5,6 @@ import (
 	"math"
 )
 
-// HoeffdingTail bounds Pr[|X̄ − E[X̄]| ≥ ζ] for θ i.i.d. samples in [0,1]:
-// 2·exp(−2θζ²) (Lemma 4 with b−a = 1).
-func HoeffdingTail(theta int, zeta float64) float64 {
-	if theta <= 0 {
-		return 1
-	}
-	return math.Min(1, 2*math.Exp(-2*float64(theta)*zeta*zeta))
-}
-
 // HoeffdingTheta returns the sample size used in ADDATP's inner loop
 // (Algorithm 3, line 8): θ = ln(8/δ) / (2ζ²). The result is rounded up
 // and at least 1.
@@ -26,25 +17,6 @@ func HoeffdingTheta(zeta, delta float64) (int, error) {
 	}
 	theta := math.Log(8/delta) / (2 * zeta * zeta)
 	return ceilAtLeast1(theta), nil
-}
-
-// HybridUpperTail bounds Pr[X̄ ≥ (1+ε)µ + ζ] per Lemma 7, eq. (10):
-// exp(−2θεζ / (1+ε/3)²).
-func HybridUpperTail(theta int, eps, zeta float64) float64 {
-	if theta <= 0 {
-		return 1
-	}
-	e := 2 * float64(theta) * eps * zeta / ((1 + eps/3) * (1 + eps/3))
-	return math.Min(1, math.Exp(-e))
-}
-
-// HybridLowerTail bounds Pr[X̄ ≤ (1−ε)µ − ζ] per Lemma 7, eq. (11):
-// exp(−2θεζ).
-func HybridLowerTail(theta int, eps, zeta float64) float64 {
-	if theta <= 0 {
-		return 1
-	}
-	return math.Min(1, math.Exp(-2*float64(theta)*eps*zeta))
 }
 
 // HybridTheta returns the sample size used in HATP's inner loop
@@ -69,17 +41,6 @@ func ceilAtLeast1(x float64) int {
 		v = 1
 	}
 	return v
-}
-
-// ConfidenceInterval returns the symmetric additive half-width ζ such that
-// a mean of θ samples in [0,1] deviates by more than ζ with probability at
-// most δ (inverse Hoeffding). Used by diagnostics and EXPERIMENTS.md
-// reporting.
-func ConfidenceInterval(theta int, delta float64) float64 {
-	if theta <= 0 || delta <= 0 || delta >= 1 {
-		return 1
-	}
-	return math.Sqrt(math.Log(2/delta) / (2 * float64(theta)))
 }
 
 // Anytime-valid confidence sequences for the sequential sampling

@@ -7,6 +7,47 @@ import (
 	"repro/internal/rng"
 )
 
+// The tail evaluators of Lemmas 4 and 7 and the inverse-Hoeffding
+// half-width, which only the tests below use.
+
+// HoeffdingTail bounds Pr[|X̄ − E[X̄]| ≥ ζ] for θ i.i.d. samples in [0,1]:
+// 2·exp(−2θζ²) (Lemma 4 with b−a = 1).
+func HoeffdingTail(theta int, zeta float64) float64 {
+	if theta <= 0 {
+		return 1
+	}
+	return math.Min(1, 2*math.Exp(-2*float64(theta)*zeta*zeta))
+}
+
+// HybridUpperTail bounds Pr[X̄ ≥ (1+ε)µ + ζ] per Lemma 7, eq. (10):
+// exp(−2θεζ / (1+ε/3)²).
+func HybridUpperTail(theta int, eps, zeta float64) float64 {
+	if theta <= 0 {
+		return 1
+	}
+	e := 2 * float64(theta) * eps * zeta / ((1 + eps/3) * (1 + eps/3))
+	return math.Min(1, math.Exp(-e))
+}
+
+// HybridLowerTail bounds Pr[X̄ ≤ (1−ε)µ − ζ] per Lemma 7, eq. (11):
+// exp(−2θεζ).
+func HybridLowerTail(theta int, eps, zeta float64) float64 {
+	if theta <= 0 {
+		return 1
+	}
+	return math.Min(1, math.Exp(-2*float64(theta)*eps*zeta))
+}
+
+// ConfidenceInterval returns the symmetric additive half-width ζ such that
+// a mean of θ samples in [0,1] deviates by more than ζ with probability at
+// most δ (inverse Hoeffding).
+func ConfidenceInterval(theta int, delta float64) float64 {
+	if theta <= 0 || delta <= 0 || delta >= 1 {
+		return 1
+	}
+	return math.Sqrt(math.Log(2/delta) / (2 * float64(theta)))
+}
+
 func TestHoeffdingThetaFormula(t *testing.T) {
 	// θ = ln(8/δ)/(2ζ²) for ζ=0.1, δ=0.01: ln(800)/0.02 ≈ 334.2 → 335.
 	got, err := HoeffdingTheta(0.1, 0.01)

@@ -20,7 +20,6 @@
 // Bernstein — variance-adaptive where Lemma 4 is range-bound, which is
 // what makes sequential ADDATP cheap at small coverage fractions.
 //
-// Tail evaluators (HoeffdingTail, HybridUpperTail, HybridLowerTail) and
-// the inverse-Hoeffding half-width (ConfidenceInterval) support
-// diagnostics and the EXPERIMENTS.md reporting.
+// The tail evaluators and the inverse-Hoeffding half-width the tests check
+// these against live in the package's tests.
 package bounds

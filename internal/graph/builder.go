@@ -335,7 +335,9 @@ func binomialThresholds(d int, p float64) []uint32 {
 		if len(thr) == maxCountTable-1 {
 			return nil
 		}
-		pk *= float64(d-k) / float64(k+1) * ratio
+		// The conversion rounds the product, so arm64 cannot fuse it into
+		// the sum below and every platform builds the same tables.
+		pk = float64(pk * (float64(d-k) / float64(k+1) * ratio))
 		cum += pk
 		thr = append(thr, scaleThreshold(cum))
 	}

@@ -99,11 +99,12 @@ func TestExactPanicsOnForeignResidual(t *testing.T) {
 	o.ExpectedSpread(other, []graph.NodeID{0})
 }
 
-// risBatcher is an IC RR-set batcher with coverage counts, configured
-// as ADG's sampled rounds configure theirs.
-func risBatcher(reuse bool) *ris.Batcher {
+// risBatcher is an IC RR-set batcher counting the coverage of targets on
+// g, configured as ADG's sampled rounds configure theirs.
+func risBatcher(g *graph.Graph, reuse bool, targets ...graph.NodeID) *ris.Batcher {
 	b := ris.NewBatcher(cascade.IC)
 	b.SetReuse(reuse)
+	b.SetTargets(ris.NewTargetIndex(g.N(), targets))
 	return b
 }
 
@@ -131,7 +132,11 @@ func risSpread(t *testing.T, b *ris.Batcher, res *graph.Residual, r *rng.RNG, th
 func TestRISMatchesExact(t *testing.T) {
 	g := fig1Graph()
 	exact, _ := NewExact(g)
-	b := risBatcher(false)
+	every := make([]graph.NodeID, g.N())
+	for u := range every {
+		every[u] = graph.NodeID(u)
+	}
+	b := risBatcher(g, false, every...)
 	res := graph.NewResidual(g)
 	theta := risDraw(t, b, res, rng.New(13), 200000)
 	for u := graph.NodeID(0); u < graph.NodeID(g.N()); u++ {
@@ -149,7 +154,7 @@ func TestRISMatchesExact(t *testing.T) {
 
 func TestRISRefreshesOnResidualChange(t *testing.T) {
 	g := chainGraph(1, 1)
-	b := risBatcher(false)
+	b := risBatcher(g, false, 0)
 	r := rng.New(17)
 	res := graph.NewResidual(g)
 	before := risSpread(t, b, res, r, 5000, 0)
@@ -166,7 +171,7 @@ func TestRISEmptyResidual(t *testing.T) {
 	for u := graph.NodeID(0); u < 3; u++ {
 		res.Remove(u)
 	}
-	if got := risSpread(t, risBatcher(false), res, rng.New(17), 100, 0); got != 0 {
+	if got := risSpread(t, risBatcher(g, false, 0), res, rng.New(17), 100, 0); got != 0 {
 		t.Fatalf("empty residual spread = %v", got)
 	}
 }

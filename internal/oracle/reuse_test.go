@@ -22,11 +22,11 @@ func TestRISReuseTopsUpShortfall(t *testing.T) {
 		t.Fatal(err)
 	}
 	const theta = 500000
-	reusing, fresh := risBatcher(true), risBatcher(false)
+	const seed = graph.NodeID(5)
+	reusing, fresh := risBatcher(g, true, seed), risBatcher(g, false, seed)
 	rReusing, rFresh := rng.New(17), rng.New(17)
 
 	res := graph.NewResidual(g)
-	const seed = graph.NodeID(5)
 	_ = risSpread(t, reusing, res, rReusing, theta, seed)
 	if reusing.Stats().RRReused != 0 {
 		t.Fatalf("reused %d sets before any mutation", reusing.Stats().RRReused)
@@ -72,7 +72,7 @@ func TestRISDefaultRegeneratesUnbiased(t *testing.T) {
 	g := graph.MustFromEdges(3, true, []graph.Edge{
 		{From: 0, To: 1, P: 1}, {From: 1, To: 2, P: 1},
 	})
-	b := risBatcher(false)
+	b := risBatcher(g, false, 0)
 	r := rng.New(29)
 	res := graph.NewResidual(g)
 	_ = risSpread(t, b, res, r, 5000, 0)

@@ -14,6 +14,10 @@ import (
 	"repro/internal/rng"
 )
 
+// noTargets is an empty target table, for bases whose tests count
+// nothing.
+func noTargets(g *graph.Graph) *TargetIndex { return NewTargetIndex(g.N(), nil) }
+
 // baseKeyOf returns the key AppendParallel takes from a parent at seed,
 // without advancing anything.
 func baseKeyOf(seed uint64) uint64 {
@@ -30,12 +34,12 @@ func TestBasePrefixMatchesKeyedBatch(t *testing.T) {
 		for _, j := range []int{1, 5, 32} {
 			want := newSamplerPool(model).generate(graph.NewResidual(g), rng.New(71), 64*j, 1)
 			for _, workers := range []int{1, 2, 4} {
-				bs := NewBase(g, model, baseKeyOf(71))
-				sets, err := bs.growTo(graph.NewResidual(g), 64*j, workers, nil)
+				bs := NewBase(g, model, baseKeyOf(71), noTargets(g))
+				fl, err := bs.growTo(graph.NewResidual(g), 64*j, workers, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameSets(t, fmt.Sprintf("%v j=%d workers %d", model, j, workers), want, sets)
+				sameSets(t, fmt.Sprintf("%v j=%d workers %d", model, j, workers), want, fl.sets)
 			}
 		}
 	}
@@ -47,13 +51,14 @@ func TestBasePrefixMatchesKeyedBatch(t *testing.T) {
 func TestBaseGrowthOrderIndependent(t *testing.T) {
 	g := wcTestGraph(t)
 	grow := func(workers int, targets ...int) *Collection {
-		bs := NewBase(g, cascade.IC, 0xBA5E)
+		bs := NewBase(g, cascade.IC, 0xBA5E, noTargets(g))
 		var sets *Collection
 		for _, n := range targets {
-			var err error
-			if sets, err = bs.growTo(graph.NewResidual(g), n, workers, nil); err != nil {
+			fl, err := bs.growTo(graph.NewResidual(g), n, workers, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
+			sets = fl.sets
 			if sets.Len()%interruptStride != 0 || sets.Len() < n {
 				t.Fatalf("grown to %d sets for target %d", sets.Len(), n)
 			}
@@ -80,12 +85,18 @@ func TestBaseGrowthOrderIndependent(t *testing.T) {
 // removal, drop or restored snapshot detaches the base for good.
 func TestBatcherAdoptsBase(t *testing.T) {
 	g := wcTestGraph(t)
-	bs := NewBase(g, cascade.IC, 0xF1257)
+	first50 := make([]graph.NodeID, 50)
+	for u := range first50 {
+		first50[u] = graph.NodeID(u)
+	}
+	ti := NewTargetIndex(g.N(), first50)
+	bs := NewBase(g, cascade.IC, 0xF1257, ti)
 	parent := rng.New(3)
 	st0, inc0 := parent.State()
 	res := graph.NewResidual(g)
 
 	b := NewBatcher(cascade.IC)
+	b.SetTargets(ti)
 	b.SetBase(bs)
 	b.Sync(res)
 	for _, target := range []int{100, 2048, 3000} {
@@ -102,9 +113,9 @@ func TestBatcherAdoptsBase(t *testing.T) {
 	if bs.Len() != 3008 {
 		t.Fatalf("base holds %d sets, want 3000 rounded up to 3008", bs.Len())
 	}
-	sets, _ := bs.growTo(res, 0, 1, nil)
+	fl, _ := bs.growTo(res, 0, 1, nil)
 	want := NewCollection(g.N())
-	want.appendRange(sets, 0, 3000)
+	want.appendRange(fl.sets, 0, 3000)
 	sameSets(t, "adopted", want, b.Collection())
 	for u := graph.NodeID(0); u < 50; u++ {
 		if got, w := b.Count(u), countContaining(want, u); got != w {
@@ -166,11 +177,11 @@ func TestBatcherAdoptsBase(t *testing.T) {
 func TestBaseGrowthFaultLeavesBaseIntact(t *testing.T) {
 	g := wcTestGraph(t)
 	res := graph.NewResidual(g)
-	want, err := NewBase(g, cascade.IC, 9).growTo(res, 1024, 1, nil)
+	want, err := NewBase(g, cascade.IC, 9, noTargets(g)).growTo(res, 1024, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := NewBase(g, cascade.IC, 9)
+	bs := NewBase(g, cascade.IC, 9, noTargets(g))
 	if _, err := bs.growTo(res, 256, 1, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +226,7 @@ func TestBaseGrowthFaultLeavesBaseIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameSets(t, "after faults", want, got)
+	sameSets(t, "after faults", want.sets, got.sets)
 }
 
 // TestBaseConcurrentGrowth: batchers on several goroutines adopting from
@@ -223,11 +234,11 @@ func TestBaseGrowthFaultLeavesBaseIntact(t *testing.T) {
 // base grown alone holds. CI runs it under -race.
 func TestBaseConcurrentGrowth(t *testing.T) {
 	g := wcTestGraph(t)
-	want, err := NewBase(g, cascade.IC, 77).growTo(graph.NewResidual(g), 4096, 1, nil)
+	want, err := NewBase(g, cascade.IC, 77, noTargets(g)).growTo(graph.NewResidual(g), 4096, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := NewBase(g, cascade.IC, 77)
+	bs := NewBase(g, cascade.IC, 77, noTargets(g))
 	got := make([]*Collection, 8)
 	var wg sync.WaitGroup
 	for i := range got {
@@ -250,7 +261,7 @@ func TestBaseConcurrentGrowth(t *testing.T) {
 			continue
 		}
 		prefix := NewCollection(g.N())
-		prefix.appendRange(want, 0, c.Len())
+		prefix.appendRange(want.sets, 0, c.Len())
 		sameSets(t, fmt.Sprintf("goroutine %d", i), prefix, c)
 	}
 }
@@ -261,7 +272,7 @@ func TestBaseConcurrentGrowth(t *testing.T) {
 func TestBaseFootprintDoesNotWaitOnGrowth(t *testing.T) {
 	g := wcTestGraph(t)
 	res := graph.NewResidual(g)
-	bs := NewBase(g, cascade.IC, 5)
+	bs := NewBase(g, cascade.IC, 5, noTargets(g))
 	if _, err := bs.growTo(res, 128, 1, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -288,9 +299,9 @@ func TestBaseFootprintDoesNotWaitOnGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	sets, bytes := bs.Footprint()
-	c, _ := bs.growTo(res, 0, 1, nil)
-	if sets != 1024 || bytes != c.Bytes() || bytes <= before {
-		t.Fatalf("after growth: %d sets, %d bytes; want 1024, %d", sets, bytes, c.Bytes())
+	fl, _ := bs.growTo(res, 0, 1, nil)
+	if sets != 1024 || bytes != fl.sets.Bytes() || bytes <= before {
+		t.Fatalf("after growth: %d sets, %d bytes; want 1024, %d", sets, bytes, fl.sets.Bytes())
 	}
 }
 
@@ -304,13 +315,13 @@ func TestBaseAdoptAllocatesByContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := graph.NewResidual(g)
-	bs := NewBase(g, cascade.IC, 0xADD)
-	sets, err := bs.growTo(res, 4096, 2, nil)
+	bs := NewBase(g, cascade.IC, 0xADD, noTargets(g))
+	fl, err := bs.growTo(res, 4096, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const target = 4000
-	copied := int64(sets.offsets[target])
+	copied := int64(fl.sets.offsets[target])
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b := NewBatcher(cascade.IC)
@@ -330,5 +341,60 @@ func TestBaseAdoptAllocatesByContent(t *testing.T) {
 	}
 	if got := b.Collection().Bytes(); got > 4*copied+2*2*4*(target+1) {
 		t.Fatalf("adopted collection holds %d bytes for %d entries", got, copied)
+	}
+}
+
+// TestFirstCountAllocatesByTargets: a fresh campaign's counting state is
+// one counter per target. On a 120k-node graph with 50 targets, attaching
+// the table and answering the first Count for every target allocates
+// O(|T|) bytes — nothing per node of the graph — whether the counts come
+// from the base (sets copied from a first look) or from a scan (sets
+// drawn privately).
+func TestFirstCountAllocatesByTargets(t *testing.T) {
+	g, err := gen.Generate(gen.Config{Model: gen.PrefAttach, N: 120_000, AvgDeg: 5, Directed: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make([]graph.NodeID, 50)
+	for i := range targets {
+		targets[i] = graph.NodeID(i * 2399)
+	}
+	ti := NewTargetIndex(g.N(), targets)
+	bs := NewBase(g, cascade.IC, 0xC0, ti)
+	res := graph.NewResidual(g)
+	if _, err := bs.growTo(res, 4096, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Twice the 4-byte counters, the targets' and the scratch ones: the
+	// race detector pads allocations.
+	budget := uint64(8*(len(targets)+spareCounters) + 64)
+	for _, fromBase := range []bool{true, false} {
+		var m0, m1, m2, m3 runtime.MemStats
+		b := NewBatcher(cascade.IC)
+		runtime.ReadMemStats(&m0)
+		b.SetTargets(ti)
+		runtime.ReadMemStats(&m1)
+		if fromBase {
+			b.SetBase(bs)
+		}
+		if n, err := b.GrowTo(res, rng.New(1), 4000, 2); err != nil || n != 4000 {
+			t.Fatalf("GrowTo(4000) = %d, %v", n, err)
+		}
+		var counts [50]int
+		runtime.ReadMemStats(&m2)
+		for i, u := range targets {
+			counts[i] = b.Count(u)
+		}
+		runtime.ReadMemStats(&m3)
+		for i, u := range targets {
+			if want := countContaining(b.Collection(), u); counts[i] != want {
+				t.Fatalf("from base %v: Count(%d) = %d, index says %d", fromBase, u, counts[i], want)
+			}
+		}
+		setup, first := m1.TotalAlloc-m0.TotalAlloc, m3.TotalAlloc-m2.TotalAlloc
+		if setup+first > budget {
+			t.Fatalf("from base %v: attaching the table and the first Count allocated %d + %d bytes for %d targets, want <= %d (4·N is %d)",
+				fromBase, setup, first, len(targets), budget, 4*g.N())
+		}
 	}
 }

@@ -153,9 +153,10 @@ func BenchmarkInvalidateTouching(b *testing.B) {
 
 // BenchmarkSyncRounds times the adaptive round cycle on the dropPool
 // pool: each op restores the pool onto a warm batcher (off the clock) and
-// runs syncRounds rounds of — seed the best-covered of 50 random alive
-// nodes and remove the nodes one sampled IC cascade activates, Sync,
-// GrowTo back to the pool size, Count. The drops, the drop index's build
+// runs syncRounds rounds of — seed the best-covered alive node of 50
+// random targets (a random alive node once none is left) and remove the
+// nodes one sampled IC cascade activates, Sync, GrowTo back to the pool
+// size, Count. The drops, the drop index's build
 // and upkeep, compaction and the top-up draws are all timed, as a
 // campaign pays for them. Every op replays the same rounds; one untimed
 // op first grows the batcher's storage, so B/op is the steady state.
@@ -165,6 +166,12 @@ func BenchmarkSyncRounds(b *testing.B) {
 	st := dropPool(g)
 	target, _ := st.Len()
 	bt := NewBatcher(cascade.IC)
+	targets := make([]graph.NodeID, 50)
+	pick := rng.New(8)
+	for i := range targets {
+		targets[i] = graph.NodeID(pick.Intn(g.N()))
+	}
+	bt.SetTargets(NewTargetIndex(g.N(), targets))
 	dropped := 0
 	op := func() {
 		b.StopTimer()
@@ -172,25 +179,27 @@ func BenchmarkSyncRounds(b *testing.B) {
 		if err := bt.RestoreState(BatcherState{Col: st, HasCol: true}, g.N()); err != nil {
 			b.Fatal(err)
 		}
-		bt.Count(0)
+		bt.Count(targets[0])
 		r, parent := rng.New(6), rng.New(7)
 		b.StartTimer()
 		for range syncRounds {
-			// Seed the best-covered of 50 random alive nodes, as a policy
-			// choosing among 50 targets would.
-			alive := res.AliveList()
-			seed := alive[r.Intn(len(alive))]
-			for range 49 {
-				if u := alive[r.Intn(len(alive))]; bt.Count(u) > bt.Count(seed) {
+			// Seed the best-covered alive target, as a policy would.
+			seed := graph.NodeID(-1)
+			for _, u := range targets {
+				if res.Alive(u) && (seed < 0 || bt.Count(u) > bt.Count(seed)) {
 					seed = u
 				}
+			}
+			if seed < 0 {
+				alive := res.AliveList()
+				seed = alive[r.Intn(len(alive))]
 			}
 			cascade.Activate(cascade.Sample(g, cascade.IC, r), res, []graph.NodeID{seed})
 			dropped += target - bt.Sync(res)
 			if _, err := bt.GrowTo(res, parent, target, 1); err != nil {
 				b.Fatal(err)
 			}
-			bt.Count(seed)
+			bt.Count(targets[0])
 		}
 	}
 	op()

@@ -213,6 +213,12 @@ func (c *Collection) extended(src *Collection) *Collection {
 	return out
 }
 
+// entries returns the nodes of the sets in slots [from, to), as one view
+// into the arena; a dropped set's entries in it are complemented.
+func (c *Collection) entries(from, to int) []graph.NodeID {
+	return c.arena[c.offsets[from]:c.offsets[to]]
+}
+
 // Reset empties the collection in place, keeping the arena, offset, root
 // and index capacity for reuse — the warm path of persistent sampler
 // pools, where a fresh attempt reuses last attempt's storage instead of
@@ -346,13 +352,9 @@ func (c *Collection) dropContaining(nodes []graph.NodeID) int {
 		return c.Len()
 	}
 	c.index()
-	var counts []int32
-	if c.coverage != nil {
-		counts = c.coverage.counts
-	}
-	counted := 0
-	if counts != nil {
-		counted = c.coverage.seen
+	cov, counted := c.coverage, 0
+	if cov != nil {
+		counted = cov.seen
 	}
 	head, post, arena, offsets := c.head, c.post, c.arena, c.offsets
 	mask := int32(len(head) - 1)
@@ -368,10 +370,10 @@ func (c *Collection) dropContaining(nodes []graph.NodeID) int {
 			}
 			c.roots[s] = deadRoot
 			set := arena[offsets[s]:offsets[s+1]]
+			if int(s) < counted {
+				cov.t.add(cov.counts, set, -1)
+			}
 			for i, v := range set {
-				if int(s) < counted {
-					counts[v]--
-				}
 				set[i] = ^v
 			}
 			c.deadSets++

@@ -52,7 +52,9 @@
 //     copies its shortfall from it while the residual is untouched and
 //     the collection holds only base sets; the copies count as reused,
 //     never as drawn, and the collection's drop index starts from the
-//     base's.
+//     base's. A base built with a target table also keeps its targets'
+//     counts at every chunk boundary, so a campaign takes its copies'
+//     counts as a vector difference instead of scanning them.
 //   - Collection (collection.go): CSR/arena storage — one flat node arena
 //     plus per-set offsets, and a CSR inverted index built on first use —
 //     so a collection is ~4 contiguous allocations regardless of θ, and
@@ -79,16 +81,23 @@
 //     selection step of IMM (§VI-A). Both are serial: BuildIndex is one
 //     counting sort over the arena, and the greedy refreshes each stale
 //     heap top in place. Workers parallelize RR generation only.
-//   - Coverage tracker and Batcher (tracker.go): Coverage maintains
-//     per-node containment counts incrementally as batches are appended
-//     and gives a dropped set's counts back in the drop pass, so a per-batch
-//     stopping-rule check costs O(batch + alive) instead of an inverted
-//     index rebuild. Batcher packages the draw/filter/top-up cycle —
-//     collection, tracker, optional base, accounting — and is the package's only
-//     way to draw RR sets: both adaptive sampling policies, sampled ADG
-//     rounds, IMM's θ search and the one-shot draws of the nonadaptive
-//     greedy and imm.SpreadLowerBound go through it, and its Stats value
-//     is the one record of sampling work they report. The tracker counts
-//     only what Batcher.Count asks for. The warm loop is allocation-free
+//   - Coverage tracker and Batcher (tracker.go): Coverage maintains the
+//     containment counts of a target set — one int32 per target plus a
+//     few scratch counters, indexed through a shared TargetIndex (one
+//     uint16 counter number per node, so counting an entry is a load and
+//     an increment without a branch) — incrementally as batches are
+//     appended, and gives a dropped set's counts back in the drop pass,
+//     so a per-batch stopping-rule check costs O(batch + alive) instead
+//     of an inverted index rebuild, and a fresh campaign's counting
+//     state is O(|T|), not O(N). Count answers for targets only; the
+//     adaptive steppers ask about alive targets and nothing else asks
+//     at all. Batcher packages the draw/filter/top-up cycle —
+//     collection, tracker, optional base, accounting — and is the
+//     package's only way to draw RR sets: both adaptive sampling
+//     policies, sampled ADG rounds, IMM's θ search and the one-shot
+//     draws of the nonadaptive greedy and imm.SpreadLowerBound go
+//     through it, and its Stats value is the one record of sampling
+//     work they report. The tracker counts only what Batcher.Count asks
+//     for. The warm loop is allocation-free
 //     (TestBatcherWarmLoopNoAllocs).
 package ris

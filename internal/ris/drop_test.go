@@ -2,6 +2,7 @@ package ris
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -75,8 +76,11 @@ func (m *refPool) invalidate(touched []graph.NodeID, n int) {
 }
 
 // checkPool asserts that b's collection equals the reference: the same
-// live sets, roots and order, requested count and Version, and Coverage
-// counts equal to a recount of the counted prefix. It also checks the
+// live sets, roots and order, requested count and Version, Coverage
+// counts of every target equal to a recount of the counted prefix, and
+// what Count would answer for every target — the counts after folding the
+// rest, taken on a copy of the tracker so the history is not disturbed —
+// equal to a recount over all the live sets. It also checks the
 // tombstone bookkeeping: the dead slots are the ones counted as dead, no
 // dead slot is counted as live or folded into Coverage, dropped entries
 // stay below the live ones, and every live set the drop index covers is
@@ -113,19 +117,29 @@ func checkPool(t *testing.T, step int, what string, b *Batcher, m *refPool) {
 	if counted != m.counted {
 		t.Fatalf("step %d (%s): coverage has counted %d live sets, reference %d", step, what, counted, m.counted)
 	}
-	want := make([]int32, c.n)
-	for _, rr := range m.sets[:m.counted] {
-		for _, u := range rr.Nodes {
-			want[u]++
+	if b.cov.t != nil {
+		counted, all := make([]int, c.n), make([]int, c.n)
+		for i, rr := range m.sets {
+			for _, u := range rr.Nodes {
+				all[u]++
+				if i < m.counted {
+					counted[u]++
+				}
+			}
 		}
-	}
-	for u, w := range want {
-		got := int32(0)
-		if b.cov.counts != nil {
-			got = b.cov.counts[u]
-		}
-		if got != w {
-			t.Fatalf("step %d (%s): coverage count of node %d is %d, recount %d", step, what, u, got, w)
+		probe := Coverage{c: c, t: b.cov.t, counts: slices.Clone(b.cov.counts), seen: b.cov.seen}
+		probe.Update()
+		for u := range graph.NodeID(c.n) {
+			k := b.cov.t.counter[u]
+			if k < spareCounters {
+				continue
+			}
+			if got := int(b.cov.counts[k]); got != counted[u] {
+				t.Fatalf("step %d (%s): coverage count of target %d is %d, recount %d", step, what, u, got, counted[u])
+			}
+			if got := probe.Count(u); got != all[u] {
+				t.Fatalf("step %d (%s): Count(%d) would be %d, recount over the live sets %d", step, what, u, got, all[u])
+			}
 		}
 	}
 	if c.indexed == 0 {
@@ -183,36 +197,55 @@ func slotOf(c *Collection, p int32) int {
 }
 
 // TestDropMatchesReferenceScan drives random histories through a Batcher
-// — node removals with Sync and GrowTo top-ups, residual clones, topology
-// deltas re-homed with SetGraph and invalidated, Count calls that fold
-// the coverage at random points, drop-only stretches that run until the
-// dropped entries force a compaction, Reset, and a state capture (taken
-// while dropped sets are still in place) restored onto a fresh batcher
-// and a residual replayed from the removal log (the resume path) — and
-// checks the collection after every step against the reference scans of
-// refPool. Odd seeds start from a prefix adopted from a shared first look
-// (Base), which the first drop detaches, and compact it before drawing.
+// counting a random target set — node removals with Sync and GrowTo
+// top-ups, residual clones, topology deltas re-homed with SetGraph and
+// invalidated, Count calls that fold the coverage at random points,
+// drop-only stretches that run until the dropped entries force a
+// compaction, Reset, and a state capture (taken while dropped sets are
+// still in place) restored onto a fresh batcher and a residual replayed
+// from the removal log (the resume path) — and checks the collection and
+// the target counts after every step against the reference scans of
+// refPool. Odd seeds start with a few adoptions from a shared first look
+// (Base) to chunk-aligned and unaligned ends, with and without a Count
+// between them and with the tracker behind; the base counts the batcher's
+// table except at seed 5, whose base counts an equal table of its own, so
+// every copy is scanned. The first drop detaches the base, and the adopted sets are
+// compacted before drawing.
 func TestDropMatchesReferenceScan(t *testing.T) {
-	compactions, sparseResumes, resets := 0, 0, 0
+	compactions, sparseResumes, resets, baseCounted := 0, 0, 0, 0
 	for seed := uint64(1); seed <= 6; seed++ {
 		r := rng.New(seed)
 		g := randomGraph(t)
 		n := g.N()
+		var targets []graph.NodeID
+		for u := range graph.NodeID(n) {
+			if r.Intn(6) == 0 {
+				targets = append(targets, u)
+			}
+		}
+		ti := NewTargetIndex(n, targets)
 		res := graph.NewResidual(g)
 		b := NewBatcher(cascade.IC)
+		b.SetTargets(ti)
 		if seed%2 == 1 {
-			b.SetBase(NewBase(g, cascade.IC, seed))
+			baseTargets := ti
+			if seed == 5 {
+				baseTargets = NewTargetIndex(n, targets) // equal, but not the batcher's
+			}
+			b.SetBase(NewBase(g, cascade.IC, seed, baseTargets))
 		}
 		parent := rng.New(seed + 100)
 		m := &refPool{version: -1}
 		drawn := int64(0)
-		grow := func(step int) {
+		growTo := func(step, target int) {
 			b.Sync(res)
 			m.filter(res)
 			checkPool(t, step, "sync", b, m)
 			before := b.Len()
 			adopting := b.base != nil && b.base.fits(res)
-			target := before + 1 + r.Intn(400)
+			// The tracker takes adopted sets' counts from the base when it
+			// is current and counts the base's targets.
+			fromBase := adopting && b.base.targets == ti && m.counted == before
 			if _, err := b.GrowTo(res, parent, target, 1+r.Intn(2)); err != nil {
 				t.Fatal(err)
 			}
@@ -222,8 +255,18 @@ func TestDropMatchesReferenceScan(t *testing.T) {
 			} else if b.Stats().RRRequested != 0 {
 				t.Fatalf("step %d: adopting from the base drew %d sets", step, b.Stats().RRRequested)
 			}
+			if fromBase {
+				m.counted = len(m.sets)
+				baseCounted++
+			}
 			m.version = res.Version()
 			checkPool(t, step, "grow", b, m)
+		}
+		grow := func(step int) { growTo(step, b.Len()+1+r.Intn(400)) }
+		count := func(step int) {
+			_ = b.Count(targets[r.Intn(len(targets))])
+			m.counted = len(m.sets)
+			checkPool(t, step, "count", b, m)
 		}
 		invalidate := func(step int, touched []graph.NodeID) {
 			b.Invalidate(touched)
@@ -248,7 +291,28 @@ func TestDropMatchesReferenceScan(t *testing.T) {
 			}
 			compactions++
 		}
-		grow(-1)
+		if seed%2 == 1 {
+			// Adoptions to a chunk boundary or past one, folded or not,
+			// and with the counts zeroed by re-attaching the table, after
+			// which the tracker is behind and scans the copies instead.
+			for range 6 {
+				if b.Len() > 0 && r.Intn(3) == 0 {
+					b.SetTargets(ti)
+					m.counted = 0
+					checkPool(t, -1, "retarget", b, m)
+				}
+				if r.Intn(2) == 0 {
+					growTo(-1, (b.Len()/interruptStride+1+r.Intn(4))*interruptStride)
+				} else {
+					growTo(-1, b.Len()+1+r.Intn(300))
+				}
+				if r.Intn(2) == 0 {
+					count(-1)
+				}
+			}
+		} else {
+			grow(-1)
+		}
 		if seed%2 == 1 {
 			if b.Stats().RRReused == 0 || b.Stats().RRDrawn != 0 {
 				t.Fatalf("seed %d: first look not adopted from the base: %+v", seed, b.Stats())
@@ -274,9 +338,7 @@ func TestDropMatchesReferenceScan(t *testing.T) {
 				m.filter(res)
 				checkPool(t, step, "filter", b, m)
 			case k < 11: // fold the coverage through Count
-				_ = b.Count(graph.NodeID(r.Intn(n)))
-				m.counted = len(m.sets)
-				checkPool(t, step, "count", b, m)
+				count(step)
 			case k < 12: // continue on a clone of the residual
 				res = res.Clone()
 				checkPool(t, step, "clone", b, m)
@@ -307,6 +369,7 @@ func TestDropMatchesReferenceScan(t *testing.T) {
 					sparseResumes++
 				}
 				nb := NewBatcher(cascade.IC)
+				nb.SetTargets(ti)
 				if err := nb.RestoreState(st, n); err != nil {
 					t.Fatal(err)
 				}
@@ -338,9 +401,10 @@ func TestDropMatchesReferenceScan(t *testing.T) {
 			t.Fatalf("seed %d: degenerate history (drawn %d, version %d)", seed, drawn, res.Version())
 		}
 	}
-	t.Logf("%d drop-only compactions, %d resumes with dropped sets, %d resets", compactions, sparseResumes, resets)
-	if compactions == 0 || sparseResumes == 0 || resets == 0 {
-		t.Fatalf("histories missed a case: %d drop-only compactions, %d resumes with dropped sets, %d resets",
-			compactions, sparseResumes, resets)
+	t.Logf("%d drop-only compactions, %d resumes with dropped sets, %d resets, %d adoptions counted from the base",
+		compactions, sparseResumes, resets, baseCounted)
+	if compactions == 0 || sparseResumes == 0 || resets == 0 || baseCounted < 2 {
+		t.Fatalf("histories missed a case: %d drop-only compactions, %d resumes with dropped sets, %d resets, %d adoptions counted from the base",
+			compactions, sparseResumes, resets, baseCounted)
 	}
 }

@@ -1,6 +1,9 @@
 package ris
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/cascade"
@@ -9,51 +12,122 @@ import (
 	"repro/internal/rng"
 )
 
-// Coverage maintains per-node single-node containment counts (how many
-// RR sets hold each node) incrementally as RR sets are appended to a
-// Collection. The adaptive sampling stepper checks its stopping rule
-// after every batch; recounting through the CSR inverted index would
-// rebuild the index — an O(arena + n) pass — per batch per look, while
-// Coverage keeps the counts current in O(new batch nodes) and answers
-// each query in O(1), so a per-batch check over the alive targets costs
-// O(batch + alive).
+// TargetIndex is a read-only node-to-counter table over a target set:
+// counter[u] is the counter that node u's entries bump. A target's
+// counter is spareCounters plus its slot (slots follow the target order;
+// a repeated target keeps its first slot); every other node's is one of
+// spareCounters scratch counters, u mod spareCounters, that nothing
+// reads. Counting an entry is then one table load and one increment,
+// without a branch: RR sets hold the influential targets often, so a
+// branch on "is u a target" mispredicts, and a bitset with a rank per
+// 64-node word measured about twice the per-entry cost of this table and
+// of the per-node counts it replaced (on a nethept-s pool). Spreading the
+// other nodes over several scratch counters keeps their increments from
+// queueing behind one another. An instance builds its table once and
+// every campaign on it, and on the instances its topology deltas derive,
+// shares it; nothing writes it after NewTargetIndex.
+type TargetIndex struct {
+	counter []uint16
+	size    int // targets
+}
+
+// spareCounters is the number of scratch counters the non-target nodes
+// share.
+const spareCounters = 8
+
+// MaxTargets is the largest target set a TargetIndex can slot.
+const MaxTargets = math.MaxUint16 + 1 - spareCounters
+
+// NewTargetIndex builds the table of targets over a graph with n nodes.
+// It panics on more than MaxTargets distinct targets.
+func NewTargetIndex(n int, targets []graph.NodeID) *TargetIndex {
+	t := &TargetIndex{counter: make([]uint16, n)}
+	for u := range t.counter {
+		t.counter[u] = uint16(u % spareCounters)
+	}
+	for _, u := range targets {
+		if t.counter[u] >= spareCounters {
+			continue
+		}
+		if t.size == MaxTargets {
+			panic(fmt.Sprintf("ris: more than %d targets", MaxTargets))
+		}
+		t.counter[u] = uint16(spareCounters + t.size)
+		t.size++
+	}
+	return t
+}
+
+// counters returns the number of counters a Coverage over t keeps.
+func (t *TargetIndex) counters() int { return spareCounters + t.size }
+
+// add adds d to the counter of every entry of nodes, which must hold no
+// dropped set's (complemented) entries.
+func (t *TargetIndex) add(counts []int32, nodes []graph.NodeID, d int32) {
+	counter := t.counter
+	for _, u := range nodes {
+		counts[counter[u]] += d
+	}
+}
+
+// Coverage maintains the containment counts of a target set — how many
+// of a Collection's RR sets hold each target — incrementally as RR sets
+// are appended. The adaptive steppers check their stopping rule after
+// every batch and compare only the alive targets' estimates; recounting
+// through the CSR inverted index would rebuild the index — an O(arena +
+// n) pass — per batch per look, while Coverage keeps the counts current
+// in O(new batch entries), one table load each, and answers each query
+// in O(1). Its state is one int32 per target (plus a few scratch
+// counters), not per node, so a fresh campaign's counts cost O(|T|) to
+// allocate and clear; the node-to-counter table is a TargetIndex the
+// campaigns of an instance share. Sets a Batcher copies from a shared
+// first look are not scanned at all when the tracker is current: the
+// Base counted them once for every campaign (see Batcher.GrowTo).
 //
 // A Coverage follows its Collection's drops: Filter and InvalidateTouching
 // give a dropped set's counts back in the same pass, compaction renumbers
 // the counted prefix with the sets, and Collection.Reset zeroes it — so,
 // unlike Marks, it stays valid across the filter/top-up cycles of the
-// adaptive round loop. Storage (one int32 per node of the full graph) is
-// allocated by the first Update and reused across batches and rounds. At
-// most one Coverage is attached to a Collection; attaching a new one
-// replaces the old.
+// adaptive round loop. At most one Coverage is attached to a Collection;
+// attaching a new one replaces the old.
 type Coverage struct {
 	c      *Collection
-	counts []int32
-	seen   int // the live sets among slots [0, seen) are reflected in counts
+	t      *TargetIndex
+	counts []int32 // indexed by TargetIndex.counter
+	seen   int     // the live sets among slots [0, seen) are reflected in counts
+}
+
+// setTargets switches the tracker to t, with every count at zero and
+// nothing folded; the count storage is reused.
+func (cov *Coverage) setTargets(t *TargetIndex) {
+	cov.t = t
+	cov.counts = slices.Grow(cov.counts[:0], t.counters())[:t.counters()]
+	cov.reset()
 }
 
 // Update folds the RR sets appended since the last Update into the
-// counts, allocating them on first use; a set dropped before it was
-// folded is skipped. O(nodes of the new sets).
+// counts; a set dropped before it was folded is skipped. O(entries of the
+// new sets).
 func (cov *Coverage) Update() {
 	c := cov.c
-	if cov.counts == nil {
-		cov.counts = make([]int32, c.n)
-	}
 	for i := cov.seen; i < len(c.roots); i++ {
-		if c.roots[i] == deadRoot {
-			continue
-		}
-		for _, u := range c.arena[c.offsets[i]:c.offsets[i+1]] {
-			cov.counts[u]++
+		if c.roots[i] != deadRoot {
+			cov.t.add(cov.counts, c.entries(i, i+1), 1)
 		}
 	}
 	cov.seen = len(c.roots)
 }
 
 // Count returns |{i : u ∈ R_i}| over the live sets folded in so far
-// without touching the inverted index.
-func (cov *Coverage) Count(u graph.NodeID) int { return int(cov.counts[u]) }
+// without touching the inverted index. u must be a target: Count panics
+// on any other node.
+func (cov *Coverage) Count(u graph.NodeID) int {
+	k := cov.t.counter[u]
+	if k < spareCounters {
+		panic(fmt.Sprintf("ris: coverage count of node %d, which is not a target", u))
+	}
+	return int(cov.counts[k])
+}
 
 // reset zeroes the counts in place (storage is retained).
 func (cov *Coverage) reset() {
@@ -133,7 +207,7 @@ type Batcher struct {
 // reuse is on by default; SetReuse(false) makes Sync regenerate from
 // scratch instead of validity-filtering.
 func NewBatcher(model cascade.Model) *Batcher {
-	return &Batcher{model: model, reuse: true}
+	return &Batcher{model: model, cov: &Coverage{}, reuse: true}
 }
 
 // Model returns the diffusion model the batcher draws under. Warm-reuse
@@ -161,6 +235,12 @@ func (b *Batcher) SetBase(bs *Base) {
 	b.base = bs
 }
 
+// SetTargets attaches the target table Count answers for and zeroes the
+// counts; the next Count folds every set held. Only a batcher whose
+// table is its base's (the same pointer) takes the counts of the sets it
+// copies from the base instead of scanning them. Reset keeps the table.
+func (b *Batcher) SetTargets(t *TargetIndex) { b.cov.setTargets(t) }
+
 // SetInterrupt installs (or, with nil, removes) a cancellation poll for
 // future GrowTo batches: it is polled before every chunk of 64 draws, by
 // every worker, so it must be safe for concurrent use; a non-nil return
@@ -170,11 +250,12 @@ func (b *Batcher) SetInterrupt(f func() error) { b.interrupt = f }
 // Reset returns the batcher to its freshly constructed state while keeping
 // every warm buffer: the collection's arenas and the coverage tracker's
 // count array survive for the next run. Accounting is zeroed, the base
-// and interrupt detached, and the collection emptied (version −1), so a
-// new campaign checked out on a warm batcher can never mistake a previous
-// campaign's RR sets for its own — in particular, a fresh residual's
-// version 0 must not collide with stale sets drawn on some earlier
-// residual's version 0 (Collection.Filter is version-keyed).
+// and interrupt detached (the target table stays), and the collection
+// emptied (version −1), so a new campaign checked out on a warm batcher
+// can never mistake a previous campaign's RR sets for its own — in
+// particular, a fresh residual's version 0 must not collide with stale
+// sets drawn on some earlier residual's version 0 (Collection.Filter is
+// version-keyed).
 func (b *Batcher) Reset() {
 	if b.col != nil {
 		b.col.Reset()
@@ -189,7 +270,7 @@ func (b *Batcher) Reset() {
 func (b *Batcher) ensureCol(n int) *Collection {
 	if b.col == nil {
 		b.col = NewCollection(n)
-		b.cov = &Coverage{c: b.col}
+		b.cov.c = b.col
 		b.col.coverage = b.cov
 	}
 	return b.col
@@ -232,12 +313,13 @@ func (b *Batcher) Invalidate(touched []graph.NodeID) int {
 // attached base fits (see SetBase) the shortfall is copied from it,
 // counted as reused and never as drawn; otherwise it is drawn through a
 // borrowed pool in one batch, and parent advances by one key only when
-// something is drawn. The coverage tracker folds the new sets in at the
-// next Count, so IMM, which never asks, never pays for it. It returns the
-// collection size, which can fall short of target only when the residual
-// has no alive nodes — or when the installed interrupt aborted the batch,
-// in which case the error is non-nil and the collection contents must be
-// treated as void.
+// something is drawn. The coverage tracker folds drawn sets in at the
+// next Count, so IMM, which never asks, never pays for it; copied sets it
+// takes from the base's per-chunk counts when it is current (see adopt).
+// It returns the collection size, which can fall short of target only
+// when the residual has no alive nodes — or when the installed interrupt
+// aborted the batch, in which case the error is non-nil and the
+// collection contents must be treated as void.
 func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers int) (int, error) {
 	// Fault-plane hook (no-op unless an injector is active): a batch
 	// top-up is the failure-prone operation inside every campaign step,
@@ -268,16 +350,25 @@ func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers i
 
 // adopt copies the base's sets [c.Len(), target) onto c, growing the base
 // first when it is shorter, and lets c's drop index start from the base's.
+// c holds exactly the base's sets [0, c.Len()), so when the coverage
+// tracker has folded them all and counts the base's targets, it takes the
+// copies' counts from the base (firstLook.countInto) and stays current,
+// without reading their entries.
 func (b *Batcher) adopt(c *Collection, res *graph.Residual, target, workers int) error {
-	sets, err := b.base.growTo(res, target, workers, b.interrupt)
+	fl, err := b.base.growTo(res, target, workers, b.interrupt)
 	if err != nil {
 		return err
 	}
+	sets := fl.sets
 	from, to := c.Len(), min(target, sets.Len())
 	c.noteVersion(res.Version())
 	c.appendRange(sets, from, to)
 	if to > 0 {
 		c.shared, c.sharedSets = sets, to
+	}
+	if cov := b.cov; cov.t == b.base.targets && cov.seen == from {
+		fl.countInto(cov.t, cov.counts, from, to)
+		cov.seen = to
 	}
 	b.stats.RRReused += int64(to - from)
 	return nil
@@ -303,10 +394,12 @@ func (b *Batcher) draw(c *Collection, res *graph.Residual, parent *rng.RNG, coun
 	return err
 }
 
-// Count returns the containment count of u over every set held, folding
-// the sets drawn since the last Count into the tracker first.
+// Count returns the containment count of target u over every set held,
+// folding the sets added since the last Count into the tracker first. u
+// must be in the table attached by SetTargets: Count panics on any other
+// node.
 func (b *Batcher) Count(u graph.NodeID) int {
-	if b.cov.counts == nil || b.cov.seen < len(b.col.roots) {
+	if b.cov.seen < len(b.col.roots) {
 		b.cov.Update()
 	}
 	return b.cov.Count(u)

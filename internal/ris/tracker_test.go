@@ -8,23 +8,51 @@ import (
 	"repro/internal/rng"
 )
 
-// newCoverage attaches a containment tracker to c that has counted the
-// sets already present, as a Batcher's tracker is after a Count.
+// everyThird returns every third node of n as a target set, so the
+// trackers under test see entries of targets and of other nodes.
+func everyThird(n int) []graph.NodeID {
+	var targets []graph.NodeID
+	for u := graph.NodeID(0); int(u) < n; u += 3 {
+		targets = append(targets, u)
+	}
+	return targets
+}
+
+// newCoverage attaches a tracker of every third node's containment counts
+// to c that has counted the sets already present, as a Batcher's tracker
+// is after a Count.
 func newCoverage(c *Collection) *Coverage {
 	c.coverage = &Coverage{c: c}
+	c.coverage.setTargets(NewTargetIndex(c.n, everyThird(c.n)))
 	c.coverage.Update()
 	return c.coverage
 }
 
 // checkCoverageMatchesIndex cross-checks the incremental tracker against
-// the inverted-index count for every node.
+// the inverted-index count for every target.
 func checkCoverageMatchesIndex(t *testing.T, c *Collection, cov *Coverage, where string) {
 	t.Helper()
-	for u := 0; u < c.n; u++ {
-		if got, want := cov.Count(graph.NodeID(u)), countContaining(c, graph.NodeID(u)); got != want {
-			t.Fatalf("%s: coverage count of node %d = %d, index says %d", where, u, got, want)
+	for _, u := range everyThird(c.n) {
+		if got, want := cov.Count(u), countContaining(c, u); got != want {
+			t.Fatalf("%s: coverage count of target %d = %d, index says %d", where, u, got, want)
 		}
 	}
+}
+
+// TestCountPanicsOffTargets: a tracker holds counts for its targets only,
+// so asking for any other node is a caller's bug and panics.
+func TestCountPanicsOffTargets(t *testing.T) {
+	b := NewBatcher(cascade.IC)
+	g := wcTestGraph(t)
+	b.SetTargets(NewTargetIndex(g.N(), []graph.NodeID{2, 70}))
+	b.GrowTo(graph.NewResidual(g), rng.New(1), 100, 1)
+	_ = b.Count(70)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Count of a non-target did not panic")
+		}
+	}()
+	b.Count(3)
 }
 
 // TestCoverageTracksAppendsFiltersResets drives a Coverage through the
@@ -55,9 +83,9 @@ func TestCoverageTracksAppendsFiltersResets(t *testing.T) {
 	}
 
 	c.Reset()
-	for u := 0; u < c.n; u++ {
-		if cov.Count(graph.NodeID(u)) != 0 {
-			t.Fatalf("node %d count %d after Reset", u, cov.Count(graph.NodeID(u)))
+	for _, u := range everyThird(c.n) {
+		if cov.Count(u) != 0 {
+			t.Fatalf("target %d count %d after Reset", u, cov.Count(u))
 		}
 	}
 	// The tracker must keep working after a reset (warm storage).
@@ -78,16 +106,17 @@ func TestCoverageFilterWithUncountedTail(t *testing.T) {
 	res := graph.NewResidual(g)
 	c := NewCollection(4)
 	c.AddSet(1, []graph.NodeID{1, 0})
-	cov := newCoverage(c) // counts {1,0}
+	cov := newCoverage(c) // counts {1,0}: target 0 only
 	c.AddSet(3, []graph.NodeID{3, 2})
-	c.AddSet(2, []graph.NodeID{2}) // uncounted tail
+	c.AddSet(0, []graph.NodeID{0}) // uncounted tail
 	res.Remove(3)
 	if kept := c.Filter(res); kept != 2 {
 		t.Fatalf("kept %d sets, want 2", kept)
 	}
-	// {3,2} was never counted, so its drop must not touch node 2's count.
-	if cov.Count(2) != 0 {
-		t.Fatalf("node 2 count %d before Update, want 0", cov.Count(2))
+	// {3,2} was never counted, so its drop must not touch target 3's
+	// count, and {0} is not counted before the Update.
+	if cov.Count(3) != 0 || cov.Count(0) != 1 {
+		t.Fatalf("targets 3 and 0 count %d and %d before Update, want 0 and 1", cov.Count(3), cov.Count(0))
 	}
 	cov.Update()
 	checkCoverageMatchesIndex(t, c, cov, "after tail update")
@@ -101,6 +130,7 @@ func TestBatcherAccountingAndReuse(t *testing.T) {
 	g := wcTestGraph(t)
 	res := graph.NewResidual(g)
 	b := NewBatcher(cascade.IC)
+	b.SetTargets(NewTargetIndex(g.N(), everyThird(g.N())))
 	parent := rng.New(43)
 	if n, err := b.GrowTo(res, parent, 500, 2); n != 500 || err != nil {
 		t.Fatalf("GrowTo returned %d, %v, want 500, nil", n, err)
@@ -125,7 +155,7 @@ func TestBatcherAccountingAndReuse(t *testing.T) {
 	if b.Len() != 500 || b.Stats().RRDrawn != int64(500+500-kept) {
 		t.Fatalf("top-up len=%d drawn=%d (kept=%d)", b.Len(), b.Stats().RRDrawn, kept)
 	}
-	for u := graph.NodeID(0); u < graph.NodeID(g.N()); u++ {
+	for _, u := range everyThird(g.N()) {
 		if got, want := b.Count(u), countContaining(b.Collection(), u); got != want {
 			t.Fatalf("after top-up: Count(%d) = %d, index says %d", u, got, want)
 		}
@@ -153,6 +183,11 @@ func TestBatcherAccountingAndReuse(t *testing.T) {
 func TestBatcherWarmLoopNoAllocs(t *testing.T) {
 	g := wcTestGraph(t)
 	b := NewBatcher(cascade.IC)
+	first50 := make([]graph.NodeID, 50)
+	for u := range first50 {
+		first50[u] = graph.NodeID(u)
+	}
+	b.SetTargets(NewTargetIndex(g.N(), first50))
 	parent := rng.New(47)
 	// Warm up: grow past the steady-state target once so the arena and
 	// index-free coverage storage reach capacity.

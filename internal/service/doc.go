@@ -17,8 +17,8 @@
 //
 // Each instance also pools warm ris.Batchers: a campaign checks one out
 // at creation and returns it at close, so a steady stream of campaigns on
-// a warm instance reuses the RR collection arenas, coverage counts, and
-// sampler-pool scratch of its predecessors instead of reallocating them.
+// a warm instance reuses the RR collection arenas and coverage counts of
+// its predecessors instead of reallocating them.
 // Batchers are Reset on checkout — campaign results are independent of
 // what a donated batcher previously held.
 //
