@@ -142,7 +142,7 @@ type RunResult struct {
 	// all-targets. ADDATP and HATP count as RRReused only the carried-over
 	// sets a look needed (at most its target), the sets copied from the
 	// instance's shared first look, and the survivors of each topology
-	// delta. Under NSG, RRPeakBytes includes the inverted index
+	// delta. Under NSG, RRPeakBytes includes the node-to-set index
 	// its selection builds.
 	ris.Stats
 	// Fallbacks counts rounds where the refinement budget ran out and the

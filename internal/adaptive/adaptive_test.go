@@ -145,7 +145,7 @@ func TestNonadaptiveGreedyWorkedExample(t *testing.T) {
 // TestNSGReportsSamplerWork: the nonadaptive greedy draws through a
 // ris.Batcher, so its run reports the sampler work of a Batcher drawing
 // the same θ from the same stream — visits, edge touches, draws, one
-// batch — and a peak that also covers the selection's inverted index.
+// batch — and a peak that also covers the selection's node-to-set index.
 func TestNSGReportsSamplerWork(t *testing.T) {
 	inst := fig1Instance(t)
 	const theta, workers = 5000, 2
@@ -167,7 +167,7 @@ func TestNSGReportsSamplerWork(t *testing.T) {
 		t.Fatalf("NSG stats %+v, batcher draw of the same stream %+v", run.Stats, want)
 	}
 	if run.RRPeakBytes <= want.RRPeakBytes {
-		t.Fatalf("NSG peak %d bytes does not cover the inverted index (draw alone: %d)", run.RRPeakBytes, want.RRPeakBytes)
+		t.Fatalf("NSG peak %d bytes does not cover the node-to-set index (draw alone: %d)", run.RRPeakBytes, want.RRPeakBytes)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // per-algorithm stepper state (RR collection snapshots plus accounting).
 //
 // Deliberately absent, because each is a pure function of what is stored:
-// coverage counts and the CSR inverted index (rebuilt from the restored
+// coverage counts and the node-to-set index (rebuilt from the restored
 // sets), sampler pools (stateless between batches — every batch keys its
 // substreams off the session RNG), the residual's O(N) alive list (replayed
 // from the removal log, see below), and wall-clock telemetry (SamplingNS

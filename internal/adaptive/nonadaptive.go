@@ -14,7 +14,7 @@ import (
 // stopping when no remaining target's estimated marginal profit is
 // positive. theta is the RR sample size, drawn by a fresh ris.Batcher on
 // r; the returned Stats account for that draw, with RRPeakBytes covering
-// the inverted index the selection builds.
+// the node-to-set index the selection builds.
 func NonadaptiveGreedySelect(inst *Instance, theta int, r *rng.RNG, workers int) ([]graph.NodeID, ris.Stats, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, ris.Stats{}, err
@@ -39,7 +39,7 @@ func NonadaptiveGreedySelect(inst *Instance, theta int, r *rng.RNG, workers int)
 		best := -1
 		bestProfit := 0.0
 		for i, u := range remaining {
-			p := float64(marks.Marginal(u))*perCov - inst.Costs.Cost(u)
+			p := float64(float64(marks.Marginal(u))*perCov) - inst.Costs.Cost(u)
 			if p > bestProfit || (p == bestProfit && best >= 0 && u < remaining[best]) {
 				best, bestProfit = i, p
 			}

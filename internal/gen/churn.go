@@ -25,7 +25,7 @@ func ChurnDeltas(g *graph.Graph, frac float64, r *rng.RNG) (inserts, deletes []g
 	if n < 2 {
 		return nil, nil
 	}
-	k := int(frac*float64(m) + 0.5)
+	k := int(float64(frac*float64(m)) + 0.5)
 	if k < 1 {
 		k = 1
 	}

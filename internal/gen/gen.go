@@ -351,7 +351,7 @@ func powerLawConfig(cfg Config, r *rng.RNG) (*graph.Builder, error) {
 		picked[i] = -1
 	}
 	for v := 0; v < cfg.N; v++ {
-		d := int64(float64(degs[v])*scale + r.Float64()) // stochastic rounding
+		d := int64(float64(float64(degs[v])*scale) + r.Float64()) // stochastic rounding
 		for wired := int64(0); wired < d && wired < int64(cfg.N-1); {
 			u := int32(r.Intn(cfg.N))
 			if int(u) == v || picked[u] == int32(v) {

@@ -91,8 +91,8 @@ func Select(g *graph.Graph, k int, opts Options) (*Result, error) {
 	b := ris.NewBatcher(opts.Model)
 
 	// Sampling phase: find LB.
-	epsPrime := math.Sqrt2 * eps
-	lambdaPrime := (2 + 2*epsPrime/3) * (logChooseNK + ellP*math.Log(nf) + math.Log(math.Log2(math.Max(nf, 2)))) * nf / (epsPrime * epsPrime)
+	epsPrime := float64(math.Sqrt2 * eps)
+	lambdaPrime := (2 + float64(2*epsPrime/3)) * (logChooseNK + float64(ellP*math.Log(nf)) + math.Log(math.Log2(math.Max(nf, 2)))) * nf / (epsPrime * epsPrime)
 	lb := 1.0
 	maxI := int(math.Ceil(math.Log2(nf))) - 1
 	if maxI < 1 {
@@ -114,16 +114,16 @@ func Select(g *graph.Graph, k int, opts Options) (*Result, error) {
 			break
 		}
 		frac := float64(cum[len(cum)-1]) / float64(collection.Len())
-		if nf*frac >= (1+epsPrime)*x {
+		if float64(nf*frac) >= float64((1+epsPrime)*x) {
 			lb = nf * frac / (1 + epsPrime)
 			break
 		}
 	}
 
 	// Selection phase.
-	alpha := math.Sqrt(ellP*math.Log(nf) + math.Ln2)
-	beta := math.Sqrt((1 - 1/math.E) * (logChooseNK + ellP*math.Log(nf) + math.Ln2))
-	lambdaStar := 2 * nf * sq((1-1/math.E)*alpha+beta) / (eps * eps)
+	alpha := math.Sqrt(float64(ellP*math.Log(nf)) + math.Ln2)
+	beta := math.Sqrt((1 - 1/math.E) * (logChooseNK + float64(ellP*math.Log(nf)) + math.Ln2))
+	lambdaStar := 2 * nf * sq(float64((1-1/math.E)*alpha)+beta) / (eps * eps)
 	theta := int(math.Ceil(lambdaStar / lb))
 	if theta < 1 {
 		theta = 1

@@ -120,7 +120,7 @@ func (o *ExactLT) ExpectedSpread(res *graph.Residual, seeds []graph.NodeID) floa
 				count++
 				stack = append(stack, children[u]...)
 			}
-			total += p * float64(count)
+			total += float64(p * float64(count))
 			return
 		}
 		for _, c := range options[v] {

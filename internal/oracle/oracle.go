@@ -56,7 +56,7 @@ func (o *Exact) ExpectedSpread(res *graph.Residual, seeds []graph.NodeID) float6
 			continue
 		}
 		rz := cascade.FromLiveEdges(o.g, live)
-		total += p * float64(cascade.SpreadOn(rz, res, seeds))
+		total += float64(p * float64(cascade.SpreadOn(rz, res, seeds)))
 	}
 	return total
 }

@@ -21,9 +21,9 @@ import (
 // order it grew in, on the worker count, or on which campaign grew it.
 // It grows lazily, in whole chunks under its own mutex, to the largest
 // target any campaign asked for, and keeps only exactly sized arena,
-// offset and root arrays plus their drop index (Collection.index), from
-// which a campaign's collection starts its own at its first drop instead
-// of chaining the copied sets again. It also keeps, at every chunk
+// offset and root arrays plus their node-to-set index (Collection.index),
+// from which a campaign's collection starts its own when it first builds
+// one, instead of chaining the copied sets again. It also keeps, at every chunk
 // boundary, the targets' containment counts over the sets before it,
 // counted once per growth, so a campaign's Coverage takes the counts of
 // the sets it copies from two of these vectors instead of scanning every

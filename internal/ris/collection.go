@@ -10,18 +10,20 @@ import (
 // Collection stores RR sets in a CSR/arena layout: the nodes of every RR
 // set live in one flat arena, with per-set offsets, so a collection is a
 // handful of contiguous allocations regardless of how many sets it holds.
-// The inverted index (node -> ids of the RR sets containing it) is itself
-// CSR — one flat id arena plus per-node offsets — built by BuildIndex, on
-// first use by a coverage query or up front by the greedy.
-//
-// Layout:
-//
-//	set i's nodes:            arena[offsets[i]:offsets[i+1]], root roots[i]
-//	sets containing node u:   invArena[invOff[u]:invOff[u+1]]
-//
 // Compared to a boxed set-per-allocation layout this cuts per-set and
 // per-node allocations to O(1) amortized and keeps the data
 // cache-contiguous, which is what lets livejournal-scale θ fit in memory.
+//
+// Layout:
+//
+//	set in slot s:            arena[offsets[s]:offsets[s+1]], root roots[s]
+//	sets holding node u:      the entries equal to u on u's bucket chain
+//
+// One node-to-set index answers every "which sets hold u" question — the
+// drop pass, Marks, Cov and the CELF greedy: chains of arena entries
+// hashed by node into about half as many buckets as entries (see index),
+// built on first use and extended over the sets appended since. Set ids
+// are slots.
 //
 // A Collection additionally supports cross-round reuse: Filter drops the
 // RR sets no longer valid on a mutated residual, and Batcher.GrowTo
@@ -32,27 +34,19 @@ import (
 // it, or its replay from a checkpoint's removal log.
 //
 // A dropped set is a tombstone: its slot keeps its place, marked by a
-// deadRoot root, and Len counts only the live sets. The drop index —
-// chains of arena entries hashed by node into about half as many buckets
-// as entries, built by the first drop and extended by later ones — finds
-// the sets to drop by walking their nodes' chains instead of scanning the
-// arena. compact moves the live sets down in order once the dropped
-// entries (or sets) reach the live ones, or when the inverted index is
-// built, so the arena and the drop index hold at most twice the live
-// entries and set ids change only there.
+// deadRoot root, and Len counts only the live sets; its entries are
+// complemented, so chain walks skip it. compact moves the live sets down
+// in order once the dropped entries (or sets) reach the live ones, so the
+// arena and the index hold at most twice the live entries and slots
+// change only there.
 //
-// A Collection is not safe for concurrent use: queries build the inverted
-// index on first use.
+// A Collection is not safe for concurrent use: queries extend the index.
 type Collection struct {
 	n int // node-ID space (full graph size; residuals keep original IDs)
 
 	arena   []graph.NodeID
 	offsets []int32
 	roots   []graph.NodeID // deadRoot marks a dropped set until compact
-
-	invArena []int32
-	invOff   []int32
-	invValid bool
 
 	// version is the graph.Residual.Version the held sets were drawn on
 	// (or last filtered against); -1 when unknown.
@@ -67,12 +61,13 @@ type Collection struct {
 	// entries.
 	deadSets, deadEntries int
 
-	// The drop index: the arena entries holding node u are chained from
-	// head[u & (len(head)-1)] through post (post[p] links entry p to the
-	// previous entry in the same bucket), newest first, each link an arena
-	// position plus one, 0 ending the chain; setAt[k] is the set holding
-	// entry k·setAtStride. Sets [0, indexed) are indexed. Built by the
-	// first drop after a compact, Reset or restore (indexed == 0).
+	// The node-to-set index: the arena entries holding node u are chained
+	// from head[u & (len(head)-1)] through post (post[p] links entry p to
+	// the previous entry in the same bucket), newest first, each link an
+	// arena position plus one, 0 ending the chain; setAt[k] is the set
+	// holding entry k·setAtStride. Sets [0, indexed) are indexed. Built by
+	// the first query or drop after a compact, Reset or restore (indexed ==
+	// 0).
 	head    []int32
 	post    []int32
 	setAt   []int32
@@ -80,19 +75,19 @@ type Collection struct {
 
 	// shared, while non-nil, is the Base snapshot whose first sharedSets
 	// sets are this collection's sets [0, sharedSets), copied from it; its
-	// drop index (built when the base published it) can stand in for
-	// theirs until a compaction moves them.
+	// index (built when the base published it) can stand in for theirs
+	// until a compaction moves them.
 	shared     *Collection
 	sharedSets int
 }
 
-// setAtStride is the spacing of the drop index's entry-to-set samples: a
+// setAtStride is the spacing of the index's entry-to-set samples: a
 // chained entry finds its set by a forward scan over at most a stride's
 // worth of offsets instead of a binary search over all of them.
 const setAtStride = 16
 
 // maxBucketLoad is the mean number of arena entries per head bucket past
-// which the next drop rebuilds the index with more buckets.
+// which the next index update rebuilds the index with more buckets.
 const maxBucketLoad = 8
 
 // headBuckets returns the number of head buckets for an index over
@@ -129,7 +124,6 @@ func (c *Collection) AddSet(root graph.NodeID, nodes []graph.NodeID) {
 	c.arena = append(c.arena, nodes...)
 	c.offsets = append(c.offsets, int32(len(c.arena)))
 	c.roots = append(c.roots, root)
-	c.invValid = false
 }
 
 // growArena ensures the arena can hold need entries without reallocating,
@@ -172,7 +166,6 @@ func (c *Collection) commitSet(root graph.NodeID, n int) {
 	c.arena = c.arena[:len(c.arena)+n]
 	c.offsets = append(c.offsets, int32(len(c.arena)))
 	c.roots = append(c.roots, root)
-	c.invValid = false
 }
 
 // appendRange appends copies of src's sets [from, to) to c (a pool
@@ -194,7 +187,6 @@ func (c *Collection) appendRange(src *Collection, from, to int) {
 		c.offsets = append(c.offsets, src.offsets[i+1]+shift)
 		c.roots = append(c.roots, src.roots[i])
 	}
-	c.invValid = false
 }
 
 // extended returns a new collection holding c's sets followed by src's in
@@ -229,7 +221,6 @@ func (c *Collection) Reset() {
 	c.offsets = c.offsets[:1]
 	c.offsets[0] = 0
 	c.roots = c.roots[:0]
-	c.invValid = false
 	c.version = -1
 	c.deadSets, c.deadEntries, c.indexed, c.shared = 0, 0, 0, nil
 	if c.coverage != nil {
@@ -250,23 +241,34 @@ func (c *Collection) noteVersion(v int64) { c.version = v }
 func (c *Collection) Version() int64 { return c.version }
 
 // Bytes returns the heap footprint of the collection's backing arrays
-// (arena, offsets, roots, the inverted index if built, and the drop
-// index once a drop has built it). Deterministic for a deterministic
-// build, unlike process-level memory stats, so it can be reported in
-// reproducible experiment rows.
+// (arena, offsets, roots, and the node-to-set index once a query or a
+// drop has built it). Deterministic for a deterministic build, unlike
+// process-level memory stats, so it can be reported in reproducible
+// experiment rows.
 func (c *Collection) Bytes() int64 {
 	b := int64(cap(c.arena))*4 + int64(cap(c.offsets))*4 + int64(cap(c.roots))*4
-	b += int64(cap(c.invArena))*4 + int64(cap(c.invOff))*4
 	b += int64(cap(c.head))*4 + int64(cap(c.post))*4 + int64(cap(c.setAt))*4
 	return b
 }
 
-// SetsContaining returns the ids of RR sets that contain u (ascending).
-// Building the inverted index compacts dropped sets away first, so ids
-// run over the live sets only.
-func (c *Collection) SetsContaining(u graph.NodeID) []int32 {
-	c.BuildIndex()
-	return c.invArena[c.invOff[u]:c.invOff[u+1]]
+// eachHolding calls f with the slot of every live set holding u, newest
+// first, after bringing the index up to date. It walks u's bucket chain:
+// an entry of another node, or of a dropped set (complemented), is
+// skipped, and an entry of u finds its set through setAt. f may drop the
+// set it is given but must not otherwise change the collection.
+func (c *Collection) eachHolding(u graph.NodeID, f func(s int32)) {
+	c.index()
+	head, post, arena, offsets, setAt := c.head, c.post, c.arena, c.offsets, c.setAt
+	for q := head[u&int32(len(head)-1)]; q > 0; q = post[q-1] {
+		if arena[q-1] != u {
+			continue
+		}
+		s := setAt[(q-1)/setAtStride]
+		for offsets[s+1] < q {
+			s++
+		}
+		f(s)
+	}
 }
 
 // Filter drops the RR sets no longer valid on res, keeping exactly those
@@ -293,9 +295,9 @@ func (c *Collection) SetsContaining(u graph.NodeID) []int32 {
 // at version v holds only nodes alive at v, so it is valid iff it avoids
 // every node removed after v (at version -1, the whole log: every dead
 // node). It returns the number of surviving sets. Dropped sets become
-// tombstones, found through the drop index (see dropContaining); set ids
-// change only when a later compaction moves the survivors down, but any
-// Marks over the collection must be discarded all the same.
+// tombstones, found through the node-to-set index (see dropContaining);
+// slots change only when a later compaction moves the survivors down, but
+// any Marks over the collection must be discarded all the same.
 func (c *Collection) Filter(res *graph.Residual) int {
 	if c.version == res.Version() {
 		return c.Len()
@@ -323,7 +325,7 @@ func (c *Collection) Filter(res *graph.Residual) int {
 // survivors remain valid for the current residual, so a later Sync/Filter
 // at the same version is the expected no-op. It runs Filter's drop pass
 // over the touched nodes, which allocates nothing once the collection's
-// drop index is built. Set ids change only at compaction, but any Marks
+// index is built. Slots change only at compaction, but any Marks
 // over the collection must be discarded; an attached Coverage gives the
 // dropped sets' counts back in the same pass. Returns the number of
 // surviving sets.
@@ -336,61 +338,46 @@ func (c *Collection) InvalidateTouching(touched []graph.NodeID) int {
 
 // dropContaining is the drop pass behind Filter and InvalidateTouching:
 // it turns every live set holding one of nodes into a tombstone and
-// returns the live count. The sets are found by walking each node's
-// bucket chain in the drop index, which it first extends over the sets
-// appended since the last drop, so a pass costs O(chains of nodes +
-// entries of the dropped sets), not O(arena); a chain holds about two
-// entries of other nodes per bucket besides the node's own. An entry of
-// the node finds its set through setAt, and the set's entries are
+// returns the live count. The sets are found through the node-to-set
+// index (eachHolding), so a pass costs O(chains of nodes + entries of the
+// dropped sets), not O(arena); a chain holds about two entries of other
+// nodes per bucket besides the node's own. A dropped set's entries are
 // complemented, so later walks skip them. A dropped set the attached
 // Coverage has counted gives its counts back; live sets keep their slots,
 // so the counted prefix stays a prefix. Once the dropped entries or sets
 // reach the live ones, the pass compacts and rebuilds the index over the
-// survivors, so the next drop finds it current.
+// survivors, so the next query or drop finds it current.
 func (c *Collection) dropContaining(nodes []graph.NodeID) int {
 	if len(nodes) == 0 || c.Len() == 0 {
 		return c.Len()
 	}
-	c.index()
-	cov, counted := c.coverage, 0
+	cov, counted := c.coverage, int32(0)
 	if cov != nil {
-		counted = cov.seen
+		counted = int32(cov.seen)
 	}
-	head, post, arena, offsets := c.head, c.post, c.arena, c.offsets
-	mask := int32(len(head) - 1)
-	dead := c.deadSets
+	drop := func(s int32) {
+		c.roots[s] = deadRoot
+		set := c.arena[c.offsets[s]:c.offsets[s+1]]
+		if s < counted {
+			cov.t.add(cov.counts, set, -1)
+		}
+		for i, v := range set {
+			set[i] = ^v
+		}
+		c.deadSets++
+		c.deadEntries += len(set)
+	}
 	for _, u := range nodes {
-		for q := head[u&mask]; q > 0; q = post[q-1] {
-			if arena[q-1] != u {
-				continue // another node's entry, or one of a dropped set
-			}
-			s := c.setAt[(q-1)/setAtStride]
-			for offsets[s+1] < q {
-				s++
-			}
-			c.roots[s] = deadRoot
-			set := arena[offsets[s]:offsets[s+1]]
-			if int(s) < counted {
-				cov.t.add(cov.counts, set, -1)
-			}
-			for i, v := range set {
-				set[i] = ^v
-			}
-			c.deadSets++
-			c.deadEntries += len(set)
-		}
+		c.eachHolding(u, drop)
 	}
-	if c.deadSets > dead {
-		c.invValid = false
-		if 2*c.deadEntries >= len(c.arena) || 2*c.deadSets >= len(c.roots) {
-			c.compact()
-			c.index()
-		}
+	if c.deadSets > 0 && (2*c.deadEntries >= len(c.arena) || 2*c.deadSets >= len(c.roots)) {
+		c.compact()
+		c.index()
 	}
 	return c.Len()
 }
 
-// index chains the sets appended since the last drop into the drop
+// index chains the sets appended since it last ran into the node-to-set
 // index. After a compact, Reset or restore (indexed == 0), or once the
 // arena has outgrown the head buckets, it rebuilds the index: the heads
 // are sized by headBuckets and cleared, and the whole arena is chained in
@@ -399,6 +386,9 @@ func (c *Collection) dropContaining(nodes []graph.NodeID) int {
 // starts instead from the base's index, cut at the end of the copies, and
 // chains only the sets after them.
 func (c *Collection) index() {
+	if c.indexed > 0 && c.indexed == len(c.roots) {
+		return // current: the last call left the heads sized for this arena
+	}
 	head, arena, offsets := c.head, c.arena, c.offsets
 	size := headBuckets(len(arena), c.n)
 	if c.indexed > 0 && len(arena) > maxBucketLoad*len(head) && size > len(head) {
@@ -455,7 +445,7 @@ func (c *Collection) index() {
 }
 
 // compact moves the live sets down over the tombstones, in order, and
-// empties the drop index, which the next drop rebuilds. An attached
+// empties the index, which the next query or drop rebuilds. An attached
 // Coverage's counted prefix shrinks to the live sets it held.
 func (c *Collection) compact() {
 	counted := 0
@@ -481,7 +471,6 @@ func (c *Collection) compact() {
 	}
 	c.roots, c.offsets, c.arena = c.roots[:w], c.offsets[:w+1], c.arena[:end]
 	c.deadSets, c.deadEntries, c.indexed, c.shared = 0, 0, 0, nil
-	c.invValid = false
 	if c.coverage != nil {
 		c.coverage.seen = seen
 	}

@@ -16,31 +16,32 @@ func (c *Collection) Cov(s []graph.NodeID) int {
 	return m.Count()
 }
 
-// Marks is a reusable coverage bitmap for incremental queries: mark the
-// RR sets covered by a base set once, then ask marginal coverages of many
-// candidate nodes in O(|SetsContaining(u)|) each. Reset is O(1) via
-// generation stamps, so one Marks serves many queries without
-// reallocation. A Marks is invalidated by a drop (Collection.Filter or
-// InvalidateTouching): its counts still include the dropped sets, and the
-// next index build compacts them away and renumbers the rest. Create a
-// fresh one afterwards.
+// Marks is a reusable coverage bitmap over a collection's slots for
+// incremental queries: mark the RR sets covered by a base set once, then
+// ask marginal coverages of many candidate nodes, each a walk of the
+// node's chain in the node-to-set index (Collection.eachHolding), which
+// skips dropped sets. Reset is O(1) via generation stamps, so one Marks
+// serves many queries without reallocation. A Marks is invalidated by a
+// drop (Collection.Filter or InvalidateTouching): its count still
+// includes the dropped sets, and a compaction renumbers the slots. Create
+// a fresh one afterwards.
 type Marks struct {
 	c     *Collection
-	stamp []uint32 // stamp[id] == gen means RR set id is covered
+	stamp []uint32 // stamp[s] == gen means the set in slot s is covered
 	gen   uint32
 	count int
 }
 
 // NewMarks creates an empty mark state over c.
 func (c *Collection) NewMarks() *Marks {
-	return &Marks{c: c, stamp: make([]uint32, c.Len()), gen: 1}
+	return &Marks{c: c, stamp: make([]uint32, len(c.roots)), gen: 1}
 }
 
 // Reset clears the mark state in O(1) (amortized; it grows the stamp array
 // if RR sets were added since creation and re-zeroes on generation wrap).
 func (m *Marks) Reset() {
-	if len(m.stamp) < m.c.Len() {
-		grown := make([]uint32, m.c.Len())
+	if len(m.stamp) < len(m.c.roots) {
+		grown := make([]uint32, len(m.c.roots))
 		copy(grown, m.stamp)
 		m.stamp = grown
 	}
@@ -61,13 +62,13 @@ func (m *Marks) Count() int { return m.count }
 // covered sets (the marginal coverage of u at the time of the call).
 func (m *Marks) Cover(u graph.NodeID) int {
 	gained := 0
-	for _, id := range m.c.SetsContaining(u) {
-		if m.stamp[id] != m.gen {
-			m.stamp[id] = m.gen
-			m.count++
+	m.c.eachHolding(u, func(s int32) {
+		if m.stamp[s] != m.gen {
+			m.stamp[s] = m.gen
 			gained++
 		}
-	}
+	})
+	m.count += gained
 	return gained
 }
 
@@ -82,11 +83,11 @@ func (m *Marks) CoverAll(s []graph.NodeID) {
 // that are not yet covered, without mutating the state.
 func (m *Marks) Marginal(u graph.NodeID) int {
 	gained := 0
-	for _, id := range m.c.SetsContaining(u) {
-		if m.stamp[id] != m.gen {
+	m.c.eachHolding(u, func(s int32) {
+		if m.stamp[s] != m.gen {
 			gained++
 		}
-	}
+	})
 	return gained
 }
 

@@ -103,7 +103,7 @@ func randomGraph(t *testing.T) *graph.Graph {
 }
 
 // TestCSREquivalentToLegacyLayout: on the worked example and a randomized
-// graph, the CSR layout must hold the identical set sequence, inverted
+// graph, the CSR layout must hold the identical set sequence, node-to-set
 // index, coverage counts, and greedy seed selection as the legacy layout.
 func TestCSREquivalentToLegacyLayout(t *testing.T) {
 	for _, tc := range []struct {
@@ -123,7 +123,7 @@ func TestCSREquivalentToLegacyLayout(t *testing.T) {
 
 			sameRRSets(t, "CSR vs legacy", snapshotSets(csr), leg.sets)
 			for u := graph.NodeID(0); u < graph.NodeID(g.N()); u++ {
-				got := csr.SetsContaining(u)
+				got := setsContaining(csr, u)
 				want := leg.index[u]
 				if len(got) != len(want) {
 					t.Fatalf("node %d: %d sets vs legacy %d", u, len(got), len(want))
@@ -174,9 +174,10 @@ func TestCSREquivalentToLegacyLayout(t *testing.T) {
 }
 
 // TestCSRAllocationDrop asserts the headline win: building a θ-set
-// collection in the arena layout performs at least 10× fewer allocations
-// than the legacy boxed layout (which paid ≥2 allocations per RR set —
-// the *rrSet box and its Nodes slice — plus per-node index growth).
+// collection in the arena layout, with its node-to-set index, performs at
+// least 10× fewer allocations than the legacy boxed layout (which paid ≥2
+// allocations per RR set — the *rrSet box and its Nodes slice — plus
+// per-node index growth).
 func TestCSRAllocationDrop(t *testing.T) {
 	g := fig1Graph()
 	const theta = 2000
@@ -190,7 +191,7 @@ func TestCSRAllocationDrop(t *testing.T) {
 	csrAllocs := testing.AllocsPerRun(5, func() {
 		s := newSampler(graph.NewResidual(g), cascade.IC, rng.New(7))
 		c := s.generate(theta)
-		c.BuildIndex()
+		c.index()
 	})
 	if csrAllocs*10 > legacyAllocs {
 		t.Fatalf("CSR build allocates %.0f, legacy %.0f; want ≥10× drop", csrAllocs, legacyAllocs)
@@ -201,7 +202,8 @@ func TestCSRAllocationDrop(t *testing.T) {
 
 // Benchmarks for `go test -bench Collection -benchmem ./internal/ris/`:
 // allocs/op is the number to watch (legacy ≈ 2θ + index growth, CSR ≈
-// amortized slice growth only).
+// amortized slice growth only). The CSR side builds the node-to-set index
+// too, and BenchmarkCovCSR times coverage queries that walk it.
 
 func BenchmarkCollectionBuildCSR(b *testing.B) {
 	g := fig1Graph()
@@ -209,7 +211,7 @@ func BenchmarkCollectionBuildCSR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSampler(graph.NewResidual(g), cascade.IC, rng.New(7))
 		c := s.generate(2000)
-		c.BuildIndex()
+		c.index()
 	}
 }
 

@@ -51,15 +51,17 @@
 //     writes again, read without the lock. A Batcher with a base attached
 //     copies its shortfall from it while the residual is untouched and
 //     the collection holds only base sets; the copies count as reused,
-//     never as drawn, and the collection's drop index starts from the
-//     base's. A base built with a target table also keeps its targets'
-//     counts at every chunk boundary, so a campaign takes its copies'
-//     counts as a vector difference instead of scanning them.
+//     never as drawn, and the collection's node-to-set index starts from
+//     the base's. A base built with a target table also keeps its
+//     targets' counts at every chunk boundary, so a campaign takes its
+//     copies' counts as a vector difference instead of scanning them.
 //   - Collection (collection.go): CSR/arena storage — one flat node arena
-//     plus per-set offsets, and a CSR inverted index built on first use —
-//     so a collection is ~4 contiguous allocations regardless of θ, and
-//     its arena grows by what it holds. Reset empties it in place keeping
-//     capacity (the pool's warm path);
+//     plus per-set offsets — so a collection is ~4 contiguous allocations
+//     regardless of θ, and its arena grows by what it holds. Reset empties
+//     it in place keeping capacity (the pool's warm path). One node-to-set
+//     index answers every "which sets hold u" question: chains of arena
+//     entries hashed by node, built in one pass on first use and extended
+//     over the sets appended since; set ids are slots.
 //     Collection.Filter drops the sets no longer valid on a mutated
 //     residual, enabling cross-round reuse: a set drawn on G_i that
 //     avoids every node deleted since is kept for G_j (j > i). Kept sets
@@ -68,19 +70,19 @@
 //     the size of the deviation. Filter and InvalidateTouching (the sets
 //     a topology delta touched) share one drop pass, which costs
 //     O(postings of the dropped nodes + entries of the dropped sets), not
-//     O(arena): chains of arena entries hashed by node (the drop index,
-//     built in one pass by a collection's first drop and extended by
-//     later ones) find the sets, and each becomes a tombstone that Len
-//     and Coverage no longer count. The live sets move down in order —
-//     and set ids change — only when the dropped entries reach the live
-//     ones or the inverted index is built (TestDropMatchesReferenceScan
-//     checks every step against a per-set rescan). Checkpoints write the
-//     live sets only.
+//     O(arena): the index finds the sets, and each becomes a tombstone
+//     that Len, Coverage and later walks no longer count. The live sets
+//     move down in order — and slots change — only when the dropped
+//     entries reach the live ones (TestDropMatchesReferenceScan checks
+//     every step against a per-set rescan). Checkpoints write the live
+//     sets only.
 //   - Coverage queries (coverage.go, select.go): CovR(S), incremental
-//     marginals via Marks, and heap-based CELF greedy max-coverage — the
-//     selection step of IMM (§VI-A). Both are serial: BuildIndex is one
-//     counting sort over the arena, and the greedy refreshes each stale
-//     heap top in place. Workers parallelize RR generation only.
+//     marginals via Marks (stamps per slot), and heap-based CELF greedy
+//     max-coverage — the selection step of IMM (§VI-A). Both walk the
+//     node-to-set index and are serial: the greedy takes its initial
+//     gains from one counting pass over the arena, leaves candidates no
+//     set holds out of the heap, and refreshes each stale heap top in
+//     place. Workers parallelize RR generation only.
 //   - Coverage tracker and Batcher (tracker.go): Coverage maintains the
 //     containment counts of a target set — one int32 per target plus a
 //     few scratch counters, indexed through a shared TargetIndex (one
@@ -88,7 +90,7 @@
 //     an increment without a branch) — incrementally as batches are
 //     appended, and gives a dropped set's counts back in the drop pass,
 //     so a per-batch stopping-rule check costs O(batch + alive) instead
-//     of an inverted index rebuild, and a fresh campaign's counting
+//     of a walk of every target's chain, and a fresh campaign's counting
 //     state is O(|T|), not O(N). Count answers for targets only; the
 //     adaptive steppers ask about alive targets and nothing else asks
 //     at all. Batcher packages the draw/filter/top-up cycle —

@@ -60,8 +60,8 @@ func TestFilterKeepsExactlyValidSets(t *testing.T) {
 				t.Fatalf("Filter kept %d (Len %d), brute force %d", kept, c.Len(), len(want))
 			}
 			sameRRSets(t, "kept sets", snapshotSets(c), want)
-			// The rebuilt inverted index must agree: no deleted node may
-			// index anything, and coverage matches a brute-force count.
+			// The node-to-set index must agree: no deleted node may index
+			// a live set, and coverage matches a brute-force count.
 			for _, u := range tc.remove {
 				if got := countContaining(c, u); got != 0 {
 					t.Fatalf("deleted node %d still in %d sets", u, got)

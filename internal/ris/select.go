@@ -6,57 +6,10 @@ import (
 	"repro/internal/graph"
 )
 
-// This file holds the CSR inverted-index build and greedy max-coverage
-// selection (heap-based CELF). Both are serial; workers parallelize RR
-// generation only, because sharding selection did not shorten it at the
-// ≤ 2 workers every benchmark workload runs with (see README).
-
-// BuildIndex materializes the CSR inverted index as one counting sort, or
-// returns immediately if it is already valid. Per-node counts are
-// prefix-summed into end offsets; the sets are then scattered from the
-// last one backwards, each entry decrementing its node's offset, so every
-// node's offset ends at its start and its set ids come out ascending.
-// A collection holding dropped sets compacts first, so the index and the
-// Marks over it number the live sets only. Queries (SetsContaining, Cov,
-// Marks) and the greedy build it on first use. The index arrays are
-// retained, so steady-state rebuilds (one per drop or top-up) allocate
-// nothing.
-func (c *Collection) BuildIndex() {
-	if c.invValid {
-		return
-	}
-	if c.deadSets > 0 {
-		c.compact()
-	}
-	if cap(c.invOff) < c.n+1 {
-		c.invOff = make([]int32, c.n+1)
-	} else {
-		c.invOff = c.invOff[:c.n+1]
-		clear(c.invOff)
-	}
-	for _, u := range c.arena {
-		c.invOff[u]++
-	}
-	end := int32(0)
-	for u := 0; u < c.n; u++ {
-		end += c.invOff[u]
-		c.invOff[u] = end
-	}
-	c.invOff[c.n] = end
-
-	if cap(c.invArena) < len(c.arena) {
-		c.invArena = make([]int32, len(c.arena))
-	} else {
-		c.invArena = c.invArena[:len(c.arena)]
-	}
-	for i := c.Len() - 1; i >= 0; i-- {
-		for _, u := range c.arena[c.offsets[i]:c.offsets[i+1]] {
-			c.invOff[u]--
-			c.invArena[c.invOff[u]] = int32(i)
-		}
-	}
-	c.invValid = true
-}
+// This file holds greedy max-coverage selection (heap-based CELF). It is
+// serial; workers parallelize RR generation only, because sharding
+// selection did not shorten it at the ≤ 2 workers every benchmark
+// workload runs with (see README).
 
 // celfEntry is a lazily evaluated candidate: gain is its marginal coverage
 // as of selection round `round`.
@@ -107,13 +60,24 @@ func (h *celfHeap) popTop() celfEntry {
 // true marginals, exactly as plain greedy's full rescan
 // (TestGreedyMaxCoverageMatchesPlainGreedy) — at O(log |C|) heap work plus
 // the few re-evaluations lazy greedy needs per pick, which matters when
-// candidates are all n nodes (IMM's selection phase).
+// candidates are all n nodes (IMM's selection phase). The initial gains
+// are the candidates' set counts, taken in one pass over the arena; a
+// candidate no live set holds could only be picked at gain zero, which
+// ends the selection, so it never enters the heap. Marginals walk the
+// node-to-set index (Marks).
 func (c *Collection) GreedyMaxCoverage(candidates []graph.NodeID, k int) ([]graph.NodeID, []int) {
-	c.BuildIndex()
 	m := c.NewMarks()
-	h := make(celfHeap, len(candidates))
-	for i, u := range candidates {
-		h[i] = celfEntry{node: u, gain: int(c.invOff[u+1] - c.invOff[u])}
+	held := make([]int32, c.n)
+	for _, u := range c.arena {
+		if u >= 0 { // a dropped set's entries are complemented
+			held[u]++
+		}
+	}
+	h := make(celfHeap, 0, len(candidates))
+	for _, u := range candidates {
+		if held[u] > 0 {
+			h = append(h, celfEntry{node: u, gain: int(held[u])})
+		}
 	}
 	heap.Init(&h)
 	var chosen []graph.NodeID

@@ -9,9 +9,9 @@ import (
 
 // CollectionState is the serializable snapshot of a Collection: the CSR
 // arena, per-set offsets, roots, and the residual version the sets are
-// valid for. The inverted index, the drop index and the attached Coverage
-// counts are deliberately absent — each is a pure function of the sets,
-// so restore rebuilds them instead of trusting 2× the bytes on disk.
+// valid for. The node-to-set index and the attached Coverage counts are
+// deliberately absent — each is a pure function of the sets, so restore
+// rebuilds them instead of trusting 2× the bytes on disk.
 //
 // A state captured by State may still hold dropped sets, in their slots
 // with negative roots and entries. Len counts the live sets and PutLive
@@ -135,7 +135,6 @@ func (c *Collection) RestoreState(st CollectionState) error {
 		}
 	}
 	c.version = st.Version
-	c.invValid = false
 	if c.coverage != nil {
 		c.coverage.reset()
 	}

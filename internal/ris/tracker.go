@@ -74,10 +74,9 @@ func (t *TargetIndex) add(counts []int32, nodes []graph.NodeID, d int32) {
 // of a Collection's RR sets hold each target — incrementally as RR sets
 // are appended. The adaptive steppers check their stopping rule after
 // every batch and compare only the alive targets' estimates; recounting
-// through the CSR inverted index would rebuild the index — an O(arena +
-// n) pass — per batch per look, while Coverage keeps the counts current
-// in O(new batch entries), one table load each, and answers each query
-// in O(1). Its state is one int32 per target (plus a few scratch
+// them through the node-to-set index would walk every target's chain per
+// batch per look, while Coverage keeps the counts current in O(new batch
+// entries), one table load each, and answers each query in O(1). Its state is one int32 per target (plus a few scratch
 // counters), not per node, so a fresh campaign's counts cost O(|T|) to
 // allocate and clear; the node-to-counter table is a TargetIndex the
 // campaigns of an instance share. Sets a Batcher copies from a shared
@@ -119,7 +118,7 @@ func (cov *Coverage) Update() {
 }
 
 // Count returns |{i : u ∈ R_i}| over the live sets folded in so far
-// without touching the inverted index. u must be a target: Count panics
+// without touching the node-to-set index. u must be a target: Count panics
 // on any other node.
 func (cov *Coverage) Count(u graph.NodeID) int {
 	k := cov.t.counter[u]
@@ -151,7 +150,7 @@ type Stats struct {
 	// GrowTo copied from a shared first look (Base).
 	RRReused int64 `json:"rr_reused"`
 	// RRPeakBytes is the largest Collection.Bytes seen (arena, offsets,
-	// roots and inverted index).
+	// roots and node-to-set index).
 	RRPeakBytes int64 `json:"rr_peak_bytes"`
 	// SamplingNS is the wall time spent inside draws; RRDrawn/SamplingNS
 	// is the RR throughput.
@@ -349,11 +348,11 @@ func (b *Batcher) GrowTo(res *graph.Residual, parent *rng.RNG, target, workers i
 }
 
 // adopt copies the base's sets [c.Len(), target) onto c, growing the base
-// first when it is shorter, and lets c's drop index start from the base's.
-// c holds exactly the base's sets [0, c.Len()), so when the coverage
-// tracker has folded them all and counts the base's targets, it takes the
-// copies' counts from the base (firstLook.countInto) and stays current,
-// without reading their entries.
+// first when it is shorter, and lets c's node-to-set index start from the
+// base's. c holds exactly the base's sets [0, c.Len()), so when the
+// coverage tracker has folded them all and counts the base's targets, it
+// takes the copies' counts from the base (firstLook.countInto) and stays
+// current, without reading their entries.
 func (b *Batcher) adopt(c *Collection, res *graph.Residual, target, workers int) error {
 	fl, err := b.base.growTo(res, target, workers, b.interrupt)
 	if err != nil {

@@ -29,7 +29,7 @@ func newCoverage(c *Collection) *Coverage {
 }
 
 // checkCoverageMatchesIndex cross-checks the incremental tracker against
-// the inverted-index count for every target.
+// the node-to-set index's count for every target.
 func checkCoverageMatchesIndex(t *testing.T, c *Collection, cov *Coverage, where string) {
 	t.Helper()
 	for _, u := range everyThird(c.n) {
@@ -57,8 +57,8 @@ func TestCountPanicsOffTargets(t *testing.T) {
 
 // TestCoverageTracksAppendsFiltersResets drives a Coverage through the
 // adaptive round loop's lifecycle — append batches, filter on a mutated
-// residual, top up, reset — and cross-checks the counts against the CSR
-// inverted index at every step.
+// residual, top up, reset — and cross-checks the counts against the
+// node-to-set index at every step.
 func TestCoverageTracksAppendsFiltersResets(t *testing.T) {
 	g := wcTestGraph(t)
 	res := graph.NewResidual(g)
