@@ -215,7 +215,7 @@ var reportMetrics = []metric{
 	},
 	{
 		title: "Peak RR arena",
-		note: "Largest RR-collection footprint (arena + offsets + roots + inverted index) " +
+		note: "Largest RR-collection footprint (arena + offsets + roots + node-to-set chains) " +
 			"any realization reached; deterministic per seed.",
 		cell: func(r *resultRow) string { return fmt.Sprintf("%.2f MiB", float64(r.RRPeakBytes)/(1<<20)) },
 	},

@@ -38,8 +38,8 @@ type RunOptions struct {
 	// for wall-clock budgets and SIGINT checkpointing, so a cell overruns
 	// its budget by at most a stride of RR draws, not a realization.
 	Interrupt func() error
-	// Batcher, when non-nil, donates warm RR storage (collection arenas,
-	// coverage counts) to the run. ADDATP and HATP draw through it under
+	// Batcher, when non-nil, donates warm RR storage (collection arenas
+	// and node-to-set index) to the run. ADDATP and HATP draw through it under
 	// either sampling policy; other algorithms ignore it. It is Reset before use, so results are independent of
 	// what it previously held — the service instance registry uses this to
 	// run successive campaigns with zero steady-state allocation.

@@ -152,7 +152,7 @@ type samplingStepper struct {
 }
 
 // newSamplingStepper builds the stepper for algo under opts.Policy. warm,
-// when non-nil, donates its storage (collection arenas, coverage counts);
+// when non-nil, donates its storage (collection arenas, node-to-set index);
 // it is Reset first, so campaign results are independent of what it
 // previously held.
 func newSamplingStepper(inst *Instance, algo string, opts SamplingOptions, warm *ris.Batcher) (*samplingStepper, error) {

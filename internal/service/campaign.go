@@ -24,21 +24,21 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ris"
 	"repro/internal/rng"
-	"repro/internal/sweep"
 )
 
 // Campaign is one live adaptive session plus its feedback source. All
 // methods serialize on the campaign mutex; a Campaign outlives any single
 // HTTP request.
 type Campaign struct {
-	ID       string
+	ID string
+	// Key is the campaign's registry key (inst.Key) with Epoch set to the
+	// number of topology deltas its session has applied.
 	Key      Key
 	Algo     string
 	Seed     uint64
 	Simulate bool
 
 	mu      sync.Mutex
-	reg     *Registry
 	inst    *Instance
 	sess    *adaptive.Session
 	env     *adaptive.Environment // nil in external-feedback mode
@@ -60,7 +60,9 @@ type Campaign struct {
 
 	// m plus the pre-resolved traffic handles and last-published batcher
 	// readings make the per-step instrumentation epilogue allocation-free.
-	// m is nil on campaigns opened from a bare (unattached) registry.
+	// traf is labelled by the instance the campaign holds (inst.Key, epoch
+	// 0), so a mutation opens no new series. m is nil on campaigns opened
+	// from a bare (unattached) registry.
 	m    *Metrics
 	traf trafficCounters
 	last ris.Stats
@@ -72,14 +74,6 @@ const (
 	campaignDone
 	campaignFailed
 )
-
-// derivedPrepared clones a preparation around the session's post-delta
-// instance. ImmRes stays the base preparation's: target selection
-// happened on the base graph and is frozen for the campaign's lifetime.
-func derivedPrepared(base *sweep.Prepared, sess *adaptive.Session) *sweep.Prepared {
-	inst := sess.Instance()
-	return &sweep.Prepared{G: inst.G, DS: base.DS, Inst: inst, ImmRes: base.ImmRes, SetupMS: base.SetupMS}
-}
 
 // StartCampaign acquires key's instance and opens a session for algo.
 //
@@ -96,7 +90,7 @@ func (r *Registry) StartCampaign(id string, key Key, algo string, seed uint64, s
 	if err != nil {
 		return nil, err
 	}
-	c, err := r.openCampaign(inst, id, key, algo, seed, simulate, nil)
+	c, err := r.openCampaign(inst, id, algo, seed, simulate, nil)
 	if err != nil {
 		inst.Release()
 		return nil, err
@@ -106,8 +100,9 @@ func (r *Registry) StartCampaign(id string, key Key, algo string, seed uint64, s
 
 // openCampaign builds the campaign around an already acquired instance.
 // resume, when non-nil, restores the session from a checkpoint blob
-// instead of starting fresh. Ownership of inst transfers on success only.
-func (r *Registry) openCampaign(inst *Instance, id string, key Key, algo string, seed uint64, simulate bool, resume []byte) (*Campaign, error) {
+// instead of starting fresh. Ownership of inst transfers on success only:
+// the campaign holds it, whatever its session's topology, until Close.
+func (r *Registry) openCampaign(inst *Instance, id, algo string, seed uint64, simulate bool, resume []byte) (*Campaign, error) {
 	prep, err := inst.Prepared()
 	if err != nil {
 		return nil, err
@@ -150,22 +145,15 @@ func (r *Registry) openCampaign(inst *Instance, id string, key Key, algo string,
 		// before the checkpoint, so the environment resumes in lockstep.
 		env = adaptive.NewEnvironmentAt(rz, sess.CloneResidual(), sess.Spread())
 	}
-	if n := sess.Mutations(); n > 0 {
-		// Re-home the campaign on the derived instance so its warm state
-		// pools under the topology epoch, never the base key.
-		dkey := key.base()
-		dkey.Epoch = int64(n)
-		derived := r.AdoptDerived(dkey, derivedPrepared(prep, sess))
-		inst.Release()
-		inst, key = derived, dkey
-	}
+	key := inst.Key
+	key.Epoch = int64(sess.Mutations())
 	c := &Campaign{
 		ID: id, Key: key, Algo: algo, Seed: seed, Simulate: simulate,
-		reg: r, inst: inst, sess: sess, env: env, batcher: b,
+		inst: inst, sess: sess, env: env, batcher: b,
 	}
 	if m := r.metrics; m != nil {
 		c.m = m
-		c.traf = m.trafficFor(key)
+		c.traf = m.trafficFor(inst.Key)
 	}
 	if sess.Done() {
 		c.state.Store(campaignDone)
@@ -301,7 +289,7 @@ func (c *Campaign) Step() (seed graph.NodeID, stop bool, activated []graph.NodeI
 
 // MutateInfo reports one applied topology delta.
 type MutateInfo struct {
-	Key      Key   `json:"key"`   // the campaign's new (epoch-bumped) key
+	Key      Key   `json:"key"`   // the campaign's key at its new epoch
 	Epoch    int64 `json:"epoch"` // topology epoch after the delta
 	Inserted int   `json:"inserted"`
 	Deleted  int   `json:"deleted"`
@@ -316,9 +304,10 @@ type MutateInfo struct {
 // (adaptive.Session.Mutate), the simulated environment follows the delta
 // with its world (adaptive.Environment.Follow: the same key on the new
 // graph, so only the coins of edges the delta touched and the LT parents
-// of nodes whose in-list it changed can differ), and the campaign
-// re-homes onto a derived registry instance keyed by the new topology
-// epoch.
+// of nodes whose in-list it changed can differ), and the campaign's
+// reported key moves to the new topology epoch. The campaign keeps its
+// base registry instance and batcher: the post-delta graph is the
+// session's own, and the base entry's graph never changes.
 func (c *Campaign) Mutate(inserts, deletes []graph.Edge, churnPct float64, churnSeed uint64) (info *MutateInfo, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -342,25 +331,9 @@ func (c *Campaign) Mutate(inserts, deletes []graph.Edge, churnPct float64, churn
 	if c.env != nil {
 		c.env.Follow(c.sess.Instance().G)
 	}
-	// Re-home onto the epoch-keyed derived instance; the old reference
-	// (base, or the previous epoch's) goes back to the registry.
-	prep, err := c.inst.Prepared()
-	if err != nil {
-		return nil, err
-	}
-	dkey := c.Key.base()
-	dkey.Epoch = int64(n)
-	derived := c.reg.AdoptDerived(dkey, derivedPrepared(prep, c.sess))
-	c.inst.Release()
-	c.inst, c.Key = derived, dkey
-	if c.m != nil {
-		// Re-home the traffic series too: draws from here on belong to the
-		// epoch-keyed instance. The last-published readings carry over — the
-		// batcher's accounting is continuous across the mutation.
-		c.traf = c.m.trafficFor(dkey)
-	}
+	c.Key.Epoch = int64(n)
 	return &MutateInfo{
-		Key: dkey, Epoch: int64(n),
+		Key: c.Key, Epoch: int64(n),
 		Inserted: dres.Inserted, Deleted: dres.Deleted, Touched: len(dres.Touched),
 	}, nil
 }
@@ -757,13 +730,15 @@ func quarantine(path string) string {
 // openFromEnvelope resumes a session from verified checkpoint contents.
 func (r *Registry) openFromEnvelope(file string, hdr ckptHeader, blob []byte) (*Campaign, error) {
 	// Always restore through the base instance: the session blob carries
-	// the delta log, and openCampaign replays it and re-adopts the derived
-	// epoch key — a mutated campaign's graph cannot be Prepared from disk.
-	inst, err := r.Acquire(hdr.Key.base())
+	// the delta log, and ResumeSession replays it onto the session's own
+	// graph.
+	key := hdr.Key
+	key.Epoch = 0
+	inst, err := r.Acquire(key)
 	if err != nil {
 		return nil, err
 	}
-	c, err := r.openCampaign(inst, hdr.ID, hdr.Key.base(), hdr.Algo, hdr.Seed, hdr.Simulate, blob)
+	c, err := r.openCampaign(inst, hdr.ID, hdr.Algo, hdr.Seed, hdr.Simulate, blob)
 	if err != nil {
 		inst.Release()
 		return nil, fmt.Errorf("service: %s: %w", file, err)

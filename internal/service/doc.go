@@ -17,10 +17,19 @@
 //
 // Each instance also pools warm ris.Batchers: a campaign checks one out
 // at creation and returns it at close, so a steady stream of campaigns on
-// a warm instance reuses the RR collection arenas and coverage counts of
+// a warm instance reuses the RR collection arenas and node-to-set index of
 // its predecessors instead of reallocating them.
 // Batchers are Reset on checkout — campaign results are independent of
 // what a donated batcher previously held.
+//
+// Registry entries are always the base (as-loaded, epoch 0) topology. A
+// campaign's topology deltas (Campaign.Mutate, or a checkpoint's delta
+// log replayed at restore) live in its session, which owns its
+// post-delta graph, so a mutated campaign keeps its base instance from
+// open to close: it returns its batcher there and its RR traffic counts
+// under the base key. Key.Epoch only reports the session's delta count
+// (Status, MutateInfo, checkpoint header); Acquire rejects any other
+// epoch than 0.
 //
 // # Campaigns
 //

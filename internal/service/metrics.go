@@ -124,8 +124,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 }
 
 // trafficCounters are one campaign's pre-resolved sampler-traffic
-// handles, keyed by its instance. Resolved at campaign open (and again
-// on a mutation re-home) so the per-step bridge is four atomic adds.
+// handles, keyed by the registry instance it holds. Resolved once at
+// campaign open so the per-step bridge is four atomic adds.
 type trafficCounters struct {
 	drawn, reused, visits, touches *obs.Counter
 }

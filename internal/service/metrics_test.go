@@ -15,7 +15,7 @@ import (
 )
 
 // scrape fetches /metrics from the test server and returns the body.
-func scrape(t *testing.T, ts *httptest.Server) string {
+func scrape(t testing.TB, ts *httptest.Server) string {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -334,4 +334,35 @@ func TestFixedPolicyCampaignTrafficBridge(t *testing.T) {
 	if m.rrVisits.With(instance).Value() <= 0 || m.rrTouches.With(instance).Value() <= 0 {
 		t.Error("visit/edge-touch bridge stayed zero across a fixed-policy campaign")
 	}
+}
+
+// BenchmarkMetricsScrape times one /metrics exposition, served in process
+// by the server's handler, after four campaigns on two instances have
+// published request, step-latency and RR-traffic series.
+func BenchmarkMetricsScrape(b *testing.B) {
+	srv := NewServer(NewRegistry(testSpec(), 0), "")
+	b.Cleanup(func() { fault.SetObserver(nil) })
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for i, cost := range []string{"uniform", "degree-proportional", "uniform", "degree-proportional"} {
+		var st Status
+		call(b, ts, http.MethodPost, "/v1/campaigns", map[string]any{"cost": cost, "seed": 1000 + i}, http.StatusCreated, &st)
+		stepToDone(b, ts, st.ID)
+	}
+	if out := scrape(b, ts); !strings.Contains(out, "repro_rr_sets_drawn_total") {
+		b.Fatalf("scrape without traffic series:\n%s", out)
+	}
+	h := srv.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	var size int
+	b.ReportAllocs()
+	for b.Loop() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("/metrics status %d", rec.Code)
+		}
+		size = rec.Body.Len()
+	}
+	b.ReportMetric(float64(size), "bytes/scrape")
 }

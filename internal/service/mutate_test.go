@@ -6,16 +6,18 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/cascade"
+	"repro/internal/fault"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sweep"
 )
 
-// TestMutatedCampaignEpochKeying is the regression test for topology-blind
-// registry keys: after a campaign mutates its graph, its instance must
-// live under the epoch-bumped key, the base entry must keep the pristine
-// graph, and a fresh campaign on the base key must never see the mutated
-// topology or its warm state.
+// TestMutatedCampaignEpochKeying: after a campaign mutates its graph,
+// its reported key moves to the new topology epoch while the mutated
+// graph stays the session's own. The base entry keeps the pristine
+// graph, a fresh campaign on the base key never sees the mutated
+// topology, and no registry key at an epoch other than 0 is acquirable.
 func TestMutatedCampaignEpochKeying(t *testing.T) {
 	reg := NewRegistry(testSpec(), 0)
 	c1, err := reg.StartCampaign("m1", testKey(), adaptive.AlgoADDATP, 4242, true)
@@ -41,45 +43,39 @@ func TestMutatedCampaignEpochKeying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Epoch != 1 || c1.Key.Epoch != 1 || info.Deleted < 1 || info.Touched < 1 {
+	if info.Epoch != 1 || info.Key.Epoch != 1 || c1.Key.Epoch != 1 || info.Deleted < 1 || info.Touched < 1 {
 		t.Fatalf("mutate info %+v, campaign key %v", info, c1.Key)
 	}
-	mutG := mustPrep(t, c1.inst).G
+	mutG := c1.sess.Instance().G
 	if mutG == baseG || mutG.Epoch() != 1 {
-		t.Fatalf("campaign instance still on the base graph (epoch %d)", mutG.Epoch())
+		t.Fatalf("session still on the base graph (epoch %d)", mutG.Epoch())
+	}
+	if c1.inst.Key != testKey() || mustPrep(t, c1.inst).G != baseG {
+		t.Fatalf("campaign left its base instance (holds %v)", c1.inst.Key)
 	}
 
-	// The base entry must still hold the pristine graph — this is the
-	// stale-warm-instance regression: before epoch keying, c2 would share
-	// c1's (now mutated) instance.
+	// The base entry must still hold the pristine graph: the mutation
+	// lives in c1's session, never in the instance c2 shares with it.
 	c2, err := reg.StartCampaign("m2", testKey(), adaptive.AlgoADDATP, 4242, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if g2 := mustPrep(t, c2.inst).G; g2 != baseG || g2.Epoch() != 0 {
-		t.Fatalf("fresh base campaign got graph at epoch %d (mutated instance leaked)", g2.Epoch())
+	if g2 := c2.sess.Instance().G; g2 != baseG || g2.Epoch() != 0 {
+		t.Fatalf("fresh base campaign got graph at epoch %d (mutated graph leaked)", g2.Epoch())
 	}
-	if c2.inst == c1.inst || c2.Key == c1.Key {
-		t.Fatal("base and mutated campaigns share an instance")
+	if c2.inst != c1.inst || c2.Key.Epoch != 0 {
+		t.Fatalf("fresh base campaign on instance %v, key %v", c2.inst.Key, c2.Key)
 	}
 
-	// The derived entry is acquirable while adopted; unknown epochs are not
-	// preparable.
-	dkey := testKey()
-	dkey.Epoch = 1
-	d, err := reg.Acquire(dkey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != c1.inst {
-		t.Fatal("derived key resolved to a different instance")
-	}
-	d.Release()
-	ghost := testKey()
-	ghost.Epoch = 99
-	if _, err := reg.Acquire(ghost); err == nil || !strings.Contains(err.Error(), "epoch") {
-		t.Fatalf("acquiring an unadopted epoch: %v", err)
+	// Registry entries are epoch 0 only: the epoch c1 reports is not
+	// acquirable, nor is any other.
+	for _, epoch := range []int64{1, 99, -1} {
+		k := testKey()
+		k.Epoch = epoch
+		if _, err := reg.Acquire(k); err == nil || !strings.Contains(err.Error(), "epoch") {
+			t.Fatalf("acquiring epoch %d: %v", epoch, err)
+		}
 	}
 
 	// Both campaigns still run to completion on their own topologies.
@@ -88,6 +84,104 @@ func TestMutatedCampaignEpochKeying(t *testing.T) {
 	if len(r1.Seeds) == 0 || len(r2.Seeds) == 0 {
 		t.Fatalf("degenerate campaigns: %d and %d seeds", len(r1.Seeds), len(r2.Seeds))
 	}
+}
+
+// TestMutatedCampaignKeepsBaseInstance: a campaign that steps, mutates
+// three times, runs to completion and closes leaves exactly its base entry behind —
+// prepared, with the campaign's batcher parked warm — even when the
+// registry keeps a single idle instance. The next base campaign reuses
+// that preparation instead of preparing again, and the campaign's RR
+// traffic is counted under the base instance's label.
+func TestMutatedCampaignKeepsBaseInstance(t *testing.T) {
+	reg := NewRegistry(testSpec(), 1)
+	m := NewMetrics(obs.NewRegistry())
+	reg.AttachMetrics(m)
+	t.Cleanup(func() { fault.SetObserver(nil) })
+
+	c, err := reg.StartCampaign("m", testKey(), adaptive.AlgoADDATP, 4242, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep := mustPrep(t, c.inst)
+	if _, stop, _, err := c.Step(); err != nil || stop {
+		t.Fatalf("first round: stop=%v err=%v", stop, err)
+	}
+	for i := uint64(1); i <= 3; i++ {
+		if _, err := c.Mutate(nil, nil, 5, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Key.Epoch != 3 {
+		t.Fatalf("campaign key %v after three mutations", c.Key)
+	}
+	// Finish on the mutated graph so the post-delta draws reach the
+	// traffic counters.
+	drawn := driveCampaign(t, c).RRDrawn
+	c.Close()
+
+	stats := reg.Stats()
+	if len(stats) != 1 {
+		t.Fatalf("registry lists %d entries, want the base only: %+v", len(stats), stats)
+	}
+	if s := stats[0]; s.Key != testKey() || !s.Prepared || s.Refs != 0 || s.Warm != 1 {
+		t.Fatalf("registry entry %+v, want %v prepared, idle, one warm batcher", s, testKey())
+	}
+	if got := m.rrDrawn.With(testKey().String()).Value(); drawn <= 0 || got != drawn {
+		t.Fatalf("base-labelled drawn = %d, campaign drew %d", got, drawn)
+	}
+
+	c2, err := reg.StartCampaign("b", testKey(), adaptive.AlgoADDATP, 4242, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if mustPrep(t, c2.inst) != prep {
+		t.Fatal("second base campaign got a new preparation")
+	}
+	if n := m.prepares.Value(); n != 1 {
+		t.Fatalf("prepares = %d, want 1", n)
+	}
+}
+
+// TestMutatedBatcherDonationIndependent: a base campaign checking out the
+// warm batcher a closed, mutated campaign returned finishes exactly like
+// the same campaign on a fresh registry — a batcher's history on another
+// topology does not reach the next campaign's results.
+func TestMutatedBatcherDonationIndependent(t *testing.T) {
+	reg := NewRegistry(testSpec(), 0)
+	c, err := reg.StartCampaign("m", testKey(), adaptive.AlgoADDATP, 31, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 2; i++ {
+		if _, stop, _, err := c.Step(); err != nil || stop {
+			t.Fatalf("round %d: stop=%v err=%v", i, stop, err)
+		}
+		if _, err := c.Mutate(nil, nil, 5, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	driveCampaign(t, c)
+	donated := c.batcher
+	c.Close()
+
+	warm, err := reg.StartCampaign("w", testKey(), adaptive.AlgoADDATP, 4242, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.batcher != donated {
+		t.Fatal("base campaign did not check out the mutated campaign's batcher")
+	}
+	got := driveCampaign(t, warm)
+	warm.Close()
+
+	fresh, err := NewRegistry(testSpec(), 0).StartCampaign("w", testKey(), adaptive.AlgoADDATP, 4242, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := driveCampaign(t, fresh)
+	fresh.Close()
+	sameOutcome(t, got, want, "donated-by-mutated vs fresh registry")
 }
 
 func mustPrep(t *testing.T, i *Instance) *sweep.Prepared {
@@ -103,7 +197,7 @@ func mustPrep(t *testing.T, i *Instance) *sweep.Prepared {
 // checkpointed, and restored in a fresh registry entry must finish
 // identically to the same mutated campaign run straight through — the
 // checkpoint carries the delta log, and the restore path replays it from
-// the base instance and re-adopts the epoch key.
+// the base instance into the session's own graph.
 func TestMutatedCampaignCheckpointRestore(t *testing.T) {
 	reg := NewRegistry(testSpec(), 0)
 	dir := t.TempDir()
@@ -143,8 +237,11 @@ func TestMutatedCampaignCheckpointRestore(t *testing.T) {
 	if restored.Key.Epoch != 1 {
 		t.Fatalf("restored campaign at epoch %d, want 1", restored.Key.Epoch)
 	}
-	if g := mustPrep(t, restored.inst).G; g.Epoch() != 1 {
-		t.Fatalf("restored instance graph at epoch %d, want 1", g.Epoch())
+	if g := restored.sess.Instance().G; g.Epoch() != 1 {
+		t.Fatalf("restored session graph at epoch %d, want 1", g.Epoch())
+	}
+	if restored.inst.Key != testKey() {
+		t.Fatalf("restored campaign holds instance %v, want the base", restored.inst.Key)
 	}
 	got := driveCampaign(t, restored)
 	restored.Close()

@@ -12,13 +12,13 @@ import (
 	"repro/internal/sweep"
 )
 
-// Key identifies one prepared experiment instance: everything
-// sweep.Prepare's output depends on besides the registry's shared spec,
-// plus the topology epoch. Epoch 0 is the base (as-loaded) graph; a
-// campaign mutation adopts its post-delta instance under the incremented
-// epoch, so warm state pooled per instance — batchers, prepared graphs —
-// never crosses topologies: a fresh campaign on the base key can never
-// check out an instance whose graph has drifted.
+// Key identifies one prepared experiment instance — everything
+// sweep.Prepare's output depends on besides the registry's shared spec —
+// plus a reported topology epoch. Registry entries are always epoch 0,
+// the base (as-loaded) graph: a campaign's topology deltas live in its
+// session (adaptive.Session owns its post-delta graph), so a mutated
+// campaign keeps its base instance, and Epoch only reports how many
+// deltas its session has applied (Status, MutateInfo, checkpoint header).
 type Key struct {
 	Dataset string  `json:"dataset"`
 	Model   string  `json:"model"`
@@ -35,12 +35,6 @@ func (k Key) String() string {
 	return s
 }
 
-// base returns the epoch-0 key the derived key descends from.
-func (k Key) base() Key {
-	k.Epoch = 0
-	return k
-}
-
 // validate rejects malformed keys before any expensive preparation.
 func (k Key) validate() error {
 	if _, err := gen.Lookup(k.Dataset); err != nil {
@@ -55,8 +49,8 @@ func (k Key) validate() error {
 	if k.Scale <= 0 {
 		return fmt.Errorf("service: scale must be positive, got %g", k.Scale)
 	}
-	if k.Epoch < 0 {
-		return fmt.Errorf("service: epoch must be non-negative, got %d", k.Epoch)
+	if k.Epoch != 0 {
+		return fmt.Errorf("service: registry instances are epoch 0, got epoch %d (a campaign's mutations live in its session)", k.Epoch)
 	}
 	return nil
 }
@@ -111,6 +105,7 @@ type Instance struct {
 // Acquire returns the instance for key, creating the entry if needed and
 // bumping its refcount. The caller must Release it. Acquire itself is
 // cheap — the expensive preparation happens on the first Prepared call.
+// Any key with a nonzero Epoch is rejected (see Key).
 func (r *Registry) Acquire(key Key) (*Instance, error) {
 	if err := key.validate(); err != nil {
 		return nil, err
@@ -119,12 +114,6 @@ func (r *Registry) Acquire(key Key) (*Instance, error) {
 	defer r.mu.Unlock()
 	inst, ok := r.entries[key]
 	if !ok {
-		// Derived (epoch > 0) instances exist only by mutating a live
-		// campaign or replaying its checkpoint — there is nothing to
-		// Prepare them from — so Acquire never creates their entries.
-		if key.Epoch != 0 {
-			return nil, fmt.Errorf("service: no live instance at topology epoch %d for %s (mutated instances are adopted by campaigns, not prepared)", key.Epoch, key.base())
-		}
 		inst = &Instance{Key: key, reg: r}
 		r.entries[key] = inst
 	}
@@ -169,48 +158,6 @@ func (r *Registry) evictLocked() {
 			m.evictions.Inc()
 		}
 	}
-}
-
-// AdoptDerived registers the post-delta instance of a mutated campaign
-// under key (epoch > 0), pre-filled with prep — derived graphs are never
-// Prepared from disk; they exist only as a live session's delta replay —
-// and returns it acquired. If the slot already holds the same graph
-// (this campaign's earlier adoption, still warm), it is reused, batcher
-// pool included. A different graph under the same epoch (another
-// campaign's delta sequence, or a checkpoint replay that rebuilt the
-// graph) gets a private instance instead, sharing nothing: two
-// topologies never pool warm state, whatever their epoch numbers say.
-func (r *Registry) AdoptDerived(key Key, prep *sweep.Prepared) *Instance {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[key]; ok {
-		if p := e.preparedOrNil(); p != nil && p.G == prep.G {
-			e.refs++
-			r.clock++
-			e.stamp = r.clock
-			return e
-		}
-		priv := &Instance{Key: key, reg: r, refs: 1}
-		priv.adopt(prep)
-		return priv
-	}
-	inst := &Instance{Key: key, reg: r, refs: 1}
-	inst.adopt(prep)
-	r.entries[key] = inst
-	r.clock++
-	inst.stamp = r.clock
-	r.evictLocked()
-	return inst
-}
-
-// adopt pre-fills the preparation (consuming the once), so Prepared and
-// CheckoutBatcher serve the derived graph without ever calling
-// sweep.Prepare.
-func (i *Instance) adopt(prep *sweep.Prepared) {
-	i.once.Do(func() {
-		i.prep = prep
-		i.ready.Store(true)
-	})
 }
 
 // Prepared returns the instance's preparation, running sweep.Prepare on

@@ -17,7 +17,7 @@ import (
 // call issues one JSON request against the test server and decodes the
 // response into out (skipped when out is nil), failing unless the status
 // matches.
-func call(t *testing.T, ts *httptest.Server, method, path string, body any, wantStatus int, out any) {
+func call(t testing.TB, ts *httptest.Server, method, path string, body any, wantStatus int, out any) {
 	t.Helper()
 	var buf io.Reader
 	if body != nil {
@@ -50,7 +50,7 @@ func call(t *testing.T, ts *httptest.Server, method, path string, body any, want
 }
 
 // stepToDone drives a simulated campaign over HTTP until it stops.
-func stepToDone(t *testing.T, ts *httptest.Server, id string) {
+func stepToDone(t testing.TB, ts *httptest.Server, id string) {
 	t.Helper()
 	for i := 0; ; i++ {
 		if i > 10_000 {
