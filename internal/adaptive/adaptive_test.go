@@ -7,7 +7,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/oracle"
 	"repro/internal/ris"
 	"repro/internal/rng"
 )
@@ -70,13 +69,12 @@ func seedSet(seeds []graph.NodeID) map[graph.NodeID]bool {
 // while seeding all of T realizes profit 2.5.
 func TestADGWorkedExample(t *testing.T) {
 	inst := fig1Instance(t)
-	exact, err := oracle.NewExact(inst.G)
+	adg, err := Run(inst, NewEnvironment(fig1Realization(inst.G)), AlgoADG, RunOptions{}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	adg, err := RunADG(inst, NewEnvironment(fig1Realization(inst.G)), exact)
-	if err != nil {
-		t.Fatal(err)
+	if adg.RRDrawn != 0 {
+		t.Fatalf("ADG drew %d RR sets; the exact oracle should answer on this graph", adg.RRDrawn)
 	}
 	if adg.Profit != 3 || adg.Spread != 6 {
 		t.Fatalf("ADG profit %.2f spread %d, want 3 and 6 (run %+v)", adg.Profit, adg.Spread, adg)

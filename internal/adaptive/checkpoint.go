@@ -12,88 +12,64 @@ import (
 	"repro/internal/rng"
 )
 
-// Checkpoint format: a versioned little-endian binary blob holding
-// everything a mid-campaign Session needs to resume bit-identically in
-// another process — committed seeds and spread, the pending proposal, the
-// algorithm RNG's raw state, the residual's removal log, and the
-// per-algorithm stepper state (RR collection snapshots plus accounting).
+// Checkpoint format: a versioned little-endian binary blob holding a
+// session's inputs, from which ResumeSession rebuilds it in another
+// process by replay. A session's decisions depend only on its partial
+// realization: the RNG it was created with, the seeds it committed, the
+// cascades it observed and the topology deltas it took. Every RR set,
+// coverage count and stepper counter is a deterministic function of that
+// history, so none of them is stored.
 //
-// Deliberately absent, because each is a pure function of what is stored:
-// coverage counts and the node-to-set index (rebuilt from the restored
-// sets), sampler pools (stateless between batches — every batch keys its
-// substreams off the session RNG), the residual's O(N) alive list (replayed
-// from the removal log, see below), and wall-clock telemetry (SamplingNS
-// restarts at zero; every other RunResult field of a resumed campaign
-// matches the uninterrupted run exactly).
+// The sampling options ride in the blob and are authoritative on resume
+// (RunOptions.Validate checks them before anything runs). Workers among
+// them is the campaign's configured parallelism, not a determinism input:
+// RR sets depend on the seed and the count only, so a blob written on one
+// core count resumes identically on another. An instance fingerprint
+// (graph shape, model, targets, costs) guards against restoring onto the
+// wrong instance. Unknown versions and torn payloads fail loudly.
 //
-// The sampling options ride in the blob and are authoritative on resume.
-// Workers among them is the campaign's configured parallelism, not a
-// determinism input: RR sets depend on the seed and the count only, so a
-// blob written on one core count resumes identically on another. An
-// instance fingerprint (graph shape, model, targets, costs) guards
-// against restoring onto the wrong instance. Unknown versions and torn
-// payloads fail loudly.
-//
-// Layout of version 7, in order (u64 counts precede every list; nodes
-// and int32s are 4 bytes each, edges 16: from u32, to u32, p f64):
+// Layout of version 8, in order (u64 counts precede every list; nodes
+// and u32s are 4 bytes each, edges 16: from u32, to u32, p f64):
 //
 //	magic u64, version u32, base fingerprint u64
-//	delta log: count u64, then per delta: inserts []edge, deletes []edge
+//	delta log: count u64, then per delta: round u64 (the number of
+//	rounds observed before it), inserts []edge, deletes []edge
 //	algo string, sampling options (policy string, ζ, ε, δ f64, workers,
 //	no-reuse bool), ADG/NSG theta
-//	done, havePending bool, pending u32, spread, seeds []node
-//	RNG present bool [, state u64, inc u64]
-//	residual version i64, removals []node (oldest first)
-//	stepper tag u8, stepper payload (sampling: fallbacks, attempts,
-//	certified-early, reused, then the batcher — collection present
-//	bool [, arena []node, offsets []int32, roots []node, version i64]
-//	over its live sets only, then its stats; ADG: sampled bool [, RR
-//	stream state u64, inc u64, batcher]; NSG: selected bool, chosen
-//	[]node, next index, stats)
-//
-// where stats is the ris.Stats counters but SamplingNS: drawn,
-// requested, reused, peak bytes i64, batches, visits i64, edge
-// touches i64.
+//	session RNG at NewSession: state u64, inc u64
+//	rounds: count u64, then per round: seed u32, removals u32 (the
+//	nodes its observation removed)
+//	removal log []node (oldest first; the rounds' removals in order)
+//	done, havePending bool, pending u32
 //
 // The fingerprint names the *base* instance (the one the session was
-// created on); ResumeSession reconstructs the current graph by replaying
-// the delta log through graph.ApplyDelta — the replayed graph is per-node
-// structurally identical to the original mutated one, so sampling stays
-// bit-identical. The session keeps the log in this encoding as Mutate
-// appends to it, so a checkpoint copies it in one piece.
+// created on). ResumeSession builds a NewSession on it from the stored
+// RNG state, then replays: before each round it applies the deltas
+// tagged with the rounds observed so far (Mutate), asks NextSeed, checks
+// the proposal against the recorded seed, and Observes that round's
+// removals; a final NextSeed restores a pending proposal or the stop.
+// The replayed graph is per-node structurally identical to the original
+// mutated one, so sampling stays bit-identical. A proposal that differs
+// from the record, a removal count the replayed residual disagrees with,
+// and a done/pending flag the replay does not reach fail the resume.
 //
-// The residual is stored as its removal log (graph.Residual.Removed,
-// oldest first): replaying it through Remove on a fresh residual of the
-// same node set rebuilds the alive list in the exact order that feeds
-// uniform root sampling. Session residuals are never Reset, so the
-// version counter equals the log length; it is kept as a cross-check.
-// A blob is therefore O(seeds + activations + deltas + RR sets), not
-// O(N). Checkpoint sizes the blob with a counting pass over the same
-// encoder and writes it into one exactly sized buffer.
+// A blob is O(seeds + activations + deltas): no RR set, coverage count
+// or sampling counter. The price is paid on restore, which redoes the
+// campaign's work so far (its RR draws included; RunResult.SamplingNS
+// counts them). The session keeps the delta log and the rounds section
+// in this encoding as Mutate and Observe append to them, so a checkpoint
+// copies both in one piece. Checkpoint sizes the blob with a counting
+// pass over the same encoder and writes it into one exactly sized
+// buffer.
 //
-// Version 7 dropped the sampling options' refinement bound and first
-// batch size (now constants), the collection's requested count (the
-// batcher's stats keep it), and gave NSG the full stats. Version 6
-// added the batcher's visit and edge-touch counters, which version 5
-// left out, so a resumed run restarted them at zero. Version 5
-// replaced version 4's ADG oracle payload (kind, stream, θ,
-// workers, reuse, version cache, batcher) with the sampled flag, stream
-// and batcher: θ, workers and reuse come from the options above. Version
-// 4 merged version 3's separate sequential and fixed sampling payloads
-// into one; version 3 replaced version 2's alive list with the
-// removal log; version 1 had no delta log. Older versions are rejected:
-// no committed artifacts exist in those formats.
+// Version 8 replaced version 7's snapshot of derived state (spread,
+// residual version, RR collections, ris.Stats and per-algorithm stepper
+// payloads) with the RNG's initial state, the per-round record and the
+// delta rounds. Older versions are rejected: no committed artifacts
+// exist in those formats.
 const (
 	ckptMagic   = uint64(0x4154505345535331) // "ATPSESS1"
-	ckptVersion = uint32(7)
-)
-
-// Stepper payload tags (one per algorithm family).
-const (
-	ckptStepSampling = uint8(iota + 1)
-	ckptStepADG
-	ckptStepNSG
-	ckptStepAllTargets
+	ckptVersion = uint32(8)
 )
 
 // instFingerprint hashes the parts of the instance a checkpoint depends
@@ -156,7 +132,6 @@ func (w *ckptWriter) u64(v uint64) {
 		binary.LittleEndian.PutUint64(b, v)
 	}
 }
-func (w *ckptWriter) i64(v int64)   { w.u64(uint64(v)) }
 func (w *ckptWriter) i(v int)       { w.u64(uint64(int64(v))) }
 func (w *ckptWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
 func (w *ckptWriter) boolean(v bool) {
@@ -177,14 +152,6 @@ func (w *ckptWriter) str(s string) {
 		copy(b, s)
 	}
 }
-func (w *ckptWriter) nodes(ns []graph.NodeID) {
-	w.u64(uint64(len(ns)))
-	if b := w.reserve(4 * len(ns)); b != nil {
-		for i, u := range ns {
-			binary.LittleEndian.PutUint32(b[4*i:], uint32(u))
-		}
-	}
-}
 
 // removals writes a residual's removal log oldest first; Removed lists it
 // most recent first.
@@ -200,11 +167,12 @@ func (w *ckptWriter) removals(res *graph.Residual) {
 }
 
 // appendDelta appends one topology delta to an encoded delta log, in the
-// checkpoint's byte layout (inserts then deletes, each a counted edge
-// list). Session.Mutate calls it once per delta, so checkpoints copy the
-// log instead of re-encoding it.
-func appendDelta(log []byte, inserts, deletes []graph.Edge) []byte {
-	log = slices.Grow(log, 16+16*(len(inserts)+len(deletes)))
+// checkpoint's byte layout (the number of rounds observed before it, then
+// inserts and deletes, each a counted edge list). Session.Mutate calls it
+// once per delta, so checkpoints copy the log instead of re-encoding it.
+func appendDelta(log []byte, round int, inserts, deletes []graph.Edge) []byte {
+	log = slices.Grow(log, 24+16*(len(inserts)+len(deletes)))
+	log = binary.LittleEndian.AppendUint64(log, uint64(round))
 	for _, es := range [2][]graph.Edge{inserts, deletes} {
 		log = binary.LittleEndian.AppendUint64(log, uint64(len(es)))
 		for _, e := range es {
@@ -214,6 +182,14 @@ func appendDelta(log []byte, inserts, deletes []graph.Edge) []byte {
 		}
 	}
 	return log
+}
+
+// appendRound appends one observed round to an encoded rounds section:
+// its seed and the number of nodes its observation removed.
+// Session.Observe calls it once per round.
+func appendRound(log []byte, seed graph.NodeID, removed int) []byte {
+	log = binary.LittleEndian.AppendUint32(log, uint32(seed))
+	return binary.LittleEndian.AppendUint32(log, uint32(removed))
 }
 
 type ckptReader struct {
@@ -249,6 +225,14 @@ func (r *ckptReader) u8() uint8 {
 	return b[0]
 }
 
+func (r *ckptReader) u32() uint32 {
+	b := r.take(4)
+	if b == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(b)
+}
+
 func (r *ckptReader) u64() uint64 {
 	b := r.take(8)
 	if b == nil {
@@ -257,9 +241,17 @@ func (r *ckptReader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-func (r *ckptReader) i64() int64   { return int64(r.u64()) }
-func (r *ckptReader) i() int       { return int(int64(r.u64())) }
 func (r *ckptReader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+// i reads a signed integer, refusing one this platform's int cannot hold.
+func (r *ckptReader) i() int {
+	v := int64(r.u64())
+	if int64(int(v)) != v {
+		r.fail("integer %d at offset %d overflows int", v, r.off-8)
+		return 0
+	}
+	return int(v)
+}
 
 func (r *ckptReader) boolean() bool {
 	switch r.u8() {
@@ -291,31 +283,14 @@ func (r *ckptReader) length() int {
 	return int(n)
 }
 
-// words returns the raw bytes of a counted list of 4-byte words.
-func (r *ckptReader) words() []byte {
-	return r.take(4 * r.length())
-}
-
 func (r *ckptReader) nodes() []graph.NodeID {
-	b := r.words()
+	b := r.take(4 * r.length())
 	if b == nil {
 		return nil
 	}
 	out := make([]graph.NodeID, len(b)/4)
 	for i := range out {
 		out[i] = graph.NodeID(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-func (r *ckptReader) i32s() []int32 {
-	b := r.words()
-	if b == nil {
-		return nil
-	}
-	out := make([]int32, len(b)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
 }
@@ -337,65 +312,8 @@ func (r *ckptReader) edges() []graph.Edge {
 	return out
 }
 
-// collection writes the snapshot's live sets only (ris.CollectionState's
-// PutLive), so the blob is the same whether or not the collection has
-// compacted its dropped sets away.
-func (w *ckptWriter) collection(st ris.CollectionState) {
-	sets, entries := st.Len()
-	w.u64(uint64(entries))
-	arena := w.reserve(4 * entries)
-	w.u64(uint64(sets + 1))
-	offsets := w.reserve(4 * (sets + 1))
-	w.u64(uint64(sets))
-	roots := w.reserve(4 * sets)
-	w.i64(st.Version)
-	if offsets != nil {
-		st.PutLive(arena, offsets, roots)
-	}
-}
-
-func (r *ckptReader) collection() ris.CollectionState {
-	return ris.CollectionState{
-		Arena:   r.nodes(),
-		Offsets: r.i32s(),
-		Roots:   r.nodes(),
-		Version: r.i64(),
-	}
-}
-
-// stats writes every ris.Stats counter but the wall-clock SamplingNS.
-func (w *ckptWriter) stats(st ris.Stats) {
-	w.i64(st.RRDrawn)
-	w.i64(st.RRRequested)
-	w.i64(st.RRReused)
-	w.i64(st.RRPeakBytes)
-	w.i(st.RRBatches)
-	w.i64(st.RRVisits)
-	w.i64(st.RREdgeTouches)
-}
-
-func (r *ckptReader) stats() ris.Stats {
-	return ris.Stats{
-		RRDrawn:       r.i64(),
-		RRRequested:   r.i64(),
-		RRReused:      r.i64(),
-		RRPeakBytes:   r.i64(),
-		RRBatches:     r.i(),
-		RRVisits:      r.i64(),
-		RREdgeTouches: r.i64(),
-	}
-}
-
-// rng writes a generator's two state words.
-func (w *ckptWriter) rng(g *rng.RNG) {
-	state, inc := g.State()
-	w.u64(state)
-	w.u64(inc)
-}
-
-// rng reads a generator written by ckptWriter.rng. rng.SetState panics on
-// an even increment, which no genuine checkpoint holds, so it is refused
-// here.
+// rng reads a generator's two state words. rng.SetState panics on an even
+// increment, which no genuine checkpoint holds, so it is refused here.
 func (r *ckptReader) rng() *rng.RNG {
 	state, inc := r.u64(), r.u64()
 	if r.err != nil {
@@ -410,42 +328,25 @@ func (r *ckptReader) rng() *rng.RNG {
 	return g
 }
 
-func (w *ckptWriter) batcher(st ris.BatcherState) {
-	w.boolean(st.HasCol)
-	if st.HasCol {
-		w.collection(st.Col)
-	}
-	w.stats(st.Stats)
-}
-
-func (r *ckptReader) batcher() ris.BatcherState {
-	st := ris.BatcherState{HasCol: r.boolean()}
-	if st.HasCol {
-		st.Col = r.collection()
-	}
-	st.Stats = r.stats()
-	return st
-}
-
 // ---------------------------------------------------------------------------
 // Encode.
 
 // Checkpoint serializes the session between API calls (never during one —
 // sessions are quiescent between calls by construction). A voided session
 // (Err != nil) cannot be checkpointed: its in-flight batch state is
-// undefined. The blob is one allocation of exactly its final size.
+// undefined; nor can one created without an RNG, which a replay could not
+// restart. The blob is one allocation of exactly its final size.
 func (s *Session) Checkpoint() ([]byte, error) {
 	if s.err != nil {
 		return nil, fmt.Errorf("adaptive: checkpoint of a voided session: %w", s.err)
 	}
+	if s.r == nil {
+		return nil, fmt.Errorf("adaptive: checkpoint of a session without an RNG")
+	}
 	var w ckptWriter
-	if err := s.encode(&w); err != nil {
-		return nil, err
-	}
+	s.encode(&w)
 	w.buf, w.n = make([]byte, w.n), 0
-	if err := s.encode(&w); err != nil {
-		return nil, err
-	}
+	s.encode(&w)
 	if w.n != len(w.buf) {
 		panic(fmt.Sprintf("adaptive: checkpoint wrote %d bytes, sized %d", w.n, len(w.buf)))
 	}
@@ -453,7 +354,7 @@ func (s *Session) Checkpoint() ([]byte, error) {
 }
 
 // encode runs the checkpoint encoder once over w (sizing or writing).
-func (s *Session) encode(w *ckptWriter) error {
+func (s *Session) encode(w *ckptWriter) {
 	w.u64(ckptMagic)
 	w.u32(ckptVersion)
 	// The fingerprint names the base instance; the delta log carries the
@@ -463,7 +364,7 @@ func (s *Session) encode(w *ckptWriter) error {
 	w.raw(s.deltaLog)
 	w.str(s.algo)
 
-	// Options (authoritative on resume; see package comment above).
+	// Options (authoritative on resume; see the format comment above).
 	w.str(s.opts.Sampling.Policy)
 	w.f64(s.opts.Sampling.Zeta)
 	w.f64(s.opts.Sampling.Eps)
@@ -473,53 +374,18 @@ func (s *Session) encode(w *ckptWriter) error {
 	w.i(s.opts.ADGTheta)
 	w.i(s.opts.NSGTheta)
 
-	// Campaign progress.
+	// The replay's inputs: the RNG as NewSession got it, the rounds and
+	// the residual's removal log they index into.
+	w.u64(s.rng0[0])
+	w.u64(s.rng0[1])
+	w.u64(uint64(len(s.seeds)))
+	w.raw(s.rounds)
+	w.removals(s.res)
+
+	// Cross-checks for the replay's last step.
 	w.boolean(s.done)
 	w.boolean(s.havePending)
 	w.u32(uint32(s.pending))
-	w.i(s.spread)
-	w.nodes(s.seeds)
-
-	// Algorithm RNG (absent for RNG-free sessions: RunADG shells and
-	// all-targets runs given a nil RNG).
-	w.boolean(s.r != nil)
-	if s.r != nil {
-		w.rng(s.r)
-	}
-
-	// Residual view: its version and removal log (see the format comment).
-	w.i64(s.res.Version())
-	w.removals(s.res)
-
-	// Stepper payload.
-	switch st := s.step.(type) {
-	case *samplingStepper:
-		w.u8(ckptStepSampling)
-		w.i(st.fallbacks)
-		w.i(st.attempts)
-		w.i(st.certifiedEarly)
-		w.i64(st.reused)
-		w.batcher(st.b.State())
-	case *adgStepper:
-		w.u8(ckptStepADG)
-		w.boolean(st.b != nil)
-		if st.b != nil {
-			w.rng(st.r)
-			w.batcher(st.b.State())
-		}
-	case *nsgStepper:
-		w.u8(ckptStepNSG)
-		w.boolean(st.selected)
-		w.nodes(st.chosen)
-		w.i(st.idx)
-		w.stats(st.stats)
-	case *allTargetsStepper:
-		w.u8(ckptStepAllTargets)
-		w.i(st.idx)
-	default:
-		return fmt.Errorf("adaptive: checkpoint: unknown stepper %T", s.step)
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -531,15 +397,26 @@ type ResumeOptions struct {
 	// exactly as RunOptions.Batcher does for a fresh one (ADDATP and HATP
 	// under either sampling policy; ignored otherwise).
 	Batcher *ris.Batcher
-	// Interrupt is installed via Session.SetInterrupt after restore.
+	// Interrupt is installed before the replay starts, as
+	// RunOptions.Interrupt is for a fresh session, so it also bounds the
+	// replay's work.
 	Interrupt func() error
 }
 
+// replayDelta is one decoded topology delta and the number of rounds
+// observed before it.
+type replayDelta struct {
+	round            uint64
+	inserts, deletes []graph.Edge
+}
+
 // ResumeSession rebuilds a session from a Checkpoint blob on the same
-// instance (same graph, model, targets, costs — enforced by fingerprint).
-// The restored session's subsequent NextSeed/Observe sequence, and its
-// final Result, are bit-identical to the uninterrupted original's (except
-// SamplingNS, which restarts at zero).
+// instance (same graph, model, targets, costs — enforced by fingerprint)
+// by replaying its recorded history through NewSession, Mutate, NextSeed
+// and Observe (see the format comment). The restored session's subsequent
+// NextSeed/Observe sequence, and its final Result, are bit-identical to
+// the uninterrupted original's, except SamplingNS, which counts the
+// replay's draws.
 func ResumeSession(inst *Instance, data []byte, ropts ResumeOptions) (*Session, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -548,37 +425,16 @@ func ResumeSession(inst *Instance, data []byte, ropts ResumeOptions) (*Session, 
 	if m := r.u64(); r.err == nil && m != ckptMagic {
 		return nil, fmt.Errorf("adaptive: checkpoint: bad magic %#x (not a session checkpoint)", m)
 	}
-	verB := r.take(4)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if v := binary.LittleEndian.Uint32(verB); v != ckptVersion {
+	if v := r.u32(); r.err == nil && v != ckptVersion {
 		return nil, fmt.Errorf("adaptive: checkpoint: version %d not supported (this build reads %d)", v, ckptVersion)
 	}
-	baseFP := r.u64()
-	if r.err == nil && baseFP != instFingerprint(inst) {
-		return nil, fmt.Errorf("adaptive: checkpoint: instance fingerprint mismatch (checkpoint %#x, instance %#x) — wrong dataset, model, scale, or cost setting", baseFP, instFingerprint(inst))
+	if fp := r.u64(); r.err == nil && fp != instFingerprint(inst) {
+		return nil, fmt.Errorf("adaptive: checkpoint: instance fingerprint mismatch (checkpoint %#x, instance %#x) — wrong dataset, model, scale, or cost setting", fp, instFingerprint(inst))
 	}
-	// Replay the mutation log onto the base instance: the replayed graph is
-	// per-node structurally identical to the one the checkpointed session
-	// held, so the restored RR state and RNG stream line up exactly.
-	nDeltas := r.length()
-	logStart := r.off
-	for i := 0; i < nDeltas; i++ {
-		inserts, deletes := r.edges(), r.edges()
-		if r.err != nil {
-			break
-		}
-		ng, _, err := inst.G.ApplyDelta(inserts, deletes)
-		if err != nil {
-			return nil, fmt.Errorf("adaptive: checkpoint: replaying topology delta %d/%d: %w", i+1, nDeltas, err)
-		}
-		inst = inst.on(ng)
+	var deltas []replayDelta
+	for i, n := 0, r.length(); i < n && r.err == nil; i++ {
+		deltas = append(deltas, replayDelta{round: r.u64(), inserts: r.edges(), deletes: r.edges()})
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	deltaLog := r.buf[logStart:r.off]
 	algo := r.str()
 
 	var opts RunOptions
@@ -590,129 +446,94 @@ func ResumeSession(inst *Instance, data []byte, ropts ResumeOptions) (*Session, 
 	opts.Sampling.NoReuse = r.boolean()
 	opts.ADGTheta = r.i()
 	opts.NSGTheta = r.i()
-	opts.Batcher = ropts.Batcher
-	opts.Interrupt = ropts.Interrupt
 
-	done := r.boolean()
-	havePending := r.boolean()
-	var pending graph.NodeID
-	if b := r.take(4); b != nil {
-		pending = graph.NodeID(binary.LittleEndian.Uint32(b))
-	}
-	spread := r.i()
-	seeds := r.nodes()
-
-	var algoRNG *rng.RNG
-	if r.boolean() {
-		algoRNG = r.rng()
-	}
-
-	resVersion := r.i64()
-	removals := r.words()
-
-	stepTag := r.u8()
-	if r.err != nil {
-		return nil, r.err
-	}
-
-	// Rebuild the stepper without consuming the session RNG: every draw the
-	// original made is already reflected in the serialized RNG state.
-	var step stepper
-	switch stepTag {
-	case ckptStepSampling:
-		if algo != AlgoADDATP && algo != AlgoHATP {
-			return nil, fmt.Errorf("adaptive: checkpoint: sampling stepper under algorithm %q", algo)
-		}
-		fallbacks, attempts, certified, reused := r.i(), r.i(), r.i(), r.i64()
-		bst := r.batcher()
-		if r.err != nil {
-			return nil, r.err
-		}
-		st, err := newSamplingStepper(inst, algo, opts.Sampling, ropts.Batcher)
-		if err != nil {
-			return nil, err
-		}
-		st.fallbacks, st.attempts, st.certifiedEarly, st.reused = fallbacks, attempts, certified, reused
-		if err := st.b.RestoreState(bst, inst.G.N()); err != nil {
-			return nil, err
-		}
-		step = st
-	case ckptStepADG:
-		if algo != AlgoADG {
-			return nil, fmt.Errorf("adaptive: checkpoint: ADG stepper under algorithm %q", algo)
-		}
-		if !r.boolean() {
-			// Exact oracle: stateless, rebuilt from the instance (must
-			// succeed — it did when the checkpoint was written, and the
-			// fingerprint matched).
-			orc, err := exactOracle(inst)
-			if err != nil {
-				return nil, err
-			}
-			step = newOracleADG(orc)
-			break
-		}
-		adgRNG := r.rng()
-		bst := r.batcher()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if opts.ADGTheta <= 0 {
-			return nil, fmt.Errorf("adaptive: checkpoint: ADG theta %d", opts.ADGTheta)
-		}
-		st := newSampledADG(inst, opts, adgRNG)
-		if err := st.b.RestoreState(bst, inst.G.N()); err != nil {
-			return nil, err
-		}
-		step = st
-	case ckptStepNSG:
-		if algo != AlgoNSG {
-			return nil, fmt.Errorf("adaptive: checkpoint: NSG stepper under algorithm %q", algo)
-		}
-		st := &nsgStepper{theta: opts.NSGTheta, workers: opts.Sampling.Workers}
-		st.selected = r.boolean()
-		st.chosen = r.nodes()
-		st.idx = r.i()
-		st.stats = r.stats()
-		step = st
-	case ckptStepAllTargets:
-		if algo != AlgoAllTargets {
-			return nil, fmt.Errorf("adaptive: checkpoint: all-targets stepper under algorithm %q", algo)
-		}
-		step = &allTargetsStepper{idx: r.i()}
-	default:
-		return nil, fmt.Errorf("adaptive: checkpoint: unknown stepper tag %d", stepTag)
-	}
+	algoRNG := r.rng()
+	rounds := r.take(8 * r.length())
+	removed := r.nodes()
+	done, havePending := r.boolean(), r.boolean()
+	pending := graph.NodeID(r.u32())
 	if r.err != nil {
 		return nil, r.err
 	}
 	if r.off != len(r.buf) {
 		return nil, fmt.Errorf("adaptive: checkpoint: %d trailing bytes", len(r.buf)-r.off)
 	}
-
-	s := newShell(inst, algo, opts, algoRNG, step)
-	s.baseFP = baseFP // newShell fingerprinted the replayed instance
-	// The session owns its log; copying the blob's section verbatim keeps
-	// the caller free to reuse data.
-	s.deltaLog, s.nDeltas = slices.Clone(deltaLog), nDeltas
-	n := graph.NodeID(inst.G.N())
-	for i := 0; i < len(removals); i += 4 {
-		u := graph.NodeID(binary.LittleEndian.Uint32(removals[i:]))
-		if u < 0 || u >= n {
-			return nil, fmt.Errorf("adaptive: checkpoint: removed node %d outside [0,%d)", u, n)
-		}
-		if !s.res.Remove(u) {
-			return nil, fmt.Errorf("adaptive: checkpoint: removal log repeats node %d", u)
+	// The options decide how much work the replay does, so they are
+	// checked before anything runs on them.
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("adaptive: checkpoint: %w", err)
+	}
+	opts.Batcher, opts.Interrupt = ropts.Batcher, ropts.Interrupt
+	s, err := NewSession(inst, algo, opts, algoRNG)
+	if err != nil {
+		return nil, fmt.Errorf("adaptive: checkpoint: %w", err)
+	}
+	if err := s.replay(deltas, rounds, removed); err != nil {
+		return nil, fmt.Errorf("adaptive: checkpoint: %w", err)
+	}
+	if havePending || done {
+		if _, _, err := s.NextSeed(); err != nil {
+			return nil, fmt.Errorf("adaptive: checkpoint: replaying round %d: %w", len(s.seeds)+1, err)
 		}
 	}
-	if v := s.res.Version(); v != resVersion {
-		return nil, fmt.Errorf("adaptive: checkpoint: residual version %d, removal log holds %d", resVersion, v)
-	}
-	s.seeds = append(s.seeds[:0], seeds...)
-	s.spread = spread
-	s.pending, s.havePending, s.done = pending, havePending, done
-	if ropts.Interrupt != nil {
-		s.SetInterrupt(ropts.Interrupt)
+	if s.done != done || s.havePending != havePending || s.pending != pending {
+		return nil, fmt.Errorf("adaptive: checkpoint: replay ends at (done %v, pending %v, last proposal %d), the record at (done %v, pending %v, last proposal %d)",
+			s.done, s.havePending, s.pending, done, havePending, pending)
 	}
 	return s, nil
+}
+
+// replay drives a fresh session through a recorded history: each delta
+// is applied once as many rounds have been observed as it records, and
+// each round's proposal is checked against its recorded seed before that
+// round's share of the removal log is observed. Any disagreement names
+// the round.
+func (s *Session) replay(deltas []replayDelta, rounds []byte, removed []graph.NodeID) error {
+	next := 0
+	mutate := func(round int) error {
+		for ; next < len(deltas) && deltas[next].round == uint64(round); next++ {
+			if _, err := s.Mutate(deltas[next].inserts, deltas[next].deletes); err != nil {
+				return fmt.Errorf("replaying topology delta %d/%d after round %d: %w", next+1, len(deltas), round, err)
+			}
+		}
+		return nil
+	}
+	off := 0
+	for i := 0; i < len(rounds)/8; i++ {
+		if err := mutate(i); err != nil {
+			return err
+		}
+		seed := graph.NodeID(binary.LittleEndian.Uint32(rounds[8*i:]))
+		k := binary.LittleEndian.Uint32(rounds[8*i+4:])
+		u, stop, err := s.NextSeed()
+		switch {
+		case err != nil:
+			return fmt.Errorf("replaying round %d: %w", i+1, err)
+		case stop:
+			return fmt.Errorf("replay diverges at round %d: the policy stops where the record seeds %d", i+1, seed)
+		case u != seed:
+			return fmt.Errorf("replay diverges at round %d: the policy proposes %d where the record seeds %d", i+1, u, seed)
+		}
+		if uint64(k) > uint64(len(removed)-off) {
+			return fmt.Errorf("round %d records %d removals, the removal log holds %d more", i+1, k, len(removed)-off)
+		}
+		if err := s.Observe(removed[off : off+int(k)]); err != nil {
+			return fmt.Errorf("replaying round %d: %w", i+1, err)
+		}
+		off += int(k)
+		if v := s.res.Version(); v != int64(off) {
+			return fmt.Errorf("round %d records %d removals, its replay removed %d", i+1, k, v-int64(off)+int64(k))
+		}
+	}
+	if err := mutate(len(rounds) / 8); err != nil {
+		return err
+	}
+	if next < len(deltas) {
+		return fmt.Errorf("topology delta %d/%d records round %d, out of order or past the %d recorded rounds",
+			next+1, len(deltas), deltas[next].round, len(rounds)/8)
+	}
+	if off != len(removed) {
+		return fmt.Errorf("the removal log holds %d nodes, the rounds remove %d", len(removed), off)
+	}
+	return nil
 }

@@ -1,7 +1,10 @@
 package adaptive
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cascade"
@@ -58,11 +61,19 @@ func midCheckpoint(f *testing.F, sess *Session, env *Environment) []byte {
 	return blob
 }
 
+// fuzzPolls is the interrupt budget a fuzzed resume runs under: a
+// corrupt θ or ζ can ask the replay for any number of RR draws, and the
+// budget stops it within a few thousand sets on these graphs.
+const fuzzPolls = 256
+
 // FuzzResumeSession feeds arbitrary bytes — and mutations of a genuine
-// checkpoint — to the session decoder. The service layer's CRC64
-// envelope catches accidental damage before the blob gets here, but the
-// decoder is the last line of defense against a hostile or buggy writer:
-// it must return an error for anything it cannot replay, never panic.
+// checkpoint — to the session decoder and its replay. The service
+// layer's CRC64 envelope catches accidental damage before the blob gets
+// here, but the decoder is the last line of defense against a hostile or
+// buggy writer: it must return an error for anything it cannot replay,
+// never panic. The seed corpus flips the low bit, the high bit and a
+// mixed pattern of every byte of each genuine blob, and cuts it at every
+// length.
 func FuzzResumeSession(f *testing.F) {
 	inst, ring := fuzzInstance(f), fuzzRingInstance(f)
 	sess, err := NewSession(inst, AlgoADDATP, RunOptions{}, rng.New(5))
@@ -78,7 +89,7 @@ func FuzzResumeSession(f *testing.F) {
 		f.Fatal("ADG on the ring does not sample RR sets")
 	}
 	adgBlob := midCheckpoint(f, adg, NewEnvironment(cascade.Sample(ring.G, ring.Model, rng.New(6))))
-	if _, err := ResumeSession(ring, adgBlob, ResumeOptions{}); err != nil {
+	if _, err := ResumeSession(ring, adgBlob, fuzzResume()); err != nil {
 		f.Fatalf("genuine ADG checkpoint: %v", err)
 	}
 	// A checkpoint after a topology delta, so the delta-log and
@@ -90,34 +101,56 @@ func FuzzResumeSession(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	if _, err := ResumeSession(inst, mutated, fuzzResume()); err != nil {
+		f.Fatalf("genuine mutated checkpoint: %v", err)
+	}
 
 	f.Add([]byte{})
 	f.Add([]byte("not a checkpoint"))
 	for _, b := range [][]byte{blob, mutated, adgBlob} {
 		f.Add(b)
-		f.Add(b[:len(b)/2])
-		for i := 0; i < len(b); i += 31 { // seed a few single-byte flips
-			mut := append([]byte(nil), b...)
-			mut[i] ^= 0xA5
-			f.Add(mut)
+		for i := range b {
+			for _, mask := range []byte{0x01, 0x80, 0xA5} {
+				mut := bytes.Clone(b)
+				mut[i] ^= mask
+				f.Add(mut)
+			}
+			f.Add(b[:i])
 		}
 		// The same bytes under the superseded format version.
-		old := append([]byte(nil), b...)
+		old := bytes.Clone(b)
 		binary.LittleEndian.PutUint32(old[8:], ckptVersion-1)
 		f.Add(old)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range []*Instance{inst, ring} {
-			s, err := ResumeSession(in, data, ResumeOptions{})
+			s, err := ResumeSession(in, data, fuzzResume())
 			if err != nil {
 				continue
 			}
 			// Accepted blobs must yield a session that can at least report
-			// its state without exploding.
+			// its state and checkpoint again.
 			_ = s.Rounds()
 			_ = s.Seeds()
 			_ = s.Spread()
+			if _, err := s.Checkpoint(); err != nil {
+				t.Fatalf("resumed session cannot checkpoint: %v", err)
+			}
 		}
 	})
 }
+
+// fuzzResume returns resume options whose interrupt fails the resume
+// after fuzzPolls polls.
+func fuzzResume() ResumeOptions {
+	var polls atomic.Int32
+	return ResumeOptions{Interrupt: func() error {
+		if polls.Add(1) > fuzzPolls {
+			return errFuzzBudget
+		}
+		return nil
+	}}
+}
+
+var errFuzzBudget = errors.New("fuzz: replay poll budget spent")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -92,23 +93,14 @@ func resampledEnv(s *Session, seed uint64) *Environment {
 
 // TestCheckpointExactSize: for every stepper kind, a checkpoint taken
 // mid-campaign after a topology delta is one buffer of exactly its final
-// size, re-encodes byte-identically after a resume, and the resumed
-// campaign finishes seed-identically to the uninterrupted one. The
-// sampling steppers' collections still hold the sets the delta dropped
-// when the blob is written and none after the resume, so the
-// byte-identical re-encode checks that the writer leaves dropped sets out.
+// size, re-encodes byte-identically after a resume (the replay records
+// the same history the original did), and the resumed campaign finishes
+// seed-identically to the uninterrupted one.
 func TestCheckpointExactSize(t *testing.T) {
-	sparse := 0
 	for _, k := range checkpointKinds(t) {
 		sess, env := midCampaign(t, k.inst, k.tc, 7)
 		if got := stepperType(sess); got != k.stepType {
 			t.Fatalf("%s: stepper %s, want %s", k.tc.name, got, k.stepType)
-		}
-		if st, ok := sess.step.(*samplingStepper); ok {
-			cs := st.b.Collection().State()
-			if sets, _ := cs.Len(); sets < len(cs.Roots) {
-				sparse++
-			}
 		}
 		blob, err := sess.Checkpoint()
 		if err != nil {
@@ -120,6 +112,9 @@ func TestCheckpointExactSize(t *testing.T) {
 		resumed, err := ResumeSession(k.inst, blob, ResumeOptions{})
 		if err != nil {
 			t.Fatalf("%s: resume: %v", k.tc.name, err)
+		}
+		if got := stepperType(resumed); got != k.stepType {
+			t.Fatalf("%s: resumed stepper %s, want %s", k.tc.name, got, k.stepType)
 		}
 		again, err := resumed.Checkpoint()
 		if err != nil {
@@ -137,9 +132,6 @@ func TestCheckpointExactSize(t *testing.T) {
 			t.Fatalf("%s: finishing the resumed session: %v", k.tc.name, err)
 		}
 		compareRuns(t, k.tc.name+"/exact-size", got, want)
-	}
-	if sparse == 0 {
-		t.Fatal("no sampling session held dropped sets at its checkpoint")
 	}
 }
 
@@ -161,10 +153,11 @@ func TestCheckpointAllocs(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsCorruptLogs hand-edits the removal-log and delta-log
-// sections of a genuine checkpoint: a repeated or out-of-range removed
-// node, a residual version that disagrees with the log length, and a
-// delta count that disagrees with the log's bytes must each make
+// TestResumeRejectsCorruptLogs hand-edits the removal-log, rounds and
+// delta-log sections of a genuine checkpoint: a repeated or out-of-range
+// removed node, a round whose removal count disagrees with what its
+// replay removes, a delta count that disagrees with the log's bytes and a
+// delta recorded after more rounds than the blob holds must each make
 // ResumeSession return an error, never panic or resume.
 func TestResumeRejectsCorruptLogs(t *testing.T) {
 	k := checkpointKinds(t)[0]
@@ -186,22 +179,28 @@ func TestResumeRejectsCorruptLogs(t *testing.T) {
 		t.Fatalf("unedited blob: %v", err)
 	}
 
-	// Locate the residual section: version, count, removals oldest first.
+	// Locate the rounds section (count, then seed and removal count per
+	// round) and the removal log after it (count, removals oldest first).
 	removed := sess.res.Removed()
-	if len(removed) < 2 || sess.Mutations() != 2 {
-		t.Fatalf("fixture has %d removals and %d deltas; need 2+ and 2", len(removed), sess.Mutations())
+	if len(removed) < 2 || sess.Mutations() != 2 || sess.Rounds() != 2 {
+		t.Fatalf("fixture has %d removals, %d deltas and %d rounds; need 2+, 2 and 2", len(removed), sess.Mutations(), sess.Rounds())
 	}
-	section := binary.LittleEndian.AppendUint64(nil, uint64(sess.res.Version()))
+	section := binary.LittleEndian.AppendUint64(nil, uint64(sess.Rounds()))
+	for i, u := range sess.Seeds() {
+		section = binary.LittleEndian.AppendUint32(section, uint32(u))
+		section = binary.LittleEndian.AppendUint32(section, binary.LittleEndian.Uint32(sess.rounds[8*i+4:]))
+	}
 	section = binary.LittleEndian.AppendUint64(section, uint64(len(removed)))
 	for i := len(removed) - 1; i >= 0; i-- {
 		section = binary.LittleEndian.AppendUint32(section, uint32(removed[i]))
 	}
 	if bytes.Count(blob, section) != 1 {
-		t.Fatal("residual section not found exactly once in the blob")
+		t.Fatal("rounds and removal log not found exactly once in the blob")
 	}
-	verAt := bytes.Index(blob, section)
-	logAt := verAt + 16
-	const deltaCountAt = 8 + 4 + 8 // magic, version, fingerprint
+	at := bytes.Index(blob, section)
+	countAt := at + 8 + 4                 // round 1's removal count
+	logAt := at + 8 + 8*sess.Rounds() + 8 // the oldest removal
+	const deltaCountAt = 8 + 4 + 8        // magic, version, fingerprint
 
 	n := uint32(k.inst.G.N())
 	edits := []struct {
@@ -211,15 +210,17 @@ func TestResumeRejectsCorruptLogs(t *testing.T) {
 		{"repeated removed node", func(b []byte) { copy(b[logAt+4:logAt+8], b[logAt:logAt+4]) }},
 		{"removed node = N", func(b []byte) { binary.LittleEndian.PutUint32(b[logAt:], n) }},
 		{"negative removed node", func(b []byte) { binary.LittleEndian.PutUint32(b[logAt:], ^uint32(0)) }},
-		{"version one above the log", func(b []byte) {
-			binary.LittleEndian.PutUint64(b[verAt:], binary.LittleEndian.Uint64(b[verAt:])+1)
+		{"removal count one above the round's", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[countAt:], binary.LittleEndian.Uint32(b[countAt:])+1)
 		}},
-		{"version one below the log", func(b []byte) {
-			binary.LittleEndian.PutUint64(b[verAt:], binary.LittleEndian.Uint64(b[verAt:])-1)
+		{"removal count one below the round's", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[countAt:], binary.LittleEndian.Uint32(b[countAt:])-1)
 		}},
+		{"removal count past the log", func(b []byte) { binary.LittleEndian.PutUint32(b[countAt:], ^uint32(0)) }},
 		{"delta count one above its bytes", func(b []byte) { binary.LittleEndian.PutUint64(b[deltaCountAt:], 3) }},
 		{"delta count one below its bytes", func(b []byte) { binary.LittleEndian.PutUint64(b[deltaCountAt:], 1) }},
 		{"delta count zero", func(b []byte) { binary.LittleEndian.PutUint64(b[deltaCountAt:], 0) }},
+		{"first delta after more rounds than recorded", func(b []byte) { binary.LittleEndian.PutUint64(b[deltaCountAt+8:], 3) }},
 	}
 	for _, e := range edits {
 		bad := bytes.Clone(blob)
@@ -233,31 +234,166 @@ func TestResumeRejectsCorruptLogs(t *testing.T) {
 }
 
 // TestResumeRejectsEvenRNGIncrement: rng.SetState panics on an even
-// increment, which no genuine checkpoint holds; a blob whose session or
-// ADG stream carries one must be refused with an error instead.
+// increment, which no genuine checkpoint holds; a blob whose session RNG
+// carries one must be refused with an error instead.
 func TestResumeRejectsEvenRNGIncrement(t *testing.T) {
-	var k checkpointKind
-	for _, k = range checkpointKinds(t) {
-		if k.tc.name == "adg" {
-			break
+	for _, k := range checkpointKinds(t) {
+		sess, _ := midCampaign(t, k.inst, k.tc, 7)
+		blob, err := sess.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, sess.rng0[0]), sess.rng0[1])
+		if bytes.Count(blob, words) != 1 {
+			t.Fatalf("%s: session RNG not found exactly once in the blob", k.tc.name)
+		}
+		bad := bytes.Clone(blob)
+		binary.LittleEndian.PutUint64(bad[bytes.Index(bad, words)+8:], sess.rng0[1]^1)
+		if _, err := ResumeSession(k.inst, bad, ResumeOptions{}); err == nil || !strings.Contains(err.Error(), "even RNG increment") {
+			t.Errorf("%s: session RNG with an even increment: %v", k.tc.name, err)
 		}
 	}
-	sess, _ := midCampaign(t, k.inst, k.tc, 7)
+}
+
+// TestResumeRejectsDivergentReplay: a recorded seed the replayed policy
+// does not propose fails the resume with an error naming the round, for
+// every stepper kind.
+func TestResumeRejectsDivergentReplay(t *testing.T) {
+	for _, k := range checkpointKinds(t) {
+		sess, _ := midCampaign(t, k.inst, k.tc, 7)
+		blob, err := sess.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := sess.Seeds()[0]
+		other := k.inst.Targets[0]
+		if other == first {
+			other = k.inst.Targets[1]
+		}
+		round := binary.LittleEndian.AppendUint64(nil, 1)
+		round = append(round, sess.rounds[:8]...)
+		if bytes.Count(blob, round) != 1 {
+			t.Fatalf("%s: round 1 not found exactly once in the blob", k.tc.name)
+		}
+		bad := bytes.Clone(blob)
+		binary.LittleEndian.PutUint32(bad[bytes.Index(bad, round)+8:], uint32(other))
+		_, err = ResumeSession(k.inst, bad, ResumeOptions{})
+		if want := fmt.Sprintf("replay diverges at round 1: the policy proposes %d where the record seeds %d", first, other); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: tampered seed: %v, want %q", k.tc.name, err, want)
+		}
+	}
+}
+
+// TestResumeQuiescentCanMutate: a checkpoint taken between an Observe and
+// the next NextSeed restores with no pending seed, accepts a topology
+// delta, and finishes as the original does after the same delta.
+func TestResumeQuiescentCanMutate(t *testing.T) {
+	k := checkpointKinds(t)[0]
+	sess, env := midCampaign(t, k.inst, k.tc, 7)
+	u, _ := sess.Pending()
+	if err := sess.Observe(env.Observe(u)); err != nil {
+		t.Fatal(err)
+	}
 	blob, err := sess.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, g := range map[string]*rng.RNG{"session": sess.r, "adg": sess.step.(*adgStepper).r} {
-		state, inc := g.State()
-		words := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, state), inc)
-		if bytes.Count(blob, words) != 1 {
-			t.Fatalf("%s stream not found exactly once in the blob", name)
+	resumed, err := ResumeSession(k.inst, blob, ResumeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, pending := resumed.Pending(); pending || resumed.Done() {
+		t.Fatalf("quiescent checkpoint restored pending=%v done=%v", pending, resumed.Done())
+	}
+	ins, dels := gen.ChurnDeltas(sess.Instance().G, 0.01, rng.New(41))
+	var finished [2]*RunResult
+	for i, s := range []*Session{sess, resumed} {
+		if _, err := s.Mutate(ins, dels); err != nil {
+			t.Fatalf("session %d: Mutate: %v", i, err)
 		}
+		if finished[i], err = s.Drive(resampledEnv(s, 43)); err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+	}
+	if resumed.Mutations() != 2 {
+		t.Fatalf("resumed session counts %d deltas, want 2", resumed.Mutations())
+	}
+	compareRuns(t, "quiescent resume + mutate", finished[1], finished[0])
+}
+
+// TestResumeRestoresPendingAndDone: a checkpoint with a seed pending, and
+// one of a finished campaign, restore the same Pending() and Done() as
+// the session they were taken from.
+func TestResumeRestoresPendingAndDone(t *testing.T) {
+	for _, k := range checkpointKinds(t) {
+		sess, env := midCampaign(t, k.inst, k.tc, 7)
+		check := func(stage string) {
+			t.Helper()
+			resumed := roundTrip(t, k.inst, sess, ResumeOptions{})
+			gotU, gotP := resumed.Pending()
+			wantU, wantP := sess.Pending()
+			if gotP != wantP || (wantP && gotU != wantU) || resumed.Done() != sess.Done() {
+				t.Fatalf("%s %s: restored pending (%d, %v) done %v, want (%d, %v) done %v",
+					k.tc.name, stage, gotU, gotP, resumed.Done(), wantU, wantP, sess.Done())
+			}
+		}
+		if _, pending := sess.Pending(); !pending {
+			t.Fatalf("%s: midCampaign left no seed pending", k.tc.name)
+		}
+		check("pending")
+		if _, err := sess.Drive(env); err != nil {
+			t.Fatal(err)
+		}
+		check("done")
+	}
+}
+
+// TestResumeRejectsBadOptions: the options a blob carries decide how much
+// work its replay does, so RunOptions.Validate refuses a bad one before
+// anything runs: an unknown policy, a non-finite or non-positive ζ, ε or
+// δ, a negative or absurd worker count, a non-positive ADG or NSG θ.
+func TestResumeRejectsBadOptions(t *testing.T) {
+	inst := nethept005Instance(t, "")
+	sess, err := NewSession(inst, AlgoHATP, RunOptions{}, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := sess.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, version, fingerprint, delta count, algo, policy
+	policyAt := 8 + 4 + 8 + 8 + 8 + len(AlgoHATP) + 8
+	zetaAt := policyAt + len(PolicySequential)
+	workersAt := zetaAt + 3*8
+	adgAt := workersAt + 8 + 1
+	f64 := func(at int, v float64) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint64(b[at:], math.Float64bits(v)) }
+	}
+	i64 := func(at int, v int64) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint64(b[at:], uint64(v)) }
+	}
+	for _, e := range []struct {
+		name, want string
+		edit       func([]byte)
+	}{
+		{"unknown policy", "unknown sampling policy", func(b []byte) { b[policyAt] = 'x' }},
+		{"NaN zeta", "zeta", f64(zetaAt, math.NaN())},
+		{"negative eps", "eps", f64(zetaAt+8, -0.2)},
+		{"infinite delta", "delta", f64(zetaAt+16, math.Inf(1))},
+		{"negative workers", "workers", i64(workersAt, -1)},
+		{"2^20 workers", "workers", i64(workersAt, 1<<20)},
+		{"zero ADG theta", "theta", i64(adgAt, 0)},
+		{"negative NSG theta", "theta", i64(adgAt+8, -5)},
+	} {
 		bad := bytes.Clone(blob)
-		binary.LittleEndian.PutUint64(bad[bytes.Index(bad, words)+8:], inc^1)
-		if _, err := ResumeSession(k.inst, bad, ResumeOptions{}); err == nil || !strings.Contains(err.Error(), "even RNG increment") {
-			t.Errorf("%s stream with an even increment: %v", name, err)
+		e.edit(bad)
+		if _, err := ResumeSession(inst, bad, ResumeOptions{}); err == nil || !strings.Contains(err.Error(), e.want) {
+			t.Errorf("%s: %v, want an error naming %q", e.name, err, e.want)
 		}
+	}
+	if _, err := ResumeSession(inst, blob, ResumeOptions{}); err != nil {
+		t.Fatalf("unedited blob: %v", err)
 	}
 }
 

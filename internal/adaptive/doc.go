@@ -16,7 +16,7 @@
 //   - ADG (adaptive greedy, §V): queries a spread oracle for
 //     E[I_{G_i}({u})] exactly (or, on graphs too large to enumerate,
 //     estimates it from a fixed θ of RR sets) and seeds the best target
-//     while its marginal profit is positive (RunADG).
+//     while its marginal profit is positive (AlgoADG).
 //   - ADDATP (Algorithm 3): replaces the oracle with RR-set sampling
 //     whose additive error ζ on the coverage fraction is controlled by
 //     the Hoeffding bound (bounds.HoeffdingTheta, Lemma 4); each round
@@ -29,13 +29,20 @@
 //
 // Every policy — adaptive and nonadaptive alike — runs as a Session
 // (session.go): NextSeed proposes the next target, Observe feeds back the
-// realized activations, and the batch entry points Run and RunADG are a
-// thin NextSeed/Observe drive loop over a simulated Environment. The
+// realized activations, and the batch entry point Run is a thin
+// NextSeed/Observe drive loop over a simulated Environment. The
 // per-round decision logic lives in per-policy steppers behind the
-// Session shell, and a session can be serialized at any round boundary
+// Session shell. A session can be serialized at any round boundary
 // (Checkpoint) and rebuilt later (ResumeSession) to continue
 // bit-identically — the internal/service campaign registry and `repro
-// serve` are built on exactly this surface. RunExperiment is the one
+// serve` are built on exactly this surface. A checkpoint is the
+// session's input log: its starting RNG state, each round's seed and
+// observed removals, and its topology deltas. No RR set or counter is
+// stored; ResumeSession replays the log through
+// NewSession, Mutate, NextSeed and Observe, so a restore costs about
+// what the campaign has computed so far (RunResult.SamplingNS counts the
+// replay's draws) and a recorded seed the replay does not propose fails
+// it. RunExperiment is the one
 // realization loop behind every sweep cell, static or churning: under a
 // Churn it applies each delta with Session.Mutate and moves the world
 // onto the new graph with Environment.Follow.
@@ -106,10 +113,9 @@
 // cap). Each campaign still certifies on independent RR sets of its
 // residual, so its (ζ, δ) guarantee is unchanged; campaigns on one
 // instance are correlated through their first look. A campaign stops
-// taking base sets at its first private draw, topology delta or restore
-// of a non-empty collection, and the copies leave its RNG stream alone,
-// so a campaign checkpointed before its first step resumes onto the same
-// first look. PolicyFixed, ADG and the nonadaptive baselines draw their
+// taking base sets at its first private draw or topology delta, and the
+// copies leave its RNG stream alone, so a restored campaign, which
+// replays its rounds, takes the same first look again. PolicyFixed, ADG and the nonadaptive baselines draw their
 // own.
 //
 // The instance also builds one read-only table of its targets

@@ -2,6 +2,8 @@ package adaptive
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/cascade"
 	"repro/internal/gen"
@@ -53,6 +55,39 @@ func (o *RunOptions) setDefaults() {
 	if o.NSGTheta <= 0 {
 		o.NSGTheta = 20_000
 	}
+}
+
+// maxWorkers bounds SamplingOptions.Workers in Validate: no host has more
+// cores, and a restore must not let a corrupt blob ask for millions of
+// sampling goroutines.
+const maxWorkers = 1 << 10
+
+// Validate checks fully specified options: a known sampling policy,
+// finite positive ζ, ε and δ, workers in [0, 1024] (0 means GOMAXPROCS)
+// and positive ADG and NSG sample sizes. sweep.Spec.Validate checks a
+// spec's options with it, and ResumeSession a blob's before it replays
+// the campaign under them; NewSession instead fills zero values with
+// defaults.
+func (o RunOptions) Validate() error {
+	sp := o.Sampling
+	if !slices.Contains(SamplingPolicies, sp.Policy) {
+		return fmt.Errorf("adaptive: unknown sampling policy %q (have %v)", sp.Policy, SamplingPolicies)
+	}
+	for _, p := range [...]struct {
+		name string
+		v    float64
+	}{{"zeta", sp.Zeta}, {"eps", sp.Eps}, {"delta", sp.Delta}} {
+		if !(p.v > 0) || math.IsInf(p.v, 1) {
+			return fmt.Errorf("adaptive: %s must be finite and positive, got %g", p.name, p.v)
+		}
+	}
+	if sp.Workers < 0 || sp.Workers > maxWorkers {
+		return fmt.Errorf("adaptive: workers must be in [0, %d], got %d", maxWorkers, sp.Workers)
+	}
+	if o.ADGTheta <= 0 || o.NSGTheta <= 0 {
+		return fmt.Errorf("adaptive: adg_theta/nsg_theta must be positive (got %d/%d)", o.ADGTheta, o.NSGTheta)
+	}
+	return nil
 }
 
 // Run executes one named algorithm on one realization environment: a

@@ -158,10 +158,11 @@ func TestFirstLookCheckpointBeforeFirstStep(t *testing.T) {
 	}
 }
 
-// TestFirstLookNotRetakenAfterRestore: a campaign restored with a
-// non-empty collection draws its own sets from then on, even on the
-// untouched residual (here: with its first seed still pending).
-func TestFirstLookNotRetakenAfterRestore(t *testing.T) {
+// TestFirstLookContinuesAfterRestore: a campaign restored with its first
+// seed pending holds the same first look as the original, still attached
+// to the base, so a top-up on the untouched residual copies from the base
+// in both, and neither draws.
+func TestFirstLookContinuesAfterRestore(t *testing.T) {
 	inst := nethept005Instance(t, "")
 	tc := sessionCase{"hatp", AlgoHATP, RunOptions{Sampling: SamplingOptions{Policy: PolicySequential, Workers: 2}}}
 	sess, _ := firstStep(t, inst, tc, 5)
@@ -169,13 +170,16 @@ func TestFirstLookNotRetakenAfterRestore(t *testing.T) {
 	if restored.res.Version() != 0 {
 		t.Fatalf("pending first seed, residual at version %d", restored.res.Version())
 	}
-	st := restored.step.(*samplingStepper)
-	n := st.b.Len()
-	if _, err := st.b.GrowTo(restored.res, rng.New(1), n+64, 2); err != nil {
-		t.Fatal(err)
+	var stats [2]ris.Stats
+	for i, s := range []*Session{sess, restored} {
+		b := s.step.(*samplingStepper).b
+		if _, err := b.GrowTo(s.res, rng.New(1), b.Len()+64, 2); err != nil {
+			t.Fatal(err)
+		}
+		stats[i] = b.Stats()
 	}
-	if got := st.b.Stats(); got.RRDrawn != 64 {
-		t.Fatalf("restored batcher topped up from the base: %+v", got)
+	if stats[0].RRDrawn != 0 || stats[1] != stats[0] {
+		t.Fatalf("top-up after restore %+v, original %+v; want both copied from the base", stats[1], stats[0])
 	}
 }
 

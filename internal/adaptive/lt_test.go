@@ -6,7 +6,6 @@ import (
 	"repro/internal/cascade"
 	"repro/internal/cost"
 	"repro/internal/graph"
-	"repro/internal/oracle"
 	"repro/internal/rng"
 )
 
@@ -67,13 +66,12 @@ func ltFig1Instance(t *testing.T) *Instance {
 // the run stops at two seeds.
 func TestADGWorkedExampleLT(t *testing.T) {
 	inst := ltFig1Instance(t)
-	exact, err := oracle.NewExactLT(inst.G)
+	adg, err := Run(inst, NewEnvironment(ltFig1Realization(inst.G)), AlgoADG, RunOptions{}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	adg, err := RunADG(inst, NewEnvironment(ltFig1Realization(inst.G)), exact)
-	if err != nil {
-		t.Fatal(err)
+	if adg.RRDrawn != 0 {
+		t.Fatalf("ADG drew %d RR sets; the exact oracle should answer on this graph", adg.RRDrawn)
 	}
 	if adg.Profit != 3 || adg.Spread != 6 {
 		t.Fatalf("LT ADG profit %.2f spread %d, want 3 and 6 (run %+v)", adg.Profit, adg.Spread, adg)

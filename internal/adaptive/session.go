@@ -19,11 +19,13 @@ import (
 // realized activations, which the session removes from its own residual
 // view. The session owns every piece of per-campaign state — the
 // graph.Residual, the stepper's ris.Batcher or oracle, the RNG, round
-// counters — which is what makes Checkpoint/ResumeSession possible, and
-// lets a campaign be driven step-wise by an external feedback source.
+// counters — and lets a campaign be driven step-wise by an external
+// feedback source. It also records its inputs (the RNG it started from,
+// each round's seed and removals, each delta), which is all
+// Checkpoint stores: ResumeSession replays them.
 //
-// The batch entry points (Run, RunADG) are thin drive-to-completion loops
-// over a Session against an Environment.
+// The batch entry point Run is a thin drive-to-completion loop over a
+// Session against an Environment.
 //
 // A Session is not safe for concurrent use; callers (the service layer)
 // serialize access per campaign.
@@ -51,14 +53,18 @@ type Session struct {
 	interrupt func() error
 	step      stepper
 
-	// baseFP fingerprints the instance the session was *created* on;
-	// deltaLog holds the nDeltas topology mutations applied since, in
-	// order and already in the checkpoint encoding (appendDelta).
-	// Checkpoints carry both, so a resume needs only the base instance:
-	// the current graph is reproduced by replaying the log through
-	// graph.ApplyDelta, which is structurally identical to the original
-	// mutated graph per node and therefore samples bit-identically.
+	// The checkpoint's replay record. baseFP fingerprints the instance
+	// the session was *created* on and rng0 is r's state then; rounds
+	// holds each observed round's seed and removal count (appendRound,
+	// preallocated to |T| rounds like seeds), and deltaLog the nDeltas
+	// topology mutations applied since, each with the round count it
+	// followed (appendDelta), both already in the checkpoint encoding.
+	// Replaying them from the base instance reproduces the session: the
+	// replayed graph is structurally identical to the original mutated
+	// graph per node and therefore samples bit-identically.
 	baseFP   uint64
+	rng0     [2]uint64
+	rounds   []byte
 	deltaLog []byte
 	nDeltas  int
 
@@ -68,8 +74,8 @@ type Session struct {
 // stepper is one algorithm's per-round decision procedure. next computes
 // one round on s.res: (seed, false, nil) proposes a seed, (_, true, nil)
 // stops the campaign. finishInto copies the stepper's accounting into a
-// result. Steppers are quiescent between calls — a checkpoint taken
-// between Session API calls captures complete state.
+// result. Steppers are quiescent between calls, and deterministic in the
+// session's inputs, which is what lets a checkpoint hold only those.
 type stepper interface {
 	next(s *Session) (graph.NodeID, bool, error)
 	finishInto(r *RunResult)
@@ -93,6 +99,10 @@ func NewSession(inst *Instance, algo string, opts RunOptions, r *rng.RNG) (*Sess
 	}
 	opts.setDefaults()
 	opts.Sampling.setDefaults()
+	var rng0 [2]uint64
+	if r != nil {
+		rng0[0], rng0[1] = r.State() // before ADG splits its stream off r
+	}
 	var step stepper
 	var err error
 	switch algo {
@@ -110,17 +120,7 @@ func NewSession(inst *Instance, algo string, opts RunOptions, r *rng.RNG) (*Sess
 	if err != nil {
 		return nil, err
 	}
-	s := newShell(inst, algo, opts, r, step)
-	if opts.Interrupt != nil {
-		s.SetInterrupt(opts.Interrupt)
-	}
-	return s, nil
-}
-
-// newShell assembles a session around an already built stepper (shared by
-// NewSession, RunADG, and the checkpoint-resume path).
-func newShell(inst *Instance, algo string, opts RunOptions, r *rng.RNG, step stepper) *Session {
-	return &Session{
+	s := &Session{
 		inst:   inst,
 		algo:   algo,
 		opts:   opts,
@@ -128,10 +128,16 @@ func newShell(inst *Instance, algo string, opts RunOptions, r *rng.RNG, step ste
 		res:    graph.NewResidual(inst.G),
 		baseFP: instFingerprint(inst),
 		// Preallocated to the only possible maximum so steady-state
-		// stepping never grows it (the warm-instance zero-alloc contract).
-		seeds: make([]graph.NodeID, 0, len(inst.Targets)),
-		step:  step,
+		// stepping never grows them (the warm-instance zero-alloc contract).
+		seeds:  make([]graph.NodeID, 0, len(inst.Targets)),
+		rounds: make([]byte, 0, 8*len(inst.Targets)),
+		step:   step,
+		rng0:   rng0,
 	}
+	if opts.Interrupt != nil {
+		s.SetInterrupt(opts.Interrupt)
+	}
+	return s, nil
 }
 
 // NextSeed advances the campaign to its next decision: (u, false, nil)
@@ -195,6 +201,7 @@ func (s *Session) Observe(activated []graph.NodeID) error {
 	}
 	s.seeds = append(s.seeds, s.pending)
 	s.havePending = false
+	before := s.spread
 	for _, u := range activated {
 		if s.res.Remove(u) {
 			s.spread++
@@ -203,6 +210,7 @@ func (s *Session) Observe(activated []graph.NodeID) error {
 	if s.res.Remove(s.pending) {
 		s.spread++
 	}
+	s.rounds = appendRound(s.rounds, s.pending, s.spread-before)
 	return nil
 }
 
@@ -212,8 +220,9 @@ func (s *Session) Observe(activated []graph.NodeID) error {
 // alive-list order — and therefore every subsequent uniform root draw —
 // preserved, and the stepper invalidates exactly the cached RR sets that
 // touch a changed edge's target, keeping the rest. The delta is appended
-// to the session's replay log, so checkpoints taken after a mutation
-// restore onto the base instance and replay to the current graph.
+// to the session's replay record with the number of rounds observed so
+// far, so checkpoints taken after a mutation restore onto the base
+// instance and replay to the current graph.
 //
 // Only quiescent sessions mutate: a pending seed must be Observed first
 // (the proposal was computed on the old topology), and finished or voided
@@ -241,7 +250,7 @@ func (s *Session) Mutate(inserts, deletes []graph.Edge) (*graph.DeltaResult, err
 	}
 	s.inst = newInst
 	s.res.SetGraph(newG)
-	s.deltaLog = appendDelta(s.deltaLog, inserts, deletes)
+	s.deltaLog = appendDelta(s.deltaLog, len(s.seeds), inserts, deletes)
 	s.nDeltas++
 	return dres, nil
 }
@@ -318,10 +327,9 @@ func (s *Session) SetInterrupt(f func() error) {
 
 // adgStepper seeds the alive target with the largest estimated marginal
 // profit. The estimate comes from the exact oracle on graphs small enough
-// for enumeration (and from the caller's oracle under RunADG); otherwise
-// it is n_i·Cov(u)/θ over θ = ADGTheta RR sets of the residual, read from
-// a ris.Batcher's coverage counts exactly as the sampling stepper reads
-// its point estimate.
+// for enumeration; otherwise it is n_i·Cov(u)/θ over θ = ADGTheta RR sets
+// of the residual, read from a ris.Batcher's coverage counts exactly as
+// the sampling stepper reads its point estimate.
 type adgStepper struct {
 	orc   oracle.Oracle // nil when sampling
 	query []graph.NodeID

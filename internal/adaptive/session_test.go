@@ -111,9 +111,9 @@ func steppedRun(t *testing.T, inst *Instance, tc sessionCase, seed uint64, churn
 }
 
 // compareRuns checks every deterministic field. SamplingNS is wall clock;
-// RRPeakBytes is capacity-based (ris.Collection.Bytes), and a restored
-// collection's arenas are allocated to the checkpoint's lengths rather
-// than the original growth schedule's capacities, so neither is pinned.
+// RRPeakBytes is capacity-based (ris.Collection.Bytes), and a donated warm
+// batcher keeps the capacities of whatever it held before, so neither is
+// pinned.
 func compareRuns(t *testing.T, name string, got, want *RunResult) {
 	t.Helper()
 	if got.Algorithm != want.Algorithm {
@@ -315,8 +315,9 @@ func TestCheckpointRejectsWrongInstance(t *testing.T) {
 	// Unknown and superseded versions must be refused with the version
 	// error (version 4 laid ADG's payload out differently; version 6
 	// carried two sampling options that are now constants and the
-	// collection's requested count).
-	for _, v := range []uint32{4, 6, 0xFF} {
+	// collection's requested count; version 7 stored RR state instead of
+	// the replay record).
+	for _, v := range []uint32{4, 6, 7, 0xFF} {
 		bad := append([]byte(nil), blob...)
 		binary.LittleEndian.PutUint32(bad[8:], v)
 		_, err := ResumeSession(inst, bad, ResumeOptions{})

@@ -123,15 +123,14 @@ func BenchmarkApplyDeltaChain(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionCheckpoint times adaptive.Session.Checkpoint on the
-// state a churning campaign checkpoints: epinions-s at half scale (66k
-// nodes), LT, ADDATP with two workers, 30 observed rounds with a 0.1%
-// churn delta every second round (each followed by a world resampled on
-// the new graph), so the blob carries a 15-delta log, the removal log and
-// a warm RR collection. The campaign is driven once, outside the timer;
-// blob_KB is the checkpoint's size, and B/op and allocs/op should read
-// one blob-sized allocation.
-func BenchmarkSessionCheckpoint(b *testing.B) {
+// churnSession drives the state a churning campaign checkpoints:
+// epinions-s at half scale (66k nodes), LT, ADDATP with two workers, 30
+// observed rounds with a 0.1% churn delta every second round (each
+// followed by a world resampled on the new graph), so the session holds a
+// 15-delta log, the removal log and a warm RR collection. It returns the
+// base instance with the session.
+func churnSession(b *testing.B) (*adaptive.Instance, *adaptive.Session) {
+	b.Helper()
 	ds, err := gen.Lookup("epinions-s")
 	if err != nil {
 		b.Fatal(err)
@@ -174,6 +173,15 @@ func BenchmarkSessionCheckpoint(b *testing.B) {
 		rz := cascade.Sample(sess.Instance().G, inst.Model, rng.New(uint64(1000+round)))
 		env = adaptive.NewEnvironmentAt(rz, sess.CloneResidual(), sess.Spread())
 	}
+	return inst, sess
+}
+
+// BenchmarkSessionCheckpoint times adaptive.Session.Checkpoint on the
+// churnSession state, driven once outside the timer. blob_KB is the
+// checkpoint's size, and B/op and allocs/op should read one blob-sized
+// allocation.
+func BenchmarkSessionCheckpoint(b *testing.B) {
+	_, sess := churnSession(b)
 	blob, err := sess.Checkpoint()
 	if err != nil {
 		b.Fatal(err)
@@ -183,6 +191,31 @@ func BenchmarkSessionCheckpoint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if blob, err = sess.Checkpoint(); err != nil {
 			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(blob))/1024, "blob_KB")
+}
+
+// BenchmarkSessionResume times adaptive.ResumeSession of the
+// churnSession checkpoint onto its base instance: the replay of 30
+// rounds and 15 deltas, RR draws included. The instance's shared first
+// look is drawn before the timer starts, as a serving registry's is.
+func BenchmarkSessionResume(b *testing.B) {
+	inst, sess := churnSession(b)
+	blob, err := sess.Checkpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := sess.Result()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resumed, err := adaptive.ResumeSession(inst, blob, adaptive.ResumeOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := resumed.Result(); got.RRDrawn != want.RRDrawn || got.Spread != want.Spread {
+			b.Fatalf("resumed session drew %d sets for spread %d, original %d and %d", got.RRDrawn, got.Spread, want.RRDrawn, want.Spread)
 		}
 	}
 	b.ReportMetric(float64(len(blob))/1024, "blob_KB")

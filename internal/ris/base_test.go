@@ -142,33 +142,6 @@ func TestBatcherAdoptsBase(t *testing.T) {
 	if s := b2.Stats(); s.RRDrawn == 0 {
 		t.Fatalf("top-up after a drop copied from the base: %+v", s)
 	}
-
-	// A restored non-empty snapshot never takes base sets again; an empty
-	// one does.
-	b3 := NewBatcher(cascade.IC)
-	b3.SetBase(bs)
-	if err := b3.RestoreState(b2.State(), g.N()); err != nil {
-		t.Fatal(err)
-	}
-	b3.Reset()
-	b3.SetBase(bs)
-	if err := b3.RestoreState(BatcherState{}, g.N()); err != nil {
-		t.Fatal(err)
-	}
-	b3.GrowTo(graph.NewResidual(g), parent, 64, 1)
-	if s := b3.Stats(); s.RRDrawn != 0 || s.RRReused != 64 {
-		t.Fatalf("restored empty snapshot did not copy from the base: %+v", s)
-	}
-	b4 := NewBatcher(cascade.IC)
-	b4.SetBase(bs)
-	snap := b3.State()
-	if err := b4.RestoreState(snap, g.N()); err != nil {
-		t.Fatal(err)
-	}
-	b4.GrowTo(graph.NewResidual(g), parent, 128, 1)
-	if s := b4.Stats(); s.RRDrawn != 64 {
-		t.Fatalf("restored non-empty snapshot took base sets: %+v", s)
-	}
 }
 
 // TestBaseGrowthFaultLeavesBaseIntact: an interrupt or a panic during

@@ -91,12 +91,12 @@ func BenchmarkAppendParallelDBLP(b *testing.B) { benchmarkAppendParallel(b, "dbl
 
 // dropPool draws the pool the drop benchmarks start from: 25k RR sets on
 // g (the paper-scale nethept-s graph), as one first look leaves them.
-func dropPool(g *graph.Graph) CollectionState {
+func dropPool(g *graph.Graph) *Collection {
 	const sets = 25000
 	res := graph.NewResidual(g)
 	base := NewCollection(res.FullN())
 	newSamplerPool(cascade.IC).AppendParallel(base, res, rng.New(3), sets, 1)
-	return base.State()
+	return base
 }
 
 // benchmarkDrop times one drop pass over the dropPool pool, every set
@@ -107,23 +107,21 @@ func dropPool(g *graph.Graph) CollectionState {
 // pass over the arena: this times a campaign's first Sync, not the later
 // ones (BenchmarkSyncRounds times those).
 func benchmarkDrop(b *testing.B, g *graph.Graph, drop func(c *Collection)) {
-	st := dropPool(g)
-	sets, _ := st.Len()
+	pool := dropPool(g)
+	sets := pool.Len()
 	c := NewCollection(g.N())
 	cov := newCoverage(c)
 	kept := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if err := c.RestoreState(st); err != nil {
-			b.Fatal(err)
-		}
+		copyLive(c, pool)
 		cov.Update()
 		b.StartTimer()
 		drop(c)
 		kept += c.Len()
 	}
-	b.ReportMetric(float64(len(st.Arena)), "entries")
+	b.ReportMetric(float64(len(pool.arena)), "entries")
 	b.ReportMetric(float64(sets)-float64(kept)/float64(b.N), "dropped/op")
 }
 
@@ -152,7 +150,7 @@ func BenchmarkInvalidateTouching(b *testing.B) {
 }
 
 // BenchmarkSyncRounds times the adaptive round cycle on the dropPool
-// pool: each op restores the pool onto a warm batcher (off the clock) and
+// pool: each op copies the pool onto a warm batcher (off the clock) and
 // runs syncRounds rounds of — seed the best-covered alive node of 50
 // random targets (a random alive node once none is left) and remove the
 // nodes one sampled IC cascade activates, Sync, GrowTo back to the pool
@@ -163,8 +161,8 @@ func BenchmarkInvalidateTouching(b *testing.B) {
 func BenchmarkSyncRounds(b *testing.B) {
 	const syncRounds = 15
 	g := benchGraph(b)
-	st := dropPool(g)
-	target, _ := st.Len()
+	pool := dropPool(g)
+	target := pool.Len()
 	bt := NewBatcher(cascade.IC)
 	targets := make([]graph.NodeID, 50)
 	pick := rng.New(8)
@@ -176,9 +174,8 @@ func BenchmarkSyncRounds(b *testing.B) {
 	op := func() {
 		b.StopTimer()
 		res := graph.NewResidual(g)
-		if err := bt.RestoreState(BatcherState{Col: st, HasCol: true}, g.N()); err != nil {
-			b.Fatal(err)
-		}
+		copyLive(bt.ensureCol(g.N()), pool)
+		bt.stats = Stats{}
 		bt.Count(targets[0])
 		r, parent := rng.New(6), rng.New(7)
 		b.StartTimer()

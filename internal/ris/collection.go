@@ -30,8 +30,8 @@ import (
 // appends a top-up into the existing collection instead of rebuilding
 // from scratch. Filter reads the nodes removed since the collection's
 // version off the residual's removal log, so that version must come from
-// the history of the residual filtered against: the same view, a Clone of
-// it, or its replay from a checkpoint's removal log.
+// the history of the residual filtered against: the same view or a Clone
+// of it.
 //
 // A dropped set is a tombstone: its slot keeps its place, marked by a
 // deadRoot root, and Len counts only the live sets; its entries are
@@ -66,8 +66,7 @@ type Collection struct {
 	// the previous entry in the same bucket), newest first, each link an
 	// arena position plus one, 0 ending the chain; setAt[k] is the set
 	// holding entry k·setAtStride. Sets [0, indexed) are indexed. Built by
-	// the first query or drop after a compact, Reset or restore (indexed ==
-	// 0).
+	// the first query or drop after a compact or Reset (indexed == 0).
 	head    []int32
 	post    []int32
 	setAt   []int32
@@ -378,7 +377,7 @@ func (c *Collection) dropContaining(nodes []graph.NodeID) int {
 }
 
 // index chains the sets appended since it last ran into the node-to-set
-// index. After a compact, Reset or restore (indexed == 0), or once the
+// index. After a compact or Reset (indexed == 0), or once the
 // arena has outgrown the head buckets, it rebuilds the index: the heads
 // are sized by headBuckets and cleared, and the whole arena is chained in
 // one pass, dropped sets left out. A collection whose first sets were

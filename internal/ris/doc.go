@@ -74,8 +74,9 @@
 //     that Len, Coverage and later walks no longer count. The live sets
 //     move down in order — and slots change — only when the dropped
 //     entries reach the live ones (TestDropMatchesReferenceScan checks
-//     every step against a per-set rescan). Checkpoints write the live
-//     sets only.
+//     every step against a per-set rescan). Checkpoints hold no RR
+//     sets: a restore redraws them by replaying the campaign (see
+//     adaptive.ResumeSession).
 //   - Coverage queries (coverage.go, select.go): CovR(S), incremental
 //     marginals via Marks (stamps per slot), and heap-based CELF greedy
 //     max-coverage — the selection step of IMM (§VI-A). Both walk the

@@ -201,9 +201,9 @@ func slotOf(c *Collection, p int32) int {
 // top-ups, residual clones, topology deltas re-homed with SetGraph and
 // invalidated, Count calls that fold the coverage at random points,
 // drop-only stretches that run until the dropped entries force a
-// compaction, Reset, and a state capture (taken while dropped sets are
-// still in place) restored onto a fresh batcher and a residual replayed
-// from the removal log (the resume path) — and checks the collection and
+// compaction, Reset, and a resume: the live sets (taken while dropped
+// sets are still in place) copied onto a fresh batcher through AddSet and
+// a residual replayed from the removal log — and checks the collection and
 // the target counts after every step against the reference scans of
 // refPool. Odd seeds start with a few adoptions from a shared first look
 // (Base) to chunk-aligned and unaligned ends, with and without a Count
@@ -354,28 +354,14 @@ func TestDropMatchesReferenceScan(t *testing.T) {
 					grow(step)
 				}
 				dropUntilCompaction(step, k == 14)
-			case k < 18: // checkpoint and resume mid-history
-				st := b.State()
-				captured := liveSets(st.Col)
-				entries := 0
-				for _, rr := range captured {
-					entries += len(rr.Nodes)
-				}
-				sameRRSets(t, fmt.Sprintf("step %d (captured state)", step), captured, m.sets)
-				if sets, e := st.Col.Len(); sets != len(m.sets) || e != entries {
-					t.Fatalf("step %d: state counts %d sets and %d entries, holds %d and %d", step, sets, e, len(m.sets), entries)
-				}
-				if st.Col.dropped > 0 {
+			case k < 18: // resume mid-history on a copy of the live sets
+				if b.col.deadSets > 0 {
 					sparseResumes++
 				}
 				nb := NewBatcher(cascade.IC)
 				nb.SetTargets(ti)
-				if err := nb.RestoreState(st, n); err != nil {
-					t.Fatal(err)
-				}
-				if nb.col.deadSets != 0 || len(nb.col.roots) != len(m.sets) {
-					t.Fatalf("step %d: restored %d slots (%d dead), reference %d sets", step, len(nb.col.roots), nb.col.deadSets, len(m.sets))
-				}
+				copyLive(nb.ensureCol(n), b.col)
+				nb.stats = b.stats
 				rep := graph.NewResidual(res.Graph())
 				log := res.Removed()
 				for i := len(log) - 1; i >= 0; i-- {

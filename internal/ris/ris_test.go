@@ -33,21 +33,30 @@ type rrSet struct {
 	Nodes []graph.NodeID
 }
 
-// snapshotSets copies c's live sets out in order (roots + nodes), so a
-// later in-place drop can be cross-checked against a brute-force rescan.
-func snapshotSets(c *Collection) []*rrSet { return liveSets(c.State()) }
-
-// liveSets copies a snapshot's live sets (the slots with a non-negative
-// root) out in order.
-func liveSets(st CollectionState) []*rrSet {
+// snapshotSets copies c's live sets (the slots with a non-negative root)
+// out in order (roots + nodes), so a later in-place drop can be
+// cross-checked against a brute-force rescan.
+func snapshotSets(c *Collection) []*rrSet {
 	var out []*rrSet
-	for i, root := range st.Roots {
+	for i, root := range c.roots {
 		if root >= 0 {
-			nodes := st.Arena[st.Offsets[i]:st.Offsets[i+1]]
-			out = append(out, &rrSet{Root: root, Nodes: append([]graph.NodeID(nil), nodes...)})
+			out = append(out, &rrSet{Root: root, Nodes: append([]graph.NodeID(nil), c.nodesAt(i)...)})
 		}
 	}
 	return out
+}
+
+// copyLive overwrites dst with src's live sets, renumbered densely, at
+// src's version: a pool loaded set by set through AddSet, with no dropped
+// sets, no node-to-set index and nothing counted yet.
+func copyLive(dst, src *Collection) {
+	dst.Reset()
+	for i, root := range src.roots {
+		if root >= 0 {
+			dst.AddSet(root, src.nodesAt(i))
+		}
+	}
+	dst.version = src.version
 }
 
 // nodesAt returns the nodes of the set in slot i as a view into the

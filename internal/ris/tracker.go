@@ -135,8 +135,7 @@ func (cov *Coverage) reset() {
 }
 
 // Stats is the record of a Batcher's sampling work since it was created
-// or Reset (carried over by RestoreState): the one value runs report,
-// reports sum and checkpoints carry. Its JSON names are those of run
+// or Reset: the one value runs report and reports sum. Its JSON names are those of run
 // results and benchmark rows. Every field but SamplingNS is
 // deterministic for a fixed seed.
 type Stats struct {
@@ -224,9 +223,8 @@ func (b *Batcher) SetReuse(on bool) { b.reuse = on }
 // shortfall from the base instead of drawing it, without advancing the
 // parent stream. Each copied set is an independent draw on that residual,
 // so a campaign's estimates keep their law; campaigns sharing a base are
-// correlated through it. Attach it to an empty batcher, after Reset;
-// RestoreState of a non-empty snapshot and the first private draw, drop
-// or delta detach it for good.
+// correlated through it. Attach it to an empty batcher, after Reset; the
+// first private draw, drop or delta detaches it for good.
 func (b *Batcher) SetBase(bs *Base) {
 	if bs != nil && bs.model != b.model {
 		panic("ris: base drawn under a different model than the batcher")

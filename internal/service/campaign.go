@@ -124,7 +124,7 @@ func (r *Registry) openCampaign(inst *Instance, id, algo string, seed uint64, si
 	} else {
 		// The session RNG state rides in the blob; only the world stream is
 		// re-derived here, for the environment below.
-		sess, err = adaptive.ResumeSession(prep.Inst, resume, adaptive.ResumeOptions{Batcher: b})
+		sess, err = resumeSession(prep.Inst, resume, b)
 	}
 	if err != nil {
 		inst.ReturnBatcher(b)
@@ -159,6 +159,19 @@ func (r *Registry) openCampaign(inst *Instance, id, algo string, seed uint64, si
 		c.state.Store(campaignDone)
 	}
 	return c, nil
+}
+
+// resumeSession replays a checkpoint blob into a session on b. The replay
+// runs the campaign's steps again, so a panic in one (an injected batcher
+// fault, say) fails the restore with an error, as it would fail a step,
+// instead of escaping with the instance and batcher checked out.
+func resumeSession(inst *adaptive.Instance, blob []byte, b *ris.Batcher) (sess *adaptive.Session, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			sess, err = nil, fmt.Errorf("service: replaying checkpoint: panic: %v", r)
+		}
+	}()
+	return adaptive.ResumeSession(inst, blob, adaptive.ResumeOptions{Batcher: b})
 }
 
 func (c *Campaign) failIfClosed() error {

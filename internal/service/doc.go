@@ -48,13 +48,17 @@
 // Campaign.Checkpoint writes a self-describing envelope — one JSON header
 // line naming the instance key, algorithm, seed, and mode, followed by
 // the binary adaptive.Session checkpoint — via temp file + atomic rename.
-// Restore reacquires the instance from the header, resumes the session
-// (bit-identical continuation; see adaptive.ResumeSession), and in
-// simulate mode rebuilds the environment in lockstep: the realization
-// is keyed by the stored seed's world stream, so it is sampled on the
-// session's (possibly delta-replayed) graph, next to a clone of the
-// session's restored residual — the same world Follow carried across
-// each delta. This is the only place a world is derived from the seed
+// The session part is its input log (RNG state, seeds, observed
+// removals, topology deltas), never its RR sets. Restore reacquires the
+// instance from the header and resumes the session by replaying that log
+// (bit-identical continuation; see adaptive.ResumeSession), which redoes
+// the campaign's sampling so far: a restore costs about as much as the
+// steps it replays, a checkpoint little more than a copy of the log. In
+// simulate mode, restore also rebuilds the environment in lockstep: the
+// realization is keyed by the stored seed's world stream, so it is
+// sampled on the session's (possibly delta-replayed) graph, next to a
+// clone of the session's restored residual — the same world Follow
+// carried across each delta. This is the only place a world is derived from the seed
 // after the campaign starts. Server.Drain checkpoints every open
 // campaign before shutdown, which is what makes `repro serve`
 // kill/restart/resume transparent to clients.

@@ -209,3 +209,50 @@ func TestVoidedSessionLatchesFailure(t *testing.T) {
 		t.Fatal("checkpoint of a failed campaign succeeded; its state is not trustworthy")
 	}
 }
+
+// TestRestoreReplayPanicFailsCleanly: a restore replays the campaign's
+// steps, so a batcher panic during the replay must fail that restore
+// with an error, hand back the instance reference and the batcher, and
+// leave the checkpoint restorable once the fault clears.
+func TestRestoreReplayPanicFailsCleanly(t *testing.T) {
+	reg := NewRegistry(testSpec(), 0)
+	ref, err := reg.StartCampaign("ref", testKey(), adaptive.AlgoADDATP, 31, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := driveCampaign(t, ref)
+	ref.Close()
+
+	c, err := reg.StartCampaign("p", testKey(), adaptive.AlgoADDATP, 31, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, _, err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path, err := c.Checkpoint(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	withInjector(t, fault.New(3, fault.Rule{Site: fault.SiteBatcherGrow, Mode: fault.ModePanic, Every: 1}))
+	if _, _, err := reg.RestoreCampaign(path); err == nil || !strings.Contains(err.Error(), "panic") {
+		t.Fatalf("restore under a replay panic: %v, want a panic error", err)
+	}
+	fault.Disable()
+	stats := reg.Stats()
+	if len(stats) != 1 || stats[0].Refs != 0 || stats[0].Warm != 1 {
+		t.Fatalf("after the failed restore: %+v, want one entry with no refs and its batcher back", stats)
+	}
+
+	restored, _, err := reg.RestoreCampaign(path)
+	if err != nil {
+		t.Fatalf("restore after the fault cleared: %v", err)
+	}
+	got := driveCampaign(t, restored)
+	restored.Close()
+	sameOutcome(t, got, want, "restore after a failed replay")
+}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -190,16 +191,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("sweep: %w", err)
 		}
 	}
-	okSampler := false
-	for _, p := range adaptive.SamplingPolicies {
-		if s.Sampler == p {
-			okSampler = true
-			break
-		}
-	}
-	if !okSampler {
-		return fmt.Errorf("sweep: unknown sampler %q (have %v)", s.Sampler, adaptive.SamplingPolicies)
-	}
 	if s.Scale <= 0 {
 		return fmt.Errorf("sweep: scale must be positive, got %g", s.Scale)
 	}
@@ -209,12 +200,11 @@ func (s *Spec) Validate() error {
 	if s.K <= 0 {
 		return fmt.Errorf("sweep: k must be positive, got %d", s.K)
 	}
-	if s.Zeta <= 0 || s.Eps <= 0 || s.Delta <= 0 || s.ImmEps <= 0 {
-		return fmt.Errorf("sweep: zeta/eps/delta/imm_eps must be positive (got %g/%g/%g/%g)",
-			s.Zeta, s.Eps, s.Delta, s.ImmEps)
+	if err := s.RunOptions().Validate(); err != nil {
+		return fmt.Errorf("sweep: %w", err)
 	}
-	if s.ADGTheta <= 0 || s.NSGTheta <= 0 {
-		return fmt.Errorf("sweep: adg_theta/nsg_theta must be positive (got %d/%d)", s.ADGTheta, s.NSGTheta)
+	if !(s.ImmEps > 0) || math.IsInf(s.ImmEps, 1) {
+		return fmt.Errorf("sweep: imm_eps must be finite and positive, got %g", s.ImmEps)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -69,6 +70,28 @@ func TestSpecValidateRejectsUnknownAxes(t *testing.T) {
 	}
 	if err := tinySpec().Validate(); err != nil {
 		t.Fatalf("tiny spec invalid: %v", err)
+	}
+}
+
+// TestSpecValidateRejectsBadOptions: the experiment parameters go
+// through adaptive.RunOptions.Validate, the check a checkpoint restore
+// runs on its decoded options, so the two can never disagree.
+func TestSpecValidateRejectsBadOptions(t *testing.T) {
+	for name, mutate := range map[string]func(*Spec){
+		"NaN zeta":         func(s *Spec) { s.Zeta = math.NaN() },
+		"infinite eps":     func(s *Spec) { s.Eps = math.Inf(1) },
+		"zero delta":       func(s *Spec) { s.Delta = 0 },
+		"negative workers": func(s *Spec) { s.Workers = -1 },
+		"zero nsg theta":   func(s *Spec) { s.NSGTheta = 0 },
+		"NaN imm eps":      func(s *Spec) { s.ImmEps = math.NaN() },
+	} {
+		s := tinySpec()
+		mutate(s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: passed validation", name)
+		} else if err := s.RunOptions().Validate(); err == nil && name != "NaN imm eps" {
+			t.Errorf("%s: RunOptions.Validate accepts what Spec.Validate refuses", name)
+		}
 	}
 }
 
