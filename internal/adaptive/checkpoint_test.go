@@ -351,7 +351,8 @@ func TestResumeRestoresPendingAndDone(t *testing.T) {
 // TestResumeRejectsBadOptions: the options a blob carries decide how much
 // work its replay does, so RunOptions.Validate refuses a bad one before
 // anything runs: an unknown policy, a non-finite or non-positive ζ, ε or
-// δ, a negative or absurd worker count, a non-positive ADG or NSG θ.
+// δ, a negative or absurd worker count, an ADG or NSG θ outside
+// [1, maxTheta].
 func TestResumeRejectsBadOptions(t *testing.T) {
 	inst := nethept005Instance(t, "")
 	sess, err := NewSession(inst, AlgoHATP, RunOptions{}, rng.New(5))
@@ -385,6 +386,8 @@ func TestResumeRejectsBadOptions(t *testing.T) {
 		{"2^20 workers", "workers", i64(workersAt, 1<<20)},
 		{"zero ADG theta", "theta", i64(adgAt, 0)},
 		{"negative NSG theta", "theta", i64(adgAt+8, -5)},
+		{"2^40 ADG theta", "theta", i64(adgAt, 1<<40)},
+		{"NSG theta past the cap", "theta", i64(adgAt+8, maxTheta+1)},
 	} {
 		bad := bytes.Clone(blob)
 		e.edit(bad)

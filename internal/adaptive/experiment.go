@@ -62,9 +62,15 @@ func (o *RunOptions) setDefaults() {
 // sampling goroutines.
 const maxWorkers = 1 << 10
 
+// maxTheta bounds ADGTheta and NSGTheta in Validate: 2^24 RR sets is 800
+// times NSG's default and already gigabytes of sets on a paper-scale
+// graph, and a restore must not let a corrupt blob ask for an RR draw
+// that never ends.
+const maxTheta = 1 << 24
+
 // Validate checks fully specified options: a known sampling policy,
 // finite positive ζ, ε and δ, workers in [0, 1024] (0 means GOMAXPROCS)
-// and positive ADG and NSG sample sizes. sweep.Spec.Validate checks a
+// and ADG and NSG sample sizes in [1, 2^24]. sweep.Spec.Validate checks a
 // spec's options with it, and ResumeSession a blob's before it replays
 // the campaign under them; NewSession instead fills zero values with
 // defaults.
@@ -84,8 +90,8 @@ func (o RunOptions) Validate() error {
 	if sp.Workers < 0 || sp.Workers > maxWorkers {
 		return fmt.Errorf("adaptive: workers must be in [0, %d], got %d", maxWorkers, sp.Workers)
 	}
-	if o.ADGTheta <= 0 || o.NSGTheta <= 0 {
-		return fmt.Errorf("adaptive: adg_theta/nsg_theta must be positive (got %d/%d)", o.ADGTheta, o.NSGTheta)
+	if o.ADGTheta <= 0 || o.NSGTheta <= 0 || o.ADGTheta > maxTheta || o.NSGTheta > maxTheta {
+		return fmt.Errorf("adaptive: adg_theta/nsg_theta must be in [1, %d] (got %d/%d)", maxTheta, o.ADGTheta, o.NSGTheta)
 	}
 	return nil
 }

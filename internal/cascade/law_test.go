@@ -21,7 +21,7 @@ func eagerIC(g *graph.Graph, r *rng.RNG) *Realization {
 	for u := 0; u < n; u++ {
 		adj, ps := g.OutNeighbors(graph.NodeID(u))
 		for i, v := range adj {
-			if r.Coin(ps[i]) {
+			if r.Coin(ps.Of(i, v)) {
 				rz.outAdj = append(rz.outAdj, v)
 			}
 		}
@@ -105,7 +105,7 @@ func randomGraph(n, maxIn int, prob func(d int) float64, r *rng.RNG) *graph.Grap
 // first out-neighbor.
 func withOut(g *graph.Graph, u graph.NodeID) graph.Edge {
 	for ; ; u++ {
-		if adj, _ := g.OutNeighbors(u); len(adj) > 0 {
+		if adj := g.OutTargets(u); len(adj) > 0 {
 			return graph.Edge{From: u, To: adj[0]}
 		}
 	}
@@ -114,7 +114,7 @@ func withOut(g *graph.Graph, u graph.NodeID) graph.Edge {
 // pairs lists g's distinct (u,v) pairs with their multiplicities.
 func pairs(g *graph.Graph) (keys [][2]graph.NodeID, mult []int) {
 	for u := graph.NodeID(0); int(u) < g.N(); u++ {
-		adj, _ := g.OutNeighbors(u)
+		adj := g.OutTargets(u)
 		for i, v := range adj {
 			if i > 0 && adj[i-1] == v {
 				mult[len(mult)-1]++
@@ -330,7 +330,7 @@ func TestKeyedWorldSurvivesDelta(t *testing.T) {
 		var run []float64
 		for i, w := range adj {
 			if w == v {
-				run = append(run, ps[i])
+				run = append(run, ps.Of(i, w))
 			}
 		}
 		return run

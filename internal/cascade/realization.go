@@ -137,7 +137,7 @@ func (rz *Realization) AppendLiveOut(dst []graph.NodeID, u graph.NodeID) []graph
 			} else {
 				k = 0
 			}
-			if unit(edgeHash(hu, v, k)) < ps[i] {
+			if unit(edgeHash(hu, v, k)) < ps.Of(i, v) {
 				dst = append(dst, v)
 			}
 		}

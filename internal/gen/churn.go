@@ -61,8 +61,7 @@ func ChurnDeltas(g *graph.Graph, frac float64, r *rng.RNG) (inserts, deletes []g
 				v++
 				lo, hi = hi, hi+int64(g.OutDegree(graph.NodeID(v)))
 			}
-			adj, _ := g.OutNeighbors(graph.NodeID(v))
-			pairs[d.at] = [2]graph.NodeID{graph.NodeID(v), adj[d.idx-lo]}
+			pairs[d.at] = [2]graph.NodeID{graph.NodeID(v), g.OutTargets(graph.NodeID(v))[d.idx-lo]}
 		}
 		for _, pair := range pairs[:draws] {
 			if chosen[pair] {

@@ -76,8 +76,8 @@ func TestWeightedCascadeApplied(t *testing.T) {
 		adj, ps := g.OutNeighbors(u)
 		for i, v := range adj {
 			want := 1 / float64(g.InDegree(v))
-			if math.Abs(ps[i]-want) > 1e-12 {
-				t.Fatalf("edge (%d,%d): p=%v want 1/indeg=%v", u, v, ps[i], want)
+			if p := ps.Of(i, v); math.Abs(p-want) > 1e-12 {
+				t.Fatalf("edge (%d,%d): p=%v want 1/indeg=%v", u, v, p, want)
 			}
 		}
 	}

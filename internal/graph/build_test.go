@@ -55,7 +55,7 @@ func assertMatchesSortReference(t *testing.T, g *Graph, n int, directed bool, ed
 		t.Fatalf("InUniform %v, want %v", g.InUniform(), uniform)
 	}
 	for v := NodeID(0); v < NodeID(n); v++ {
-		adj, ps := g.OutNeighbors(v)
+		adj, ps := outRun(g, v)
 		if len(adj) != len(outRuns[v]) || g.OutDegree(v) != len(adj) {
 			t.Fatalf("node %d: out-degree %d, want %d", v, len(adj), len(outRuns[v]))
 		}

@@ -158,7 +158,11 @@ func (b *Builder) ApplyTrivalency(pick func(i int) int) {
 // the in-runs are scanned in node order and scattered by source into the
 // out-arena, whose runs therefore come out sorted by target, and the
 // out-runs are scanned in node order and scattered by target back into
-// the in-arena, whose runs then come out sorted by source.
+// the in-arena, whose runs then come out sorted by source. The storage
+// mode is settled on the first pass's runs, since whether a run's
+// probabilities are all equal does not depend on its order; the other two
+// passes carry probabilities only on mixed graphs, so a compressed graph
+// never allocates its out-side ones.
 func (b *Builder) Build() *Graph {
 	n := b.n
 	m := int64(len(b.edges))
@@ -171,7 +175,7 @@ func (b *Builder) Build() *Graph {
 		inMeta:      make([]InMeta, n),
 		inBaseLive:  m,
 	}
-	outAdj, outP := make([]NodeID, m), make([]float64, m)
+	outAdj := make([]NodeID, m)
 	inAdj, inP := make([]NodeID, m), make([]float64, m)
 	for _, e := range b.edges {
 		g.outRun[e.From].deg++
@@ -202,6 +206,13 @@ func (b *Builder) Build() *Graph {
 		inAdj[k], inP[k] = e.From, e.P
 		next[e.To]++
 	}
+	// On a mixed graph g.inP now aliases inP, which pass 3 rewrites in
+	// place; a compressed graph keeps nothing of it.
+	g.compressInProbs(Arena[float64]{Base: inP})
+	var outP []float64
+	if !g.uniformIn {
+		outP = make([]float64, m)
+	}
 	// Pass 2: by source; visiting targets in node order sorts each out-run.
 	for u := range next {
 		next[u] = g.outRun[u].start
@@ -211,7 +222,10 @@ func (b *Builder) Build() *Graph {
 		for k := lo; k < hi; k++ {
 			u := inAdj[k]
 			j := next[u]
-			outAdj[j], outP[j] = v, inP[k]
+			outAdj[j] = v
+			if outP != nil {
+				outP[j] = inP[k]
+			}
 			next[u]++
 		}
 	}
@@ -223,24 +237,29 @@ func (b *Builder) Build() *Graph {
 		for j := lo; j < hi; j++ {
 			v := outAdj[j]
 			k := next[v]
-			inAdj[k], inP[k] = u, outP[j]
+			inAdj[k] = u
+			if outP != nil {
+				inP[k] = outP[j]
+			}
 			next[v]++
 		}
 	}
 	g.outAdj.Base, g.outP.Base, g.inAdj.Base = outAdj, outP, inAdj
-	g.compressInProbs(Arena[float64]{Base: inP})
 	return g
 }
 
-// compressInProbs settles the in-probability storage of a graph whose
+// compressInProbs settles the probability storage of a graph whose
 // in-runs are laid out, given the per-edge probabilities parallel to
-// inAdj's tiers. When every node's in-edges share one probability — always the
-// case for ApplyWeightedCascade (p = 1/indeg(v)) and
-// ApplyUniformProbability — the per-edge array is dropped (8 bytes per
-// edge -> 8 bytes per node; ~550 MB on livejournal-s's 69M edges) and
-// success-count sampling tables are precomputed so RR-set samplers can
-// draw a node's successful in-edge count in O(1) instead of one coin per
-// edge. Mixed-probability graphs (trivalency) keep per-edge storage.
+// inAdj's tiers. When every node's in-edges share one probability —
+// always the case for ApplyWeightedCascade (p = 1/indeg(v)) and
+// ApplyUniformProbability — the per-edge array is dropped for a per-node
+// one (8 bytes per edge -> 8 bytes per node; ~550 MB on livejournal-s's
+// 69M edges), which the out side reads by target, so the caller keeps no
+// out-side probabilities either; and success-count sampling tables are
+// precomputed so RR-set samplers can draw a node's successful in-edge
+// count in O(1) instead of one coin per edge. Mixed-probability graphs
+// (trivalency) keep per-edge storage, and the caller keeps it on the out
+// side too. Only the runs' contents are read, in any order.
 func (g *Graph) compressInProbs(inP Arena[float64]) {
 	g.mixedIn = 0
 	for _, m := range g.inMeta {

@@ -48,13 +48,13 @@ type lineage struct {
 // succeeds and the overflow has room. When g is not the tip — a sibling
 // derived from a shared graph, as the first delta of every campaign and
 // of every checkpoint replay is; Builder output has no lineage at all —
-// or the in-probability storage changes mode, the new graph starts a new
+// or the probability storage changes mode, the new graph starts a new
 // lineage. A direction that cannot append compacts only its
 // overflow-resident runs, together with the touched ones, into a fresh
 // overflow with room to grow (see layout). It folds base and overflow
-// into a new, exactly sized base only when the in-probability storage
-// changes mode (in-side only) or when the base plus that compacted
-// overflow would pass twice the live entries. Writes only ever
+// into a new, exactly sized base only when the probability storage
+// changes mode (both directions then fold) or when the base plus that
+// compacted overflow would pass twice the live entries. Writes only ever
 // land past the visible length of every older graph, so g and all its
 // ancestors stay unchanged and safe for concurrent readers, including
 // concurrent ApplyDelta calls on the same g. A delta costs O(N + Δ·deg)
@@ -82,7 +82,10 @@ type lineage struct {
 // A delta that breaks a node's shared in-probability demotes the whole
 // graph to per-edge storage, and one that restores uniformity on a
 // per-edge graph re-compresses — in both cases matching what Build would
-// produce on the edited edge list.
+// produce on the edited edge list. Either change folds both directions:
+// a demotion gives every surviving out-edge (u, v) the probability
+// g's in-side stored for v, and every insert its own; a restore drops the
+// per-edge probabilities of both sides.
 //
 // The returned graph's Epoch is g.Epoch()+1.
 func (g *Graph) ApplyDelta(inserts, deletes []Edge) (*Graph, *DeltaResult, error) {
@@ -147,7 +150,7 @@ func (g *Graph) ApplyDelta(inserts, deletes []Edge) (*Graph, *DeltaResult, error
 	}
 	// Claim the lineage tip, then place each direction's runs, the
 	// out-runs and the in-side tables on a second goroutine. The claim is
-	// not even tried across a storage-mode change, which folds the in-side
+	// not even tried across a storage-mode change, which folds both sides
 	// anyway.
 	claimed := g.lin != nil && uniform == g.uniformIn && g.lin.tip.CompareAndSwap(g.linGen, g.linGen+1)
 	if claimed {
@@ -159,7 +162,7 @@ func (g *Graph) ApplyDelta(inserts, deletes []Edge) (*Graph, *DeltaResult, error
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ng.placeOut(g, &out, claimed)
+		ng.placeOut(g, &out, uniform, claimed)
 		if tables {
 			ng.patchTables(g, &in, probs, claimed)
 		}
@@ -174,11 +177,14 @@ func (g *Graph) ApplyDelta(inserts, deletes []Edge) (*Graph, *DeltaResult, error
 	return ng, &DeltaResult{Touched: in.nodes, Inserted: len(inserts), Deleted: len(deletes)}, nil
 }
 
-// placeOut lays out ng's out-runs (see layout).
-func (ng *Graph) placeOut(g *Graph, out *runEdits, claimed bool) {
+// placeOut lays out ng's out-runs (see layout), with per-edge
+// probabilities only when ng is not uniform, folding them when the
+// storage mode changes. The mode comes as an argument: placeIn, running
+// concurrently, settles ng's in-probability storage.
+func (ng *Graph) placeOut(g *Graph, out *runEdits, uniform, claimed bool) {
 	ng.outRun = slices.Clone(g.outRun)
 	set := func(v NodeID, start, deg int32) { ng.outRun[v] = span{start, deg} }
-	ng.outAdj, ng.outP, ng.outBaseLive = g.layout(out, g.outSource(), ng.m, claimed, false, true, set)
+	ng.outAdj, ng.outP, ng.outBaseLive = g.layout(out, g.outSource(), ng.m, claimed, uniform != g.uniformIn, !uniform, set)
 }
 
 // placeIn lays out ng's in-runs like placeOut, folding them when the
@@ -474,17 +480,35 @@ func (g *Graph) inRunProb(e *runEdits, i int) (p float64, shared, wasShared bool
 type runSource struct {
 	runOf    func(NodeID) (lo, hi int32)
 	adj      Arena[NodeID]
-	p        Arena[float64] // per-edge probabilities parallel to adj, unless nodeP is set
-	nodeP    []float64      // per-node probabilities, or nil
+	p        Arena[float64] // per-edge probabilities parallel to adj, unless shared is set
+	shared   []float64      // compressed storage: the in-probability each node shares, or nil
+	byTarget bool           // an entry's probability is shared[entry], not shared[the run's node]
 	baseLive int64          // live entries in adj's base tier
 }
 
 func (g *Graph) outSource() runSource {
-	return runSource{g.outRange, g.outAdj, g.outP, nil, g.outBaseLive}
+	return runSource{g.outRange, g.outAdj, g.outP, g.inProb, true, g.outBaseLive}
 }
 
 func (g *Graph) inSource() runSource {
-	return runSource{g.inRange, g.inAdj, g.inP, g.inProb, g.inBaseLive}
+	return runSource{g.inRange, g.inAdj, g.inP, g.inProb, false, g.inBaseLive}
+}
+
+// probs returns the probabilities of node v's run, which starts at lo:
+// a view of the per-edge arena, or the shared ones written into *buf.
+func (s *runSource) probs(v NodeID, run []NodeID, lo int32, buf *[]float64) []float64 {
+	if s.shared == nil {
+		return s.p.Run(lo, int32(len(run)))
+	}
+	ps := slices.Grow((*buf)[:0], len(run))[:len(run)]
+	for k, u := range run {
+		if !s.byTarget {
+			u = v
+		}
+		ps[k] = s.shared[u]
+	}
+	*buf = ps
+	return ps
 }
 
 // relayout appends one direction's post-delta runs to adj (and their
@@ -497,24 +521,20 @@ func (g *Graph) inSource() runSource {
 func (g *Graph) relayout(e *runEdits, src runSource, from, at int32, adj []NodeID, ps []float64, withP bool,
 	setRun func(v NodeID, start, deg int32)) ([]NodeID, []float64) {
 	pos := func() int32 { return at + int32(len(adj)) }
+	var buf []float64 // a run's shared probabilities, written out
 	place := func(v NodeID, i int) {
 		lo, hi := src.runOf(v)
 		run := src.adj.Run(lo, hi-lo)
 		var runP []float64
-		var p float64
-		if src.nodeP == nil {
-			runP = src.p.Run(lo, hi-lo)
-		} else {
-			p = src.nodeP[v]
+		if withP {
+			runP = src.probs(v, run, lo, &buf)
 		}
 		start := pos()
 		if i < 0 {
 			adj = append(adj, run...)
-			if withP {
-				ps = appendProbs(ps, runP, p, len(run))
-			}
+			ps = append(ps, runP...)
 		} else {
-			adj, ps = mergeRun(adj, ps, withP, run, runP, p, e.del[e.delOff[i]:e.delOff[i+1]],
+			adj, ps = mergeRun(adj, ps, withP, run, runP, e.del[e.delOff[i]:e.delOff[i+1]],
 				e.ins[e.insOff[i]:e.insOff[i+1]], e.insP[e.insOff[i]:e.insOff[i+1]])
 		}
 		setRun(v, start, pos()-start)
@@ -526,8 +546,8 @@ func (g *Graph) relayout(e *runEdits, src runSource, from, at int32, adj []NodeI
 		return adj, ps
 	}
 	// Unedited runs lying back to back in one tier of the source move as
-	// one block, unless their probabilities must be materialized per node.
-	batch := !withP || src.nodeP == nil
+	// one block, unless their probabilities must be written out per run.
+	batch := !withP || src.shared == nil
 	split := int32(len(src.adj.Base))
 	blo, bhi := int32(0), int32(0)
 	flush := func() {
@@ -564,20 +584,6 @@ func (g *Graph) relayout(e *runEdits, src runSource, from, at int32, adj []NodeI
 	return adj, ps
 }
 
-// appendProbs appends a run's n probabilities: runP when per-edge, else n
-// copies of the shared p.
-func appendProbs(ps, runP []float64, p float64, n int) []float64 {
-	if runP != nil {
-		return append(ps, runP...)
-	}
-	k := len(ps)
-	ps = slices.Grow(ps, n)[:k+n]
-	for i := k; i < len(ps); i++ {
-		ps[i] = p
-	}
-	return ps
-}
-
 // mergeRun appends one node's post-delta run: its old run minus one
 // occurrence per deleted neighbor, plus the inserted ones, in neighbor
 // order with old entries ahead of equal inserts. old, del and ins are all
@@ -585,19 +591,14 @@ func appendProbs(ps, runP []float64, p float64, n int) []float64 {
 // forward from the previous one for its position, and the old entries
 // between edits move as one block. The run is copied whole anyway, so the
 // scans cost no more than the copy. A delete removes the first matching
-// old entry. Probabilities come from oldP, or the shared p when oldP is
-// nil.
-func mergeRun(adj []NodeID, ps []float64, withP bool, old []NodeID, oldP []float64, p float64,
+// old entry. When withP, oldP holds the old entries' probabilities.
+func mergeRun(adj []NodeID, ps []float64, withP bool, old []NodeID, oldP []float64,
 	del, ins []NodeID, insP []float64) ([]NodeID, []float64) {
 	i := 0 // old entries before i are placed or deleted
 	emit := func(k int) {
 		adj = append(adj, old[i:k]...)
 		if withP {
-			var runP []float64
-			if oldP != nil {
-				runP = oldP[i:k]
-			}
-			ps = appendProbs(ps, runP, p, k-i)
+			ps = append(ps, oldP[i:k]...)
 		}
 		i = k
 	}

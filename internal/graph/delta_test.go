@@ -7,6 +7,16 @@ import (
 	"repro/internal/rng"
 )
 
+// outRun returns u's out-run with its edges' probabilities written out.
+func outRun(g *Graph, u NodeID) ([]NodeID, []float64) {
+	adj, ps := g.OutNeighbors(u)
+	p := make([]float64, len(adj))
+	for i, v := range adj {
+		p[i] = ps.Of(i, v)
+	}
+	return adj, p
+}
+
 // assertGraphsEquivalent checks that got (an ApplyDelta product) is
 // structurally identical, per node, to want (a Builder.Build from-scratch
 // rebuild on the edited edge list) — ApplyDelta's documented contract.
@@ -46,8 +56,8 @@ func assertGraphsEquivalent(t *testing.T, got, want *Graph) {
 		}
 	}
 	for v := NodeID(0); v < got.n; v++ {
-		ga, gp := got.OutNeighbors(v)
-		wa, wp := want.OutNeighbors(v)
+		ga, gp := outRun(got, v)
+		wa, wp := outRun(want, v)
 		sameRun("out", v, ga, wa, gp, wp)
 		ga, gp = got.InNeighbors(v)
 		wa, wp = want.InNeighbors(v)

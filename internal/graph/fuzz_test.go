@@ -103,6 +103,8 @@ func FuzzApplyDelta(f *testing.F) {
 	f.Add(5, []byte{0, 1, 40, 1, 2, 40}, []byte{2, 3, 255}, []byte{}, byte(1)) // NaN insert
 	f.Add(5, []byte{0, 1, 40, 1, 2, 40}, []byte{2, 2, 80}, []byte{}, byte(2))  // self-loop insert
 	f.Add(8, bytes.Repeat([]byte{1, 2, 77}, 6), []byte{0, 9, 80, 3, 4, 254}, []byte{1, 2, 0, 1, 2, 0}, byte(1))
+	f.Add(5, []byte{2, 3, 60, 4, 3, 60}, []byte{5, 3, 100}, []byte{}, byte(2)) // demote: (3,1) at 0.5 beside 0.3
+	f.Add(5, []byte{2, 3, 60, 4, 3, 100}, []byte{}, []byte{4, 3, 0}, byte(0))  // restore: node 1's odd edge deleted
 	f.Fuzz(func(t *testing.T, n int, base, ins, dels []byte, mode byte) {
 		if n < 0 || n > fuzzMaxNodes || len(base) > 3*2048 || len(ins) > 3*256 || len(dels) > 3*256 {
 			t.Skip()

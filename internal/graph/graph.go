@@ -28,21 +28,24 @@
 // overflow has no room, compacts just the overflow-resident runs into a
 // fresh overflow with room to grow. A direction folds base and overflow
 // into a new base — the one full relayout, now rare — only when the
-// in-probability storage changes mode, or when the base plus a compacted
+// probability storage changes mode, or when the base plus a compacted
 // overflow with room to double would pass twice the live entries.
 // A delta therefore costs O(N + Δ·deg) rather than O(M), amortized, and a
 // direction never holds more than twice its live entries.
 //
-// In-probability storage is dual. Build detects when every node's
-// in-edges share one probability — always true for the paper's
-// weighted-cascade weighting p(u,v) = 1/indeg(v) and for uniform edge
-// probabilities — and then compresses the per-edge array into a per-node
-// one (InUniform / InNeighborsUniform): 8 bytes per node instead of per
-// edge, ~550 MB less on livejournal-s's 69M edges. Compression also
+// Probability storage is dual. Build detects when every node's in-edges
+// share one probability — always true for the paper's weighted-cascade
+// weighting p(u,v) = 1/indeg(v) and for uniform edge probabilities — and
+// then keeps one probability per node (InUniform / InNeighborsUniform)
+// in place of one per edge in either direction: an out-edge (u, v) reads
+// the probability v's in-edges share, so an arc costs 8 bytes (its
+// target's and its source's IDs) instead of the 24 of per-edge storage,
+// ~1.1 GB less on livejournal-s's 69M edges. Compression also
 // precomputes per-node success-count tables (InCountThresholds) and
-// packed sampler metadata (InSamplerTables) that let RR-set samplers draw
-// a node's successful in-edge count in O(1). Mixed-probability graphs
-// (trivalency) keep the per-edge fallback and the accessor-based API.
+// packed sampler metadata (InSamplerTables) that let RR-set samplers
+// draw a node's successful in-edge count in O(1).
+// Mixed-probability graphs (trivalency) keep a per-edge probability
+// beside every arc on both sides and the accessor-based API.
 //
 // Nodes keep the IDs 0..N-1 given to the Builder. Adjacency runs are
 // sorted by neighbor ID, parallel edges of one (from, to) pair keep the
@@ -78,27 +81,29 @@ type Graph struct {
 	m int64
 
 	// Out-adjacency: the edges leaving node u are
-	// outAdj.Run(outRun[u].start, outRun[u].deg), probabilities in outP at
-	// the same positions. The arenas may hold runs no node references
-	// (see the package doc). outBaseLive counts the entries of live runs
-	// in the base tier.
+	// outAdj.Run(outRun[u].start, outRun[u].deg). The arenas may hold
+	// runs no node references (see the package doc). outBaseLive counts
+	// the entries of live runs in the base tier. outP holds per-edge
+	// probabilities at the same positions on mixed graphs only; with
+	// uniformIn it is empty, and edge (u, v) has probability inProb[v]:
+	// an arc is the same edge in both directions.
 	outRun      []span
 	outAdj      Arena[NodeID]
-	outP        Arena[float64]
+	outP        Arena[float64] // per-edge; empty when uniformIn
 	outBaseLive int64
 
 	// In-adjacency: the sources of the edges entering node v are
 	// inAdj.Run(inMeta[v].Start, inMeta[v].Deg). Probability storage is
 	// dual: when every node's in-edges share one probability (always true
-	// for weighted-cascade and ApplyUniformProbability weightings) the
-	// per-edge inP is dropped and a single per-node inProb is kept instead
-	// — 8 bytes per node instead of 8 bytes per edge, which is what lets
-	// livejournal-scale in-adjacency fit in memory. Mixed-probability
-	// graphs (trivalency) keep the per-edge inP fallback, parallel to
-	// inAdj; mixedIn counts their nodes whose in-edges do not share one
-	// probability (0 exactly when uniformIn), so ApplyDelta can tell in
-	// O(Δ) when a delta restores uniformity. inBaseLive is outBaseLive's
-	// in-side twin.
+	// for weighted-cascade and ApplyUniformProbability weightings) no
+	// per-edge probability is kept on either side, only a per-node inProb
+	// — 8 bytes per node instead of 16 per edge, which is what lets
+	// livejournal-scale graphs fit in memory. Mixed-probability graphs
+	// (trivalency) keep the per-edge inP fallback, parallel to inAdj as
+	// outP is to outAdj; mixedIn counts their nodes whose in-edges do not
+	// share one probability (0 exactly when uniformIn), so ApplyDelta can
+	// tell in O(Δ) when a delta restores uniformity. inBaseLive is
+	// outBaseLive's in-side twin.
 	inMeta     []InMeta
 	inAdj      Arena[NodeID]
 	inP        Arena[float64] // per-edge; empty when uniformIn
@@ -239,12 +244,41 @@ func (g *Graph) inRange(v NodeID) (lo, hi int32) {
 	return m.Start, m.Start + m.Deg
 }
 
-// OutNeighbors returns the targets of edges leaving u and their
-// probabilities. The returned slices alias internal storage and must not
-// be modified.
-func (g *Graph) OutNeighbors(u NodeID) ([]NodeID, []float64) {
+// OutTargets returns the targets of the edges leaving u, sorted by ID.
+// The result aliases internal storage and must not be modified.
+func (g *Graph) OutTargets(u NodeID) []NodeID {
 	r := g.outRun[u]
-	return runWithProbs(g.outAdj, g.outP, r.start, r.deg)
+	return g.outAdj.Run(r.start, r.deg)
+}
+
+// OutNeighbors returns the targets of the edges leaving u, sorted by ID,
+// and their probabilities: ps.Of(i, adj[i]) is the probability of edge
+// (u, adj[i]). Neither allocates; adj aliases internal storage and must
+// not be modified. Callers that need only the targets use OutTargets.
+func (g *Graph) OutNeighbors(u NodeID) (adj []NodeID, ps OutProbs) {
+	r := g.outRun[u]
+	if g.uniformIn {
+		return g.outAdj.Run(r.start, r.deg), OutProbs{g.inProb, true}
+	}
+	adj, p := runWithProbs(g.outAdj, g.outP, r.start, r.deg)
+	return adj, OutProbs{p, false}
+}
+
+// OutProbs resolves the probabilities of one out-run's edges where they
+// are stored: per edge, parallel to the run, on mixed graphs, and on
+// compressed (InUniform) graphs as the in-probability each target
+// shares.
+type OutProbs struct {
+	p        []float64
+	byTarget bool // p is indexed by target, not by position in the run
+}
+
+// Of returns the probability of the run's edge i, whose target is v.
+func (o OutProbs) Of(i int, v NodeID) float64 {
+	if o.byTarget {
+		return o.p[v]
+	}
+	return o.p[i]
 }
 
 // runWithProbs returns the run at start of an adjacency arena and of the
@@ -349,7 +383,7 @@ func (g *Graph) Edges() []Edge {
 	for u := int32(0); u < g.n; u++ {
 		adj, ps := g.OutNeighbors(u)
 		for i, v := range adj {
-			edges = append(edges, Edge{From: u, To: v, P: ps[i]})
+			edges = append(edges, Edge{From: u, To: v, P: ps.Of(i, v)})
 		}
 	}
 	return edges
@@ -364,7 +398,7 @@ func (g *Graph) EdgeProbability(u, v NodeID) (float64, bool) {
 	adj, ps := g.OutNeighbors(u)
 	i, found := slices.BinarySearch(adj, v)
 	if found {
-		return ps[i], true
+		return ps.Of(i, v), true
 	}
 	return 0, false
 }
@@ -376,7 +410,7 @@ func (g *Graph) Validate() error {
 	if len(g.outRun) != int(g.n) || len(g.inMeta) != int(g.n) {
 		return fmt.Errorf("graph: run index length mismatch for n=%d", g.n)
 	}
-	if len(g.outP.Base) != len(g.outAdj.Base) || len(g.outP.Over) != len(g.outAdj.Over) {
+	if !g.uniformIn && (len(g.outP.Base) != len(g.outAdj.Base) || len(g.outP.Over) != len(g.outAdj.Over)) {
 		return fmt.Errorf("graph: out arena lengths differ: adj=%d+%d p=%d+%d",
 			len(g.outAdj.Base), len(g.outAdj.Over), len(g.outP.Base), len(g.outP.Over))
 	}
@@ -400,7 +434,7 @@ func (g *Graph) Validate() error {
 			if u < 0 || u >= g.n {
 				return fmt.Errorf("graph: out edge %d of node %d targets invalid node %d", i, v, u)
 			}
-			if p := ps[i]; !(p > 0 && p <= 1) { // negated form also catches NaN
+			if p := ps.Of(i, u); !(p > 0 && p <= 1) { // negated form also catches NaN
 				return fmt.Errorf("graph: out edge (%d,%d) has probability %v outside (0,1]", v, u, p)
 			}
 		}
@@ -414,7 +448,7 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: cached max in-degree %d, want %d", g.maxInDeg, maxIn)
 	}
 	if g.uniformIn {
-		if g.inP.Base != nil || g.inP.Over != nil || g.mixedIn != 0 {
+		if g.inP.Base != nil || g.inP.Over != nil || g.outP.Base != nil || g.outP.Over != nil || g.mixedIn != 0 {
 			return fmt.Errorf("graph: uniform in-probability storage retains per-edge state")
 		}
 		if len(g.inProb) != int(g.n) || len(g.inTabOff) != int(g.n) {
@@ -449,7 +483,7 @@ func (g *Graph) Validate() error {
 	// source): the binary-searched EdgeProbability and deterministic
 	// layouts rely on it.
 	for u := int32(0); u < g.n; u++ {
-		adj, _ := g.OutNeighbors(u)
+		adj := g.OutTargets(u)
 		for i := 1; i < len(adj); i++ {
 			if adj[i-1] > adj[i] {
 				return fmt.Errorf("graph: out-adjacency of node %d not sorted at %d", u, i)
@@ -517,7 +551,7 @@ func (g *Graph) Validate() error {
 		for u := int32(0); u < g.n; u++ {
 			adj, ps := g.OutNeighbors(u)
 			for i, v := range adj {
-				fwd[key{u, v}] = append(fwd[key{u, v}], ps[i])
+				fwd[key{u, v}] = append(fwd[key{u, v}], ps.Of(i, v))
 			}
 		}
 		for v := int32(0); v < g.n; v++ {

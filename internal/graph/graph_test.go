@@ -51,7 +51,7 @@ func TestInOutConsistency(t *testing.T) {
 	g := MustFromEdges(7, true, fig1Edges())
 	// Every out edge must appear as an in edge with the same probability.
 	for u := int32(0); u < int32(g.N()); u++ {
-		adj, ps := g.OutNeighbors(u)
+		adj, ps := outRun(g, u)
 		for i, v := range adj {
 			srcs, qs := g.InNeighbors(v)
 			found := false

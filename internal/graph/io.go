@@ -39,7 +39,7 @@ func Write(w io.Writer, g *Graph) error {
 	for u := int32(0); u < int32(g.N()); u++ {
 		adj, ps := g.OutNeighbors(u)
 		for i, v := range adj {
-			if _, err := fmt.Fprintf(bw, "%d %d %g\n", u, v, ps[i]); err != nil {
+			if _, err := fmt.Fprintf(bw, "%d %d %g\n", u, v, ps.Of(i, v)); err != nil {
 				return err
 			}
 		}

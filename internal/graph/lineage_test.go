@@ -213,11 +213,11 @@ func TestApplyDeltaArenaBound(t *testing.T) {
 // the runs the whole chain has rewritten in place of the delta's own: an
 // overflow compaction moves those, with room for eight more deltas.
 func TestApplyDeltaChainAllocations(t *testing.T) {
-	const n, m, k = 2000, 60000, 10
+	const n, m, k = 2000, 120000, 10
 	r := rng.New(5)
 	edges := randomDeltaEdges(r, n, m, weightWC)
 	g := MustFromEdges(n, true, edges)
-	baseBytes := uint64(m) * (4 + 8 + 4)    // outAdj, outP and inAdj
+	baseBytes := uint64(m) * (4 + 4)        // outAdj and inAdj; no outP on a compressed graph
 	perNode := uint64(n) * (8 + 16 + 8 + 4) // outRun, inMeta, inProb and inTabOff
 	rewritten := uint64(0)
 	for i := 0; i < 6; i++ {
@@ -230,12 +230,12 @@ func TestApplyDeltaChainAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Each rewritten run costs its in-entries (sources) or out-entries
-		// (targets and probabilities).
+		// (targets; the compressed graph keeps no per-edge probabilities).
 		for _, v := range dres.Touched {
 			rewritten += 4 * uint64(next.InDegree(v))
 		}
 		for _, e := range append(ins, dels...) {
-			rewritten += 12 * uint64(next.OutDegree(e.From))
+			rewritten += 4 * uint64(next.OutDegree(e.From))
 		}
 		bound := perNode + 9*rewritten + 32<<10
 		if i == 0 && 4*bound > baseBytes {
@@ -297,12 +297,12 @@ func TestApplyDeltaSiblingsShareBase(t *testing.T) {
 		assertGraphsEquivalent(t, base, MustFromEdges(n, true, baseEdges))
 		for c, steps := range chains {
 			first := steps[0].g
-			if !sameArray(first.outAdj.Base, base.outAdj.Base) || !sameArray(first.outP.Base, base.outP.Base) ||
-				!sameArray(first.inAdj.Base, base.inAdj.Base) {
+			if !sameArray(first.outAdj.Base, base.outAdj.Base) || !sameArray(first.inAdj.Base, base.inAdj.Base) {
 				t.Fatalf("weighting %d sibling %d: the first delta copied the base arenas", weighting, c)
 			}
-			if !base.InUniform() && !first.InUniform() && !sameArray(first.inP.Base, base.inP.Base) {
-				t.Fatalf("weighting %d sibling %d: the first delta copied the per-edge in-probabilities", weighting, c)
+			if !base.InUniform() && !first.InUniform() &&
+				(!sameArray(first.outP.Base, base.outP.Base) || !sameArray(first.inP.Base, base.inP.Base)) {
+				t.Fatalf("weighting %d sibling %d: the first delta copied the per-edge probabilities", weighting, c)
 			}
 			// The overflows hold exactly the touched runs.
 			outRuns, inRuns := 0, 0

@@ -141,8 +141,7 @@ func (r *Residual) M() int64 {
 		if r.pos[u] < 0 {
 			continue
 		}
-		adj, _ := r.g.OutNeighbors(u)
-		for _, v := range adj {
+		for _, v := range r.g.OutTargets(u) {
 			if r.pos[v] >= 0 {
 				m++
 			}

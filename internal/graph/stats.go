@@ -51,8 +51,9 @@ func ComputeStats(g *Graph) Stats {
 		if od == 0 && id == 0 {
 			s.Isolated++
 		}
-		_, ps := g.OutNeighbors(NodeID(u))
-		for _, p := range ps {
+		adj, ps := g.OutNeighbors(NodeID(u))
+		for i, v := range adj {
+			p := ps.Of(i, v)
 			if p < minP {
 				minP = p
 			}
@@ -112,8 +113,7 @@ func weakComponents(g *Graph) int {
 		}
 	}
 	for u := int32(0); u < int32(g.N()); u++ {
-		adj, _ := g.OutNeighbors(u)
-		for _, v := range adj {
+		for _, v := range g.OutTargets(u) {
 			union(u, v)
 		}
 	}

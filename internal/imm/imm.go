@@ -94,6 +94,7 @@ func Select(g *graph.Graph, k int, opts Options) (*Result, error) {
 	epsPrime := float64(math.Sqrt2 * eps)
 	lambdaPrime := (2 + float64(2*epsPrime/3)) * (logChooseNK + float64(ellP*math.Log(nf)) + math.Log(math.Log2(math.Max(nf, 2)))) * nf / (epsPrime * epsPrime)
 	lb := 1.0
+	all := allNodes(n) // every node is a candidate in both phases
 	maxI := int(math.Ceil(math.Log2(nf))) - 1
 	if maxI < 1 {
 		maxI = 1
@@ -108,7 +109,6 @@ func Select(g *graph.Graph, k int, opts Options) (*Result, error) {
 			return nil, err
 		}
 		collection := b.Collection()
-		all := allNodes(n)
 		seeds, cum := collection.GreedyMaxCoverage(all, k)
 		if len(seeds) == 0 {
 			break
@@ -139,7 +139,7 @@ func Select(g *graph.Graph, k int, opts Options) (*Result, error) {
 		return nil, err
 	}
 	collection := b.Collection()
-	seeds, cum := collection.GreedyMaxCoverage(allNodes(n), k)
+	seeds, cum := collection.GreedyMaxCoverage(all, k)
 	spread := 0.0
 	if len(cum) > 0 {
 		spread = nf * float64(cum[len(cum)-1]) / float64(collection.Len())

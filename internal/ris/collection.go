@@ -78,6 +78,8 @@ type Collection struct {
 	// until a compaction moves them.
 	shared     *Collection
 	sharedSets int
+
+	sel selectScratch // GreedyMaxCoverage's buffers, reused across calls
 }
 
 // setAtStride is the spacing of the index's entry-to-set samples: a

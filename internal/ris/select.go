@@ -2,6 +2,7 @@ package ris
 
 import (
 	"container/heap"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -10,6 +11,16 @@ import (
 // serial; workers parallelize RR generation only, because sharding
 // selection did not shorten it at the ≤ 2 workers every benchmark
 // workload runs with (see README).
+
+// selectScratch is GreedyMaxCoverage's working storage, kept on the
+// collection: IMM selects once per θ guess and once more on the final
+// sample, and would otherwise allocate n counts, a candidate heap and a
+// mark per set on every call.
+type selectScratch struct {
+	held  []int32 // live sets holding each node
+	heap  celfHeap
+	marks *Marks
+}
 
 // celfEntry is a lazily evaluated candidate: gain is its marginal coverage
 // as of selection round `round`.
@@ -64,16 +75,25 @@ func (h *celfHeap) popTop() celfEntry {
 // are the candidates' set counts, taken in one pass over the arena; a
 // candidate no live set holds could only be picked at gain zero, which
 // ends the selection, so it never enters the heap. Marginals walk the
-// node-to-set index (Marks).
+// node-to-set index (Marks). The counts, heap and marks are kept on the
+// collection (selectScratch) for the next call.
 func (c *Collection) GreedyMaxCoverage(candidates []graph.NodeID, k int) ([]graph.NodeID, []int) {
-	m := c.NewMarks()
-	held := make([]int32, c.n)
+	sc := &c.sel
+	if sc.marks == nil {
+		sc.marks = c.NewMarks()
+	} else {
+		sc.marks.Reset()
+	}
+	m := sc.marks
+	held := slices.Grow(sc.held[:0], c.n)[:c.n]
+	clear(held)
+	sc.held = held
 	for _, u := range c.arena {
 		if u >= 0 { // a dropped set's entries are complemented
 			held[u]++
 		}
 	}
-	h := make(celfHeap, 0, len(candidates))
+	h := slices.Grow(sc.heap[:0], len(candidates))
 	for _, u := range candidates {
 		if held[u] > 0 {
 			h = append(h, celfEntry{node: u, gain: int(held[u])})
@@ -99,5 +119,6 @@ func (c *Collection) GreedyMaxCoverage(candidates []graph.NodeID, k int) ([]grap
 		chosen = append(chosen, top.node)
 		cum = append(cum, m.Count())
 	}
+	sc.heap = h[:0]
 	return chosen, cum
 }

@@ -110,7 +110,9 @@ func indexLayouts(t *testing.T) []indexLayout {
 // behind CELF's laziness: on every indexLayouts collection it must return
 // exactly the seed sequence and cumulative coverage curve of plain greedy
 // (a full marginal rescan per pick over the legacy layout of the live
-// sets).
+// sets). Each compared selection follows a single-pick one on the
+// reversed candidates, so it runs on the counts, heap and marks that one
+// left on the collection, and must reuse them.
 func TestGreedyMaxCoverageMatchesPlainGreedy(t *testing.T) {
 	for _, tc := range indexLayouts(t) {
 		c := tc.c
@@ -123,7 +125,14 @@ func TestGreedyMaxCoverageMatchesPlainGreedy(t *testing.T) {
 			candidates[i] = graph.NodeID(i)
 		}
 		wantSeeds, wantCum := leg.greedy(candidates, tc.k)
+		reversed := slices.Clone(candidates)
+		slices.Reverse(reversed)
+		c.GreedyMaxCoverage(reversed, 1)
+		held, marks := &c.sel.held[0], c.sel.marks
 		gotSeeds, gotCum := c.GreedyMaxCoverage(candidates, tc.k)
+		if &c.sel.held[0] != held || c.sel.marks != marks {
+			t.Fatalf("%s: the second selection reallocated its counts or marks", tc.name)
+		}
 		if len(gotSeeds) != len(wantSeeds) {
 			t.Fatalf("%s: chose %d seeds, plain greedy %d", tc.name, len(gotSeeds), len(wantSeeds))
 		}

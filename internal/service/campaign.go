@@ -44,6 +44,10 @@ type Campaign struct {
 	env     *adaptive.Environment // nil in external-feedback mode
 	batcher *ris.Batcher
 	closed  bool
+	// halt is set by Close before it waits for mu; the session polls it
+	// (interrupted), so closing cuts an in-flight step or checkpoint
+	// replay short within a stride of RR draws.
+	halt atomic.Bool
 
 	// failErr, once set, marks the campaign permanently failed: a panic
 	// inside an operation (caught by guard) or a voided session. Every
@@ -90,7 +94,7 @@ func (r *Registry) StartCampaign(id string, key Key, algo string, seed uint64, s
 	if err != nil {
 		return nil, err
 	}
-	c, err := r.openCampaign(inst, id, algo, seed, simulate, nil)
+	c, err := r.openCampaign(inst, id, algo, seed, simulate, nil, nil)
 	if err != nil {
 		inst.Release()
 		return nil, err
@@ -98,11 +102,24 @@ func (r *Registry) StartCampaign(id string, key Key, algo string, seed uint64, s
 	return c, nil
 }
 
+// errCampaignClosed is what a session's interrupt answers once Close has
+// begun.
+var errCampaignClosed = errors.New("service: campaign closed")
+
+// interrupted is every campaign session's interrupt poll.
+func (c *Campaign) interrupted() error {
+	if c.halt.Load() {
+		return errCampaignClosed
+	}
+	return nil
+}
+
 // openCampaign builds the campaign around an already acquired instance.
 // resume, when non-nil, restores the session from a checkpoint blob
-// instead of starting fresh. Ownership of inst transfers on success only:
-// the campaign holds it, whatever its session's topology, until Close.
-func (r *Registry) openCampaign(inst *Instance, id, algo string, seed uint64, simulate bool, resume []byte) (*Campaign, error) {
+// instead of starting fresh; stop, when non-nil, is polled through the
+// replay, and its error ends the restore. Ownership of inst transfers on success only: the campaign
+// holds it, whatever its session's topology, until Close.
+func (r *Registry) openCampaign(inst *Instance, id, algo string, seed uint64, simulate bool, resume []byte, stop func() error) (*Campaign, error) {
 	prep, err := inst.Prepared()
 	if err != nil {
 		return nil, err
@@ -111,9 +128,10 @@ func (r *Registry) openCampaign(inst *Instance, id, algo string, seed uint64, si
 	if err != nil {
 		return nil, err
 	}
+	c := &Campaign{ID: id, Algo: algo, Seed: seed, Simulate: simulate, inst: inst, batcher: b}
 	spec := r.Spec()
 	opts := spec.RunOptions()
-	opts.Batcher = b
+	opts.Batcher, opts.Interrupt = b, c.interrupted
 
 	root := rng.New(seed)
 	worldRNG := root.Split()
@@ -124,7 +142,12 @@ func (r *Registry) openCampaign(inst *Instance, id, algo string, seed uint64, si
 	} else {
 		// The session RNG state rides in the blob; only the world stream is
 		// re-derived here, for the environment below.
-		sess, err = resumeSession(prep.Inst, resume, b)
+		// Nothing can close c before it is returned, so only stop bounds
+		// the replay; the steps after it poll c's interrupt, as a fresh
+		// session's do.
+		if sess, err = resumeSession(prep.Inst, resume, b, stop); err == nil {
+			sess.SetInterrupt(c.interrupted)
+		}
 	}
 	if err != nil {
 		inst.ReturnBatcher(b)
@@ -145,12 +168,9 @@ func (r *Registry) openCampaign(inst *Instance, id, algo string, seed uint64, si
 		// before the checkpoint, so the environment resumes in lockstep.
 		env = adaptive.NewEnvironmentAt(rz, sess.CloneResidual(), sess.Spread())
 	}
-	key := inst.Key
-	key.Epoch = int64(sess.Mutations())
-	c := &Campaign{
-		ID: id, Key: key, Algo: algo, Seed: seed, Simulate: simulate,
-		inst: inst, sess: sess, env: env, batcher: b,
-	}
+	c.Key = inst.Key
+	c.Key.Epoch = int64(sess.Mutations())
+	c.sess, c.env = sess, env
 	if m := r.metrics; m != nil {
 		c.m = m
 		c.traf = m.trafficFor(inst.Key)
@@ -161,17 +181,18 @@ func (r *Registry) openCampaign(inst *Instance, id, algo string, seed uint64, si
 	return c, nil
 }
 
-// resumeSession replays a checkpoint blob into a session on b. The replay
-// runs the campaign's steps again, so a panic in one (an injected batcher
-// fault, say) fails the restore with an error, as it would fail a step,
-// instead of escaping with the instance and batcher checked out.
-func resumeSession(inst *adaptive.Instance, blob []byte, b *ris.Batcher) (sess *adaptive.Session, err error) {
+// resumeSession replays a checkpoint blob into a session on b, polling
+// interrupt through the replay. The replay runs the campaign's steps
+// again, so a panic in one (an injected batcher fault, say) fails the
+// restore with an error, as it would fail a step, instead of escaping
+// with the instance and batcher checked out.
+func resumeSession(inst *adaptive.Instance, blob []byte, b *ris.Batcher, interrupt func() error) (sess *adaptive.Session, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			sess, err = nil, fmt.Errorf("service: replaying checkpoint: panic: %v", r)
 		}
 	}()
-	return adaptive.ResumeSession(inst, blob, adaptive.ResumeOptions{Batcher: b})
+	return adaptive.ResumeSession(inst, blob, adaptive.ResumeOptions{Batcher: b, Interrupt: interrupt})
 }
 
 func (c *Campaign) failIfClosed() error {
@@ -410,6 +431,7 @@ func (c *Campaign) Result() *adaptive.RunResult {
 // Close releases the campaign's resources (warm batcher back to the
 // instance pool, instance reference back to the registry). Idempotent.
 func (c *Campaign) Close() {
+	c.halt.Store(true)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -674,6 +696,13 @@ type RestoreInfo struct {
 // was quarantined; the error reflects the *first* failure when no
 // candidate restores.
 func (r *Registry) RestoreCampaign(file string) (*Campaign, *RestoreInfo, error) {
+	return r.restoreCampaign(file, nil)
+}
+
+// restoreCampaign is RestoreCampaign with a poll, stop, that bounds every
+// candidate's replay (see openCampaign): once it answers an error, the
+// restore ends with that error and tries no further candidate.
+func (r *Registry) restoreCampaign(file string, stop func() error) (*Campaign, *RestoreInfo, error) {
 	info := &RestoreInfo{}
 	var firstErr error
 	keep := func(err error) {
@@ -686,6 +715,11 @@ func (r *Registry) RestoreCampaign(file string) (*Campaign, *RestoreInfo, error)
 		candidates = append(candidates, gens[len(gens)-1].path) // newest generation first
 	}
 	for _, cand := range candidates {
+		if stop != nil {
+			if err := stop(); err != nil {
+				return nil, info, err
+			}
+		}
 		data, err := os.ReadFile(cand)
 		if err != nil {
 			keep(err)
@@ -704,7 +738,7 @@ func (r *Registry) RestoreCampaign(file string) (*Campaign, *RestoreInfo, error)
 			keep(fmt.Errorf("service: %s: %w", cand, err))
 			continue
 		}
-		c, err := r.openFromEnvelope(cand, hdr, blob)
+		c, err := r.openFromEnvelope(cand, hdr, blob, stop)
 		if err != nil {
 			keep(err)
 			continue
@@ -741,7 +775,7 @@ func quarantine(path string) string {
 }
 
 // openFromEnvelope resumes a session from verified checkpoint contents.
-func (r *Registry) openFromEnvelope(file string, hdr ckptHeader, blob []byte) (*Campaign, error) {
+func (r *Registry) openFromEnvelope(file string, hdr ckptHeader, blob []byte, stop func() error) (*Campaign, error) {
 	// Always restore through the base instance: the session blob carries
 	// the delta log, and ResumeSession replays it onto the session's own
 	// graph.
@@ -751,7 +785,7 @@ func (r *Registry) openFromEnvelope(file string, hdr ckptHeader, blob []byte) (*
 	if err != nil {
 		return nil, err
 	}
-	c, err := r.openCampaign(inst, hdr.ID, hdr.Algo, hdr.Seed, hdr.Simulate, blob)
+	c, err := r.openCampaign(inst, hdr.ID, hdr.Algo, hdr.Seed, hdr.Simulate, blob, stop)
 	if err != nil {
 		inst.Release()
 		return nil, fmt.Errorf("service: %s: %w", file, err)

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"repro/internal/cascade"
 	"repro/internal/fault"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sweep"
@@ -246,6 +249,64 @@ func TestMutatedCampaignCheckpointRestore(t *testing.T) {
 	got := driveCampaign(t, restored)
 	restored.Close()
 	sameOutcome(t, got, want, "restored-mutated vs straight-through")
+}
+
+// TestMutatedCampaignModeChangeOverHTTP: an insert whose probability
+// differs from its target's shared one demotes the campaign's graph to
+// per-edge storage on both sides. A campaign stepped once and mutated
+// that way over HTTP, then checkpointed, closed, restored and finished
+// must end with the seeds, spread and RR counts of a twin mutated the
+// same way and run straight through: the replay rebuilds the mixed graph
+// from the compressed base, and the rounds after it draw RR sets and
+// sample the world on that graph.
+func TestMutatedCampaignModeChangeOverHTTP(t *testing.T) {
+	dir := t.TempDir()
+	srv := NewServer(NewRegistry(testSpec(), 0), dir)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// Node 1's in-edges share 1/indeg(1), which 0.37 is not for any
+	// in-degree, and a self-loop-free insert is always valid.
+	mixed := map[string]any{"inserts": []graph.Edge{{From: 0, To: 1, P: 0.37}}}
+	mutated := func() string {
+		var st Status
+		call(t, ts, http.MethodPost, "/v1/campaigns", map[string]any{"algo": adaptive.AlgoADDATP, "seed": 9}, http.StatusCreated, &st)
+		var step stepResponse
+		call(t, ts, http.MethodPost, "/v1/campaigns/"+st.ID+"/step", nil, http.StatusOK, &step)
+		if step.Stop {
+			t.Fatal("campaign stopped on round 1")
+		}
+		call(t, ts, http.MethodPost, "/v1/campaigns/"+st.ID+"/mutate", mixed, http.StatusOK, nil)
+		srv.mu.Lock()
+		g := srv.campaigns[st.ID].sess.Instance().G
+		srv.mu.Unlock()
+		if g.InUniform() {
+			t.Fatal("the mixed-probability insert left the graph compressed")
+		}
+		return st.ID
+	}
+	result := func(id string) *adaptive.RunResult {
+		stepToDone(t, ts, id)
+		var res adaptive.RunResult
+		call(t, ts, http.MethodGet, "/v1/campaigns/"+id+"/result", nil, http.StatusOK, &res)
+		return &res
+	}
+
+	want := result(mutated())
+	if len(want.Seeds) < 3 {
+		t.Fatalf("degenerate campaign: %d seeds, so no round follows the restore on the mixed graph", len(want.Seeds))
+	}
+
+	cut := mutated()
+	var ck map[string]string
+	call(t, ts, http.MethodPost, "/v1/campaigns/"+cut+"/checkpoint", nil, http.StatusOK, &ck)
+	call(t, ts, http.MethodDelete, "/v1/campaigns/"+cut, nil, http.StatusOK, nil)
+	var st Status
+	call(t, ts, http.MethodPost, "/v1/campaigns/restore", map[string]string{"file": ck["file"]}, http.StatusCreated, &st)
+	if st.ID != cut || st.Key.Epoch != 1 {
+		t.Fatalf("restored campaign %s at epoch %d, want %s at 1", st.ID, st.Key.Epoch, cut)
+	}
+	sameOutcome(t, result(cut), want, "restored mode-changed campaign vs straight-through")
 }
 
 // TestMutatedCampaignKeepsWorld: a simulated campaign mutated with

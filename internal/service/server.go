@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -42,7 +43,10 @@ type Server struct {
 	mu        sync.Mutex
 	campaigns map[string]*Campaign
 	nextID    int
-	draining  bool
+	// draining is set once, by Drain under mu; it is read under mu where
+	// a campaign joins the map, and lock-free by the restore replay's
+	// poll (drainStop).
+	draining atomic.Bool
 }
 
 // NewServer builds a server around an instance registry. ckptDir, when
@@ -244,7 +248,7 @@ func (s *Server) releaseStep() {
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	n := len(s.campaigns)
-	draining := s.draining
+	draining := s.draining.Load()
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "campaigns": n, "draining": draining})
 }
@@ -299,9 +303,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("service: server is draining"))
+		writeErr(w, http.StatusServiceUnavailable, errServerDraining)
 		return
 	}
 	s.nextID++
@@ -505,16 +509,20 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if !filepath.IsAbs(file) && s.ckptDir != "" {
 		file = filepath.Join(s.ckptDir, file)
 	}
-	c, info, err := s.reg.RestoreCampaign(file)
-	if err != nil {
+	c, info, err := s.reg.restoreCampaign(file, s.drainStop)
+	switch {
+	case errors.Is(err, errServerDraining):
+		writeErr(w, http.StatusServiceUnavailable, err)
+		return
+	case err != nil:
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		c.Close()
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("service: server is draining"))
+		writeErr(w, http.StatusServiceUnavailable, errServerDraining)
 		return
 	}
 	if _, exists := s.campaigns[c.ID]; exists {
@@ -537,6 +545,19 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		Status
 		*RestoreInfo
 	}{c.Status(), info})
+}
+
+// errServerDraining ends a restore whose replay a Drain overtook.
+var errServerDraining = errors.New("service: server is draining")
+
+// drainStop is the poll a restore's replay runs under: a Drain cuts the
+// replay short within a stride of RR draws, so a blob asking for more
+// work than the shutdown allows ends with errServerDraining.
+func (s *Server) drainStop() error {
+	if s.draining.Load() {
+		return errServerDraining
+	}
+	return nil
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -567,7 +588,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // checkpoint on disk is what survives either way).
 func (s *Server) Drain() ([]string, error) {
 	s.mu.Lock()
-	s.draining = true
+	s.draining.Store(true)
 	open := make([]*Campaign, 0, len(s.campaigns))
 	for _, c := range s.campaigns {
 		open = append(open, c)

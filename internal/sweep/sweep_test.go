@@ -83,6 +83,8 @@ func TestSpecValidateRejectsBadOptions(t *testing.T) {
 		"zero delta":       func(s *Spec) { s.Delta = 0 },
 		"negative workers": func(s *Spec) { s.Workers = -1 },
 		"zero nsg theta":   func(s *Spec) { s.NSGTheta = 0 },
+		"huge adg theta":   func(s *Spec) { s.ADGTheta = 1 << 40 },
+		"huge nsg theta":   func(s *Spec) { s.NSGTheta = 1<<24 + 1 },
 		"NaN imm eps":      func(s *Spec) { s.ImmEps = math.NaN() },
 	} {
 		s := tinySpec()
